@@ -5,8 +5,10 @@ Two scenarios:
 * ``--scenario search`` (default) — the §4.8 speed claim: ensemble
   queries (rows/sec by batch size), a full GA search
   (:class:`ConfigurationOptimizer`, batched vs the scalar reference),
-  and the end-to-end ``Rafiki.recommend`` latency.  Writes
-  ``BENCH_search.json`` next to this script.
+  the end-to-end ``Rafiki.recommend`` latency, and the decision-cost
+  grid (cold search ms by ensemble size and GA budget).  Writes
+  ``BENCH_search.json`` next to this script and appends this run to the
+  ``history`` list of the file it overwrites.
 * ``--scenario serve-scale`` — the vectorized op-stream hot path
   (:meth:`YCSBBenchmark.run_engine` batched vs scalar against the
   materialized LSM engine), the sharded multi-tenant serve loop
@@ -44,6 +46,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -77,6 +80,10 @@ BUDGETS = {
         generations=70,
         repeats=3,
         batch_sizes=(1, 48, 512, 3400),
+        # decision cost: the e2e benchmark's GA budget (48 x 16) and the
+        # paper's (48 x 70), on the e2e fixture's ensemble (6 networks,
+        # 4 after pruning) and the paper's (20 -> 14).
+        decision=dict(n_networks=(6, 20), generations=(16, 70), regimes=20),
         # serve-scale: op-stream scale + tenant fan-out.  The op-stream
         # shape is the locked MG-RAST-like scenario the >=5x claim is
         # pinned on; the serve shape is 8 tenants over 4 workers.  The
@@ -101,6 +108,7 @@ BUDGETS = {
         generations=10,
         repeats=2,
         batch_sizes=(1, 16, 256),
+        decision=dict(n_networks=(6,), generations=(10,), regimes=4),
         op_stream=dict(n_keys=20_000, load_keys=8_000, n_ops=4_000),
         # Deliberately meatier searches than the GA smoke above: a
         # too-cheap search would measure process-pool overhead, not the
@@ -202,6 +210,46 @@ def bench_recommend(surrogate: SurrogateModel, budget: dict) -> dict:
         "cold_seconds": cold,
         "cached_seconds": warm,
     }
+
+
+def bench_decision_cost(surrogate: SurrogateModel, budget: dict) -> dict:
+    """Milliseconds per cold ``Rafiki.recommend`` as the serve loop runs
+    it (population from the budget, no uncertainty penalty), by ensemble
+    size and GA generations — the per-window decision cost the paper
+    puts at ~1.8 s (§4.8).  ``surrogate`` is reused for the grid cell
+    with its ensemble size; the others are trained here.
+    """
+    shape = budget["decision"]
+    read_ratios = [float(rr) for rr in np.linspace(0.02, 0.98, shape["regimes"])]
+    out = {}
+    for n_networks in shape["n_networks"]:
+        if n_networks == budget["ensemble"].n_networks:
+            model = surrogate
+        else:
+            config = EnsembleConfig(
+                n_networks=n_networks, max_epochs=budget["ensemble"].max_epochs
+            )
+            model = build_surrogate({**budget, "ensemble": config})
+        rafiki = Rafiki(
+            CassandraLike(), model, PARAMS, seed=0,
+            rr_cache_resolution=0.001, cache_capacity=512,
+        )
+        rafiki.optimizer.population_size = budget["population"]
+        for generations in shape["generations"]:
+            rafiki.optimizer.generations = generations
+
+            def run():
+                rafiki.cache.clear()
+                for rr in read_ratios:
+                    rafiki.recommend(rr)
+
+            per_search = timed(run, budget["repeats"]) / len(read_ratios)
+            key = (
+                f"{model.ensemble.active_count}_members_"
+                f"{budget['population']}x{generations}"
+            )
+            out[key] = {"cold_search_ms": 1e3 * per_search}
+    return out
 
 
 def bench_op_stream(budget: dict) -> dict:
@@ -490,6 +538,38 @@ def bench_state_shipping(surrogate: SurrogateModel, budget: dict) -> dict:
     }
 
 
+def _commit() -> str:
+    """``git describe --always --dirty`` of the measured checkout."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def with_history(payload: dict, previous: Path) -> dict:
+    """``payload`` plus the ``history`` of the file it replaces, extended
+    by this run's headline numbers — so a regression shows as a step in
+    the list, not as a silently overwritten value."""
+    history = []
+    if previous.exists():
+        history = json.loads(previous.read_text()).get("history", [])
+    entry = {
+        "commit": _commit(),
+        "budget": payload["meta"]["budget"],
+        "cpu_count": payload["meta"]["cpu_count"],
+        "batched_us_per_evaluation": payload["ga_search"]["batched_us_per_evaluation"],
+        "speedup_batched_vs_scalar": payload["ga_search"]["speedup_batched_vs_scalar"],
+        "cold_recommend_seconds": payload["recommend"]["cold_seconds"],
+    }
+    return {**payload, "history": [*history, entry]}
+
+
 def _meta(budget_name: str) -> dict:
     return {
         "budget": budget_name,
@@ -509,6 +589,7 @@ def run_suite(budget_name: str) -> dict:
         "ensemble_query": bench_ensemble_rows(surrogate, budget),
         "ga_search": bench_ga_search(surrogate, budget),
         "recommend": bench_recommend(surrogate, budget),
+        "decision_cost": bench_decision_cost(surrogate, budget),
     }
 
 
@@ -613,7 +694,7 @@ def main(argv=None) -> int:
         )
 
     if args.scenario == "search":
-        payload = run_suite(args.budget)
+        payload = with_history(run_suite(args.budget), args.out)
     else:
         payload = run_serve_suite(args.budget)
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -96,7 +96,13 @@ class ConfigurationOptimizer:
             raise SearchError(
                 "optimizer parameters must match the surrogate's features"
             )
+        if uncertainty_penalty < 0.0:
+            raise SearchError("uncertainty_penalty must be non-negative")
         self.encoder = ConfigurationEncoder(surrogate.space, names)
+        #: The vendor default's genes, the ``seed_default`` floor candidate.
+        self.default_genes = self.encoder.encode(
+            surrogate.space.default_configuration()
+        )
         self.population_size = population_size
         self.generations = generations
         self.seed_default = seed_default
@@ -157,11 +163,11 @@ class ConfigurationOptimizer:
         best_fitness = result.best_fitness
         evaluations = result.evaluations
         if self.seed_default:
-            default = self.surrogate.space.default_configuration()
-            default_fitness = fitness(self.encoder.encode(default))
+            default_fitness = fitness(self.default_genes)
             evaluations += 1
             if default_fitness > best_fitness:
-                best_config, best_fitness = default, default_fitness
+                best_config = self.surrogate.space.default_configuration()
+                best_fitness = default_fitness
         return OptimizationResult(
             configuration=best_config,
             predicted_throughput=best_fitness,

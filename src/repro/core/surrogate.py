@@ -110,7 +110,7 @@ class SurrogateModel:
 
     def predict(self, read_ratio: float, config: Configuration) -> float:
         """Predicted AOPS for a concrete configuration."""
-        return self.predict_features(self.encode(read_ratio, config)[None, :])[0]
+        return float(self.predict_features(self.encode(read_ratio, config)[None, :])[0])
 
     def predict_features(self, rows: np.ndarray) -> np.ndarray:
         """Predict from raw feature rows (the GA's hot path)."""

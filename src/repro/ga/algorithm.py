@@ -19,12 +19,18 @@ as the reference implementation the equivalence tests compare against.
 The two paths consume the RNG identically and count evaluations
 identically, so a batch function whose rows match the scalar function
 bit-for-bit yields a bit-identical :class:`GAResult`.
+
+The population is one ``(P, n_genes)`` matrix from the first draw to the
+last generation: selection, crossover, mutation, the penalty and the
+feasibility snap all run in array space, and a
+:class:`~repro.config.space.Configuration` is built exactly once, for
+the winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,13 +124,11 @@ class GeneticAlgorithm:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _raw_fitness_many(self, population: Sequence[np.ndarray]) -> np.ndarray:
-        """Raw fitness of every individual; one batched call if possible."""
+    def _raw_fitness_many(self, population: np.ndarray) -> np.ndarray:
+        """Raw fitness of every row; one batched call if possible."""
         self.evaluations += len(population)
         if self.fitness_batch_fn is not None:
-            out = np.asarray(
-                self.fitness_batch_fn(np.stack(population)), dtype=float
-            ).ravel()
+            out = np.asarray(self.fitness_batch_fn(population), dtype=float).ravel()
             if out.shape[0] != len(population):
                 raise SearchError(
                     f"fitness_batch_fn returned {out.shape[0]} scores "
@@ -134,7 +138,7 @@ class GeneticAlgorithm:
         return np.array([float(self.fitness_fn(g)) for g in population])
 
     def _penalized_many(
-        self, population: Sequence[np.ndarray], raw: np.ndarray, penalty_scale: float
+        self, population: np.ndarray, raw: np.ndarray, penalty_scale: float
     ) -> np.ndarray:
         """Deb-penalized fitness for the whole population.
 
@@ -142,7 +146,7 @@ class GeneticAlgorithm:
         for bit: feasible rows pass through untouched, infeasible rows
         subtract the same product.
         """
-        violations = self.encoder.violation_batch(np.stack(population))
+        violations = self.encoder.violation_batch(population)
         return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
 
     def _publish(self, topic: str, message: str, **payload) -> None:
@@ -154,9 +158,20 @@ class GeneticAlgorithm:
     def run(
         self,
         seed: SeedLike = 0,
-        initial: Optional[List[np.ndarray]] = None,
+        initial: Optional[Sequence[np.ndarray]] = None,
     ) -> GAResult:
-        """Run the GA; returns the best *feasible* configuration found."""
+        """Run the GA; returns the best *feasible* configuration found.
+
+        ``initial`` gene vectors replace the first rows of the random
+        initial population.
+        """
+        n_genes = self.encoder.n_genes
+        initial_genes = [np.asarray(genes, dtype=float) for genes in initial or ()]
+        for genes in initial_genes:
+            if genes.shape != (n_genes,):
+                raise SearchError(
+                    f"initial genes must have shape ({n_genes},), got {genes.shape}"
+                )
         rng = derive_rng(seed)
         self.evaluations = 0
         self._publish(
@@ -167,10 +182,13 @@ class GeneticAlgorithm:
             batched=self.fitness_batch_fn is not None,
         )
 
-        population = [self.encoder.random_genes(rng) for _ in range(self.population_size)]
-        if initial:
-            for i, genes in enumerate(initial[: self.population_size]):
-                population[i] = np.asarray(genes, dtype=float)
+        # One block draw: the same stream, and the same rows, as
+        # ``population_size`` calls of ``encoder.random_genes``.
+        population = rng.uniform(
+            self.encoder.lower, self.encoder.upper, size=(self.population_size, n_genes)
+        )
+        for i, genes in enumerate(initial_genes[: self.population_size]):
+            population[i] = genes
 
         raw_first = self._raw_fitness_many(population)
         if self.penalty_scale is not None:
@@ -193,24 +211,24 @@ class GeneticAlgorithm:
             # block, which keeps their RNG streams — and hence their
             # trajectories — identical.
             order = np.argsort(fitness)[::-1]
-            pop_matrix = np.stack(population)
             n_children = self.population_size - self.elites
             ia = tournament_select_many(fitness, rng, n_children)
             ib = tournament_select_many(fitness, rng, n_children)
             children = weighted_average_crossover_many(
-                pop_matrix[ia], pop_matrix[ib], rng
+                population[ia], population[ib], rng
             )
             children = gaussian_mutation_many(
                 children,
                 self.encoder.lower,
                 self.encoder.upper,
+                self.encoder.span,
                 rng,
                 rate=self.mutation_rate,
                 scale=self.mutation_scale,
             )
-            population = [
-                pop_matrix[int(i)].copy() for i in order[: self.elites]
-            ] + list(children)
+            population = np.concatenate(
+                (population[order[: self.elites]], children)
+            )
             raw = self._raw_fitness_many(population)
             fitness = self._penalized_many(population, raw, penalty_scale)
 
@@ -247,15 +265,14 @@ class GeneticAlgorithm:
             history=history,
         )
 
-    def _best_feasible(self, population, fitness):
+    def _best_feasible(
+        self, population: np.ndarray, fitness: np.ndarray
+    ) -> Tuple[np.ndarray, float]:
         """Best individual after snapping to feasibility.
 
         The winner is re-scored on its *snapped* genes so the reported
         fitness corresponds to an actually applicable configuration.
         """
-        best_idx = int(np.argmax(fitness))
-        genes = population[best_idx]
-        config = self.encoder.decode(genes)
-        snapped = self.encoder.encode(config)
-        raw = float(self._raw_fitness_many([snapped])[0])
+        snapped = self.encoder.snap(population[int(np.argmax(fitness))])
+        raw = float(self._raw_fitness_many(snapped[None, :])[0])
         return snapped, raw

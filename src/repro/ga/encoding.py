@@ -3,8 +3,9 @@
 Each tuned parameter is one real-valued gene in its raw domain:
 integers and floats use their natural range, categoricals use the choice
 index.  Crossover produces non-integral genes; :meth:`decode` snaps to
-the nearest feasible value while :meth:`violation` measures how far from
-feasible a gene vector is (for the constraint penalty).
+the nearest feasible value (:meth:`snap` does the same in array space,
+without building a configuration) while :meth:`violation` measures how
+far from feasible a gene vector is (for the constraint penalty).
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ class ConfigurationEncoder:
         self.lower = np.array(lows)
         self.upper = np.array(highs)
         self.integral = np.array(integral, dtype=bool)
+        #: Gene ranges for unit scaling; degenerate ranges scale by 1.
+        self.span = np.where(self.upper > self.lower, self.upper - self.lower, 1.0)
+
+    def __reduce__(self):
+        # Everything else is derived from these two: pickles (state
+        # blobs, fingerprints) carry them and loading rebuilds the rest.
+        return type(self), (self.space, self.names)
 
     @property
     def n_genes(self) -> int:
@@ -59,7 +67,8 @@ class ConfigurationEncoder:
     # -- sampling --------------------------------------------------------------
 
     def random_genes(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform random point within bounds (initial population)."""
+        """Uniform random point within bounds (one row of the GA's
+        initial block draw)."""
         return rng.uniform(self.lower, self.upper)
 
     def encode(self, config: Configuration) -> np.ndarray:
@@ -75,18 +84,28 @@ class ConfigurationEncoder:
 
     # -- decoding --------------------------------------------------------------
 
+    def snap(self, genes: np.ndarray) -> np.ndarray:
+        """Nearest feasible gene vector(s): clip to bounds, then round
+        the integral genes (half to even, like :func:`round`).
+
+        Equal to ``encode(decode(genes))`` bit for bit without the
+        :class:`Configuration` round trip; ``+ 0.0`` turns the ``-0.0``
+        that ``np.round`` gives small negatives into ``encode``'s ``0.0``.
+        """
+        clipped = np.clip(genes, self.lower, self.upper)
+        return np.where(self.integral, np.round(clipped) + 0.0, clipped)
+
     def decode(self, genes: np.ndarray) -> Configuration:
         """Snap to the nearest feasible configuration."""
         genes = np.asarray(genes, dtype=float)
         if genes.shape != (self.n_genes,):
             raise SearchError(f"expected {self.n_genes} genes, got {genes.shape}")
         overrides = {}
-        clipped = np.clip(genes, self.lower, self.upper)
-        for g, spec in zip(clipped, self.specs):
+        for g, spec in zip(self.snap(genes), self.specs):
             if isinstance(spec, CategoricalParameter):
-                overrides[spec.name] = spec.choices[int(round(g))]
+                overrides[spec.name] = spec.choices[int(g)]
             elif isinstance(spec, IntegerParameter):
-                overrides[spec.name] = int(round(g))
+                overrides[spec.name] = int(g)
             else:
                 overrides[spec.name] = float(g)
         return Configuration(self.space, overrides)
@@ -110,8 +129,7 @@ class ConfigurationEncoder:
         if genes.shape[1] != self.n_genes:
             raise SearchError(f"expected {self.n_genes} genes per row, got {genes.shape[1]}")
         genes = np.clip(genes, self.lower, self.upper)
-        span = np.where(self.upper > self.lower, self.upper - self.lower, 1.0)
-        unit = (genes - self.lower) / span
+        unit = (genes - self.lower) / self.span
         rows = np.empty((genes.shape[0], 1 + self.n_genes))
         rows[:, 0] = read_ratio
         rows[:, 1:] = unit
@@ -136,9 +154,8 @@ class ConfigurationEncoder:
         genes = np.atleast_2d(np.asarray(genes_matrix, dtype=float))
         if genes.shape[1] != self.n_genes:
             raise SearchError(f"expected {self.n_genes} genes per row, got {genes.shape[1]}")
-        span = np.where(self.upper > self.lower, self.upper - self.lower, 1.0)
-        below = np.maximum(self.lower - genes, 0.0) / span
-        above = np.maximum(genes - self.upper, 0.0) / span
+        below = np.maximum(self.lower - genes, 0.0) / self.span
+        above = np.maximum(genes - self.upper, 0.0) / self.span
         total = np.sum(below + above, axis=1)
         inside = np.clip(genes, self.lower, self.upper)
         frac = np.abs(inside - np.round(inside))

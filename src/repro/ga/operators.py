@@ -104,13 +104,14 @@ def gaussian_mutation_many(
     children: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
+    span: np.ndarray,
     rng: np.random.Generator,
     rate: float = 0.2,
     scale: float = 0.1,
 ) -> np.ndarray:
-    """Per-gene gaussian jitter over a ``(count, n_genes)`` block."""
+    """Per-gene gaussian jitter over a ``(count, n_genes)`` block,
+    scaled to each gene's ``span`` (the encoder's precomputed range)."""
     mask = rng.random(children.shape) < rate
     noise = rng.standard_normal(children.shape)
-    span = np.where(upper > lower, upper - lower, 1.0)
     mutated = np.where(mask, children + noise * scale * span, children)
     return np.clip(mutated, lower, upper)

@@ -10,6 +10,7 @@ error.  The final performance value would be an average of 14 networks"
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -77,6 +78,8 @@ class NetworkEnsemble:
         self.pruned_count = 0
         self.x_scaler = StandardScaler()
         self.y_scaler = StandardScaler()
+        #: Derived ``(sources, weights, biases)`` stack; see _stacked_layers.
+        self._stacked = None
 
     @property
     def is_fitted(self) -> bool:
@@ -204,20 +207,78 @@ class NetworkEnsemble:
         self.training_results = [res for _, res in trained[:keep]]
         return self
 
-    def _mean_std_scaled(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Member mean and spread in *standardized* target units.
+    def __getstate__(self):
+        # The stacked tensors are derived from the member arrays: they
+        # stay out of pickles (state blobs, fingerprints) and are rebuilt
+        # on the first query after a load.
+        state = self.__dict__.copy()
+        del state["_stacked"]
+        return state
 
-        One forward pass per member, accumulated sequentially with
-        elementwise ops: unlike ``np.mean``/``np.std`` axis reductions
-        (whose unrolled base cases change accumulation order with the
-        column count), the result for each row is bit-identical whether
-        it is evaluated alone or inside a batch.
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._stacked = None
+
+    def _stacked_layers(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Per-layer ``(M, fan_in, fan_out)`` weights and ``(M, 1, fan_out)``
+        biases of the members, restacked whenever a member array changed.
+
+        Callers *rebind* member arrays (``set_weights``, a loaded
+        ``networks`` list, ``net.weights[0] = ...``), so the stack is
+        revalidated on every query by the identity of each source array:
+        replacing any of them changes the next prediction.  Member
+        arrays are values — replace them, never write into them.
         """
-        forwards = [net.forward_rows(xs) for net in self.networks]
+        sources = [a for net in self.networks for a in net.weights + net.biases]
+        cached = self._stacked
+        if (
+            cached is not None
+            and len(cached[0]) == len(sources)
+            and all(map(operator.is_, cached[0], sources))
+        ):
+            return cached[1], cached[2]
+        sizes = self.networks[0].layer_sizes
+        if sizes[-1] != 1 or any(net.layer_sizes != sizes for net in self.networks):
+            raise TrainingError(
+                "ensemble members must share one single-output topology"
+            )
+        n_layers = len(sizes) - 1
+        weights = [
+            np.stack([net.weights[i] for net in self.networks])
+            for i in range(n_layers)
+        ]
+        biases = [
+            np.stack([net.biases[i] for net in self.networks])[:, None, :]
+            for i in range(n_layers)
+        ]
+        self._stacked = (sources, weights, biases)
+        return weights, biases
+
+    def _member_mean(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every member's forward pass and their mean, standardized units.
+
+        The members share one topology, so each layer is one ``einsum``
+        over the whole ensemble: ``(n, d) -> (M, n)``.  ``einsum`` (not
+        BLAS ``@``) keeps every output row bit-identical whether it is
+        evaluated alone or inside a batch, and row ``m`` bit-identical
+        to ``networks[m].forward_rows(xs)``.  The mean accumulates the
+        members sequentially with elementwise ops: unlike an
+        ``np.mean`` axis reduction (whose unrolled base cases change
+        accumulation order with the column count), it is row-stable too.
+        """
+        weights, biases = self._stacked_layers()
+        a = np.einsum("ij,mjk->mik", xs, weights[0]) + biases[0]
+        for w, b in zip(weights[1:], biases[1:]):
+            a = np.einsum("mij,mjk->mik", np.tanh(a), w) + b
+        forwards = a[:, :, 0]
         total = forwards[0].copy()
         for f in forwards[1:]:
             total += f
-        mean = total / len(forwards)
+        return forwards, total / len(forwards)
+
+    def _mean_std_scaled(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Member mean and spread in *standardized* target units."""
+        forwards, mean = self._member_mean(xs)
         sq = np.zeros_like(mean)
         for f in forwards:
             sq += (f - mean) ** 2
@@ -233,7 +294,7 @@ class NetworkEnsemble:
         if squeeze:
             x = x[None, :]
         xs = self.x_scaler.transform(x)
-        mean, _ = self._mean_std_scaled(xs)
+        _, mean = self._member_mean(xs)
         out = self.y_scaler.inverse_transform(mean)
         return float(out[0]) if squeeze else out
 

@@ -95,11 +95,13 @@ class FeedForwardNetwork:
     def forward_rows(self, x: np.ndarray) -> np.ndarray:
         """Row-stable inference forward pass: ``(n, d) -> (n,)``.
 
-        The inference hot path (ensemble queries, batched GA fitness)
-        needs each output row to be bit-identical whether the row is
-        evaluated alone or inside a larger matrix.  BLAS ``@`` does not
-        guarantee that — gemm and gemv accumulate in different orders —
-        so this path contracts with ``einsum``, whose per-row reduction
+        The single-network form of the inference kernel, and the
+        reference :class:`~repro.ml.ensemble.NetworkEnsemble`'s stacked
+        forward is tested against.  Inference (ensemble queries, batched
+        GA fitness) needs each output row to be bit-identical whether
+        the row is evaluated alone or inside a larger matrix.  BLAS ``@``
+        does not guarantee that — gemm and gemv accumulate in different
+        orders — so this path contracts with ``einsum``, whose per-row reduction
         order is independent of the batch size.  Training keeps the BLAS
         path (:meth:`predict`/:meth:`jacobian`), where row stability is
         irrelevant and raw speed on large Jacobians wins.

@@ -7,7 +7,15 @@ reference path: the inference forward pass is row-stable by
 construction (einsum contraction + sequential member accumulation), so
 scoring a row alone or inside a batch gives the same bits.  These tests
 pin that contract.
+
+The ensemble runs all members through one stacked ``einsum`` per layer
+and the GA keeps its population as one matrix; the per-member
+``forward_rows`` walk and the ``decode -> encode`` round trip they
+replaced live on here as the oracles (``oracle_mean_std``,
+``encode(decode(g))``, the ``random_genes`` row stream).
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.bench.dataset import PerformanceDataset, PerformanceSample
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
+from repro.config.parameter import FloatParameter, IntegerParameter
+from repro.config.space import ConfigurationSpace
 from repro.core.search import ConfigurationOptimizer, GreedySearch, RandomSearch
 from repro.core.surrogate import SurrogateModel
 from repro.ga.algorithm import GeneticAlgorithm
@@ -23,11 +33,24 @@ from repro.ga.encoding import ConfigurationEncoder
 from repro.ml.ensemble import EnsembleConfig, NetworkEnsemble
 from repro.ml.network import FeedForwardNetwork
 from repro.runtime.events import EventBus
+from repro.sim.rng import derive_rng
 from repro.workload.spec import WorkloadSpec
 
 PARAMS = list(CASSANDRA_KEY_PARAMETERS)
 SPACE = cassandra_space()
 ENCODER = ConfigurationEncoder(SPACE, PARAMS)
+#: Integer genes with negative lows: rounding can produce ``-0.0`` here.
+SIGNED_ENCODER = ConfigurationEncoder(
+    ConfigurationSpace(
+        "signed",
+        [
+            IntegerParameter(name="n", default=0, low=-10, high=10),
+            FloatParameter(name="x", default=0.0, low=-5.0, high=5.0),
+            IntegerParameter(name="k", default=3, low=-2, high=7),
+        ],
+    ),
+    ["n", "x", "k"],
+)
 
 
 def gene_matrices(max_rows: int = 64):
@@ -64,8 +87,39 @@ class TestEncoderBatchEquivalence:
         with pytest.raises(SearchError):
             ENCODER.violation_batch(np.zeros((3, ENCODER.n_genes + 1)))
 
+    @pytest.mark.parametrize("encoder", [ENCODER, SIGNED_ENCODER], ids=["cassandra", "signed"])
+    @given(
+        n_rows=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_snap_matches_decode_encode_round_trip_bitwise(self, encoder, n_rows, seed):
+        """Out-of-bounds genes, exact half-integers (both round half to
+        even) and the sign of zero included."""
+        rng = np.random.default_rng(seed)
+        genes = rng.uniform(
+            encoder.lower - 3.0, encoder.upper + 3.0, size=(n_rows, encoder.n_genes)
+        )
+        halves = rng.random(genes.shape) < 0.4
+        genes[halves] = np.floor(genes[halves]) + 0.5
+        genes[rng.random(genes.shape) < 0.1] = -0.0
+        snapped = encoder.snap(genes)
+        for i in range(n_rows):
+            oracle = encoder.encode(encoder.decode(genes[i]))
+            assert snapped[i].tobytes() == oracle.tobytes()
+            assert encoder.snap(genes[i]).tobytes() == oracle.tobytes()
+            assert encoder.violation(snapped[i]) == 0.0
 
-def make_ensemble(n_features: int, n_networks: int = 5, seed: int = 0) -> NetworkEnsemble:
+    def test_encoder_pickles_as_its_constructor_arguments(self):
+        clone = pickle.loads(pickle.dumps(ENCODER))
+        assert clone.names == ENCODER.names
+        for attr in ("lower", "upper", "integral", "span"):
+            assert np.array_equal(getattr(clone, attr), getattr(ENCODER, attr))
+
+
+def make_ensemble(
+    n_features: int, n_networks: int = 5, seed: int = 0, hidden=(14, 4)
+) -> NetworkEnsemble:
     """A prediction-ready ensemble without the training cost: random
     member weights, scalers fitted on random data."""
     rng = np.random.default_rng(seed)
@@ -73,13 +127,57 @@ def make_ensemble(n_features: int, n_networks: int = 5, seed: int = 0) -> Networ
     ens.x_scaler.fit(rng.standard_normal((32, n_features)))
     ens.y_scaler.fit(rng.standard_normal(32) * 1e4)
     ens.networks = [
-        FeedForwardNetwork([n_features, 14, 4, 1], rng=np.random.default_rng(seed + i))
+        FeedForwardNetwork(
+            [n_features, *hidden, 1], rng=np.random.default_rng(seed + i)
+        )
         for i in range(n_networks)
     ]
     return ens
 
 
+def oracle_mean_std(ens: NetworkEnsemble, x: np.ndarray):
+    """The per-member reference walk: one ``forward_rows`` per network,
+    mean and spread accumulated member by member."""
+    xs = ens.x_scaler.transform(np.atleast_2d(x))
+    forwards = [net.forward_rows(xs) for net in ens.networks]
+    total = forwards[0].copy()
+    for f in forwards[1:]:
+        total += f
+    mean = total / len(forwards)
+    sq = np.zeros_like(mean)
+    for f in forwards:
+        sq += (f - mean) ** 2
+    std = np.sqrt(sq / len(forwards))
+    return ens.y_scaler.inverse_transform(mean), std * ens.y_scaler.scale_[0]
+
+
 class TestEnsembleBatchEquivalence:
+    # Width-1 layers contract through another einsum kernel (a dot, not
+    # an axpy): the stack must follow the single network there too.
+    @pytest.mark.parametrize("hidden", [(14, 4), (), (1, 3)], ids=str)
+    @pytest.mark.parametrize("n_members", [1, 4, 14])
+    @pytest.mark.parametrize("n_rows", [1, 2, 48, 49])
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_forward_matches_per_member_oracle(
+        self, hidden, n_members, n_rows, seed
+    ):
+        ens = make_ensemble(
+            n_features=6, n_networks=n_members, seed=seed % 1000, hidden=hidden
+        )
+        x = np.random.default_rng(seed).standard_normal((n_rows, 6))
+        mean, std = ens.predict_mean_std(x)
+        want_mean, want_std = oracle_mean_std(ens, x)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(std, want_std)
+        # The mean-only walk is the same mean.
+        assert np.array_equal(ens.predict(x), mean)
+        # Row i alone == row i inside the batch.
+        for i in {0, n_rows // 2, n_rows - 1}:
+            m_i, s_i = ens.predict_mean_std(x[i : i + 1])
+            assert m_i[0] == mean[i] and s_i[0] == std[i]
+            assert ens.predict(x[i]) == mean[i]
+
     @given(
         n_rows=st.integers(min_value=1, max_value=96),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -108,6 +206,50 @@ class TestEnsembleBatchEquivalence:
         full = net.forward_rows(x)
         rows = np.array([net.forward_rows(x[i])[0] for i in range(200)])
         assert np.array_equal(full, rows)
+
+
+class TestStackedEnsembleState:
+    """The stacked tensors are derived state: they must follow the
+    member arrays and stay out of pickles."""
+
+    def test_rebinding_a_member_array_moves_the_next_prediction(self):
+        ens = make_ensemble(n_features=6, n_networks=4, seed=21)
+        x = np.random.default_rng(2).standard_normal((48, 6))
+        before = ens.predict(x)
+        assert np.array_equal(before, oracle_mean_std(ens, x)[0])
+        net = ens.networks[2]
+        net.weights[0] = net.weights[0] * 1.001
+        after = ens.predict(x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, oracle_mean_std(ens, x)[0])
+        # set_weights and a replaced member list rebind too.
+        ens.networks[0].set_weights(ens.networks[0].get_weights() * 0.5)
+        assert np.array_equal(ens.predict(x), oracle_mean_std(ens, x)[0])
+        ens.networks = ens.networks[:2] + [
+            FeedForwardNetwork([6, 14, 4, 1], rng=np.random.default_rng(77))
+        ]
+        mean, std = ens.predict_mean_std(x)
+        want_mean, want_std = oracle_mean_std(ens, x)
+        assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+
+    def test_pickle_is_unchanged_by_the_first_query(self):
+        ens = make_ensemble(n_features=6, n_networks=4, seed=8)
+        x = np.random.default_rng(3).standard_normal((5, 6))
+        cold = pickle.dumps(ens)
+        want = ens.predict_mean_std(x)
+        assert pickle.dumps(ens) == cold
+        loaded = pickle.loads(cold)
+        got = loaded.predict_mean_std(x)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert pickle.dumps(loaded) == cold
+
+    def test_mismatched_member_topologies_rejected(self):
+        from repro.errors import TrainingError
+
+        ens = make_ensemble(n_features=6, n_networks=2, seed=1)
+        ens.networks[1] = FeedForwardNetwork([6, 8, 1], rng=np.random.default_rng(0))
+        with pytest.raises(TrainingError):
+            ens.predict(np.zeros((1, 6)))
 
 
 def elementwise_fitness(weights):
@@ -139,6 +281,25 @@ class TestGABatchDeterminism:
         assert a.evaluations == b.evaluations
         assert a.generations == b.generations
         assert a.history == b.history
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        population=st.integers(min_value=4, max_value=64),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_initial_block_draw_is_the_random_genes_row_stream(self, seed, population):
+        seen = []
+
+        def batch(matrix: np.ndarray) -> np.ndarray:
+            seen.append(matrix.copy())
+            return np.zeros(matrix.shape[0])
+
+        GeneticAlgorithm(
+            ENCODER, fitness_batch_fn=batch, population_size=population, generations=1
+        ).run(seed=seed)
+        rng = derive_rng(seed)
+        rows = np.stack([ENCODER.random_genes(rng) for _ in range(population)])
+        assert seen[0].tobytes() == rows.tobytes()
 
     def test_needs_some_fitness(self):
         from repro.errors import SearchError

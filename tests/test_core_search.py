@@ -66,6 +66,10 @@ class TestConfigurationOptimizer:
         with pytest.raises(SearchError):
             ConfigurationOptimizer(surrogate, parameters=PARAMS[:2])
 
+    def test_negative_uncertainty_penalty_rejected(self, surrogate):
+        with pytest.raises(SearchError):
+            ConfigurationOptimizer(surrogate, uncertainty_penalty=-0.1)
+
     def test_seed_configs_accepted(self, surrogate):
         space = surrogate.space
         seeds = [space.default_configuration()]

@@ -68,7 +68,8 @@ class TestSurrogateModel:
 
     def test_predict_scalar(self, fitted, space):
         out = fitted.predict(0.5, space.default_configuration())
-        assert isinstance(out, float)
+        # A python float, not a leaked np.float64 (itself a float subclass).
+        assert type(out) is float
         assert out > 0
 
     def test_encode_matches_dataset_features(self, fitted, dataset):

@@ -111,6 +111,18 @@ class TestGeneticAlgorithm:
         result = ga.run(seed=5, initial=[encoder.encode(seed_cfg)])
         assert result.best_fitness == pytest.approx(0.0, abs=0.1)
 
+    @pytest.mark.parametrize("bad", [[2.0], [2.0, 0.0, 1.0], [[2.0, 0.0]]])
+    def test_initial_genes_of_wrong_shape_rejected(self, quad_space, bad):
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        calls = []
+        ga = GeneticAlgorithm(
+            encoder, lambda g: calls.append(1) or 0.0, population_size=10, generations=3
+        )
+        # A one-gene seed would otherwise broadcast silently over a row.
+        with pytest.raises(SearchError, match="initial genes"):
+            ga.run(seed=5, initial=[np.array(bad)])
+        assert not calls  # rejected up front, before any evaluation
+
     def test_deterministic_per_seed(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
 

@@ -10,6 +10,8 @@ from the event-sequence contract (blob placement depends on OS worker
 scheduling).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -381,6 +383,23 @@ class TestServeStateShipping:
         net.weights[0] = net.weights[0] * 1.001
         assert scheduler._state_fingerprint() != after_search
         assert result is not None
+
+    def test_first_query_moves_neither_fingerprint_nor_blob(
+        self, cassandra, tiny_surrogate
+    ):
+        # A freshly loaded surrogate has built none of its derived
+        # inference state yet; building it must not leak into what ships.
+        surrogate = pickle.loads(pickle.dumps(tiny_surrogate))
+        rafiki = make_rafiki(cassandra, surrogate)
+        scheduler = MiddlewareScheduler(cassandra, rafiki, backend=SerialBackend())
+        fingerprint = scheduler._state_fingerprint()
+        ensemble_pickle = pickle.dumps(surrogate.ensemble)
+        blob_bytes = len(scheduler._rafiki_blob())
+        rafiki.predicted_throughput(0.5, cassandra.default_configuration())
+        rafiki.predicted_mean_std(0.5, cassandra.default_configuration())
+        assert scheduler._state_fingerprint() == fingerprint
+        assert pickle.dumps(surrogate.ensemble) == ensemble_pickle
+        assert len(scheduler._rafiki_blob()) == blob_bytes
 
     def test_state_report_requires_a_backend(self, cassandra, tiny_surrogate):
         rafiki = make_rafiki(cassandra, tiny_surrogate)
