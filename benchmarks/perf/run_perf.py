@@ -18,8 +18,10 @@ Two scenarios:
   content-addressed state-shipping protocol (a steady-state campaign
   whose per-round payload must collapse to O(1) fingerprint bytes once
   the blob has been broadcast — see
-  :mod:`repro.runtime.stateship`).  Writes ``BENCH_serve.json`` at the
-  repo root.
+  :mod:`repro.runtime.stateship`), and the analytic substrate's cost
+  (microseconds of wall clock per simulated second, single server and
+  a 3-node RF=2 ring; recorded, not gated).  Writes ``BENCH_serve.json``
+  at the repo root and appends this run to its ``history`` list.
 
 Usage::
 
@@ -60,7 +62,7 @@ from repro.core.policies import OraclePolicy
 from repro.core.rafiki import Rafiki
 from repro.core.search import ConfigurationOptimizer
 from repro.core.surrogate import SurrogateModel
-from repro.datastore import CassandraLike
+from repro.datastore import CassandraLike, Cluster
 from repro.middleware import MiddlewareScheduler, TenantSpec
 from repro.ml.ensemble import EnsembleConfig
 from repro.runtime import EventBus
@@ -98,6 +100,7 @@ BUDGETS = {
         state_ship=dict(
             tenants=6, windows=8, workers=4, population=48, generations=70
         ),
+        substrate=dict(load_keys=2_000_000, simulated_seconds=2_000, repeats=7),
     ),
     # CI smoke: small ensemble, short search; ratios stay meaningful,
     # wall time stays in seconds.
@@ -117,6 +120,7 @@ BUDGETS = {
         state_ship=dict(
             tenants=4, windows=6, workers=2, population=16, generations=10
         ),
+        substrate=dict(load_keys=200_000, simulated_seconds=500, repeats=5),
     ),
 }
 
@@ -538,6 +542,29 @@ def bench_state_shipping(surrogate: SurrogateModel, budget: dict) -> dict:
     }
 
 
+def bench_substrate(budget: dict) -> dict:
+    """Wall-clock microseconds per simulated second of the analytic
+    substrate — what executing a window costs, next to what deciding it
+    costs (``decision_cost`` in the search scenario).  One loaded default
+    Cassandra server, and a 3-node RF=2 ring of them, stepped at read
+    ratio 0.5; best of ``repeats`` (>= 5) runs.
+    """
+    shape = budget["substrate"]
+    seconds = shape["simulated_seconds"]
+    cassandra = CassandraLike()
+    config = cassandra.default_configuration()
+    server = cassandra.new_analytic_instance(config, seed=1)
+    ring = Cluster(
+        cassandra, config, n_nodes=3, replication_factor=2, n_shooters=3, seed=1
+    )
+    out = dict(shape)
+    for name, target in (("single_node", server), ("ring_3_nodes_rf2", ring)):
+        target.load(shape["load_keys"])
+        best = timed(lambda: target.run(0.5, seconds), shape["repeats"])
+        out[f"{name}_us_per_simulated_second"] = 1e6 * best / seconds
+    return out
+
+
 def _commit() -> str:
     """``git describe --always --dirty`` of the measured checkout."""
     try:
@@ -552,10 +579,10 @@ def _commit() -> str:
         return "unknown"
 
 
-def with_history(payload: dict, previous: Path) -> dict:
+def with_history(payload: dict, previous: Path, headline: dict) -> dict:
     """``payload`` plus the ``history`` of the file it replaces, extended
-    by this run's headline numbers — so a regression shows as a step in
-    the list, not as a silently overwritten value."""
+    by this run's ``headline`` numbers — so a regression shows as a step
+    in the list, not as a silently overwritten value."""
     history = []
     if previous.exists():
         history = json.loads(previous.read_text()).get("history", [])
@@ -563,9 +590,7 @@ def with_history(payload: dict, previous: Path) -> dict:
         "commit": _commit(),
         "budget": payload["meta"]["budget"],
         "cpu_count": payload["meta"]["cpu_count"],
-        "batched_us_per_evaluation": payload["ga_search"]["batched_us_per_evaluation"],
-        "speedup_batched_vs_scalar": payload["ga_search"]["speedup_batched_vs_scalar"],
-        "cold_recommend_seconds": payload["recommend"]["cold_seconds"],
+        **headline,
     }
     return {**payload, "history": [*history, entry]}
 
@@ -601,6 +626,7 @@ def run_serve_suite(budget_name: str) -> dict:
         "op_stream": bench_op_stream(budget),
         "serve_scale": bench_serve_scale(surrogate, budget),
         "state_shipping": bench_state_shipping(surrogate, budget),
+        "substrate": bench_substrate(budget),
     }
 
 
@@ -694,9 +720,24 @@ def main(argv=None) -> int:
         )
 
     if args.scenario == "search":
-        payload = with_history(run_suite(args.budget), args.out)
+        payload = run_suite(args.budget)
+        headline = {
+            "batched_us_per_evaluation": payload["ga_search"]["batched_us_per_evaluation"],
+            "speedup_batched_vs_scalar": payload["ga_search"]["speedup_batched_vs_scalar"],
+            "cold_recommend_seconds": payload["recommend"]["cold_seconds"],
+        }
     else:
         payload = run_serve_suite(args.budget)
+        substrate = payload["substrate"]
+        headline = {
+            key: substrate[key]
+            for key in (
+                "single_node_us_per_simulated_second",
+                "ring_3_nodes_rf2_us_per_simulated_second",
+            )
+        }
+        headline["serial_seconds"] = payload["serve_scale"]["serial_seconds"]
+    payload = with_history(payload, args.out, headline)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(payload, indent=2, default=float) + "\n")
 
@@ -734,6 +775,13 @@ def main(argv=None) -> int:
             f"({per_round['reduction_vs_full_blob']:.0f}x reduction), "
             f"hit fraction {ship['steady_state_hit_fraction']:.2f}, "
             f"identical_results={ship['identical_results']}"
+        )
+        print(
+            "substrate: "
+            f"{substrate['single_node_us_per_simulated_second']:.1f} us per "
+            "simulated second (single node), "
+            f"{substrate['ring_3_nodes_rf2_us_per_simulated_second']:.1f} us "
+            "(3-node RF=2 ring)"
         )
     print(f"wrote {args.out}")
 

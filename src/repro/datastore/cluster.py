@@ -238,60 +238,45 @@ class Cluster:
             return self.replication_factor // 2 + 1
         return self.replication_factor
 
-    def _effective_rf(self) -> int:
-        """Replicas a write can actually land on (down nodes skipped)."""
-        return min(self.replication_factor, len(self.live_node_indices))
+    def _solve(self, read_ratio: float) -> Tuple[float, List[int], float, float]:
+        """One capacity solve: ``(ops/s, live nodes, node read share, fan-out)``.
 
-    def _effective_read_fanout(self) -> int:
-        return min(self.read_fanout, self._effective_rf())
-
-    def _node_read_share(self, read_ratio: float) -> float:
-        """Read share of the per-node op mix after fan-out."""
-        r, w = read_ratio, 1.0 - read_ratio
-        reads = r * self._effective_read_fanout()
-        return reads / (reads + w * self._effective_rf())
-
-    def _fanout(self, read_ratio: float) -> float:
-        """Node-ops per logical op."""
-        r, w = read_ratio, 1.0 - read_ratio
-        return r * self._effective_read_fanout() + w * self._effective_rf()
-
-    def _node_capacity(self, node: int, node_rr: float) -> float:
-        cap = self.nodes[node].sustainable_throughput(node_rr)
-        factor = self._slowdown.get(node)
-        return cap if factor is None else cap / factor
-
-    def sustainable_throughput(self, read_ratio: float) -> float:
-        """Logical ops/s the cluster sustains at this instant."""
+        Down nodes take no replicas, so the effective RF and read fan-out
+        shrink with the live set; :meth:`step` pushes load with the same
+        values the solve used.
+        """
         live = self.live_node_indices
         if not live:
             raise DatastoreError("no live nodes")
-        node_rr = self._node_read_share(read_ratio)
-        fanout = self._fanout(read_ratio)
-        per_node = min(self._node_capacity(i, node_rr) for i in live)
+        rf = min(self.replication_factor, len(live))
+        node_reads = read_ratio * min(self.read_fanout, rf)
+        fanout = node_reads + (1.0 - read_ratio) * rf
+        node_rr = node_reads / fanout
+        # The slowest live node bounds the balanced per-node rate.
+        per_node = min(
+            self.nodes[i].sustainable_throughput(node_rr) / self._slowdown.get(i, 1.0)
+            for i in live
+        )
         server_cap = per_node * len(live) / fanout
         client_cap = self.n_shooters * SHOOTER_CAPACITY_OPS
-        return min(server_cap, client_cap)
+        return min(server_cap, client_cap), live, node_rr, fanout
+
+    def sustainable_throughput(self, read_ratio: float) -> float:
+        """Logical ops/s the cluster sustains at this instant."""
+        return self._solve(read_ratio)[0]
 
     # -- stepping --------------------------------------------------------------
 
     def step(self, read_ratio: float, dt: float = 1.0) -> ClusterStepResult:
         """Advance the whole cluster ``dt`` seconds."""
-        x = self.sustainable_throughput(read_ratio)
-        live = self.live_node_indices
-        node_rr = self._node_read_share(read_ratio)
-        node_ops = x * self._fanout(read_ratio) / len(live)
-        per_node = []
-        for i, node in enumerate(self.nodes):
-            if i in self._down:
-                per_node.append(0.0)
-                continue
-            node.apply_external_load(
-                reads=node_ops * node_rr * dt,
-                writes=node_ops * (1.0 - node_rr) * dt,
-                dt=dt,
-            )
-            per_node.append(node_ops)
+        x, live, node_rr, fanout = self._solve(read_ratio)
+        node_ops = x * fanout / len(live)
+        reads = node_ops * node_rr * dt
+        writes = node_ops * (1.0 - node_rr) * dt
+        per_node = [0.0] * self.n_nodes
+        for i in live:
+            self.nodes[i].apply_external_load(reads=reads, writes=writes, dt=dt)
+            per_node[i] = node_ops
         self.t += dt
         return ClusterStepResult(
             t=self.t, throughput=x, per_node_throughput=per_node, dt=dt
@@ -299,6 +284,8 @@ class Cluster:
 
     def run(self, read_ratio: float, duration: float, dt: float = 1.0):
         """Step the cluster for ``duration`` seconds; per-step results."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
         steps = max(1, int(round(duration / dt)))
         return [self.step(read_ratio, dt) for _ in range(steps)]
 

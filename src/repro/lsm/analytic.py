@@ -2,11 +2,13 @@
 
 Evolves the same aggregate state as :class:`~repro.lsm.engine.LSMEngine`
 — memtable fill, SSTable layout, compaction backlog, file-cache warmth —
-in fixed time steps, pricing work through the *same* cost functions in
+in fixed time steps, pricing work through the *same* cost formulas as
 :mod:`repro.sim.costs`.  Each step solves the fluid bottleneck equation
 for the closed-loop throughput the server can sustain at the current
 read ratio, then applies that step's structural consequences (flushes,
-compaction progress).
+compaction progress).  A step is float arithmetic: terms that move only
+with the knobs, hardware, costs, profile or read ratio are tabled
+(:class:`_RegimeTerms`), and numpy is used for the random draws alone.
 
 This is the fast path used for the paper's 220-point data collection,
 the exhaustive-search baselines, and anything else that would need hours
@@ -39,10 +41,6 @@ from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
     commitlog_bytes_per_write,
-    expected_disk_probes_per_read,
-    expected_version_spread,
-    read_cpu_seconds,
-    thread_contention,
     write_cpu_seconds,
 )
 from repro.sim.hardware import DEFAULT_SERVER, HardwareSpec
@@ -63,23 +61,32 @@ def _soft_min(caps) -> float:
     power mean ``(sum c_i^-p)^(-1/p)`` sits a few percent below the
     binding cap when a second resource is close, and converges to the
     min as p grows.
+
+    Scalar floats on purpose: ``**`` on a python float is libm's ``pow``
+    on every host, where numpy's array ``pow`` follows the host's SIMD
+    level and differs from it in the last ulp.
     """
-    finite = np.array([c for c in caps if np.isfinite(c)], dtype=float)
-    if finite.size == 0:
-        return float("inf")
-    scale = finite.min()
+    finite = [c for c in caps if math.isfinite(c)]
+    if not finite:
+        return math.inf
+    scale = min(finite)
     if scale <= 0:
         return 0.0
-    return float(scale * np.power(np.sum((scale / finite) ** _SOFTMIN_POWER), -1.0 / _SOFTMIN_POWER))
+    total = 0.0
+    for c in finite:
+        total += (scale / c) ** _SOFTMIN_POWER
+    return scale * total ** (-1.0 / _SOFTMIN_POWER)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadProfile:
     """Workload characteristics that shape per-op costs (paper §3.3).
 
     ``krd_mean_ops`` is the mean key-reuse distance in operations (the
     paper fits an exponential distribution to it); ``update_fraction`` is
     the share of writes hitting existing keys (vs fresh inserts).
+    Frozen: a model's profile is replaced (``dataclasses.replace``),
+    never written into, so its identity keys the model's term table.
     """
 
     value_bytes: int = 200
@@ -121,6 +128,66 @@ class _BacklogTask:
     remaining_io_bytes: float
     kind: str          # "st_merge" | "l0_to_l1" | "spill"
     payload: tuple = ()
+
+
+class _RegimeTerms:
+    """The bottleneck equation's terms that move only with the regime.
+
+    Derived state of one model: built from the ``knobs``, ``hardware``,
+    ``costs`` and ``profile`` it holds (all frozen, so identity is value)
+    and, for the mix-weighted half, the read ratio last solved for.
+    Revalidated on every use (:meth:`AnalyticLSMModel._regime`); never
+    pickled.
+    """
+
+    __slots__ = (
+        "knobs", "hardware", "costs", "profile", "cache_pages", "steady_hit",
+        "update_share", "half_flush_trigger", "flush_duty_rate", "ghz_scale",
+        "iops", "read_ratio", "w", "w_cpu", "w_commitlog_bytes", "flush_cap",
+        "write_pool_cap", "read_pool_cap",
+    )
+
+    def __init__(self, knobs, hardware, costs, profile):
+        self.knobs, self.hardware, self.costs, self.profile = (
+            knobs, hardware, costs, profile
+        )
+        # Steady-state che-approximation hit ratio of an overflowing
+        # cache (see AnalyticLSMModel.cache_hit_ratio).
+        self.cache_pages = knobs.file_cache_bytes / BLOCK_BYTES
+        coverage = costs.cache_coverage_ops_per_page
+        if knobs.compaction_method == LEVELED:
+            coverage *= costs.leveled_cache_locality
+        coverage_ops = self.cache_pages * coverage
+        self.steady_hit = 1.0 - math.exp(-coverage_ops / profile.krd_mean_ops)
+        self.update_share = min(max(profile.update_fraction, 0.0), 1.0)
+        self.half_flush_trigger = 0.5 * knobs.flush_trigger_bytes
+        # Flushes are intermittent: half the writers' bandwidth on average.
+        self.flush_duty_rate = (
+            knobs.memtable_flush_writers * costs.flush_writer_bandwidth
+        ) * 0.5
+        self.ghz_scale = hardware.cpu_ghz / 3.0
+        self.iops = hardware.disk_rand_iops * hardware.disk_count
+        self.read_ratio = None
+
+    def set_mix(self, read_ratio: float) -> None:
+        """Weight the per-class terms by the op mix ``read_ratio``."""
+        knobs, costs = self.knobs, self.costs
+        record_bytes = self.profile.record_bytes
+        r = read_ratio
+        w = 1.0 - r
+        self.read_ratio, self.w = r, w
+        self.w_cpu = w * write_cpu_seconds(costs)
+        self.w_commitlog_bytes = w * commitlog_bytes_per_write(record_bytes, costs)
+        self.flush_cap = self.write_pool_cap = self.read_pool_cap = math.inf
+        if w > 0:
+            # Flush writers must keep pace with ingest.
+            flush_bw = knobs.memtable_flush_writers * costs.flush_writer_bandwidth
+            self.flush_cap = flush_bw / (w * record_bytes)
+            self.write_pool_cap = knobs.concurrent_writes / (w * costs.write_thread_hold)
+        # A denormal read ratio can underflow this product to 0.0; an
+        # underflowed denominator means the cap imposes no constraint.
+        if r * costs.read_thread_hold > 0:
+            self.read_pool_cap = knobs.concurrent_reads / (r * costs.read_thread_hold)
 
 
 class AnalyticLSMModel:
@@ -166,6 +233,37 @@ class AnalyticLSMModel:
         self.total_ops = 0.0
         self.total_flushes = 0
         self.total_compactions = 0
+        self._terms: Optional[_RegimeTerms] = None
+
+    def __getstate__(self):
+        # Derived state stays out of pickles (pool workers, fingerprints)
+        # and is rebuilt on the first solve after a load.
+        state = self.__dict__.copy()
+        del state["_terms"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._terms = None
+
+    def _regime(self, read_ratio: Optional[float] = None) -> _RegimeTerms:
+        """The term table, rebuilt when an object it derives from was
+        replaced (``knobs`` by :meth:`reconfigure`; callers never write
+        into any of the four) and re-weighted when the read ratio moved
+        (``None``: any mix will do)."""
+        t = self._terms
+        if (
+            t is None
+            or t.knobs is not self.knobs
+            or t.hardware is not self.hardware
+            or t.costs is not self.costs
+            or t.profile is not self.profile
+        ):
+            t = _RegimeTerms(self.knobs, self.hardware, self.costs, self.profile)
+            self._terms = t
+        if read_ratio is not None and read_ratio != t.read_ratio:
+            t.set_mix(read_ratio)
+        return t
 
     # ------------------------------------------------------------------ layout stats
 
@@ -187,8 +285,11 @@ class AnalyticLSMModel:
     def tables_bloom_checked(self) -> float:
         """Expected tables consulted per read (bloom or range index)."""
         if self.is_leveled:
-            nonempty_levels = sum(1 for b in self.level_bytes[1:] if b > 0)
-            return len(self.l0_tables) + nonempty_levels
+            checked = len(self.l0_tables)
+            for level in self.level_bytes[1:]:
+                if level > 0:
+                    checked += 1
+            return checked
         return float(len(self.st_tables))
 
     @property
@@ -204,86 +305,92 @@ class AnalyticLSMModel:
         cache's coverage: ``1 - exp(-coverage / d)`` (paper §3.3: huge
         KRD is exactly why caching is of limited value for MG-RAST).
         """
-        pages = self.knobs.file_cache_bytes / BLOCK_BYTES
+        return self._cache_hit(self._regime())
+
+    def _cache_hit(self, t: _RegimeTerms) -> float:
+        pages = t.cache_pages
         if pages <= 0:
             return 0.0
         working_set_pages = max(self.dataset_bytes / BLOCK_BYTES, 1.0)
-        if working_set_pages <= pages:
-            steady = 1.0
-        else:
-            coverage = self.costs.cache_coverage_ops_per_page
-            if self.is_leveled:
-                coverage *= self.costs.leveled_cache_locality
-            coverage_ops = pages * coverage
-            steady = 1.0 - math.exp(-coverage_ops / self.profile.krd_mean_ops)
+        steady = 1.0 if working_set_pages <= pages else t.steady_hit
         ramp = 1.0 - math.exp(-self.cache_age / CACHE_WARMUP_SECONDS)
         return steady * ramp
 
     # ------------------------------------------------------------------ throughput
 
     def sustainable_throughput(self, read_ratio: float) -> float:
-        """Solve the fluid bottleneck equation for ops/s at this instant."""
+        """Solve the fluid bottleneck equation for ops/s at this instant.
+
+        The formulas of :mod:`repro.sim.costs`, written out as float
+        arithmetic over the regime's term table; the property tests hold
+        this bitwise equal to the equation evaluated through them.
+        """
         if not (0.0 <= read_ratio <= 1.0):
             raise ValueError("read_ratio must be in [0, 1]")
+        t = self._regime(read_ratio)
+        knobs, hardware, costs = t.knobs, t.hardware, t.costs
         r = read_ratio
-        w = 1.0 - r
-        costs = self.costs
-        hit = self.cache_hit_ratio()
+        hit = self._cache_hit(t)
 
+        # Read path: tables checked, version spread, candidates probed.
         n_checked = self.tables_bloom_checked
-        spread = expected_version_spread(
-            max(n_checked, 1.0), self.profile.update_fraction
-        )
-        probed = min(
-            spread + self.knobs.bloom_fp_chance * max(n_checked - spread, 0.0),
-            max(n_checked, 1.0),
-        )
-        disk_probes = expected_disk_probes_per_read(
-            spread, n_checked, self.knobs.bloom_fp_chance, hit
+        tables = n_checked if n_checked >= 1.0 else 1.0
+        if tables <= 1:
+            spread = 1.0
+        else:
+            growth = (tables - 1) / 3.0
+            spread = 1.0 + (growth if growth < 3.0 else 3.0) * t.update_share
+            if tables < spread:
+                spread = tables
+        excess = n_checked - spread
+        fp_tables = knobs.bloom_fp_chance * (excess if excess >= 0.0 else 0.0)
+        touched = spread + fp_tables
+        probed = tables if tables < touched else touched
+        disk_probes = touched * (1.0 - hit)
+        cpu_r = (
+            costs.cpu_read_base
+            + n_checked * costs.cpu_bloom_check
+            + probed * costs.cpu_probe
+            + probed * hit * costs.cpu_cache_hit
         )
 
-        cpu_r = read_cpu_seconds(n_checked, probed, probed * hit, costs)
-        cpu_w = write_cpu_seconds(costs)
-
-        bg_cpu, bg_seq = self._background_utilization()
-        cores = max(
-            self.hardware.cpu_cores * (1.0 - bg_cpu) * (self.hardware.cpu_ghz / 3.0),
-            0.5,
+        # Background work steals sequential bandwidth and cores.
+        comp_rate = self._compaction_rate()
+        flushing = self.memtable_bytes > t.half_flush_trigger
+        seq_demand = comp_rate * costs.compaction_io_factor + (
+            t.flush_duty_rate if flushing else 0.0
         )
+        bg_seq = seq_demand / hardware.disk_seq_bandwidth
+        bg_seq = 0.9 if bg_seq > 0.9 else bg_seq
+        bg_cpu = comp_rate * costs.compaction_cpu_per_byte / hardware.cpu_cores
+        bg_cpu = 0.6 if bg_cpu > 0.6 else bg_cpu
+        cores = hardware.cpu_cores * (1.0 - bg_cpu) * t.ghz_scale
+        cores = 0.5 if cores < 0.5 else cores
 
-        def contention(threads: int) -> float:
-            return thread_contention(threads, cores, costs)
-
+        # Thread contention (sim.costs.thread_contention) per pool.
+        slots = costs.oversubscription_factor * cores
+        slots = 1.0 if slots < 1.0 else slots
+        read_load = knobs.concurrent_reads / slots
+        write_load = knobs.concurrent_writes / slots
+        quadratic = costs.contention_quadratic
         cpu_per_op = (
-            r * cpu_r * contention(self.knobs.concurrent_reads)
-            + w * cpu_w * contention(self.knobs.concurrent_writes)
+            r * cpu_r * (1.0 + quadratic * read_load * read_load)
+            + t.w_cpu * (1.0 + quadratic * write_load * write_load)
         )
-        caps = [cores / cpu_per_op if cpu_per_op > 0 else math.inf]
 
+        inf = math.inf
+        cpu_cap = cores / cpu_per_op if cpu_per_op > 0 else inf
         # Sequential disk: commit-log bytes per write.
-        if w > 0:
-            cl_bytes = commitlog_bytes_per_write(self.profile.record_bytes, costs)
-            seq_bw = self.hardware.disk_seq_bandwidth * (1.0 - bg_seq)
-            caps.append(seq_bw / (w * cl_bytes))
-            # Flush writers must keep pace with ingest.
-            flush_bw = (
-                self.knobs.memtable_flush_writers * costs.flush_writer_bandwidth
-            )
-            caps.append(flush_bw / (w * self.profile.record_bytes))
-            # Write worker pool.
-            caps.append(self.knobs.concurrent_writes / (w * costs.write_thread_hold))
+        seq_bw = hardware.disk_seq_bandwidth * (1.0 - bg_seq)
+        seq_cap = seq_bw / t.w_commitlog_bytes if t.w > 0 else inf
+        # Random disk; the product underflows for a denormal read ratio.
+        r_probes = r * disk_probes
+        iops_cap = t.iops / r_probes if r_probes > 0 else inf
 
-        if r > 0:
-            iops = self.hardware.disk_rand_iops * self.hardware.disk_count
-            # A denormal read ratio can underflow these products to 0.0,
-            # which would divide by zero; an underflowed denominator means
-            # the cap is unbounded, so it imposes no constraint.
-            if r * disk_probes > 0:
-                caps.append(iops / (r * disk_probes))
-            if r * costs.read_thread_hold > 0:
-                caps.append(self.knobs.concurrent_reads / (r * costs.read_thread_hold))
-
-        return max(_soft_min(caps) * self.run_bias, 1.0)
+        x = _soft_min(
+            (cpu_cap, seq_cap, t.flush_cap, t.write_pool_cap, iops_cap, t.read_pool_cap)
+        ) * self.run_bias
+        return 1.0 if x < 1.0 else x
 
     # ------------------------------------------------------------------ stepping
 
@@ -353,6 +460,8 @@ class AnalyticLSMModel:
         self, read_ratio: float, duration: float, dt: float = 1.0
     ) -> List[StepResult]:
         """Run ``duration`` seconds and return the per-step series."""
+        if duration <= 0:
+            raise ValueError("duration must be positive")
         steps = max(1, int(round(duration / dt)))
         return [self.step(read_ratio, dt) for _ in range(steps)]
 
@@ -535,20 +644,6 @@ class AnalyticLSMModel:
 
     # ------------------------------------------------------------------ background
 
-    def _background_utilization(self) -> tuple:
-        comp_rate = self._compaction_rate()
-        flush_active = self.memtable_bytes > 0.5 * self.knobs.flush_trigger_bytes
-        flush_rate = (
-            self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
-            if flush_active
-            else 0.0
-        ) * 0.5  # flushes are intermittent; average duty cycle
-        seq_demand = comp_rate * self.costs.compaction_io_factor + flush_rate
-        seq_util = min(seq_demand / self.hardware.disk_seq_bandwidth, 0.9)
-        cpu_demand = comp_rate * self.costs.compaction_cpu_per_byte
-        cpu_util = min(cpu_demand / self.hardware.cpu_cores, 0.6)
-        return cpu_util, seq_util
-
     def _compaction_rate(self) -> float:
         if not self.backlog:
             return 0.0
@@ -584,9 +679,8 @@ class AnalyticLSMModel:
         self.total_compactions += 1
         if task.kind == "st_merge":
             indices, total = task.payload
-            keep = [
-                s for i, s in enumerate(self.st_tables) if i not in set(indices)
-            ]
+            merged = set(indices)
+            keep = [s for i, s in enumerate(self.st_tables) if i not in merged]
             self.st_tables = keep + [total]
             self._maybe_trigger_size_tiered()
         elif task.kind == "l0_to_l1":

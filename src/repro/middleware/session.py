@@ -417,7 +417,8 @@ class TenantSession:
                 else self.reconfiguration_penalty_s
             )
             lost = min(lost + ws.retry_lost, duration)
-            ws.steps = self.adapter.run(ws.read_ratio, duration - lost, dt=1.0)
+            remaining = duration - lost
+            ws.steps = []
         else:
             # The rolling restart (and any drift repair) already consumed
             # part of the window — their steps served real, reduced
@@ -427,8 +428,9 @@ class TenantSession:
             lost = min(ws.retry_lost, duration - consumed)
             remaining = duration - consumed - lost
             ws.steps = [s for r in reports for s in r.steps]
-            if remaining >= 1.0:
-                ws.steps += self.adapter.run(ws.read_ratio, remaining, dt=1.0)
+        # A window with less than one step left serves nothing more.
+        if remaining >= 1.0:
+            ws.steps += self.adapter.run(ws.read_ratio, remaining, dt=1.0)
         window_ops = sum(s.throughput * s.dt for s in ws.steps)
         ws.mean_throughput = window_ops / duration
         if ws.capacity_factor != 1.0:

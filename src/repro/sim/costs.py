@@ -12,6 +12,11 @@ agree by construction on *why* a configuration is fast or slow:
 * compaction is background work that steals sequential bandwidth and CPU
   from the foreground.
 
+The functions here are the definition.  The analytic model's
+per-second solve writes the read-path and contention formulas out inline
+(no calls, clamps as conditionals); ``tests/test_lsm_analytic_properties.py``
+holds it bitwise equal to the same equation evaluated through them.
+
 The constants are calibrated (see ``benchmarks/`` and EXPERIMENTS.md) so
 the Dell R430 spec lands in the paper's 40k–110k ops/s range with the
 Table 1 default/min/max ordering; absolute numbers are not the goal —

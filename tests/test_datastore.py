@@ -154,6 +154,15 @@ class TestCluster:
         assert all(r.throughput > 0 for r in results)
         assert cluster.t == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("duration", [0, -1.0])
+    def test_run_with_no_time_left_raises(self, cassandra, duration):
+        cfg = cassandra.default_configuration()
+        cluster = Cluster(cassandra, cfg, n_nodes=2, replication_factor=2, seed=1)
+        with pytest.raises(ValueError):
+            cluster.run(0.5, duration=duration)
+        assert cluster.t == 0.0
+        assert all(n.total_ops == 0.0 for n in cluster.nodes)
+
     def test_consistency_level_validated(self, cassandra):
         cfg = cassandra.default_configuration()
         with pytest.raises(DatastoreError):

@@ -1,3 +1,7 @@
+import pickle
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,7 +83,7 @@ class TestStepping:
         grown = m.dataset_bytes
         assert grown > before
         # Updates don't grow the dataset.
-        m.profile.update_fraction = 1.0
+        m.profile = replace(m.profile, update_fraction=1.0)
         m.run(0.0, duration=30)
         assert m.dataset_bytes == pytest.approx(grown)
 
@@ -239,3 +243,156 @@ def _loaded(method):
     m.settle()
     m.cache_age = 1000.0
     return m
+
+
+class TestRunDuration:
+    @pytest.mark.parametrize("duration", [0, 0.0, -3.0])
+    def test_no_time_left_is_an_error_not_a_free_second(self, duration):
+        m = make_model()
+        with pytest.raises(ValueError):
+            m.run(0.5, duration)
+        assert m.t == 0.0 and m.total_ops == 0.0
+
+
+class TestTermTable:
+    """The per-regime term table is derived state: it must never be
+    stale and never reach a pickle."""
+
+    @staticmethod
+    def _fresh_twin(m):
+        """A copy of ``m`` in the same state that has never solved."""
+        twin = pickle.loads(pickle.dumps(m))
+        twin._terms = None
+        return twin
+
+    def _assert_solves_like_fresh(self, m):
+        twin = self._fresh_twin(m)
+        for rr in (0.0, 0.3, 1.0):
+            assert m.sustainable_throughput(rr) == twin.sustainable_throughput(rr)
+        assert m.cache_hit_ratio() == twin.cache_hit_ratio()
+
+    def _solved_model(self):
+        m = make_model()
+        m.load(2_000_000)
+        m.run(0.3, 20)
+        m.sustainable_throughput(0.3)
+        return m
+
+    def test_reconfigure_invalidates(self):
+        from repro.config import cassandra_space
+        from repro.lsm.knobs import EngineKnobs
+
+        m = self._solved_model()
+        before = m.sustainable_throughput(0.3)
+        cfg = cassandra_space().configuration(
+            concurrent_reads=96, file_cache_size_in_mb=64, memtable_flush_writers=1
+        )
+        m.reconfigure(EngineKnobs.from_configuration(cfg))
+        assert m.sustainable_throughput(0.3) != before
+        self._assert_solves_like_fresh(m)
+
+    def test_rebound_knobs_invalidate(self):
+        m = self._solved_model()
+        before = m.sustainable_throughput(0.3)
+        m.knobs = replace(m.knobs, concurrent_writes=16, bloom_fp_chance=0.05)
+        assert m.sustainable_throughput(0.3) != before
+        self._assert_solves_like_fresh(m)
+
+    def test_rebound_costs_and_hardware_invalidate(self):
+        m = self._solved_model()
+        before = m.sustainable_throughput(0.3)
+        m.costs = replace(m.costs, cpu_write=m.costs.cpu_write * 3)
+        after_costs = m.sustainable_throughput(0.3)
+        assert after_costs != before
+        self._assert_solves_like_fresh(m)
+        m.hardware = replace(m.hardware, cpu_cores=m.hardware.cpu_cores // 2)
+        assert m.sustainable_throughput(0.3) != after_costs
+        self._assert_solves_like_fresh(m)
+
+    def test_replaced_profile_invalidates(self):
+        m = self._solved_model()
+        before = m.sustainable_throughput(0.3)
+        m.profile = replace(m.profile, value_bytes=4000, krd_mean_ops=5_000.0)
+        assert m.sustainable_throughput(0.3) != before
+        self._assert_solves_like_fresh(m)
+
+    def test_profile_is_frozen(self):
+        with pytest.raises(AttributeError):
+            make_model().profile.update_fraction = 1.0
+
+    def test_pickle_is_unchanged_by_a_solve(self):
+        m = make_model(noise=0.015, bias=0.02)
+        m.load(1_000_000)
+        blob = pickle.dumps(m)
+        m.sustainable_throughput(0.4)
+        m.cache_hit_ratio()
+        assert pickle.dumps(m) == blob
+        assert "_terms" not in m.__getstate__()
+
+    def test_round_tripped_model_steps_bit_identically(self):
+        m = make_model(noise=0.015, bias=0.02, seed=11)
+        m.load(1_000_000)
+        m.run(0.4, 10)
+        clone = pickle.loads(pickle.dumps(m))
+        assert clone._terms is None
+        assert m.run(0.6, 40) == clone.run(0.6, 40)
+        assert pickle.dumps(m) == pickle.dumps(clone)
+
+
+class TestNoArrayMathInAStep:
+    """One simulated second is float arithmetic: the only numpy C call in
+    a step is the noise draw.  Counted under ``sys.setprofile`` — a
+    count, not a timing, so it cannot flake."""
+
+    @staticmethod
+    def _numpy_calls(fn):
+        seen = []
+
+        def is_numpy(obj):
+            module = getattr(obj, "__module__", None) or ""
+            owner = type(getattr(obj, "__self__", None)).__module__
+            return module.startswith("numpy") or owner.startswith("numpy")
+
+        def profiler(frame, event, arg):
+            if event == "c_call" and is_numpy(arg):
+                seen.append(arg.__name__)
+            elif event == "call" and "numpy" in frame.f_code.co_filename:
+                seen.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    def test_probe_sees_array_math(self):
+        assert self._numpy_calls(lambda: np.sum(np.array([1.0, 2.0]) ** 2.0))
+
+    @pytest.mark.parametrize("method", [SIZE_TIERED, LEVELED])
+    def test_model_step(self, method):
+        m = make_model(noise=0.015, bias=0.02, compaction_method=method)
+        m.load(1_000_000)
+        m.step(0.5)     # table built
+        calls = self._numpy_calls(lambda: [m.step(0.5) for _ in range(50)])
+        # (Whether the profiler sees the Cython-level draw varies by build.)
+        assert set(calls) <= {"standard_normal"}
+
+    def test_apply_external_load(self):
+        m = make_model(noise=0.015)
+        m.load(1_000_000)
+        assert self._numpy_calls(
+            lambda: m.apply_external_load(reads=20_000.0, writes=60_000.0, dt=1.0)
+        ) == []
+
+    def test_cluster_step(self):
+        from repro.datastore import CassandraLike, Cluster
+
+        ds = CassandraLike()
+        cluster = Cluster(
+            ds, ds.default_configuration(), n_nodes=3, replication_factor=2,
+            n_shooters=3, seed=2,
+        )
+        cluster.load(600_000)
+        cluster.fail_node(1)
+        assert self._numpy_calls(lambda: [cluster.step(0.5) for _ in range(20)]) == []

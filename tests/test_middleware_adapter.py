@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.policies import OraclePolicy
 from repro.datastore import CassandraLike
 from repro.datastore.adapter import SimulatedDatastoreAdapter
 from repro.errors import DatastoreError
+from repro.middleware.session import TenantSession, WindowState
 from repro.runtime import EventBus
 from repro.workload.spec import WorkloadSpec
 
@@ -180,3 +182,47 @@ class TestLifecycleEvents:
         restart = seen[1]
         assert restart.payload["nodes_restarted"] == 2
         assert restart.payload["ops_lost"] >= 0
+
+
+class TestWindowWithNoTimeLeft:
+    """A window whose time is all lost (retry backoff, restart, repair)
+    serves nothing more: both execute branches share one guard."""
+
+    def _session(self, cassandra, n_nodes):
+        adapter = SimulatedDatastoreAdapter(
+            cassandra, n_nodes=n_nodes, seed=4, restart_seconds_per_node=20.0
+        )
+        session = TenantSession(
+            cassandra, None, adapter, OraclePolicy(), window_seconds=60.0
+        )
+        session.start()
+        return session, adapter
+
+    def test_backoff_consumes_the_whole_window(self, cassandra):
+        session, adapter = self._session(cassandra, n_nodes=1)
+        ws = WindowState(index=0, read_ratio=0.5, retry_lost=75.0)
+        session._phase_execute(ws)
+        assert ws.steps == [] and ws.mean_throughput == 0.0
+        assert adapter.server.t == 0.0 and adapter.server.total_ops == 0.0
+
+    def test_less_than_one_step_left_serves_nothing(self, cassandra):
+        session, adapter = self._session(cassandra, n_nodes=1)
+        ws = WindowState(index=0, read_ratio=0.5, retry_lost=59.5)
+        session._phase_execute(ws)
+        assert ws.steps == [] and adapter.server.t == 0.0
+
+    def test_partial_backoff_serves_the_rest(self, cassandra):
+        session, adapter = self._session(cassandra, n_nodes=1)
+        ws = WindowState(index=0, read_ratio=0.5, retry_lost=45.0)
+        session._phase_execute(ws)
+        assert len(ws.steps) == 15 and adapter.server.t == 15.0
+
+    def test_restart_consumes_the_whole_window(self, cassandra):
+        session, adapter = self._session(cassandra, n_nodes=3)
+        target = cassandra.space.configuration(file_cache_size_in_mb=2048)
+        ws = WindowState(index=0, read_ratio=0.5)
+        ws.rolling_report = adapter.rolling_restart(target, read_ratio=0.5)
+        assert ws.rolling_report.duration_s == 60.0
+        session._phase_execute(ws)
+        assert ws.steps == ws.rolling_report.steps
+        assert adapter.cluster.t == 60.0
