@@ -123,7 +123,10 @@ class _EngineServer:
     call overshoots its window boundary by at most one small block.
     """
 
-    #: Ops per execute_batch block: large enough to amortize numpy setup.
+    #: Most ops per execute_batch block.  A block pays one key-hash pass
+    #: and one probe plan per layout change (a flush, a completed
+    #: compaction), whatever its read/write mix, so the bound is what a
+    #: window may overshoot by, not a run length worth vectorizing.
     BATCH_OPS = 4096
     #: Block size used before any throughput estimate exists.
     PROBE_OPS = 512

@@ -31,14 +31,20 @@ def _fnv1a(data: bytes, seed: int = 0) -> int:
     return h
 
 
+def hash_key(key: str) -> Tuple[int, int]:
+    """Scalar (h1, h2) FNV-1a pair of one key, non-ASCII keys included."""
+    data = key.encode("utf-8")
+    return _fnv1a(data, seed=_H1_SEED), _fnv1a(data, seed=_H2_SEED) | 1
+
+
 def hash_keys(names: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Vectorized (h1, h2) FNV-1a pair for a batch of ASCII key strings.
 
     ``names`` is a numpy unicode (``<U``) array.  Returns uint64 arrays
-    bitwise-identical to the scalar :func:`_fnv1a` pair used by
-    :meth:`BloomFilter._positions`, or ``None`` when the batch contains
-    non-ASCII characters or embedded NULs (callers fall back to the
-    scalar path — correctness never depends on vectorization).
+    bitwise-identical to the scalar :func:`hash_key` pair, or ``None``
+    when the batch contains non-ASCII characters or embedded NULs
+    (callers fall back to the scalar path — correctness never depends
+    on vectorization).
     """
     if names.size == 0 or names.dtype.kind != "U":
         return None
@@ -95,9 +101,7 @@ class BloomFilter:
         return bf
 
     def _positions(self, key: str):
-        data = key.encode("utf-8")
-        h1 = _fnv1a(data, seed=0x9E3779B9)
-        h2 = _fnv1a(data, seed=0x85EBCA6B) | 1
+        h1, h2 = hash_key(key)
         for i in range(self.n_hashes):
             yield ((h1 + i * h2) & _MASK64) % self.n_bits
 
@@ -132,6 +136,16 @@ class BloomFilter:
     def might_contain(self, key: str) -> bool:
         """True if the key *may* be present (false positives possible)."""
         return all(self._bits[p >> 3] & (1 << (p & 7)) for p in self._positions(key))
+
+    def might_contain_hashed(self, h1: int, h2: int) -> bool:
+        """:meth:`might_contain` for a key hashed once by :func:`hash_key`,
+        so a read probing many tables does not re-hash per table."""
+        bits, n_bits = self._bits, self.n_bits
+        for i in range(self.n_hashes):
+            pos = ((h1 + i * h2) & _MASK64) % n_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     def might_contain_many(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
         """Batch membership test over pre-hashed keys (see :func:`hash_keys`).

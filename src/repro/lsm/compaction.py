@@ -61,11 +61,13 @@ class TableLayout:
     Size-tiered keeps everything in level 0; leveled uses level 0 for raw
     flushes and maintains the sorted-run invariant in levels >= 1.
     Level-0 tables are ordered oldest-first; reads iterate them
-    newest-first.
+    newest-first.  ``epoch`` counts structural changes: anything derived
+    from the arrangement (the engine's probe plan) is valid for one epoch.
     """
 
     def __init__(self):
         self.levels: List[List[SSTable]] = [[]]
+        self.epoch = 0
 
     # -- structure -----------------------------------------------------------
 
@@ -76,17 +78,20 @@ class TableLayout:
     def add_flushed(self, table: SSTable) -> None:
         """Install a fresh flush output at level 0."""
         self.levels[0].append(table)
+        self.epoch += 1
 
     def add_at_level(self, table: SSTable, level: int) -> None:
         self._ensure_level(level)
         self.levels[level].append(table)
         if level >= 1:
             self.levels[level].sort(key=lambda t: t.min_key)
+        self.epoch += 1
 
     def remove(self, tables: Iterable[SSTable]) -> None:
         doomed = {t.table_id for t in tables}
         for lvl in self.levels:
             lvl[:] = [t for t in lvl if t.table_id not in doomed]
+        self.epoch += 1
 
     def all_tables(self) -> List[SSTable]:
         return [t for lvl in self.levels for t in lvl]

@@ -11,6 +11,7 @@ foreground queries exactly as the paper describes (§2.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence, Set
 from collections import deque
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from repro.config.cassandra import LEVELED
 from repro.errors import DatastoreError, PersistenceError
-from repro.lsm.bloom import hash_keys
+from repro.lsm.bloom import hash_key, hash_keys
 from repro.lsm.commitlog import CommitLog
 from repro.lsm.compaction import (
     CompactionTask,
@@ -62,13 +63,9 @@ OP_READ = 0
 OP_WRITE = 1
 OP_DELETE = 2
 
-#: Below this run length the vectorized probe's numpy setup costs more
-#: than it saves; the scalar path is used (the two paths are state- and
-#: stats-identical, so the threshold is purely a performance choice).
-_MIN_VECTOR_PROBE = 8
-#: Below this many ops, a mutation run's numpy setup costs more than the
-#: scalar loop it replaces.
-_MIN_VECTOR_MUTATION_RUN = 8
+#: Below this many same-kind ops, a run charge's numpy setup costs more
+#: than the per-op loop it replaces.
+_MIN_VECTOR_RUN = 8
 
 
 @dataclass
@@ -110,6 +107,34 @@ class EngineStats:
 class _PendingCompaction:
     task: CompactionTask
     remaining_bytes: float
+
+
+class _ProbePlan:
+    """SSTable probe events for the reads of one block.
+
+    ``names``/``h1``/``h2`` (key array and :func:`hash_keys` pair) are
+    fixed for the block; ``blooms``/``starts``/``events`` are what
+    :meth:`LSMEngine._replan` derived from them for the reads from
+    ``base`` on under layout epoch ``epoch``: per read its bloom-check
+    count and, in ``events[starts[i]:starts[i + 1]]``, one
+    ``(table, cache page, sorted position or -1)`` per bloom-positive
+    candidate in the scalar probe's order.
+    """
+
+    __slots__ = ("names", "h1", "h2", "epoch", "base", "blooms", "starts", "events")
+
+    def __init__(self, names: np.ndarray, h1: np.ndarray, h2: np.ndarray):
+        self.names, self.h1, self.h2 = names, h1, h2
+        self.epoch = -1  # no layout has this epoch: the first read plans
+
+
+class _ChargeTerms:
+    """What :meth:`LSMEngine._advance_for_op` needs of one background regime."""
+
+    __slots__ = (
+        "bg_cpu", "bg_seq", "cores", "read_contention", "write_contention",
+        "seq_bandwidth", "rand_iops",
+    )
 
 
 @dataclass
@@ -171,6 +196,10 @@ class LSMEngine:
         self._busy_table_ids: Set[int] = set()
         self._flush_queue_bytes = 0.0
         self._write_seq = 0  # tie-break timestamps for same-instant writes
+        # Derived state, see _charge_terms: (knobs, costs, hardware,
+        # {regime: terms}) and the terms the cpu/disk models now hold.
+        self._terms: Optional[tuple] = None
+        self._applied_terms: Optional[_ChargeTerms] = None
 
     # ------------------------------------------------------------------ public API
 
@@ -204,7 +233,7 @@ class LSMEngine:
             return None
         return best.value
 
-    def _probe_newest(self, key: str):
+    def _probe_newest(self, key: str, plan: Optional[_ProbePlan] = None, k: int = 0):
         """Find the newest record for ``key`` without charging time.
 
         Probes the memtable, then every bloom-positive SSTable
@@ -212,228 +241,161 @@ class LSMEngine:
         tallying bloom checks, index probes, cache traffic, and disk
         misses; the caller converts the tallies into simulated time
         (once per op on the point-read path, once per *batch* on the
-        multi-get path).  Returns ``(record, blooms, probes, cache_hits,
-        disk_reads)``.
+        multi-get path).  The SSTable side is a list of probe events
+        replayed against the LRU cache: those of read ``k`` of ``plan``
+        (re-planned first if the layout moved since), or without a plan
+        found table by table — any string, hashed once.  Returns
+        ``(record, blooms, probes, cache_hits, disk_reads)``.
         """
-        self.stats.reads += 1
-        cpu_blooms = 0
-        cpu_probes = 0
-        cpu_cache_hits = 0
-        disk_reads = 0
+        stats = self.stats
+        stats.reads += 1
+        best = self.memtable.get(key)
+        if best is not None:
+            stats.memtable_hits += 1
 
-        best: Optional[Record] = None
-        mem_rec = self.memtable.get(key)
-        if mem_rec is not None:
-            self.stats.memtable_hits += 1
-            best = mem_rec
+        if plan is not None:
+            if plan.epoch != self.layout.epoch:
+                self._replan(plan, k)
+            i = k - plan.base
+            blooms = plan.blooms[i]
+            events = plan.events[plan.starts[i] : plan.starts[i + 1]]
+        else:
+            candidates = self.layout.read_candidates(key)
+            blooms = len(candidates)
+            hashed = hash_key(key) if candidates else None
+            events = []
+            for table in candidates:
+                if table.might_contain(key, hashed):
+                    block, row = table.locate(key)
+                    events.append((table, (table.table_id, block), row))
 
-        for table in self.layout.read_candidates(key):
-            cpu_blooms += 1
-            self.stats.bloom_checks += 1
-            if not table.might_contain(key):
-                continue
-            cpu_probes += 1
-            self.stats.tables_probed += 1
-            block_key = (table.table_id, table.block_of(key))
-            if self.cache.access(block_key):
-                cpu_cache_hits += 1
-                self.stats.cache_hits += 1
-            else:
-                disk_reads += 1
-                self.stats.cache_misses += 1
-            rec = table.get(key)
-            if rec is None:
+        cache_hits = 0
+        access = self.cache.access
+        for table, page, row in events:
+            if access(page):
+                cache_hits += 1
+            if row < 0:
                 continue  # bloom false positive
-            self.stats.bloom_true_positives += 1
+            stats.bloom_true_positives += 1
+            rec = table.record_at(row)
             if best is None or rec.supersedes(best):
                 best = rec
+        probes = len(events)
+        stats.bloom_checks += blooms
+        stats.tables_probed += probes
+        stats.cache_hits += cache_hits
+        stats.cache_misses += probes - cache_hits
+        return best, blooms, probes, cache_hits, probes - cache_hits
 
-        return best, cpu_blooms, cpu_probes, cpu_cache_hits, disk_reads
+    def _plan(self, keys: Sequence[str]) -> Optional[_ProbePlan]:
+        """An unbuilt probe plan for ``keys``; None when they do not hash
+        as a batch (non-ASCII, embedded NUL), which leaves their reads on
+        the table-by-table probe — correctness never depends on a plan."""
+        names = np.asarray(keys)
+        hashed = hash_keys(names)
+        return None if hashed is None else _ProbePlan(names, *hashed)
 
-    def _probe_block(self, keys: Sequence[str], pre=None):
-        """Probe a block of keys without charging time.
+    def _replan(self, plan: _ProbePlan, k: int) -> None:
+        """Derive ``plan`` for its reads from ``k`` on under the current layout.
 
-        Returns ``(best_records, blooms, probes, cache_hits, disk_reads)``
-        where the first is a list of winning records (None if absent) and
-        the rest are per-key int64 tallies.  Dispatches to a vectorized
-        probe when the batch is worth it and the keys hash cleanly;
-        otherwise loops :meth:`_probe_newest`.  ``pre`` carries
-        ``(names, h1, h2)`` sliced from a whole-batch hash pass, so short
-        same-kind runs inside a large batch skip the per-run hashing
-        setup.  Both paths leave the engine (stats, LRU cache order,
-        disk counters) in the *same* state: probing advances no
-        simulated time, so the layout and memtable are frozen for the
-        duration regardless of background work.
+        Bloom tests, range assignment and index lookups run across all
+        of those reads with numpy, table by table in candidate-rank
+        order; a stable sort by read then yields each read's events in
+        exactly the order :meth:`TableLayout.read_candidates` gives the
+        table-by-table probe, so the LRU replay, every tally and every
+        stats counter come out bit-identical to it.
         """
-        if self.layout.table_count > 0:
-            if pre is not None:
-                names, h1, h2 = pre
-                return self._probe_block_vector(keys, names, h1, h2)
-            if len(keys) >= _MIN_VECTOR_PROBE:
-                names = np.asarray(keys)
-                hashed = hash_keys(names)
-                if hashed is not None:
-                    return self._probe_block_vector(keys, names, *hashed)
-            return self._probe_block_scalar(keys)
-        # No SSTables: every probe is a pure memtable lookup with zero
-        # bloom/cache/disk traffic, so skip the per-key tally loop (the
-        # tallies may share one zeros array — callers only read them).
-        stats = self.stats
-        stats.reads += len(keys)
-        memtable_get = self.memtable.get
-        best = [memtable_get(k) for k in keys]
-        stats.memtable_hits += sum(r is not None for r in best)
-        zeros = np.zeros(len(keys), dtype=np.int64)
-        return best, zeros, zeros, zeros, zeros
-
-    def _probe_block_scalar(self, keys: Sequence[str]):
-        n = len(keys)
-        best: List[Optional[Record]] = [None] * n
+        names, h1, h2 = plan.names[k:], plan.h1[k:], plan.h2[k:]
+        n = len(names)
         blooms = np.zeros(n, dtype=np.int64)
-        probes = np.zeros(n, dtype=np.int64)
-        hits = np.zeros(n, dtype=np.int64)
-        disk = np.zeros(n, dtype=np.int64)
-        for i, key in enumerate(keys):
-            rec, b, p, h, d = self._probe_newest(key)
-            best[i] = rec
-            blooms[i] = b
-            probes[i] = p
-            hits[i] = h
-            disk[i] = d
-        return best, blooms, probes, hits, disk
-
-    def _probe_block_vector(self, keys, names, h1, h2):
-        """Vectorized :meth:`_probe_block_scalar`.
-
-        Bloom hashing, range assignment, and index lookups run across the
-        whole batch with numpy; only the LRU cache replay stays a Python
-        loop, and it walks bloom-positive (key, candidate) events in
-        exactly the scalar order — (key position, candidate rank) — so
-        cache contents, hit/miss tallies, and every stats counter finish
-        bit-identical to the scalar loop.
-        """
-        n = len(keys)
-        stats = self.stats
-        stats.reads += n
-
-        best: List[Optional[Record]] = [None] * n
-        for i, key in enumerate(keys):
-            mem_rec = self.memtable.get(key)
-            if mem_rec is not None:
-                stats.memtable_hits += 1
-                best[i] = mem_rec
-
-        blooms = np.zeros(n, dtype=np.int64)
-        probes = np.zeros(n, dtype=np.int64)
-        hits = np.zeros(n, dtype=np.int64)
-        disk = np.zeros(n, dtype=np.int64)
-
-        # Bloom-positive (key, candidate) events, accumulated per table
-        # then replayed sequentially against the cache.
         tables: List[SSTable] = []
-        key_chunks: List[np.ndarray] = []
-        rank_chunks: List[np.ndarray] = []
-        table_chunks: List[np.ndarray] = []
+        read_chunks: List[np.ndarray] = []
         block_chunks: List[np.ndarray] = []
-        recidx_chunks: List[np.ndarray] = []
+        row_chunks: List[np.ndarray] = []
 
-        def positive_chunk(table: SSTable, sub: np.ndarray, rank: int) -> None:
+        def bloom_test(table: SSTable, in_range: np.ndarray) -> None:
+            sub = in_range[table.bloom.might_contain_many(h1[in_range], h2[in_range])]
+            if len(sub) == 0:
+                return
             karr = table.keys_array()
             idx = np.searchsorted(karr, names[sub])
             clamped = np.minimum(idx, len(karr) - 1)
-            found = (idx < len(karr)) & (karr[clamped] == names[sub])
-            t_pos = len(tables)
             tables.append(table)
-            key_chunks.append(sub)
-            rank_chunks.append(np.full(len(sub), rank, dtype=np.int64))
-            table_chunks.append(np.full(len(sub), t_pos, dtype=np.int64))
+            read_chunks.append(sub)
             block_chunks.append(table.block_of_many(clamped))
-            recidx_chunks.append(np.where(found, idx, -1))
+            row_chunks.append(np.where(karr[clamped] == names[sub], idx, -1))
 
         levels = self.layout.levels
-        # L0: every table is a candidate for every key (newest first);
-        # the range check lives inside might_contain, after the bloom
-        # counter — exactly as the scalar probe sees it.
-        l0 = list(reversed(levels[0])) if levels else []
-        for rank, table in enumerate(l0):
-            blooms += 1
+        # L0: every table is a candidate for every key, newest first; the
+        # range check comes after the bloom counter, as in might_contain.
+        blooms += len(levels[0])
+        for table in reversed(levels[0]):
             in_range = np.flatnonzero(
                 (names >= table.min_key) & (names <= table.max_key)
             )
-            if len(in_range) == 0:
-                continue
-            ok = table.bloom.might_contain_many(h1[in_range], h2[in_range])
-            sub = in_range[ok]
-            if len(sub):
-                positive_chunk(table, sub, rank)
+            if len(in_range):
+                bloom_test(table, in_range)
         # Levels >= 1: the candidate is the *first* range-matching table
         # in min_key order (read_candidates breaks on a match).  Tables
         # can transiently overlap mid-compaction, so a first-match sweep
         # over the level's few tables is required, not a searchsorted.
-        for li in range(1, len(levels)):
-            level = levels[li]
-            if not level:
-                continue
-            rank = len(l0) + li - 1
+        for level in levels[1:]:
             unassigned = np.ones(n, dtype=bool)
             for table in level:
                 matched = np.flatnonzero(
                     unassigned & (names >= table.min_key) & (names <= table.max_key)
                 )
-                if len(matched) == 0:
-                    continue
-                unassigned[matched] = False
-                blooms[matched] += 1
-                ok = table.bloom.might_contain_many(h1[matched], h2[matched])
-                sub = matched[ok]
-                if len(sub):
-                    positive_chunk(table, sub, rank)
+                if len(matched):
+                    unassigned[matched] = False
+                    blooms[matched] += 1
+                    bloom_test(table, matched)
 
-        stats.bloom_checks += int(blooms.sum())
-
-        if key_chunks:
-            key_all = np.concatenate(key_chunks)
-            rank_all = np.concatenate(rank_chunks)
-            table_all = np.concatenate(table_chunks)
-            block_all = np.concatenate(block_chunks)
-            recidx_all = np.concatenate(recidx_chunks)
-            # Replay order: key position first, candidate rank second —
-            # the exact sequence the scalar loop feeds the LRU cache.
-            order = np.lexsort((rank_all, key_all))
-            cache = self.cache
-            for e in order:
-                i = int(key_all[e])
-                table = tables[int(table_all[e])]
-                probes[i] += 1
-                stats.tables_probed += 1
-                if cache.access((table.table_id, int(block_all[e]))):
-                    hits[i] += 1
-                    stats.cache_hits += 1
-                else:
-                    disk[i] += 1
-                    stats.cache_misses += 1
-                ridx = int(recidx_all[e])
-                if ridx < 0:
-                    continue  # bloom false positive
-                rec = table.record_at(ridx)
-                stats.bloom_true_positives += 1
-                cur = best[i]
-                if cur is None or rec.supersedes(cur):
-                    best[i] = rec
-
-        return best, blooms, probes, hits, disk
-
-    def _read_newest(self, key: str) -> Optional[Record]:
-        """One point read, charged as one op."""
-        best, blooms, probes, cache_hits, disk_reads = self._probe_newest(key)
-        cpu = read_cpu_seconds(blooms, probes, cache_hits, self.costs)
-        self._advance_for_op(
-            cpu_seconds=cpu,
-            seq_bytes=0.0,
-            random_reads=disk_reads,
-            hold_seconds=self.costs.read_thread_hold,
-            threads=self.knobs.concurrent_reads,
+        plan.epoch, plan.base, plan.blooms = self.layout.epoch, k, blooms.tolist()
+        if not tables:
+            plan.starts, plan.events = [0] * (n + 1), []
+            return
+        reads = np.concatenate(read_chunks)
+        order = np.argsort(reads, kind="stable")  # chunks are in rank order
+        owner = np.repeat(np.arange(len(tables)), [len(c) for c in read_chunks])[order]
+        ids = np.array([t.table_id for t in tables])[owner]
+        blocks = np.concatenate(block_chunks)[order]
+        plan.starts = np.searchsorted(reads[order], np.arange(n + 1)).tolist()
+        plan.events = list(
+            zip(
+                [tables[t] for t in owner.tolist()],
+                zip(ids.tolist(), blocks.tolist()),
+                np.concatenate(row_chunks)[order].tolist(),
+            )
         )
+
+    def _probe_block(
+        self, keys: Sequence[str], plan: Optional[_ProbePlan] = None, first: int = 0
+    ):
+        """Probe a run of keys without charging time.
+
+        ``keys`` are reads ``first`` on of ``plan``, or without one get
+        a plan of their own.  Returns the winning records (None if
+        absent) and an ``(n, 4)`` int64 array of per-key ``blooms,
+        probes, cache_hits, disk_reads``.  Probing advances no simulated
+        time, so layout and memtable are frozen for the duration
+        whatever the background.
+        """
+        if plan is None:
+            plan, first = self._plan(keys), 0
+        probed = [
+            self._probe_newest(key, plan, first + i) for i, key in enumerate(keys)
+        ]
+        return [p[0] for p in probed], np.array(
+            [p[1:] for p in probed], dtype=np.int64
+        )
+
+    def _read_newest(
+        self, key: str, plan: Optional[_ProbePlan] = None, k: int = 0
+    ) -> Optional[Record]:
+        """One point read, charged as one op."""
+        best, blooms, probes, cache_hits, disk_reads = self._probe_newest(key, plan, k)
+        cpu = read_cpu_seconds(blooms, probes, cache_hits, self.costs)
+        self._advance_for_op(cpu, 0.0, disk_reads, self.costs.read_thread_hold)
         return best
 
     def exists(self, key: str) -> bool:
@@ -454,18 +416,15 @@ class LSMEngine:
         out: Dict[str, Optional[bytes]] = {}
         if not keys:
             return out
-        best, blooms, probes, hits, disk = self._probe_block(keys)
+        best, tallies = self._probe_block(keys)
         for key, rec in zip(keys, best):
             out[key] = None if rec is None or rec.is_tombstone else rec.value
-        cpu = read_cpu_seconds(
-            int(blooms.sum()), int(probes.sum()), int(hits.sum()), self.costs
-        )
+        blooms, probes, hits, disk = tallies.sum(axis=0).tolist()
         self._advance_for_op(
-            cpu_seconds=cpu,
-            seq_bytes=0.0,
-            random_reads=int(disk.sum()),
-            hold_seconds=self.costs.read_thread_hold * len(keys),
-            threads=self.knobs.concurrent_reads,
+            read_cpu_seconds(blooms, probes, hits, self.costs),
+            0.0,
+            disk,
+            self.costs.read_thread_hold * len(keys),
         )
         return out
 
@@ -479,12 +438,15 @@ class LSMEngine:
 
         ``kinds`` holds :data:`OP_READ`/:data:`OP_WRITE`/:data:`OP_DELETE`
         codes, ``keys`` the per-op key names, ``value_sizes`` the write
-        payload sizes (zero-filled payloads are materialized: value
-        *content* never affects stats, timing, or cache behaviour — only
-        ``len(value)`` does).  The block is segmented into same-kind runs;
-        read runs go through the vectorized probe-and-charge path when
-        background work is idle (where per-op background accounting is
-        exactly zero), and fall back to the per-op scalar path otherwise.
+        payload sizes (zero-filled payloads are materialized, one per
+        size and block: value *content* never affects stats, timing, or
+        cache behaviour — only ``len(value)`` does).  The block is
+        checked whole before any op runs, so a rejected block leaves the
+        engine untouched.  Its reads share one probe plan (hashed once,
+        re-derived when the layout moves) and every op is charged
+        through the same per-regime terms as the scalar API; same-kind
+        runs of :data:`_MIN_VECTOR_RUN` ops or more — writes, and reads
+        while background work is idle — are charged as one cumsum.
         Stats, clock trajectory, cache state, and results are
         bit-identical to iterating the ops through :meth:`get` /
         :meth:`put` / :meth:`delete` one at a time.
@@ -495,106 +457,90 @@ class LSMEngine:
             raise DatastoreError(
                 f"batch shape mismatch: {n} kinds vs {len(keys)} keys"
             )
-        start = self.clock.now
-        result = BatchResult(
-            n_ops=n,
-            reads=0,
-            writes=0,
-            deletes=0,
-            start_time=start,
-            end_times=np.empty(n, dtype=np.float64),
-        )
+        is_read, is_write = kinds == OP_READ, kinds == OP_WRITE
+        unknown = kinds[~(is_read | is_write | (kinds == OP_DELETE))]
+        if len(unknown):
+            raise DatastoreError(f"unknown op kind {unknown[0]} in batch")
+        if value_sizes is not None:
+            value_sizes = np.asarray(value_sizes, dtype=np.int64)
+            if len(value_sizes) != n:
+                raise DatastoreError(
+                    f"batch shape mismatch: {n} kinds vs {len(value_sizes)} value_sizes"
+                )
+            if np.any(value_sizes[is_write] < 0):
+                raise DatastoreError("negative write size in batch")
+        elif is_write.any():
+            raise DatastoreError("write ops in batch but no value_sizes")
+
+        clock = self.clock
+        start = clock.now
+        end_times: List[float] = []
         if n == 0:
-            return result
-        end_times = result.end_times
-        bounds = np.flatnonzero(np.diff(kinds)) + 1
-        segments = np.concatenate(([0], bounds, [n]))
-        # Whole-batch key hashing, done lazily on the first read run that
-        # can use it: short same-kind runs (a read-mostly mix fragments
-        # into runs of a few dozen ops) then probe with slices instead of
-        # paying the hashing setup per run.
-        hash_tried = False
-        batch_names = batch_h1 = batch_h2 = None
-        for s, e in zip(segments[:-1], segments[1:]):
-            s, e = int(s), int(e)
-            kind = int(kinds[s])
-            if kind == OP_READ:
-                # Probing never advances time, so the layout is frozen
-                # for the whole run; vectorized *charging* additionally
-                # needs background work idle (flush queue empty, no
-                # pending compactions), where per-op background drains
+            return BatchResult(0, 0, 0, 0, start, np.empty(0, dtype=np.float64))
+        plan = self._plan([keys[j] for j in np.flatnonzero(is_read).tolist()])
+        k = 0  # reads done: the next one is read k of the plan
+        sizes = payloads = None
+        if is_write.any():
+            sizes = value_sizes.tolist()
+            payloads = {size: bytes(size) for size in set(value_sizes[is_write].tolist())}
+        cuts = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n]
+        for s, e in zip(cuts, cuts[1:]):
+            if is_read[s]:
+                # A run charge needs background work idle (flush queue
+                # empty, no pending compactions), where per-op drains
                 # and utilization are exactly no-ops.
-                if not self._pending_compactions and self._flush_queue_bytes <= 0.0:
-                    pre = None
-                    if self.layout.table_count > 0 and e - s >= 4:
-                        if not hash_tried:
-                            hash_tried = True
-                            arr = np.asarray(keys)
-                            hashed = hash_keys(arr)
-                            if hashed is not None:
-                                batch_names = arr
-                                batch_h1, batch_h2 = hashed
-                        if batch_names is not None:
-                            pre = (
-                                batch_names[s:e],
-                                batch_h1[s:e],
-                                batch_h2[s:e],
-                            )
-                    end_times[s:e] = self._execute_read_run(list(keys[s:e]), pre)
+                if (
+                    e - s >= _MIN_VECTOR_RUN
+                    and not self._pending_compactions
+                    and self._flush_queue_bytes <= 0.0
+                ):
+                    end_times.extend(self._execute_read_run(keys[s:e], plan, k).tolist())
                 else:
                     for j in range(s, e):
-                        self._read_newest(keys[j])
-                        end_times[j] = self.clock.now
-                result.reads += e - s
-            elif kind == OP_WRITE:
-                if value_sizes is None:
-                    raise DatastoreError("write ops in batch but no value_sizes")
-                j = s
-                while j < e:
-                    m = 0
-                    if e - j >= _MIN_VECTOR_MUTATION_RUN:
-                        m, times = self._execute_mutation_run(
-                            keys[j:e], value_sizes[j:e], tombstone=False
-                        )
-                    if m:
-                        end_times[j : j + m] = times
-                        j += m
-                    else:
-                        # A short tail, or the next op flushes the
-                        # memtable / crosses a sync barrier — per-op
-                        # side effects the block charge cannot carry.
-                        # Step it scalar and retry the rest.
-                        self.put(keys[j], bytes(int(value_sizes[j])))
-                        end_times[j] = self.clock.now
-                        j += 1
-                result.writes += e - s
-            elif kind == OP_DELETE:
-                j = s
-                while j < e:
-                    m = 0
-                    if e - j >= _MIN_VECTOR_MUTATION_RUN:
-                        m, times = self._execute_mutation_run(
-                            keys[j:e], None, tombstone=True
-                        )
-                    if m:
-                        end_times[j : j + m] = times
-                        j += m
-                    else:
-                        self.delete(keys[j])
-                        end_times[j] = self.clock.now
-                        j += 1
-                result.deletes += e - s
-            else:
-                raise DatastoreError(f"unknown op kind {kind} in batch")
-        return result
+                        self._read_newest(keys[j], plan, k + j - s)
+                        end_times.append(clock.now)
+                k += e - s
+                continue
+            tombstone = not is_write[s]
+            j = s
+            while j < e:
+                m = 0
+                if e - j >= _MIN_VECTOR_RUN:
+                    m, times = self._execute_mutation_run(
+                        keys[j:e], None if tombstone else value_sizes[j:e], payloads
+                    )
+                if m:
+                    end_times.extend(times.tolist())
+                    j += m
+                    continue
+                # A short tail, or the next op flushes the memtable /
+                # crosses a sync barrier — per-op side effects the run
+                # charge cannot carry.  Step it and retry the rest.
+                if tombstone:
+                    self.delete(keys[j])
+                else:
+                    self.put(keys[j], payloads[sizes[j]])
+                end_times.append(clock.now)
+                j += 1
+        n_reads, n_writes = int(is_read.sum()), int(is_write.sum())
+        return BatchResult(
+            n_ops=n,
+            reads=n_reads,
+            writes=n_writes,
+            deletes=n - n_reads - n_writes,
+            start_time=start,
+            end_times=np.array(end_times, dtype=np.float64),
+        )
 
     def _execute_mutation_run(
         self,
         keys: Sequence[str],
         value_sizes: Optional[np.ndarray],
-        tombstone: bool,
+        payloads: Optional[Dict[int, bytes]],
     ):
-        """Vectorized charging for a prefix of a write (or tombstone) run.
+        """Vectorized charging for a prefix of a write run, or with
+        ``value_sizes`` None of a tombstone run; ``payloads`` maps each
+        write size to the block's shared zero payload.
 
         Returns ``(m, end_times)``: the first ``m`` ops were applied and
         charged as one block; the caller executes op ``m`` through the
@@ -604,11 +550,11 @@ class LSMEngine:
         vectorizable prefix.
 
         The block path works under *busy* background too: per-op service
-        intervals are valid as long as the background utilization they
-        were computed under holds, so the real per-op drains are replayed
+        intervals are valid as long as the background regime they were
+        computed under holds, so the real per-op drains are replayed
         (flush-queue decay, compaction progress, completions included)
         and the prefix is cut at the first op whose drain changes the
-        utilization.  Within the accepted prefix every per-op quantity
+        regime.  Within the accepted prefix every per-op quantity
         the scalar path computes — record timestamps from the advancing
         clock, per-record commitlog byte charges, the busy/clock
         accumulators, background drains — is replicated with identical
@@ -618,13 +564,12 @@ class LSMEngine:
         the ops ran one at a time.
         """
         n = len(keys)
-        if n < 2:
-            return 0, None
+        tombstone = value_sizes is None
         key_bytes = np.fromiter((len(k) for k in keys), np.int64, count=n)
         if tombstone:
             rec_sizes = RECORD_OVERHEAD_BYTES + key_bytes
         else:
-            rec_sizes = RECORD_OVERHEAD_BYTES + key_bytes + value_sizes.astype(np.int64)
+            rec_sizes = RECORD_OVERHEAD_BYTES + key_bytes + value_sizes
         # No flush inside the prefix: replacements only shrink the
         # memtable, so current size + cumulative record bytes bounds the
         # fill (same product expression as Memtable.should_flush);
@@ -635,16 +580,12 @@ class LSMEngine:
         if m < 2:
             return 0, None
 
-        bg_cpu, bg_seq = self._background_utilization()
-        self.cpu.set_background_utilization(bg_cpu)
-        self.disk.set_background_utilization(bg_seq, 0.0)
-        cores = max(self.cpu.available_cores * (self.hardware.cpu_ghz / 3.0), 0.5)
-        threads = self.knobs.concurrent_writes
-        contention = thread_contention(threads, cores, self.costs)
-        dt_cpu = write_cpu_seconds(self.costs) * contention / cores
+        terms = self._charge_terms()
+        regime = self._regime()
+        dt_cpu = write_cpu_seconds(self.costs) * terms.write_contention / terms.cores
         log_bytes = rec_sizes[:m] + self.costs.commitlog_overhead_bytes
-        dt_seq = log_bytes / self.disk.effective_seq_bandwidth
-        dt_pool = self.costs.write_thread_hold / threads
+        dt_seq = log_bytes / terms.seq_bandwidth
+        dt_pool = self.costs.write_thread_hold / self.knobs.concurrent_writes
         dt = np.maximum(np.maximum(dt_cpu, dt_seq), dt_pool)
 
         start = self.clock.now
@@ -668,35 +609,27 @@ class LSMEngine:
             # so completion budget redistribution and clamping round
             # identically), advancing the clock first because compaction
             # completions stamp output tables with ``clock.now``.  Stop
-            # after the first op whose drain shifts the utilization the
+            # after the first op whose drain shifts the regime the
             # precomputed ``dt`` rests on; drains already applied belong
             # to ops that are committed below, so the cut keeps them.
-            util = (bg_cpu, bg_seq)
             stop = m
             for j in range(m):
                 self.clock.advance_to(float(times[j]))
                 self._drain_background(float(dt[j]))
-                if self._background_utilization() != util:
+                if self._regime() != regime:
                     stop = j + 1
                     break
             if stop < m:
                 m = stop
                 dt, times, at, log_bytes = dt[:m], times[:m], at[:m], log_bytes[:m]
 
-        payloads: Dict[int, bytes] = {}
         memtable_put = self.memtable.put
         log_append = self.commitlog.append
         for j in range(m):
             self._write_seq += 1
             ts = float(at[j]) + self._write_seq * 1e-12
-            if tombstone:
-                rec = Record.tombstone(keys[j], ts)
-            else:
-                size = int(value_sizes[j])
-                value = payloads.get(size)
-                if value is None:
-                    value = payloads[size] = bytes(size)
-                rec = Record(key=keys[j], timestamp=ts, value=value)
+            value = None if tombstone else payloads[int(value_sizes[j])]
+            rec = Record(key=keys[j], timestamp=ts, value=value)
             log_append(rec, now=float(at[j]))
             memtable_put(rec)
 
@@ -716,32 +649,30 @@ class LSMEngine:
             stats.writes += m
         return m, times
 
-    def _execute_read_run(self, keys: Sequence[str], pre=None) -> np.ndarray:
-        """Charge a run of point reads with vectorized cost math.
+    def _execute_read_run(
+        self, keys: Sequence[str], plan: Optional[_ProbePlan], first: int
+    ) -> np.ndarray:
+        """Charge a run of point reads (reads ``first`` on of ``plan``)
+        with vectorized cost math.
 
         Mirrors :meth:`_read_newest` + :meth:`_advance_for_op` per op with
         identical float64 expression trees; the per-op ``clock.advance``
         chain is reproduced by a sequential ``np.cumsum`` scan, so the
         committed clock value and ``busy_seconds`` match the scalar loop
         bit for bit.  Only valid while background work is idle (the
-        caller checks): there ``_background_utilization()`` is exactly
-        ``(0.0, 0.0)`` and ``_drain_background`` is a no-op, so hoisting
-        them out of the loop changes nothing.
+        caller checks): there no op's drain can change the regime, so
+        one set of charge terms serves the run.
         """
-        _, blooms, probes, hits, disk = self._probe_block(keys, pre)
-
-        self.cpu.set_background_utilization(0.0)
-        self.disk.set_background_utilization(0.0, 0.0)
-        cores = max(self.cpu.available_cores * (self.hardware.cpu_ghz / 3.0), 0.5)
-        threads = self.knobs.concurrent_reads
-        contention = thread_contention(threads, cores, self.costs)
+        _, tallies = self._probe_block(keys, plan, first)
+        blooms, probes, hits, disk = tallies.T
+        terms = self._charge_terms()
 
         cpu = read_cpu_seconds_array(blooms, probes, hits, self.costs)
-        dt_cpu = cpu * contention / cores
+        dt_cpu = cpu * terms.read_contention / terms.cores
         # Same bits as the scalar conditional: 0 misses divide to +0.0.
-        dt_rand = disk / self.disk.effective_rand_iops
+        dt_rand = disk / terms.rand_iops
         self.disk.stats.random_reads += int(disk.sum())
-        dt_pool = self.costs.read_thread_hold / threads
+        dt_pool = self.costs.read_thread_hold / self.knobs.concurrent_reads
         dt = np.maximum(np.maximum(dt_cpu, dt_rand), dt_pool)
 
         # cumsum is a sequential left-to-right scan, so these are the
@@ -796,7 +727,6 @@ class LSMEngine:
             seq_bytes=seq_bytes,
             random_reads=min(self.layout.table_count, 1),  # initial seeks
             hold_seconds=self.costs.read_thread_hold,
-            threads=self.knobs.concurrent_reads,
         )
         return results
 
@@ -976,7 +906,7 @@ class LSMEngine:
             seq_bytes=commitlog_bytes_per_write(record.size_bytes, self.costs),
             random_reads=0,
             hold_seconds=self.costs.write_thread_hold,
-            threads=self.knobs.concurrent_writes,
+            write=True,
             extra_seconds=sync_extra + stall,
         )
 
@@ -1014,34 +944,91 @@ class LSMEngine:
         seq_bytes: float,
         random_reads: int,
         hold_seconds: float,
-        threads: int,
+        write: bool = False,
         extra_seconds: float = 0.0,
     ) -> None:
         """Advance the clock by this op's bottleneck service interval.
 
         The op's demands are divided by the capacity of each resource —
         available cores (minus compaction CPU and contention), leftover
-        sequential bandwidth, leftover random IOPS, and the worker pool —
-        and the largest quotient is the time the system needed to push
-        this op through at full concurrency.
+        sequential bandwidth, leftover random IOPS, and the read or
+        ``write`` worker pool — and the largest quotient is the time the
+        system needed to push this op through at full concurrency.
         """
-        bg_cpu, bg_seq = self._background_utilization()
-        self.cpu.set_background_utilization(bg_cpu)
-        self.disk.set_background_utilization(bg_seq, 0.0)
-        # Faster clocks stretch the effective core count relative to the
-        # 3.0 GHz reference the cost constants are calibrated at.
-        cores = max(self.cpu.available_cores * (self.hardware.cpu_ghz / 3.0), 0.5)
-        contention = thread_contention(threads, cores, self.costs)
-
-        dt_cpu = cpu_seconds * contention / cores
-        dt_seq = self.disk.seq_write_seconds(seq_bytes) if seq_bytes else 0.0
-        dt_rand = self.disk.random_read_seconds(random_reads) if random_reads else 0.0
+        terms = self._charge_terms()
+        if write:
+            threads, contention = self.knobs.concurrent_writes, terms.write_contention
+        else:
+            threads, contention = self.knobs.concurrent_reads, terms.read_contention
+        dt_cpu = cpu_seconds * contention / terms.cores
+        dt_seq = dt_rand = 0.0
+        if seq_bytes:
+            self.disk.stats.seq_bytes_written += seq_bytes
+            dt_seq = seq_bytes / terms.seq_bandwidth
+        if random_reads:
+            self.disk.stats.random_reads += random_reads
+            dt_rand = random_reads / terms.rand_iops
         dt_pool = hold_seconds / threads
 
         dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra_seconds
         self.stats.busy_seconds += dt
         self.clock.advance(dt)
-        self._drain_background(dt)
+        if self._pending_compactions or self._flush_queue_bytes > 0:
+            self._drain_background(dt)
+
+    def _regime(self) -> tuple:
+        """``(active compactors, flush queue non-empty)``: all of the
+        background state an op's charge depends on."""
+        return (
+            min(len(self._pending_compactions), self.knobs.concurrent_compactors),
+            self._flush_queue_bytes > 0,
+        )
+
+    def _charge_terms(self) -> _ChargeTerms:
+        """Charge terms of the current background regime.
+
+        The utilization flush and compaction steal, the cores and disk
+        budgets that leaves and the two pools' contention depend only on
+        :meth:`_regime` and on ``knobs``/``costs``/``hardware``, so they
+        are tabled per regime, and the table is dropped when one of the
+        three is rebound (by identity — all three are frozen; the rule
+        of ``AnalyticLSMModel._regime``).  The cpu and disk models are
+        left holding the regime charged last, which is what
+        :meth:`recover` prices its replay under.
+        """
+        table = self._terms
+        if (
+            table is None
+            or table[0] is not self.knobs
+            or table[1] is not self.costs
+            or table[2] is not self.hardware
+        ):
+            table = self._terms = (self.knobs, self.costs, self.hardware, {})
+        regime = self._regime()
+        terms = table[3].get(regime)
+        if terms is not None and terms is self._applied_terms:
+            return terms
+        fresh = terms is None
+        if fresh:
+            terms = table[3][regime] = _ChargeTerms()
+            terms.bg_cpu, terms.bg_seq = self._background_utilization()
+        self.cpu.set_background_utilization(terms.bg_cpu)
+        self.disk.set_background_utilization(terms.bg_seq, 0.0)
+        self._applied_terms = terms
+        if fresh:
+            # Faster clocks stretch the effective core count relative to
+            # the 3.0 GHz reference the cost constants are calibrated at.
+            cores = max(self.cpu.available_cores * (self.hardware.cpu_ghz / 3.0), 0.5)
+            terms.cores = cores
+            terms.read_contention = thread_contention(
+                self.knobs.concurrent_reads, cores, self.costs
+            )
+            terms.write_contention = thread_contention(
+                self.knobs.concurrent_writes, cores, self.costs
+            )
+            terms.seq_bandwidth = self.disk.effective_seq_bandwidth
+            terms.rand_iops = self.disk.effective_rand_iops
+        return terms
 
     def _background_utilization(self) -> tuple:
         """Current (cpu_util, seq_disk_util) stolen by flush + compaction."""
@@ -1084,23 +1071,22 @@ class LSMEngine:
         if rate <= 0.0:
             return
         budget = rate * dt
-        while budget > 0 and self._pending_compactions:
-            active = list(self._pending_compactions)[
-                : self.knobs.concurrent_compactors
-            ]
+        pending = self._pending_compactions
+        while budget > 0 and pending:
+            active = list(islice(pending, self.knobs.concurrent_compactors))
             share = budget / len(active)
             consumed = 0.0
-            for pending in active:
-                used = min(share, pending.remaining_bytes)
-                pending.remaining_bytes -= used
+            finished = False
+            for p in active:
+                used = min(share, p.remaining_bytes)
+                p.remaining_bytes -= used
                 consumed += used
+                finished = finished or p.remaining_bytes <= 0
             budget -= consumed
-            completed = [
-                p for p in list(self._pending_compactions) if p.remaining_bytes <= 0
-            ]
-            for p in completed:
-                self._pending_compactions.remove(p)
-                self._complete_compaction(p.task)
+            if finished:
+                for p in [p for p in pending if p.remaining_bytes <= 0]:
+                    pending.remove(p)
+                    self._complete_compaction(p.task)
             if consumed <= 0:
                 break
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import struct
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,18 +133,22 @@ class SSTable:
         """Recompute the content checksum (a recovery scrub's read pass)."""
         return checksum_records(self._records) == self.checksum
 
-    def might_contain(self, key: str) -> bool:
-        """Bloom-filter membership test (false positives possible)."""
+    def might_contain(self, key: str, hashed=None) -> bool:
+        """Bloom-filter membership test (false positives possible).
+
+        ``hashed`` is the key's :func:`~repro.lsm.bloom.hash_key` pair
+        when the caller probes several tables with one key.
+        """
         if key < self.min_key or key > self.max_key:
             return False
-        return self.bloom.might_contain(key)
+        if hashed is None:
+            return self.bloom.might_contain(key)
+        return self.bloom.might_contain_hashed(*hashed)
 
     def get(self, key: str) -> Optional[Record]:
         """Exact lookup; None if absent (bloom said maybe but lied)."""
-        i = bisect.bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return self._records[i]
-        return None
+        row = self.locate(key)[1]
+        return self._records[row] if row >= 0 else None
 
     def record_at(self, i: int) -> Record:
         """Record at a known sorted position (from a batched searchsorted)."""
@@ -152,10 +156,16 @@ class SSTable:
 
     def block_of(self, key: str) -> int:
         """Index of the logical block holding ``key`` (for the cache)."""
+        return self.locate(key)[0]
+
+    def locate(self, key: str) -> Tuple[int, int]:
+        """``(logical block, sorted position or -1 if absent)`` of ``key``
+        from one bisect — what a point probe needs of a table."""
+        n = len(self._keys)
         i = bisect.bisect_left(self._keys, key)
-        i = min(i, len(self._keys) - 1)
+        row = i if i < n and self._keys[i] == key else -1
         # Records are roughly uniform in size; map record index -> block.
-        return int(i * self.size_bytes / max(len(self._keys), 1)) // BLOCK_BYTES
+        return int(min(i, n - 1) * self.size_bytes / n) // BLOCK_BYTES, row
 
     def keys_array(self) -> np.ndarray:
         """Key column as a numpy array (cached) for batched searchsorted.

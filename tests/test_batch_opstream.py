@@ -10,6 +10,9 @@ bloom bulk ops, key-distribution batch draws) must match their scalar
 references exactly.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike
-from repro.lsm.bloom import BloomFilter, _fnv1a, hash_keys
-from repro.lsm.engine import OP_WRITE, LSMEngine
+from repro.errors import DatastoreError
+from repro.lsm import bloom
+from repro.lsm.bloom import BloomFilter, _fnv1a, hash_key, hash_keys
+from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.hardware import HardwareSpec
 from repro.workload.generator import OperationGenerator
 from repro.workload.keydist import (
@@ -71,10 +76,49 @@ def engine_state(engine: LSMEngine) -> tuple:
         engine.stats,
         engine.clock.now,
         engine.cache.hit_ratio,
+        list(engine.cache._pages),  # LRU order, not just the hit tally
         engine.sstable_count,
         engine.memtable.size_bytes,
         engine.compaction_backlog_bytes,
+        engine.disk.stats,
+        engine.commitlog.unflushed_record_count,
+        # recover() prices its replay under the regime charged last.
+        engine.cpu.background_utilization,
+        engine.disk.background_seq_utilization,
     )
+
+
+def run_ops(batched: LSMEngine, scalar: LSMEngine, ops):
+    """One hand-built block of ``(kind, key, value size)`` through both
+    paths; asserts they agree and returns the batch result."""
+    kinds = np.array([kind for kind, _, _ in ops])
+    keys = [key for _, key, _ in ops]
+    sizes = np.array([size for _, _, size in ops])
+    result = batched.execute_batch(kinds, keys, sizes)
+    trace = []
+    for kind, key, size in ops:
+        if kind == OP_READ:
+            scalar.get(key)
+        elif kind == OP_DELETE:
+            scalar.delete(key)
+        else:
+            scalar.put(key, bytes(size))
+        trace.append(scalar.clock.now)
+    assert engine_state(batched) == engine_state(scalar)
+    assert np.array_equal(result.end_times, np.array(trace))
+    return result
+
+
+def write(key, size=200):
+    return (OP_WRITE, key, size)
+
+
+def read(key):
+    return (OP_READ, key, 0)
+
+
+def key(i: int) -> str:
+    return f"user{i:012d}"
 
 
 class TestExecuteBatchEquivalence:
@@ -273,3 +317,280 @@ class TestRunEngineTail:
             )
             assert len(result.series) >= 1
             assert result.series[-1].ops_per_second > 0
+
+
+def loaded_twins(strategy=SIZE_TIERED, n_keys=500, **knobs):
+    """Twins after ``n_keys`` 256-byte inserts: with the default 500,
+    three L0 tables and a memtable 12 writes short of the fourth flush
+    (which also proposes the first compaction)."""
+    batched, scalar = (
+        LSMEngine(make_knobs(compaction_method=strategy, **knobs), small_hardware())
+        for _ in range(2)
+    )
+    run_ops(batched, scalar, [write(key(i)) for i in range(n_keys)])
+    return batched, scalar
+
+
+class TestProbePlanTraps:
+    """Each case makes the block's probe plan stale in a different way;
+    a plan used past its layout epoch shows as a state mismatch."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        read_ratio=st.floats(min_value=0.3, max_value=0.7),
+        strategy=st.sampled_from([SIZE_TIERED, LEVELED]),
+    )
+    def test_mixed_blocks_under_busy_background(self, seed, read_ratio, strategy):
+        spec = WorkloadSpec(
+            read_ratio=read_ratio,
+            n_keys=600,
+            value_bytes=200,
+            update_fraction=0.5,
+            krd_mean_ops=200,
+        )
+        gen = OperationGenerator(spec, np.random.default_rng(seed))
+        batched, scalar = twin_engines(strategy)
+        load = gen.load_batch(520)  # four flushes: a compaction is pending
+        batched.execute_batch(load.kinds, load.key_names(), load.value_sizes)
+        apply_scalar(scalar, load)
+        busy_blocks = 0
+        for _ in range(3):
+            busy_blocks += batched.compaction_backlog_bytes > 0
+            block = gen.operation_batch(400)
+            result = batched.execute_batch(
+                block.kinds, block.key_names(), block.value_sizes
+            )
+            trace = apply_scalar(scalar, block)
+            assert engine_state(batched) == engine_state(scalar)
+            assert np.array_equal(result.end_times, np.array(trace))
+        assert busy_blocks > 0
+
+    def test_flush_mid_block_is_seen_by_later_reads(self):
+        batched, scalar = loaded_twins()
+        assert batched.sstable_count == 3 and key(400) in batched.memtable
+        before = replace(batched.stats)
+        ops = [read(key(400)), read(key(5)), write(key(500)), read(key(400))]
+        ops += [op for i in range(501, 512) for op in (write(key(i)), read(key(i)))]
+        # The 12th write (key 511) flushed: from its own read on, these
+        # keys live in the new L0 table.
+        ops += [read(key(400)), read(key(505)), write(key(600)), read(key(511))]
+        run_ops(batched, scalar, ops)
+        assert batched.stats.flushes == before.flushes + 1
+        assert len(batched.memtable) == 1
+        # Key 5 from an old table; 511 (twice), 400 and 505 from the new one.
+        assert batched.stats.bloom_true_positives == before.bloom_true_positives + 5
+        assert batched.stats.memtable_hits == before.memtable_hits + 2 + 10
+
+    @pytest.mark.parametrize("strategy", [SIZE_TIERED, LEVELED])
+    def test_compaction_completing_mid_block_retires_its_tables(self, strategy):
+        batched, scalar = loaded_twins(strategy, n_keys=512)
+        assert batched.sstable_count == 4 and batched.stats.compactions_started == 1
+        doomed = {t.table_id for t in batched.layout.all_tables()}
+        result = run_ops(batched, scalar, [read(key(i % 512)) for i in range(1500)])
+        assert batched.stats.compactions_completed == 1
+        live = batched.layout.all_tables()
+        assert doomed.isdisjoint(t.table_id for t in live)
+        # It completed with reads still to come, none of which probed
+        # (and so re-cached a page of) a table that was gone.
+        done_at = max(t.created_at for t in live)
+        assert result.start_time < done_at < result.end_times[-100]
+        assert {page[0] for page in batched.cache._pages} <= {t.table_id for t in live}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(file_cache_bytes=64 * 1024),
+            dict(compaction_method=LEVELED),
+            dict(bloom_fp_chance=0.3),
+        ],
+    )
+    def test_reconfigure_between_blocks(self, change):
+        batched, scalar = loaded_twins(n_keys=512)
+        mixed = [op for i in range(200) for op in (read(key(3 * i % 512)), write(key(i)))]
+        run_ops(batched, scalar, mixed)
+        for engine in (batched, scalar):
+            engine.reconfigure(replace(engine.knobs, **change))
+        run_ops(batched, scalar, mixed)
+        run_ops(batched, scalar, [read(key(i)) for i in range(300)])
+
+    def test_crash_and_recover_between_blocks(self):
+        batched, scalar = loaded_twins(n_keys=512)
+        mixed = [op for i in range(60) for op in (read(key(3 * i)), write(key(i)))]
+        run_ops(batched, scalar, mixed)
+        assert batched.compaction_backlog_bytes > 0  # killed mid-compaction
+        for engine in (batched, scalar):
+            engine.crash()
+            engine.recover()
+        assert engine_state(batched) == engine_state(scalar)
+        run_ops(batched, scalar, mixed)
+
+    def test_write_then_read_and_delete_in_one_block(self):
+        batched, scalar = loaded_twins()
+        before = replace(batched.stats)
+        ops = [
+            write("fresh"), read("fresh"),
+            write(key(7), 300), read(key(7)),
+            (OP_DELETE, key(8), 0), read(key(8)),
+            (OP_DELETE, "fresh", 0), read("fresh"),
+        ]
+        run_ops(batched, scalar, ops)
+        assert batched.stats.memtable_hits == before.memtable_hits + 4
+        assert batched.stats.deletes == before.deletes + 2
+        assert batched.get("fresh") is None and batched.get(key(8)) is None
+        assert batched.get(key(7)) == bytes(300)
+
+    def test_non_ascii_key_falls_back_to_the_unplanned_probe(self, monkeypatch):
+        batched, scalar = loaded_twins()
+        calls = []
+        monkeypatch.setattr(
+            bloom, "_fnv1a", lambda data, seed=0: calls.append(data) or _fnv1a(data, seed)
+        )
+        ops = [write("clé"), read(key(3)), read("clé"), read("zoé"), read(key(400))]
+        run_ops(batched, scalar, ops)
+        assert calls  # hashed key by key: no plan for this block
+        # With background idle, the long ASCII run of such a block is
+        # charged as a run and plans for itself, from its own read 0.
+        for engine in (batched, scalar):
+            engine.idle_until_compact()
+        run_ops(batched, scalar, ops + [read(key(i)) for i in range(20)])
+
+    def test_ascii_block_never_hashes_key_by_key(self, monkeypatch):
+        """A count, not a timing: one vector hash per block, whatever the
+        run lengths and the background (~347 k scalar hashes per
+        ``engine_ycsb`` repetition before the plan)."""
+        batched, _ = loaded_twins(n_keys=512)
+        spec = WorkloadSpec(read_ratio=0.5, n_keys=600, value_bytes=200)
+        gen = OperationGenerator(
+            spec, np.random.default_rng(5), loaded_keys=512
+        )
+        calls = []
+        monkeypatch.setattr(bloom, "_fnv1a", lambda *a, **k: calls.append(a))
+        for _ in range(3):
+            block = gen.operation_batch(400)
+            batched.execute_batch(block.kinds, block.key_names(), block.value_sizes)
+        assert batched.stats.flushes > 4 and batched.stats.tables_probed > 0
+        assert calls == []
+
+
+class TestRejectedBlocks:
+    """A block is checked whole before any op runs."""
+
+    @pytest.mark.parametrize(
+        "kinds, sizes, match",
+        [
+            ([OP_READ, OP_WRITE, OP_READ, 7], [0, 10, 0, 0], "unknown op kind 7"),
+            ([OP_READ, OP_READ, OP_WRITE, OP_READ], None, "no value_sizes"),
+            ([OP_READ, OP_WRITE, OP_READ, OP_READ], [0, 10, 0], "shape mismatch"),
+            ([OP_READ, OP_WRITE, OP_WRITE, OP_READ], [0, 10, -1, 0], "negative"),
+        ],
+    )
+    def test_rejected_block_leaves_the_engine_untouched(self, kinds, sizes, match):
+        engine, _ = loaded_twins()
+        engine.get(key(1))
+        engine.get(key(200))  # two cached pages whose order a read would move
+        before = copy.deepcopy(engine_state(engine))
+        with pytest.raises(DatastoreError, match=match):
+            engine.execute_batch(
+                np.array(kinds),
+                [key(1), "new", "newer", key(1)],
+                None if sizes is None else np.array(sizes),
+            )
+        assert engine_state(engine) == before
+        assert "new" not in engine.memtable
+
+    def test_key_count_mismatch(self):
+        engine, _ = loaded_twins()
+        with pytest.raises(DatastoreError, match="shape mismatch"):
+            engine.execute_batch(np.array([OP_READ, OP_READ]), [key(1)])
+
+
+class TestBatchWritePayloads:
+    def test_one_zero_payload_per_size_and_block(self):
+        """Alternating ops never reach the run charge, and still share."""
+        engine = LSMEngine(make_knobs(memtable_space_bytes=8 * MB), small_hardware())
+        ops = [op for i in range(50) for op in (write(key(i), 100 + i % 2), read(key(i)))]
+        ops += [write(key(100 + i), 100) for i in range(20)]  # and one long run
+        run_ops(engine, copy.deepcopy(engine), ops)
+        values = {id(rec.value): len(rec.value) for rec in engine.memtable._rows.values()}
+        assert sorted(values.values()) == [100, 101]
+
+
+class TestChargeTerms:
+    """The per-regime charge terms are derived state and never stale:
+    after any rebinding the next ops cost what they cost an engine in
+    the same state that has never charged one."""
+
+    OPS = [read(key(3)), write("a"), read(key(400)), write("b"), read("a")]
+
+    @staticmethod
+    def _warm_engine():
+        engine, _ = loaded_twins(n_keys=512)
+        run_ops(engine, copy.deepcopy(engine), TestChargeTerms.OPS)
+        assert engine._terms is not None and engine.compaction_backlog_bytes > 0
+        return engine
+
+    def _assert_charges_like_fresh(self, engine, stale):
+        fresh = copy.deepcopy(engine)
+        fresh._terms = None
+        run_ops(engine, fresh, self.OPS)
+        # The rebinding mattered: the old terms would have charged otherwise.
+        stale.execute_batch(
+            np.array([op[0] for op in self.OPS]),
+            [op[1] for op in self.OPS],
+            np.array([op[2] for op in self.OPS]),
+        )
+        assert stale.clock.now != engine.clock.now
+
+    @pytest.mark.parametrize(
+        "attr, change",
+        [
+            # Values whose effect reaches the charge only through the terms.
+            ("knobs", dict(concurrent_reads=64, concurrent_writes=64)),
+            ("costs", dict(contention_quadratic=0.4)),
+            ("hardware", dict(cpu_ghz=1.5)),
+        ],
+    )
+    def test_rebinding_invalidates(self, attr, change):
+        engine = self._warm_engine()
+        stale = copy.deepcopy(engine)
+        setattr(engine, attr, replace(getattr(engine, attr), **change))
+        self._assert_charges_like_fresh(engine, stale)
+
+    def test_reconfigure_invalidates(self):
+        engine = self._warm_engine()
+        stale = copy.deepcopy(engine)
+        engine.reconfigure(replace(engine.knobs, concurrent_compactors=1, concurrent_reads=8))
+        self._assert_charges_like_fresh(engine, stale)
+
+    def test_models_hold_the_regime_charged_last(self):
+        """A tabled regime is re-applied to the cpu/disk models when it
+        comes round again: ``recover`` prices its replay through them."""
+        engine = self._warm_engine()  # idle and busy regimes both tabled
+        fresh = copy.deepcopy(engine)
+        fresh._terms = None
+        assert engine.disk.background_seq_utilization > 0.0
+        for twin in (engine, fresh):
+            twin.idle_until_compact()
+        run_ops(engine, fresh, self.OPS)
+        assert engine.disk.background_seq_utilization == 0.0
+        assert engine.cpu.background_utilization == 0.0
+        for twin in (engine, fresh):
+            twin.crash()
+        assert engine.recover() == fresh.recover()
+
+    def test_regimes_are_tabled_not_recomputed(self, monkeypatch):
+        engine = self._warm_engine()
+        calls = []
+        original = LSMEngine._background_utilization
+        monkeypatch.setattr(
+            LSMEngine,
+            "_background_utilization",
+            lambda self: calls.append(1) or original(self),
+        )
+        run_ops(engine, copy.deepcopy(engine), self.OPS * 40)
+        assert len(calls) <= 2 * 3  # one per regime met, on each twin

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, hash_key
 
 
 class TestBloomFilter:
@@ -50,3 +50,16 @@ class TestBloomFilter:
         """Property: a bloom filter never lies about absence."""
         bf = BloomFilter.from_keys(keys, fp_chance=0.05)
         assert all(bf.might_contain(k) for k in keys)
+
+    @given(
+        members=st.lists(st.text(max_size=20), min_size=1, max_size=60),
+        probes=st.lists(st.text(max_size=20), max_size=60),
+        fp_chance=st.sampled_from([0.001, 0.05, 0.5]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_hashed_probe_equals_keyed_probe(self, members, probes, fp_chance):
+        """One hash per key, then any number of filters: the same answer
+        as hashing inside each filter, for any string (empty, non-ASCII)."""
+        bf = BloomFilter.from_keys(members, fp_chance=fp_chance)
+        for k in members + probes + ["", "clé", "鍵"]:
+            assert bf.might_contain_hashed(*hash_key(k)) == bf.might_contain(k)

@@ -51,6 +51,20 @@ class TestTableLayout:
         layout.remove([t])
         assert layout.table_count == 0
 
+    def test_every_structural_change_is_a_new_epoch(self):
+        layout = TableLayout()
+        t1, t2 = make_table(), make_table()
+        epochs = [layout.epoch]
+        for change in (
+            lambda: layout.add_flushed(t1),
+            lambda: layout.add_at_level(t2, 1),
+            lambda: layout.remove([t1]),
+        ):
+            change()
+            layout.read_candidates("k0001")  # reading is not a change
+            epochs.append(layout.epoch)
+        assert len(set(epochs)) == 4
+
     def test_read_candidates_l0_newest_first(self):
         layout = TableLayout()
         t1 = make_table(created_at=1.0)
