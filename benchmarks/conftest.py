@@ -22,6 +22,7 @@ from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
+from repro.middleware import MiddlewareScheduler, TenantSpec
 from repro.ml.ensemble import EnsembleConfig
 from repro.workload.spec import mgrast_workload
 
@@ -35,6 +36,27 @@ def write_results(name: str, payload: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(RESULTS_DIR / f"{name}.json", "w") as fh:
         json.dump(payload, fh, indent=2, default=float)
+
+
+def replay_day(datastore, rafiki, base_workload, rr_series, **spec_kwargs):
+    """One tenant's RR series on a fresh scheduler -> its ``ControllerRun``.
+
+    ``rafiki=None`` is the static-default baseline; ``spec_kwargs`` go
+    to :class:`TenantSpec` (the default policy is the paper's oracle
+    behind a 0.08 hysteresis).
+    """
+    scheduler = MiddlewareScheduler(datastore, rafiki)
+    scheduler.add_tenant(
+        TenantSpec(
+            tenant_id="replay",
+            rr_series=rr_series,
+            base_workload=base_workload,
+            use_rafiki=rafiki is not None,
+            seed=SEED,
+            **spec_kwargs,
+        )
+    )
+    return scheduler.run()["replay"]
 
 
 @pytest.fixture(scope="session")

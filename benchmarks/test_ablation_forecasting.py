@@ -12,8 +12,8 @@ on a regime-switching workload.
 
 import pytest
 
-from benchmarks.conftest import SEED, write_results
-from repro.core.controller import OnlineController
+from benchmarks.conftest import SEED, replay_day, write_results
+from repro.core.policies import HysteresisPolicy, make_policy
 from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 
@@ -23,15 +23,13 @@ def mode_results(cassandra, cassandra_rafiki, base_workload):
     rr_series = MGRastTraceGenerator(seed=SEED + 3).read_ratio_series(24 * 3600)
 
     def run(mode, rafiki, forecaster=None):
-        ctrl = OnlineController(
+        return replay_day(
             cassandra,
             rafiki,
             base_workload,
-            decision_mode=mode,
-            forecaster=forecaster,
-            seed=SEED,
+            rr_series,
+            policy=HysteresisPolicy(make_policy(mode, forecaster), min_change=0.08),
         )
-        return ctrl.run(rr_series)
 
     return {
         "static": run("oracle", None),

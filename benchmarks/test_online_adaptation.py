@@ -9,8 +9,7 @@ throughput on the table.
 
 import numpy as np
 
-from benchmarks.conftest import SEED, write_results
-from repro.core.controller import OnlineController
+from benchmarks.conftest import SEED, replay_day, write_results
 from repro.workload.mgrast import MGRastTraceGenerator
 
 
@@ -19,12 +18,8 @@ def test_online_adaptation(cassandra, cassandra_rafiki, base_workload, benchmark
         duration_seconds=24 * 3600
     )
 
-    static = OnlineController(
-        cassandra, None, base_workload, seed=SEED
-    ).run(rr_series)
-    adaptive = OnlineController(
-        cassandra, cassandra_rafiki, base_workload, seed=SEED
-    ).run(rr_series)
+    static = replay_day(cassandra, None, base_workload, rr_series)
+    adaptive = replay_day(cassandra, cassandra_rafiki, base_workload, rr_series)
 
     gain = adaptive.mean_throughput / static.mean_throughput - 1.0
 

@@ -10,10 +10,10 @@ on purpose:
    reconfiguration, plus a burst of transient search faults,
 3. replay the trace with retry, degraded-mode, and canary-rollback
    guardrails enabled, printing every fault and recovery event as the
-   controller rides through them.
+   tenant's control loop rides through them.
 
-Because plan and controller share nothing but seeds, re-running this
-script reproduces the identical event sequence.
+Because plan and loop share nothing but seeds, re-running this script
+reproduces the identical event sequence.
 
     python examples/fault_injection_tour.py
 """
@@ -23,11 +23,15 @@ from repro import (
     CassandraLike,
     EventBus,
     FaultPlan,
+    HysteresisPolicy,
+    MiddlewareScheduler,
+    OraclePolicy,
     RafikiPipeline,
+    RetryPolicy,
+    TenantSpec,
     mgrast_workload,
 )
 from repro.bench.ycsb import YCSBBenchmark
-from repro.core.controller import OnlineController, RetryPolicy
 from repro.faults import DiskSlowdown, NodeCrash, TransientFault
 from repro.ml.ensemble import EnsembleConfig
 
@@ -64,26 +68,29 @@ def main():
 
     print("\n== 3. Replay with guardrails, watching the event stream ==")
     events = EventBus()
-    events.subscribe(lambda e: print(f"   {e}"), topic="fault")
-    events.subscribe(lambda e: print(f"   {e}"), topic="controller")
-    controller = OnlineController(
-        cassandra,
-        rafiki,
-        base_workload,
-        window_seconds=60,
-        rr_change_threshold=0.1,
-        events=events,
-        fault_plan=plan,
-        n_nodes=4,
-        replication_factor=2,
-        retry=RetryPolicy(max_attempts=3, backoff_s=2.0),
-        # The tiny 4-net ensemble is very unsure about the read-heavy
-        # regime; a softer std factor keeps the guard decisive.
-        canary_margin=0.2,
-        canary_std_factor=0.5,
-        seed=7,
+    events.subscribe(lambda e: print(f"   {e}"), topic="tenant.mgrast.fault")
+    events.subscribe(lambda e: print(f"   {e}"), topic="tenant.mgrast.controller")
+    scheduler = MiddlewareScheduler(cassandra, rafiki, events=events)
+    scheduler.add_tenant(
+        TenantSpec(
+            tenant_id="mgrast",
+            rr_series=rr_series,
+            base_workload=base_workload,
+            policy=HysteresisPolicy(OraclePolicy(), min_change=0.1),
+            window_seconds=60,
+            fault_plan=plan,
+            n_nodes=4,
+            replication_factor=2,
+            retry=RetryPolicy(max_attempts=3, backoff_s=2.0),
+            # The tiny 4-net ensemble is very unsure about the read-heavy
+            # regime; a softer std factor keeps the guard decisive.
+            canary_margin=0.2,
+            canary_std_factor=0.5,
+            seed=7,
+            load=False,
+        )
     )
-    run = controller.run(rr_series, load=False)
+    run = scheduler.run()["mgrast"]
 
     print("\n== 4. What the run survived ==")
     print(f"   windows:          {len(run.events)}")

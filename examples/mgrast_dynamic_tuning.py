@@ -6,8 +6,8 @@ Reproduces the paper's motivating scenario end to end:
 1. synthesize an MG-RAST-like query trace (Figure 3's regime switches),
 2. characterize it — read ratio per 15-minute window, exponential KRD
    fit (§3.3),
-3. replay the windows against one long-lived simulated Cassandra,
-   static default vs Rafiki-driven reconfiguration.
+3. replay the windows as two middleware tenants on long-lived simulated
+   Cassandras: static default vs Rafiki-driven reconfiguration.
 
     python examples/mgrast_dynamic_tuning.py
 """
@@ -18,11 +18,12 @@ from repro import (
     CASSANDRA_KEY_PARAMETERS,
     CassandraLike,
     MGRastTraceGenerator,
+    MiddlewareScheduler,
     RafikiPipeline,
+    TenantSpec,
     characterize_trace,
     mgrast_workload,
 )
-from repro.core.controller import OnlineController
 
 
 def main():
@@ -49,8 +50,19 @@ def main():
     print("   done")
 
     print("\n== 4. Replay the day: static default vs Rafiki ==")
-    static = OnlineController(cassandra, None, base_workload, seed=5).run(ratios)
-    adaptive = OnlineController(cassandra, rafiki, base_workload, seed=5).run(ratios)
+    scheduler = MiddlewareScheduler(cassandra, rafiki)
+    for tenant_id, tuned in (("static", False), ("rafiki", True)):
+        scheduler.add_tenant(
+            TenantSpec(
+                tenant_id=tenant_id,
+                rr_series=ratios,
+                base_workload=base_workload,
+                use_rafiki=tuned,
+                seed=5,
+            )
+        )
+    results = scheduler.run()
+    static, adaptive = results["static"], results["rafiki"]
 
     print(f"   static default : {static.mean_throughput:>9,.0f} ops/s")
     print(

@@ -11,10 +11,8 @@ workloads and a datastore fleet.  This tour runs that service:
    one MiddlewareScheduler, every tenant's events namespaced on a
    shared bus,
 3. show the rolling restart charging real transient capacity loss
-   (instead of the legacy flat penalty constant),
-4. check the single-tenant guarantee: the legacy OnlineController API
-   and a one-tenant scheduler produce bit-identical runs,
-5. re-run the whole campaign and verify the event sequence is
+   (instead of the flat penalty constant),
+4. re-run the whole campaign and verify the event sequence is
    identical — the scheduler's determinism contract.
 
     python examples/middleware_tour.py
@@ -27,7 +25,6 @@ from repro import (
     FaultPlan,
     MGRastTraceGenerator,
     MiddlewareScheduler,
-    OnlineController,
     RafikiPipeline,
     TenantSpec,
     mgrast_workload,
@@ -151,29 +148,7 @@ def main():
     print(f"   archive paid {len(restart_events)} rolling-restart transient(s)")
     assert restart_events, "expected the rolling tenant to pay for its restarts"
 
-    print("\n== 4. Single-tenant runs match the legacy controller exactly ==")
-    series = MGRastTraceGenerator(seed=5, window_seconds=60).read_ratio_series(3600)
-    legacy = OnlineController(
-        cassandra, rafiki, mgrast_workload(0.5), window_seconds=60, seed=9
-    ).run(series, load=False)
-    solo = MiddlewareScheduler(cassandra, rafiki)
-    solo.add_tenant(
-        TenantSpec(
-            tenant_id="solo",
-            rr_series=series,
-            base_workload=mgrast_workload(0.5),
-            seed=9,
-            window_seconds=60,
-            load=False,
-        )
-    )
-    tenant = solo.run()["solo"]
-    assert [e.mean_throughput for e in legacy.events] == [
-        e.mean_throughput for e in tenant.events
-    ], "single-tenant middleware must be bit-identical to the legacy API"
-    print("   bit-identical: every window throughput matches")
-
-    print("\n== 5. Determinism: the same campaign replays identically ==")
+    print("\n== 4. Determinism: the same campaign replays identically ==")
     _, log2 = run_campaign(cassandra, rafiki, quiet=True)
     assert log == log2, "same seeds + same tenants must replay identically"
     print(f"   {len(log)} events, identical sequence on re-run")

@@ -10,17 +10,16 @@ The package is layered (see DESIGN.md, "Middleware service layer")::
     ml / ga / analysis              rank 4   learning + search
     recovery                        rank 5   crash-safety
     bench                           rank 6   offline campaign
-    core                            rank 7   Rafiki + legacy controller
+    core                            rank 7   Rafiki + control-loop vocabulary
     middleware                      rank 8   multi-tenant service layer
     cli / __main__ / package root   rank 9   entry points
 
 A *module-level* import may only target the same or a lower rank.
-Function-level (lazy) imports are the sanctioned escape hatch for
-deprecated shims — e.g. ``core.controller`` building its middleware
-session, or ``ml.ensemble`` reaching into ``recovery`` for checkpoints —
-because they defer the dependency to call time and cannot create an
-import cycle.  This script therefore scans only statements that execute
-at import time (module and class bodies; function bodies are skipped).
+Function-level (lazy) imports — e.g. ``ml.ensemble`` reaching into
+``recovery`` for checkpoints — are out of scope: they defer the
+dependency to call time and cannot create an import cycle.  This script
+therefore scans only statements that execute at import time (module and
+class bodies; function bodies are skipped).
 
 Run from the repo root::
 
@@ -93,11 +92,10 @@ SUBLAYERS = {
         "adapter": 2,
         "__init__": 3,
     },
-    # Runtime: events and deprecation are leaf vocabulary; the state
-    # shipper publishes on the bus, and the pool backend is a peer that
-    # may one day warm worker caches itself.
+    # Runtime: events are leaf vocabulary; the state shipper publishes
+    # on the bus, and the pool backend is a peer that may one day warm
+    # worker caches itself.
     "runtime": {
-        "deprecation": 0,
         "events": 0,
         "stateship": 1,
         "backend": 1,

@@ -63,7 +63,6 @@ from repro.core import (
     ForecastPolicy,
     GreedySearch,
     HysteresisPolicy,
-    OnlineController,
     OptimizationResult,
     OraclePolicy,
     Rafiki,
@@ -135,7 +134,6 @@ __all__ = [
     "GreedySearch",
     "RandomSearch",
     "OptimizationResult",
-    "OnlineController",
     "RetryPolicy",
     "rank_parameters",
     "select_key_parameters",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.datastore.base import Datastore
 from repro.faults.plan import FaultPlan
 from repro.recovery.journal import Journal
 from repro.runtime.backend import ExecutionBackend, resolve_backend
-from repro.runtime.deprecation import warn_deprecated
 from repro.runtime.events import EventBus
 from repro.sim.rng import SeedSequence
 from repro.workload.spec import WorkloadSpec
@@ -94,7 +93,6 @@ class DataCollectionCampaign:
         n_faulty: int = DEFAULT_FAULT_COUNT,
         benchmark: Optional[YCSBBenchmark] = None,
         seed: int = 0,
-        progress: Optional[Callable[[int, int], None]] = None,
         backend: Optional[ExecutionBackend] = None,
         events: Optional[EventBus] = None,
         retry_faulty: int = 0,
@@ -107,12 +105,6 @@ class DataCollectionCampaign:
             raise ValueError("need at least one configuration")
         if retry_faulty < 0:
             raise ValueError("retry_faulty must be >= 0")
-        if progress is not None:
-            warn_deprecated(
-                "collection.progress",
-                "DataCollectionCampaign(progress=...) is deprecated; subscribe "
-                "to 'collect.sample' events on the EventBus instead",
-            )
         self.datastore = datastore
         self.base_workload = base_workload
         self.key_parameters = tuple(key_parameters or datastore.key_parameters)
@@ -121,7 +113,6 @@ class DataCollectionCampaign:
         self.n_faulty = n_faulty
         self.benchmark = benchmark or YCSBBenchmark(datastore)
         self.seeds = SeedSequence(seed)
-        self.progress = progress
         self.backend = backend
         self.events = events or EventBus()
         self.retry_faulty = retry_faulty
@@ -320,8 +311,6 @@ class DataCollectionCampaign:
                 done += 1
                 if journal is not None:
                     journal.append(self._record_from_result(index, 0, result))
-                if self.progress is not None:
-                    self.progress(done, total)
                 if result.faulty:
                     self.events.publish(
                         "fault.injected",

@@ -44,7 +44,7 @@ from repro.bench.dataset import load_dataset, save_dataset
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
 from repro.core.persistence import load_surrogate, save_surrogate
-from repro.core.policies import HysteresisPolicy, make_policy
+from repro.core.policies import DECISION_MODES, HysteresisPolicy, make_policy
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
@@ -605,9 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--surrogate", required=True)
     p.add_argument("--hours", type=int, default=24)
-    p.add_argument(
-        "--mode", default="oracle", choices=("oracle", "reactive", "forecast")
-    )
+    p.add_argument("--mode", default="oracle", choices=DECISION_MODES)
     p.add_argument(
         "--nodes", type=_positive_int, default=1, help="simulated cluster size"
     )

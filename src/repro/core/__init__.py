@@ -8,9 +8,8 @@ The five workflow stages (§3.1) map onto this package:
 4. Surrogate modelling         -> :mod:`repro.core.surrogate`
 5. Configuration optimization  -> :mod:`repro.core.search`
 
-:class:`~repro.core.rafiki.Rafiki` glues them into the middleware, and
-:class:`~repro.core.controller.OnlineController` applies it to a live
-workload stream.
+:class:`~repro.core.rafiki.Rafiki` glues them into the middleware;
+:mod:`repro.middleware` applies it to live workload streams.
 """
 
 from repro.core.anova import (
@@ -40,7 +39,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.rafiki import Rafiki, RafikiPipeline, PipelineReport
-from repro.core.controller import ControllerEvent, OnlineController, RetryPolicy
+from repro.core.controller import ControllerEvent, RetryPolicy
 from repro.core.persistence import load_surrogate, save_surrogate
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "Rafiki",
     "RafikiPipeline",
     "PipelineReport",
-    "OnlineController",
     "ControllerEvent",
     "RetryPolicy",
     "save_surrogate",

@@ -19,7 +19,7 @@ with bitwise-identical results to the serial path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -29,7 +29,6 @@ from repro.config.space import Configuration
 from repro.datastore.base import Datastore
 from repro.errors import SearchError
 from repro.runtime.backend import ExecutionBackend, resolve_backend
-from repro.runtime.deprecation import warn_deprecated
 from repro.runtime.events import EventBus
 from repro.sim.rng import SeedSequence
 from repro.workload.spec import WorkloadSpec
@@ -135,7 +134,6 @@ def rank_parameters(
     repeats: int = 2,
     benchmark: Optional[YCSBBenchmark] = None,
     seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
     backend: Optional[ExecutionBackend] = None,
     events: Optional[EventBus] = None,
 ) -> AnovaRanking:
@@ -150,12 +148,6 @@ def rank_parameters(
     """
     if repeats < 1:
         raise SearchError("repeats must be >= 1")
-    if progress is not None:
-        warn_deprecated(
-            "anova.progress",
-            "rank_parameters(progress=...) is deprecated; subscribe to "
-            "'anova.parameter' events on the EventBus instead",
-        )
     bench = benchmark or YCSBBenchmark(datastore)
     names = list(parameters) if parameters is not None else [
         p.name for p in datastore.space.performance_parameters()
@@ -188,8 +180,6 @@ def rank_parameters(
     def on_result(index: int, effect: ParameterEffect) -> None:
         nonlocal done
         done += 1
-        if progress is not None:
-            progress(effect.name)
         events.publish(
             "anova.parameter",
             f"anova: {effect.name}",

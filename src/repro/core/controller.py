@@ -1,67 +1,31 @@
-"""Online reconfiguration controller (legacy single-tenant API).
+"""Shared vocabulary of the online control loop.
 
-Applies Rafiki to a live workload: watch the RR of each 15-minute
-window, and when the regime shifts, search the surrogate and push the
-new configuration to the server.
-
-Historically this module owned the whole control loop.  That loop now
-lives in the middleware service layer — a
-:class:`~repro.middleware.session.TenantSession` runs the
-observe -> decide -> actuate -> canary state machine against a
-:class:`~repro.datastore.adapter.DatastoreAdapter`, and a
-:class:`~repro.middleware.scheduler.MiddlewareScheduler` multiplexes
-many such sessions over one shared surrogate.  ``OnlineController`` is
-kept as a thin, fully compatible shim: :meth:`run` provisions a
-single-tenant session with the legacy instant-push semantics and drives
-it window by window, producing bit-identical results (throughputs,
-reconfigurations, rollbacks, and the ``controller.*`` / ``fault.*``
-event sequence) to the historical monolithic loop.
-
-The guardrail vocabulary still lives here, because both the shim and
-the middleware share it:
+Rafiki's online stage watches the RR of each 15-minute window and, when
+the regime shifts, searches the surrogate and pushes the new
+configuration.  The loop itself is a
+:class:`~repro.middleware.session.TenantSession` driven by a
+:class:`~repro.middleware.scheduler.MiddlewareScheduler`; this module
+holds the types every layer of it shares:
 
 * :class:`RetryPolicy` — bounded exponential backoff for transient
   search/push failures; simulated backoff time is charged against the
   window, so flakiness costs throughput instead of crashing runs.
-* Degraded mode — an exhausted search/push budget falls back to the
-  vendor default configuration (the paper's baseline) and publishes
-  ``controller.degraded``.
-* Canary + rollback — with ``canary_margin`` set, a freshly pushed
-  configuration is canaried for one window against the surrogate's
-  promise (normalized by a running observed/predicted ratio, widened by
-  the ensemble's uncertainty) and reverted on undershoot
-  (``controller.rollback``).
-* Multi-node operation — ``n_nodes > 1`` drives a
-  :class:`~repro.datastore.cluster.Cluster`, the target a
-  :class:`~repro.faults.FaultInjector` needs for node faults.
-
-All of it is event-audited and deterministic: the same fault plan and
-seed reproduce the identical event sequence.
+* :class:`ControllerEvent` / :class:`ControllerRun` — one window's
+  outcome and a tenant's full run summary (reconfigurations, canary
+  rollbacks, degraded / shed / quarantined windows).
+* :data:`CANARY_RATIO_ALPHA` — smoothing of the canary's
+  observed/predicted baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.core.policies import (
-    DecisionPolicy,
-    HysteresisPolicy,
-    make_policy,
-)
-from repro.core.rafiki import Rafiki
-from repro.datastore.base import Datastore
 from repro.errors import SearchError
-from repro.faults.plan import FaultPlan
-from repro.runtime.deprecation import warn_deprecated
-from repro.runtime.events import EventBus
-from repro.sim.rng import SeedLike
-from repro.workload.forecast import RRForecaster
-from repro.workload.spec import WorkloadSpec
-from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 #: Smoothing of the observed/predicted throughput ratio the canary
 #: normalizes against (high = adapt fast to regime/fault shifts).
@@ -136,169 +100,3 @@ class ControllerRun:
     @property
     def shed_count(self) -> int:
         return sum(1 for e in self.events if e.shed)
-
-
-class OnlineController:
-    """Drives one simulated server through an RR window series.
-
-    Deprecated-but-stable: new code should build a
-    :class:`~repro.middleware.session.TenantSession` (or a
-    :class:`~repro.middleware.scheduler.MiddlewareScheduler` for more
-    than one tenant); this class wraps exactly one session per
-    :meth:`run` call.
-    """
-
-    #: Deprecated string shim (see :mod:`repro.core.policies`):
-    #: "oracle"   — the current window's RR (the paper's setting);
-    #: "reactive" — the previous window's RR (pure measurement lag);
-    #: "forecast" — an online forecaster's one-step-ahead prediction
-    #:              (the paper's future work, see repro.workload.forecast).
-    DECISION_MODES = ("oracle", "reactive", "forecast")
-
-    def __init__(
-        self,
-        datastore: Datastore,
-        rafiki: Optional[Rafiki],
-        base_workload: WorkloadSpec,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        rr_change_threshold: float = 0.08,
-        reconfiguration_penalty_s: float = 5.0,
-        decision_mode: Optional[str] = None,
-        forecaster: Optional["RRForecaster"] = None,
-        policy: Optional[DecisionPolicy] = None,
-        seed: SeedLike = 0,
-        events: Optional[EventBus] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        n_nodes: int = 1,
-        replication_factor: int = 1,
-        retry: Optional[RetryPolicy] = None,
-        canary_margin: Optional[float] = None,
-        canary_std_factor: float = 2.0,
-    ):
-        """``rafiki=None`` runs the static-default baseline.
-
-        Pass ``policy`` to plug in any :class:`DecisionPolicy` — it is
-        used verbatim, so wrap it in a
-        :class:`~repro.core.policies.HysteresisPolicy` yourself if you
-        want change-damping.  Without an explicit policy, the deprecated
-        ``decision_mode`` string is translated into the equivalent
-        policy wrapped with ``HysteresisPolicy(min_change=rr_change_threshold)``,
-        reproducing the historical controller behaviour (the default is
-        the paper's "oracle" mode).
-
-        ``canary_margin`` enables the rollback guard: a canaried window
-        whose observed/predicted throughput ratio drops more than
-        ``margin + std_factor x (ensemble std / mean)`` below the
-        running baseline ratio reverts the push.  Requires a ``rafiki``
-        exposing ``predicted_mean_std``.
-        """
-        self.datastore = datastore
-        self.rafiki = rafiki
-        self.base_workload = base_workload
-        self.window_seconds = window_seconds
-        self.rr_change_threshold = rr_change_threshold
-        self.reconfiguration_penalty_s = reconfiguration_penalty_s
-        self.forecaster = forecaster
-        self._passive_forecaster: Optional[RRForecaster] = None
-        if policy is not None:
-            self.policy = policy
-        else:
-            if decision_mode is not None:
-                warn_deprecated(
-                    "controller.decision_mode",
-                    "OnlineController(decision_mode=...) is deprecated; pass a "
-                    "DecisionPolicy via policy= instead",
-                )
-            mode = decision_mode if decision_mode is not None else "oracle"
-            if mode not in self.DECISION_MODES:
-                raise SearchError(f"unknown decision mode {mode!r}")
-            self.policy = HysteresisPolicy(
-                make_policy(mode, forecaster),
-                min_change=rr_change_threshold,
-            )
-            if forecaster is not None and mode != "forecast":
-                # Historical quirk kept for compatibility: a forecaster
-                # passed alongside a non-forecast mode still observes
-                # the series (useful for offline forecaster evaluation).
-                self._passive_forecaster = forecaster
-        self.decision_mode = getattr(self.policy, "name", "custom")
-        self.seed = seed
-        self.events = events or EventBus()
-        if n_nodes < 1:
-            raise SearchError("n_nodes must be >= 1")
-        self.n_nodes = n_nodes
-        self.replication_factor = replication_factor
-        self.fault_plan = fault_plan
-        if fault_plan is not None:
-            fault_plan.validate()
-            if fault_plan.max_node >= n_nodes:
-                raise SearchError(
-                    f"fault plan targets node {fault_plan.max_node} but the "
-                    f"controller runs {n_nodes} node(s)"
-                )
-            if n_nodes == 1 and (
-                fault_plan.node_crashes or fault_plan.disk_slowdowns
-            ):
-                raise SearchError(
-                    "node crash/slowdown faults need a multi-node cluster "
-                    "(n_nodes >= 2); a single server only takes "
-                    "control-plane faults"
-                )
-        self.retry = retry or RetryPolicy()
-        if canary_margin is not None:
-            if not (0.0 <= canary_margin < 1.0):
-                raise SearchError("canary_margin must be in [0, 1)")
-            if rafiki is not None and not hasattr(rafiki, "predicted_mean_std"):
-                raise SearchError(
-                    "canary guard needs a rafiki exposing predicted_mean_std"
-                )
-        self.canary_margin = canary_margin
-        self.canary_std_factor = canary_std_factor
-
-    # -- the control loop ------------------------------------------------------
-
-    def make_session(self):
-        """Build the single-tenant middleware session this shim drives.
-
-        Lazy-imports the middleware layer: ``core`` sits below
-        ``middleware`` in the import DAG (see
-        ``scripts/check_layering.py``), and a deprecated shim reaching
-        one layer up at call time is the sanctioned exception.
-        """
-        from repro.datastore.adapter import SimulatedDatastoreAdapter
-        from repro.middleware.session import TenantSession
-
-        adapter = SimulatedDatastoreAdapter(
-            self.datastore,
-            n_nodes=self.n_nodes,
-            replication_factor=self.replication_factor,
-            profile=self.base_workload.to_profile(),
-            seed=self.seed,
-            events=self.events,
-        )
-        return TenantSession(
-            self.datastore,
-            self.rafiki,
-            adapter,
-            self.policy,
-            tenant_id="legacy",
-            window_seconds=self.window_seconds,
-            reconfiguration_penalty_s=self.reconfiguration_penalty_s,
-            retry=self.retry,
-            canary_margin=self.canary_margin,
-            canary_std_factor=self.canary_std_factor,
-            events=self.events,
-            fault_plan=self.fault_plan,
-            restart_policy="instant",
-            passive_forecaster=self._passive_forecaster,
-        )
-
-    def run(self, rr_series: Sequence[float], load: bool = True) -> ControllerRun:
-        """Replay an RR window series against one long-lived server."""
-        if len(rr_series) == 0:
-            raise SearchError("empty RR series")
-        session = self.make_session()
-        session.start(load_keys=self.base_workload.n_keys if load else None)
-        for rr in rr_series:
-            session.step(rr)
-        return session.finish(teardown=False)

@@ -1,11 +1,11 @@
-"""Decision policies for the online controller.
+"""Decision policies for the online control loop.
 
-The seed repo hard-coded the controller's decision logic behind string
-dispatch (``"oracle" | "reactive" | "forecast"``).  This module turns
-each mode into a :class:`DecisionPolicy` strategy object, and makes the
-change-threshold logic a *composable* wrapper (:class:`HysteresisPolicy`)
-instead of controller-internal state — so new policies (cost-aware,
-SLA-aware, multi-metric) plug in without touching the control loop.
+Each of the paper's decision modes (``"oracle" | "reactive" |
+"forecast"``) is a :class:`DecisionPolicy` strategy object, and the
+change-threshold logic is a *composable* wrapper
+(:class:`HysteresisPolicy`) rather than loop-internal state — so new
+policies (cost-aware, SLA-aware, multi-metric) plug in without touching
+the control loop.
 
 A policy answers one question per window: *which read ratio should the
 controller hand to Rafiki's search, if any?*  Returning ``None`` means
@@ -166,14 +166,14 @@ class HysteresisPolicy(DecisionPolicy):
         self.inner.reset()
 
 
-#: Legacy string modes, mapped by :func:`make_policy`.
+#: The paper's decision modes by name, mapped by :func:`make_policy`.
 DECISION_MODES = ("oracle", "reactive", "forecast")
 
 
 def make_policy(
     mode: str, forecaster: Optional[RRForecaster] = None
 ) -> DecisionPolicy:
-    """Thin shim from the deprecated string API onto policy objects."""
+    """The CLI's string -> policy map (``replay --mode``)."""
     if mode == "oracle":
         return OraclePolicy()
     if mode == "reactive":

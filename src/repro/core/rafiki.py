@@ -15,7 +15,7 @@ a representative trace (or a base workload spec).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.dataset import PerformanceDataset
@@ -35,8 +35,7 @@ from repro.datastore.scylla import ScyllaLike
 from repro.errors import TrainingError
 from repro.ml.ensemble import EnsembleConfig
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.deprecation import warn_deprecated
-from repro.runtime.events import EventBus, callback_subscriber
+from repro.runtime.events import EventBus
 from repro.sim.rng import SeedSequence
 from repro.workload.characterize import WorkloadCharacterization, characterize_trace
 from repro.workload.spec import WorkloadSpec
@@ -148,8 +147,7 @@ class RafikiPipeline:
     decides how the embarrassingly parallel stages (ANOVA sweeps, the
     collection campaign, ensemble training) are scheduled, and ``events``
     receives structured progress on the ``pipeline.*`` / ``anova.*`` /
-    ``collect.*`` topics.  The legacy ``progress`` string callback is a
-    deprecated shim, bridged onto the bus.
+    ``collect.*`` topics.
     """
 
     def __init__(
@@ -165,7 +163,6 @@ class RafikiPipeline:
         key_parameter_count: int = 5,
         seed: int = 0,
         cassandra_ranking: Optional[AnovaRanking] = None,
-        progress: Optional[Callable[[str], None]] = None,
         backend: Optional[ExecutionBackend] = None,
         events: Optional[EventBus] = None,
     ):
@@ -182,13 +179,6 @@ class RafikiPipeline:
         self.cassandra_ranking = cassandra_ranking
         self.backend = backend
         self.events = events or EventBus()
-        if progress is not None:  # deprecated: subscribe the callback
-            warn_deprecated(
-                "pipeline.progress",
-                "RafikiPipeline(progress=...) is deprecated; subscribe to "
-                "'pipeline.*' events on the EventBus instead",
-            )
-            self.events.subscribe(callback_subscriber(progress))
 
     def _stage(self, message: str, **payload) -> None:
         self.events.publish("pipeline.stage", message, **payload)

@@ -218,9 +218,7 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
 
     ``n_nodes == 1`` provisions a single analytic server;
     ``n_nodes > 1`` provisions a :class:`Cluster` with one YCSB shooter
-    per node, exactly as ``OnlineController._make_server`` did — a
-    single-tenant middleware run stays bit-identical to the legacy
-    controller.
+    per node.
 
     ``execution="engine"`` swaps the analytic substrate for a
     materialized :class:`~repro.lsm.engine.LSMEngine` fed by the

@@ -30,9 +30,6 @@ repairs partial pushes and stale recoveries within a bounded rolling
 repair budget, and quarantines windows that ran on a mixed-config ring
 so the canary EWMA and SLO budget never ingest drifted throughput.
 Off by default, like the guards.
-
-The legacy single-tenant ``OnlineController`` API survives as a thin
-shim over one session; its runs are bit-identical to before.
 """
 
 from repro.datastore.adapter import (

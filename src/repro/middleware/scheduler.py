@@ -98,12 +98,7 @@ from repro.middleware.ledger import CapacityLedger
 from repro.middleware.reconcile import DriftReconciler, ReconcileSpec
 from repro.middleware.session import TenantSession
 from repro.middleware.slo import SloSpec
-from repro.runtime.backend import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.runtime.backend import ExecutionBackend, resolve_backend
 from repro.runtime.events import EventBus
 from repro.runtime.stateship import (
     StateMiss,
@@ -287,7 +282,7 @@ class MiddlewareScheduler:
         *,
         events: Optional[EventBus] = None,
         clock: Optional[SimClock] = None,
-        backend=None,
+        backend: Optional[ExecutionBackend] = None,
         workers: Optional[int] = None,
         cluster_capacity: Optional[float] = None,
         shedding: bool = True,
@@ -296,30 +291,14 @@ class MiddlewareScheduler:
         self.rafiki = rafiki
         self.events = events or EventBus()
         self.clock = clock or SimClock()
-        # Up-front validation: a bad workers/backend combination used to
-        # surface windows later as an opaque crash inside the round loop.
+        # Up-front validation: a bad worker count would otherwise surface
+        # windows later as an opaque crash inside the round loop.
         if workers is not None and workers < 1:
             raise SearchError(
                 f"workers must be >= 1, got {workers} "
                 "(1 = serial, N > 1 = process-pool sharded rounds)"
             )
-        if isinstance(backend, str):
-            if backend == "serial":
-                backend = SerialBackend()
-            elif backend == "process":
-                if workers is None:
-                    raise SearchError(
-                        'backend="process" needs workers=N to size the '
-                        "pool (pass workers=2 or more, or pass a "
-                        "ProcessPoolBackend instance directly)"
-                    )
-                backend = ProcessPoolBackend(workers)
-            else:
-                raise SearchError(
-                    f"unknown backend {backend!r} (serial | process, or an "
-                    "ExecutionBackend instance)"
-                )
-        # backend=None and workers in (None, 1) keep the legacy in-process
+        # backend=None and workers in (None, 1) keep the in-process
         # serial loop; an explicit backend (even SerialBackend, useful for
         # exercising the shard protocol without processes) or workers > 1
         # routes every round through the sharded path.

@@ -1,25 +1,24 @@
 """Session layer: one tenant's control loop as a state machine.
 
-The monolithic ``OnlineController.run()`` window loop is decomposed here
-into discrete, resumable phases::
+One workload window runs through discrete, resumable phases::
 
     OBSERVE -> DECIDE -> ACTUATE -> RECONCILE -> EXECUTE -> CANARY -> RECORD
 
 Each :meth:`TenantSession.step` drives exactly one workload window
 through those phases (``advance_phase`` runs a single transition, so a
 scheduler — or a debugger — can interleave and inspect sessions
-mid-window).  The legacy controller's behaviours are preserved verbatim:
-the :class:`~repro.core.controller.RetryPolicy` backoff for transient
-search/push faults, degraded-mode fallback to the vendor default, and
-the ratio-EWMA canary with uncertainty-widened rollback.  With
-``restart_policy="instant"`` a session is bit-identical to the legacy
-``OnlineController.run()`` on the same seed.
+mid-window).  Transient search/push faults back off under the
+:class:`~repro.core.controller.RetryPolicy`, an exhausted budget
+degrades to the vendor default (the paper's baseline), and with
+``canary_margin`` set a fresh push is canaried for one window against
+the surrogate's promise and reverted on undershoot.
 
-``restart_policy="rolling"`` replaces the flat reconfiguration penalty
-with the adapter's rolling restart: each node leaves the serving set for
-its restart window, so reconfiguration cost becomes modeled transient
-capacity loss (visible as ``actuate.rolling_restart`` events) instead of
-a constant.
+``restart_policy="instant"`` teleports a push onto the datastore and
+charges the flat ``reconfiguration_penalty_s``; ``"rolling"`` replaces
+that penalty with the adapter's rolling restart: each node leaves the
+serving set for its restart window, so reconfiguration cost becomes
+modeled transient capacity loss (visible as ``actuate.rolling_restart``
+events) instead of a constant.
 
 All events publish on the session's bus — hand it a
 ``bus.scoped("tenant.3")`` view and every ``controller.*`` / ``fault.*``
@@ -66,7 +65,6 @@ from repro.errors import SearchError, TransientError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.runtime.events import EventBus
-from repro.workload.forecast import RRForecaster
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 #: Phase order of one window, OBSERVE first.
@@ -119,7 +117,6 @@ class TenantSession:
         events: Optional[EventBus] = None,
         fault_plan: Optional[FaultPlan] = None,
         restart_policy: str = "instant",
-        passive_forecaster: Optional[RRForecaster] = None,
         trace_phases: bool = False,
         guard=None,
         reconciler=None,
@@ -153,7 +150,6 @@ class TenantSession:
         self.events = events or EventBus()
         self.fault_plan = fault_plan
         self.restart_policy = restart_policy
-        self.passive_forecaster = passive_forecaster
         self.trace_phases = trace_phases
         # Optional overload protection (see repro.middleware.guard): SLO
         # tracking, search/push circuit breakers, bulkhead budgets.
@@ -198,10 +194,9 @@ class TenantSession:
         self._set_phase("idle")
         return self
 
-    def finish(self, teardown: bool = True) -> ControllerRun:
+    def finish(self) -> ControllerRun:
         """Close the session and return its :class:`ControllerRun`."""
-        if teardown:
-            self.adapter.teardown()
+        self.adapter.teardown()
         self._set_phase("done")
         return self.result
 
@@ -265,8 +260,6 @@ class TenantSession:
             )
         rr = float(np.clip(read_ratio, 0.0, 1.0))
         self.policy.observe(rr)
-        if self.passive_forecaster is not None:
-            self.passive_forecaster.update(rr)
         self._previous_rr = rr
         event = ControllerEvent(
             window_index=self._window_index,
@@ -398,8 +391,6 @@ class TenantSession:
     def _phase_execute(self, ws: WindowState) -> None:
         """Serve the window; downtime and backoff charge against it."""
         self.policy.observe(ws.read_ratio)
-        if self.passive_forecaster is not None:
-            self.passive_forecaster.update(ws.read_ratio)
         self._previous_rr = ws.read_ratio
 
         duration = self.window_seconds
@@ -471,7 +462,7 @@ class TenantSession:
         if self.guard is not None:
             self.guard.observe_window(ws.event)
 
-    # -- resilient operations (ported verbatim from OnlineController) ----------
+    # -- resilient operations --------------------------------------------------
 
     def _publish(self, topic: str, message: str, **payload) -> None:
         self.events.publish(topic, message, **payload)
@@ -551,8 +542,8 @@ class TenantSession:
 
         ``restart_policy="rolling"`` routes the push through the
         adapter's rolling restart, recording the transient on the window
-        state; ``"instant"`` keeps the legacy teleport semantics (the
-        flat reconfiguration penalty is charged in EXECUTE).
+        state; ``"instant"`` applies it at once (the flat
+        reconfiguration penalty is charged in EXECUTE).
         """
 
         def do_push():
@@ -587,7 +578,7 @@ class TenantSession:
         return ok
 
     def _canary_check(self, ws: WindowState) -> bool:
-        """The ratio-EWMA rollback guard (see OnlineController docs).
+        """The ratio-EWMA rollback guard.
 
         Unit-free: tracks the EWMA of the observed/predicted throughput
         ratio (which absorbs the single-server-surrogate vs n-node-

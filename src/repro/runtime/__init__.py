@@ -13,9 +13,8 @@ seed):
   :class:`ProcessPoolBackend` fans them out over worker processes.
   Because every task ships its own :class:`~repro.sim.rng.SeedSequence`-
   derived generator, results are identical regardless of scheduling.
-* :class:`EventBus` — structured pub/sub progress events replacing the
-  ad-hoc ``progress: Callable[[str], None]`` callbacks that used to be
-  threaded through :class:`~repro.core.rafiki.RafikiPipeline`.
+* :class:`EventBus` — structured pub/sub progress events: the one
+  channel every stage and the online loop report on.
 * :mod:`repro.runtime.stateship` — content-addressed state shipping for
   persistent pools: the scheduler ships big shared state (the rafiki
   blob) once per fingerprint change and fingerprints-only afterwards,
@@ -28,8 +27,7 @@ from repro.runtime.backend import (
     SerialBackend,
     resolve_backend,
 )
-from repro.runtime.deprecation import reset_deprecation_registry, warn_deprecated
-from repro.runtime.events import Event, EventBus, ScopedEventBus, callback_subscriber
+from repro.runtime.events import Event, EventBus, ScopedEventBus
 from repro.runtime.stateship import (
     StateMiss,
     StateMissError,
@@ -47,9 +45,6 @@ __all__ = [
     "Event",
     "EventBus",
     "ScopedEventBus",
-    "callback_subscriber",
-    "warn_deprecated",
-    "reset_deprecation_registry",
     "StateShipment",
     "StateShipper",
     "StateMiss",

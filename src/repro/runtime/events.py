@@ -1,12 +1,10 @@
 """Structured progress events.
 
-The seed repo threaded ``progress: Callable[[str], None]`` callbacks
-through the pipeline, which meant every layer had to agree on a string
-format and nothing downstream could filter or aggregate.  The
-:class:`EventBus` replaces that: producers publish :class:`Event`
-records on dotted topics (``"collect.sample"``, ``"anova.parameter"``,
-``"train.member"``, ``"pipeline.stage"``) and consumers subscribe to
-exact topics or topic prefixes.
+The :class:`EventBus` is the one progress channel: producers publish
+:class:`Event` records on dotted topics (``"collect.sample"``,
+``"anova.parameter"``, ``"train.member"``, ``"pipeline.stage"``) and
+consumers subscribe to exact topics or topic prefixes, so anything
+downstream can filter or aggregate without agreeing on a string format.
 
 Crash-recovery actions publish under the ``recovery`` prefix (see
 :mod:`repro.recovery`): ``recovery.resumed`` when durable state let a
@@ -25,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Event", "EventBus", "ScopedEventBus", "callback_subscriber"]
+__all__ = ["Event", "EventBus", "ScopedEventBus"]
 
 
 @dataclass(frozen=True)
@@ -133,17 +131,3 @@ class ScopedEventBus:
 
     def __repr__(self) -> str:
         return f"ScopedEventBus({self.prefix!r} on {self.parent!r})"
-
-
-def callback_subscriber(progress: Callable[[str], None]) -> Callable[[Event], None]:
-    """Adapt a legacy ``progress(msg)`` callback into an event handler.
-
-    Lets code that migrated to the bus keep honouring the deprecated
-    ``progress=`` constructor arguments: the callback sees each event's
-    human-readable message, exactly as the old string callbacks did.
-    """
-
-    def handler(event: Event) -> None:
-        progress(event.message or event.topic)
-
-    return handler

@@ -8,6 +8,8 @@ import pytest
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.lsm.knobs import EngineKnobs
+from repro.middleware import MiddlewareScheduler, TenantSpec
+from repro.runtime import EventBus
 from repro.sim.hardware import HardwareSpec
 
 KB = 1024
@@ -35,6 +37,33 @@ def make_knobs(**overrides) -> EngineKnobs:
     )
     base.update(overrides)
     return EngineKnobs(**base)
+
+
+#: Tenant id of :func:`run_single_tenant`; its events publish under
+#: ``tenant.t0.``.
+TENANT_ID = "t0"
+
+
+def run_single_tenant(datastore, rafiki, workload, series, **spec_kwargs):
+    """One tenant on a fresh scheduler -> ``(ControllerRun, event_log)``.
+
+    ``rafiki=None`` runs the static-default baseline; ``spec_kwargs`` go
+    to :class:`TenantSpec` verbatim.
+    """
+    events = EventBus()
+    event_log = []
+    events.subscribe(event_log.append)
+    scheduler = MiddlewareScheduler(datastore, rafiki, events=events)
+    scheduler.add_tenant(
+        TenantSpec(
+            tenant_id=TENANT_ID,
+            rr_series=series,
+            base_workload=workload,
+            use_rafiki=rafiki is not None,
+            **spec_kwargs,
+        )
+    )
+    return scheduler.run()[TENANT_ID], event_log
 
 
 @pytest.fixture

@@ -89,7 +89,10 @@ class TestExecution:
     def test_progress_callback(self, cassandra, base_workload):
         seen = []
         camp = small_campaign(cassandra, base_workload)
-        camp.progress = lambda i, total: seen.append((i, total))
+        camp.events.subscribe(
+            lambda e: seen.append((e.payload["done"], e.payload["total"])),
+            topic="collect.sample",
+        )
         camp.run_raw()
         assert seen[-1] == (12, 12)
 

@@ -1,9 +1,19 @@
+"""The online control loop, driven as a one-tenant middleware campaign."""
+
 import pytest
 
-from repro.core.controller import OnlineController
+from repro.core.policies import (
+    ForecastPolicy,
+    HysteresisPolicy,
+    OraclePolicy,
+    make_policy,
+)
+from repro.core.search import OptimizationResult
 from repro.datastore import CassandraLike
 from repro.errors import SearchError
+from repro.workload.forecast import LastValueForecaster, MarkovRegimeForecaster
 from repro.workload.spec import WorkloadSpec
+from tests.conftest import run_single_tenant
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +26,10 @@ def workload():
     return WorkloadSpec(read_ratio=0.5, n_keys=2_000_000)
 
 
+def oracle(min_change):
+    return HysteresisPolicy(OraclePolicy(), min_change=min_change)
+
+
 class FakeRafiki:
     """Recommends leveled+big-cache for reads, defaults for writes."""
 
@@ -25,8 +39,6 @@ class FakeRafiki:
 
     def recommend(self, read_ratio, use_cache=True):
         self.calls.append(read_ratio)
-        from repro.core.search import OptimizationResult
-
         if read_ratio >= 0.5:
             config = self.datastore.space.configuration(
                 compaction_method="LeveledCompactionStrategy",
@@ -43,58 +55,100 @@ class FakeRafiki:
         )
 
 
-class TestOnlineController:
+class TestSingleTenantLoop:
     def test_empty_series_rejected(self, cassandra, workload):
-        ctrl = OnlineController(cassandra, None, workload, window_seconds=60)
         with pytest.raises(SearchError):
-            ctrl.run([])
+            run_single_tenant(cassandra, None, workload, [], window_seconds=60)
 
     def test_baseline_never_reconfigures(self, cassandra, workload):
-        ctrl = OnlineController(cassandra, None, workload, window_seconds=60)
-        run = ctrl.run([0.1, 0.9, 0.5], load=False)
+        run, _ = run_single_tenant(
+            cassandra, None, workload, [0.1, 0.9, 0.5], window_seconds=60, load=False
+        )
         assert run.reconfiguration_count == 0
         assert len(run.events) == 3
 
     def test_reconfigures_on_regime_change(self, cassandra, workload):
-        rafiki = FakeRafiki(cassandra)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=60, rr_change_threshold=0.1
+        run, _ = run_single_tenant(
+            cassandra, FakeRafiki(cassandra), workload, [0.1, 0.1, 0.9, 0.9],
+            window_seconds=60, policy=oracle(0.1), load=False,
         )
-        run = ctrl.run([0.1, 0.1, 0.9, 0.9], load=False)
         # First window always consults; then only the 0.1 -> 0.9 jump.
         assert run.reconfiguration_count >= 1
         assert any(e.reconfigured for e in run.events[2:])
 
     def test_small_wobble_ignored(self, cassandra, workload):
         rafiki = FakeRafiki(cassandra)
-        ctrl = OnlineController(
-            cassandra, rafiki, workload, window_seconds=60, rr_change_threshold=0.2
+        run_single_tenant(
+            cassandra, rafiki, workload, [0.50, 0.55, 0.52, 0.58],
+            window_seconds=60, policy=oracle(0.2), load=False,
         )
-        ctrl.run([0.50, 0.55, 0.52, 0.58], load=False)
         assert len(rafiki.calls) == 1  # only the first window
 
     def test_events_record_throughput(self, cassandra, workload):
-        ctrl = OnlineController(cassandra, None, workload, window_seconds=60)
-        run = ctrl.run([0.5, 0.5], load=False)
+        run, _ = run_single_tenant(
+            cassandra, None, workload, [0.5, 0.5], window_seconds=60, load=False
+        )
         assert all(e.mean_throughput > 0 for e in run.events)
         assert run.mean_throughput > 0
 
     def test_rr_clipped(self, cassandra, workload):
-        ctrl = OnlineController(cassandra, None, workload, window_seconds=60)
-        run = ctrl.run([1.4, -0.2], load=False)
+        run, _ = run_single_tenant(
+            cassandra, None, workload, [1.4, -0.2], window_seconds=60, load=False
+        )
         assert run.events[0].read_ratio == 1.0
         assert run.events[1].read_ratio == 0.0
 
     def test_reconfiguration_penalty_reduces_window(self, cassandra, workload):
-        rafiki = FakeRafiki(cassandra)
-        slow = OnlineController(
-            cassandra, rafiki, workload, window_seconds=60,
-            reconfiguration_penalty_s=30.0, seed=7,
+        def run_with_penalty(penalty_s):
+            run, _ = run_single_tenant(
+                cassandra, FakeRafiki(cassandra), workload, [0.9],
+                window_seconds=60, reconfiguration_penalty_s=penalty_s,
+                seed=7, load=False,
+            )
+            return run.events[0].mean_throughput
+
+        assert run_with_penalty(30.0) < run_with_penalty(0.0)
+
+
+class TestDecisionModes:
+    """Loop-level effects of a policy; the policies themselves are
+    covered in ``test_core_policies.py``."""
+
+    def test_forecaster_updated_with_observations(self, cassandra, workload):
+        forecaster = MarkovRegimeForecaster()
+        run_single_tenant(
+            cassandra, None, workload, [0.9, 0.9, 0.9],
+            window_seconds=30, policy=ForecastPolicy(forecaster), load=False,
         )
-        run_slow = slow.run([0.9], load=False)
-        fast = OnlineController(
-            cassandra, FakeRafiki(cassandra), workload, window_seconds=60,
-            reconfiguration_penalty_s=0.0, seed=7,
-        )
-        run_fast = fast.run([0.9], load=False)
-        assert run_slow.events[0].mean_throughput < run_fast.events[0].mean_throughput
+        assert forecaster.predict() > 0.6
+
+    def test_forecast_mode_skips_downtime(self, cassandra, workload):
+        """Proactive reconfiguration at the boundary costs no window time."""
+
+        class SwitchingRafiki:
+            def recommend(self, read_ratio, use_cache=True):
+                overrides = {"file_cache_size_in_mb": 1024} if read_ratio > 0.5 else {}
+                return OptimizationResult(
+                    configuration=cassandra.space.configuration(**overrides),
+                    predicted_throughput=0.0,
+                    evaluations=1,
+                    equivalent_wall_seconds=0.0,
+                    strategy="switching",
+                )
+
+        def run_mode(mode, forecaster=None):
+            run, _ = run_single_tenant(
+                cassandra, SwitchingRafiki(), workload, [0.2, 0.9],
+                window_seconds=30, reconfiguration_penalty_s=15.0, seed=3,
+                policy=HysteresisPolicy(
+                    make_policy(mode, forecaster), min_change=0.01
+                ),
+                load=False,
+            )
+            return run
+
+        reactive = run_mode("oracle")
+        proactive = run_mode("forecast", LastValueForecaster(initial=0.2))
+        # Note: both switch configurations; only the oracle/reactive one
+        # pays the in-window penalty.
+        assert proactive.events[-1].mean_throughput >= reactive.events[-1].mean_throughput

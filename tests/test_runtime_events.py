@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime import EventBus, ScopedEventBus, callback_subscriber
+from repro.runtime import EventBus, ScopedEventBus
 
 
 class TestEventBus:
@@ -119,13 +119,3 @@ class TestScopedEventBus:
     def test_invalid_prefix_rejected(self, bad):
         with pytest.raises(ValueError):
             EventBus().scoped(bad)
-
-
-class TestCallbackAdapter:
-    def test_legacy_callback_sees_messages(self):
-        messages = []
-        bus = EventBus()
-        bus.subscribe(callback_subscriber(messages.append))
-        bus.publish("pipeline.stage", "training surrogate model")
-        bus.publish("bare.topic")  # no message -> topic as fallback
-        assert messages == ["training surrogate model", "bare.topic"]

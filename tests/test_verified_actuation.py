@@ -659,6 +659,21 @@ class TestSessionReconcile:
             for e in sharded_run.events
         ]
 
+    def test_fault_free_verification_is_free(self):
+        """Nothing drifts: reconciler on == off, summaries and trace."""
+        rr = [0.3, 0.3, 0.7, 0.7, 0.3, 0.3]
+
+        def outcome(reconcile, workers=None):
+            _, run, trace = run_campaign(rr, None, reconcile, workers=workers)
+            return [
+                (e.mean_throughput, e.reconfigured, e.degraded, e.quarantined)
+                for e in run.events
+            ], trace
+
+        off = outcome(None)
+        assert outcome(ReconcileSpec()) == off
+        assert outcome(ReconcileSpec(), workers=2) == off
+
 
 # ---------------------------------------------------------------------------
 # Manifest stanza
