@@ -238,56 +238,71 @@ class Cluster:
             return self.replication_factor // 2 + 1
         return self.replication_factor
 
-    def _solve(self, read_ratio: float) -> Tuple[float, List[int], float, float]:
-        """One capacity solve: ``(ops/s, live nodes, node read share, fan-out)``.
-
-        Down nodes take no replicas, so the effective RF and read fan-out
-        shrink with the live set; :meth:`step` pushes load with the same
-        values the solve used.
+    def _plan(self, read_ratio: float) -> tuple:
+        """What a capacity solve takes from the live set and the mix:
+        ``(live (index, node, slowdown) triples, node read share,
+        fan-out)``.  Down nodes take no replicas, so the effective RF and
+        read fan-out shrink with the live set.
         """
+        if not (0.0 <= read_ratio <= 1.0):
+            raise ValueError("read_ratio must be in [0, 1]")
         live = self.live_node_indices
         if not live:
             raise DatastoreError("no live nodes")
         rf = min(self.replication_factor, len(live))
         node_reads = read_ratio * min(self.read_fanout, rf)
         fanout = node_reads + (1.0 - read_ratio) * rf
-        node_rr = node_reads / fanout
-        # The slowest live node bounds the balanced per-node rate.
+        servers = [(i, self.nodes[i], self._slowdown.get(i, 1.0)) for i in live]
+        return servers, node_reads / fanout, fanout
+
+    def _capacity(self, servers, node_rr: float, fanout: float) -> float:
+        """Logical ops/s at this instant: the slowest live node bounds
+        the balanced per-node rate, the shooters bound the ring."""
         per_node = min(
-            self.nodes[i].sustainable_throughput(node_rr) / self._slowdown.get(i, 1.0)
-            for i in live
+            [node.sustainable_throughput(node_rr) / slow for _, node, slow in servers]
         )
-        server_cap = per_node * len(live) / fanout
+        server_cap = per_node * len(servers) / fanout
         client_cap = self.n_shooters * SHOOTER_CAPACITY_OPS
-        return min(server_cap, client_cap), live, node_rr, fanout
+        return min(server_cap, client_cap)
 
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Logical ops/s the cluster sustains at this instant."""
-        return self._solve(read_ratio)[0]
+        return self._capacity(*self._plan(read_ratio))
 
     # -- stepping --------------------------------------------------------------
 
     def step(self, read_ratio: float, dt: float = 1.0) -> ClusterStepResult:
         """Advance the whole cluster ``dt`` seconds."""
-        x, live, node_rr, fanout = self._solve(read_ratio)
-        node_ops = x * fanout / len(live)
-        reads = node_ops * node_rr * dt
-        writes = node_ops * (1.0 - node_rr) * dt
-        per_node = [0.0] * self.n_nodes
-        for i in live:
-            self.nodes[i].apply_external_load(reads=reads, writes=writes, dt=dt)
-            per_node[i] = node_ops
-        self.t += dt
-        return ClusterStepResult(
-            t=self.t, throughput=x, per_node_throughput=per_node, dt=dt
-        )
+        return self.run(read_ratio, dt, dt)[0]
 
     def run(self, read_ratio: float, duration: float, dt: float = 1.0):
-        """Step the cluster for ``duration`` seconds; per-step results."""
-        if duration <= 0:
+        """Step the cluster for ``duration`` seconds; per-step results.
+
+        A step is one capacity solve and one push of every live node's
+        share, with the same values the solve used.
+        """
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        if not duration > 0:
             raise ValueError("duration must be positive")
-        steps = max(1, int(round(duration / dt)))
-        return [self.step(read_ratio, dt) for _ in range(steps)]
+        servers, node_rr, fanout = self._plan(read_ratio)
+        results = []
+        for _ in range(max(1, int(round(duration / dt)))):
+            x = self._capacity(servers, node_rr, fanout)
+            node_ops = x * fanout / len(servers)
+            reads = node_ops * node_rr * dt
+            writes = node_ops * (1.0 - node_rr) * dt
+            per_node = [0.0] * self.n_nodes
+            for i, node, _ in servers:
+                node.apply_external_load(reads, writes, dt)
+                per_node[i] = node_ops
+            self.t += dt
+            results.append(
+                ClusterStepResult(
+                    t=self.t, throughput=x, per_node_throughput=per_node, dt=dt
+                )
+            )
+        return results
 
     def load(self, n_keys: int) -> None:
         """Load phase: each node stores its replicated share of keys.

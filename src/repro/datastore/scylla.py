@@ -70,10 +70,9 @@ class _ScyllaAnalyticModel(AnalyticLSMModel):
         super().__init__(*args, **kwargs)
         self.autotuner = autotuner
 
-    def sustainable_throughput(self, read_ratio: float) -> float:
-        """Base throughput modulated by the internal tuner's level."""
-        base = super().sustainable_throughput(read_ratio)
-        return base * self.autotuner.multiplier(self.t)
+    def _throughput_modulation(self, t: float) -> float:
+        """The internal tuner's level: every solve is multiplied by it."""
+        return self.autotuner.multiplier(t)
 
 
 class ScyllaLike(Datastore):

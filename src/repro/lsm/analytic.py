@@ -6,9 +6,12 @@ in fixed time steps, pricing work through the *same* cost formulas as
 :mod:`repro.sim.costs`.  Each step solves the fluid bottleneck equation
 for the closed-loop throughput the server can sustain at the current
 read ratio, then applies that step's structural consequences (flushes,
-compaction progress).  A step is float arithmetic: terms that move only
-with the knobs, hardware, costs, profile or read ratio are tabled
-(:class:`_RegimeTerms`), and numpy is used for the random draws alone.
+compaction progress).  The equation's terms are derived as rarely as
+what moves them: per regime — knobs, hardware, costs, profile, read
+ratio (:class:`_RegimeTerms`); per structural segment — the layout, the
+backlog, the flush flag (:class:`_SegmentTerms`); and per step only what
+hangs on the cache warm-up ramp.  A step is float arithmetic; numpy is
+used for the random draws alone, one block per run.
 
 This is the fast path used for the paper's 220-point data collection,
 the exhaustive-search baselines, and anything else that would need hours
@@ -41,6 +44,9 @@ from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
     commitlog_bytes_per_write,
+    expected_version_spread,
+    read_cpu_seconds,
+    thread_contention,
     write_cpu_seconds,
 )
 from repro.sim.hardware import DEFAULT_SERVER, HardwareSpec
@@ -66,16 +72,19 @@ def _soft_min(caps) -> float:
     on every host, where numpy's array ``pow`` follows the host's SIMD
     level and differs from it in the last ulp.
     """
+    scale = min(caps) if caps else math.inf
+    if 0.0 < scale < math.inf:
+        # Every cap positive, the usual case: a +inf cap adds an exact
+        # 0.0 to the sum and a NaN cap turns it to NaN (-> filtered below).
+        total = 0.0
+        for c in caps:
+            total += (scale / c) ** _SOFTMIN_POWER
+        if total == total:
+            return scale * total ** (-1.0 / _SOFTMIN_POWER)
     finite = [c for c in caps if math.isfinite(c)]
     if not finite:
         return math.inf
-    scale = min(finite)
-    if scale <= 0:
-        return 0.0
-    total = 0.0
-    for c in finite:
-        total += (scale / c) ** _SOFTMIN_POWER
-    return scale * total ** (-1.0 / _SOFTMIN_POWER)
+    return _soft_min(finite) if min(finite) > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -142,9 +151,10 @@ class _RegimeTerms:
 
     __slots__ = (
         "knobs", "hardware", "costs", "profile", "cache_pages", "steady_hit",
-        "update_share", "half_flush_trigger", "flush_duty_rate", "ghz_scale",
-        "iops", "read_ratio", "w", "w_cpu", "w_commitlog_bytes", "flush_cap",
-        "write_pool_cap", "read_pool_cap",
+        "record_bytes", "insert_fraction", "flush_trigger", "half_flush_trigger",
+        "flush_duty_rate", "ghz_scale", "iops", "read_ratio", "w", "w_cpu",
+        "w_commitlog_bytes", "flush_cap", "write_pool_cap", "read_pool_cap",
+        "segment",
     )
 
     def __init__(self, knobs, hardware, costs, profile):
@@ -159,7 +169,9 @@ class _RegimeTerms:
             coverage *= costs.leveled_cache_locality
         coverage_ops = self.cache_pages * coverage
         self.steady_hit = 1.0 - math.exp(-coverage_ops / profile.krd_mean_ops)
-        self.update_share = min(max(profile.update_fraction, 0.0), 1.0)
+        self.record_bytes = profile.record_bytes
+        self.insert_fraction = 1.0 - profile.update_fraction
+        self.flush_trigger = knobs.flush_trigger_bytes
         self.half_flush_trigger = 0.5 * knobs.flush_trigger_bytes
         # Flushes are intermittent: half the writers' bandwidth on average.
         self.flush_duty_rate = (
@@ -168,14 +180,15 @@ class _RegimeTerms:
         self.ghz_scale = hardware.cpu_ghz / 3.0
         self.iops = hardware.disk_rand_iops * hardware.disk_count
         self.read_ratio = None
+        self.segment: Optional[_SegmentTerms] = None
 
     def set_mix(self, read_ratio: float) -> None:
         """Weight the per-class terms by the op mix ``read_ratio``."""
-        knobs, costs = self.knobs, self.costs
-        record_bytes = self.profile.record_bytes
+        knobs, costs, record_bytes = self.knobs, self.costs, self.record_bytes
         r = read_ratio
         w = 1.0 - r
         self.read_ratio, self.w = r, w
+        self.segment = None      # its terms are weighted by this mix
         self.w_cpu = w * write_cpu_seconds(costs)
         self.w_commitlog_bytes = w * commitlog_bytes_per_write(record_bytes, costs)
         self.flush_cap = self.write_pool_cap = self.read_pool_cap = math.inf
@@ -190,8 +203,75 @@ class _RegimeTerms:
             self.read_pool_cap = knobs.concurrent_reads / (r * costs.read_thread_hold)
 
 
+class _SegmentTerms:
+    """The bottleneck equation over one structural segment.
+
+    A *structural segment* is a stretch of simulated time over which the
+    tables a read checks, the backlog length and the flush flag hold
+    still; within one, only the cache warm-up ramp moves the solve.
+    Everything that does not depend on the ramp is worked out here,
+    once, through the formulas of :mod:`repro.sim.costs`, and closed
+    over by :attr:`solve`, which finishes the equation for a hit ratio.
+    Derived state hung off the regime table it was weighted by (a
+    rebuilt or re-mixed table drops it) and revalidated from its three
+    structural inputs on every use (:meth:`AnalyticLSMModel._segment`).
+    """
+
+    __slots__ = ("n_checked", "n_backlog", "flushing", "comp_rate", "solve")
+
+    def __init__(self, t: _RegimeTerms, n_checked, n_backlog, comp_rate, flushing):
+        knobs, hardware, costs = t.knobs, t.hardware, t.costs
+        self.n_checked, self.n_backlog, self.flushing = n_checked, n_backlog, flushing
+        self.comp_rate = comp_rate
+        r, inf = t.read_ratio, math.inf
+
+        # Read path: tables checked, version spread, candidates probed.
+        tables = max(n_checked, 1.0)
+        spread = expected_version_spread(tables, t.profile.update_fraction)
+        touched = spread + knobs.bloom_fp_chance * max(n_checked - spread, 0.0)
+        probed = min(touched, tables)
+        cpu_read_fixed = read_cpu_seconds(n_checked, probed, 0.0, costs)
+        cpu_cache_hit = costs.cpu_cache_hit
+
+        # Background work steals sequential bandwidth and cores.
+        seq_demand = comp_rate * costs.compaction_io_factor + (
+            t.flush_duty_rate if flushing else 0.0
+        )
+        bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
+        bg_cpu = min(comp_rate * costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
+        cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * t.ghz_scale, 0.5)
+        read_contention = thread_contention(knobs.concurrent_reads, cores, costs)
+        write_cpu = t.w_cpu * thread_contention(knobs.concurrent_writes, cores, costs)
+        # Sequential disk: commit-log bytes per write.
+        seq_bw = hardware.disk_seq_bandwidth * (1.0 - bg_seq)
+        seq_cap = seq_bw / t.w_commitlog_bytes if t.w > 0 else inf
+        iops = t.iops
+        flush_cap, write_pool_cap, read_pool_cap = (
+            t.flush_cap, t.write_pool_cap, t.read_pool_cap
+        )
+
+        def solve(hit: float) -> float:
+            """The instant's half: what hangs on the cache hit ratio."""
+            disk_probes = touched * (1.0 - hit)
+            cpu_r = cpu_read_fixed + probed * hit * cpu_cache_hit
+            cpu_per_op = r * cpu_r * read_contention + write_cpu
+            cpu_cap = cores / cpu_per_op if cpu_per_op > 0 else inf
+            # Random disk; the product underflows for a denormal read ratio.
+            r_probes = r * disk_probes
+            iops_cap = iops / r_probes if r_probes > 0 else inf
+            return _soft_min(
+                (cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap)
+            )
+
+        self.solve = solve
+
+
 class AnalyticLSMModel:
     """Fluid-approximation LSM server with the engine's cost model."""
+
+    #: Hook for a self-tuning store: ``f(t) -> factor`` the clamped solve
+    #: at simulated time ``t`` is multiplied by (``None``: no modulation).
+    _throughput_modulation = None
 
     def __init__(
         self,
@@ -318,126 +398,156 @@ class AnalyticLSMModel:
 
     # ------------------------------------------------------------------ throughput
 
+    def _segment(self, t: _RegimeTerms) -> _SegmentTerms:
+        """The current segment's terms under the regime table ``t``.
+
+        Revalidated from what the solve can observe — the tables a read
+        checks, the backlog length, the flush flag (and, through
+        :meth:`_regime`, the table's identity and mix) — not from an
+        epoch counter, which direct assignment to the layout lists would
+        bypass.
+        """
+        n_checked = self.tables_bloom_checked
+        n_backlog = len(self.backlog)
+        flushing = self.memtable_bytes > t.half_flush_trigger
+        s = t.segment
+        if (
+            s is None
+            or s.n_checked != n_checked
+            or s.n_backlog != n_backlog
+            or s.flushing is not flushing
+        ):
+            s = t.segment = _SegmentTerms(
+                t, n_checked, n_backlog, self._compaction_rate(), flushing
+            )
+        return s
+
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Solve the fluid bottleneck equation for ops/s at this instant.
 
-        The formulas of :mod:`repro.sim.costs`, written out as float
-        arithmetic over the regime's term table; the property tests hold
-        this bitwise equal to the equation evaluated through them.
+        The equation of :mod:`repro.sim.costs`, split by what moves its
+        terms: the regime (:class:`_RegimeTerms`), the structural
+        segment (:class:`_SegmentTerms`) and — the cache ramp and what
+        hangs on the hit ratio — the instant.  The property tests hold
+        this bitwise equal to the equation evaluated in one piece.
         """
         if not (0.0 <= read_ratio <= 1.0):
             raise ValueError("read_ratio must be in [0, 1]")
         t = self._regime(read_ratio)
-        knobs, hardware, costs = t.knobs, t.hardware, t.costs
-        r = read_ratio
-        hit = self._cache_hit(t)
-
-        # Read path: tables checked, version spread, candidates probed.
-        n_checked = self.tables_bloom_checked
-        tables = n_checked if n_checked >= 1.0 else 1.0
-        if tables <= 1:
-            spread = 1.0
-        else:
-            growth = (tables - 1) / 3.0
-            spread = 1.0 + (growth if growth < 3.0 else 3.0) * t.update_share
-            if tables < spread:
-                spread = tables
-        excess = n_checked - spread
-        fp_tables = knobs.bloom_fp_chance * (excess if excess >= 0.0 else 0.0)
-        touched = spread + fp_tables
-        probed = tables if tables < touched else touched
-        disk_probes = touched * (1.0 - hit)
-        cpu_r = (
-            costs.cpu_read_base
-            + n_checked * costs.cpu_bloom_check
-            + probed * costs.cpu_probe
-            + probed * hit * costs.cpu_cache_hit
-        )
-
-        # Background work steals sequential bandwidth and cores.
-        comp_rate = self._compaction_rate()
-        flushing = self.memtable_bytes > t.half_flush_trigger
-        seq_demand = comp_rate * costs.compaction_io_factor + (
-            t.flush_duty_rate if flushing else 0.0
-        )
-        bg_seq = seq_demand / hardware.disk_seq_bandwidth
-        bg_seq = 0.9 if bg_seq > 0.9 else bg_seq
-        bg_cpu = comp_rate * costs.compaction_cpu_per_byte / hardware.cpu_cores
-        bg_cpu = 0.6 if bg_cpu > 0.6 else bg_cpu
-        cores = hardware.cpu_cores * (1.0 - bg_cpu) * t.ghz_scale
-        cores = 0.5 if cores < 0.5 else cores
-
-        # Thread contention (sim.costs.thread_contention) per pool.
-        slots = costs.oversubscription_factor * cores
-        slots = 1.0 if slots < 1.0 else slots
-        read_load = knobs.concurrent_reads / slots
-        write_load = knobs.concurrent_writes / slots
-        quadratic = costs.contention_quadratic
-        cpu_per_op = (
-            r * cpu_r * (1.0 + quadratic * read_load * read_load)
-            + t.w_cpu * (1.0 + quadratic * write_load * write_load)
-        )
-
-        inf = math.inf
-        cpu_cap = cores / cpu_per_op if cpu_per_op > 0 else inf
-        # Sequential disk: commit-log bytes per write.
-        seq_bw = hardware.disk_seq_bandwidth * (1.0 - bg_seq)
-        seq_cap = seq_bw / t.w_commitlog_bytes if t.w > 0 else inf
-        # Random disk; the product underflows for a denormal read ratio.
-        r_probes = r * disk_probes
-        iops_cap = t.iops / r_probes if r_probes > 0 else inf
-
-        x = _soft_min(
-            (cpu_cap, seq_cap, t.flush_cap, t.write_pool_cap, iops_cap, t.read_pool_cap)
-        ) * self.run_bias
-        return 1.0 if x < 1.0 else x
+        x = self._segment(t).solve(self._cache_hit(t)) * self.run_bias
+        x = 1.0 if x < 1.0 else x
+        modulation = self._throughput_modulation
+        return x if modulation is None else x * modulation(self.t)
 
     # ------------------------------------------------------------------ stepping
 
     def step(self, read_ratio: float, dt: float = 1.0) -> StepResult:
         """Advance ``dt`` simulated seconds at the given read ratio."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        x = self.sustainable_throughput(read_ratio)
-        if self.noise_sigma > 0:
-            x *= max(0.2, 1.0 + self.noise_sigma * self.rng.standard_normal())
+        return self.run(read_ratio, dt, dt)[0]
 
-        reads = x * read_ratio * dt
-        writes = x * (1.0 - read_ratio) * dt
-        read_lat, write_lat = self._latencies(x, read_ratio)
-        self._apply_writes(writes)
-        self._drain_background(dt)
+    def run(
+        self, read_ratio: float, duration: float, dt: float = 1.0
+    ) -> List[StepResult]:
+        """Run ``duration`` seconds and return the per-step series.
+
+        The stepping loop.  Its steps fall into structural segments
+        (:meth:`_segment`; one ends when a flush lands, a compaction
+        completes or the memtable crosses half its trigger): the
+        segment's terms are derived once, and a step is the ramp's hit
+        ratio, the rest of the solve, the noise factor, the latencies
+        and :meth:`_absorb`.
+        """
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        if not duration > 0:
+            raise ValueError("duration must be positive")
+        if not (0.0 <= read_ratio <= 1.0):
+            raise ValueError("read_ratio must be in [0, 1]")
+        steps = max(1, int(round(duration / dt)))
+        # One block draw, after validation: the same stream as a draw per
+        # step, and a rejected call has not moved it.
+        sigma = self.noise_sigma
+        draws = self.rng.standard_normal(steps).tolist() if sigma > 0 else None
+
+        r, w = read_ratio, 1.0 - read_ratio
+        t = self._regime(r)
+        read_pool, read_hold = t.knobs.concurrent_reads, t.costs.read_thread_hold
+        write_pool, write_hold = t.knobs.concurrent_writes, t.costs.write_thread_hold
+        run_bias, modulation = self.run_bias, self._throughput_modulation
+        backlog, absorb, cache_hit = self.backlog, self._absorb, self._cache_hit
+        sstables, hit, half_trigger = self.sstable_count, cache_hit(t), t.half_flush_trigger
+        results: List[StepResult] = []
+        s = None
+        for k in range(steps):
+            if s is None:
+                s = self._segment(t)
+                solve, comp_rate, flushing = s.solve, s.comp_rate, s.flushing
+            x = solve(hit) * run_bias
+            x = 1.0 if x < 1.0 else x
+            if modulation is not None:
+                x = x * modulation(self.t)
+            if draws is not None:
+                factor = 1.0 + sigma * draws[k]
+                x *= factor if factor > 0.2 else 0.2
+
+            # Closed-loop mean latencies per class (Little's law).
+            read_rate = x * r
+            write_rate = x * w
+            reads = read_rate * dt
+            writes = write_rate * dt
+            read_lat = write_lat = 0.0
+            if read_rate > 0:
+                read_lat = read_pool / read_rate
+                if read_hold > read_lat:
+                    read_lat = read_hold
+            if write_rate > 0:
+                write_lat = write_pool / write_rate
+                if write_hold > write_lat:
+                    write_lat = write_hold
+
+            if absorb(t, comp_rate, reads, writes, dt):
+                sstables = self.sstable_count
+                s = None
+            elif (self.memtable_bytes > half_trigger) is not flushing:
+                s = None
+            hit = cache_hit(t)
+            pending = sum(task.remaining_io_bytes for task in backlog) if backlog else 0
+            results.append(
+                StepResult(
+                    self.t, dt, x, reads, writes, sstables, hit, pending, read_lat, write_lat
+                )
+            )
+        return results
+
+    def _absorb(self, t: _RegimeTerms, comp_rate, reads, writes, dt) -> bool:
+        """One served step's consequences: memtable fill, flushes,
+        compaction drain, the clocks.  ``comp_rate`` is the drain rate
+        going in (re-read if a flush lands).  Returns whether the
+        structure moved: a flush landed or a compaction completed.
+        """
+        moved = False
+        if writes > 0:
+            filled = self.memtable_bytes + writes * t.record_bytes
+            if filled < t.flush_trigger:
+                self.dataset_bytes += writes * t.insert_fraction * t.record_bytes
+                self.memtable_bytes = filled
+            else:
+                self._apply_writes(writes)
+                self._drain_background(dt)
+                moved = True
+        if comp_rate > 0.0 and not moved:
+            # The queue holds io-bytes (read+write); drain at io-rate.
+            budget = comp_rate * t.costs.compaction_io_factor * dt
+            head = self.backlog[0]
+            if head.remaining_io_bytes > budget > 0.0:
+                head.remaining_io_bytes -= budget
+            else:
+                self._drain_background(dt)
+                moved = True
         self.t += dt
         self.cache_age += dt
         self.total_ops += reads + writes
-        return StepResult(
-            t=self.t,
-            dt=dt,
-            throughput=x,
-            reads=reads,
-            writes=writes,
-            sstable_count=self.sstable_count,
-            cache_hit_ratio=self.cache_hit_ratio(),
-            compaction_backlog_bytes=self.compaction_backlog_bytes,
-            read_latency_s=read_lat,
-            write_latency_s=write_lat,
-        )
-
-    def _latencies(self, throughput: float, read_ratio: float) -> tuple:
-        """Closed-loop mean latencies per class (Little's law)."""
-        read_rate = throughput * read_ratio
-        write_rate = throughput * (1.0 - read_ratio)
-        read_lat = (
-            max(self.knobs.concurrent_reads / read_rate, self.costs.read_thread_hold)
-            if read_rate > 0
-            else 0.0
-        )
-        write_lat = (
-            max(self.knobs.concurrent_writes / write_rate, self.costs.write_thread_hold)
-            if write_rate > 0
-            else 0.0
-        )
-        return read_lat, write_lat
+        return moved
 
     def apply_external_load(self, reads: float, writes: float, dt: float) -> None:
         """Apply work whose rate was decided elsewhere (cluster path).
@@ -446,24 +556,11 @@ class AnalyticLSMModel:
         replicas and then pushes each node its share; the node only has
         to absorb the structural consequences.
         """
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be positive")
         if reads < 0 or writes < 0:
             raise ValueError("work cannot be negative")
-        self._apply_writes(writes)
-        self._drain_background(dt)
-        self.t += dt
-        self.cache_age += dt
-        self.total_ops += reads + writes
-
-    def run(
-        self, read_ratio: float, duration: float, dt: float = 1.0
-    ) -> List[StepResult]:
-        """Run ``duration`` seconds and return the per-step series."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        steps = max(1, int(round(duration / dt)))
-        return [self.step(read_ratio, dt) for _ in range(steps)]
+        self._absorb(self._regime(), self._compaction_rate(), reads, writes, dt)
 
     def load(self, n_keys: int) -> None:
         """Load phase: bulk-insert ``n_keys`` fresh rows (YCSB load)."""

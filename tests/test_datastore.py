@@ -66,6 +66,39 @@ class TestScyllaLike:
         cov = np.std(tps) / np.mean(tps)
         assert cov > 0.05
 
+    def test_every_solve_is_modulated(self, scylla):
+        """One hook: the instant solve, the stepping loop and a ring's
+        node solve all see the tuner's level (doubling is exact)."""
+        def solves(level):
+            config = scylla.default_configuration()
+            solo = scylla.new_analytic_instance(config, seed=3, noise_sigma=0.0)
+            ring = Cluster(scylla, config, n_nodes=2, n_shooters=8, seed=2)
+            for target in (solo, ring):
+                target.load(500_000)
+            for model in (solo, *ring.nodes):
+                model.autotuner.multiplier = lambda t: level
+            return [
+                solo.sustainable_throughput(0.7),
+                solo.run(0.7, 3)[0].throughput,
+                ring.sustainable_throughput(0.7),
+                ring.run(0.7, 3)[0].throughput,
+            ]
+
+        assert [2.0 * x for x in solves(1.0)] == solves(2.0)
+
+    def test_ring_is_modulated_per_node(self, scylla):
+        ring = Cluster(
+            scylla, scylla.default_configuration(), n_nodes=3,
+            replication_factor=2, n_shooters=3, seed=2,
+        )
+        ring.load(1_500_000)
+        tps = [r.throughput for r in ring.run(0.7, 400)]
+        assert np.std(tps) / np.mean(tps) > 0.05
+        # Every node's own tuner ran, each on its own realization.
+        levels = [node.autotuner._level for node in ring.nodes]
+        assert all(node.autotuner._until > 0 for node in ring.nodes)
+        assert len(set(levels)) == len(levels)
+
     def test_scylla_noisier_than_cassandra(self, scylla, cassandra):
         """Figure 10: ScyllaDB fluctuates much more than Cassandra."""
         def cov(store, seed):

@@ -1,6 +1,8 @@
 """Property-based tests on the analytic model's invariants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
-from repro.datastore import CassandraLike, Cluster
+from repro.datastore import CassandraLike, Cluster, ScyllaLike
+from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
 from repro.lsm.analytic import (
     CACHE_WARMUP_SECONDS,
     AnalyticLSMModel,
+    StepResult,
     WorkloadProfile,
     _soft_min,
 )
@@ -143,6 +147,22 @@ def soft_min_numpy(caps):
     return float(scale * np.power(np.sum((scale / finite) ** 8.0), -1.0 / 8.0))
 
 
+def reference_hit(model):
+    """The cache hit ratio at this instant, from the knobs and profile."""
+    knobs, sim_costs = model.knobs, model.costs
+    pages = knobs.file_cache_bytes / BLOCK_BYTES
+    if pages <= 0:
+        return 0.0
+    if max(model.dataset_bytes / BLOCK_BYTES, 1.0) <= pages:
+        steady = 1.0
+    else:
+        coverage = sim_costs.cache_coverage_ops_per_page
+        if knobs.compaction_method == LEVELED:
+            coverage *= sim_costs.leveled_cache_locality
+        steady = 1.0 - math.exp(-pages * coverage / model.profile.krd_mean_ops)
+    return steady * (1.0 - math.exp(-model.cache_age / CACHE_WARMUP_SECONDS))
+
+
 def reference_throughput(model, read_ratio):
     """The bottleneck equation straight from ``sim.costs``: every term
     recomputed from the model's knobs, hardware, costs and profile."""
@@ -150,19 +170,7 @@ def reference_throughput(model, read_ratio):
         model.knobs, model.hardware, model.costs, model.profile
     )
     r, w = read_ratio, 1.0 - read_ratio
-
-    pages = knobs.file_cache_bytes / BLOCK_BYTES
-    if pages <= 0:
-        hit = 0.0
-    else:
-        if max(model.dataset_bytes / BLOCK_BYTES, 1.0) <= pages:
-            steady = 1.0
-        else:
-            coverage = sim_costs.cache_coverage_ops_per_page
-            if knobs.compaction_method == LEVELED:
-                coverage *= sim_costs.leveled_cache_locality
-            steady = 1.0 - math.exp(-pages * coverage / profile.krd_mean_ops)
-        hit = steady * (1.0 - math.exp(-model.cache_age / CACHE_WARMUP_SECONDS))
+    hit = reference_hit(model)
 
     if knobs.compaction_method == LEVELED:
         n_checked = len(model.l0_tables) + sum(1 for b in model.level_bytes[1:] if b > 0)
@@ -209,6 +217,110 @@ def reference_throughput(model, read_ratio):
         if r * sim_costs.read_thread_hold > 0:
             caps.append(knobs.concurrent_reads / (r * sim_costs.read_thread_hold))
     return max(soft_min_oracle(caps) * model.run_bias, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The per-second oracle: ``step`` and ``Cluster.step`` as they were written
+# before the stepping loop, on the untabled solve
+# ---------------------------------------------------------------------------
+
+
+def oracle_solve(model, read_ratio):
+    """The untabled equation, times a self-tuning store's modulation."""
+    x = reference_throughput(model, read_ratio)
+    tuner = getattr(model, "autotuner", None)
+    return x if tuner is None else x * tuner.multiplier(model.t)
+
+
+def oracle_absorb(model, reads, writes, dt):
+    """The general write and drain paths, then the clocks."""
+    model._apply_writes(writes)
+    model._drain_background(dt)
+    model.t += dt
+    model.cache_age += dt
+    model.total_ops += reads + writes
+
+
+def oracle_step(model, read_ratio, dt=1.0):
+    """One solve, one noise draw, one absorb, and a ``StepResult`` read
+    back off the model."""
+    x = oracle_solve(model, read_ratio)
+    if model.noise_sigma > 0:
+        x *= max(0.2, 1.0 + model.noise_sigma * model.rng.standard_normal())
+    reads = x * read_ratio * dt
+    writes = x * (1.0 - read_ratio) * dt
+    read_rate = x * read_ratio
+    write_rate = x * (1.0 - read_ratio)
+    read_lat = (
+        max(model.knobs.concurrent_reads / read_rate, model.costs.read_thread_hold)
+        if read_rate > 0
+        else 0.0
+    )
+    write_lat = (
+        max(model.knobs.concurrent_writes / write_rate, model.costs.write_thread_hold)
+        if write_rate > 0
+        else 0.0
+    )
+    oracle_absorb(model, reads, writes, dt)
+    return StepResult(
+        t=model.t,
+        dt=dt,
+        throughput=x,
+        reads=reads,
+        writes=writes,
+        sstable_count=model.sstable_count,
+        cache_hit_ratio=reference_hit(model),
+        compaction_backlog_bytes=model.compaction_backlog_bytes,
+        read_latency_s=read_lat,
+        write_latency_s=write_lat,
+    )
+
+
+def oracle_cluster_step(cluster, read_ratio, dt=1.0):
+    """``Cluster._solve`` + ``Cluster.step`` as they were: everything
+    re-derived every second, each node solved through the oracle."""
+    live = cluster.live_node_indices
+    rf = min(cluster.replication_factor, len(live))
+    node_reads = read_ratio * min(cluster.read_fanout, rf)
+    fanout = node_reads + (1.0 - read_ratio) * rf
+    node_rr = node_reads / fanout
+    per_node = min(
+        oracle_solve(cluster.nodes[i], node_rr) / cluster._slowdown.get(i, 1.0)
+        for i in live
+    )
+    x = min(per_node * len(live) / fanout, cluster.n_shooters * SHOOTER_CAPACITY_OPS)
+    node_ops = x * fanout / len(live)
+    reads = node_ops * node_rr * dt
+    writes = node_ops * (1.0 - node_rr) * dt
+    per_node_ops = [0.0] * cluster.n_nodes
+    for i in live:
+        oracle_absorb(cluster.nodes[i], reads, writes, dt)
+        per_node_ops[i] = node_ops
+    cluster.t += dt
+    return ClusterStepResult(
+        t=cluster.t, throughput=x, per_node_throughput=per_node_ops, dt=dt
+    )
+
+
+def assert_same_bits(got, want):
+    """Equal, and equal to the last bit and the exact type: a pickle
+    tells ``0.0`` from ``-0.0`` and ``0`` from ``0.0``.  For models it
+    covers the layout, the backlog, the counters and the position of
+    every generator the model holds."""
+    if isinstance(got, list):
+        assert got == want
+    assert pickle.dumps(got) == pickle.dumps(want)
+
+
+def assert_run_equals_oracle(model, read_ratio, steps, dt=1.0):
+    """``run`` on ``model`` against the oracle on a deep-copied twin:
+    every ``StepResult`` field and the whole state afterwards."""
+    twin = copy.deepcopy(model)
+    got = model.run(read_ratio, steps * dt, dt)
+    want = [oracle_step(twin, read_ratio, dt) for _ in range(steps)]
+    assert_same_bits(got, want)
+    assert_same_bits(model, twin)
+    return got
 
 
 solve_overrides = st.fixed_dictionaries(
@@ -275,6 +387,86 @@ class TestSolveEquivalence:
         assert model.compaction_backlog_bytes > 0 and model.total_flushes > 0
         for rr in READ_RATIOS:
             assert model.sustainable_throughput(rr) == reference_throughput(model, rr)
+
+
+STORES = {"cassandra": CassandraLike(), "scylla": ScyllaLike()}
+
+
+class TestRunEqualsOracle:
+    """The stepping loop against the per-second oracle, to the last bit:
+    every ``StepResult`` field, the clocks, the layout, the backlog, the
+    counters and the position of the noise stream (and, on a ScyllaLike
+    model, of its tuner's)."""
+
+    @given(
+        store=st.sampled_from(sorted(STORES)),
+        overrides=solve_overrides,
+        profile=profiles,
+        noise=st.sampled_from([0.0, 0.03]),
+        keys=st.integers(min_value=0, max_value=3_000_000),
+        write_seconds=st.sampled_from([0, 20, 90]),
+        settle=st.booleans(),
+        dt=st.sampled_from([0.5, 1.0, 5.0]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_server(
+        self, store, overrides, profile, noise, keys, write_seconds, settle, dt, seed
+    ):
+        """Fresh, loaded, mid-flush, backlogged and settled layouts, both
+        strategies, the mix extremes and a denormal ratio, three step
+        lengths, noise on and off."""
+        datastore = STORES[store]
+        model = datastore.new_analytic_instance(
+            datastore.space.configuration(**overrides),
+            profile=profile, seed=seed, noise_sigma=noise,
+        )
+        if keys:
+            model.load(keys)
+        if write_seconds:
+            model.run(0.1, write_seconds)
+        if settle:
+            model.settle(max_seconds=50_000)
+        for rr in READ_RATIOS + (0.37,):
+            assert_run_equals_oracle(model, rr, 40, dt)
+
+    @given(
+        store=st.sampled_from(sorted(STORES)),
+        level=st.sampled_from(["ONE", "QUORUM", "ALL"]),
+        rf=st.integers(min_value=1, max_value=3),
+        rr=st.sampled_from([0.0, 5e-324, 0.25, 0.5, 0.9, 1.0]),
+        down=st.sampled_from([None, 0, 2]),
+        slow=st.sampled_from([None, (1, 1.5), (3, 4.0)]),
+        mixed=st.booleans(),
+        dt=st.sampled_from([0.5, 1.0, 5.0]),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_cluster(self, store, level, rf, rr, down, slow, mixed, dt):
+        """A down node, a slow disk, a mixed-config (drifted) ring, every
+        consistency level and replication factor."""
+        datastore = STORES[store]
+        cluster = Cluster(
+            datastore, datastore.default_configuration(), n_nodes=4,
+            replication_factor=rf, n_shooters=4, consistency_level=level, seed=5,
+        )
+        cluster.load(400_000)
+        if down is not None:
+            cluster.fail_node(down)
+        if slow is not None:
+            cluster.set_disk_slowdown(*slow)
+        if mixed:
+            cluster.apply_node_config(
+                1, datastore.space.configuration(
+                    compaction_method=LEVELED, concurrent_reads=64
+                ),
+            )
+        twin = copy.deepcopy(cluster)
+        got = cluster.run(rr, 25 * dt, dt)
+        assert_same_bits(got, [oracle_cluster_step(twin, rr, dt) for _ in range(25)])
+        assert_same_bits(cluster.step(0.6, dt), oracle_cluster_step(twin, 0.6, dt))
+        assert cluster.t == twin.t
+        for node, twin_node in zip(cluster.nodes, twin.nodes):
+            assert_same_bits(node, twin_node)
 
 
 finite_caps = st.floats(min_value=1e-3, max_value=1e9)
