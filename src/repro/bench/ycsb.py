@@ -8,7 +8,7 @@ workload-specific details ... are derived from actual MG-RAST queries"
 * :meth:`YCSBBenchmark.run` — the fast path: fresh analytic instance,
   load phase (~2 simulated minutes in the paper), settle, then a
   5-simulated-minute run phase measured in 10-second intervals.
-* :meth:`YCSBBenchmark.run_engine` — the per-operation path against the
+* :meth:`YCSBBenchmark.run_engine` — real operations against the
   materialized LSM engine at reduced scale, for validation.
 """
 
@@ -19,11 +19,10 @@ import numpy as np
 
 from repro.bench.metrics import BenchmarkResult, ThroughputSample
 from repro.config.space import Configuration
-from repro.datastore.adapter import SimulatedDatastoreAdapter
+from repro.datastore.adapter import SimulatedDatastoreAdapter, _EngineServer
 from repro.datastore.base import Datastore
-from repro.sim.rng import SeedLike, derive_rng
-from repro.workload.generator import OperationGenerator
-from repro.workload.spec import DELETE, READ, WorkloadSpec
+from repro.sim.rng import SeedLike
+from repro.workload.spec import WorkloadSpec
 
 #: The paper's benchmark window: 5 minutes of stable metrics (§3.5).
 DEFAULT_RUN_SECONDS = 300.0
@@ -123,76 +122,45 @@ class YCSBBenchmark:
         n_ops: int = 20_000,
         load_keys: int = 5_000,
         seed: SeedLike = 0,
-        batched: bool = False,
-        batch_ops: int = 4096,
     ) -> BenchmarkResult:
-        """Benchmark against the materialized engine, per operation.
+        """Benchmark against the materialized engine, operation by operation.
 
         Runs at reduced scale (tens of thousands of real operations) and
         measures ops / elapsed simulated seconds.  Used to validate that
         the analytic path preserves ordering and trends.
 
-        With ``batched=True`` the op stream is generated and executed in
-        vectorized blocks of ``batch_ops`` through
-        :meth:`~repro.lsm.engine.LSMEngine.execute_batch` — same
-        engine-side accounting, far less per-op Python overhead.  The
-        report series is reconstructed from the block's per-op end times
-        with the same crossing rule as the scalar loop.
+        The op stream is generated and executed in vectorized blocks
+        through :meth:`~repro.lsm.engine.LSMEngine.execute_batch`; the
+        report series is read off each block's per-op end times.
         """
-        rng = derive_rng(seed)
-        engine = self.datastore.new_engine_instance(config)
-        gen = OperationGenerator(workload, rng)
-
-        if batched:
-            load = gen.load_batch(load_keys)
-            engine.execute_batch(load.kinds, load.key_names(), load.value_sizes)
-        else:
-            for op in gen.load_operations(load_keys):
-                engine.put(op.key, op.payload(rng))
-        engine.idle_until_compact(max_seconds=600.0)
+        server = _EngineServer(self.datastore, config, workload, seed=seed)
+        server.load(load_keys)
+        server.settle()
+        engine, gen = server.engine, server.generator
 
         t0 = engine.clock.now
         series = []
         last_report_t, last_report_ops = t0, 0
-        if batched:
-            done = 0
-            while done < n_ops:
-                block = gen.operation_batch(min(batch_ops, n_ops - done))
-                result = engine.execute_batch(
-                    block.kinds, block.key_names(), block.value_sizes
-                )
-                # Same crossing rule as the scalar loop, applied to the
-                # recorded per-op end times.
-                for j in range(result.n_ops):
-                    t = float(result.end_times[j])
-                    if t - last_report_t >= self.report_interval:
-                        series.append(
-                            ThroughputSample(
-                                t=t,
-                                ops_per_second=(done + j + 1 - last_report_ops)
-                                / (t - last_report_t),
-                            )
-                        )
-                        last_report_t, last_report_ops = t, done + j + 1
-                done += result.n_ops
-        else:
-            for i, op in enumerate(gen.operations(n_ops)):
-                if op.kind == READ:
-                    engine.get(op.key)
-                elif op.kind == DELETE:
-                    engine.delete(op.key)
-                else:
-                    engine.put(op.key, op.payload(rng))
-                if engine.clock.now - last_report_t >= self.report_interval:
-                    done = i + 1
+        done = 0
+        while done < n_ops:
+            block = gen.operation_batch(min(_EngineServer.BATCH_OPS, n_ops - done))
+            result = engine.execute_batch(
+                block.kinds, block.key_names(), block.value_sizes
+            )
+            # A sample closes at the first op that ends a full report
+            # interval after the previous sample.
+            for j in range(result.n_ops):
+                t = float(result.end_times[j])
+                if t - last_report_t >= self.report_interval:
                     series.append(
                         ThroughputSample(
-                            t=engine.clock.now,
-                            ops_per_second=(done - last_report_ops)
-                            / (engine.clock.now - last_report_t),
+                            t=t,
+                            ops_per_second=(done + j + 1 - last_report_ops)
+                            / (t - last_report_t),
                         )
                     )
-                    last_report_t, last_report_ops = engine.clock.now, done
+                    last_report_t, last_report_ops = t, done + j + 1
+            done += result.n_ops
         # Flush the final partial interval: without this the tail of the
         # run (everything after the last full report interval) silently
         # vanishes from the series, unlike the analytic path's

@@ -40,7 +40,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.bench.collection import CAMPAIGN_JOURNAL_KIND, DataCollectionCampaign
-from repro.bench.dataset import load_dataset, save_dataset
+from repro.bench.dataset import PerformanceDataset, load_dataset, save_dataset
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
 from repro.core.persistence import load_surrogate, save_surrogate
@@ -84,9 +84,8 @@ def _load_rafiki(args, datastore) -> Rafiki:
 # ------------------------------------------------------------------ subcommands
 
 
-def cmd_collect(args) -> int:
-    datastore, key_params = _make_datastore(args.datastore)
-    backend = resolve_backend(workers=args.workers)
+def _run_campaign(args, datastore, **campaign_kwargs) -> PerformanceDataset:
+    """Run one journaled collection campaign and save its dataset."""
     events = EventBus()
     if not args.quiet:
         events.subscribe(
@@ -98,29 +97,37 @@ def cmd_collect(args) -> int:
             topic="collect.sample",
         )
         _subscribe_recovery(events)
-    benchmark = (
-        YCSBBenchmark(datastore, run_seconds=args.run_seconds)
-        if args.run_seconds is not None
-        else None
-    )
-    with backend:
-        campaign = DataCollectionCampaign(
+    with resolve_backend(workers=args.workers) as backend:
+        dataset = DataCollectionCampaign(
             datastore,
-            mgrast_workload(args.base_read_ratio),
-            key_parameters=key_params,
-            n_workloads=args.workloads,
-            n_configurations=args.configurations,
-            n_faulty=args.faulty,
-            benchmark=benchmark,
-            seed=args.seed,
             backend=backend,
             events=events,
             journal=args.journal,
-        )
-        dataset = campaign.run()
+            **campaign_kwargs,
+        ).run()
     if not args.quiet:
         print()
     save_dataset(dataset, args.out)
+    return dataset
+
+
+def cmd_collect(args) -> int:
+    datastore, key_params = _make_datastore(args.datastore)
+    dataset = _run_campaign(
+        args,
+        datastore,
+        base_workload=mgrast_workload(args.base_read_ratio),
+        key_parameters=key_params,
+        n_workloads=args.workloads,
+        n_configurations=args.configurations,
+        n_faulty=args.faulty,
+        benchmark=(
+            YCSBBenchmark(datastore, run_seconds=args.run_seconds)
+            if args.run_seconds is not None
+            else None
+        ),
+        seed=args.seed,
+    )
     print(f"wrote {len(dataset)} samples to {args.out}")
     return 0
 
@@ -139,49 +146,26 @@ def cmd_resume(args) -> int:
     header, records = read_journal(args.journal, kind=CAMPAIGN_JOURNAL_KIND)
     space_name = str(header["space"])
     datastore, _ = _make_datastore(space_name.split("-")[0])
-    base_workload = replace(
-        mgrast_workload(float(header["base_read_ratio"])),
-        n_keys=int(header["base_n_keys"]),
+    dataset = _run_campaign(
+        args,
+        datastore,
+        base_workload=replace(
+            mgrast_workload(float(header["base_read_ratio"])),
+            n_keys=int(header["base_n_keys"]),
+        ),
+        key_parameters=header["key_parameters"],
+        n_workloads=int(header["n_workloads"]),
+        n_configurations=int(header["n_configurations"]),
+        n_faulty=int(header["n_faulty"]),
+        benchmark=YCSBBenchmark(datastore, run_seconds=float(header["run_seconds"])),
+        seed=int(header["seed"]),
+        retry_faulty=int(header["retry_faulty"]),
+        fault_plan=(
+            FaultPlan.from_dict(header["fault_plan"])
+            if header.get("fault_plan") is not None
+            else None
+        ),
     )
-    fault_plan = (
-        FaultPlan.from_dict(header["fault_plan"])
-        if header.get("fault_plan") is not None
-        else None
-    )
-    events = EventBus()
-    if not args.quiet:
-        events.subscribe(
-            lambda e: print(
-                f"\r   sample {e.payload['done']}/{e.payload['total']}",
-                end="",
-                flush=True,
-            ),
-            topic="collect.sample",
-        )
-        _subscribe_recovery(events)
-    backend = resolve_backend(workers=args.workers)
-    with backend:
-        campaign = DataCollectionCampaign(
-            datastore,
-            base_workload,
-            key_parameters=header["key_parameters"],
-            n_workloads=int(header["n_workloads"]),
-            n_configurations=int(header["n_configurations"]),
-            n_faulty=int(header["n_faulty"]),
-            benchmark=YCSBBenchmark(
-                datastore, run_seconds=float(header["run_seconds"])
-            ),
-            seed=int(header["seed"]),
-            backend=backend,
-            events=events,
-            retry_faulty=int(header["retry_faulty"]),
-            fault_plan=fault_plan,
-            journal=args.journal,
-        )
-        dataset = campaign.run()
-    if not args.quiet:
-        print()
-    save_dataset(dataset, args.out)
     print(
         f"resumed from {len(records)} journaled samples; "
         f"wrote {len(dataset)} samples to {args.out}"

@@ -71,7 +71,6 @@ class ConfigurationOptimizer:
         generations: int = 70,
         seed_default: bool = True,
         uncertainty_penalty: float = 0.0,
-        batched: bool = True,
         bus: Optional[EventBus] = None,
     ):
         """``seed_default`` keeps the vendor default as a candidate
@@ -83,12 +82,9 @@ class ConfigurationOptimizer:
         ``k x ensemble-spread`` from the fitness, discouraging the GA
         from chasing over-predictions in sparsely sampled corners.
 
-        ``batched=True`` (the default) scores the whole GA population
-        per generation in one surrogate call; ``batched=False`` keeps
-        the per-individual reference path.  Both return bit-identical
-        results under the same seed; batched is ~an order of magnitude
-        faster (see ``benchmarks/perf/``).  ``bus`` receives
-        ``search.*`` progress events when given.
+        The whole GA population is scored per generation in one
+        surrogate call.  ``bus`` receives ``search.*`` progress events
+        when given.
         """
         self.surrogate = surrogate
         names = tuple(parameters or surrogate.feature_parameters)
@@ -107,7 +103,6 @@ class ConfigurationOptimizer:
         self.generations = generations
         self.seed_default = seed_default
         self.uncertainty_penalty = uncertainty_penalty
-        self.batched = batched
         self.bus = bus
 
     def _fitness_batch(self, read_ratio: float):
@@ -122,20 +117,6 @@ class ConfigurationOptimizer:
 
         return fitness_batch
 
-    def _fitness_scalar(self, read_ratio: float):
-        """Per-individual reference fitness (one row per call), routed
-        through the same one-pass ``predict_mean_std`` so mean and
-        spread cost a single ensemble walk."""
-
-        def fitness(genes: np.ndarray) -> float:
-            row = self.encoder.features(genes, read_ratio)[None, :]
-            if self.uncertainty_penalty > 0.0:
-                mean, spread = self.surrogate.predict_mean_std(row)
-                return float(mean[0] - self.uncertainty_penalty * spread[0])
-            return float(self.surrogate.predict_features(row)[0])
-
-        return fitness
-
     def optimize(
         self,
         read_ratio: float,
@@ -146,11 +127,10 @@ class ConfigurationOptimizer:
         if not (0.0 <= read_ratio <= 1.0):
             raise SearchError("read_ratio must be in [0, 1]")
 
-        fitness = self._fitness_scalar(read_ratio)
+        fitness = self._fitness_batch(read_ratio)
         ga = GeneticAlgorithm(
             encoder=self.encoder,
-            fitness_fn=None if self.batched else fitness,
-            fitness_batch_fn=self._fitness_batch(read_ratio) if self.batched else None,
+            fitness_batch_fn=fitness,
             population_size=self.population_size,
             generations=self.generations,
             bus=self.bus,
@@ -163,7 +143,7 @@ class ConfigurationOptimizer:
         best_fitness = result.best_fitness
         evaluations = result.evaluations
         if self.seed_default:
-            default_fitness = fitness(self.default_genes)
+            default_fitness = float(fitness(self.default_genes[None, :])[0])
             evaluations += 1
             if default_fitness > best_fitness:
                 best_config = self.surrogate.space.default_configuration()

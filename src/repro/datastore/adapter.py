@@ -362,7 +362,10 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
             # yet are *transiently* drifted, nodes a fault kept on the
             # old config remain drifted after — the read-back sees both.
             self.cluster.set_intended(config)
-            report = self._cluster_rolling_restart(config, knobs, read_ratio, dt)
+            report = self._cycle_nodes(
+                range(self.cluster.n_nodes), config, knobs, read_ratio, dt,
+                rolling=True,
+            )
         self.config = config
         self._publish(
             "actuate.rolling_restart",
@@ -428,53 +431,9 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
                     f"repair targets node {i} outside the ring "
                     f"[0, {cluster.n_nodes})"
                 )
-        config = self.config
-        knobs = self.datastore.effective_knobs(config)
-        healthy_cap = cluster.sustainable_throughput(read_ratio)
-        steps: List = []
-        restarted = 0
-        skipped: List[int] = []
-        applied: List[int] = []
-        failed: List[int] = []
-        down = set(cluster.down_node_indices)
-        for i in nodes:
-            if i in down:
-                skipped.append(i)
-                ok = cluster.apply_node_config(i, config, knobs=knobs)
-                (applied if ok else failed).append(i)
-                continue
-            if rolling:
-                try:
-                    cluster.fail_node(i)
-                except DatastoreError:
-                    skipped.append(i)
-                    ok = cluster.apply_node_config(i, config, knobs=knobs)
-                    (applied if ok else failed).append(i)
-                    continue
-                if self.restart_seconds_per_node > 0:
-                    steps.extend(
-                        cluster.run(
-                            read_ratio, self.restart_seconds_per_node, dt=dt
-                        )
-                    )
-                ok = cluster.apply_node_config(i, config, knobs=knobs)
-                (applied if ok else failed).append(i)
-                cluster.recover_node(i)
-                restarted += 1
-            else:
-                ok = cluster.apply_node_config(i, config, knobs=knobs)
-                (applied if ok else failed).append(i)
-        duration = sum(s.dt for s in steps)
-        ops_served = sum(s.throughput * s.dt for s in steps)
-        report = RollingRestartReport(
-            nodes_restarted=restarted,
-            skipped_nodes=tuple(skipped),
-            duration_s=duration,
-            ops_served=ops_served,
-            ops_lost=max(0.0, healthy_cap * duration - ops_served),
-            steps=steps,
-            applied_nodes=tuple(applied),
-            failed_nodes=tuple(failed),
+        report = self._cycle_nodes(
+            nodes, self.config, self.datastore.effective_knobs(self.config),
+            read_ratio, dt, rolling,
         )
         self._publish(
             "actuate.repair",
@@ -510,9 +469,15 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
             steps=[],
         )
 
-    def _cluster_rolling_restart(self, config: Configuration, knobs,
-                                 read_ratio: float,
-                                 dt: float) -> RollingRestartReport:
+    def _cycle_nodes(self, nodes, config: Configuration, knobs,
+                     read_ratio: float, dt: float,
+                     rolling: bool) -> RollingRestartReport:
+        """Push ``config`` to ``nodes`` one by one; the report of doing so.
+
+        ``rolling`` takes each live node out of the serving set for the
+        restart window while the rest of the ring carries the load;
+        otherwise the push is instant.
+        """
         cluster = self.cluster
         healthy_cap = cluster.sustainable_throughput(read_ratio)
         steps: List = []
@@ -521,26 +486,23 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
         applied: List[int] = []
         failed: List[int] = []
         down_before = set(cluster.down_node_indices)
-        for i in range(cluster.n_nodes):
-            if i in down_before:
-                # Crashed by a fault: push the config (it rejoins with the
-                # current configuration — unless config-isolated by a
-                # StaleRecovery fault) but do not cycle it — restarting
-                # would wrongly resurrect it.
+        for i in nodes:
+            # Crashed by a fault: push the config (it rejoins with the
+            # current configuration — unless config-isolated by a
+            # StaleRecovery fault) but do not cycle it — restarting
+            # would wrongly resurrect it.
+            skip = i in down_before
+            if rolling and not skip:
+                try:
+                    cluster.fail_node(i)
+                except DatastoreError:
+                    # Last live node: push the config without a restart
+                    # window rather than dropping the ring to zero capacity.
+                    skip = True
+            if skip:
                 skipped.append(i)
-                ok = cluster.apply_node_config(i, config, knobs=knobs)
-                (applied if ok else failed).append(i)
-                continue
-            try:
-                cluster.fail_node(i)
-            except DatastoreError:
-                # Last live node: push the config without a restart window
-                # rather than dropping the ring to zero capacity.
-                skipped.append(i)
-                ok = cluster.apply_node_config(i, config, knobs=knobs)
-                (applied if ok else failed).append(i)
-                continue
-            if self.restart_seconds_per_node > 0:
+            cycled = rolling and not skip
+            if cycled and self.restart_seconds_per_node > 0:
                 steps.extend(
                     cluster.run(read_ratio, self.restart_seconds_per_node, dt=dt)
                 )
@@ -549,8 +511,9 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
             # config — a silent partial push the read-back must catch.
             ok = cluster.apply_node_config(i, config, knobs=knobs)
             (applied if ok else failed).append(i)
-            cluster.recover_node(i)
-            restarted += 1
+            if cycled:
+                cluster.recover_node(i)
+                restarted += 1
         duration = sum(s.dt for s in steps)
         ops_served = sum(s.throughput * s.dt for s in steps)
         return RollingRestartReport(

@@ -12,7 +12,7 @@ from repro.workload.keydist import (
     UniformKeyDistribution,
     ZipfianKeyDistribution,
 )
-from repro.workload.generator import Operation, OperationGenerator
+from repro.workload.generator import OperationGenerator
 from repro.workload.trace import QueryRecord, Trace
 from repro.workload.mgrast import MGRastTraceGenerator, MGRastPhase
 from repro.workload.characterize import (
@@ -37,7 +37,6 @@ __all__ = [
     "ExponentialReuseKeyDistribution",
     "UniformKeyDistribution",
     "ZipfianKeyDistribution",
-    "Operation",
     "OperationGenerator",
     "QueryRecord",
     "Trace",

@@ -1,15 +1,15 @@
 """Operation-stream generation.
 
-Turns a :class:`~repro.workload.spec.WorkloadSpec` into a concrete
-sequence of read/write/delete operations with keys drawn from a
-KRD-faithful distribution — the per-operation analogue of what the
-batched benchmark path computes in expectation.
+Turns a :class:`~repro.workload.spec.WorkloadSpec` into concrete blocks
+of read/write/delete operations with keys drawn from a KRD-faithful
+distribution — the per-operation analogue of what the analytic
+benchmark path computes in expectation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,41 +18,20 @@ from repro.workload.keydist import (
     ExponentialReuseKeyDistribution,
     KeyDistribution,
 )
-from repro.workload.spec import DELETE, READ, WRITE, WorkloadSpec
-
-#: Workload kind string <-> engine op code (the codes live in
-#: :mod:`repro.lsm.engine` because the import DAG runs lsm -> workload).
-_KIND_OF_CODE = {OP_READ: READ, OP_WRITE: WRITE, OP_DELETE: DELETE}
-
-
-@dataclass(frozen=True)
-class Operation:
-    """One benchmark operation."""
-
-    kind: str  # READ | WRITE | DELETE
-    key: str
-    value_bytes: int = 0
-
-    def payload(self, rng: np.random.Generator) -> bytes:
-        """Materialize a value body (random bytes of the spec'd size)."""
-        if self.kind != WRITE:
-            return b""
-        return rng.bytes(self.value_bytes)
+from repro.workload.spec import WorkloadSpec
 
 
 @dataclass
 class OperationBatch:
     """A block of operations as parallel numpy columns.
 
-    The vectorized analogue of a run of :class:`Operation`s: op kinds as
-    :data:`~repro.lsm.engine.OP_READ`-family codes, key *ids* (names are
-    materialized lazily), and write payload sizes.  Feed it to
-    :meth:`~repro.lsm.engine.LSMEngine.execute_batch` directly, or walk
-    :meth:`iter_operations` to run the same block through the scalar
-    path — the engine produces bit-identical stats and timing either
-    way.  Batched writes carry zero-filled payloads; value *content*
-    never influences stats, simulated time, or cache behaviour (only
-    ``len(value)`` does), so the streams are equivalent where it counts.
+    Op kinds as :data:`~repro.lsm.engine.OP_READ`-family codes (they
+    live in :mod:`repro.lsm.engine` because the import DAG runs
+    lsm -> workload), key *ids* (names are materialized lazily), and
+    write payload sizes.  Feed it to
+    :meth:`~repro.lsm.engine.LSMEngine.execute_batch`, which writes
+    zero-filled payloads: value *content* never influences stats,
+    simulated time, or cache behaviour (only ``len(value)`` does).
     """
 
     kinds: np.ndarray  # int8 OP_* codes, one per op
@@ -69,19 +48,9 @@ class OperationBatch:
             self._names = [f"user{int(k):012d}" for k in self.key_ids]
         return self._names
 
-    def iter_operations(self) -> Iterator[Operation]:
-        """The same block as scalar :class:`Operation`s (reference path)."""
-        names = self.key_names()
-        for i in range(len(self.kinds)):
-            yield Operation(
-                kind=_KIND_OF_CODE[int(self.kinds[i])],
-                key=names[i],
-                value_bytes=int(self.value_sizes[i]),
-            )
-
 
 class OperationGenerator:
-    """Draws an endless operation stream matching a workload spec.
+    """Draws an operation stream, block by block, matching a workload spec.
 
     Writes split between updates of existing keys (``update_fraction``)
     and inserts of fresh keys; reads follow the KRD distribution.
@@ -102,46 +71,9 @@ class OperationGenerator:
         )
         # Insert cursor: fresh keys get ids past the loaded range.
         self._next_insert_id = loaded_keys
-        self._loaded_keys = loaded_keys
-
-    def load_operations(self, count: int) -> Iterator[Operation]:
-        """The YCSB load phase: ``count`` sequential fresh inserts."""
-        for _ in range(count):
-            key = self.key_dist.key_name(self._next_insert_id)
-            self._next_insert_id += 1
-            yield Operation(kind=WRITE, key=key, value_bytes=self.spec.value_bytes)
-
-    def __iter__(self) -> Iterator[Operation]:
-        while True:
-            yield self.next_operation()
-
-    def next_operation(self) -> Operation:
-        u = self.rng.random()
-        if u < self.spec.read_ratio:
-            key_id = self._existing_key()
-            return Operation(kind=READ, key=self.key_dist.key_name(key_id))
-        if u < self.spec.read_ratio + self.spec.delete_fraction:
-            key_id = self._existing_key()
-            return Operation(kind=DELETE, key=self.key_dist.key_name(key_id))
-        # Write: update an existing key or insert a fresh one.
-        if self.rng.random() < self.spec.update_fraction:
-            key_id = self._existing_key()
-        else:
-            key_id = self._next_insert_id
-            self._next_insert_id += 1
-        return Operation(
-            kind=WRITE,
-            key=self.key_dist.key_name(key_id),
-            value_bytes=self.spec.value_bytes,
-        )
-
-    def operations(self, count: int) -> Iterator[Operation]:
-        """A bounded stream of ``count`` run-phase operations."""
-        for _ in range(count):
-            yield self.next_operation()
 
     def load_batch(self, count: int) -> OperationBatch:
-        """Vectorized :meth:`load_operations`: ``count`` fresh inserts."""
+        """The YCSB load phase: ``count`` sequential fresh inserts."""
         if count < 0:
             raise ValueError("count must be non-negative")
         key_ids = self._next_insert_id + np.arange(count, dtype=np.int64)
@@ -155,13 +87,13 @@ class OperationGenerator:
     def operation_batch(self, n: int, read_ratio: Optional[float] = None) -> OperationBatch:
         """Draw ``n`` run-phase operations as one vectorized block.
 
-        Semantically the batch analogue of ``n`` :meth:`next_operation`
-        calls — the same kind split, update/insert split, insert-cursor
-        advancement, and modulo-populated existing-key mapping — drawn
-        column-wise (all kind coins, then all update coins, then all key
-        ids), so it is its own deterministic sampler rather than a replay
-        of the scalar draw order.  ``read_ratio`` overrides the spec's
-        ratio for serving a mid-campaign workload mix.
+        A kind coin splits reads / deletes / writes, an update coin
+        splits writes into updates of existing keys and inserts that
+        advance the insert cursor, and existing-key draws map modulo
+        the keys populated before the op.  Columns are drawn one after
+        another (all kind coins, then all update coins, then all key
+        ids).  ``read_ratio`` overrides the spec's ratio for serving a
+        mid-campaign workload mix.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -191,8 +123,3 @@ class OperationGenerator:
 
         value_sizes = np.where(write_mask, self.spec.value_bytes, 0).astype(np.int64)
         return OperationBatch(kinds=kinds, key_ids=key_ids, value_sizes=value_sizes)
-
-    def _existing_key(self) -> int:
-        populated = max(self._next_insert_id, 1)
-        key_id = self.key_dist.next_key(self.rng)
-        return key_id % populated

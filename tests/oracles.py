@@ -1,0 +1,288 @@
+"""Test-side reference implementations, one place for all of them.
+
+Each is the plain form of something ``src/`` computes in a faster shape
+(a population matrix, an operation block, a stacked ensemble, a tabled
+bottleneck solve, an indexed drain).  The production path is held
+bit-identical to its oracle by the test module named in each section.
+"""
+
+import math
+
+import numpy as np
+
+from repro.config.cassandra import LEVELED
+from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
+from repro.lsm.analytic import CACHE_WARMUP_SECONDS, StepResult
+from repro.lsm.engine import OP_DELETE, OP_READ
+from repro.lsm.sstable import BLOCK_BYTES
+from repro.sim import costs
+
+# ---------------------------------------------------------------------------
+# core.search: one feature row per fitness call (test_batch_equivalence)
+# ---------------------------------------------------------------------------
+
+
+def scalar_fitness(optimizer, read_ratio):
+    """``ConfigurationOptimizer``'s fitness for one gene vector at a
+    time: a ``GeneticAlgorithm(fitness_fn=...)`` run on it is what
+    ``optimize`` must reproduce from its population-at-a-time scoring."""
+
+    def fitness(genes: np.ndarray) -> float:
+        row = optimizer.encoder.features(genes, read_ratio)[None, :]
+        if optimizer.uncertainty_penalty > 0.0:
+            mean, spread = optimizer.surrogate.predict_mean_std(row)
+            return float(mean[0] - optimizer.uncertainty_penalty * spread[0])
+        return float(optimizer.surrogate.predict_features(row)[0])
+
+    return fitness
+
+
+# ---------------------------------------------------------------------------
+# ml.ensemble: the per-member forward walk (test_batch_equivalence)
+# ---------------------------------------------------------------------------
+
+
+def oracle_mean_std(ens, x: np.ndarray):
+    """The per-member reference walk: one ``forward_rows`` per network,
+    mean and spread accumulated member by member."""
+    xs = ens.x_scaler.transform(np.atleast_2d(x))
+    forwards = [net.forward_rows(xs) for net in ens.networks]
+    total = forwards[0].copy()
+    for f in forwards[1:]:
+        total += f
+    mean = total / len(forwards)
+    sq = np.zeros_like(mean)
+    for f in forwards:
+        sq += (f - mean) ** 2
+    std = np.sqrt(sq / len(forwards))
+    return ens.y_scaler.inverse_transform(mean), std * ens.y_scaler.scale_[0]
+
+
+# ---------------------------------------------------------------------------
+# lsm.engine: a block one ``get``/``put``/``delete`` at a time
+# (test_batch_opstream), and the drain as first written (test_lsm_engine)
+# ---------------------------------------------------------------------------
+
+
+def apply_scalar_columns(engine, kinds, keys, sizes) -> list:
+    """Run the ops through the engine's per-op API; the clock after each."""
+    trace = []
+    for kind, key, size in zip(kinds, keys, sizes):
+        if kind == OP_READ:
+            engine.get(key)
+        elif kind == OP_DELETE:
+            engine.delete(key)
+        else:
+            engine.put(key, bytes(int(size)))
+        trace.append(engine.clock.now)
+    return trace
+
+
+def apply_scalar(engine, block) -> list:
+    """:func:`apply_scalar_columns` on an ``OperationBatch``'s columns."""
+    return apply_scalar_columns(
+        engine, block.kinds, block.key_names(), block.value_sizes
+    )
+
+
+def reference_drain(engine, dt):
+    """``_drain_background`` as first written — a list copy of the queue
+    per turn and a scan of all of it for completions — kept as the
+    reference for the float operations and their order."""
+    if engine._flush_queue_bytes > 0:
+        flush_bw = engine.knobs.memtable_flush_writers * engine.costs.flush_writer_bandwidth
+        engine._flush_queue_bytes = max(0.0, engine._flush_queue_bytes - flush_bw * dt)
+    rate = engine._compaction_rate()
+    if rate <= 0.0:
+        return
+    budget = rate * dt
+    while budget > 0 and engine._pending_compactions:
+        active = list(engine._pending_compactions)[: engine.knobs.concurrent_compactors]
+        share = budget / len(active)
+        consumed = 0.0
+        for pending in active:
+            used = min(share, pending.remaining_bytes)
+            pending.remaining_bytes -= used
+            consumed += used
+        budget -= consumed
+        completed = [
+            p for p in list(engine._pending_compactions) if p.remaining_bytes <= 0
+        ]
+        for p in completed:
+            engine._pending_compactions.remove(p)
+            engine._complete_compaction(p.task)
+        if consumed <= 0:
+            break
+
+
+# ---------------------------------------------------------------------------
+# lsm.analytic / datastore.cluster: the bottleneck equation evaluated with
+# no term table (test_lsm_analytic_properties, test_lsm_analytic)
+# ---------------------------------------------------------------------------
+
+
+def soft_min_oracle(caps):
+    """The power-mean soft minimum, on python floats only."""
+    finite = [c for c in caps if not (math.isinf(c) or math.isnan(c))]
+    if not finite:
+        return math.inf
+    scale = min(finite)
+    if scale <= 0:
+        return 0.0
+    total = 0.0
+    for c in finite:
+        total += math.pow(scale / c, 8.0)
+    return scale * math.pow(total, -1.0 / 8.0)
+
+
+def reference_hit(model):
+    """The cache hit ratio at this instant, from the knobs and profile."""
+    knobs, sim_costs = model.knobs, model.costs
+    pages = knobs.file_cache_bytes / BLOCK_BYTES
+    if pages <= 0:
+        return 0.0
+    if max(model.dataset_bytes / BLOCK_BYTES, 1.0) <= pages:
+        steady = 1.0
+    else:
+        coverage = sim_costs.cache_coverage_ops_per_page
+        if knobs.compaction_method == LEVELED:
+            coverage *= sim_costs.leveled_cache_locality
+        steady = 1.0 - math.exp(-pages * coverage / model.profile.krd_mean_ops)
+    return steady * (1.0 - math.exp(-model.cache_age / CACHE_WARMUP_SECONDS))
+
+
+def reference_throughput(model, read_ratio):
+    """The bottleneck equation straight from ``sim.costs``: every term
+    recomputed from the model's knobs, hardware, costs and profile."""
+    knobs, hardware, sim_costs, profile = (
+        model.knobs, model.hardware, model.costs, model.profile
+    )
+    r, w = read_ratio, 1.0 - read_ratio
+    hit = reference_hit(model)
+
+    if knobs.compaction_method == LEVELED:
+        n_checked = len(model.l0_tables) + sum(1 for b in model.level_bytes[1:] if b > 0)
+    else:
+        n_checked = float(len(model.st_tables))
+    spread = costs.expected_version_spread(max(n_checked, 1.0), profile.update_fraction)
+    probed = min(
+        spread + knobs.bloom_fp_chance * max(n_checked - spread, 0.0),
+        max(n_checked, 1.0),
+    )
+    disk_probes = costs.expected_disk_probes_per_read(
+        spread, n_checked, knobs.bloom_fp_chance, hit
+    )
+    cpu_r = costs.read_cpu_seconds(n_checked, probed, probed * hit, sim_costs)
+    cpu_w = costs.write_cpu_seconds(sim_costs)
+
+    comp_rate = model._compaction_rate()
+    flush_active = model.memtable_bytes > 0.5 * knobs.flush_trigger_bytes
+    flush_rate = (
+        knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
+        if flush_active
+        else 0.0
+    ) * 0.5
+    seq_demand = comp_rate * sim_costs.compaction_io_factor + flush_rate
+    bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
+    bg_cpu = min(comp_rate * sim_costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
+    cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * (hardware.cpu_ghz / 3.0), 0.5)
+
+    cpu_per_op = (
+        r * cpu_r * costs.thread_contention(knobs.concurrent_reads, cores, sim_costs)
+        + w * cpu_w * costs.thread_contention(knobs.concurrent_writes, cores, sim_costs)
+    )
+    caps = [cores / cpu_per_op if cpu_per_op > 0 else math.inf]
+    if w > 0:
+        cl_bytes = costs.commitlog_bytes_per_write(profile.record_bytes, sim_costs)
+        caps.append(hardware.disk_seq_bandwidth * (1.0 - bg_seq) / (w * cl_bytes))
+        flush_bw = knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
+        caps.append(flush_bw / (w * profile.record_bytes))
+        caps.append(knobs.concurrent_writes / (w * sim_costs.write_thread_hold))
+    if r > 0:
+        iops = hardware.disk_rand_iops * hardware.disk_count
+        if r * disk_probes > 0:
+            caps.append(iops / (r * disk_probes))
+        if r * sim_costs.read_thread_hold > 0:
+            caps.append(knobs.concurrent_reads / (r * sim_costs.read_thread_hold))
+    return max(soft_min_oracle(caps) * model.run_bias, 1.0)
+
+
+# -- the per-second oracle: ``step`` and ``Cluster.step`` as they were
+# -- written before the stepping loop, on the untabled solve
+
+
+def oracle_solve(model, read_ratio):
+    """The untabled equation, times a self-tuning store's modulation."""
+    x = reference_throughput(model, read_ratio)
+    tuner = getattr(model, "autotuner", None)
+    return x if tuner is None else x * tuner.multiplier(model.t)
+
+
+def oracle_absorb(model, reads, writes, dt):
+    """The general write and drain paths, then the clocks."""
+    model._apply_writes(writes)
+    model._drain_background(dt)
+    model.t += dt
+    model.cache_age += dt
+    model.total_ops += reads + writes
+
+
+def oracle_step(model, read_ratio, dt=1.0):
+    """One solve, one noise draw, one absorb, and a ``StepResult`` read
+    back off the model."""
+    x = oracle_solve(model, read_ratio)
+    if model.noise_sigma > 0:
+        x *= max(0.2, 1.0 + model.noise_sigma * model.rng.standard_normal())
+    reads = x * read_ratio * dt
+    writes = x * (1.0 - read_ratio) * dt
+    read_rate = x * read_ratio
+    write_rate = x * (1.0 - read_ratio)
+    read_lat = (
+        max(model.knobs.concurrent_reads / read_rate, model.costs.read_thread_hold)
+        if read_rate > 0
+        else 0.0
+    )
+    write_lat = (
+        max(model.knobs.concurrent_writes / write_rate, model.costs.write_thread_hold)
+        if write_rate > 0
+        else 0.0
+    )
+    oracle_absorb(model, reads, writes, dt)
+    return StepResult(
+        t=model.t,
+        dt=dt,
+        throughput=x,
+        reads=reads,
+        writes=writes,
+        sstable_count=model.sstable_count,
+        cache_hit_ratio=reference_hit(model),
+        compaction_backlog_bytes=model.compaction_backlog_bytes,
+        read_latency_s=read_lat,
+        write_latency_s=write_lat,
+    )
+
+
+def oracle_cluster_step(cluster, read_ratio, dt=1.0):
+    """``Cluster._solve`` + ``Cluster.step`` as they were: everything
+    re-derived every second, each node solved through the oracle."""
+    live = cluster.live_node_indices
+    rf = min(cluster.replication_factor, len(live))
+    node_reads = read_ratio * min(cluster.read_fanout, rf)
+    fanout = node_reads + (1.0 - read_ratio) * rf
+    node_rr = node_reads / fanout
+    per_node = min(
+        oracle_solve(cluster.nodes[i], node_rr) / cluster._slowdown.get(i, 1.0)
+        for i in live
+    )
+    x = min(per_node * len(live) / fanout, cluster.n_shooters * SHOOTER_CAPACITY_OPS)
+    node_ops = x * fanout / len(live)
+    reads = node_ops * node_rr * dt
+    writes = node_ops * (1.0 - node_rr) * dt
+    per_node_ops = [0.0] * cluster.n_nodes
+    for i in live:
+        oracle_absorb(cluster.nodes[i], reads, writes, dt)
+        per_node_ops[i] = node_ops
+    cluster.t += dt
+    return ClusterStepResult(
+        t=cluster.t, throughput=x, per_node_throughput=per_node_ops, dt=dt
+    )

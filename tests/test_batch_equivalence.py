@@ -1,18 +1,20 @@
-"""Batch-vs-scalar equivalence of the vectorized search fast path.
+"""Batch-vs-scalar equivalence of the vectorized search stack.
 
-The batched evaluation stack (``features_batch``/``violation_batch``,
-``predict_mean_std``, the GA's ``fitness_batch_fn``, the chunked
-baseline searchers) must be *numerically identical* to the scalar
-reference path: the inference forward pass is row-stable by
-construction (einsum contraction + sequential member accumulation), so
-scoring a row alone or inside a batch gives the same bits.  These tests
-pin that contract.
+The evaluation stack (``features_batch``/``violation_batch``,
+``predict_mean_std``, the GA's ``fitness_batch_fn``, the optimizer's
+population-at-a-time fitness, the chunked baseline searchers) must be
+*numerically identical* to scoring one row at a time: the inference
+forward pass is row-stable by construction (einsum contraction +
+sequential member accumulation), so scoring a row alone or inside a
+batch gives the same bits.  These tests pin that contract.
 
-The ensemble runs all members through one stacked ``einsum`` per layer
-and the GA keeps its population as one matrix; the per-member
-``forward_rows`` walk and the ``decode -> encode`` round trip they
-replaced live on here as the oracles (``oracle_mean_std``,
-``encode(decode(g))``, the ``random_genes`` row stream).
+The ensemble runs all members through one stacked ``einsum`` per layer,
+the GA keeps its population as one matrix and the optimizer scores it
+in one surrogate call; the per-member ``forward_rows`` walk, the
+per-row fitness closure and the ``decode -> encode`` round trip they
+replaced are the oracles (``tests.oracles.oracle_mean_std`` and
+``scalar_fitness``, ``encode(decode(g))``, the ``random_genes`` row
+stream).
 """
 
 import pickle
@@ -35,6 +37,7 @@ from repro.ml.network import FeedForwardNetwork
 from repro.runtime.events import EventBus
 from repro.sim.rng import derive_rng
 from repro.workload.spec import WorkloadSpec
+from tests.oracles import oracle_mean_std, scalar_fitness
 
 PARAMS = list(CASSANDRA_KEY_PARAMETERS)
 SPACE = cassandra_space()
@@ -133,22 +136,6 @@ def make_ensemble(
         for i in range(n_networks)
     ]
     return ens
-
-
-def oracle_mean_std(ens: NetworkEnsemble, x: np.ndarray):
-    """The per-member reference walk: one ``forward_rows`` per network,
-    mean and spread accumulated member by member."""
-    xs = ens.x_scaler.transform(np.atleast_2d(x))
-    forwards = [net.forward_rows(xs) for net in ens.networks]
-    total = forwards[0].copy()
-    for f in forwards[1:]:
-        total += f
-    mean = total / len(forwards)
-    sq = np.zeros_like(mean)
-    for f in forwards:
-        sq += (f - mean) ** 2
-    std = np.sqrt(sq / len(forwards))
-    return ens.y_scaler.inverse_transform(mean), std * ens.y_scaler.scale_[0]
 
 
 class TestEnsembleBatchEquivalence:
@@ -371,17 +358,35 @@ def surrogate():
 class TestOptimizerBatchEquivalence:
     @pytest.mark.parametrize("penalty", [0.0, 0.5])
     def test_batched_and_scalar_paths_identical(self, surrogate, penalty):
-        common = dict(population_size=16, generations=10, uncertainty_penalty=penalty)
-        fast = ConfigurationOptimizer(surrogate, batched=True, **common).optimize(
-            0.6, seed=9
+        """``optimize`` against a GA run on the per-row oracle plus the
+        vendor-default floor scored through it."""
+        optimizer = ConfigurationOptimizer(
+            surrogate, population_size=16, generations=10, uncertainty_penalty=penalty
         )
-        ref = ConfigurationOptimizer(surrogate, batched=False, **common).optimize(
-            0.6, seed=9
-        )
-        assert fast.configuration == ref.configuration
-        assert fast.predicted_throughput == ref.predicted_throughput  # bitwise
-        assert fast.evaluations == ref.evaluations
+        fast = optimizer.optimize(0.6, seed=9)
+
+        fitness = scalar_fitness(optimizer, 0.6)
+        ref = GeneticAlgorithm(
+            optimizer.encoder, fitness_fn=fitness, population_size=16, generations=10
+        ).run(seed=9)
+        default_fitness = fitness(optimizer.default_genes)
+        if default_fitness > ref.best_fitness:
+            want = (SPACE.default_configuration(), default_fitness)
+        else:
+            want = (ref.best_configuration, ref.best_fitness)
+
+        assert (fast.configuration, fast.predicted_throughput) == want  # bitwise
+        assert fast.evaluations == ref.evaluations + 1
         assert fast.history == ref.history
+
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    def test_default_floor_scored_as_a_one_row_matrix(self, surrogate, penalty):
+        optimizer = ConfigurationOptimizer(surrogate, uncertainty_penalty=penalty)
+        default = optimizer.default_genes
+        for rr in np.linspace(0.0, 1.0, 101):
+            got = optimizer._fitness_batch(rr)(default[None, :])
+            assert got.shape == (1,)
+            assert float(got[0]) == scalar_fitness(optimizer, rr)(default)
 
     def test_uncertainty_penalty_single_ensemble_walk(self, surrogate):
         """The penalized fitness must not re-run the ensemble for the

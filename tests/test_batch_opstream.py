@@ -4,10 +4,10 @@ PR 2's batch≡scalar convention, applied to execution: an
 :class:`~repro.workload.generator.OperationBatch` pushed through
 :meth:`~repro.lsm.engine.LSMEngine.execute_batch` must leave the engine
 in the *bit-identical* state (stats, simulated clock, cache, layout)
-that iterating the same block through ``get``/``put``/``delete`` one op
-at a time would, and the supporting vectorized pieces (FNV hashing,
-bloom bulk ops, key-distribution batch draws) must match their scalar
-references exactly.
+that running the same block through ``get``/``put``/``delete`` one op
+at a time (``tests.oracles.apply_scalar``) would, and the supporting
+vectorized pieces (FNV hashing, bloom bulk ops, key-distribution batch
+draws) must match their scalar references exactly.
 """
 
 import copy
@@ -31,9 +31,10 @@ from repro.workload.keydist import (
     UniformKeyDistribution,
     ZipfianKeyDistribution,
 )
-from repro.workload.spec import DELETE, READ, WorkloadSpec
+from repro.workload.spec import WorkloadSpec
 
 from .conftest import MB, make_knobs
+from .oracles import apply_scalar, apply_scalar_columns
 
 
 def small_hardware() -> HardwareSpec:
@@ -55,20 +56,6 @@ def twin_engines(strategy):
         LSMEngine(make_knobs(compaction_method=strategy), small_hardware()),
         LSMEngine(make_knobs(compaction_method=strategy), small_hardware()),
     )
-
-
-def apply_scalar(engine: LSMEngine, block) -> list:
-    """The reference path: one op at a time, tracing the clock."""
-    trace = []
-    for op in block.iter_operations():
-        if op.kind == READ:
-            engine.get(op.key)
-        elif op.kind == DELETE:
-            engine.delete(op.key)
-        else:
-            engine.put(op.key, bytes(op.value_bytes))
-        trace.append(engine.clock.now)
-    return trace
 
 
 def engine_state(engine: LSMEngine) -> tuple:
@@ -95,15 +82,7 @@ def run_ops(batched: LSMEngine, scalar: LSMEngine, ops):
     keys = [key for _, key, _ in ops]
     sizes = np.array([size for _, _, size in ops])
     result = batched.execute_batch(kinds, keys, sizes)
-    trace = []
-    for kind, key, size in ops:
-        if kind == OP_READ:
-            scalar.get(key)
-        elif kind == OP_DELETE:
-            scalar.delete(key)
-        else:
-            scalar.put(key, bytes(size))
-        trace.append(scalar.clock.now)
+    trace = apply_scalar_columns(scalar, kinds, keys, sizes)
     assert engine_state(batched) == engine_state(scalar)
     assert np.array_equal(result.end_times, np.array(trace))
     return result
@@ -191,24 +170,22 @@ class TestExecuteBatchEquivalence:
         result = engine.execute_batch(
             block.kinds, block.key_names(), block.value_sizes
         )
-        kinds = [op.kind for op in block.iter_operations()]
         assert result.n_ops == 120
-        assert result.reads == kinds.count(READ)
-        assert result.deletes == kinds.count(DELETE)
+        assert result.reads == np.count_nonzero(block.kinds == OP_READ)
+        assert result.deletes == np.count_nonzero(block.kinds == OP_DELETE)
         assert result.writes == 120 - result.reads - result.deletes
 
 
 class TestGeneratorBatches:
-    def test_load_batch_matches_load_operations(self):
+    def test_load_batch_columns(self):
         spec = WorkloadSpec(read_ratio=0.5, n_keys=100, value_bytes=64)
-        scalar_gen = OperationGenerator(spec, np.random.default_rng(1))
-        batch_gen = OperationGenerator(spec, np.random.default_rng(1))
-        scalar_ops = list(scalar_gen.load_operations(40))
-        block = batch_gen.load_batch(40)
-        assert [op.key for op in scalar_ops] == block.key_names()
+        gen = OperationGenerator(spec, np.random.default_rng(1), loaded_keys=7)
+        block = gen.load_batch(40)
+        assert block.key_ids.tolist() == list(range(7, 47))
+        assert block.key_names() == [gen.key_dist.key_name(i) for i in range(7, 47)]
         assert np.all(block.kinds == OP_WRITE)
         assert np.all(block.value_sizes == spec.value_bytes)
-        assert scalar_gen._next_insert_id == batch_gen._next_insert_id
+        assert gen._next_insert_id == 47
 
     def test_operation_batch_is_seed_deterministic(self):
         spec = WorkloadSpec(read_ratio=0.7, n_keys=300, krd_mean_ops=40)
@@ -227,8 +204,7 @@ class TestGeneratorBatches:
         spec = WorkloadSpec(read_ratio=0.1, n_keys=100)
         gen = OperationGenerator(spec, np.random.default_rng(2), loaded_keys=100)
         block = gen.operation_batch(2000, read_ratio=0.95)
-        reads = sum(1 for op in block.iter_operations() if op.kind == READ)
-        assert reads / 2000 > 0.85
+        assert np.count_nonzero(block.kinds == OP_READ) / 2000 > 0.85
 
 
 class TestKeyDistributionBatches:
@@ -306,17 +282,15 @@ class TestRunEngineTail:
         datastore = CassandraLike()
         bench = YCSBBenchmark(datastore, report_interval=1e9)
         workload = WorkloadSpec(read_ratio=0.8, n_keys=500, krd_mean_ops=50)
-        for batched in (False, True):
-            result = bench.run_engine(
-                datastore.default_configuration(),
-                workload,
-                n_ops=400,
-                load_keys=150,
-                seed=3,
-                batched=batched,
-            )
-            assert len(result.series) >= 1
-            assert result.series[-1].ops_per_second > 0
+        result = bench.run_engine(
+            datastore.default_configuration(),
+            workload,
+            n_ops=400,
+            load_keys=150,
+            seed=3,
+        )
+        assert len(result.series) >= 1
+        assert result.series[-1].ops_per_second > 0
 
 
 def loaded_twins(strategy=SIZE_TIERED, n_keys=500, **knobs):

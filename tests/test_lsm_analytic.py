@@ -8,10 +8,8 @@ import pytest
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.lsm.analytic import AnalyticLSMModel, _soft_min
 from repro.lsm.sstable import BLOCK_BYTES
-from tests.test_lsm_analytic_properties import (
-    assert_run_equals_oracle,
-    reference_throughput,
-)
+from tests.oracles import reference_throughput
+from tests.test_lsm_analytic_properties import assert_run_equals_oracle
 
 
 MB = 1024 * 1024

@@ -12,17 +12,14 @@ from hypothesis import strategies as st
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike, Cluster, ScyllaLike
-from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
-from repro.lsm.analytic import (
-    CACHE_WARMUP_SECONDS,
-    AnalyticLSMModel,
-    StepResult,
-    WorkloadProfile,
-    _soft_min,
-)
+from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _soft_min
 from repro.lsm.knobs import EngineKnobs
-from repro.lsm.sstable import BLOCK_BYTES
-from repro.sim import costs
+from tests.oracles import (
+    oracle_cluster_step,
+    oracle_step,
+    reference_throughput,
+    soft_min_oracle,
+)
 
 SPACE = cassandra_space()
 
@@ -119,21 +116,8 @@ class TestAnalyticInvariants:
 
 # ---------------------------------------------------------------------------
 # The production solve against the equation evaluated with no term table
+# (``tests.oracles``)
 # ---------------------------------------------------------------------------
-
-
-def soft_min_oracle(caps):
-    """The power-mean soft minimum, on python floats only."""
-    finite = [c for c in caps if not (math.isinf(c) or math.isnan(c))]
-    if not finite:
-        return math.inf
-    scale = min(finite)
-    if scale <= 0:
-        return 0.0
-    total = 0.0
-    for c in finite:
-        total += math.pow(scale / c, 8.0)
-    return scale * math.pow(total, -1.0 / 8.0)
 
 
 def soft_min_numpy(caps):
@@ -145,161 +129,6 @@ def soft_min_numpy(caps):
     if scale <= 0:
         return 0.0
     return float(scale * np.power(np.sum((scale / finite) ** 8.0), -1.0 / 8.0))
-
-
-def reference_hit(model):
-    """The cache hit ratio at this instant, from the knobs and profile."""
-    knobs, sim_costs = model.knobs, model.costs
-    pages = knobs.file_cache_bytes / BLOCK_BYTES
-    if pages <= 0:
-        return 0.0
-    if max(model.dataset_bytes / BLOCK_BYTES, 1.0) <= pages:
-        steady = 1.0
-    else:
-        coverage = sim_costs.cache_coverage_ops_per_page
-        if knobs.compaction_method == LEVELED:
-            coverage *= sim_costs.leveled_cache_locality
-        steady = 1.0 - math.exp(-pages * coverage / model.profile.krd_mean_ops)
-    return steady * (1.0 - math.exp(-model.cache_age / CACHE_WARMUP_SECONDS))
-
-
-def reference_throughput(model, read_ratio):
-    """The bottleneck equation straight from ``sim.costs``: every term
-    recomputed from the model's knobs, hardware, costs and profile."""
-    knobs, hardware, sim_costs, profile = (
-        model.knobs, model.hardware, model.costs, model.profile
-    )
-    r, w = read_ratio, 1.0 - read_ratio
-    hit = reference_hit(model)
-
-    if knobs.compaction_method == LEVELED:
-        n_checked = len(model.l0_tables) + sum(1 for b in model.level_bytes[1:] if b > 0)
-    else:
-        n_checked = float(len(model.st_tables))
-    spread = costs.expected_version_spread(max(n_checked, 1.0), profile.update_fraction)
-    probed = min(
-        spread + knobs.bloom_fp_chance * max(n_checked - spread, 0.0),
-        max(n_checked, 1.0),
-    )
-    disk_probes = costs.expected_disk_probes_per_read(
-        spread, n_checked, knobs.bloom_fp_chance, hit
-    )
-    cpu_r = costs.read_cpu_seconds(n_checked, probed, probed * hit, sim_costs)
-    cpu_w = costs.write_cpu_seconds(sim_costs)
-
-    comp_rate = model._compaction_rate()
-    flush_active = model.memtable_bytes > 0.5 * knobs.flush_trigger_bytes
-    flush_rate = (
-        knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
-        if flush_active
-        else 0.0
-    ) * 0.5
-    seq_demand = comp_rate * sim_costs.compaction_io_factor + flush_rate
-    bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
-    bg_cpu = min(comp_rate * sim_costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
-    cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * (hardware.cpu_ghz / 3.0), 0.5)
-
-    cpu_per_op = (
-        r * cpu_r * costs.thread_contention(knobs.concurrent_reads, cores, sim_costs)
-        + w * cpu_w * costs.thread_contention(knobs.concurrent_writes, cores, sim_costs)
-    )
-    caps = [cores / cpu_per_op if cpu_per_op > 0 else math.inf]
-    if w > 0:
-        cl_bytes = costs.commitlog_bytes_per_write(profile.record_bytes, sim_costs)
-        caps.append(hardware.disk_seq_bandwidth * (1.0 - bg_seq) / (w * cl_bytes))
-        flush_bw = knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
-        caps.append(flush_bw / (w * profile.record_bytes))
-        caps.append(knobs.concurrent_writes / (w * sim_costs.write_thread_hold))
-    if r > 0:
-        iops = hardware.disk_rand_iops * hardware.disk_count
-        if r * disk_probes > 0:
-            caps.append(iops / (r * disk_probes))
-        if r * sim_costs.read_thread_hold > 0:
-            caps.append(knobs.concurrent_reads / (r * sim_costs.read_thread_hold))
-    return max(soft_min_oracle(caps) * model.run_bias, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# The per-second oracle: ``step`` and ``Cluster.step`` as they were written
-# before the stepping loop, on the untabled solve
-# ---------------------------------------------------------------------------
-
-
-def oracle_solve(model, read_ratio):
-    """The untabled equation, times a self-tuning store's modulation."""
-    x = reference_throughput(model, read_ratio)
-    tuner = getattr(model, "autotuner", None)
-    return x if tuner is None else x * tuner.multiplier(model.t)
-
-
-def oracle_absorb(model, reads, writes, dt):
-    """The general write and drain paths, then the clocks."""
-    model._apply_writes(writes)
-    model._drain_background(dt)
-    model.t += dt
-    model.cache_age += dt
-    model.total_ops += reads + writes
-
-
-def oracle_step(model, read_ratio, dt=1.0):
-    """One solve, one noise draw, one absorb, and a ``StepResult`` read
-    back off the model."""
-    x = oracle_solve(model, read_ratio)
-    if model.noise_sigma > 0:
-        x *= max(0.2, 1.0 + model.noise_sigma * model.rng.standard_normal())
-    reads = x * read_ratio * dt
-    writes = x * (1.0 - read_ratio) * dt
-    read_rate = x * read_ratio
-    write_rate = x * (1.0 - read_ratio)
-    read_lat = (
-        max(model.knobs.concurrent_reads / read_rate, model.costs.read_thread_hold)
-        if read_rate > 0
-        else 0.0
-    )
-    write_lat = (
-        max(model.knobs.concurrent_writes / write_rate, model.costs.write_thread_hold)
-        if write_rate > 0
-        else 0.0
-    )
-    oracle_absorb(model, reads, writes, dt)
-    return StepResult(
-        t=model.t,
-        dt=dt,
-        throughput=x,
-        reads=reads,
-        writes=writes,
-        sstable_count=model.sstable_count,
-        cache_hit_ratio=reference_hit(model),
-        compaction_backlog_bytes=model.compaction_backlog_bytes,
-        read_latency_s=read_lat,
-        write_latency_s=write_lat,
-    )
-
-
-def oracle_cluster_step(cluster, read_ratio, dt=1.0):
-    """``Cluster._solve`` + ``Cluster.step`` as they were: everything
-    re-derived every second, each node solved through the oracle."""
-    live = cluster.live_node_indices
-    rf = min(cluster.replication_factor, len(live))
-    node_reads = read_ratio * min(cluster.read_fanout, rf)
-    fanout = node_reads + (1.0 - read_ratio) * rf
-    node_rr = node_reads / fanout
-    per_node = min(
-        oracle_solve(cluster.nodes[i], node_rr) / cluster._slowdown.get(i, 1.0)
-        for i in live
-    )
-    x = min(per_node * len(live) / fanout, cluster.n_shooters * SHOOTER_CAPACITY_OPS)
-    node_ops = x * fanout / len(live)
-    reads = node_ops * node_rr * dt
-    writes = node_ops * (1.0 - node_rr) * dt
-    per_node_ops = [0.0] * cluster.n_nodes
-    for i in live:
-        oracle_absorb(cluster.nodes[i], reads, writes, dt)
-        per_node_ops[i] = node_ops
-    cluster.t += dt
-    return ClusterStepResult(
-        t=cluster.t, throughput=x, per_node_throughput=per_node_ops, dt=dt
-    )
 
 
 def assert_same_bits(got, want):

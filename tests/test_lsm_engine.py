@@ -10,6 +10,7 @@ from repro.lsm.engine import LSMEngine
 from repro.sim.clock import SimClock
 
 from tests.conftest import make_knobs
+from tests.oracles import reference_drain
 
 
 def fill(engine, n, size=60, prefix="key"):
@@ -222,36 +223,6 @@ class TestCostAccounting:
         engine = LSMEngine(small_knobs, clock=clock)
         engine.put("a", b"x")
         assert engine.clock.now > 100.0
-
-
-def reference_drain(engine, dt):
-    """``_drain_background`` as first written — a list copy of the queue
-    per turn and a scan of all of it for completions — kept as the
-    reference for the float operations and their order."""
-    if engine._flush_queue_bytes > 0:
-        flush_bw = engine.knobs.memtable_flush_writers * engine.costs.flush_writer_bandwidth
-        engine._flush_queue_bytes = max(0.0, engine._flush_queue_bytes - flush_bw * dt)
-    rate = engine._compaction_rate()
-    if rate <= 0.0:
-        return
-    budget = rate * dt
-    while budget > 0 and engine._pending_compactions:
-        active = list(engine._pending_compactions)[: engine.knobs.concurrent_compactors]
-        share = budget / len(active)
-        consumed = 0.0
-        for pending in active:
-            used = min(share, pending.remaining_bytes)
-            pending.remaining_bytes -= used
-            consumed += used
-        budget -= consumed
-        completed = [
-            p for p in list(engine._pending_compactions) if p.remaining_bytes <= 0
-        ]
-        for p in completed:
-            engine._pending_compactions.remove(p)
-            engine._complete_compaction(p.task)
-        if consumed <= 0:
-            break
 
 
 class TestBackgroundDrain:

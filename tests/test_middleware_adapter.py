@@ -156,6 +156,72 @@ class TestRollingRestart:
         assert [s.throughput for s in a.steps] == [s.throughput for s in b.steps]
 
 
+class TestNodeCyclingPinned:
+    """Rolling restart and drift repair share one node-cycling loop; the
+    reports and events below were captured before the two were merged."""
+
+    def test_partial_restart_then_repair_of_down_and_refusing_nodes(
+        self, cassandra, workload
+    ):
+        events = EventBus()
+        seen = []
+        events.subscribe(seen.append, topic="actuate")
+        adapter = SimulatedDatastoreAdapter(
+            cassandra,
+            n_nodes=3,
+            replication_factor=2,
+            profile=workload.to_profile(),
+            seed=7,
+            restart_seconds_per_node=5.0,
+            events=events,
+        )
+        adapter.provision(load_keys=workload.n_keys, settle_seconds=10.0)
+        target = cassandra.space.configuration(
+            compaction_method="LeveledCompactionStrategy", concurrent_writes=96
+        )
+        adapter.cluster.refuse_pushes(0)
+        adapter.cluster.refuse_pushes(2, 2)
+        restart = adapter.rolling_restart(target, read_ratio=0.5)
+        adapter.cluster.fail_node(0)
+        repair = adapter.repair_config((0, 2), read_ratio=0.5)
+
+        def fields(report):
+            return (
+                report.nodes_restarted, report.skipped_nodes, report.duration_s,
+                report.ops_served, report.ops_lost, len(report.steps),
+                report.applied_nodes, report.failed_nodes,
+            )
+
+        assert fields(restart) == (
+            3, (), 15.0, 1914720.0118167403, 1098740.0012759657, 15, (1,), (0, 2)
+        )
+        assert fields(repair) == (
+            1, (0,), 5.0, 436122.5239938789, 140558.02550790895, 5, (0,), (2,)
+        )
+        assert adapter.cluster.down_node_indices == [0]  # not resurrected
+        assert adapter.verify_config().drifted_nodes == (2,)
+        assert [(e.topic, e.message, e.payload) for e in seen[1:]] == [
+            (
+                "actuate.rolling_restart",
+                "rolling restart: 3 node(s) in 15s, 1,098,740 ops of capacity lost",
+                dict(
+                    nodes_restarted=3, skipped_nodes=(), duration_s=15.0,
+                    ops_served=1914720.0118167403, ops_lost=1098740.0012759657,
+                    applied_nodes=(1,), failed_nodes=(0, 2),
+                ),
+            ),
+            (
+                "actuate.repair",
+                "drift repair: re-pushed 1/2 node(s) in 5s "
+                "(140,558 ops of capacity lost)",
+                dict(
+                    nodes=(0, 2), applied_nodes=(0,), failed_nodes=(2,),
+                    duration_s=5.0, ops_lost=140558.02550790895,
+                ),
+            ),
+        ]
+
+
 class TestLifecycleEvents:
     def test_actuation_topics_published(self, cassandra, workload):
         events = EventBus()

@@ -70,6 +70,17 @@ def tiny_surrogate():
     return model.fit(PerformanceDataset(samples, PARAMS), seed=2)
 
 
+@pytest.fixture(autouse=True)
+def clean_worker_cache():
+    """The worker-side blob cache is module-level state, and any
+    in-parent run of a shard task (a ``SerialBackend`` serve, the pool's
+    single-task shortcut) fills the *parent's* copy: a pool forked by a
+    later test would inherit the blob and hit where it should miss."""
+    reset_worker_state_cache()
+    yield
+    reset_worker_state_cache()
+
+
 def make_rafiki(cassandra, tiny_surrogate):
     rafiki = Rafiki(
         cassandra, tiny_surrogate, PARAMS, seed=0, rr_cache_resolution=0.01
@@ -130,6 +141,39 @@ def rafiki_state(rafiki):
     )
 
 
+RESTART_SERIES = {"a": [0.30, 0.30, 0.30], "b": [0.30, 0.30, 0.30]}
+
+
+def assert_restarted_workers_miss_then_refetch(cassandra, tiny_surrogate):
+    """Close the pool after round 1: round 2's fingerprint-only tasks
+    land on fresh workers, miss, refetch — and change no result."""
+    ref = serve(
+        cassandra, make_rafiki(cassandra, tiny_surrogate), dict(RESTART_SERIES)
+    )
+    backend = ProcessPoolBackend(workers=2)
+
+    def kill_pool_after_round_1(event):
+        if event.payload.get("window") == 1:
+            backend.close()  # next round starts blob-less workers
+
+    rafiki = make_rafiki(cassandra, tiny_surrogate)
+    got = serve(
+        cassandra,
+        rafiki,
+        dict(RESTART_SERIES),
+        backend=backend,
+        on_window=kill_pool_after_round_1,
+    )
+    backend.close()
+    report = got[2].state_report()
+    assert report["state_misses"] == 2
+    assert backend.pools_created == 2
+    # The refetch path must not cost bit-identity.
+    assert got[0] == ref[0]
+    assert got[1] == ref[1]
+    assert rafiki_state(rafiki) == rafiki_state(ref[2].rafiki)
+
+
 class TestFingerprint:
     def test_stable_and_compact(self):
         assert state_fingerprint(b"abc") == state_fingerprint(b"abc")
@@ -140,12 +184,6 @@ class TestFingerprint:
 
 
 class TestWorkerBlobCache:
-    @pytest.fixture(autouse=True)
-    def clean_cache(self):
-        reset_worker_state_cache()
-        yield
-        reset_worker_state_cache()
-
     def test_blob_shipment_installs_and_caches(self):
         blob = b"state-v1"
         shipment = StateShipment(state_fingerprint(blob), blob)
@@ -301,33 +339,7 @@ class TestServeStateShipping:
         assert report["payload_bytes"] < full_cost
 
     def test_worker_restart_misses_then_refetches(self, cassandra, tiny_surrogate):
-        series = {"a": [0.30, 0.30, 0.30], "b": [0.30, 0.30, 0.30]}
-        ref = serve(
-            cassandra, make_rafiki(cassandra, tiny_surrogate), dict(series)
-        )
-        backend = ProcessPoolBackend(workers=2)
-
-        def kill_pool_after_round_1(event):
-            if event.payload.get("window") == 1:
-                backend.close()  # next round starts blob-less workers
-
-        rafiki = make_rafiki(cassandra, tiny_surrogate)
-        got = serve(
-            cassandra,
-            rafiki,
-            dict(series),
-            backend=backend,
-            on_window=kill_pool_after_round_1,
-        )
-        backend.close()
-        report = got[2].state_report()
-        # Round 2's fingerprint-only tasks all landed on fresh workers.
-        assert report["state_misses"] == 2
-        assert backend.pools_created == 2
-        # The refetch path must not cost bit-identity.
-        assert got[0] == ref[0]
-        assert got[1] == ref[1]
-        assert rafiki_state(rafiki) == rafiki_state(ref[2].rafiki)
+        assert_restarted_workers_miss_then_refetch(cassandra, tiny_surrogate)
 
     def test_retrain_reships_the_blob(self, cassandra, tiny_surrogate):
         def perturb_after_round_1(rafiki):
@@ -415,3 +427,24 @@ class TestServeStateShipping:
             }
         # Exiting the context closed the scheduler-owned pool.
         assert scheduler.backend._executor is None
+
+
+class TestParentCacheDoesNotLeakAcrossTests:
+    """In definition order: the first test leaves the blob in this
+    process's worker cache; without ``clean_worker_cache`` the second
+    one's "fresh" forked workers inherit it and hit (0 misses, not 2)."""
+
+    def test_in_parent_serve_caches_its_blob_in_the_parent(
+        self, cassandra, tiny_surrogate
+    ):
+        rafiki = make_rafiki(cassandra, tiny_surrogate)
+        _, _, scheduler = serve(
+            cassandra,
+            rafiki,
+            dict(RESTART_SERIES),
+            backend=SerialBackend(),
+        )
+        assert install_shipment(StateShipment(scheduler._state_fingerprint()))[1]
+
+    def test_then_restarted_workers_still_miss(self, cassandra, tiny_surrogate):
+        assert_restarted_workers_miss_then_refetch(cassandra, tiny_surrogate)

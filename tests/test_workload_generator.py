@@ -1,7 +1,8 @@
 import numpy as np
 
-from repro.workload.generator import Operation, OperationGenerator
-from repro.workload.spec import DELETE, READ, WRITE, WorkloadSpec
+from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE
+from repro.workload.generator import OperationGenerator
+from repro.workload.spec import WorkloadSpec
 
 
 def make_gen(rr=0.5, seed=0, **kw):
@@ -12,67 +13,60 @@ def make_gen(rr=0.5, seed=0, **kw):
 class TestLoadPhase:
     def test_load_is_sequential_inserts(self):
         gen = make_gen()
-        ops = list(gen.load_operations(10))
-        assert all(op.kind == WRITE for op in ops)
-        assert len({op.key for op in ops}) == 10
+        block = gen.load_batch(10)
+        assert np.all(block.kinds == OP_WRITE)
+        assert block.key_ids.tolist() == list(range(1000, 1010))
+        assert len(set(block.key_names())) == 10
 
     def test_load_continues_key_sequence(self):
         gen = make_gen()
-        first = list(gen.load_operations(5))
-        second = list(gen.load_operations(5))
-        assert set(o.key for o in first).isdisjoint(o.key for o in second)
+        first = gen.load_batch(5)
+        second = gen.load_batch(5)
+        assert set(first.key_names()).isdisjoint(second.key_names())
+        # Run-phase inserts take up where the load left the cursor.
+        inserts = make_gen(rr=0.0, update_fraction=0.0)
+        inserts.load_batch(5)
+        assert inserts.operation_batch(3).key_ids.tolist() == [1005, 1006, 1007]
 
 
 class TestRunPhase:
     def test_read_ratio_approximated(self):
-        gen = make_gen(rr=0.7)
-        ops = list(gen.operations(5000))
-        reads = sum(1 for op in ops if op.kind == READ)
-        assert 0.65 < reads / len(ops) < 0.75
+        block = make_gen(rr=0.7).operation_batch(5000)
+        assert 0.65 < np.count_nonzero(block.kinds == OP_READ) / len(block) < 0.75
 
     def test_pure_writes(self):
-        gen = make_gen(rr=0.0)
-        assert all(op.kind == WRITE for op in gen.operations(200))
+        assert np.all(make_gen(rr=0.0).operation_batch(200).kinds == OP_WRITE)
 
     def test_pure_reads(self):
-        gen = make_gen(rr=1.0)
-        assert all(op.kind == READ for op in gen.operations(200))
+        assert np.all(make_gen(rr=1.0).operation_batch(200).kinds == OP_READ)
 
     def test_deletes_generated(self):
-        gen = make_gen(rr=0.5, delete_fraction=0.2)
-        kinds = [op.kind for op in gen.operations(3000)]
-        assert kinds.count(DELETE) > 0
+        block = make_gen(rr=0.5, delete_fraction=0.2).operation_batch(3000)
+        assert np.count_nonzero(block.kinds == OP_DELETE) > 0
 
     def test_updates_vs_inserts(self):
-        all_updates = make_gen(rr=0.0, update_fraction=1.0)
-        ops = list(all_updates.operations(500))
+        all_updates = make_gen(rr=0.0, update_fraction=1.0).operation_batch(500)
         # Pure updates only touch the already-loaded range.
-        assert len({op.key for op in ops}) <= 1000
+        assert all_updates.key_ids.max() < 1000
 
-        all_inserts = make_gen(rr=0.0, update_fraction=0.0)
-        ops = list(all_inserts.operations(500))
-        assert len({op.key for op in ops}) == 500
+        all_inserts = make_gen(rr=0.0, update_fraction=0.0).operation_batch(500)
+        assert all_inserts.key_ids.tolist() == list(range(1000, 1500))
 
     def test_write_ops_carry_value_size(self):
-        gen = make_gen(rr=0.0, value_bytes=99)
-        op = next(iter(gen))
-        assert op.value_bytes == 99
-
-    def test_payload_matches_size(self):
-        rng = np.random.default_rng(0)
-        op = Operation(kind=WRITE, key="k", value_bytes=44)
-        assert len(op.payload(rng)) == 44
+        block = make_gen(rr=0.5, value_bytes=99).operation_batch(200)
+        assert np.all(block.value_sizes[block.kinds == OP_WRITE] == 99)
 
     def test_read_payload_empty(self):
-        rng = np.random.default_rng(0)
-        assert Operation(kind=READ, key="k").payload(rng) == b""
+        block = make_gen(rr=0.5, delete_fraction=0.2).operation_batch(500)
+        assert np.all(block.value_sizes[block.kinds != OP_WRITE] == 0)
 
     def test_deterministic_given_seed(self):
-        a = [op.key for op in make_gen(seed=9).operations(100)]
-        b = [op.key for op in make_gen(seed=9).operations(100)]
-        assert a == b
+        a = make_gen(seed=9).operation_batch(100)
+        b = make_gen(seed=9).operation_batch(100)
+        assert a.key_names() == b.key_names()
+        assert np.array_equal(a.kinds, b.kinds)
 
     def test_reads_target_existing_keys(self):
-        gen = make_gen(rr=1.0)
-        for op in gen.operations(300):
-            assert int(op.key[4:]) < 1000
+        block = make_gen(rr=1.0).operation_batch(300)
+        assert block.key_ids.max() < 1000
+        assert all(int(name[4:]) < 1000 for name in block.key_names())
