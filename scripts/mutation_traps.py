@@ -1,0 +1,188 @@
+#!/usr/bin/env python
+"""Mutation traps: each row breaks one invariant of ``src/`` on purpose
+and names the tier-1 test that must notice.
+
+A bit-identity claim is only as good as the tests that would catch its
+loss.  Every row is ``(what it breaks, file under src/, [(find, replace),
+...], failing test id)``.  The script first runs all the named tests on
+the untouched tree (they must pass), then applies each row to a
+temporary copy of ``src/`` — every ``find`` must occur exactly once, so
+a row that has drifted from the code fails loudly instead of mutating
+nothing — and runs the named test against the copy, which must fail.
+
+Run from the repo root (~1 min)::
+
+    python scripts/mutation_traps.py            # all rows
+    python scripts/mutation_traps.py snap       # rows whose name contains "snap"
+
+Exit status 0 = every trap is live; 1 = a mutant survived, a ``find``
+did not match, or a named test fails on the untouched tree.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+GA = "repro/ga/algorithm.py"
+ENSEMBLE = "repro/ml/ensemble.py"
+EQUIVALENCE = "tests/test_batch_equivalence.py"
+REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
+
+TRAPS = [
+    (
+        "book the riding winner after the generation's own bookkeeping",
+        GA,
+        [
+            (
+                "                book(\n"
+                "                    generation - 1,\n"
+                "                    winner,\n"
+                "                    float(raw[-1]),\n"
+                "                    self.evaluations - self.population_size,\n"
+                "                )\n",
+                "                late = (generation - 1, winner, float(raw[-1]),\n"
+                "                        self.evaluations - self.population_size)\n",
+            ),
+            (
+                "            winner = self.encoder.snap(population[int(np.argmax(fitness))])\n",
+                "            rode, winner = winner, self.encoder.snap(\n"
+                "                population[int(np.argmax(fitness))])\n",
+            ),
+            (
+                "                if book(generation, winner, raw_winner, self.evaluations):\n"
+                "                    break\n"
+                "                winner = None\n",
+                "                if book(generation, winner, raw_winner, self.evaluations):\n"
+                "                    break\n"
+                "                winner = None\n"
+                "            if rode is not None:\n"
+                "                book(*late)\n",
+            ),
+        ],
+        f"{REFERENCE}::test_plateau_stops_on_the_reference_generation",
+    ),
+    (
+        "no score on the spot when one more stagnant generation ends the search",
+        GA,
+        [
+            (
+                "if generation == self.generations or stagnant + 1 >= self.stagnation_limit:",
+                "if generation == self.generations:",
+            )
+        ],
+        f"{REFERENCE}::test_plateau_stops_on_the_reference_generation",
+    ),
+    (
+        "publish self.evaluations as it stands when a riding winner is booked",
+        GA,
+        [
+            (
+                "self.evaluations - self.population_size,",
+                "self.evaluations,",
+            )
+        ],
+        f"{REFERENCE}::test_surrogate_search",
+    ),
+    (
+        "seed genes outside the bounds accepted",
+        GA,
+        [
+            (
+                "if not np.all((genes >= lower) & (genes <= upper)):",
+                "if False:",
+            )
+        ],
+        "tests/test_ga_algorithm.py::TestGeneticAlgorithm"
+        "::test_initial_genes_out_of_bounds_rejected",
+    ),
+    (
+        "snap keeps the -0.0 that np.round gives small negatives",
+        "repro/ga/encoding.py",
+        [("np.round(clipped) + 0.0", "np.round(clipped)")],
+        f"{EQUIVALENCE}::TestEncoderBatchEquivalence"
+        "::test_snap_matches_decode_encode_round_trip_bitwise",
+    ),
+    (
+        "rows-innermost on a fan_out == 1 layer",
+        ENSEMBLE,
+        [
+            ("wide = sizes[i] > 1 and sizes[i + 1] > 1", "wide = sizes[i] > 1"),
+            ("wide = w.shape[1] > 1 and w.shape[2] > 1", "wide = w.shape[1] > 1"),
+            (
+                "forwards = a[:, :, 0]",
+                "forwards = a[:, 0, :] if rows_inner else a[:, :, 0]",
+            ),
+        ],
+        f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
+        "::test_stacked_forward_matches_per_member_oracle",
+    ),
+    (
+        "a wide layer's bias left (M, 1, fan_out)",
+        ENSEMBLE,
+        [
+            (
+                "np.ascontiguousarray(b[:, :, None]) if wide else b[:, None, :]",
+                "b[:, None, :]",
+            )
+        ],
+        f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
+        "::test_stacked_forward_matches_per_member_oracle",
+    ),
+]
+
+
+def run_tests(src: Path, test_ids) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_ids],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def main(argv) -> int:
+    traps = [t for t in TRAPS if all(word in t[0] for word in argv)]
+    if not traps:
+        print("no trap matches", argv)
+        return 1
+    baseline = run_tests(REPO / "src", sorted({t[3] for t in traps}))
+    if baseline.returncode != 0:
+        print("the named tests do not pass on the untouched tree:")
+        print(baseline.stdout[-2000:])
+        return 1
+    survivors = 0
+    for name, rel, edits, test_id in traps:
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(
+                REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+            )
+            text = (src / rel).read_text()
+            for find, replace in edits:
+                if text.count(find) != 1:
+                    print(f"STALE    {name}: {find!r} occurs {text.count(find)}x in {rel}")
+                    survivors += 1
+                    break
+                text = text.replace(find, replace)
+            else:
+                (src / rel).write_text(text)
+                done = run_tests(src, [test_id])
+                caught = done.returncode == 1  # ran and failed; 2 = could not collect
+                survivors += not caught
+                print(f"{'caught  ' if caught else 'SURVIVED'} {name}")
+                why = [ln for ln in done.stdout.splitlines() if ln.startswith(("FAILED", "ERROR"))]
+                print(f"         {(why or [test_id])[0][:160]}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -112,16 +112,21 @@ class SurrogateModel:
         """Predicted AOPS for a concrete configuration."""
         return float(self.predict_features(self.encode(read_ratio, config)[None, :])[0])
 
-    def predict_features(self, rows: np.ndarray) -> np.ndarray:
-        """Predict from raw feature rows (the GA's hot path)."""
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """The query boundary's one check: fitted, float, 2-D."""
         if not self.is_fitted:
             raise TrainingError("surrogate queried before fit()")
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        rows = np.asarray(rows, dtype=float)
+        return rows[None, :] if rows.ndim == 1 else rows
+
+    def predict_features(self, rows: np.ndarray) -> np.ndarray:
+        """Predict from raw feature rows (the GA's hot path)."""
+        rows = self._rows(rows)
         t0 = time.perf_counter()
         out = self.ensemble.predict(rows)
         self.stats.query_wall_seconds += time.perf_counter() - t0
         self.stats.n_queries += rows.shape[0]
-        return np.asarray(out, dtype=float).ravel()
+        return out
 
     def predict_mean_std(self, rows: np.ndarray):
         """Mean prediction and ensemble spread in one member walk.
@@ -131,14 +136,12 @@ class SurrogateModel:
         run every member network twice on the same rows.  Returns
         ``(mean, std)``, each ``(n,)``.
         """
-        if not self.is_fitted:
-            raise TrainingError("surrogate queried before fit()")
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        rows = self._rows(rows)
         t0 = time.perf_counter()
         mean, std = self.ensemble.predict_mean_std(rows)
         self.stats.query_wall_seconds += time.perf_counter() - t0
         self.stats.n_queries += rows.shape[0]
-        return np.asarray(mean, dtype=float).ravel(), np.asarray(std, dtype=float).ravel()
+        return mean, std
 
     def predict_dataset(self, dataset: PerformanceDataset) -> np.ndarray:
         """Predictions for every sample of a dataset (validation path)."""

@@ -21,16 +21,18 @@ identically, so a batch function whose rows match the scalar function
 bit-for-bit yields a bit-identical :class:`GAResult`.
 
 The population is one ``(P, n_genes)`` matrix from the first draw to the
-last generation: selection, crossover, mutation, the penalty and the
-feasibility snap all run in array space, and a
+last generation, and every row of it lies within the encoder's bounds:
+selection, crossover, mutation, the penalty and the feasibility snap
+all run in array space, and a
 :class:`~repro.config.space.Configuration` is built exactly once, for
-the winner.
+the winner.  A generation costs one fitness call: its population plus
+the previous generation's snapped winner (see :meth:`GeneticAlgorithm.run`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +109,12 @@ class GeneticAlgorithm:
             raise SearchError("need at least one generation")
         if not (0 <= elites < population_size):
             raise SearchError("elites must fit inside the population")
+        if not (0.0 <= mutation_rate <= 1.0):
+            raise SearchError("mutation_rate must be in [0, 1]")
+        if not mutation_scale >= 0.0:
+            raise SearchError("mutation_scale must be non-negative")
+        if stagnation_limit < 1:
+            raise SearchError("stagnation_limit must be at least 1")
         if fitness_fn is None and fitness_batch_fn is None:
             raise SearchError("need fitness_fn or fitness_batch_fn")
         self.encoder = encoder
@@ -142,11 +150,12 @@ class GeneticAlgorithm:
     ) -> np.ndarray:
         """Deb-penalized fitness for the whole population.
 
-        Elementwise ``np.where`` matches :func:`penalized_fitness` bit
-        for bit: feasible rows pass through untouched, infeasible rows
-        subtract the same product.
+        The population is within bounds, so its violation is the
+        integrality gap alone.  Elementwise ``np.where`` matches
+        :func:`penalized_fitness` bit for bit: feasible rows pass through
+        untouched, infeasible rows subtract the same product.
         """
-        violations = self.encoder.violation_batch(population)
+        violations = self.encoder._integrality_gap(population)
         return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
 
     def _publish(self, topic: str, message: str, **payload) -> None:
@@ -162,92 +171,110 @@ class GeneticAlgorithm:
     ) -> GAResult:
         """Run the GA; returns the best *feasible* configuration found.
 
-        ``initial`` gene vectors replace the first rows of the random
-        initial population.
+        ``initial`` gene vectors, each within the encoder's bounds,
+        replace the first rows of the random initial population.
+
+        Every generation's winner is snapped to feasibility and re-scored
+        on its snapped genes, so the reported fitness belongs to an
+        applicable configuration.  That one-row score rides as the last
+        row of the *next* generation's batch and the generation is booked
+        right after that call; it is scored at once only where booking it
+        can end the search (the last generation, or one more stagnant
+        generation reaching the limit).  Rows scored, RNG draws and
+        events are those of scoring every winner at once.
         """
-        n_genes = self.encoder.n_genes
+        lower, upper, n_genes = self.encoder.lower, self.encoder.upper, self.encoder.n_genes
         initial_genes = [np.asarray(genes, dtype=float) for genes in initial or ()]
         for genes in initial_genes:
             if genes.shape != (n_genes,):
                 raise SearchError(
                     f"initial genes must have shape ({n_genes},), got {genes.shape}"
                 )
+            if not np.all((genes >= lower) & (genes <= upper)):
+                raise SearchError("initial genes must lie within the encoder's bounds")
         rng = derive_rng(seed)
         self.evaluations = 0
         self._publish(
             "search.start",
-            f"GA search over {self.encoder.n_genes} genes",
+            f"GA search over {n_genes} genes",
             population=self.population_size,
             generations=self.generations,
             batched=self.fitness_batch_fn is not None,
         )
+        n_children = self.population_size - self.elites
+        parent_rows = np.arange(2 * n_children)
+        best_genes, best_fit, stagnant, history = None, None, 0, []
 
-        # One block draw: the same stream, and the same rows, as
-        # ``population_size`` calls of ``encoder.random_genes``.
-        population = rng.uniform(
-            self.encoder.lower, self.encoder.upper, size=(self.population_size, n_genes)
-        )
-        for i, genes in enumerate(initial_genes[: self.population_size]):
-            population[i] = genes
-
-        raw_first = self._raw_fitness_many(population)
-        if self.penalty_scale is not None:
-            penalty_scale = self.penalty_scale
-        else:
-            spread = max(np.ptp(raw_first), abs(np.mean(raw_first)) * 0.1, 1e-9)
-            penalty_scale = 2.0 * spread
-        fitness = self._penalized_many(population, raw_first, penalty_scale)
-
-        best_genes, best_fit = self._best_feasible(population, fitness)
-        history = [best_fit]
-        stagnant = 0
-        generation = 0
-
-        for generation in range(1, self.generations + 1):
-            # Variation runs population-at-a-time: every child's parents,
-            # crossover weights, and mutation draws come from one block
-            # RNG call each, so per-generation python overhead is O(1)
-            # in the population size.  Both fitness modes share this
-            # block, which keeps their RNG streams — and hence their
-            # trajectories — identical.
-            order = np.argsort(fitness)[::-1]
-            n_children = self.population_size - self.elites
-            ia = tournament_select_many(fitness, rng, n_children)
-            ib = tournament_select_many(fitness, rng, n_children)
-            children = weighted_average_crossover_many(
-                population[ia], population[ib], rng
-            )
-            children = gaussian_mutation_many(
-                children,
-                self.encoder.lower,
-                self.encoder.upper,
-                self.encoder.span,
-                rng,
-                rate=self.mutation_rate,
-                scale=self.mutation_scale,
-            )
-            population = np.concatenate(
-                (population[order[: self.elites]], children)
-            )
-            raw = self._raw_fitness_many(population)
-            fitness = self._penalized_many(population, raw, penalty_scale)
-
-            gen_best_genes, gen_best_fit = self._best_feasible(population, fitness)
-            if gen_best_fit > best_fit + 1e-12:
-                best_genes, best_fit = gen_best_genes, gen_best_fit
-                stagnant = 0
+        def book(generation: int, genes: np.ndarray, raw: float, evaluations: int) -> bool:
+            """Settle a generation on its re-scored winner; True ends the search."""
+            nonlocal best_genes, best_fit, stagnant
+            if generation == 0 or raw > best_fit + 1e-12:
+                best_genes, best_fit, stagnant = genes, raw, 0
             else:
                 stagnant += 1
             history.append(best_fit)
-            self._publish(
-                "search.generation",
-                f"generation {generation}: best {best_fit:,.1f}",
-                generation=generation,
-                best_fitness=best_fit,
-                evaluations=self.evaluations,
-            )
-            if stagnant >= self.stagnation_limit:
-                break
+            if generation:
+                self._publish(
+                    "search.generation",
+                    f"generation {generation}: best {best_fit:,.1f}",
+                    generation=generation,
+                    best_fitness=best_fit,
+                    evaluations=evaluations,
+                )
+            return stagnant >= self.stagnation_limit
+
+        # The population stays within bounds from here on: a uniform
+        # draw (the same stream, and the same rows, as ``population_size``
+        # calls of ``encoder.random_genes``), validated seeds, and
+        # children clipped by the mutation.
+        population = rng.uniform(lower, upper, size=(self.population_size, n_genes))
+        for i, genes in enumerate(initial_genes[: self.population_size]):
+            population[i] = genes
+        winner = None  # the previous generation's, when it rides along
+        for generation in range(self.generations + 1):
+            if generation:
+                # Variation runs population-at-a-time: every child's
+                # parents, crossover weights and mutation draws come from
+                # one block RNG call each.
+                elite_rows = np.argsort(fitness)[::-1][: self.elites]
+                parents = population[tournament_select_many(fitness, rng, parent_rows)]
+                children = weighted_average_crossover_many(
+                    parents[:n_children], parents[n_children:], rng
+                )
+                children = gaussian_mutation_many(
+                    children,
+                    lower,
+                    upper,
+                    self.encoder.span,
+                    rng,
+                    rate=self.mutation_rate,
+                    scale=self.mutation_scale,
+                )
+                population = np.concatenate((population[elite_rows], children))
+            if winner is None:
+                raw = self._raw_fitness_many(population)
+            else:
+                raw = self._raw_fitness_many(np.concatenate((population, winner[None, :])))
+                book(
+                    generation - 1,
+                    winner,
+                    float(raw[-1]),
+                    self.evaluations - self.population_size,
+                )
+                raw = raw[:-1]
+            if generation == 0:
+                if self.penalty_scale is not None:
+                    penalty_scale = self.penalty_scale
+                else:
+                    spread = max(np.ptp(raw), abs(np.mean(raw)) * 0.1, 1e-9)
+                    penalty_scale = 2.0 * spread
+            fitness = self._penalized_many(population, raw, penalty_scale)
+            winner = self.encoder.snap(population[int(np.argmax(fitness))])
+            if generation == self.generations or stagnant + 1 >= self.stagnation_limit:
+                raw_winner = float(self._raw_fitness_many(winner[None, :])[0])
+                if book(generation, winner, raw_winner, self.evaluations):
+                    break
+                winner = None
 
         config = self.encoder.decode(best_genes)
         self._publish(
@@ -264,15 +291,3 @@ class GeneticAlgorithm:
             generations=generation,
             history=history,
         )
-
-    def _best_feasible(
-        self, population: np.ndarray, fitness: np.ndarray
-    ) -> Tuple[np.ndarray, float]:
-        """Best individual after snapping to feasibility.
-
-        The winner is re-scored on its *snapped* genes so the reported
-        fitness corresponds to an actually applicable configuration.
-        """
-        snapped = self.encoder.snap(population[int(np.argmax(fitness))])
-        raw = float(self._raw_fitness_many(snapped[None, :])[0])
-        return snapped, raw

@@ -111,7 +111,7 @@ class ConfigurationEncoder:
         return Configuration(self.space, overrides)
 
     def features(self, genes: np.ndarray, read_ratio: float) -> np.ndarray:
-        """Surrogate feature row for (possibly infeasible) genes.
+        """Surrogate feature row for in-bounds (possibly infeasible) genes.
 
         Infeasible points still get a performance estimate — the paper
         penalizes them but does not discard them — so features come from
@@ -122,17 +122,19 @@ class ConfigurationEncoder:
     def features_batch(self, genes_matrix: np.ndarray, read_ratio: float) -> np.ndarray:
         """Feature rows for a whole gene matrix: ``(n, g) -> (n, 1 + g)``.
 
-        The batched GA fitness path; row ``i`` is bit-identical to
+        The GA's fitness path; row ``i`` is bit-identical to
         ``features(genes_matrix[i], read_ratio)`` (elementwise ops only).
+        Genes are unit-scaled as they come: the GA's population, snapped
+        winners and encoded configurations all lie within bounds.
         """
-        genes = np.atleast_2d(np.asarray(genes_matrix, dtype=float))
-        if genes.shape[1] != self.n_genes:
-            raise SearchError(f"expected {self.n_genes} genes per row, got {genes.shape[1]}")
-        genes = np.clip(genes, self.lower, self.upper)
-        unit = (genes - self.lower) / self.span
+        genes = np.asarray(genes_matrix, dtype=float)
+        if genes.ndim != 2 or genes.shape[1] != self.n_genes:
+            raise SearchError(
+                f"expected an (n, {self.n_genes}) gene matrix, got shape {genes.shape}"
+            )
         rows = np.empty((genes.shape[0], 1 + self.n_genes))
         rows[:, 0] = read_ratio
-        rows[:, 1:] = unit
+        np.divide(genes - self.lower, self.span, out=rows[:, 1:])
         return rows
 
     def violation(self, genes: np.ndarray) -> float:
@@ -157,7 +159,12 @@ class ConfigurationEncoder:
         below = np.maximum(self.lower - genes, 0.0) / self.span
         above = np.maximum(genes - self.upper, 0.0) / self.span
         total = np.sum(below + above, axis=1)
-        inside = np.clip(genes, self.lower, self.upper)
-        frac = np.abs(inside - np.round(inside))
-        total += np.sum(frac[:, self.integral], axis=1)
+        total += self._integrality_gap(np.clip(genes, self.lower, self.upper))
         return total
+
+    def _integrality_gap(self, inside: np.ndarray) -> np.ndarray:
+        """Per-row distance of *in-bounds* genes from integrality: all of
+        :meth:`violation_batch` there, since the bound terms sum to an
+        exact ``0.0`` — what the GA charges its clipped population."""
+        frac = np.abs(inside - np.round(inside))
+        return np.sum(frac[:, self.integral], axis=1)

@@ -74,22 +74,24 @@ def tournament_select(
 
 
 def tournament_select_many(
-    fitness: Sequence[float],
+    fitness: np.ndarray,
     rng: np.random.Generator,
-    count: int,
+    rows: np.ndarray,
     k: int = 3,
 ) -> np.ndarray:
-    """``count`` independent tournament winners: ``(count,)`` indices.
+    """One tournament winner per entry of ``rows``: ``(count,)`` indices.
 
-    Ties go to the earliest-drawn contender, matching the scalar
-    operator's strict-improvement scan.
+    ``rows`` is ``np.arange(count)``, which the caller derives once per
+    search.  One call for ``2 * count`` winners draws the same stream as
+    two calls for ``count``, so both parents of every child come from
+    one draw.  Ties go to the earliest-drawn contender, matching the
+    scalar operator's strict-improvement scan.
     """
     n = len(fitness)
     if n == 0:
         raise ValueError("empty population")
-    contenders = rng.integers(n, size=(count, min(k, n)))
-    fvals = np.asarray(fitness)[contenders]
-    return contenders[np.arange(count), np.argmax(fvals, axis=1)]
+    contenders = rng.integers(n, size=(len(rows), min(k, n)))
+    return contenders[rows, np.argmax(fitness[contenders], axis=1)]
 
 
 def weighted_average_crossover_many(

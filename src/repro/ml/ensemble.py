@@ -220,8 +220,11 @@ class NetworkEnsemble:
         self._stacked = None
 
     def _stacked_layers(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-layer ``(M, fan_in, fan_out)`` weights and ``(M, 1, fan_out)``
-        biases of the members, restacked whenever a member array changed.
+        """Per-layer ``(M, fan_in, fan_out)`` weights and biases of the
+        members, restacked whenever a member array changed.  A wide
+        layer's bias is held ``(M, fan_out, 1)``, a width-1 layer's
+        ``(M, 1, fan_out)``: the shape its pre-activations come out in
+        (see :meth:`_member_mean`).
 
         Callers *rebind* member arrays (``set_weights``, a loaded
         ``networks`` list, ``net.weights[0] = ...``), so the stack is
@@ -247,10 +250,11 @@ class NetworkEnsemble:
             np.stack([net.weights[i] for net in self.networks])
             for i in range(n_layers)
         ]
-        biases = [
-            np.stack([net.biases[i] for net in self.networks])[:, None, :]
-            for i in range(n_layers)
-        ]
+        biases = []
+        for i in range(n_layers):
+            b = np.stack([net.biases[i] for net in self.networks])
+            wide = sizes[i] > 1 and sizes[i + 1] > 1
+            biases.append(np.ascontiguousarray(b[:, :, None]) if wide else b[:, None, :])
         self._stacked = (sources, weights, biases)
         return weights, biases
 
@@ -261,16 +265,38 @@ class NetworkEnsemble:
         over the whole ensemble: ``(n, d) -> (M, n)``.  ``einsum`` (not
         BLAS ``@``) keeps every output row bit-identical whether it is
         evaluated alone or inside a batch, and row ``m`` bit-identical
-        to ``networks[m].forward_rows(xs)``.  The mean accumulates the
-        members sequentially with elementwise ops: unlike an
-        ``np.mean`` axis reduction (whose unrolled base cases change
-        accumulation order with the column count), it is row-stable too.
+        to ``networks[m].forward_rows(xs)``.
+
+        A wide layer (``fan_in > 1 and fan_out > 1``) runs rows-innermost:
+        activations are held ``(M, width, n)`` and the contraction's inner
+        loop walks the row axis instead of a fan axis 4-14 long.  Either
+        layout is the same multiply-add per output element, sequential
+        in ``j``, so the bits do not move.  A width-1 layer reduces
+        through a dot kernel whose accumulation order follows its
+        operands' strides, so it keeps the ``(M, n, fan_in)`` C layout
+        ``forward_rows`` gives it.  ``tanh(order="C")`` writes each
+        activation in the layout the next layer reads.
+
+        The mean accumulates the members sequentially with elementwise
+        ops: unlike an ``np.mean`` axis reduction (whose unrolled base
+        cases change accumulation order with the column count), it is
+        row-stable too.
         """
         weights, biases = self._stacked_layers()
-        a = np.einsum("ij,mjk->mik", xs, weights[0]) + biases[0]
-        for w, b in zip(weights[1:], biases[1:]):
-            a = np.einsum("mij,mjk->mik", np.tanh(a), w) + b
-        forwards = a[:, :, 0]
+        a, rows_inner = xs, False
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            wide = w.shape[1] > 1 and w.shape[2] > 1
+            if layer:
+                a = np.tanh(a if wide == rows_inner else a.transpose(0, 2, 1), order="C")
+            elif wide:
+                a = np.ascontiguousarray(a.T)
+            if wide:
+                a = np.einsum("mjk,mji->mki" if layer else "mjk,ji->mki", w, a)
+            else:
+                a = np.einsum("mij,mjk->mik" if layer else "ij,mjk->mik", a, w)
+            a += b
+            rows_inner = wide
+        forwards = a[:, :, 0]  # the output layer is width-1
         total = forwards[0].copy()
         for f in forwards[1:]:
             total += f
@@ -285,28 +311,22 @@ class NetworkEnsemble:
         std = np.sqrt(sq / len(forwards))
         return mean, std
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Ensemble-mean prediction in original target units (AOPS)."""
+    def _scaled_rows(self, x: np.ndarray) -> np.ndarray:
+        """Query rows, checked once and standardized: ``(n, d)``."""
         if not self.is_fitted:
             raise TrainingError("ensemble used before fit()")
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        xs = self.x_scaler.transform(x)
-        _, mean = self._member_mean(xs)
+        return self.x_scaler.transform(x[None, :] if x.ndim == 1 else x)
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Ensemble-mean prediction in original target units (AOPS)."""
+        _, mean = self._member_mean(self._scaled_rows(x))
         out = self.y_scaler.inverse_transform(mean)
-        return float(out[0]) if squeeze else out
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_std(self, x: np.ndarray) -> np.ndarray:
         """Across-member prediction spread (a cheap uncertainty proxy)."""
-        if not self.is_fitted:
-            raise TrainingError("ensemble used before fit()")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        xs = self.x_scaler.transform(x)
-        _, std = self._mean_std_scaled(xs)
+        _, std = self._mean_std_scaled(self._scaled_rows(x))
         return std * self.y_scaler.scale_[0]
 
     def predict_mean_std(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -317,13 +337,7 @@ class NetworkEnsemble:
         this returns ``(mean, std)`` — both ``(n,)``, original target
         units — from one set of forward passes.
         """
-        if not self.is_fitted:
-            raise TrainingError("ensemble used before fit()")
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        xs = self.x_scaler.transform(x)
-        mean, std = self._mean_std_scaled(xs)
+        mean, std = self._mean_std_scaled(self._scaled_rows(x))
         return (
             self.y_scaler.inverse_transform(mean),
             std * self.y_scaler.scale_[0],

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.plan import CrashPoint, FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.lsm.engine import LSMEngine, RecoveryReport
 
 Op = Tuple  # ("put", key, value) | ("delete", key) | ("get", key)

@@ -1,9 +1,10 @@
 """Test-side reference implementations, one place for all of them.
 
 Each is the plain form of something ``src/`` computes in a faster shape
-(a population matrix, an operation block, a stacked ensemble, a tabled
-bottleneck solve, an indexed drain).  The production path is held
-bit-identical to its oracle by the test module named in each section.
+(a population matrix, a pipelined GA generation, an operation block, a
+stacked ensemble, a tabled bottleneck solve, an indexed drain).  The
+production path is held bit-identical to its oracle by the test module
+named in each section.
 """
 
 import math
@@ -12,10 +13,12 @@ import numpy as np
 
 from repro.config.cassandra import LEVELED
 from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
+from repro.ga.algorithm import GAResult
 from repro.lsm.analytic import CACHE_WARMUP_SECONDS, StepResult
 from repro.lsm.engine import OP_DELETE, OP_READ
 from repro.lsm.sstable import BLOCK_BYTES
 from repro.sim import costs
+from repro.sim.rng import derive_rng
 
 # ---------------------------------------------------------------------------
 # core.search: one feature row per fitness call (test_batch_equivalence)
@@ -25,16 +28,168 @@ from repro.sim import costs
 def scalar_fitness(optimizer, read_ratio):
     """``ConfigurationOptimizer``'s fitness for one gene vector at a
     time: a ``GeneticAlgorithm(fitness_fn=...)`` run on it is what
-    ``optimize`` must reproduce from its population-at-a-time scoring."""
+    ``optimize`` must reproduce from its population-at-a-time scoring.
+    The feature row clips the genes to bounds first, as every row did
+    before the population was held in bounds."""
+    encoder = optimizer.encoder
 
     def fitness(genes: np.ndarray) -> float:
-        row = optimizer.encoder.features(genes, read_ratio)[None, :]
+        inside = np.clip(np.asarray(genes, dtype=float), encoder.lower, encoder.upper)
+        unit = (inside - encoder.lower) / encoder.span
+        row = np.concatenate(([read_ratio], unit))[None, :]
         if optimizer.uncertainty_penalty > 0.0:
             mean, spread = optimizer.surrogate.predict_mean_std(row)
             return float(mean[0] - optimizer.uncertainty_penalty * spread[0])
         return float(optimizer.surrogate.predict_features(row)[0])
 
     return fitness
+
+
+# ---------------------------------------------------------------------------
+# ga.algorithm: the loop that scores every generation's snapped winner in
+# a call of its own, on the spot (test_ga_reference)
+# ---------------------------------------------------------------------------
+
+
+def _tournament_select_many(fitness, rng, count, k=3):
+    n = len(fitness)
+    contenders = rng.integers(n, size=(count, min(k, n)))
+    fvals = np.asarray(fitness)[contenders]
+    return contenders[np.arange(count), np.argmax(fvals, axis=1)]
+
+
+def _weighted_average_crossover_many(parents_a, parents_b, rng):
+    r = rng.random(parents_a.shape)
+    return r * parents_a + (1.0 - r) * parents_b
+
+
+def _gaussian_mutation_many(children, lower, upper, span, rng, rate, scale):
+    mask = rng.random(children.shape) < rate
+    noise = rng.standard_normal(children.shape)
+    mutated = np.where(mask, children + noise * scale * span, children)
+    return np.clip(mutated, lower, upper)
+
+
+def reference_ga_run(ga, seed=0, initial=None) -> GAResult:
+    """``GeneticAlgorithm.run`` as it stood before the winner's re-score
+    was pipelined: two tournament draws per generation, the full
+    bounds-and-integrality violation, and one extra fitness call per
+    generation for the snapped winner, booked before the next
+    generation is bred.  Reads its parameters (and ``bus``) off ``ga``,
+    counts evaluations itself and leaves ``ga`` untouched."""
+    encoder = ga.encoder
+    evaluations = 0
+
+    def raw_fitness_many(population):
+        nonlocal evaluations
+        evaluations += len(population)
+        if ga.fitness_batch_fn is not None:
+            return np.asarray(ga.fitness_batch_fn(population), dtype=float).ravel()
+        return np.array([float(ga.fitness_fn(g)) for g in population])
+
+    def violation_batch(genes):
+        below = np.maximum(encoder.lower - genes, 0.0) / encoder.span
+        above = np.maximum(genes - encoder.upper, 0.0) / encoder.span
+        total = np.sum(below + above, axis=1)
+        inside = np.clip(genes, encoder.lower, encoder.upper)
+        frac = np.abs(inside - np.round(inside))
+        total += np.sum(frac[:, encoder.integral], axis=1)
+        return total
+
+    def penalized_many(population, raw, penalty_scale):
+        violations = violation_batch(population)
+        return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
+
+    def best_feasible(population, fitness):
+        snapped = encoder.snap(population[int(np.argmax(fitness))])
+        raw = float(raw_fitness_many(snapped[None, :])[0])
+        return snapped, raw
+
+    def publish(topic, message, **payload):
+        if ga.bus is not None:
+            ga.bus.publish(topic, message, **payload)
+
+    n_genes = encoder.n_genes
+    initial_genes = [np.asarray(genes, dtype=float) for genes in initial or ()]
+    rng = derive_rng(seed)
+    publish(
+        "search.start",
+        f"GA search over {encoder.n_genes} genes",
+        population=ga.population_size,
+        generations=ga.generations,
+        batched=ga.fitness_batch_fn is not None,
+    )
+
+    population = rng.uniform(
+        encoder.lower, encoder.upper, size=(ga.population_size, n_genes)
+    )
+    for i, genes in enumerate(initial_genes[: ga.population_size]):
+        population[i] = genes
+
+    raw_first = raw_fitness_many(population)
+    if ga.penalty_scale is not None:
+        penalty_scale = ga.penalty_scale
+    else:
+        spread = max(np.ptp(raw_first), abs(np.mean(raw_first)) * 0.1, 1e-9)
+        penalty_scale = 2.0 * spread
+    fitness = penalized_many(population, raw_first, penalty_scale)
+
+    best_genes, best_fit = best_feasible(population, fitness)
+    history = [best_fit]
+    stagnant = 0
+    generation = 0
+
+    for generation in range(1, ga.generations + 1):
+        order = np.argsort(fitness)[::-1]
+        n_children = ga.population_size - ga.elites
+        ia = _tournament_select_many(fitness, rng, n_children)
+        ib = _tournament_select_many(fitness, rng, n_children)
+        children = _weighted_average_crossover_many(population[ia], population[ib], rng)
+        children = _gaussian_mutation_many(
+            children,
+            encoder.lower,
+            encoder.upper,
+            encoder.span,
+            rng,
+            rate=ga.mutation_rate,
+            scale=ga.mutation_scale,
+        )
+        population = np.concatenate((population[order[: ga.elites]], children))
+        raw = raw_fitness_many(population)
+        fitness = penalized_many(population, raw, penalty_scale)
+
+        gen_best_genes, gen_best_fit = best_feasible(population, fitness)
+        if gen_best_fit > best_fit + 1e-12:
+            best_genes, best_fit = gen_best_genes, gen_best_fit
+            stagnant = 0
+        else:
+            stagnant += 1
+        history.append(best_fit)
+        publish(
+            "search.generation",
+            f"generation {generation}: best {best_fit:,.1f}",
+            generation=generation,
+            best_fitness=best_fit,
+            evaluations=evaluations,
+        )
+        if stagnant >= ga.stagnation_limit:
+            break
+
+    config = encoder.decode(best_genes)
+    publish(
+        "search.done",
+        f"search finished after {generation} generations",
+        generations=generation,
+        best_fitness=best_fit,
+        evaluations=evaluations,
+    )
+    return GAResult(
+        best_configuration=config,
+        best_fitness=best_fit,
+        evaluations=evaluations,
+        generations=generation,
+        history=history,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ forward pass is row-stable by construction (einsum contraction +
 sequential member accumulation), so scoring a row alone or inside a
 batch gives the same bits.  These tests pin that contract.
 
-The ensemble runs all members through one stacked ``einsum`` per layer,
-the GA keeps its population as one matrix and the optimizer scores it
-in one surrogate call; the per-member ``forward_rows`` walk, the
-per-row fitness closure and the ``decode -> encode`` round trip they
-replaced are the oracles (``tests.oracles.oracle_mean_std`` and
-``scalar_fitness``, ``encode(decode(g))``, the ``random_genes`` row
-stream).
+The ensemble runs all members through one stacked ``einsum`` per layer
+(wide layers rows-innermost), the GA keeps its population as one
+in-bounds matrix, scores it with the previous generation's snapped
+winner in one surrogate call and books that generation afterwards; the
+per-member ``forward_rows`` walk, the per-row fitness closure, the
+``decode -> encode`` round trip and the score-every-winner-at-once loop
+they replaced are the oracles (``tests.oracles.oracle_mean_std``,
+``scalar_fitness`` and ``reference_ga_run``, ``encode(decode(g))``, the
+``random_genes`` row stream).
 """
 
 import pickle
@@ -37,7 +39,7 @@ from repro.ml.network import FeedForwardNetwork
 from repro.runtime.events import EventBus
 from repro.sim.rng import derive_rng
 from repro.workload.spec import WorkloadSpec
-from tests.oracles import oracle_mean_std, scalar_fitness
+from tests.oracles import oracle_mean_std, reference_ga_run, scalar_fitness
 
 PARAMS = list(CASSANDRA_KEY_PARAMETERS)
 SPACE = cassandra_space()
@@ -82,11 +84,31 @@ class TestEncoderBatchEquivalence:
         for i in range(genes.shape[0]):
             assert batch[i] == ENCODER.violation(genes[i])
 
+    @pytest.mark.parametrize("encoder", [ENCODER, SIGNED_ENCODER], ids=["cassandra", "signed"])
+    @given(
+        n_rows=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_in_bounds_violation_is_the_integrality_gap_bitwise(self, encoder, n_rows, seed):
+        """What the GA charges its in-bounds population: the bound terms
+        of the full violation sum to an exact 0.0, on the bounds too."""
+        rng = np.random.default_rng(seed)
+        genes = rng.uniform(encoder.lower, encoder.upper, size=(n_rows, encoder.n_genes))
+        edge = rng.random(genes.shape)
+        genes = np.where(edge < 0.1, encoder.lower, np.where(edge > 0.9, encoder.upper, genes))
+        gap = encoder._integrality_gap(genes)
+        assert gap.tobytes() == encoder.violation_batch(genes).tobytes()
+        # ... and clipping them again, as every feature row used to, moves nothing.
+        assert np.clip(genes, encoder.lower, encoder.upper).tobytes() == genes.tobytes()
+
     def test_row_count_validated(self):
         from repro.errors import SearchError
 
         with pytest.raises(SearchError):
             ENCODER.features_batch(np.zeros((3, ENCODER.n_genes + 1)), 0.5)
+        with pytest.raises(SearchError):  # a matrix, not one gene vector
+            ENCODER.features_batch(np.zeros(ENCODER.n_genes), 0.5)
         with pytest.raises(SearchError):
             ENCODER.violation_batch(np.zeros((3, ENCODER.n_genes + 1)))
 
@@ -139,20 +161,30 @@ def make_ensemble(
 
 
 class TestEnsembleBatchEquivalence:
-    # Width-1 layers contract through another einsum kernel (a dot, not
-    # an axpy): the stack must follow the single network there too.
-    @pytest.mark.parametrize("hidden", [(14, 4), (), (1, 3)], ids=str)
+    # Wide layers run rows-innermost; width-1 layers contract through
+    # another einsum kernel (a dot, not an axpy) and keep the single
+    # network's layout.  The stack must follow ``forward_rows`` through
+    # every order of the two: width-1 first (one input feature), hidden
+    # and output layers, wide -> narrow -> wide, and a 4-layer net.
+    @pytest.mark.parametrize(
+        "n_features,hidden",
+        [
+            (6, (14, 4)), (6, ()), (6, (1, 3)), (6, (3, 1)), (6, (14, 1, 4)),
+            (6, (8, 8, 8)), (1, (5,)), (1, ()), (6, (1, 1)),
+        ],
+        ids=str,
+    )
     @pytest.mark.parametrize("n_members", [1, 4, 14])
-    @pytest.mark.parametrize("n_rows", [1, 2, 48, 49])
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 48, 49, 300])
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_stacked_forward_matches_per_member_oracle(
-        self, hidden, n_members, n_rows, seed
+        self, n_features, hidden, n_members, n_rows, seed
     ):
         ens = make_ensemble(
-            n_features=6, n_networks=n_members, seed=seed % 1000, hidden=hidden
+            n_features=n_features, n_networks=n_members, seed=seed % 1000, hidden=hidden
         )
-        x = np.random.default_rng(seed).standard_normal((n_rows, 6))
+        x = np.random.default_rng(seed).standard_normal((n_rows, n_features))
         mean, std = ens.predict_mean_std(x)
         want_mean, want_std = oracle_mean_std(ens, x)
         assert np.array_equal(mean, want_mean)
@@ -305,6 +337,122 @@ class TestGABatchDeterminism:
         )
         with pytest.raises(SearchError):
             ga.run(seed=0)
+
+
+def run_both(make_ga, seed, initial=None):
+    """``GeneticAlgorithm.run`` and ``reference_ga_run`` on twin GAs, each
+    on a ``Generator`` of its own from ``seed``: the five result fields,
+    the ``search.*`` events and the generator's position afterwards must
+    all be the reference's.  Returns the production result."""
+    outcomes = []
+    for reference in (False, True):
+        bus, log = EventBus(), []
+        bus.subscribe(log.append, topic="search")
+        ga = make_ga(bus)
+        rng = np.random.default_rng(seed)
+        if reference:
+            result = reference_ga_run(ga, seed=rng, initial=initial)
+        else:
+            result = ga.run(seed=rng, initial=initial)
+            assert ga.evaluations == result.evaluations
+        events = [(e.topic, e.message, e.payload) for e in log]
+        outcomes.append((result, events, rng.bit_generator.state))
+    (got, got_events, got_state), (want, want_events, want_state) = outcomes
+    assert got.best_configuration == want.best_configuration
+    assert got.best_fitness == want.best_fitness  # bitwise: no tolerance
+    assert type(got.best_fitness) is type(want.best_fitness)
+    assert got.evaluations == want.evaluations
+    assert got.generations == want.generations
+    assert got.history == want.history
+    assert got_events == want_events
+    assert got_state == want_state
+    return got
+
+
+class TestPipelinedRunEqualsReference:
+    """A generation's snapped winner is scored with the *next*
+    generation's population and booked after that call; everything a
+    caller can see is what scoring it on the spot gave."""
+
+    SIZES = [(48, 16), (48, 70), (8, 1), (5, 3)]
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["random", "seeded"])
+    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    @pytest.mark.parametrize("population,generations", SIZES, ids=str)
+    def test_surrogate_search(
+        self, surrogate, population, generations, penalty, mode, seeded
+    ):
+        optimizer = ConfigurationOptimizer(surrogate, uncertainty_penalty=penalty)
+        encoder = optimizer.encoder
+        initial = None
+        if seeded:
+            rng = np.random.default_rng(population + generations)
+            initial = [optimizer.default_genes, encoder.upper.copy()] + [
+                encoder.encode(SPACE.sample_configuration(rng, PARAMS))
+                for _ in range(2)
+            ]
+        for seed, rr in ((0, 0.6), (2017, 0.05)):
+            if mode == "batch":
+                fitness = dict(fitness_batch_fn=optimizer._fitness_batch(rr))
+            else:
+                fitness = dict(fitness_fn=scalar_fitness(optimizer, rr))
+            run_both(
+                lambda bus: GeneticAlgorithm(
+                    encoder,
+                    population_size=population,
+                    generations=generations,
+                    bus=bus,
+                    **fitness,
+                ),
+                seed,
+                initial,
+            )
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [-1e9, 0.4, 1.1, np.inf], ids=str)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_plateau_stops_on_the_reference_generation(self, limit, cap, seed):
+        """A fitness that rises to ``cap`` and stays: stagnation counts
+        run up to the limit and are reset by late improvements, so the
+        winner is scored on the spot in some generations and with the
+        next population in others.  The search must stop on the exact
+        generation without breeding or scoring one population more."""
+        weights = np.random.default_rng(seed).standard_normal(SIGNED_ENCODER.n_genes)
+        weights /= SIGNED_ENCODER.span
+        calls = []
+
+        def make_ga(bus):
+            sizes = []
+            calls.append(sizes)
+
+            def batch(matrix: np.ndarray) -> np.ndarray:
+                sizes.append(len(matrix))
+                return np.minimum(np.sum(np.tanh(matrix * weights), axis=-1), cap)
+
+            return GeneticAlgorithm(
+                SIGNED_ENCODER,
+                fitness_batch_fn=batch,
+                population_size=12,
+                generations=30,
+                stagnation_limit=limit,
+                bus=bus,
+            )
+
+        result = run_both(make_ga, seed)
+        ours, reference = calls
+        assert reference == [12, 1] * (result.generations + 1)
+        assert sum(ours) == sum(reference)
+        assert sum(size >= 12 for size in ours) == result.generations + 1
+        assert set(ours) <= {1, 12, 13}
+        if cap == -1e9:  # flat from the start: stops at generation `limit`
+            assert result.generations == limit
+            assert result.evaluations == 13 * (limit + 1)
+        if limit == 1:  # every winner can end the search: none rides along
+            assert 13 not in ours
+        elif result.generations > limit:  # some rode along, the last never does
+            assert 13 in ours and ours[-1] == 1
 
 
 class TestSearchEvents:

@@ -22,7 +22,7 @@ from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike
 from repro.errors import DatastoreError
 from repro.lsm import bloom
-from repro.lsm.bloom import BloomFilter, _fnv1a, hash_key, hash_keys
+from repro.lsm.bloom import BloomFilter, _fnv1a, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.hardware import HardwareSpec
 from repro.workload.generator import OperationGenerator

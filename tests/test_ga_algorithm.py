@@ -123,6 +123,23 @@ class TestGeneticAlgorithm:
             ga.run(seed=5, initial=[np.array(bad)])
         assert not calls  # rejected up front, before any evaluation
 
+    @pytest.mark.parametrize(
+        "bad", [[5.5, 0.0], [0.0, -5.0000001], [np.nan, 0.0], [np.inf, 0.0]]
+    )
+    def test_initial_genes_out_of_bounds_rejected(self, quad_space, bad):
+        """Elitism would carry an out-of-bounds seed through every
+        generation; ``encode(Configuration)`` cannot produce one."""
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        calls = []
+        ga = GeneticAlgorithm(
+            encoder, lambda g: calls.append(1) or 0.0, population_size=10, generations=3
+        )
+        with pytest.raises(SearchError, match="within the encoder's bounds"):
+            ga.run(seed=5, initial=[np.array([1.0, 1.0]), np.array(bad)])
+        assert not calls  # rejected up front, before any evaluation
+        # The bounds themselves are inside.
+        ga.run(seed=5, initial=[encoder.lower, encoder.upper])
+
     def test_deterministic_per_seed(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
 
@@ -142,3 +159,32 @@ class TestGeneticAlgorithm:
             GeneticAlgorithm(encoder, lambda g: 0.0, generations=0)
         with pytest.raises(SearchError):
             GeneticAlgorithm(encoder, lambda g: 0.0, elites=100)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(stagnation_limit=0), "stagnation_limit"),
+            (dict(stagnation_limit=-2), "stagnation_limit"),
+            (dict(mutation_rate=-3), "mutation_rate"),
+            (dict(mutation_rate=1.5), "mutation_rate"),
+            (dict(mutation_rate=float("nan")), "mutation_rate"),
+            (dict(mutation_scale=-1), "mutation_scale"),
+            (dict(mutation_scale=float("nan")), "mutation_scale"),
+        ],
+    )
+    def test_rate_scale_and_stagnation_validated(self, quad_space, kwargs, message):
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        with pytest.raises(SearchError, match=message):
+            GeneticAlgorithm(encoder, lambda g: 0.0, **kwargs)
+
+    def test_boundary_values_accepted(self, quad_space):
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        for kwargs in (
+            dict(stagnation_limit=1),
+            dict(mutation_rate=0.0, mutation_scale=0.0),
+            dict(mutation_rate=1.0),
+        ):
+            result = GeneticAlgorithm(
+                encoder, lambda g: float(-(g**2).sum()), generations=3, **kwargs
+            ).run(seed=0)
+            assert result.generations >= 1
