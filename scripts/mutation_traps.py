@@ -10,10 +10,11 @@ temporary copy of ``src/`` — every ``find`` must occur exactly once, so
 a row that has drifted from the code fails loudly instead of mutating
 nothing — and runs the named test against the copy, which must fail.
 
-Run from the repo root (~1 min)::
+Run from the repo root (~2 min)::
 
     python scripts/mutation_traps.py            # all rows
     python scripts/mutation_traps.py snap       # rows whose name contains "snap"
+    python scripts/mutation_traps.py op loop    # ... "op" and "loop"
 
 Exit status 0 = every trap is live; 1 = a mutant survived, a ``find``
 did not match, or a named test fails on the untouched tree.
@@ -34,6 +35,8 @@ GA = "repro/ga/algorithm.py"
 ENSEMBLE = "repro/ml/ensemble.py"
 EQUIVALENCE = "tests/test_batch_equivalence.py"
 REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
+ENGINE = "repro/lsm/engine.py"
+OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
 
 TRAPS = [
     (
@@ -134,6 +137,77 @@ TRAPS = [
         ],
         f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
         "::test_stacked_forward_matches_per_member_oracle",
+    ),
+    # -- the engine's op loop: what it holds across ops and what each op owes
+    (
+        "op loop: charge terms kept across a flush",
+        ENGINE,
+        [
+            (
+                "                            extra += stall\n                        terms = None\n",
+                "                            extra += stall\n",
+            )
+        ],
+        f"{OP_LOOP}::test_flush_then_the_queue_drains_to_zero",
+    ),
+    (
+        "op loop: charge terms kept when the flush queue drains to 0.0",
+        ENGINE,
+        [("            moved = queue <= 0\n", "")],
+        f"{OP_LOOP}::test_flush_then_the_queue_drains_to_zero",
+    ),
+    (
+        "op loop: charge terms kept across a compaction's completion",
+        ENGINE,
+        [("                moved = True\n", "")],
+        f"{OP_LOOP}::test_last_compaction_completing_idles_the_regime",
+    ),
+    (
+        "op loop: no drain while only the flush queue is busy",
+        ENGINE,
+        [
+            (
+                "if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):",
+                "if pending and drain(dt, compaction_rate):",
+            )
+        ],
+        f"{OP_LOOP}::test_flush_then_the_queue_drains_to_zero",
+    ),
+    (
+        "op loop: the write stall left out of the op's interval",
+        ENGINE,
+        [("                            extra += stall\n", "")],
+        f"{OP_LOOP}::test_write_stall",
+    ),
+    (
+        "op loop: the sync barrier left out of the op's interval",
+        ENGINE,
+        [("extra = log_append(rec, now)", "extra = log_append(rec, now) * 0.0")],
+        f"{OP_LOOP}::test_sync_barriers",
+    ),
+    (
+        "op loop: the write sequence stands still (timestamp ties)",
+        ENGINE,
+        [("                        self._write_seq += 1\n", "")],
+        f"{OP_LOOP}::test_client_timestamps",
+    ),
+    (
+        "op loop: a read run leaves the plan's read counter behind",
+        ENGINE,
+        [("                        k += m\n", "")],
+        f"{OP_LOOP}::test_reads_after_a_read_run_keep_their_plan_entries",
+    ),
+    (
+        "op loop: random reads dropped from the bottleneck",
+        ENGINE,
+        [
+            (
+                "dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra",
+                "dt = max(dt_cpu, dt_seq, dt_pool) + extra",
+            )
+        ],
+        "tests/test_batch_opstream.py::TestProbePlanTraps"
+        "::test_flush_mid_block_is_seen_by_later_reads",
     ),
 ]
 

@@ -37,7 +37,6 @@ from repro.sim.disk import DiskModel
 from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
-    commitlog_bytes_per_write,
     read_cpu_seconds,
     read_cpu_seconds_array,
     thread_contention,
@@ -77,8 +76,8 @@ class BatchResult:
     writes: int
     deletes: int
     start_time: float
-    #: Simulated clock value after each op — exactly the trajectory the
-    #: scalar loop's ``clock.now`` would have traced (bit-identical).
+    #: Simulated clock value after each op — exactly the trajectory
+    #: ``clock.now`` traces through one-op calls (bit-identical).
     end_times: np.ndarray
 
 
@@ -129,11 +128,11 @@ class _ProbePlan:
 
 
 class _ChargeTerms:
-    """What :meth:`LSMEngine._advance_for_op` needs of one background regime."""
+    """What an op's charge and drain need of one background regime."""
 
     __slots__ = (
         "bg_cpu", "bg_seq", "cores", "read_contention", "write_contention",
-        "seq_bandwidth", "rand_iops",
+        "seq_bandwidth", "rand_iops", "compaction_rate",
     )
 
 
@@ -210,25 +209,21 @@ class LSMEngine:
         timestamps (Cassandra's last-write-wins resolution); by default
         the engine stamps with its own monotonic clock.
         """
-        ts = timestamp if timestamp is not None else self._next_timestamp()
-        self._write(Record(key=key, timestamp=ts, value=value))
-        self.stats.writes += 1
+        self._execute((OP_WRITE,), (key,), (value,), timestamp=timestamp)
 
     def delete(self, key: str, timestamp: Optional[float] = None) -> None:
         """Write a tombstone for ``key``."""
-        ts = timestamp if timestamp is not None else self._next_timestamp()
-        self._write(Record.tombstone(key, ts))
-        self.stats.deletes += 1
+        self._execute((OP_DELETE,), (key,), timestamp=timestamp)
 
     def get_record(self, key: str) -> Optional[Record]:
         """Like :meth:`get` but returns the winning record itself
         (timestamp included, tombstones too) — replication resolution
         needs the metadata, not just the value."""
-        return self._read_newest(key)
+        return self._execute((OP_READ,), (key,))[1]
 
     def get(self, key: str) -> Optional[bytes]:
         """Read the newest value for ``key``; None if absent or deleted."""
-        best = self._read_newest(key)
+        best = self.get_record(key)
         if best is None or best.is_tombstone:
             return None
         return best.value
@@ -389,15 +384,6 @@ class LSMEngine:
             [p[1:] for p in probed], dtype=np.int64
         )
 
-    def _read_newest(
-        self, key: str, plan: Optional[_ProbePlan] = None, k: int = 0
-    ) -> Optional[Record]:
-        """One point read, charged as one op."""
-        best, blooms, probes, cache_hits, disk_reads = self._probe_newest(key, plan, k)
-        cpu = read_cpu_seconds(blooms, probes, cache_hits, self.costs)
-        self._advance_for_op(cpu, 0.0, disk_reads, self.costs.read_thread_hold)
-        return best
-
     def exists(self, key: str) -> bool:
         return self.get(key) is not None
 
@@ -420,12 +406,8 @@ class LSMEngine:
         for key, rec in zip(keys, best):
             out[key] = None if rec is None or rec.is_tombstone else rec.value
         blooms, probes, hits, disk = tallies.sum(axis=0).tolist()
-        self._advance_for_op(
-            read_cpu_seconds(blooms, probes, hits, self.costs),
-            0.0,
-            disk,
-            self.costs.read_thread_hold * len(keys),
-        )
+        cpu = read_cpu_seconds(blooms, probes, hits, self.costs)
+        self._advance_for_op(cpu, 0.0, disk, self.costs.read_thread_hold * len(keys))
         return out
 
     def execute_batch(
@@ -443,20 +425,16 @@ class LSMEngine:
         cache behaviour — only ``len(value)`` does).  The block is
         checked whole before any op runs, so a rejected block leaves the
         engine untouched.  Its reads share one probe plan (hashed once,
-        re-derived when the layout moves) and every op is charged
-        through the same per-regime terms as the scalar API; same-kind
-        runs of :data:`_MIN_VECTOR_RUN` ops or more — writes, and reads
-        while background work is idle — are charged as one cumsum.
-        Stats, clock trajectory, cache state, and results are
-        bit-identical to iterating the ops through :meth:`get` /
-        :meth:`put` / :meth:`delete` one at a time.
+        re-derived when the layout moves) and its ops go through
+        :meth:`_execute`, the loop :meth:`get` / :meth:`put` /
+        :meth:`delete` run one op of: stats, clock trajectory, cache
+        state, and results are bit-identical to iterating the ops
+        through them one at a time.
         """
         kinds = np.asarray(kinds)
         n = len(kinds)
         if len(keys) != n:
-            raise DatastoreError(
-                f"batch shape mismatch: {n} kinds vs {len(keys)} keys"
-            )
+            raise DatastoreError(f"batch shape mismatch: {n} kinds vs {len(keys)} keys")
         is_read, is_write = kinds == OP_READ, kinds == OP_WRITE
         unknown = kinds[~(is_read | is_write | (kinds == OP_DELETE))]
         if len(unknown):
@@ -472,82 +450,157 @@ class LSMEngine:
         elif is_write.any():
             raise DatastoreError("write ops in batch but no value_sizes")
 
-        clock = self.clock
-        start = clock.now
-        end_times: List[float] = []
+        start = self.clock.now
         if n == 0:
             return BatchResult(0, 0, 0, 0, start, np.empty(0, dtype=np.float64))
-        plan = self._plan([keys[j] for j in np.flatnonzero(is_read).tolist()])
-        k = 0  # reads done: the next one is read k of the plan
-        sizes = payloads = None
+        values = None
         if is_write.any():
-            sizes = value_sizes.tolist()
             payloads = {size: bytes(size) for size in set(value_sizes[is_write].tolist())}
-        cuts = [0, *(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n]
-        for s, e in zip(cuts, cuts[1:]):
-            if is_read[s]:
-                # A run charge needs background work idle (flush queue
-                # empty, no pending compactions), where per-op drains
-                # and utilization are exactly no-ops.
-                if (
-                    e - s >= _MIN_VECTOR_RUN
-                    and not self._pending_compactions
-                    and self._flush_queue_bytes <= 0.0
-                ):
-                    end_times.extend(self._execute_read_run(keys[s:e], plan, k).tolist())
-                else:
-                    for j in range(s, e):
-                        self._read_newest(keys[j], plan, k + j - s)
-                        end_times.append(clock.now)
-                k += e - s
-                continue
-            tombstone = not is_write[s]
-            j = s
-            while j < e:
-                m = 0
-                if e - j >= _MIN_VECTOR_RUN:
-                    m, times = self._execute_mutation_run(
-                        keys[j:e], None if tombstone else value_sizes[j:e], payloads
-                    )
-                if m:
-                    end_times.extend(times.tolist())
-                    j += m
-                    continue
-                # A short tail, or the next op flushes the memtable /
-                # crosses a sync barrier — per-op side effects the run
-                # charge cannot carry.  Step it and retry the rest.
-                if tombstone:
-                    self.delete(keys[j])
-                else:
-                    self.put(keys[j], payloads[sizes[j]])
-                end_times.append(clock.now)
-                j += 1
-        n_reads, n_writes = int(is_read.sum()), int(is_write.sum())
-        return BatchResult(
-            n_ops=n,
-            reads=n_reads,
-            writes=n_writes,
-            deletes=n - n_reads - n_writes,
-            start_time=start,
-            end_times=np.array(end_times, dtype=np.float64),
+            values = list(map(payloads.get, value_sizes.tolist()))
+        end_times, _ = self._execute(
+            kinds.tolist(),
+            keys,
+            values,
+            run_ends=[*(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n],
+            plan=self._plan([keys[j] for j in np.flatnonzero(is_read).tolist()]),
         )
+        n_reads, n_writes = int(is_read.sum()), int(is_write.sum())
+        end_times = np.array(end_times, dtype=np.float64)
+        return BatchResult(n, n_reads, n_writes, n - n_reads - n_writes, start, end_times)
 
-    def _execute_mutation_run(
+    def _execute(
         self,
+        kinds: Sequence[int],
         keys: Sequence[str],
-        value_sizes: Optional[np.ndarray],
-        payloads: Optional[Dict[int, bytes]],
+        values: Optional[Sequence[Optional[bytes]]] = None,
+        timestamp: Optional[float] = None,
+        run_ends: Optional[Sequence[int]] = None,
+        plan: Optional[_ProbePlan] = None,
     ):
-        """Vectorized charging for a prefix of a write run, or with
-        ``value_sizes`` None of a tombstone run; ``payloads`` maps each
-        write size to the block's shared zero payload.
+        """The op loop: every point op of a checked block, in one pass.
+
+        ``values`` holds the write payloads by op, ``timestamp`` a
+        client timestamp for the mutations in place of the engine's
+        own, ``run_ends`` the end of each same-kind run (one run by
+        default) and ``plan`` the block's probe plan.  Same-kind runs of
+        :data:`_MIN_VECTOR_RUN` ops or more — mutations, and reads while
+        background work is idle — are charged as one cumsum.  Returns
+        the clock after each op and the record the last read found.
+
+        What depends only on ``knobs``/``costs`` is bound once; what
+        depends on the background regime (the charge terms, the write's
+        CPU quotient, the compaction rate) is held until an event that
+        can move :meth:`_regime` — a flush, a drain that empties the
+        flush queue or completes a compaction, a run charge — and
+        re-asked at the next op's charge, never earlier: the cpu and
+        disk models are left holding the regime *charged* last.
+        """
+        knobs, costs, stats = self.knobs, self.costs, self.stats
+        dstats, memtable, pending = self.disk.stats, self.memtable, self._pending_compactions
+        probe, mem_put, log_append = self._probe_newest, memtable.put, self.commitlog.append
+        advance, drain = self.clock.advance, self._drain_background
+        write_cpu, log_overhead = write_cpu_seconds(costs), costs.commitlog_overhead_bytes
+        read_pool = costs.read_thread_hold / knobs.concurrent_reads
+        write_pool = costs.write_thread_hold / knobs.concurrent_writes
+        flush_bw = knobs.memtable_flush_writers * costs.flush_writer_bandwidth
+        flush_at = knobs.memtable_cleanup_threshold * memtable.capacity_bytes
+        end_times: List[float] = []
+        now = self.clock.now
+        terms = best = None
+        j = k = 0  # next op; reads done (the next one is read k of the plan)
+        for e in run_ends if run_ends is not None else (len(kinds),):
+            reading, tombstone = kinds[j] == OP_READ, kinds[j] == OP_DELETE
+            while j < e:
+                if e - j >= _MIN_VECTOR_RUN:
+                    # The long-run shortcuts: a prefix of the run's
+                    # mutations, or all of its reads once background work
+                    # is idle (flush queue empty, no pending compactions),
+                    # where per-op drains and utilization are exactly no-ops.
+                    m = 0
+                    if not reading:
+                        m, times = self._execute_mutation_run(
+                            keys[j:e], None if tombstone else values[j:e]
+                        )
+                    elif not pending and self._flush_queue_bytes <= 0.0:
+                        m, times = e - j, self._execute_read_run(keys[j:e], plan, k)
+                        k += m
+                    if m:
+                        end_times.extend(times.tolist())
+                        j, now, terms = j + m, self.clock.now, None
+                        continue
+                key = keys[j]
+                if reading:
+                    best, blooms, probes, hits, disk = probe(key, plan, k)
+                    k += 1
+                else:
+                    # A short tail, or this op flushes the memtable /
+                    # crosses a sync barrier — per-op side effects the
+                    # run charge cannot carry.
+                    ts = timestamp
+                    if ts is None:
+                        # Strictly increasing even when the clock stands still.
+                        self._write_seq += 1
+                        ts = now + self._write_seq * 1e-12
+                    rec = Record(key, ts, None if tombstone else values[j])
+                    extra = log_append(rec, now)
+                    mem_put(rec)
+                    if tombstone:
+                        stats.deletes += 1
+                    else:
+                        stats.writes += 1
+                    if memtable.size_bytes >= flush_at:
+                        flush_bytes = memtable.size_bytes
+                        self._flush_memtable()
+                        # If flush writers are behind, the write path stalls
+                        # until the queue depth falls back under the limit.
+                        max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
+                        if self._flush_queue_bytes > max_queue:
+                            stall = (self._flush_queue_bytes - max_queue) / flush_bw
+                            stats.write_stall_seconds += stall
+                            extra += stall
+                        terms = None
+
+                # The op's demands over the capacity of each resource —
+                # available cores (minus compaction CPU and contention),
+                # leftover sequential bandwidth, leftover random IOPS, its
+                # worker pool: the largest quotient is the time the system
+                # needed to push this op through at full concurrency.
+                if terms is None:
+                    terms = self._charge_terms()
+                    cores, read_contention = terms.cores, terms.read_contention
+                    seq_bandwidth, rand_iops = terms.seq_bandwidth, terms.rand_iops
+                    write_dt_cpu = write_cpu * terms.write_contention / cores
+                    compaction_rate = terms.compaction_rate
+                if reading:
+                    cpu = read_cpu_seconds(blooms, probes, hits, costs)
+                    dt_cpu, dt_pool = cpu * read_contention / cores, read_pool
+                    dt_seq = dt_rand = extra = 0.0
+                    if disk:
+                        dstats.random_reads += disk
+                        dt_rand = disk / rand_iops
+                else:
+                    log_bytes = rec.size_bytes + log_overhead
+                    dstats.seq_bytes_written += log_bytes
+                    dt_cpu, dt_pool = write_dt_cpu, write_pool
+                    dt_seq, dt_rand = log_bytes / seq_bandwidth, 0.0
+                dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra
+                stats.busy_seconds += dt
+                now = advance(dt)
+                end_times.append(now)
+                if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):
+                    terms = None
+                j += 1
+        return end_times, best
+
+    def _execute_mutation_run(self, keys: Sequence[str], values: Optional[Sequence[bytes]]):
+        """Vectorized charging for a prefix of a write run of ``values``,
+        or with None of a tombstone run.
 
         Returns ``(m, end_times)``: the first ``m`` ops were applied and
-        charged as one block; the caller executes op ``m`` through the
-        scalar path (it would flush the memtable or cross a commitlog
-        sync barrier — per-op side effects the block charge cannot
-        include) and then retries the remainder.  ``m == 0`` means no
-        vectorizable prefix.
+        charged as one block; the op loop steps op ``m`` itself (it
+        would flush the memtable or cross a commitlog sync barrier —
+        per-op side effects the block charge cannot include) and then
+        retries the remainder.  ``m == 0`` means no vectorizable prefix.
 
         The block path works under *busy* background too: per-op service
         intervals are valid as long as the background regime they were
@@ -555,7 +608,7 @@ class LSMEngine:
         (flush-queue decay, compaction progress, completions included)
         and the prefix is cut at the first op whose drain changes the
         regime.  Within the accepted prefix every per-op quantity
-        the scalar path computes — record timestamps from the advancing
+        the op loop computes — record timestamps from the advancing
         clock, per-record commitlog byte charges, the busy/clock
         accumulators, background drains — is replicated with identical
         float64 arithmetic (sequential cumsum chains and the drain code
@@ -564,12 +617,10 @@ class LSMEngine:
         the ops ran one at a time.
         """
         n = len(keys)
-        tombstone = value_sizes is None
-        key_bytes = np.fromiter((len(k) for k in keys), np.int64, count=n)
-        if tombstone:
-            rec_sizes = RECORD_OVERHEAD_BYTES + key_bytes
-        else:
-            rec_sizes = RECORD_OVERHEAD_BYTES + key_bytes + value_sizes
+        tombstone = values is None
+        rec_sizes = RECORD_OVERHEAD_BYTES + np.fromiter(map(len, keys), np.int64, count=n)
+        if not tombstone:
+            rec_sizes = rec_sizes + np.fromiter(map(len, values), np.int64, count=n)
         # No flush inside the prefix: replacements only shrink the
         # memtable, so current size + cumulative record bytes bounds the
         # fill (same product expression as Memtable.should_flush);
@@ -581,7 +632,6 @@ class LSMEngine:
             return 0, None
 
         terms = self._charge_terms()
-        regime = self._regime()
         dt_cpu = write_cpu_seconds(self.costs) * terms.write_contention / terms.cores
         log_bytes = rec_sizes[:m] + self.costs.commitlog_overhead_bytes
         dt_seq = log_bytes / terms.seq_bandwidth
@@ -602,42 +652,33 @@ class LSMEngine:
             m = int(synced[0])
             if m < 2:
                 return 0, None
-            dt, times, at, log_bytes = dt[:m], times[:m], at[:m], log_bytes[:m]
 
         if self._pending_compactions or self._flush_queue_bytes > 0.0:
-            # Replay the real per-op drains (the scalar loop's own code,
+            # Replay the real per-op drains (the op loop's own code,
             # so completion budget redistribution and clamping round
             # identically), advancing the clock first because compaction
             # completions stamp output tables with ``clock.now``.  Stop
-            # after the first op whose drain shifts the regime the
+            # after the first op whose drain may shift the regime the
             # precomputed ``dt`` rests on; drains already applied belong
             # to ops that are committed below, so the cut keeps them.
-            stop = m
             for j in range(m):
                 self.clock.advance_to(float(times[j]))
-                self._drain_background(float(dt[j]))
-                if self._regime() != regime:
-                    stop = j + 1
+                if self._drain_background(float(dt[j]), terms.compaction_rate):
+                    m = j + 1
                     break
-            if stop < m:
-                m = stop
-                dt, times, at, log_bytes = dt[:m], times[:m], at[:m], log_bytes[:m]
+        dt, times, at, log_bytes = dt[:m], times[:m], at[:m], log_bytes[:m]
 
-        memtable_put = self.memtable.put
-        log_append = self.commitlog.append
+        memtable_put, log_append = self.memtable.put, self.commitlog.append
         for j in range(m):
             self._write_seq += 1
             ts = float(at[j]) + self._write_seq * 1e-12
-            value = None if tombstone else payloads[int(value_sizes[j])]
-            rec = Record(key=keys[j], timestamp=ts, value=value)
+            rec = Record(keys[j], ts, None if tombstone else values[j])
             log_append(rec, now=float(at[j]))
             memtable_put(rec)
 
-        # The scalar loop's sequential += chains, replayed exactly.
+        # The op loop's sequential += chains, replayed exactly.
         stats = self.stats
-        stats.busy_seconds = float(
-            np.cumsum(np.concatenate(([stats.busy_seconds], dt)))[-1]
-        )
+        stats.busy_seconds = float(np.cumsum(np.concatenate(([stats.busy_seconds], dt)))[-1])
         dstats = self.disk.stats
         dstats.seq_bytes_written = float(
             np.cumsum(np.concatenate(([dstats.seq_bytes_written], log_bytes)))[-1]
@@ -655,13 +696,13 @@ class LSMEngine:
         """Charge a run of point reads (reads ``first`` on of ``plan``)
         with vectorized cost math.
 
-        Mirrors :meth:`_read_newest` + :meth:`_advance_for_op` per op with
-        identical float64 expression trees; the per-op ``clock.advance``
-        chain is reproduced by a sequential ``np.cumsum`` scan, so the
-        committed clock value and ``busy_seconds`` match the scalar loop
-        bit for bit.  Only valid while background work is idle (the
-        caller checks): there no op's drain can change the regime, so
-        one set of charge terms serves the run.
+        Mirrors the op loop's read charge per op with identical float64
+        expression trees; the per-op ``clock.advance`` chain is
+        reproduced by a sequential ``np.cumsum`` scan, so the committed
+        clock value and ``busy_seconds`` match it bit for bit.  Only
+        valid while background work is idle (the caller checks): there
+        no op's drain can change the regime, so one set of charge terms
+        serves the run.
         """
         _, tallies = self._probe_block(keys, plan, first)
         blooms, probes, hits, disk = tallies.T
@@ -669,7 +710,7 @@ class LSMEngine:
 
         cpu = read_cpu_seconds_array(blooms, probes, hits, self.costs)
         dt_cpu = cpu * terms.read_contention / terms.cores
-        # Same bits as the scalar conditional: 0 misses divide to +0.0.
+        # Same bits as the op loop's conditional: 0 misses divide to +0.0.
         dt_rand = disk / terms.rand_iops
         self.disk.stats.random_reads += int(disk.sum())
         dt_pool = self.costs.read_thread_hold / self.knobs.concurrent_reads
@@ -722,12 +763,8 @@ class LSMEngine:
             results = results[:limit]
 
         cpu = self.costs.cpu_read_base + rows_merged * self.costs.cpu_probe * 0.1
-        self._advance_for_op(
-            cpu_seconds=cpu,
-            seq_bytes=seq_bytes,
-            random_reads=min(self.layout.table_count, 1),  # initial seeks
-            hold_seconds=self.costs.read_thread_hold,
-        )
+        seeks = min(self.layout.table_count, 1)  # initial seeks
+        self._advance_for_op(cpu, seq_bytes, seeks, self.costs.read_thread_hold)
         return results
 
     def flush(self) -> Optional[SSTable]:
@@ -875,40 +912,10 @@ class LSMEngine:
             if self.clock.now - start > max_seconds:
                 break
             self.clock.advance(step)
-            self._drain_background(step)
+            self._drain_background(step, self._compaction_rate())
         return self.clock.now - start
 
     # ------------------------------------------------------------------ write path
-
-    def _next_timestamp(self) -> float:
-        # Strictly increasing even when the clock stands still within a batch.
-        self._write_seq += 1
-        return self.clock.now + self._write_seq * 1e-12
-
-    def _write(self, record: Record) -> None:
-        sync_extra = self.commitlog.append(record, now=self.clock.now)
-        self.memtable.put(record)
-
-        stall = 0.0
-        if self.memtable.should_flush(self.knobs.memtable_cleanup_threshold):
-            flush_bytes = self.memtable.size_bytes
-            self._flush_memtable()
-            # If flush writers are behind, the write path stalls until the
-            # queue depth falls back under the limit.
-            flush_bw = self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
-            max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
-            if self._flush_queue_bytes > max_queue:
-                stall = (self._flush_queue_bytes - max_queue) / flush_bw
-                self.stats.write_stall_seconds += stall
-
-        self._advance_for_op(
-            cpu_seconds=write_cpu_seconds(self.costs),
-            seq_bytes=commitlog_bytes_per_write(record.size_bytes, self.costs),
-            random_reads=0,
-            hold_seconds=self.costs.write_thread_hold,
-            write=True,
-            extra_seconds=sync_extra + stall,
-        )
 
     def _flush_memtable(self) -> Optional[SSTable]:
         if len(self.memtable) == 0:
@@ -939,42 +946,27 @@ class LSMEngine:
     # ------------------------------------------------------------------ timing
 
     def _advance_for_op(
-        self,
-        cpu_seconds: float,
-        seq_bytes: float,
-        random_reads: int,
-        hold_seconds: float,
-        write: bool = False,
-        extra_seconds: float = 0.0,
+        self, cpu_seconds: float, seq_bytes: float, random_reads: int, hold_seconds: float
     ) -> None:
-        """Advance the clock by this op's bottleneck service interval.
+        """Advance the clock by a batched read's bottleneck interval.
 
-        The op's demands are divided by the capacity of each resource —
-        available cores (minus compaction CPU and contention), leftover
-        sequential bandwidth, leftover random IOPS, and the read or
-        ``write`` worker pool — and the largest quotient is the time the
-        system needed to push this op through at full concurrency.
+        The accumulated demands of a :meth:`multi_get` or :meth:`scan`
+        over the capacities the op loop divides a point op's by; the
+        read pool is held for ``hold_seconds``.
         """
         terms = self._charge_terms()
-        if write:
-            threads, contention = self.knobs.concurrent_writes, terms.write_contention
-        else:
-            threads, contention = self.knobs.concurrent_reads, terms.read_contention
-        dt_cpu = cpu_seconds * contention / terms.cores
-        dt_seq = dt_rand = 0.0
-        if seq_bytes:
-            self.disk.stats.seq_bytes_written += seq_bytes
-            dt_seq = seq_bytes / terms.seq_bandwidth
-        if random_reads:
-            self.disk.stats.random_reads += random_reads
-            dt_rand = random_reads / terms.rand_iops
-        dt_pool = hold_seconds / threads
-
-        dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra_seconds
+        self.disk.stats.seq_bytes_written += seq_bytes
+        self.disk.stats.random_reads += random_reads
+        dt = max(
+            cpu_seconds * terms.read_contention / terms.cores,
+            seq_bytes / terms.seq_bandwidth,
+            random_reads / terms.rand_iops,
+            hold_seconds / self.knobs.concurrent_reads,
+        )
         self.stats.busy_seconds += dt
         self.clock.advance(dt)
         if self._pending_compactions or self._flush_queue_bytes > 0:
-            self._drain_background(dt)
+            self._drain_background(dt, terms.compaction_rate)
 
     def _regime(self) -> tuple:
         """``(active compactors, flush queue non-empty)``: all of the
@@ -1012,6 +1004,7 @@ class LSMEngine:
         if fresh:
             terms = table[3][regime] = _ChargeTerms()
             terms.bg_cpu, terms.bg_seq = self._background_utilization()
+            terms.compaction_rate = self._compaction_rate()
         self.cpu.set_background_utilization(terms.bg_cpu)
         self.disk.set_background_utilization(terms.bg_seq, 0.0)
         self._applied_terms = terms
@@ -1057,23 +1050,27 @@ class LSMEngine:
             throttle = max(throttle, LEVELED_MIN_COMPACTION_BYTES)
         return min(throttle, stream_cap)
 
-    def _drain_background(self, dt: float) -> None:
+    def _drain_background(self, dt: float, rate: float) -> bool:
+        """Drain ``dt`` seconds of queued flushes and, at ``rate`` input
+        bytes/s, of compactions.  True when that emptied the flush queue
+        or completed a compaction: all a drain can do to :meth:`_regime`.
+        """
+        moved = False
         # Flush queue drains at flush-writer bandwidth.
-        if self._flush_queue_bytes > 0:
-            flush_bw = (
-                self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
-            )
-            self._flush_queue_bytes = max(0.0, self._flush_queue_bytes - flush_bw * dt)
+        queue = self._flush_queue_bytes
+        if queue > 0:
+            flush_bw = self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
+            queue = self._flush_queue_bytes = max(0.0, queue - flush_bw * dt)
+            moved = queue <= 0
 
         # Compaction drains at its current rate, parallel across the first
         # `concurrent_compactors` queued tasks.
-        rate = self._compaction_rate()
-        if rate <= 0.0:
-            return
         budget = rate * dt
         pending = self._pending_compactions
+        compactors = self.knobs.concurrent_compactors
         while budget > 0 and pending:
-            active = list(islice(pending, self.knobs.concurrent_compactors))
+            # The queue itself when all of it is active (changed after the turn).
+            active = pending if len(pending) <= compactors else list(islice(pending, compactors))
             share = budget / len(active)
             consumed = 0.0
             finished = False
@@ -1084,11 +1081,13 @@ class LSMEngine:
                 finished = finished or p.remaining_bytes <= 0
             budget -= consumed
             if finished:
+                moved = True
                 for p in [p for p in pending if p.remaining_bytes <= 0]:
                     pending.remove(p)
                     self._complete_compaction(p.task)
             if consumed <= 0:
                 break
+        return moved
 
     # ------------------------------------------------------------------ compaction
 

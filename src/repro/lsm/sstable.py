@@ -32,14 +32,15 @@ def checksum_records(records: Sequence[Record]) -> int:
     repr-dependent.
     """
     crc = 0
+    crc32, pack = zlib.crc32, struct.Struct("<d").pack
     for rec in records:
-        crc = zlib.crc32(rec.key.encode("utf-8"), crc)
-        crc = zlib.crc32(struct.pack("<d", rec.timestamp), crc)
+        # CRC-32 streams (crc32(a + b) == crc32(b, crc32(a))): the small
+        # fields go in as one buffer, the value as it is, uncopied.
+        head = rec.key.encode("utf-8") + pack(rec.timestamp)
         if rec.value is None:
-            crc = zlib.crc32(b"\x01", crc)  # tombstone marker
+            crc = crc32(head + b"\x01", crc)  # tombstone marker
         else:
-            crc = zlib.crc32(b"\x00", crc)
-            crc = zlib.crc32(rec.value, crc)
+            crc = crc32(rec.value, crc32(head + b"\x00", crc))
     return crc & 0xFFFFFFFF
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE
 from repro.workload.keydist import (
+    _KEY_NAME_FORMAT,
     ExponentialReuseKeyDistribution,
     KeyDistribution,
 )
@@ -45,7 +46,7 @@ class OperationBatch:
     def key_names(self) -> List[str]:
         """Per-op key names (cached after first materialization)."""
         if self._names is None:
-            self._names = [f"user{int(k):012d}" for k in self.key_ids]
+            self._names = [_KEY_NAME_FORMAT % k for k in self.key_ids.tolist()]
         return self._names
 
 

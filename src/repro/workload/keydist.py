@@ -11,12 +11,13 @@ like).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
-
 import numpy as np
 
 from repro.errors import WorkloadError
+
+
+#: A key id's stable, sortable string form (zero-padded, YCSB-style).
+_KEY_NAME_FORMAT = "user%012d"
 
 
 class KeyDistribution:
@@ -47,8 +48,8 @@ class KeyDistribution:
         return np.array([self.next_key(rng) for _ in range(n)], dtype=np.int64)
 
     def key_name(self, key_id: int) -> str:
-        """Stable, sortable string form (zero-padded, YCSB-style)."""
-        return f"user{key_id:012d}"
+        """``key_id`` under :data:`_KEY_NAME_FORMAT`."""
+        return _KEY_NAME_FORMAT % key_id
 
 
 class UniformKeyDistribution(KeyDistribution):
@@ -143,21 +144,37 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
         self.mean_reuse_distance = float(mean_reuse_distance)
         self.reuse_probability = reuse_probability
         self.history_limit = history_limit
-        self._history: Deque[int] = deque(maxlen=history_limit)
+        # The window: the last ``_held`` keys in an int64 buffer grown by
+        # doubling (never allocated at ``history_limit`` up front), a ring
+        # from ``_oldest`` once it holds ``history_limit`` of them.
+        self._history = np.empty(min(history_limit, 1024), dtype=np.int64)
+        self._held = 0
+        self._oldest = 0
         self._last_seen: dict = {}
         self._count = 0
 
+    def _reserve(self, n: int) -> None:
+        """Room for ``n`` more keys, within ``history_limit``."""
+        size = len(self._history)
+        if self._held + n > size:
+            while size < self._held + n:
+                size *= 2
+            grown = np.empty(min(size, self.history_limit), dtype=np.int64)
+            grown[: self._held] = self._history[: self._held]
+            self._history = grown
+
     def next_key(self, rng: np.random.Generator) -> int:
         key = -1
-        if self._history and rng.random() < self.reuse_probability:
+        held, history = self._held, self._history
+        if held and rng.random() < self.reuse_probability:
             # Draw a target distance; retry a couple of times if the
             # slot's key was re-accessed more recently (which would
             # realize a much shorter distance and bias the KRD low).
             for _ in range(3):
                 distance = int(rng.exponential(self.mean_reuse_distance))
-                if distance >= len(self._history):
+                if distance >= held:
                     break
-                candidate = self._history[len(self._history) - 1 - distance]
+                candidate = int(history[(self._oldest + held - 1 - distance) % len(history)])
                 realized = self._count - self._last_seen.get(candidate, self._count) - 1
                 if realized >= distance // 2:
                     key = candidate
@@ -166,12 +183,20 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
             # Reuse distance beyond the observable window (or a cold
             # start): touch a uniformly random — likely cold — key.
             key = int(rng.integers(self.n_keys))
-        if len(self._history) == self.history_limit:
-            # Evict bookkeeping for keys falling out of the window.
-            oldest = self._history[0]
+        if held == self.history_limit:
+            # The oldest key falls out of the window, its bookkeeping
+            # with it, and the new key takes its slot.
+            slot = self._oldest
+            oldest = int(history[slot])
             if self._last_seen.get(oldest, -1) <= self._count - self.history_limit:
                 self._last_seen.pop(oldest, None)
-        self._history.append(key)
+            self._oldest = (slot + 1) % held
+        else:
+            if held == len(history):
+                self._reserve(1)
+            slot = held
+            self._held += 1
+        self._history[slot] = key
         self._last_seen[key] = self._count
         self._count += 1
         return key
@@ -195,7 +220,8 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
             raise WorkloadError("batch size must be non-negative")
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        if len(self._history) + n > self.history_limit:
+        h = self._held
+        if h + n > self.history_limit:
             # Eviction bookkeeping would trigger mid-batch; keep that
             # rare regime on the scalar path.
             return super().next_keys(rng, n)
@@ -204,7 +230,6 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
         distance = rng.exponential(self.mean_reuse_distance, size=n).astype(np.int64)
         cold = rng.integers(self.n_keys, size=n).astype(np.int64)
 
-        h = len(self._history)
         idx = np.arange(n, dtype=np.int64)
         # Op i sees an effective history of h + i entries; a distance at
         # or beyond that window falls back to a cold key, as in the
@@ -217,9 +242,8 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
 
         keys = cold.copy()
         hist_hit = reuse & (target < h)
-        if np.any(hist_hit):
-            hist_arr = np.array(self._history, dtype=np.int64)
-            keys[hist_hit] = hist_arr[target[hist_hit]]
+        # Below the limit the buffer is in order from slot 0.
+        keys[hist_hit] = self._history[target[hist_hit]]
         # In-batch references always point strictly backward, so
         # repeated pointer-halving terminates with every chain rooted at
         # a cold or history-sourced op.
@@ -232,7 +256,9 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
         keys = keys[parent]
 
         key_list = keys.tolist()
-        self._history.extend(key_list)
+        self._reserve(n)
+        self._history[h : h + n] = keys
+        self._held += n
         self._last_seen.update(zip(key_list, range(self._count, self._count + n)))
         self._count += n
         return keys

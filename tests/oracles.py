@@ -15,7 +15,8 @@ from repro.config.cassandra import LEVELED
 from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
 from repro.ga.algorithm import GAResult
 from repro.lsm.analytic import CACHE_WARMUP_SECONDS, StepResult
-from repro.lsm.engine import OP_DELETE, OP_READ
+from repro.lsm.engine import FLUSH_STALL_DEPTH, OP_DELETE, OP_READ
+from repro.lsm.record import Record
 from repro.lsm.sstable import BLOCK_BYTES
 from repro.sim import costs
 from repro.sim.rng import derive_rng
@@ -214,21 +215,108 @@ def oracle_mean_std(ens, x: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# lsm.engine: a block one ``get``/``put``/``delete`` at a time
+# lsm.engine: the point ops as they were written before the op loop — one
+# method per step, terms re-asked and the drain re-entered on every op —
+# driving the engine's real commitlog, memtable, layout and cache
 # (test_batch_opstream), and the drain as first written (test_lsm_engine)
 # ---------------------------------------------------------------------------
 
 
-def apply_scalar_columns(engine, kinds, keys, sizes) -> list:
-    """Run the ops through the engine's per-op API; the clock after each."""
+def _oracle_next_timestamp(engine) -> float:
+    # Strictly increasing even when the clock stands still within a batch.
+    engine._write_seq += 1
+    return engine.clock.now + engine._write_seq * 1e-12
+
+
+def _oracle_advance_for_op(
+    engine, cpu_seconds, seq_bytes, random_reads, hold_seconds, write=False, extra_seconds=0.0
+):
+    terms = engine._charge_terms()
+    if write:
+        threads, contention = engine.knobs.concurrent_writes, terms.write_contention
+    else:
+        threads, contention = engine.knobs.concurrent_reads, terms.read_contention
+    dt_cpu = cpu_seconds * contention / terms.cores
+    dt_seq = dt_rand = 0.0
+    if seq_bytes:
+        engine.disk.stats.seq_bytes_written += seq_bytes
+        dt_seq = seq_bytes / terms.seq_bandwidth
+    if random_reads:
+        engine.disk.stats.random_reads += random_reads
+        dt_rand = random_reads / terms.rand_iops
+    dt_pool = hold_seconds / threads
+
+    dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra_seconds
+    engine.stats.busy_seconds += dt
+    engine.clock.advance(dt)
+    if engine._pending_compactions or engine._flush_queue_bytes > 0:
+        reference_drain(engine, dt)
+
+
+def _oracle_write(engine, record) -> None:
+    sync_extra = engine.commitlog.append(record, now=engine.clock.now)
+    engine.memtable.put(record)
+
+    stall = 0.0
+    if engine.memtable.should_flush(engine.knobs.memtable_cleanup_threshold):
+        flush_bytes = engine.memtable.size_bytes
+        engine._flush_memtable()
+        # If flush writers are behind, the write path stalls until the
+        # queue depth falls back under the limit.
+        flush_bw = engine.knobs.memtable_flush_writers * engine.costs.flush_writer_bandwidth
+        max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
+        if engine._flush_queue_bytes > max_queue:
+            stall = (engine._flush_queue_bytes - max_queue) / flush_bw
+            engine.stats.write_stall_seconds += stall
+
+    _oracle_advance_for_op(
+        engine,
+        cpu_seconds=costs.write_cpu_seconds(engine.costs),
+        seq_bytes=costs.commitlog_bytes_per_write(record.size_bytes, engine.costs),
+        random_reads=0,
+        hold_seconds=engine.costs.write_thread_hold,
+        write=True,
+        extra_seconds=sync_extra + stall,
+    )
+
+
+def oracle_put(engine, key, value, timestamp=None) -> None:
+    ts = timestamp if timestamp is not None else _oracle_next_timestamp(engine)
+    _oracle_write(engine, Record(key=key, timestamp=ts, value=value))
+    engine.stats.writes += 1
+
+
+def oracle_delete(engine, key, timestamp=None) -> None:
+    ts = timestamp if timestamp is not None else _oracle_next_timestamp(engine)
+    _oracle_write(engine, Record.tombstone(key, ts))
+    engine.stats.deletes += 1
+
+
+def oracle_get(engine, key):
+    """One point read through the table-by-table probe, charged as one op."""
+    best, blooms, probes, cache_hits, disk_reads = engine._probe_newest(key)
+    cpu = costs.read_cpu_seconds(blooms, probes, cache_hits, engine.costs)
+    _oracle_advance_for_op(engine, cpu, 0.0, disk_reads, engine.costs.read_thread_hold)
+    if best is None or best.is_tombstone:
+        return None
+    return best.value
+
+
+def apply_scalar_columns(
+    engine, kinds, keys, sizes, api=(oracle_get, oracle_put, oracle_delete)
+) -> list:
+    """Run the ops one at a time through ``api``'s ``(get, put, delete)``
+    — the per-op oracle, or ``LSMEngine``'s own methods for the ops as
+    one-op blocks; the clock after each."""
+    get, put, delete = api
     trace = []
     for kind, key, size in zip(kinds, keys, sizes):
         if kind == OP_READ:
-            engine.get(key)
+            get(engine, key)
         elif kind == OP_DELETE:
-            engine.delete(key)
+            delete(engine, key)
         else:
-            engine.put(key, bytes(int(size)))
+            put(engine, key, bytes(int(size)))
         trace.append(engine.clock.now)
     return trace
 

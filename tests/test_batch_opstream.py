@@ -1,16 +1,20 @@
-"""Batch-vs-scalar equivalence of the vectorized op-stream hot path.
+"""Block ≡ one-op ≡ oracle equivalence of the engine's op loop.
 
 PR 2's batch≡scalar convention, applied to execution: an
 :class:`~repro.workload.generator.OperationBatch` pushed through
 :meth:`~repro.lsm.engine.LSMEngine.execute_batch` must leave the engine
 in the *bit-identical* state (stats, simulated clock, cache, layout)
 that running the same block through ``get``/``put``/``delete`` one op
-at a time (``tests.oracles.apply_scalar``) would, and the supporting
-vectorized pieces (FNV hashing, bloom bulk ops, key-distribution batch
-draws) must match their scalar references exactly.
+at a time (``ONE_OP``: the same loop, entered per op) and through
+the per-op oracle (``tests.oracles.apply_scalar``: the point ops as
+written before the loop) would, and the supporting vectorized pieces
+(FNV hashing, bloom bulk ops, key-distribution batch draws) must match
+their scalar references exactly.
 """
 
 import copy
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +28,7 @@ from repro.errors import DatastoreError
 from repro.lsm import bloom
 from repro.lsm.bloom import BloomFilter, _fnv1a, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
+from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.hardware import HardwareSpec
 from repro.workload.generator import OperationGenerator
 from repro.workload.keydist import (
@@ -34,7 +39,13 @@ from repro.workload.keydist import (
 from repro.workload.spec import WorkloadSpec
 
 from .conftest import MB, make_knobs
-from .oracles import apply_scalar, apply_scalar_columns
+from .oracles import (
+    apply_scalar,
+    apply_scalar_columns,
+    oracle_delete,
+    oracle_get,
+    oracle_put,
+)
 
 
 def small_hardware() -> HardwareSpec:
@@ -65,7 +76,7 @@ def engine_state(engine: LSMEngine) -> tuple:
         engine.cache.hit_ratio,
         list(engine.cache._pages),  # LRU order, not just the hit tally
         engine.sstable_count,
-        engine.memtable.size_bytes,
+        engine.memtable._rows,  # the records: timestamps, tie-breaks and all
         engine.compaction_backlog_bytes,
         engine.disk.stats,
         engine.commitlog.unflushed_record_count,
@@ -75,17 +86,41 @@ def engine_state(engine: LSMEngine) -> tuple:
     )
 
 
-def run_ops(batched: LSMEngine, scalar: LSMEngine, ops):
-    """One hand-built block of ``(kind, key, value size)`` through both
-    paths; asserts they agree and returns the batch result."""
-    kinds = np.array([kind for kind, _, _ in ops])
-    keys = [key for _, key, _ in ops]
-    sizes = np.array([size for _, _, size in ops])
+#: The ops as one-op blocks: ``apply_scalar_columns`` through the public
+#: per-op API in place of the oracle.
+ONE_OP = (LSMEngine.get, LSMEngine.put, LSMEngine.delete)
+
+
+def run_three_ways(batched: LSMEngine, scalar: LSMEngine, kinds, keys, sizes):
+    """One block whole through ``execute_batch`` on ``batched``, as
+    one-op blocks on a copy of it, and through the oracle on ``scalar``;
+    asserts the three agree and returns the batch result."""
+    one_op = copy.deepcopy(batched)
     result = batched.execute_batch(kinds, keys, sizes)
     trace = apply_scalar_columns(scalar, kinds, keys, sizes)
-    assert engine_state(batched) == engine_state(scalar)
+    assert apply_scalar_columns(one_op, kinds, keys, sizes, ONE_OP) == trace
+    assert engine_state(batched) == engine_state(scalar) == engine_state(one_op)
     assert np.array_equal(result.end_times, np.array(trace))
     return result
+
+
+def run_ops(batched: LSMEngine, scalar: LSMEngine, ops):
+    """:func:`run_three_ways` on a hand-built block of ``(kind, key,
+    value size)``."""
+    return run_three_ways(
+        batched,
+        scalar,
+        np.array([kind for kind, _, _ in ops]),
+        [key for _, key, _ in ops],
+        np.array([size for _, _, size in ops]),
+    )
+
+
+def run_block(batched: LSMEngine, scalar: LSMEngine, block):
+    """:func:`run_three_ways` on an ``OperationBatch``."""
+    return run_three_ways(
+        batched, scalar, block.kinds, block.key_names(), block.value_sizes
+    )
 
 
 def write(key, size=200):
@@ -128,22 +163,11 @@ class TestExecuteBatchEquivalence:
         gen = OperationGenerator(spec, np.random.default_rng(seed))
         batched, scalar = twin_engines(strategy)
 
-        load = gen.load_batch(150)
-        batched.execute_batch(load.kinds, load.key_names(), load.value_sizes)
-        apply_scalar(scalar, load)
-        assert engine_state(batched) == engine_state(scalar)
-
+        run_block(batched, scalar, gen.load_batch(150))
         # Two blocks so the second starts from mid-flight flush /
         # compaction state rather than a fresh engine.
         for _ in range(2):
-            block = gen.operation_batch(n_ops)
-            result = batched.execute_batch(
-                block.kinds, block.key_names(), block.value_sizes
-            )
-            trace = apply_scalar(scalar, block)
-            assert engine_state(batched) == engine_state(scalar)
-            # The recorded per-op end times are the scalar clock trace.
-            assert np.array_equal(result.end_times, np.array(trace))
+            run_block(batched, scalar, gen.operation_batch(n_ops))
 
     def test_write_heavy_run_crosses_flush_and_compaction(self):
         """The equivalence must hold *through* background work."""
@@ -230,8 +254,66 @@ class TestKeyDistributionBatches:
         assert a.min() >= 0 and a.max() < 500
         # Bookkeeping advanced as if the keys were drawn one at a time.
         assert dist_a._count == 400
-        assert len(dist_a._history) == 400
+        assert dist_a._held == 400
         assert dist_a._last_seen == dist_b._last_seen
+
+    def test_exponential_reuse_streams_are_pinned(self):
+        """Digests captured before the history moved from a deque into
+        an int64 buffer: 50 blocks of key ids, ``_last_seen``, ``_count``
+        and the generator's position."""
+        dist = ExponentialReuseKeyDistribution(40_000, 20_000.0)
+        rng = np.random.default_rng(2017)
+        ids = [k for _ in range(50) for k in dist.next_keys(rng, 384).tolist()]
+        state = [ids, sorted(dist._last_seen.items()), dist._count, rng.random()]
+        assert hashlib.sha256(json.dumps(state).encode()).hexdigest() == (
+            "0fe181ebab46418a23bdf09af9b703d521b0d5b49d4cb1f345dabaa8406000e8"
+        )
+
+    @pytest.mark.parametrize(
+        "limit, seed, n_batch, n_scalar, digest",
+        [(1500, 7, 170, 37, "723a6cfd6709f538"), (7, 8, 5, 3, "e98add236905b1d6")],
+    )
+    def test_mixed_use_past_the_history_limit_is_pinned(
+        self, limit, seed, n_batch, n_scalar, digest
+    ):
+        """``next_keys`` and ``next_key`` interleaved, through the point
+        where the window is full and the batch path falls back to the
+        scalar sampler (the ring wraps)."""
+        dist = ExponentialReuseKeyDistribution(2000, 50.0, history_limit=limit)
+        rng = np.random.default_rng(seed)
+        ids = []
+        for _ in range(12):
+            ids += dist.next_keys(rng, n_batch).tolist()
+            ids += [dist.next_key(rng) for _ in range(n_scalar)]
+        assert dist._held == limit
+        state = [ids, sorted(dist._last_seen.items()), dist._count, rng.random()]
+        assert hashlib.sha256(json.dumps(state).encode()).hexdigest()[:16] == digest
+
+    def test_next_keys_does_no_work_that_grows_with_history(self, monkeypatch):
+        """A count, not a timing: no array is built from the history per
+        block (the deque was converted whole, 16 MB a block at the 2 M
+        limit), and the buffer is grown by doubling, never to the limit
+        up front."""
+        dist = ExponentialReuseKeyDistribution(10**6, 5_000.0)
+        rng = np.random.default_rng(3)
+        converted = [0]  # lengths of what numpy was asked to build arrays from
+
+        def counting(real):
+            def build(a, *args, **kwargs):
+                converted.append(len(a) if hasattr(a, "__len__") else 1)
+                return real(a, *args, **kwargs)
+
+            return build
+
+        for name in ("array", "asarray", "fromiter"):
+            monkeypatch.setattr(np, name, counting(getattr(np, name)))
+        buffers = set()
+        for _ in range(260):
+            dist.next_keys(rng, 400)
+            buffers.add(len(dist._history))
+        assert dist._held == 104_000
+        assert max(converted) <= 400  # a block's worth at most
+        assert len(buffers) <= 8 and max(buffers) < 2 * dist._held < dist.history_limit
 
     def test_exponential_reuse_batch_actually_reuses(self):
         dist = ExponentialReuseKeyDistribution(n_keys=100_000, mean_reuse_distance=20)
@@ -329,19 +411,11 @@ class TestProbePlanTraps:
         )
         gen = OperationGenerator(spec, np.random.default_rng(seed))
         batched, scalar = twin_engines(strategy)
-        load = gen.load_batch(520)  # four flushes: a compaction is pending
-        batched.execute_batch(load.kinds, load.key_names(), load.value_sizes)
-        apply_scalar(scalar, load)
+        run_block(batched, scalar, gen.load_batch(520))  # four flushes: a compaction is pending
         busy_blocks = 0
         for _ in range(3):
             busy_blocks += batched.compaction_backlog_bytes > 0
-            block = gen.operation_batch(400)
-            result = batched.execute_batch(
-                block.kinds, block.key_names(), block.value_sizes
-            )
-            trace = apply_scalar(scalar, block)
-            assert engine_state(batched) == engine_state(scalar)
-            assert np.array_equal(result.end_times, np.array(trace))
+            run_block(batched, scalar, gen.operation_batch(400))
         assert busy_blocks > 0
 
     def test_flush_mid_block_is_seen_by_later_reads(self):
@@ -449,6 +523,141 @@ class TestProbePlanTraps:
             batched.execute_batch(block.kinds, block.key_names(), block.value_sizes)
         assert batched.stats.flushes > 4 and batched.stats.tables_probed > 0
         assert calls == []
+
+
+def alternating(n: int, first: int = 0, size: int = 200):
+    """``n`` write/read pairs: no run is long enough for a run charge, so
+    every op is stepped by the loop."""
+    return [
+        op for i in range(first, first + n) for op in (write(key(i), size), read(key(i // 2)))
+    ]
+
+
+class TestOpLoop:
+    """What the loop holds across ops must be dropped by each event that
+    can move the regime, and each per-op side effect must reach the
+    charge; every case is block ≡ one-op ≡ oracle through ``run_ops``."""
+
+    def test_flush_then_the_queue_drains_to_zero(self):
+        batched, scalar = twin_engines(SIZE_TIERED)
+        run_ops(batched, scalar, alternating(127))
+        assert batched.stats.flushes == 0 and batched._regime() == (0, False)
+        # Write 128 flushes; the next op's drain empties the queue.
+        run_ops(batched, scalar, [write(key(127))])
+        assert batched.stats.flushes == 1 and batched._regime() == (0, True)
+        run_ops(batched, scalar, [read(key(0))])
+        assert batched._regime() == (0, False)
+        # Both events inside one block, ops to come after each.
+        run_ops(batched, scalar, alternating(140, first=128))
+        assert batched.stats.flushes == 2 and batched._regime() == (0, False)
+
+    @pytest.mark.parametrize("compactors", [2, 4])
+    def test_completions_hand_residual_budget_to_the_next_compactors(self, compactors):
+        slow = make_knobs(
+            concurrent_compactors=compactors, compaction_throughput_bytes=64 * 1024
+        )
+        batched, scalar = (LSMEngine(slow, small_hardware()) for _ in range(2))
+        run_ops(batched, scalar, [write(key(i), 2000) for i in range(1500)])
+        queued = len(batched._pending_compactions)
+        assert queued > 2 * compactors and batched.stats.compactions_completed == 0
+        for engine in (batched, scalar):
+            engine.reconfigure(replace(engine.knobs, compaction_throughput_bytes=8 * MB))
+        # The active tasks are a few bytes apart: each completion leaves
+        # budget the same drain's second turn spends on the next in line.
+        run_ops(batched, scalar, alternating(300, first=2000))
+        assert batched.stats.compactions_completed >= compactors
+        assert len(batched._pending_compactions) > 0
+
+    def test_last_compaction_completing_idles_the_regime(self):
+        batched, scalar = loaded_twins(n_keys=512)
+        assert batched._regime() == (1, True)
+        result = run_ops(batched, scalar, alternating(100, first=600))
+        assert batched.stats.compactions_completed == 1 and batched._regime() == (0, False)
+        done_at = max(t.created_at for t in batched.layout.all_tables())
+        assert result.start_time < done_at < result.end_times[-40]
+
+    def test_reads_after_a_read_run_keep_their_plan_entries(self):
+        batched, scalar = loaded_twins()
+        for engine in (batched, scalar):
+            engine.idle_until_compact()
+        ops = [read(key(i)) for i in range(12)]  # charged as a run
+        ops += [write("a"), read(key(400)), write("b"), read(key(250)), read("a")]
+        run_ops(batched, scalar, ops)
+        assert batched.stats.memtable_hits == 2  # keys 400 and "a"
+
+    def test_write_stall(self):
+        costs = replace(DEFAULT_COSTS, flush_writer_bandwidth=400e3)
+        batched, scalar = (
+            LSMEngine(make_knobs(memtable_flush_writers=1), small_hardware(), costs=costs)
+            for _ in range(2)
+        )
+        run_ops(batched, scalar, alternating(520))
+        assert batched.stats.flushes == 4 and batched.stats.write_stall_seconds > 0
+
+    def test_sync_barriers(self):
+        batched, scalar = (
+            LSMEngine(make_knobs(commitlog_sync_period_s=0.005), small_hardware())
+            for _ in range(2)
+        )
+        run_ops(batched, scalar, alternating(300))
+        assert batched.commitlog.total_syncs > 4
+
+    def test_client_timestamps(self):
+        """One-op only (a block has no client timestamps): an older
+        timestamp loses to the stored row, a newer one wins, and neither
+        advances the engine's own tie-break sequence."""
+        one_op, scalar = loaded_twins()
+
+        def get(name):
+            value = one_op.get(name)
+            assert oracle_get(scalar, name) == value
+            assert engine_state(one_op) == engine_state(scalar)
+            return value
+
+        get(key(7))
+        stored = one_op.layout.all_tables()[0].record_at(7).timestamp
+        for ts, size in ((stored - 1.0, 10), (stored + 1.0, 20)):
+            one_op.put(key(7), bytes(size), timestamp=ts)
+            oracle_put(scalar, key(7), bytes(size), timestamp=ts)
+            assert one_op._write_seq == scalar._write_seq == 500
+            assert len(get(key(7))) == (200 if ts < stored else 20)
+        one_op.delete(key(7), timestamp=stored + 0.5)
+        oracle_delete(scalar, key(7), timestamp=stored + 0.5)
+        assert get(key(7)) == bytes(20)
+        run_ops(one_op, scalar, alternating(20, first=600))
+
+    def test_terms_are_asked_per_event_not_per_op(self, monkeypatch):
+        """A count, not a timing, on a 512-op block at read ratio 0.5
+        with a compaction pending: ``_charge_terms`` is entered once per
+        block, once more after each event that can move the regime (a
+        flush, a drain that empties the flush queue or completes a
+        compaction) and twice per run charge — 50,377 times per
+        ``engine_ycsb`` repetition before the loop, 392 with it."""
+        batched, scalar = loaded_twins(n_keys=512)
+        assert batched.stats.compactions_started == 1 and batched._pending_compactions
+        spec = WorkloadSpec(read_ratio=0.5, n_keys=600, value_bytes=200)
+        block = OperationGenerator(
+            spec, np.random.default_rng(5), loaded_keys=512
+        ).operation_batch(512)
+        kinds, names = block.kinds.tolist(), block.key_names()
+        # The events, counted on the oracle twin op by op.
+        events, before = 0, (scalar._regime(), scalar.stats.flushes)
+        for j, kind in enumerate(kinds):
+            apply_scalar_columns(scalar, [kind], [names[j]], [block.value_sizes[j]])
+            after = (scalar._regime(), scalar.stats.flushes)
+            events += (after[0] != before[0]) or (after[1] != before[1])
+            before = after
+        cuts = [0, *(np.flatnonzero(np.diff(block.kinds)) + 1).tolist(), 512]
+        long_runs = sum(e - s >= 8 for s, e in zip(cuts, cuts[1:]))
+        calls = []
+        original = LSMEngine._charge_terms
+        monkeypatch.setattr(
+            LSMEngine, "_charge_terms", lambda self: calls.append(1) or original(self)
+        )
+        batched.execute_batch(block.kinds, names, block.value_sizes)
+        assert engine_state(batched) == engine_state(scalar)
+        assert events >= 3  # flushes, queue drained, the completion
+        assert len(calls) <= 1 + events + 3 * long_runs < 40
 
 
 class TestRejectedBlocks:

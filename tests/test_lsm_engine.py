@@ -265,6 +265,6 @@ class TestBackgroundDrain:
         engine = copy.deepcopy(self.backlogged(method, compactors))
         reference = copy.deepcopy(engine)
         for dt in steps:
-            engine._drain_background(dt)
+            engine._drain_background(dt, engine._compaction_rate())
             reference_drain(reference, dt)
             assert self.background(engine) == self.background(reference)
