@@ -28,7 +28,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.knobs import EngineKnobs
 from repro.lsm.memtable import Memtable
-from repro.lsm.record import RECORD_OVERHEAD_BYTES, Record
+from repro.lsm.record import Record
 from repro.lsm.sstable import SSTable, merge_records, split_into_tables
 from repro.sim.cache import LruFileCache
 from repro.sim.clock import SimClock
@@ -38,7 +38,6 @@ from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
     read_cpu_seconds,
-    read_cpu_seconds_array,
     thread_contention,
     write_cpu_seconds,
 )
@@ -61,10 +60,6 @@ FLUSH_STALL_DEPTH = 2.0
 OP_READ = 0
 OP_WRITE = 1
 OP_DELETE = 2
-
-#: Below this many same-kind ops, a run charge's numpy setup costs more
-#: than the per-op loop it replaces.
-_MIN_VECTOR_RUN = 8
 
 
 @dataclass
@@ -363,49 +358,31 @@ class LSMEngine:
             )
         )
 
-    def _probe_block(
-        self, keys: Sequence[str], plan: Optional[_ProbePlan] = None, first: int = 0
-    ):
-        """Probe a run of keys without charging time.
-
-        ``keys`` are reads ``first`` on of ``plan``, or without one get
-        a plan of their own.  Returns the winning records (None if
-        absent) and an ``(n, 4)`` int64 array of per-key ``blooms,
-        probes, cache_hits, disk_reads``.  Probing advances no simulated
-        time, so layout and memtable are frozen for the duration
-        whatever the background.
-        """
-        if plan is None:
-            plan, first = self._plan(keys), 0
-        probed = [
-            self._probe_newest(key, plan, first + i) for i, key in enumerate(keys)
-        ]
-        return [p[0] for p in probed], np.array(
-            [p[1:] for p in probed], dtype=np.int64
-        )
-
     def exists(self, key: str) -> bool:
         return self.get(key) is not None
 
     def multi_get(self, keys) -> Dict[str, Optional[bytes]]:
         """Batch point lookups, charged as one batched operation.
 
-        All keys are probed first, then the accumulated demand is pushed
-        through :meth:`_advance_for_op` once: the batch pays a single
-        read-dispatch base cost, its CPU and random-read demands overlap
-        (the op takes the bottleneck's time, not the sum of per-key
-        maxima), and the thread pool is held for the whole batch.
-        Results are identical to N :meth:`get` calls — only the
+        All keys are probed first, under one probe plan (probing
+        advances no simulated time, so layout and memtable are frozen
+        for the duration whatever the background), then the accumulated
+        demand is pushed through :meth:`_advance_for_op` once: the batch
+        pays a single read-dispatch base cost, its CPU and random-read
+        demands overlap (the op takes the bottleneck's time, not the sum
+        of per-key maxima), and the thread pool is held for the whole
+        batch.  Results are identical to N :meth:`get` calls — only the
         simulated time differs.
         """
         keys = list(keys)
         out: Dict[str, Optional[bytes]] = {}
         if not keys:
             return out
-        best, tallies = self._probe_block(keys)
-        for key, rec in zip(keys, best):
+        plan = self._plan(keys)
+        probed = [self._probe_newest(key, plan, i) for i, key in enumerate(keys)]
+        for key, (rec, *_) in zip(keys, probed):
             out[key] = None if rec is None or rec.is_tombstone else rec.value
-        blooms, probes, hits, disk = tallies.sum(axis=0).tolist()
+        blooms, probes, hits, disk = map(sum, list(zip(*probed))[1:])
         cpu = read_cpu_seconds(blooms, probes, hits, self.costs)
         self._advance_for_op(cpu, 0.0, disk, self.costs.read_thread_hold * len(keys))
         return out
@@ -416,7 +393,7 @@ class LSMEngine:
         keys: Sequence[str],
         value_sizes: Optional[np.ndarray] = None,
     ) -> BatchResult:
-        """Apply one operation block — the vectorized serve hot path.
+        """Apply one operation block — the serve hot path.
 
         ``kinds`` holds :data:`OP_READ`/:data:`OP_WRITE`/:data:`OP_DELETE`
         codes, ``keys`` the per-op key names, ``value_sizes`` the write
@@ -425,11 +402,11 @@ class LSMEngine:
         cache behaviour — only ``len(value)`` does).  The block is
         checked whole before any op runs, so a rejected block leaves the
         engine untouched.  Its reads share one probe plan (hashed once,
-        re-derived when the layout moves) and its ops go through
-        :meth:`_execute`, the loop :meth:`get` / :meth:`put` /
-        :meth:`delete` run one op of: stats, clock trajectory, cache
-        state, and results are bit-identical to iterating the ops
-        through them one at a time.
+        re-derived when the layout moves) — the vectorized part; its ops
+        are applied and charged one by one in :meth:`_execute`, the loop
+        :meth:`get` / :meth:`put` / :meth:`delete` run one op of: stats,
+        clock trajectory, cache state, and results are bit-identical to
+        iterating the ops through them one at a time.
         """
         kinds = np.asarray(kinds)
         n = len(kinds)
@@ -461,7 +438,6 @@ class LSMEngine:
             kinds.tolist(),
             keys,
             values,
-            run_ends=[*(np.flatnonzero(np.diff(kinds)) + 1).tolist(), n],
             plan=self._plan([keys[j] for j in np.flatnonzero(is_read).tolist()]),
         )
         n_reads, n_writes = int(is_read.sum()), int(is_write.sum())
@@ -474,26 +450,23 @@ class LSMEngine:
         keys: Sequence[str],
         values: Optional[Sequence[Optional[bytes]]] = None,
         timestamp: Optional[float] = None,
-        run_ends: Optional[Sequence[int]] = None,
         plan: Optional[_ProbePlan] = None,
     ):
-        """The op loop: every point op of a checked block, in one pass.
+        """The op loop: every point op of a checked block, in one pass,
+        and the one place a point op is applied and charged.
 
         ``values`` holds the write payloads by op, ``timestamp`` a
         client timestamp for the mutations in place of the engine's
-        own, ``run_ends`` the end of each same-kind run (one run by
-        default) and ``plan`` the block's probe plan.  Same-kind runs of
-        :data:`_MIN_VECTOR_RUN` ops or more — mutations, and reads while
-        background work is idle — are charged as one cumsum.  Returns
-        the clock after each op and the record the last read found.
+        own and ``plan`` the block's probe plan.  Returns the clock
+        after each op and the record the last read found.
 
         What depends only on ``knobs``/``costs`` is bound once; what
         depends on the background regime (the charge terms, the write's
         CPU quotient, the compaction rate) is held until an event that
         can move :meth:`_regime` — a flush, a drain that empties the
-        flush queue or completes a compaction, a run charge — and
-        re-asked at the next op's charge, never earlier: the cpu and
-        disk models are left holding the regime *charged* last.
+        flush queue or completes a compaction — and re-asked at the
+        next op's charge, never earlier: the cpu and disk models are
+        left holding the regime *charged* last.
         """
         knobs, costs, stats = self.knobs, self.costs, self.stats
         dstats, memtable, pending = self.disk.stats, self.memtable, self._pending_compactions
@@ -507,222 +480,71 @@ class LSMEngine:
         end_times: List[float] = []
         now = self.clock.now
         terms = best = None
-        j = k = 0  # next op; reads done (the next one is read k of the plan)
-        for e in run_ends if run_ends is not None else (len(kinds),):
-            reading, tombstone = kinds[j] == OP_READ, kinds[j] == OP_DELETE
-            while j < e:
-                if e - j >= _MIN_VECTOR_RUN:
-                    # The long-run shortcuts: a prefix of the run's
-                    # mutations, or all of its reads once background work
-                    # is idle (flush queue empty, no pending compactions),
-                    # where per-op drains and utilization are exactly no-ops.
-                    m = 0
-                    if not reading:
-                        m, times = self._execute_mutation_run(
-                            keys[j:e], None if tombstone else values[j:e]
-                        )
-                    elif not pending and self._flush_queue_bytes <= 0.0:
-                        m, times = e - j, self._execute_read_run(keys[j:e], plan, k)
-                        k += m
-                    if m:
-                        end_times.extend(times.tolist())
-                        j, now, terms = j + m, self.clock.now, None
-                        continue
-                key = keys[j]
-                if reading:
-                    best, blooms, probes, hits, disk = probe(key, plan, k)
-                    k += 1
+        k = 0  # reads done (the next one is read k of the plan)
+        for j, kind in enumerate(kinds):
+            key = keys[j]
+            reading = kind == OP_READ
+            if reading:
+                best, blooms, probes, hits, disk = probe(key, plan, k)
+                k += 1
+            else:
+                tombstone = kind == OP_DELETE
+                ts = timestamp
+                if ts is None:
+                    # Strictly increasing even when the clock stands still.
+                    self._write_seq += 1
+                    ts = now + self._write_seq * 1e-12
+                rec = Record(key, ts, None if tombstone else values[j])
+                # Seconds owed to a commitlog sync barrier, if this
+                # append crossed one.
+                extra = log_append(rec, now)
+                mem_put(rec)
+                if tombstone:
+                    stats.deletes += 1
                 else:
-                    # A short tail, or this op flushes the memtable /
-                    # crosses a sync barrier — per-op side effects the
-                    # run charge cannot carry.
-                    ts = timestamp
-                    if ts is None:
-                        # Strictly increasing even when the clock stands still.
-                        self._write_seq += 1
-                        ts = now + self._write_seq * 1e-12
-                    rec = Record(key, ts, None if tombstone else values[j])
-                    extra = log_append(rec, now)
-                    mem_put(rec)
-                    if tombstone:
-                        stats.deletes += 1
-                    else:
-                        stats.writes += 1
-                    if memtable.size_bytes >= flush_at:
-                        flush_bytes = memtable.size_bytes
-                        self._flush_memtable()
-                        # If flush writers are behind, the write path stalls
-                        # until the queue depth falls back under the limit.
-                        max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
-                        if self._flush_queue_bytes > max_queue:
-                            stall = (self._flush_queue_bytes - max_queue) / flush_bw
-                            stats.write_stall_seconds += stall
-                            extra += stall
-                        terms = None
-
-                # The op's demands over the capacity of each resource —
-                # available cores (minus compaction CPU and contention),
-                # leftover sequential bandwidth, leftover random IOPS, its
-                # worker pool: the largest quotient is the time the system
-                # needed to push this op through at full concurrency.
-                if terms is None:
-                    terms = self._charge_terms()
-                    cores, read_contention = terms.cores, terms.read_contention
-                    seq_bandwidth, rand_iops = terms.seq_bandwidth, terms.rand_iops
-                    write_dt_cpu = write_cpu * terms.write_contention / cores
-                    compaction_rate = terms.compaction_rate
-                if reading:
-                    cpu = read_cpu_seconds(blooms, probes, hits, costs)
-                    dt_cpu, dt_pool = cpu * read_contention / cores, read_pool
-                    dt_seq = dt_rand = extra = 0.0
-                    if disk:
-                        dstats.random_reads += disk
-                        dt_rand = disk / rand_iops
-                else:
-                    log_bytes = rec.size_bytes + log_overhead
-                    dstats.seq_bytes_written += log_bytes
-                    dt_cpu, dt_pool = write_dt_cpu, write_pool
-                    dt_seq, dt_rand = log_bytes / seq_bandwidth, 0.0
-                dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra
-                stats.busy_seconds += dt
-                now = advance(dt)
-                end_times.append(now)
-                if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):
+                    stats.writes += 1
+                if memtable.size_bytes >= flush_at:
+                    flush_bytes = memtable.size_bytes
+                    self._flush_memtable()
+                    # If flush writers are behind, the write path stalls
+                    # until the queue depth falls back under the limit.
+                    max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
+                    if self._flush_queue_bytes > max_queue:
+                        stall = (self._flush_queue_bytes - max_queue) / flush_bw
+                        stats.write_stall_seconds += stall
+                        extra += stall
                     terms = None
-                j += 1
+
+            # The op's demands over the capacity of each resource —
+            # available cores (minus compaction CPU and contention),
+            # leftover sequential bandwidth, leftover random IOPS, its
+            # worker pool: the largest quotient is the time the system
+            # needed to push this op through at full concurrency.
+            if terms is None:
+                terms = self._charge_terms()
+                cores, read_contention = terms.cores, terms.read_contention
+                seq_bandwidth, rand_iops = terms.seq_bandwidth, terms.rand_iops
+                write_dt_cpu = write_cpu * terms.write_contention / cores
+                compaction_rate = terms.compaction_rate
+            if reading:
+                cpu = read_cpu_seconds(blooms, probes, hits, costs)
+                dt_cpu, dt_pool = cpu * read_contention / cores, read_pool
+                dt_seq = dt_rand = extra = 0.0
+                if disk:
+                    dstats.random_reads += disk
+                    dt_rand = disk / rand_iops
+            else:
+                log_bytes = rec.size_bytes + log_overhead
+                dstats.seq_bytes_written += log_bytes
+                dt_cpu, dt_pool = write_dt_cpu, write_pool
+                dt_seq, dt_rand = log_bytes / seq_bandwidth, 0.0
+            dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra
+            stats.busy_seconds += dt
+            now = advance(dt)
+            end_times.append(now)
+            if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):
+                terms = None
         return end_times, best
-
-    def _execute_mutation_run(self, keys: Sequence[str], values: Optional[Sequence[bytes]]):
-        """Vectorized charging for a prefix of a write run of ``values``,
-        or with None of a tombstone run.
-
-        Returns ``(m, end_times)``: the first ``m`` ops were applied and
-        charged as one block; the op loop steps op ``m`` itself (it
-        would flush the memtable or cross a commitlog sync barrier —
-        per-op side effects the block charge cannot include) and then
-        retries the remainder.  ``m == 0`` means no vectorizable prefix.
-
-        The block path works under *busy* background too: per-op service
-        intervals are valid as long as the background regime they were
-        computed under holds, so the real per-op drains are replayed
-        (flush-queue decay, compaction progress, completions included)
-        and the prefix is cut at the first op whose drain changes the
-        regime.  Within the accepted prefix every per-op quantity
-        the op loop computes — record timestamps from the advancing
-        clock, per-record commitlog byte charges, the busy/clock
-        accumulators, background drains — is replicated with identical
-        float64 arithmetic (sequential cumsum chains and the drain code
-        itself), and real records still flow through the real commitlog
-        and memtable, so durability and recovery state are exactly as if
-        the ops ran one at a time.
-        """
-        n = len(keys)
-        tombstone = values is None
-        rec_sizes = RECORD_OVERHEAD_BYTES + np.fromiter(map(len, keys), np.int64, count=n)
-        if not tombstone:
-            rec_sizes = rec_sizes + np.fromiter(map(len, values), np.int64, count=n)
-        # No flush inside the prefix: replacements only shrink the
-        # memtable, so current size + cumulative record bytes bounds the
-        # fill (same product expression as Memtable.should_flush);
-        # everything at and past the crossing is cut off.
-        flush_at = self.knobs.memtable_cleanup_threshold * self.memtable.capacity_bytes
-        sizes_after = self.memtable.size_bytes + np.cumsum(rec_sizes)
-        m = int(np.searchsorted(sizes_after, flush_at, side="left"))
-        if m < 2:
-            return 0, None
-
-        terms = self._charge_terms()
-        dt_cpu = write_cpu_seconds(self.costs) * terms.write_contention / terms.cores
-        log_bytes = rec_sizes[:m] + self.costs.commitlog_overhead_bytes
-        dt_seq = log_bytes / terms.seq_bandwidth
-        dt_pool = self.costs.write_thread_hold / self.knobs.concurrent_writes
-        dt = np.maximum(np.maximum(dt_cpu, dt_seq), dt_pool)
-
-        start = self.clock.now
-        times = np.cumsum(np.concatenate(([start], dt)))[1:]
-        # Clock value each op observes (before its own advance).
-        at = np.concatenate(([start], times[:-1]))
-        # No sync barrier inside the prefix, else the op that crossed it
-        # would owe extra seconds the block charge does not include.
-        sync_base = self.commitlog._last_sync_time
-        if sync_base is None:
-            sync_base = at[0]  # first append only establishes the baseline
-        synced = np.flatnonzero(at - sync_base >= self.commitlog.sync_period_s)
-        if len(synced):
-            m = int(synced[0])
-            if m < 2:
-                return 0, None
-
-        if self._pending_compactions or self._flush_queue_bytes > 0.0:
-            # Replay the real per-op drains (the op loop's own code,
-            # so completion budget redistribution and clamping round
-            # identically), advancing the clock first because compaction
-            # completions stamp output tables with ``clock.now``.  Stop
-            # after the first op whose drain may shift the regime the
-            # precomputed ``dt`` rests on; drains already applied belong
-            # to ops that are committed below, so the cut keeps them.
-            for j in range(m):
-                self.clock.advance_to(float(times[j]))
-                if self._drain_background(float(dt[j]), terms.compaction_rate):
-                    m = j + 1
-                    break
-        dt, times, at, log_bytes = dt[:m], times[:m], at[:m], log_bytes[:m]
-
-        memtable_put, log_append = self.memtable.put, self.commitlog.append
-        for j in range(m):
-            self._write_seq += 1
-            ts = float(at[j]) + self._write_seq * 1e-12
-            rec = Record(keys[j], ts, None if tombstone else values[j])
-            log_append(rec, now=float(at[j]))
-            memtable_put(rec)
-
-        # The op loop's sequential += chains, replayed exactly.
-        stats = self.stats
-        stats.busy_seconds = float(np.cumsum(np.concatenate(([stats.busy_seconds], dt)))[-1])
-        dstats = self.disk.stats
-        dstats.seq_bytes_written = float(
-            np.cumsum(np.concatenate(([dstats.seq_bytes_written], log_bytes)))[-1]
-        )
-        self.clock.advance_to(float(times[-1]))
-        if tombstone:
-            stats.deletes += m
-        else:
-            stats.writes += m
-        return m, times
-
-    def _execute_read_run(
-        self, keys: Sequence[str], plan: Optional[_ProbePlan], first: int
-    ) -> np.ndarray:
-        """Charge a run of point reads (reads ``first`` on of ``plan``)
-        with vectorized cost math.
-
-        Mirrors the op loop's read charge per op with identical float64
-        expression trees; the per-op ``clock.advance`` chain is
-        reproduced by a sequential ``np.cumsum`` scan, so the committed
-        clock value and ``busy_seconds`` match it bit for bit.  Only
-        valid while background work is idle (the caller checks): there
-        no op's drain can change the regime, so one set of charge terms
-        serves the run.
-        """
-        _, tallies = self._probe_block(keys, plan, first)
-        blooms, probes, hits, disk = tallies.T
-        terms = self._charge_terms()
-
-        cpu = read_cpu_seconds_array(blooms, probes, hits, self.costs)
-        dt_cpu = cpu * terms.read_contention / terms.cores
-        # Same bits as the op loop's conditional: 0 misses divide to +0.0.
-        dt_rand = disk / terms.rand_iops
-        self.disk.stats.random_reads += int(disk.sum())
-        dt_pool = self.costs.read_thread_hold / self.knobs.concurrent_reads
-        dt = np.maximum(np.maximum(dt_cpu, dt_rand), dt_pool)
-
-        # cumsum is a sequential left-to-right scan, so these are the
-        # exact partial sums the per-op `x += dt` chain would produce.
-        times = np.cumsum(np.concatenate(([self.clock.now], dt)))[1:]
-        busy = np.cumsum(np.concatenate(([self.stats.busy_seconds], dt)))[1:]
-        self.stats.busy_seconds = float(busy[-1])
-        self.clock.advance_to(float(times[-1]))
-        return times
 
     def scan(self, start_key: str, end_key: str, limit: int = 0) -> List[tuple]:
         """Range scan: ``[(key, value)]`` for start <= key <= end, sorted.
@@ -955,7 +777,7 @@ class LSMEngine:
         read pool is held for ``hold_seconds``.
         """
         terms = self._charge_terms()
-        self.disk.stats.seq_bytes_written += seq_bytes
+        self.disk.stats.seq_bytes_read += seq_bytes
         self.disk.stats.random_reads += random_reads
         dt = max(
             cpu_seconds * terms.read_contention / terms.cores,

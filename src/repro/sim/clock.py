@@ -39,11 +39,5 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, t: float) -> float:
-        """Move time forward to absolute time ``t`` (no-op if in the past)."""
-        if t > self._now:
-            self._now = t
-        return self._now
-
     def __repr__(self) -> str:
         return f"SimClock(t={self._now:.6f}s)"

@@ -121,27 +121,6 @@ def read_cpu_seconds(
     )
 
 
-def read_cpu_seconds_array(
-    tables_bloom_checked,
-    candidates_probed,
-    cache_hits,
-    costs: CostConstants = DEFAULT_COSTS,
-):
-    """Vectorized :func:`read_cpu_seconds` over numpy tally arrays.
-
-    The expression tree is kept identical (same left-associated adds on
-    float64), so each element is bit-equal to the scalar call with the
-    same tallies — the batch≡scalar convention the engine's
-    ``execute_batch`` equivalence tests pin down.
-    """
-    return (
-        costs.cpu_read_base
-        + tables_bloom_checked * costs.cpu_bloom_check
-        + candidates_probed * costs.cpu_probe
-        + cache_hits * costs.cpu_cache_hit
-    )
-
-
 def write_cpu_seconds(costs: CostConstants = DEFAULT_COSTS) -> float:
     """CPU seconds of one write (whole-row upsert)."""
     return costs.cpu_write

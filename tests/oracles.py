@@ -239,7 +239,10 @@ def _oracle_advance_for_op(
     dt_cpu = cpu_seconds * contention / terms.cores
     dt_seq = dt_rand = 0.0
     if seq_bytes:
-        engine.disk.stats.seq_bytes_written += seq_bytes
+        if write:
+            engine.disk.stats.seq_bytes_written += seq_bytes
+        else:
+            engine.disk.stats.seq_bytes_read += seq_bytes
         dt_seq = seq_bytes / terms.seq_bandwidth
     if random_reads:
         engine.disk.stats.random_reads += random_reads

@@ -63,6 +63,19 @@ class TestScan:
         engine.scan("k000", "k099")
         assert engine.clock.now > t0
 
+    def test_scan_streams_read_bytes_not_written_ones(self, engine):
+        """A scan's table bytes are a sequential *read*: booking them as
+        written inflated anything that reads write volume."""
+        engine.flush()
+        engine.idle_until_compact()
+        tables = engine.layout.all_tables()
+        overlapped = sum(t.size_bytes * t.range_fraction("k010", "k050") for t in tables)
+        assert overlapped > 0
+        written, read = engine.disk.stats.seq_bytes_written, engine.disk.stats.seq_bytes_read
+        engine.scan("k010", "k050")
+        assert engine.disk.stats.seq_bytes_written == written
+        assert engine.disk.stats.seq_bytes_read == read + overlapped
+
     def test_scan_survives_compaction(self, small_knobs):
         engine = LSMEngine(small_knobs)
         for i in range(2000):

@@ -34,15 +34,5 @@ class TestSimClock:
         clock.advance(0.0)
         assert clock.now == 1.0
 
-    def test_advance_to_future(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
-
-    def test_advance_to_past_is_noop(self):
-        clock = SimClock(start=10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
-
     def test_repr_mentions_time(self):
         assert "0.5" in repr(SimClock(start=0.5))
