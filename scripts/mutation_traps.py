@@ -37,6 +37,8 @@ EQUIVALENCE = "tests/test_batch_equivalence.py"
 REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
 ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
+BACKGROUND = "repro/lsm/background.py"
+BACKGROUND_TESTS = "tests/test_lsm_background.py"
 
 TRAPS = [
     (
@@ -214,6 +216,53 @@ TRAPS = [
         ],
         "tests/test_batch_opstream.py::TestProbePlanTraps"
         "::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    # -- the background model both substrates share, against test-side
+    # -- oracles that do not import it
+    (
+        "background: leveled compaction's floor dropped",
+        BACKGROUND,
+        [
+            (
+                "throttle = max(throttle, LEVELED_MIN_COMPACTION_BYTES)",
+                "throttle = max(throttle, 0)",
+            )
+        ],
+        f"{BACKGROUND_TESTS}::TestBackgroundTerms::test_leveled_floor",
+    ),
+    (
+        "background: the flush writers left out of the sequential demand",
+        BACKGROUND,
+        [
+            (
+                "seq_demand = rate * costs.compaction_io_factor + flush_rate",
+                "seq_demand = rate * costs.compaction_io_factor",
+            )
+        ],
+        f"{BACKGROUND_TESTS}::TestBackgroundTerms::test_flush_writers_take_sequential_bandwidth",
+    ),
+    (
+        "background: the queue not capped at concurrent_compactors",
+        BACKGROUND,
+        [
+            (
+                "active = min(queued, knobs.concurrent_compactors)",
+                "active = queued",
+            )
+        ],
+        f"{BACKGROUND_TESTS}::TestBackgroundTerms::test_per_compactor_throttle",
+    ),
+    (
+        "size buckets: the running average not updated",
+        "repro/lsm/compaction.py",
+        [
+            (
+                "                averages[b] = sum(sizes[j] for j in buckets[b]) / len(buckets[b])\n",
+                "",
+            )
+        ],
+        "tests/test_lsm_compaction.py::TestSizeBuckets"
+        "::test_the_running_average_moves_the_window",
     ),
 ]
 

@@ -2,11 +2,12 @@
 
 Evolves the same aggregate state as :class:`~repro.lsm.engine.LSMEngine`
 — memtable fill, SSTable layout, compaction backlog, file-cache warmth —
-in fixed time steps, pricing work through the *same* cost formulas as
-:mod:`repro.sim.costs`.  Each step solves the fluid bottleneck equation
-for the closed-loop throughput the server can sustain at the current
-read ratio, then applies that step's structural consequences (flushes,
-compaction progress).  The equation's terms are derived as rarely as
+in fixed time steps, pricing work through the *same* cost formulas
+(:mod:`repro.sim.costs`) and background load (:mod:`repro.lsm.background`).
+Each step solves the fluid bottleneck equation for the closed-loop
+throughput the server can sustain at the current read ratio, then
+applies that step's structural consequences (flushes, compaction
+progress).  The equation's terms are derived as rarely as
 what moves them: per regime — knobs, hardware, costs, profile, read
 ratio (:class:`_RegimeTerms`); per structural segment — the layout, the
 backlog, the flush flag (:class:`_SegmentTerms`); and per step only what
@@ -29,14 +30,13 @@ from collections import deque
 import numpy as np
 
 from repro.config.cassandra import LEVELED
+from repro.lsm.background import BackgroundTerms, compaction_rate
 from repro.lsm.compaction import (
-    BUCKET_HIGH,
-    BUCKET_LOW,
     L0_COMPACTION_TRIGGER,
     LEVEL_FANOUT,
     SIZE_TIERED_MIN_THRESHOLD,
+    size_buckets,
 )
-from repro.lsm.engine import COMPACTOR_STREAM_BYTES, LEVELED_MIN_COMPACTION_BYTES
 from repro.lsm.knobs import EngineKnobs
 from repro.lsm.record import RECORD_OVERHEAD_BYTES
 from repro.lsm.sstable import BLOCK_BYTES
@@ -46,7 +46,6 @@ from repro.sim.costs import (
     commitlog_bytes_per_write,
     expected_version_spread,
     read_cpu_seconds,
-    thread_contention,
     write_cpu_seconds,
 )
 from repro.sim.hardware import DEFAULT_SERVER, HardwareSpec
@@ -152,7 +151,7 @@ class _RegimeTerms:
     __slots__ = (
         "knobs", "hardware", "costs", "profile", "cache_pages", "steady_hit",
         "record_bytes", "insert_fraction", "flush_trigger", "half_flush_trigger",
-        "flush_duty_rate", "ghz_scale", "iops", "read_ratio", "w", "w_cpu",
+        "flush_duty_rate", "read_ratio", "w", "w_cpu",
         "w_commitlog_bytes", "flush_cap", "write_pool_cap", "read_pool_cap",
         "segment",
     )
@@ -177,8 +176,6 @@ class _RegimeTerms:
         self.flush_duty_rate = (
             knobs.memtable_flush_writers * costs.flush_writer_bandwidth
         ) * 0.5
-        self.ghz_scale = hardware.cpu_ghz / 3.0
-        self.iops = hardware.disk_rand_iops * hardware.disk_count
         self.read_ratio = None
         self.segment: Optional[_SegmentTerms] = None
 
@@ -210,7 +207,8 @@ class _SegmentTerms:
     tables a read checks, the backlog length and the flush flag hold
     still; within one, only the cache warm-up ramp moves the solve.
     Everything that does not depend on the ramp is worked out here,
-    once, through the formulas of :mod:`repro.sim.costs`, and closed
+    once, through the formulas of :mod:`repro.sim.costs` and the
+    segment's :class:`~repro.lsm.background.BackgroundTerms`, and closed
     over by :attr:`solve`, which finishes the equation for a hit ratio.
     Derived state hung off the regime table it was weighted by (a
     rebuilt or re-mixed table drops it) and revalidated from its three
@@ -219,10 +217,9 @@ class _SegmentTerms:
 
     __slots__ = ("n_checked", "n_backlog", "flushing", "comp_rate", "solve")
 
-    def __init__(self, t: _RegimeTerms, n_checked, n_backlog, comp_rate, flushing):
-        knobs, hardware, costs = t.knobs, t.hardware, t.costs
+    def __init__(self, t: _RegimeTerms, n_checked, n_backlog, flushing):
+        knobs, costs = t.knobs, t.costs
         self.n_checked, self.n_backlog, self.flushing = n_checked, n_backlog, flushing
-        self.comp_rate = comp_rate
         r, inf = t.read_ratio, math.inf
 
         # Read path: tables checked, version spread, candidates probed.
@@ -234,18 +231,15 @@ class _SegmentTerms:
         cpu_cache_hit = costs.cpu_cache_hit
 
         # Background work steals sequential bandwidth and cores.
-        seq_demand = comp_rate * costs.compaction_io_factor + (
-            t.flush_duty_rate if flushing else 0.0
+        bg = BackgroundTerms(
+            knobs, t.hardware, costs, n_backlog, t.flush_duty_rate if flushing else 0.0
         )
-        bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
-        bg_cpu = min(comp_rate * costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
-        cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * t.ghz_scale, 0.5)
-        read_contention = thread_contention(knobs.concurrent_reads, cores, costs)
-        write_cpu = t.w_cpu * thread_contention(knobs.concurrent_writes, cores, costs)
+        self.comp_rate = bg.compaction_rate
+        cores, read_contention = bg.cores, bg.read_contention
+        write_cpu = t.w_cpu * bg.write_contention
         # Sequential disk: commit-log bytes per write.
-        seq_bw = hardware.disk_seq_bandwidth * (1.0 - bg_seq)
-        seq_cap = seq_bw / t.w_commitlog_bytes if t.w > 0 else inf
-        iops = t.iops
+        seq_cap = bg.seq_bandwidth / t.w_commitlog_bytes if t.w > 0 else inf
+        iops = bg.rand_iops
         flush_cap, write_pool_cap, read_pool_cap = (
             t.flush_cap, t.write_pool_cap, t.read_pool_cap
         )
@@ -417,9 +411,7 @@ class AnalyticLSMModel:
             or s.n_backlog != n_backlog
             or s.flushing is not flushing
         ):
-            s = t.segment = _SegmentTerms(
-                t, n_checked, n_backlog, self._compaction_rate(), flushing
-            )
+            s = t.segment = _SegmentTerms(t, n_checked, n_backlog, flushing)
         return s
 
     def sustainable_throughput(self, read_ratio: float) -> float:
@@ -560,7 +552,9 @@ class AnalyticLSMModel:
             raise ValueError("dt must be positive")
         if reads < 0 or writes < 0:
             raise ValueError("work cannot be negative")
-        self._absorb(self._regime(), self._compaction_rate(), reads, writes, dt)
+        self._absorb(
+            self._regime(), compaction_rate(self.knobs, len(self.backlog)), reads, writes, dt
+        )
 
     def load(self, n_keys: int) -> None:
         """Load phase: bulk-insert ``n_keys`` fresh rows (YCSB load)."""
@@ -631,27 +625,12 @@ class AnalyticLSMModel:
 
     def _maybe_trigger_size_tiered(self) -> None:
         busy = self._busy_st_tables()
-        idle = [
-            (i, s) for i, s in enumerate(self.st_tables) if i not in busy
-        ]
+        idle = [i for i in range(len(self.st_tables)) if i not in busy]
         # Bucket by similar size, as SizeTieredStrategy does.
-        buckets: List[List[tuple]] = []
-        averages: List[float] = []
-        for i, s in sorted(idle, key=lambda p: p[1]):
-            placed = False
-            for bi, avg in enumerate(averages):
-                if BUCKET_LOW * avg <= s <= BUCKET_HIGH * avg:
-                    buckets[bi].append((i, s))
-                    averages[bi] = sum(x[1] for x in buckets[bi]) / len(buckets[bi])
-                    placed = True
-                    break
-            if not placed:
-                buckets.append([(i, s)])
-                averages.append(s)
-        for bucket in buckets:
+        for bucket in size_buckets([self.st_tables[i] for i in idle]):
             if len(bucket) >= SIZE_TIERED_MIN_THRESHOLD:
-                indices = tuple(i for i, _ in bucket)
-                total = sum(s for _, s in bucket)
+                indices = tuple(idle[p] for p in bucket)
+                total = sum(self.st_tables[i] for i in indices)
                 self.backlog.append(
                     _BacklogTask(
                         remaining_io_bytes=self.costs.compaction_io_factor * total,
@@ -741,24 +720,8 @@ class AnalyticLSMModel:
 
     # ------------------------------------------------------------------ background
 
-    def _compaction_rate(self) -> float:
-        if not self.backlog:
-            return 0.0
-        active = min(len(self.backlog), self.knobs.concurrent_compactors)
-        stream_cap = active * COMPACTOR_STREAM_BYTES
-        # The throughput knob throttles each compactor process; running
-        # more compactors in parallel raises total drain rate ("simultaneous
-        # compactions help preserve read performance ... by limiting the
-        # number of small SSTables that accumulate", paper §3.4.1).
-        throttle = self.knobs.compaction_throughput_bytes * active
-        if self.is_leveled:
-            # LCS fires on every flush and escalates past the user
-            # throttle when L0 backs up (paper §2.2.2).
-            throttle = max(throttle, LEVELED_MIN_COMPACTION_BYTES)
-        return min(throttle, stream_cap)
-
     def _drain_background(self, dt: float) -> None:
-        rate = self._compaction_rate()
+        rate = compaction_rate(self.knobs, len(self.backlog))
         if rate <= 0.0:
             return
         # The queue holds io-bytes (read+write); drain at io-rate.

@@ -32,6 +32,27 @@ LEVEL_FANOUT = 10
 L0_COMPACTION_TRIGGER = 4
 
 
+def size_buckets(sizes: Sequence[float]) -> List[List[int]]:
+    """Group positions in ``sizes`` by similar size (Cassandra's
+    bucketing rule): smallest first, each joining the first bucket whose
+    running average it lies within ``[BUCKET_LOW, BUCKET_HIGH]`` of."""
+    buckets: List[List[int]] = []
+    averages: List[float] = []
+    for i in sorted(range(len(sizes)), key=sizes.__getitem__):
+        size = sizes[i]
+        placed = False
+        for b, avg in enumerate(averages):
+            if BUCKET_LOW * avg <= size <= BUCKET_HIGH * avg:
+                buckets[b].append(i)
+                averages[b] = sum(sizes[j] for j in buckets[b]) / len(buckets[b])
+                placed = True
+                break
+        if not placed:
+            buckets.append([i])
+            averages.append(float(size))
+    return buckets
+
+
 @dataclass
 class CompactionTask:
     """A proposed merge: input tables -> new tables at ``target_level``."""
@@ -180,29 +201,12 @@ class SizeTieredStrategy(CompactionStrategy):
         self.min_threshold = min_threshold
         self.max_threshold = max_threshold
 
-    def _buckets(self, tables: Sequence[SSTable]) -> List[List[SSTable]]:
-        """Group tables by similar size (Cassandra's bucketing rule)."""
-        buckets: List[List[SSTable]] = []
-        averages: List[float] = []
-        for table in sorted(tables, key=lambda t: t.size_bytes):
-            placed = False
-            for i, avg in enumerate(averages):
-                if BUCKET_LOW * avg <= table.size_bytes <= BUCKET_HIGH * avg:
-                    buckets[i].append(table)
-                    averages[i] = sum(t.size_bytes for t in buckets[i]) / len(buckets[i])
-                    placed = True
-                    break
-            if not placed:
-                buckets.append([table])
-                averages.append(float(table.size_bytes))
-        return buckets
-
     def propose(self, layout, busy_table_ids, next_task_id):
         idle = [t for t in layout.levels[0] if t.table_id not in busy_table_ids]
         tasks: List[CompactionTask] = []
-        for bucket in self._buckets(idle):
+        for bucket in size_buckets([t.size_bytes for t in idle]):
             if len(bucket) >= self.min_threshold:
-                chosen = bucket[: self.max_threshold]
+                chosen = [idle[i] for i in bucket[: self.max_threshold]]
                 # Tombstones can be dropped only on a full merge of every
                 # table (no older versions can hide elsewhere).
                 full_merge = len(chosen) == layout.table_count

@@ -5,7 +5,8 @@ real LRU file cache, real compaction merges — that charges every
 operation simulated time through :mod:`repro.sim.costs`.  Flushes and
 compactions run as *background work*: they are queued with byte sizes and
 drained as the clock advances, stealing disk bandwidth and CPU from
-foreground queries exactly as the paper describes (§2.2.2).
+foreground queries exactly as the paper describes (§2.2.2) and as
+:mod:`repro.lsm.background` prices it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from collections import deque
 
 import numpy as np
 
-from repro.config.cassandra import LEVELED
 from repro.errors import DatastoreError, PersistenceError
+from repro.lsm.background import BackgroundTerms, compaction_rate
 from repro.lsm.bloom import hash_key, hash_keys
 from repro.lsm.commitlog import CommitLog
 from repro.lsm.compaction import (
@@ -32,24 +33,15 @@ from repro.lsm.record import Record
 from repro.lsm.sstable import SSTable, merge_records, split_into_tables
 from repro.sim.cache import LruFileCache
 from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
 from repro.sim.disk import DiskModel
 from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
     read_cpu_seconds,
-    thread_contention,
     write_cpu_seconds,
 )
 from repro.sim.hardware import DEFAULT_SERVER, HardwareSpec
 
-#: Streaming capacity of one compactor process (bounded by merge CPU and
-#: per-stream disk efficiency).
-COMPACTOR_STREAM_BYTES = 45 * 1024 * 1024
-#: Leveled compaction must keep up with flushes — it fires on every
-#: flush and escalates past the user throttle when L0 backs up (paper
-#: §2.2.2: it "requires more processing and disk I/O operations").
-LEVELED_MIN_COMPACTION_BYTES = 64 * 1024 * 1024
 #: Flush queue depth (in flush sizes) beyond which writes stall.
 FLUSH_STALL_DEPTH = 2.0
 
@@ -122,15 +114,6 @@ class _ProbePlan:
         self.epoch = -1  # no layout has this epoch: the first read plans
 
 
-class _ChargeTerms:
-    """What an op's charge and drain need of one background regime."""
-
-    __slots__ = (
-        "bg_cpu", "bg_seq", "cores", "read_contention", "write_contention",
-        "seq_bandwidth", "rand_iops", "compaction_rate",
-    )
-
-
 @dataclass
 class RecoveryReport:
     """What one commitlog-replay restart did, and what it cost."""
@@ -173,7 +156,6 @@ class LSMEngine:
         self.events = events  # optional EventBus for recovery.* topics
         self.stats = EngineStats()
         self.disk = DiskModel(hardware)
-        self.cpu = CpuModel(hardware)
 
         self.memtable = Memtable(capacity_bytes=knobs.memtable_space_bytes)
         self.commitlog = CommitLog(
@@ -191,9 +173,8 @@ class LSMEngine:
         self._flush_queue_bytes = 0.0
         self._write_seq = 0  # tie-break timestamps for same-instant writes
         # Derived state, see _charge_terms: (knobs, costs, hardware,
-        # {regime: terms}) and the terms the cpu/disk models now hold.
+        # {regime: terms}).
         self._terms: Optional[tuple] = None
-        self._applied_terms: Optional[_ChargeTerms] = None
 
     # ------------------------------------------------------------------ public API
 
@@ -465,8 +446,7 @@ class LSMEngine:
         CPU quotient, the compaction rate) is held until an event that
         can move :meth:`_regime` — a flush, a drain that empties the
         flush queue or completes a compaction — and re-asked at the
-        next op's charge, never earlier: the cpu and disk models are
-        left holding the regime *charged* last.
+        next op's charge, never earlier.
         """
         knobs, costs, stats = self.knobs, self.costs, self.stats
         dstats, memtable, pending = self.disk.stats, self.memtable, self._pending_compactions
@@ -681,8 +661,11 @@ class LSMEngine:
             report.replayed_records += 1
             report.replayed_bytes += record.size_bytes
 
-        # Replay + scrub are sequential streaming reads.
-        dt = self.disk.seq_read_seconds(report.replayed_bytes + report.scrubbed_bytes)
+        # Replay + scrub are sequential streaming reads, with nothing in
+        # the background: the crash emptied the flush queue and compactions.
+        read_bytes = report.replayed_bytes + report.scrubbed_bytes
+        self.disk.stats.seq_bytes_read += read_bytes
+        dt = read_bytes / self._charge_terms().seq_bandwidth
         report.recovery_seconds = dt
         if dt > 0:
             self.stats.busy_seconds += dt
@@ -734,7 +717,9 @@ class LSMEngine:
             if self.clock.now - start > max_seconds:
                 break
             self.clock.advance(step)
-            self._drain_background(step, self._compaction_rate())
+            self._drain_background(
+                step, compaction_rate(self.knobs, len(self._pending_compactions))
+            )
         return self.clock.now - start
 
     # ------------------------------------------------------------------ write path
@@ -798,17 +783,16 @@ class LSMEngine:
             self._flush_queue_bytes > 0,
         )
 
-    def _charge_terms(self) -> _ChargeTerms:
+    def _charge_terms(self) -> BackgroundTerms:
         """Charge terms of the current background regime.
 
-        The utilization flush and compaction steal, the cores and disk
-        budgets that leaves and the two pools' contention depend only on
-        :meth:`_regime` and on ``knobs``/``costs``/``hardware``, so they
-        are tabled per regime, and the table is dropped when one of the
-        three is rebound (by identity — all three are frozen; the rule
-        of ``AnalyticLSMModel._regime``).  The cpu and disk models are
-        left holding the regime charged last, which is what
-        :meth:`recover` prices its replay under.
+        The :class:`~repro.lsm.background.BackgroundTerms` of
+        :meth:`_regime`'s active compactors and of the flush writers at
+        full bandwidth while the flush queue is non-empty.  They depend
+        only on the regime and on ``knobs``/``costs``/``hardware``, so
+        they are tabled per regime, and the table is dropped when one of
+        the three is rebound (by identity — all three are frozen; the
+        rule of ``AnalyticLSMModel._regime``).
         """
         table = self._terms
         if (
@@ -820,57 +804,17 @@ class LSMEngine:
             table = self._terms = (self.knobs, self.costs, self.hardware, {})
         regime = self._regime()
         terms = table[3].get(regime)
-        if terms is not None and terms is self._applied_terms:
-            return terms
-        fresh = terms is None
-        if fresh:
-            terms = table[3][regime] = _ChargeTerms()
-            terms.bg_cpu, terms.bg_seq = self._background_utilization()
-            terms.compaction_rate = self._compaction_rate()
-        self.cpu.set_background_utilization(terms.bg_cpu)
-        self.disk.set_background_utilization(terms.bg_seq, 0.0)
-        self._applied_terms = terms
-        if fresh:
-            # Faster clocks stretch the effective core count relative to
-            # the 3.0 GHz reference the cost constants are calibrated at.
-            cores = max(self.cpu.available_cores * (self.hardware.cpu_ghz / 3.0), 0.5)
-            terms.cores = cores
-            terms.read_contention = thread_contention(
-                self.knobs.concurrent_reads, cores, self.costs
+        if terms is None:
+            queued, flushing = regime
+            flush_rate = (
+                self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
+                if flushing
+                else 0.0
             )
-            terms.write_contention = thread_contention(
-                self.knobs.concurrent_writes, cores, self.costs
+            terms = table[3][regime] = BackgroundTerms(
+                self.knobs, self.hardware, self.costs, queued, flush_rate
             )
-            terms.seq_bandwidth = self.disk.effective_seq_bandwidth
-            terms.rand_iops = self.disk.effective_rand_iops
         return terms
-
-    def _background_utilization(self) -> tuple:
-        """Current (cpu_util, seq_disk_util) stolen by flush + compaction."""
-        comp_rate = self._compaction_rate()
-        flush_rate = (
-            self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
-            if self._flush_queue_bytes > 0
-            else 0.0
-        )
-        seq_demand = comp_rate * self.costs.compaction_io_factor + flush_rate
-        seq_util = min(seq_demand / self.hardware.disk_seq_bandwidth, 0.9)
-        cpu_demand = comp_rate * self.costs.compaction_cpu_per_byte
-        cpu_util = min(cpu_demand / self.hardware.cpu_cores, 0.6)
-        return cpu_util, seq_util
-
-    def _compaction_rate(self) -> float:
-        """Input bytes/s compaction currently processes."""
-        if not self._pending_compactions:
-            return 0.0
-        active = min(len(self._pending_compactions), self.knobs.concurrent_compactors)
-        stream_cap = active * COMPACTOR_STREAM_BYTES
-        # Per-compactor throttle: parallel compactors raise the total
-        # drain rate (see AnalyticLSMModel._compaction_rate).
-        throttle = self.knobs.compaction_throughput_bytes * active
-        if self.knobs.compaction_method == LEVELED:
-            throttle = max(throttle, LEVELED_MIN_COMPACTION_BYTES)
-        return min(throttle, stream_cap)
 
     def _drain_background(self, dt: float, rate: float) -> bool:
         """Drain ``dt`` seconds of queued flushes and, at ``rate`` input

@@ -1,15 +1,13 @@
 """Simulated-time hardware substrate.
 
 The paper benchmarks real servers; this package provides the deterministic,
-seedable stand-in: a simulated clock, a disk with separate sequential
-bandwidth and random-IOPS budgets shared between foreground queries and
-background compaction, a CPU-core pool with contention, and an LRU file
-cache.  Every cost formula lives here so the per-operation and batched
-execution paths of the LSM engine agree by construction.
+seedable stand-in: a simulated clock, hardware specs, per-operation cost
+formulas with thread contention, disk I/O accounting and an LRU file
+cache.  The per-operation and batched execution paths of the LSM engine
+price work through the same formulas, so they agree by construction.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.cpu import CpuModel
 from repro.sim.disk import DiskModel
 from repro.sim.cache import LruFileCache
 from repro.sim.hardware import HardwareSpec, DEFAULT_SERVER, CLIENT_OPTERON
@@ -17,7 +15,6 @@ from repro.sim.rng import SeedSequence, derive_rng
 
 __all__ = [
     "SimClock",
-    "CpuModel",
     "DiskModel",
     "LruFileCache",
     "HardwareSpec",

@@ -9,13 +9,14 @@ agree by construction on *why* a configuration is fast or slow:
 * reads pay base CPU, a bloom-filter check per searched table, an
   index/merge cost per probed candidate, and a random block fetch for
   every file-cache miss;
-* compaction is background work that steals sequential bandwidth and CPU
-  from the foreground.
+* worker pools past the core count pay a contention factor.
 
-The functions here are the definition.  The analytic model's
-per-second solve writes the read-path and contention formulas out inline
-(no calls, clamps as conditionals); ``tests/test_lsm_analytic_properties.py``
-holds it bitwise equal to the same equation evaluated through them.
+What flushes and compactions take from the foreground is priced once,
+from these constants, in :mod:`repro.lsm.background`.  The functions
+here are the definition.  The analytic model's per-second solve writes
+the hit-ratio half of the read path out inline (no calls, clamps as
+conditionals); ``tests/test_lsm_analytic_properties.py`` holds it
+bitwise equal to the same equation evaluated through them.
 
 The constants are calibrated (see ``benchmarks/`` and EXPERIMENTS.md) so
 the Dell R430 spec lands in the paper's 40k–110k ops/s range with the
@@ -71,31 +72,6 @@ class CostConstants:
 
 
 DEFAULT_COSTS = CostConstants()
-
-
-def thread_pool_rate(
-    threads: int,
-    hold_seconds: float,
-    cores: float,
-    cpu_seconds_per_op: float,
-    costs: CostConstants = DEFAULT_COSTS,
-) -> float:
-    """Max ops/s a worker pool can sustain.
-
-    Two ceilings apply: the pool itself (``threads / hold_seconds`` —
-    workers spend most of their hold time blocked on I/O or locks, which
-    is why more threads than cores helps up to a point), and the CPU
-    (``cores / cpu_seconds_per_op``).  Past heavy oversubscription a
-    contention penalty erodes the CPU ceiling, making concurrency knobs
-    non-monotonic.
-    """
-    if threads < 1:
-        raise ValueError("thread count must be >= 1")
-    if hold_seconds <= 0 or cpu_seconds_per_op <= 0:
-        raise ValueError("costs must be positive")
-    pool_rate = threads / hold_seconds
-    cpu_rate = (cores / cpu_seconds_per_op) / thread_contention(threads, cores, costs)
-    return min(pool_rate, cpu_rate)
 
 
 def thread_contention(

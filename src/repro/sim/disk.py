@@ -1,12 +1,11 @@
-"""Disk cost model with foreground/background sharing.
+"""Disk I/O accounting.
 
 Magnetic disks (the paper's testbed) have two distinct budgets: sequential
 bandwidth (commit-log appends, memtable flushes, compaction streams) and
-random IOPS (point reads into SSTables on a file-cache miss).  Background
-compaction competes with foreground queries for both; we model that
-contention with a fluid approximation — over an accounting interval, the
-fraction of the budget consumed by compaction is unavailable to queries,
-inflating their effective service time.
+random IOPS (point reads into SSTables on a file-cache miss).  What the
+foreground has left of each under background load is priced by
+:class:`repro.lsm.background.BackgroundTerms`; this module books the
+volume that flowed.
 """
 
 from __future__ import annotations
@@ -27,90 +26,15 @@ class DiskStats:
 
 
 class DiskModel:
-    """Shared disk with sequential-bandwidth and random-IOPS budgets.
-
-    Foreground and background demand is expressed as *utilization*
-    fractions of each budget; the model exposes effective service times
-    under the current background load.  This is a fluid-flow model, not an
-    event-driven queue: it is accurate when demand changes slowly relative
-    to individual operations, which holds for our 1-second accounting
-    steps against millisecond-scale operations.
-    """
+    """One server's disk: its hardware and the I/O booked against it."""
 
     def __init__(self, hardware: HardwareSpec):
         self.hardware = hardware
         self.stats = DiskStats()
-        # Background (compaction) demand as budget fractions, set each
-        # accounting interval by the engine.
-        self._bg_seq_util = 0.0
-        self._bg_iops_util = 0.0
-
-    # -- background demand -------------------------------------------------
-
-    def set_background_utilization(self, seq_util: float, iops_util: float) -> None:
-        """Declare compaction demand for the current interval.
-
-        Utilizations are clamped to [0, 0.95]: even a saturated compactor
-        leaves a sliver of budget for foreground I/O (the OS scheduler and
-        Cassandra's compaction throughput throttle guarantee this in
-        practice).
-        """
-        self._bg_seq_util = min(max(seq_util, 0.0), 0.95)
-        self._bg_iops_util = min(max(iops_util, 0.0), 0.95)
-
-    @property
-    def background_seq_utilization(self) -> float:
-        return self._bg_seq_util
-
-    @property
-    def background_iops_utilization(self) -> float:
-        return self._bg_iops_util
-
-    # -- effective budgets ---------------------------------------------------
-
-    @property
-    def effective_seq_bandwidth(self) -> float:
-        """Bytes/s of sequential bandwidth left for foreground work."""
-        return self.hardware.disk_seq_bandwidth * (1.0 - self._bg_seq_util)
-
-    @property
-    def effective_rand_iops(self) -> float:
-        """Random reads/s left for foreground work."""
-        return self.hardware.disk_rand_iops * self.hardware.disk_count * (
-            1.0 - self._bg_iops_util
-        )
-
-    # -- foreground cost primitives ------------------------------------------
-
-    def seq_write_seconds(self, nbytes: float) -> float:
-        """Time to append ``nbytes`` sequentially (commit log, flush)."""
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        self.stats.seq_bytes_written += nbytes
-        return nbytes / self.effective_seq_bandwidth
-
-    def seq_read_seconds(self, nbytes: float) -> float:
-        """Time to stream-read ``nbytes`` (compaction input, scans)."""
-        if nbytes < 0:
-            raise ValueError("negative byte count")
-        self.stats.seq_bytes_read += nbytes
-        return nbytes / self.effective_seq_bandwidth
-
-    def random_read_seconds(self, count: int = 1) -> float:
-        """Time for ``count`` random point reads (SSTable cache misses)."""
-        if count < 0:
-            raise ValueError("negative read count")
-        self.stats.random_reads += count
-        return count / self.effective_rand_iops
-
-    # -- background accounting -------------------------------------------------
 
     def account_compaction_bytes(self, nbytes: float) -> None:
         """Record compaction I/O volume (already paid via utilization)."""
         self.stats.compaction_bytes += nbytes
 
     def __repr__(self) -> str:
-        return (
-            f"DiskModel({self.hardware.name}, bg_seq={self._bg_seq_util:.2f}, "
-            f"bg_iops={self._bg_iops_util:.2f})"
-        )
+        return f"DiskModel({self.hardware.name})"

@@ -338,7 +338,7 @@ def reference_drain(engine, dt):
     if engine._flush_queue_bytes > 0:
         flush_bw = engine.knobs.memtable_flush_writers * engine.costs.flush_writer_bandwidth
         engine._flush_queue_bytes = max(0.0, engine._flush_queue_bytes - flush_bw * dt)
-    rate = engine._compaction_rate()
+    rate = oracle_compaction_input_rate(engine.knobs, len(engine._pending_compactions))
     if rate <= 0.0:
         return
     budget = rate * dt
@@ -359,6 +359,100 @@ def reference_drain(engine, dt):
             engine._complete_compaction(p.task)
         if consumed <= 0:
             break
+
+
+# ---------------------------------------------------------------------------
+# lsm.background: the background load as each substrate priced it before
+# they shared one model — the engine through its stateful CPU and disk
+# models, the analytic segment inline (test_lsm_background); the drain
+# above and the solve below take their compaction rate from here
+# ---------------------------------------------------------------------------
+
+#: One compactor's streaming capacity and leveled compaction's floor.
+ORACLE_COMPACTOR_STREAM_BYTES = 45 * 1024 * 1024
+ORACLE_LEVELED_MIN_COMPACTION_BYTES = 64 * 1024 * 1024
+
+#: The terms both forms yield, by name.
+BACKGROUND_TERMS = (
+    "compaction_rate", "cores", "read_contention", "write_contention",
+    "seq_bandwidth", "rand_iops",
+)
+
+
+def oracle_compaction_input_rate(knobs, queued):
+    """Input bytes/s compaction processes with ``queued`` tasks waiting."""
+    if not queued:
+        return 0.0
+    active = min(queued, knobs.concurrent_compactors)
+    stream_cap = active * ORACLE_COMPACTOR_STREAM_BYTES
+    throttle = knobs.compaction_throughput_bytes * active
+    if knobs.compaction_method == LEVELED:
+        throttle = max(throttle, ORACLE_LEVELED_MIN_COMPACTION_BYTES)
+    return min(throttle, stream_cap)
+
+
+def oracle_engine_terms(knobs, hardware, sim_costs, queued, flush_rate):
+    """The engine's path: the rate, the (cpu, seq) utilizations flush and
+    compaction steal, set on a CPU model (clamped to [0, 0.9]) and a disk
+    model (seq and IOPS clamped to [0, 0.95], IOPS set to 0.0), and the
+    cores and budgets read back off them."""
+    comp_rate = oracle_compaction_input_rate(knobs, queued)
+    seq_demand = comp_rate * sim_costs.compaction_io_factor + flush_rate
+    seq_util = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
+    cpu_demand = comp_rate * sim_costs.compaction_cpu_per_byte
+    cpu_util = min(cpu_demand / hardware.cpu_cores, 0.6)
+    cpu_bg = min(max(cpu_util, 0.0), 0.9)
+    seq_bg, iops_bg = min(max(seq_util, 0.0), 0.95), min(max(0.0, 0.0), 0.95)
+    available_cores = hardware.cpu_cores * (1.0 - cpu_bg)
+    cores = max(available_cores * (hardware.cpu_ghz / 3.0), 0.5)
+    return (
+        comp_rate,
+        cores,
+        costs.thread_contention(knobs.concurrent_reads, cores, sim_costs),
+        costs.thread_contention(knobs.concurrent_writes, cores, sim_costs),
+        hardware.disk_seq_bandwidth * (1.0 - seq_bg),
+        hardware.disk_rand_iops * hardware.disk_count * (1.0 - iops_bg),
+    )
+
+
+def oracle_segment_terms(knobs, hardware, sim_costs, queued, flush_rate):
+    """The analytic segment's inline block."""
+    comp_rate = oracle_compaction_input_rate(knobs, queued)
+    seq_demand = comp_rate * sim_costs.compaction_io_factor + flush_rate
+    bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
+    bg_cpu = min(comp_rate * sim_costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
+    cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * (hardware.cpu_ghz / 3.0), 0.5)
+    return (
+        comp_rate,
+        cores,
+        costs.thread_contention(knobs.concurrent_reads, cores, sim_costs),
+        costs.thread_contention(knobs.concurrent_writes, cores, sim_costs),
+        hardware.disk_seq_bandwidth * (1.0 - bg_seq),
+        hardware.disk_rand_iops * hardware.disk_count,
+    )
+
+
+# ---------------------------------------------------------------------------
+# lsm.compaction: size-tiered bucketing as the analytic model wrote it, on
+# (position, size) pairs (test_lsm_compaction)
+# ---------------------------------------------------------------------------
+
+
+def oracle_size_buckets(sizes):
+    """Positions in ``sizes`` grouped by similar size."""
+    buckets, averages = [], []
+    for i, s in sorted(enumerate(sizes), key=lambda p: p[1]):
+        placed = False
+        for bi, avg in enumerate(averages):
+            if 0.5 * avg <= s <= 1.5 * avg:
+                buckets[bi].append((i, s))
+                averages[bi] = sum(x[1] for x in buckets[bi]) / len(buckets[bi])
+                placed = True
+                break
+        if not placed:
+            buckets.append([(i, s)])
+            averages.append(s)
+    return [[i for i, _ in bucket] for bucket in buckets]
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +515,25 @@ def reference_throughput(model, read_ratio):
     cpu_r = costs.read_cpu_seconds(n_checked, probed, probed * hit, sim_costs)
     cpu_w = costs.write_cpu_seconds(sim_costs)
 
-    comp_rate = model._compaction_rate()
     flush_active = model.memtable_bytes > 0.5 * knobs.flush_trigger_bytes
     flush_rate = (
         knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
         if flush_active
         else 0.0
     ) * 0.5
-    seq_demand = comp_rate * sim_costs.compaction_io_factor + flush_rate
-    bg_seq = min(seq_demand / hardware.disk_seq_bandwidth, 0.9)
-    bg_cpu = min(comp_rate * sim_costs.compaction_cpu_per_byte / hardware.cpu_cores, 0.6)
-    cores = max(hardware.cpu_cores * (1.0 - bg_cpu) * (hardware.cpu_ghz / 3.0), 0.5)
-
-    cpu_per_op = (
-        r * cpu_r * costs.thread_contention(knobs.concurrent_reads, cores, sim_costs)
-        + w * cpu_w * costs.thread_contention(knobs.concurrent_writes, cores, sim_costs)
+    _, cores, read_contention, write_contention, seq_bw, iops = oracle_segment_terms(
+        knobs, hardware, sim_costs, len(model.backlog), flush_rate
     )
+
+    cpu_per_op = r * cpu_r * read_contention + w * cpu_w * write_contention
     caps = [cores / cpu_per_op if cpu_per_op > 0 else math.inf]
     if w > 0:
         cl_bytes = costs.commitlog_bytes_per_write(profile.record_bytes, sim_costs)
-        caps.append(hardware.disk_seq_bandwidth * (1.0 - bg_seq) / (w * cl_bytes))
+        caps.append(seq_bw / (w * cl_bytes))
         flush_bw = knobs.memtable_flush_writers * sim_costs.flush_writer_bandwidth
         caps.append(flush_bw / (w * profile.record_bytes))
         caps.append(knobs.concurrent_writes / (w * sim_costs.write_thread_hold))
     if r > 0:
-        iops = hardware.disk_rand_iops * hardware.disk_count
         if r * disk_probes > 0:
             caps.append(iops / (r * disk_probes))
         if r * sim_costs.read_thread_hold > 0:

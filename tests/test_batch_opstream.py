@@ -30,6 +30,7 @@ from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike
 from repro.errors import DatastoreError
 from repro.lsm import bloom
+from repro.lsm import engine as engine_module
 from repro.lsm.bloom import BloomFilter, _fnv1a, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.costs import DEFAULT_COSTS
@@ -84,9 +85,6 @@ def engine_state(engine: LSMEngine) -> tuple:
         engine.compaction_backlog_bytes,
         engine.disk.stats,
         engine.commitlog.unflushed_record_count,
-        # recover() prices its replay under the regime charged last.
-        engine.cpu.background_utilization,
-        engine.disk.background_seq_utilization,
     )
 
 
@@ -778,30 +776,14 @@ class TestChargeTerms:
         engine.reconfigure(replace(engine.knobs, concurrent_compactors=1, concurrent_reads=8))
         self._assert_charges_like_fresh(engine, stale)
 
-    def test_models_hold_the_regime_charged_last(self):
-        """A tabled regime is re-applied to the cpu/disk models when it
-        comes round again: ``recover`` prices its replay through them."""
-        engine = self._warm_engine()  # idle and busy regimes both tabled
-        fresh = copy.deepcopy(engine)
-        fresh._terms = None
-        assert engine.disk.background_seq_utilization > 0.0
-        for twin in (engine, fresh):
-            twin.idle_until_compact()
-        run_ops(engine, fresh, self.OPS)
-        assert engine.disk.background_seq_utilization == 0.0
-        assert engine.cpu.background_utilization == 0.0
-        for twin in (engine, fresh):
-            twin.crash()
-        assert engine.recover() == fresh.recover()
-
     def test_regimes_are_tabled_not_recomputed(self, monkeypatch):
         engine = self._warm_engine()
         calls = []
-        original = LSMEngine._background_utilization
+        original = engine_module.BackgroundTerms
         monkeypatch.setattr(
-            LSMEngine,
-            "_background_utilization",
-            lambda self: calls.append(1) or original(self),
+            engine_module,
+            "BackgroundTerms",
+            lambda *args: calls.append(1) or original(*args),
         )
         run_ops(engine, copy.deepcopy(engine), self.OPS * 40)
         assert len(calls) <= 2 * 3  # one per regime met, on each twin

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.errors import ConfigurationError
@@ -10,9 +12,12 @@ from repro.lsm.compaction import (
     SizeTieredStrategy,
     TableLayout,
     make_strategy,
+    size_buckets,
 )
 from repro.lsm.record import Record
 from repro.lsm.sstable import SSTable
+
+from tests.oracles import oracle_size_buckets
 
 _ids = itertools.count(1)
 _tasks = itertools.count(1)
@@ -160,6 +165,26 @@ class TestSizeTieredStrategy:
             layout.add_flushed(make_table())
         task = strategy.propose(layout, set(), next_task_id)[0]
         assert task.io_bytes == pytest.approx(2 * task.input_bytes)
+
+
+class TestSizeBuckets:
+    """One bucketing rule for the engine's tables and the analytic
+    model's sizes, held to the ``(position, size)`` loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 64), max_size=24))
+    def test_matches_the_pair_loop_on_ints_and_floats(self, sizes):
+        floats = [float(s) for s in sizes]
+        expected = oracle_size_buckets(sizes)
+        assert size_buckets(sizes) == expected
+        assert size_buckets(floats) == oracle_size_buckets(floats) == expected
+
+    def test_ties_keep_their_order(self):
+        assert size_buckets([8, 3, 8, 3, 100]) == [[1, 3], [0, 2], [4]]
+
+    def test_the_running_average_moves_the_window(self):
+        # 20 is outside 1.5x the first size but inside 1.5x the average.
+        assert size_buckets([10, 15, 15, 15, 15, 20]) == [[0, 1, 2, 3, 4, 5]]
 
 
 class TestLeveledStrategy:

@@ -103,6 +103,35 @@ class TestCrashSemantics:
         assert report.recovery_seconds > 0
         assert engine.clock.now == pytest.approx(t0 + report.recovery_seconds)
 
+    def test_recovery_streams_at_full_disk_bandwidth(self, small_knobs):
+        """The crash emptied the flush queue and the compactions, so the
+        replay and scrub read with nothing in the background — not under
+        the load of the process that died."""
+        engine = LSMEngine(small_knobs)
+        for i in range(820):
+            engine.put(f"k{i:05d}", b"v" * 200)
+        assert engine._pending_compactions and engine._flush_queue_bytes > 0
+        engine.crash()
+        report = engine.recover()
+        nbytes = report.replayed_bytes + report.scrubbed_bytes
+        assert report.replayed_records > 0 and report.scrubbed_tables > 0
+        assert report.recovery_seconds == nbytes / engine.hardware.disk_seq_bandwidth
+
+    def test_recovery_books_its_read_bytes(self, small_knobs):
+        """Replay and scrub reads land in the disk's sequential-read
+        accounting, with and without a scrub."""
+        for scrub in (True, False):
+            engine = LSMEngine(small_knobs)
+            for i in range(820):
+                engine.put(f"k{i:05d}", b"v" * 200)
+            engine.crash()
+            read_before = engine.disk.stats.seq_bytes_read
+            report = engine.recover(scrub=scrub)
+            nbytes = report.replayed_bytes + report.scrubbed_bytes
+            assert report.replayed_bytes > 0
+            assert (report.scrubbed_bytes > 0) == scrub
+            assert engine.disk.stats.seq_bytes_read == read_before + nbytes
+
     def test_empty_commitlog_replay_tolerated(self, small_knobs):
         engine = LSMEngine(small_knobs)
         engine.crash()

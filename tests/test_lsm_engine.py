@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
+from repro.lsm.background import compaction_rate
 from repro.lsm.engine import LSMEngine
 from repro.sim.clock import SimClock
 
@@ -265,6 +266,7 @@ class TestBackgroundDrain:
         engine = copy.deepcopy(self.backlogged(method, compactors))
         reference = copy.deepcopy(engine)
         for dt in steps:
-            engine._drain_background(dt, engine._compaction_rate())
+            rate = compaction_rate(engine.knobs, len(engine._pending_compactions))
+            engine._drain_background(dt, rate)
             reference_drain(reference, dt)
             assert self.background(engine) == self.background(reference)

@@ -6,6 +6,7 @@ from repro.sim.costs import (
     expected_disk_probes_per_read,
     expected_version_spread,
     read_cpu_seconds,
+    thread_contention,
     write_cpu_seconds,
 )
 
@@ -85,3 +86,18 @@ class TestDiskProbes:
         assert expected_disk_probes_per_read(1.0, 5, 0.01, -0.5) == (
             expected_disk_probes_per_read(1.0, 5, 0.01, 0.0)
         )
+
+
+class TestThreadContention:
+    def test_unit_at_low_threads(self):
+        assert thread_contention(1, 8) == pytest.approx(1.0, abs=0.01)
+
+    def test_grows_with_threads(self):
+        assert thread_contention(128, 8) > thread_contention(32, 8)
+
+    def test_quadratic_shape(self):
+        c = DEFAULT_COSTS.contention_quadratic
+        assert thread_contention(64, 8) == pytest.approx(1.0 + c * 4.0)
+
+    def test_more_cores_less_contention(self):
+        assert thread_contention(64, 16) < thread_contention(64, 8)

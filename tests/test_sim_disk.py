@@ -1,62 +1,9 @@
-import pytest
-
 from repro.sim.disk import DiskModel
 from repro.sim.hardware import DEFAULT_SERVER
 
 
-@pytest.fixture
-def disk():
-    return DiskModel(DEFAULT_SERVER)
-
-
 class TestDiskModel:
-    def test_seq_write_time_scales_with_bytes(self, disk):
-        t1 = disk.seq_write_seconds(1024)
-        t2 = disk.seq_write_seconds(2048)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_seq_write_accounts_stats(self, disk):
-        disk.seq_write_seconds(1000)
-        assert disk.stats.seq_bytes_written == 1000
-
-    def test_seq_read_accounts_stats(self, disk):
-        disk.seq_read_seconds(500)
-        assert disk.stats.seq_bytes_read == 500
-
-    def test_random_read_counts(self, disk):
-        disk.random_read_seconds(3)
-        assert disk.stats.random_reads == 3
-
-    def test_random_read_time(self, disk):
-        t = disk.random_read_seconds(10)
-        iops = DEFAULT_SERVER.disk_rand_iops * DEFAULT_SERVER.disk_count
-        assert t == pytest.approx(10 / iops)
-
-    def test_negative_bytes_rejected(self, disk):
-        with pytest.raises(ValueError):
-            disk.seq_write_seconds(-1)
-        with pytest.raises(ValueError):
-            disk.seq_read_seconds(-1)
-        with pytest.raises(ValueError):
-            disk.random_read_seconds(-1)
-
-    def test_background_slows_foreground(self, disk):
-        base = disk.seq_write_seconds(10_000)
-        disk.set_background_utilization(0.5, 0.5)
-        loaded = disk.seq_write_seconds(10_000)
-        assert loaded == pytest.approx(2 * base)
-
-    def test_background_clamped_below_one(self, disk):
-        disk.set_background_utilization(5.0, 5.0)
-        assert disk.background_seq_utilization <= 0.95
-        assert disk.background_iops_utilization <= 0.95
-        # Foreground never fully starves.
-        assert disk.effective_seq_bandwidth > 0
-
-    def test_background_clamped_above_zero(self, disk):
-        disk.set_background_utilization(-1.0, -1.0)
-        assert disk.background_seq_utilization == 0.0
-
-    def test_compaction_accounting(self, disk):
+    def test_compaction_accounting(self):
+        disk = DiskModel(DEFAULT_SERVER)
         disk.account_compaction_bytes(12345)
         assert disk.stats.compaction_bytes == 12345
