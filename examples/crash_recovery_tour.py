@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Crash-safe persistence and recovery, end to end.
+"""Crash recovery where it matters: the engine and the artifacts.
 
-The offline phase is the expensive part of Rafiki — hundreds of
-benchmark runs plus an ensemble fit — so this tour kills things on
-purpose and shows that nothing of value is lost:
+The offline jobs are cheap (the paper's whole collection campaign runs
+in seconds) and seeded, so a killed ``collect`` or ``train`` is simply
+rerun.  What must survive a crash is the storage engine's state and the
+files those jobs leave behind.  This tour breaks both on purpose:
 
-1. run a journaled collection campaign, "kill" it after four samples
-   (truncate a copy of its write-ahead log — exactly the durable state
-   a SIGKILL leaves), resume, and diff: bit-identical,
-2. checkpoint an ensemble fit per member, lose one checkpoint, refit:
-   bitwise-identical weights with 3/4 members skipped,
-3. crash the LSM engine mid-workload at scheduled CrashPoints, recover
+1. crash the LSM engine mid-workload at scheduled CrashPoints, recover
    through SSTable scrub + commitlog replay, and check the survivor
    serves exactly what an uninterrupted engine does,
-4. flip one byte in a saved dataset and watch the checksummed loader
-   refuse it loudly instead of returning silently wrong samples.
+2. flip one byte in a saved dataset and watch the checksummed loader
+   refuse it loudly instead of returning silently wrong samples; then
+   rerun the campaign and get the original bytes back.
 
 Everything is seeded, so every run of this script prints the same
 numbers.
@@ -39,12 +36,10 @@ from repro import (
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.dataset import load_dataset, save_dataset
 from repro.bench.ycsb import YCSBBenchmark
-from repro.ml.ensemble import EnsembleConfig, NetworkEnsemble
-from repro.recovery.checkpoint import member_checkpoint_path
 from repro.recovery.crashsim import generate_ops, run_ops, states_equivalent
 
 
-def make_campaign(journal, events=None):
+def make_campaign():
     cassandra = CassandraLike()
     return DataCollectionCampaign(
         cassandra,
@@ -55,8 +50,6 @@ def make_campaign(journal, events=None):
         n_faulty=1,
         benchmark=YCSBBenchmark(cassandra, run_seconds=30),
         seed=11,
-        events=events,
-        journal=journal,
     )
 
 
@@ -65,44 +58,15 @@ def main():
     events = EventBus()
     events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
 
-    print("== 1. Kill a journaled campaign, resume, diff ==")
-    journal = workdir / "campaign.wal"
-    reference = make_campaign(journal=journal).run()
-    lines = journal.read_text().splitlines(keepends=True)
-    print(f"   uninterrupted: {len(lines) - 1} samples journaled")
-
-    partial = workdir / "killed.wal"
-    partial.write_text("".join(lines[:5]))  # header + 4 durable samples
-    print("   'killed' after 4 samples; resuming from the surviving WAL")
-    resumed = make_campaign(journal=partial, events=events).run()
-    assert resumed.to_json() == reference.to_json()
-    print("   resumed dataset is bit-identical to the uninterrupted one")
-
-    print("\n== 2. Checkpointed ensemble training ==")
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(24, 3))
-    y = x @ np.array([1.0, -2.0, 0.5]) + rng.normal(0, 0.1, size=24)
-    config = EnsembleConfig(hidden_layers=(4,), n_networks=4, max_epochs=30)
-    ckpt = workdir / "checkpoints"
-    ref_fit = NetworkEnsemble(config).fit(x, y, seed=7, checkpoint_dir=ckpt)
-    member_checkpoint_path(ckpt, 2).unlink()  # as if killed mid-member-2
-    print("   lost member 2's checkpoint; refitting")
-    refit = NetworkEnsemble(config).fit(
-        x, y, seed=7, checkpoint_dir=ckpt, events=events
-    )
-    for a, b in zip(ref_fit.networks, refit.networks):
-        assert np.array_equal(a.get_weights(), b.get_weights())
-    print("   only member 2 retrained; final weights bitwise-identical")
-
-    print("\n== 3. LSM engine crash + recovery at scheduled CrashPoints ==")
+    print("== 1. LSM engine crash + recovery at scheduled CrashPoints ==")
     cassandra = CassandraLike()
-    config_ = cassandra.space.default_configuration()
+    config = cassandra.space.default_configuration()
     ops = generate_ops(np.random.default_rng(3), n_ops=120, value_bytes=256)
     plan = FaultPlan(crash_points=(CrashPoint(op=40), CrashPoint(op=90)))
 
-    healthy = cassandra.new_engine_instance(config_)
+    healthy = cassandra.new_engine_instance(config)
     run_ops(healthy, ops)
-    crashed = cassandra.new_engine_instance(config_)
+    crashed = cassandra.new_engine_instance(config)
     crashed.events = events
     report = run_ops(crashed, ops, crash_plan=plan)
     for recovery in report.recoveries:
@@ -117,17 +81,20 @@ def main():
     print(f"   after {report.crashes} kills: all {len(keys)} keys identical "
           "to the never-crashed engine")
 
-    print("\n== 4. Corruption is refused, not returned ==")
+    print("\n== 2. Corruption is refused, not returned; a rerun restores it ==")
     path = workdir / "dataset.json"
-    save_dataset(reference, path)
-    text = path.read_text()
-    path.write_text(text.replace("0", "1", 1))  # one flipped digit
+    save_dataset(make_campaign().run(), path)
+    original = path.read_bytes()
+    path.write_text(original.decode().replace("0", "1", 1))  # one flipped digit
     try:
         load_dataset(path, cassandra.space, events=events)
     except PersistenceError as exc:
         print(f"   PersistenceError: {exc}")
     else:
         raise AssertionError("corrupt artifact was accepted")
+    save_dataset(make_campaign().run(), path)
+    assert path.read_bytes() == original
+    print("   rerunning the seeded campaign wrote the original bytes back")
     print("\n   every artifact is atomic (temp + fsync + rename) and "
           "CRC32-checked;\n   see 'Crash consistency & recovery' in DESIGN.md")
 

@@ -8,15 +8,14 @@ The package is layered (see DESIGN.md, "Middleware service layer")::
     lsm                             rank 2   storage engine
     workload / datastore            rank 3   load + servers
     ml / ga / analysis              rank 4   learning + search
-    recovery                        rank 5   crash-safety
+    recovery                        rank 5   crash-safe artifacts
     bench                           rank 6   offline campaign
     core                            rank 7   Rafiki + control-loop vocabulary
     middleware                      rank 8   multi-tenant service layer
     cli / __main__ / package root   rank 9   entry points
 
 A *module-level* import may only target the same or a lower rank.
-Function-level (lazy) imports — e.g. ``ml.ensemble`` reaching into
-``recovery`` for checkpoints — are out of scope: they defer the
+Function-level (lazy) imports are out of scope: they defer the
 dependency to call time and cannot create an import cycle.  This script
 therefore scans only statements that execute at import time (module and
 class bodies; function bodies are skipped).

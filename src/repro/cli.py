@@ -8,7 +8,6 @@ The offline/online split of the paper maps onto subcommands::
     python -m repro replay    --surrogate surrogate.json --hours 24
     python -m repro serve     --surrogate surrogate.json --manifest tenants.toml
     python -m repro characterize --hours 24
-    python -m repro resume    --journal campaign.wal --out dataset.json
     python -m repro verify-artifact dataset.json
 
 ``collect`` and ``train`` produce portable JSON artifacts; ``recommend``
@@ -23,24 +22,22 @@ races one tuned tenant against a static-default baseline on the same
 trace, while ``serve`` hosts a whole tenant fleet from a TOML/JSON
 manifest, one shared surrogate amortized across all of them.
 
-Artifacts are written atomically with CRC32 checksums, and the long
-offline stages are crash-safe: ``collect --journal`` appends each
-sample to a write-ahead log, ``resume`` finishes a killed campaign from
-that log (bit-identical to an uninterrupted run), ``train
---checkpoint-dir`` checkpoints each ensemble member, and
-``verify-artifact`` checks any artifact or journal without loading it.
+Artifacts are written atomically with CRC32 checksums, and
+``verify-artifact`` checks one without loading it.  A killed
+``collect`` or ``train`` is rerun: both take seconds and are seeded, so
+a rerun on the same host writes the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
-from repro.bench.collection import CAMPAIGN_JOURNAL_KIND, DataCollectionCampaign
-from repro.bench.dataset import PerformanceDataset, load_dataset, save_dataset
+from repro.bench.collection import DataCollectionCampaign
+from repro.bench.dataset import load_dataset, save_dataset
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
 from repro.core.persistence import load_surrogate, save_surrogate
@@ -57,6 +54,7 @@ from repro.middleware import (
     specs_from_manifest,
 )
 from repro.ml.ensemble import EnsembleConfig
+from repro.recovery.atomic import verify_artifact
 from repro.runtime import EventBus, resolve_backend
 from repro.workload.characterize import characterize_trace
 from repro.workload.forecast import MarkovRegimeForecaster
@@ -72,10 +70,6 @@ def _make_datastore(name: str):
     raise SystemExit(f"unknown datastore {name!r} (cassandra | scylladb)")
 
 
-def _subscribe_recovery(events: EventBus) -> None:
-    events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
-
-
 def _load_rafiki(args, datastore) -> Rafiki:
     surrogate = load_surrogate(args.surrogate, datastore.space)
     return Rafiki(datastore, surrogate, surrogate.feature_parameters, seed=args.seed)
@@ -84,8 +78,8 @@ def _load_rafiki(args, datastore) -> Rafiki:
 # ------------------------------------------------------------------ subcommands
 
 
-def _run_campaign(args, datastore, **campaign_kwargs) -> PerformanceDataset:
-    """Run one journaled collection campaign and save its dataset."""
+def cmd_collect(args) -> int:
+    datastore, key_params = _make_datastore(args.datastore)
     events = EventBus()
     if not args.quiet:
         events.subscribe(
@@ -96,80 +90,27 @@ def _run_campaign(args, datastore, **campaign_kwargs) -> PerformanceDataset:
             ),
             topic="collect.sample",
         )
-        _subscribe_recovery(events)
     with resolve_backend(workers=args.workers) as backend:
         dataset = DataCollectionCampaign(
             datastore,
+            mgrast_workload(args.base_read_ratio),
+            key_parameters=key_params,
+            n_workloads=args.workloads,
+            n_configurations=args.configurations,
+            n_faulty=args.faulty,
+            benchmark=(
+                YCSBBenchmark(datastore, run_seconds=args.run_seconds)
+                if args.run_seconds is not None
+                else None
+            ),
+            seed=args.seed,
             backend=backend,
             events=events,
-            journal=args.journal,
-            **campaign_kwargs,
         ).run()
     if not args.quiet:
         print()
     save_dataset(dataset, args.out)
-    return dataset
-
-
-def cmd_collect(args) -> int:
-    datastore, key_params = _make_datastore(args.datastore)
-    dataset = _run_campaign(
-        args,
-        datastore,
-        base_workload=mgrast_workload(args.base_read_ratio),
-        key_parameters=key_params,
-        n_workloads=args.workloads,
-        n_configurations=args.configurations,
-        n_faulty=args.faulty,
-        benchmark=(
-            YCSBBenchmark(datastore, run_seconds=args.run_seconds)
-            if args.run_seconds is not None
-            else None
-        ),
-        seed=args.seed,
-    )
     print(f"wrote {len(dataset)} samples to {args.out}")
-    return 0
-
-
-def cmd_resume(args) -> int:
-    """Finish a killed ``collect`` campaign from its journal.
-
-    The journal header is the campaign fingerprint; everything needed to
-    rebuild the grid (datastore, seed, shape, fault plan) is read from
-    it, journaled samples are skipped, and the remaining grid points run
-    — the resulting dataset is bit-identical to an uninterrupted
-    campaign's.
-    """
-    from repro.recovery.journal import read_journal
-
-    header, records = read_journal(args.journal, kind=CAMPAIGN_JOURNAL_KIND)
-    space_name = str(header["space"])
-    datastore, _ = _make_datastore(space_name.split("-")[0])
-    dataset = _run_campaign(
-        args,
-        datastore,
-        base_workload=replace(
-            mgrast_workload(float(header["base_read_ratio"])),
-            n_keys=int(header["base_n_keys"]),
-        ),
-        key_parameters=header["key_parameters"],
-        n_workloads=int(header["n_workloads"]),
-        n_configurations=int(header["n_configurations"]),
-        n_faulty=int(header["n_faulty"]),
-        benchmark=YCSBBenchmark(datastore, run_seconds=float(header["run_seconds"])),
-        seed=int(header["seed"]),
-        retry_faulty=int(header["retry_faulty"]),
-        fault_plan=(
-            FaultPlan.from_dict(header["fault_plan"])
-            if header.get("fault_plan") is not None
-            else None
-        ),
-    )
-    print(
-        f"resumed from {len(records)} journaled samples; "
-        f"wrote {len(dataset)} samples to {args.out}"
-    )
     return 0
 
 
@@ -177,20 +118,14 @@ def cmd_train(args) -> int:
     datastore, _ = _make_datastore(args.datastore)
     events = EventBus()
     if not args.quiet:
-        _subscribe_recovery(events)
+        events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
     dataset = load_dataset(args.dataset, datastore.space, events=events)
     with resolve_backend(workers=args.workers) as backend:
         surrogate = SurrogateModel(
             datastore.space,
             dataset.feature_parameters,
             EnsembleConfig(n_networks=args.networks),
-        ).fit(
-            dataset,
-            seed=args.seed,
-            backend=backend,
-            checkpoint_dir=args.checkpoint_dir,
-            events=events,
-        )
+        ).fit(dataset, seed=args.seed, backend=backend)
     save_surrogate(surrogate, args.out)
     print(
         f"trained on {len(dataset)} samples "
@@ -200,34 +135,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify_artifact(args) -> int:
-    """Check a checksummed artifact or journal; exit 1 if untrustworthy."""
-    from repro.recovery.atomic import verify_artifact
-    from repro.recovery.journal import read_journal
-
-    path = args.path
+    """Check a checksummed artifact; exit 1 if it is untrustworthy."""
     try:
-        with open(path) as fh:
-            first_line = fh.readline()
-        try:
-            is_journal = "journal" in json.loads(first_line)
-        except (json.JSONDecodeError, TypeError):
-            is_journal = False
-        if is_journal:
-            header, records = read_journal(path)
-            head = json.loads(first_line)
-            summary = {
-                "path": str(path),
-                "kind": "journal",
-                "journal": head.get("journal"),
-                "format_version": head.get("format_version"),
-                "records": len(records),
-                "header_keys": sorted(header),
-            }
-        else:
-            summary = verify_artifact(path)
-    except OSError as exc:
-        print(f"UNREADABLE: {exc}", file=sys.stderr)
-        return 1
+        summary = verify_artifact(args.path)
     except PersistenceError as exc:
         print(f"CORRUPT: {exc}", file=sys.stderr)
         return 1
@@ -477,10 +387,23 @@ def cmd_characterize(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+def _int_at_least(minimum: int):
+    """An argparse ``type``: an integer >= ``minimum``, else exit 2."""
+
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -509,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     workers_p = _parent(
         lambda p: p.add_argument(
             "--workers",
-            type=_positive_int,
+            type=_int_at_least(1),
             default=1,
             help="worker processes for the parallel execution backend "
             "(1 = serial; results are identical either way)",
@@ -523,31 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="dataset JSON path")
     p.add_argument("--base-read-ratio", type=float, default=0.5)
-    p.add_argument("--workloads", type=int, default=11)
-    p.add_argument("--configurations", type=int, default=20)
-    p.add_argument("--faulty", type=int, default=20)
+    p.add_argument("--workloads", type=_int_at_least(2), default=11)
+    p.add_argument("--configurations", type=_int_at_least(1), default=20)
+    p.add_argument("--faulty", type=_int_at_least(0), default=20)
     p.add_argument(
         "--run-seconds",
-        type=float,
+        type=_positive_float,
         default=None,
         help="simulated benchmark duration per sample (default: paper's 300s)",
     )
-    p.add_argument(
-        "--journal",
-        default=None,
-        help="append-only WAL path; a killed campaign resumes from it "
-        "(see the 'resume' subcommand)",
-    )
     p.set_defaults(func=cmd_collect)
-
-    p = sub.add_parser(
-        "resume",
-        help="finish a killed collect campaign from its journal",
-        parents=[workers_p, quiet_p],
-    )
-    p.add_argument("--journal", required=True, help="the campaign's WAL path")
-    p.add_argument("--out", required=True, help="dataset JSON path")
-    p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser(
         "train",
@@ -556,21 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="surrogate JSON path")
-    p.add_argument("--networks", type=int, default=20)
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        dest="checkpoint_dir",
-        help="checkpoint each trained ensemble member here; a restarted "
-        "train skips finished members",
-    )
+    p.add_argument("--networks", type=_int_at_least(1), default=20)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
         "verify-artifact",
-        help="verify a checksummed artifact or journal without loading it",
+        help="verify a checksummed artifact without loading it",
     )
-    p.add_argument("path", help="artifact or journal path")
+    p.add_argument("path", help="artifact path")
     p.set_defaults(func=cmd_verify_artifact)
 
     p = sub.add_parser(
@@ -591,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=int, default=24)
     p.add_argument("--mode", default="oracle", choices=DECISION_MODES)
     p.add_argument(
-        "--nodes", type=_positive_int, default=1, help="simulated cluster size"
+        "--nodes", type=_int_at_least(1), default=1, help="simulated cluster size"
     )
     p.add_argument(
-        "--replication-factor", type=_positive_int, default=1, dest="replication_factor"
+        "--replication-factor", type=_int_at_least(1), default=1, dest="replication_factor"
     )
     p.add_argument(
         "--fault-seed",

@@ -70,17 +70,12 @@ class SurrogateModel:
         dataset: PerformanceDataset,
         seed: SeedLike = 0,
         backend: Optional[ExecutionBackend] = None,
-        checkpoint_dir=None,
-        events=None,
     ) -> "SurrogateModel":
         """Train on a performance dataset (features must match).
 
         ``backend`` fans per-member training out through an
         :class:`~repro.runtime.backend.ExecutionBackend` (serial when
         omitted); predictions are backend-independent.
-        ``checkpoint_dir`` makes the fit resumable: finished members are
-        checkpointed and a restart retrains only the missing ones (see
-        :meth:`repro.ml.ensemble.NetworkEnsemble.fit`).
         """
         if tuple(dataset.feature_parameters) != self.feature_parameters:
             raise TrainingError(
@@ -93,8 +88,6 @@ class SurrogateModel:
             dataset.targets(),
             seed=seed,
             backend=backend,
-            checkpoint_dir=checkpoint_dir,
-            events=events,
         )
         self.stats.fit_wall_seconds = time.perf_counter() - t0
         self.stats.n_training_samples = len(dataset)

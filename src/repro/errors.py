@@ -51,7 +51,7 @@ class PersistenceError(ReproError):
     """An on-disk artifact is missing, truncated, or corrupt.
 
     Raised by every loader of external state (surrogate files, dataset
-    artifacts, campaign journals, training checkpoints, SSTable scrubs)
+    artifacts, manifests, SSTable scrubs)
     so callers never see raw ``JSONDecodeError``/``KeyError`` from a
     torn or bit-flipped file.
     """

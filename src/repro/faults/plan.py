@@ -1,10 +1,10 @@
 """Deterministic fault schedules.
 
 A :class:`FaultPlan` is *data*: a frozen schedule of node crashes and
-recoveries, disk slowdowns, benchmark-client faults, and transient
-control-plane failures, addressed by controller window index (or, for
-benchmark faults, by campaign grid index).  Plans are either written by
-hand (canned scenarios, CI smoke jobs) or drawn from a seed with
+recoveries, disk slowdowns, silent push failures, stale rejoins and
+transient control-plane failures, addressed by controller window index
+(or, for engine crash points, by operation index).  Plans are either
+written by hand (canned scenarios, CI smoke jobs) or drawn from a seed with
 :meth:`FaultPlan.generate`; either way the same plan replayed against
 the same seeded system produces the identical event sequence, which is
 what makes fault runs auditable and regressions bisectable.
@@ -147,35 +147,12 @@ class CrashPoint:
 
 
 @dataclass(frozen=True)
-class BenchFault:
-    """A load-generating client fault on one campaign grid point.
-
-    ``transient=True`` (the §4.2 reading: a flaky client, not a broken
-    server) means a retried sample comes back clean; a persistent fault
-    re-applies ``degradation`` on every retry.
-    """
-
-    index: int
-    degradation: float
-    transient: bool = True
-
-    def validate(self) -> None:
-        if self.index < 0:
-            raise FaultError(f"bench fault index must be >= 0, got {self.index}")
-        if not (0.0 < self.degradation < 1.0):
-            raise FaultError(
-                f"bench degradation must be in (0, 1), got {self.degradation}"
-            )
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A complete, deterministic fault schedule."""
 
     node_crashes: Tuple[NodeCrash, ...] = ()
     disk_slowdowns: Tuple[DiskSlowdown, ...] = ()
     transient_faults: Tuple[TransientFault, ...] = ()
-    bench_faults: Tuple[BenchFault, ...] = field(default_factory=tuple)
     crash_points: Tuple[CrashPoint, ...] = field(default_factory=tuple)
     actuation_faults: Tuple[ActuationFault, ...] = field(default_factory=tuple)
     stale_recoveries: Tuple[StaleRecovery, ...] = field(default_factory=tuple)
@@ -185,7 +162,6 @@ class FaultPlan:
         object.__setattr__(self, "node_crashes", tuple(self.node_crashes))
         object.__setattr__(self, "disk_slowdowns", tuple(self.disk_slowdowns))
         object.__setattr__(self, "transient_faults", tuple(self.transient_faults))
-        object.__setattr__(self, "bench_faults", tuple(self.bench_faults))
         object.__setattr__(self, "crash_points", tuple(self.crash_points))
         object.__setattr__(self, "actuation_faults", tuple(self.actuation_faults))
         object.__setattr__(self, "stale_recoveries", tuple(self.stale_recoveries))
@@ -196,7 +172,6 @@ class FaultPlan:
             *self.node_crashes,
             *self.disk_slowdowns,
             *self.transient_faults,
-            *self.bench_faults,
             *self.crash_points,
             *self.actuation_faults,
             *self.stale_recoveries,
@@ -221,7 +196,6 @@ class FaultPlan:
             self.node_crashes
             or self.disk_slowdowns
             or self.transient_faults
-            or self.bench_faults
             or self.crash_points
             or self.actuation_faults
             or self.stale_recoveries
@@ -359,7 +333,6 @@ class FaultPlan:
             "node_crashes": [asdict(c) for c in self.node_crashes],
             "disk_slowdowns": [asdict(s) for s in self.disk_slowdowns],
             "transient_faults": [asdict(t) for t in self.transient_faults],
-            "bench_faults": [asdict(b) for b in self.bench_faults],
             "crash_points": [asdict(p) for p in self.crash_points],
             "actuation_faults": [asdict(a) for a in self.actuation_faults],
             "stale_recoveries": [asdict(s) for s in self.stale_recoveries],
@@ -380,9 +353,6 @@ class FaultPlan:
                 ),
                 transient_faults=tuple(
                     TransientFault(**t) for t in payload.get("transient_faults", [])
-                ),
-                bench_faults=tuple(
-                    BenchFault(**b) for b in payload.get("bench_faults", [])
                 ),
                 crash_points=tuple(
                     CrashPoint(**p) for p in payload.get("crash_points", [])

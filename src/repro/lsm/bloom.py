@@ -44,7 +44,10 @@ def hash_keys(names: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     bitwise-identical to the scalar :func:`hash_key` pair, or ``None``
     when the batch contains non-ASCII characters or embedded NULs
     (callers fall back to the scalar path — correctness never depends
-    on vectorization).
+    on vectorization).  A ``<U`` array silently drops a key's *trailing*
+    NULs, which no check on the array can see: callers build ``names``
+    only from key sets with no NUL at all, deciding that on the Python
+    strings (``"\x00" in "".join(keys)``).
     """
     if names.size == 0 or names.dtype.kind != "U":
         return None
@@ -92,7 +95,9 @@ class BloomFilter:
     def from_keys(cls, keys: Iterable[str], fp_chance: float) -> "BloomFilter":
         keys = list(keys)
         bf = cls(expected_items=max(len(keys), 1), fp_chance=fp_chance)
-        hashed = hash_keys(np.asarray(keys)) if keys else None
+        # A NUL anywhere in the set (see hash_keys) means key-by-key adds.
+        nul_free = "\x00" not in "".join(keys)
+        hashed = hash_keys(np.asarray(keys)) if keys and nul_free else None
         if hashed is None:
             for k in keys:
                 bf.add(k)

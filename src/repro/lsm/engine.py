@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from collections import deque
 
 import numpy as np
@@ -231,14 +231,7 @@ class LSMEngine:
             blooms = plan.blooms[i]
             events = plan.events[plan.starts[i] : plan.starts[i + 1]]
         else:
-            candidates = self.layout.read_candidates(key)
-            blooms = len(candidates)
-            hashed = hash_key(key) if candidates else None
-            events = []
-            for table in candidates:
-                if table.might_contain(key, hashed):
-                    block, row = table.locate(key)
-                    events.append((table, (table.table_id, block), row))
+            blooms, events = self._table_events(key)
 
         cache_hits = 0
         access = self.cache.access
@@ -258,10 +251,24 @@ class LSMEngine:
         stats.cache_misses += probes - cache_hits
         return best, blooms, probes, cache_hits, probes - cache_hits
 
+    def _table_events(self, key: str) -> Tuple[int, list]:
+        """``(bloom checks, probe events)`` of ``key``, found table by
+        table — any string, hashed once."""
+        candidates = self.layout.read_candidates(key)
+        hashed = hash_key(key) if candidates else None
+        events = []
+        for table in candidates:
+            if table.might_contain(key, hashed):
+                block, row = table.locate(key)
+                events.append((table, (table.table_id, block), row))
+        return len(candidates), events
+
     def _plan(self, keys: Sequence[str]) -> Optional[_ProbePlan]:
         """An unbuilt probe plan for ``keys``; None when they do not hash
-        as a batch (non-ASCII, embedded NUL), which leaves their reads on
-        the table-by-table probe — correctness never depends on a plan."""
+        as a batch (non-ASCII, any NUL), which leaves their reads on the
+        table-by-table probe — correctness never depends on a plan."""
+        if "\x00" in "".join(keys):  # a <U array would drop trailing NULs
+            return None
         names = np.asarray(keys)
         hashed = hash_keys(names)
         return None if hashed is None else _ProbePlan(names, *hashed)
@@ -297,6 +304,15 @@ class LSMEngine:
             row_chunks.append(np.where(karr[clamped] == names[sub], idx, -1))
 
         levels = self.layout.levels
+        plan.epoch, plan.base = self.layout.epoch, k
+        if any(t.keys_array() is None for level in levels for t in level):
+            # A table holding a NUL key has no exact key array, so this
+            # layout is probed table by table (the plan's keys hold none).
+            found = [self._table_events(key) for key in names.tolist()]
+            plan.blooms = [count for count, _ in found]
+            plan.events = [event for _, events in found for event in events]
+            plan.starts = np.cumsum([0] + [len(events) for _, events in found]).tolist()
+            return
         # L0: every table is a candidate for every key, newest first; the
         # range check comes after the bloom counter, as in might_contain.
         blooms += len(levels[0])
@@ -321,7 +337,7 @@ class LSMEngine:
                     blooms[matched] += 1
                     bloom_test(table, matched)
 
-        plan.epoch, plan.base, plan.blooms = self.layout.epoch, k, blooms.tolist()
+        plan.blooms = blooms.tolist()
         if not tables:
             plan.starts, plan.events = [0] * (n + 1), []
             return

@@ -168,13 +168,15 @@ class SSTable:
         # Records are roughly uniform in size; map record index -> block.
         return int(min(i, n - 1) * self.size_bytes / n) // BLOCK_BYTES, row
 
-    def keys_array(self) -> np.ndarray:
-        """Key column as a numpy array (cached) for batched searchsorted.
+    def keys_array(self) -> Optional[np.ndarray]:
+        """Key column as a numpy array (cached) for batched searchsorted,
+        or None when a key holds a NUL: a ``<U`` array drops trailing
+        NULs, so such a table is probed key by key.
 
         Tables are immutable, so the array is built once on first use;
         it does not survive pickling (rebuilt lazily after a restore).
         """
-        if self._keys_arr is None:
+        if self._keys_arr is None and "\x00" not in "".join(self._keys):
             self._keys_arr = np.array(self._keys)
         return self._keys_arr
 

@@ -49,7 +49,6 @@ class EnsembleConfig:
 class MemberTask:
     """One ensemble member's training job (standardized data + seed)."""
 
-    member: int
     seed: int
     layer_sizes: Tuple[int, ...]
     x: np.ndarray
@@ -95,8 +94,6 @@ class NetworkEnsemble:
         y: np.ndarray,
         seed: SeedLike = 0,
         backend: Optional[ExecutionBackend] = None,
-        checkpoint_dir=None,
-        events=None,
     ) -> "NetworkEnsemble":
         """Train the full ensemble, then prune by training error.
 
@@ -104,14 +101,6 @@ class NetworkEnsemble:
         ``seed`` up front), so members are independent work units:
         ``backend`` fans the training out across processes with results
         identical to a serial run.
-
-        With a ``checkpoint_dir`` each trained member is persisted
-        atomically, and a restarted fit loads the members whose
-        checkpoints match this exact run (seed, topology, standardized
-        data) instead of retraining them — landing on bitwise-identical
-        weights.  Corrupt or stale checkpoints are ignored (and reported
-        on ``events`` as ``recovery.corrupt_artifact``); the member just
-        retrains.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -121,79 +110,18 @@ class NetworkEnsemble:
         ys = self.y_scaler.fit_transform(y)
 
         rng = derive_rng(seed)
-        layer_sizes = [x.shape[1], *self.config.hidden_layers, 1]
-        member_seeds = [
-            int(rng.integers(0, 2**63 - 1)) for _ in range(self.config.n_networks)
-        ]
-
-        fingerprint = None
-        loaded = {}
-        if checkpoint_dir is not None:
-            from repro.recovery.checkpoint import (
-                load_member_checkpoint,
-                save_member_checkpoint,
-                training_fingerprint,
-            )
-
-            config_tag = (
-                f"{tuple(layer_sizes)}|{self.config.max_epochs}"
-                f"|{self.config.prune_fraction}"
-            )
-            fingerprint = training_fingerprint(xs, ys, config_tag)
-            for i, member_seed in enumerate(member_seeds):
-                restored = load_member_checkpoint(
-                    checkpoint_dir,
-                    i,
-                    member_seed,
-                    tuple(layer_sizes),
-                    fingerprint,
-                    events=events,
-                )
-                if restored is not None:
-                    loaded[i] = restored
-            if loaded and events is not None:
-                events.publish(
-                    "recovery.resumed",
-                    f"resumed {len(loaded)}/{self.config.n_networks} ensemble "
-                    "members from checkpoints",
-                    resumed=len(loaded),
-                    total=self.config.n_networks,
-                    path=str(checkpoint_dir),
-                )
-
+        layer_sizes = (x.shape[1], *self.config.hidden_layers, 1)
         tasks = [
             MemberTask(
-                member=i,
-                seed=member_seed,
-                layer_sizes=tuple(layer_sizes),
+                seed=int(rng.integers(0, 2**63 - 1)),
+                layer_sizes=layer_sizes,
                 x=xs,
                 y=ys,
                 max_epochs=self.config.max_epochs,
             )
-            for i, member_seed in enumerate(member_seeds)
-            if i not in loaded
+            for _ in range(self.config.n_networks)
         ]
-        on_member = None
-        if checkpoint_dir is not None:
-            # Checkpoint each member as it lands, not after the whole
-            # batch: a kill mid-fit keeps every finished member.
-            def on_member(position: int, pair) -> None:
-                task = tasks[position]
-                save_member_checkpoint(
-                    checkpoint_dir, task.member, task.seed, fingerprint, *pair
-                )
-
-        fresh = resolve_backend(backend).map_tasks(
-            train_member_task, tasks, on_result=on_member
-        )
-
-        # Merge restored + freshly trained members back into member
-        # order before sorting, so a resumed fit sees the same sequence
-        # an uninterrupted one does.
-        by_member = dict(loaded)
-        for task, pair in zip(tasks, fresh):
-            by_member[task.member] = pair
-        trained = [by_member[i] for i in range(self.config.n_networks)]
+        trained = resolve_backend(backend).map_tasks(train_member_task, tasks)
 
         # Stable sort + per-member training being scheduling-independent
         # keeps the pruned ensemble identical across backends.

@@ -33,7 +33,7 @@ under a fixed seed is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,17 +87,6 @@ class TrainingResult:
     beta: float
     effective_parameters: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (checkpoint payloads); floats round-trip exactly."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, blob: dict) -> "TrainingResult":
-        try:
-            return cls(**blob)
-        except TypeError as exc:
-            raise TrainingError(f"malformed training result: {exc}") from exc
 
 
 def _check_data(x: np.ndarray, y: np.ndarray) -> tuple:

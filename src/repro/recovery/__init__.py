@@ -1,28 +1,21 @@
-"""Crash-safe persistence and resumable offline pipelines.
+"""Crash-safe artifacts and LSM engine crash recovery.
 
-The offline phase is the expensive part of Rafiki — hundreds of
-five-minute benchmark campaigns plus an ensemble of trained networks —
-and this package is what lets a process kill cost seconds instead of
-hours:
+The offline jobs themselves are not resumable: the paper's whole
+collection campaign runs in seconds, so a killed ``collect`` or
+``train`` is simply rerun (every stream is seeded, so the rerun is
+bit-identical).  What must survive a crash is what those jobs leave on
+disk, and the storage engine's own state:
 
-* :mod:`repro.recovery.atomic` — every artifact (surrogate, dataset,
-  checkpoint) is written temp-file + fsync + rename with a CRC32
-  footer, and every load rejects corruption with
-  :class:`~repro.errors.PersistenceError`.
-* :mod:`repro.recovery.journal` — the collection campaign's append-only
-  JSONL WAL; a killed campaign resumes from the last durable sample and
-  produces a bit-identical dataset.
-* :mod:`repro.recovery.checkpoint` — per-member training checkpoints;
-  a restarted ensemble fit skips already-trained networks and yields
-  bitwise-identical weights.
+* :mod:`repro.recovery.atomic` — every artifact (surrogate, dataset) is
+  written temp-file + fsync + rename with a CRC32 footer, and every
+  load rejects corruption with :class:`~repro.errors.PersistenceError`.
 * :mod:`repro.recovery.crashsim` — kills an LSM engine at scheduled
   :class:`~repro.faults.plan.CrashPoint`\\ s and rebuilds it through
   commitlog replay + SSTable checksum scrub.
 
-Recovery actions are observable on the EventBus: ``recovery.resumed``
-(work skipped because durable state covered it),
-``recovery.journal_replayed`` (a WAL was re-applied), and
-``recovery.corrupt_artifact`` (a file failed verification).
+Recovery actions are observable on the EventBus:
+``recovery.journal_replayed`` (an engine's commitlog was re-applied)
+and ``recovery.corrupt_artifact`` (a file failed verification).
 """
 
 from repro.recovery.atomic import (
@@ -32,12 +25,6 @@ from repro.recovery.atomic import (
     write_artifact,
     write_text_atomic,
 )
-from repro.recovery.checkpoint import (
-    load_member_checkpoint,
-    member_checkpoint_path,
-    save_member_checkpoint,
-    training_fingerprint,
-)
 from repro.recovery.crashsim import (
     CrashSimReport,
     generate_ops,
@@ -45,22 +32,15 @@ from repro.recovery.crashsim import (
     state_snapshot,
     states_equivalent,
 )
-from repro.recovery.journal import Journal, read_journal
 
 __all__ = [
     "ARTIFACT_VERSION",
     "CrashSimReport",
-    "Journal",
     "generate_ops",
-    "load_member_checkpoint",
-    "member_checkpoint_path",
     "read_artifact",
-    "read_journal",
     "run_ops",
-    "save_member_checkpoint",
     "state_snapshot",
     "states_equivalent",
-    "training_fingerprint",
     "verify_artifact",
     "write_artifact",
     "write_text_atomic",

@@ -1,7 +1,7 @@
 """Atomic, checksummed artifact files.
 
 Every artifact this package writes (surrogate weights, collection
-datasets, training checkpoints) used to be a bare ``open(path, "w")`` —
+datasets) used to be a bare ``open(path, "w")`` —
 a crash mid-write left a truncated or torn file that later loads parsed
 half-way and failed with raw ``JSONDecodeError``/``KeyError``.  This
 module is the single write/read path for those artifacts:

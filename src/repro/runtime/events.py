@@ -7,9 +7,8 @@ consumers subscribe to exact topics or topic prefixes, so anything
 downstream can filter or aggregate without agreeing on a string format.
 
 Crash-recovery actions publish under the ``recovery`` prefix (see
-:mod:`repro.recovery`): ``recovery.resumed`` when durable state let a
-restarted campaign or fit skip work, ``recovery.journal_replayed`` when
-a write-ahead log was re-applied (LSM commitlog replay), and
+:mod:`repro.recovery`): ``recovery.journal_replayed`` when an LSM
+engine's commitlog was re-applied after a crash, and
 ``recovery.corrupt_artifact`` when a checksummed file failed
 verification.
 

@@ -1,16 +1,31 @@
-"""Shared fixtures: small-scale knobs and hardware for fast tests."""
+"""Shared fixtures: small-scale knobs and hardware for fast tests.
+
+The suite runs on one BLAS/OpenMP thread, pinned here before numpy
+loads (the same variables and rule as ``benchmarks/e2e/run.py``): the
+trainer's small solves gain nothing from threads, and a trained
+surrogate's last bits depend on the thread count.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
+import sys
 
-from repro.config import cassandra_space
-from repro.config.cassandra import LEVELED, SIZE_TIERED
-from repro.lsm.knobs import EngineKnobs
-from repro.middleware import MiddlewareScheduler, TenantSpec
-from repro.runtime import EventBus
-from repro.sim.hardware import HardwareSpec
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in THREAD_VARS):
+    raise RuntimeError("numpy was imported before the BLAS/OpenMP thread counts were pinned")
+for _var in THREAD_VARS:
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.config import cassandra_space  # noqa: E402
+from repro.config.cassandra import LEVELED, SIZE_TIERED  # noqa: E402
+from repro.lsm.knobs import EngineKnobs  # noqa: E402
+from repro.middleware import MiddlewareScheduler, TenantSpec  # noqa: E402
+from repro.runtime import EventBus  # noqa: E402
+from repro.sim.hardware import HardwareSpec  # noqa: E402
 
 KB = 1024
 MB = 1024 * KB

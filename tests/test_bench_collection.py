@@ -4,6 +4,7 @@ import pytest
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.ycsb import YCSBBenchmark
 from repro.datastore import CassandraLike
+from repro.runtime import EventBus
 from repro.workload.spec import WorkloadSpec
 
 
@@ -61,6 +62,11 @@ class TestPlan:
         with pytest.raises(ValueError):
             small_campaign(cassandra, base_workload, n_configurations=0)
 
+    def test_negative_fault_count_rejected(self, cassandra, base_workload):
+        # Rejected up front, not by numpy's choice() at run time.
+        with pytest.raises(ValueError, match="n_faulty"):
+            small_campaign(cassandra, base_workload, n_faulty=-1)
+
 
 class TestExecution:
     def test_faulty_samples_dropped(self, cassandra, base_workload):
@@ -96,6 +102,13 @@ class TestExecution:
         camp.run_raw()
         assert seen[-1] == (12, 12)
 
+    def test_fault_injected_events_published(self, cassandra, base_workload):
+        bus = EventBus()
+        kinds = []
+        bus.subscribe(lambda e: kinds.append(e.payload["kind"]), topic="fault.injected")
+        small_campaign(cassandra, base_workload, events=bus).run_raw()
+        assert kinds.count("bench-client") == 2
+
     def test_paper_scale_plan(self, cassandra, base_workload):
         """§4.2: 11 workloads x 20 configs = 220, minus 20 faulty = 200."""
         camp = DataCollectionCampaign(
@@ -106,67 +119,3 @@ class TestExecution:
         )
         assert camp.n_workloads * camp.n_configurations == 220
         assert camp.n_faulty == 20
-
-
-class TestRetryFaulted:
-    def test_transient_faults_healed_by_retry(self, cassandra, base_workload):
-        """Campaign client faults are transient: one retry recovers all
-        220->200-style drops, so nothing is discarded."""
-        camp = small_campaign(cassandra, base_workload, retry_faulty=1)
-        dataset = camp.run()
-        assert len(dataset) == 3 * 4  # nothing dropped
-
-    def test_persistent_faults_stay_dropped(self, cassandra, base_workload):
-        from repro.faults import BenchFault, FaultPlan
-
-        plan = FaultPlan(
-            bench_faults=(BenchFault(index=3, degradation=0.5, transient=False),)
-        )
-        camp = small_campaign(
-            cassandra, base_workload, n_faulty=0, fault_plan=plan, retry_faulty=3
-        )
-        results = camp.run_raw()
-        assert results[3].faulty
-        assert sum(1 for r in results if r.faulty) == 1
-        assert len(camp.run()) == 3 * 4 - 1
-
-    def test_plan_faults_ride_on_campaign_noise(self, cassandra, base_workload):
-        from repro.faults import BenchFault, FaultPlan
-
-        plan = FaultPlan(bench_faults=(BenchFault(index=0, degradation=0.3),))
-        camp = small_campaign(cassandra, base_workload, n_faulty=0, fault_plan=plan)
-        results = camp.run_raw()
-        assert results[0].faulty
-        # Transient plan fault + one retry: the sample comes back clean.
-        camp2 = small_campaign(
-            cassandra, base_workload, n_faulty=0, fault_plan=plan, retry_faulty=1
-        )
-        assert not camp2.run_raw()[0].faulty
-
-    def test_retry_events_published(self, cassandra, base_workload):
-        from repro.runtime import EventBus
-
-        bus = EventBus()
-        retries = []
-        bus.subscribe(lambda e: retries.append(e.payload["index"]), topic="collect.retry")
-        camp = small_campaign(cassandra, base_workload, retry_faulty=1, events=bus)
-        camp.run_raw()
-        assert len(retries) == 2  # the two campaign faults
-
-    def test_fault_injected_events_published(self, cassandra, base_workload):
-        from repro.runtime import EventBus
-
-        bus = EventBus()
-        kinds = []
-        bus.subscribe(lambda e: kinds.append(e.payload["kind"]), topic="fault.injected")
-        small_campaign(cassandra, base_workload, events=bus).run_raw()
-        assert kinds.count("bench-client") == 2
-
-    def test_default_retry_off_is_bit_identical(self, cassandra, base_workload):
-        baseline = small_campaign(cassandra, base_workload).run()
-        explicit = small_campaign(cassandra, base_workload, retry_faulty=0).run()
-        assert (baseline.targets() == explicit.targets()).all()
-
-    def test_retry_budget_validated(self, cassandra, base_workload):
-        with pytest.raises(ValueError):
-            small_campaign(cassandra, base_workload, retry_faulty=-1)

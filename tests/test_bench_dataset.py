@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from repro.bench.dataset import PerformanceDataset, PerformanceSample
+from repro.bench.dataset import (
+    PerformanceDataset,
+    PerformanceSample,
+    load_dataset,
+    save_dataset,
+)
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
 from repro.errors import TrainingError
 from repro.workload.spec import WorkloadSpec
@@ -106,6 +111,14 @@ class TestPersistence:
         assert len(back) == len(ds)
         assert np.allclose(back.features(), ds.features())
         assert np.allclose(back.targets(), ds.targets())
+
+    def test_artifact_round_trip(self, space, tmp_path):
+        """save_dataset / load_dataset: the checksummed file reloads to
+        the same dataset, byte for byte in its JSON form."""
+        ds = make_dataset(space, n_configs=3, n_workloads=3)
+        path = tmp_path / "dataset.json"
+        save_dataset(ds, path)
+        assert load_dataset(path, space).to_json() == ds.to_json()
 
     def test_sample_from_result(self, space):
         from repro.bench.metrics import BenchmarkResult

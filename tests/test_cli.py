@@ -261,58 +261,6 @@ class TestCharacterize:
         assert payload["krd_mean_ops"] > 0
 
 
-class TestJournalAndResume:
-    COLLECT = [
-        "--workloads", "3",
-        "--configurations", "3",
-        "--faulty", "1",
-        "--seed", "6",
-        "--run-seconds", "30",
-        "--quiet",
-    ]
-
-    def test_resume_after_kill_is_bit_identical(self, tmp_path):
-        ref = tmp_path / "ref.json"
-        journal = tmp_path / "ref.wal"
-        assert main(["collect", "--out", str(ref), "--journal", str(journal),
-                     *self.COLLECT]) == 0
-
-        # Simulate a kill after 4 durable samples: truncate a copy of
-        # the WAL, then resume from it.
-        partial = tmp_path / "partial.wal"
-        lines = journal.read_text().splitlines(keepends=True)
-        partial.write_text("".join(lines[:5]))
-        out = tmp_path / "resumed.json"
-        assert main(["resume", "--journal", str(partial), "--out", str(out),
-                     "--quiet"]) == 0
-        assert out.read_bytes() == ref.read_bytes()
-
-    def test_collect_without_journal_matches_journaled(self, tmp_path):
-        plain = tmp_path / "plain.json"
-        journaled = tmp_path / "journaled.json"
-        assert main(["collect", "--out", str(plain), *self.COLLECT]) == 0
-        assert main(["collect", "--out", str(journaled),
-                     "--journal", str(tmp_path / "j.wal"), *self.COLLECT]) == 0
-        assert plain.read_bytes() == journaled.read_bytes()
-
-
-class TestCheckpointedTrain:
-    def test_interrupted_train_resumes_identically(self, artifacts, tmp_path):
-        dataset, _ = artifacts
-        ref = tmp_path / "ref.json"
-        ckpt = tmp_path / "ckpt"
-        args = ["train", "--dataset", str(dataset), "--networks", "3",
-                "--seed", "3", "--quiet"]
-        assert main([*args, "--out", str(ref),
-                     "--checkpoint-dir", str(ckpt)]) == 0
-        # Drop one member checkpoint (as if killed mid-train), retrain.
-        (ckpt / "member-0002.json").unlink()
-        out = tmp_path / "resumed.json"
-        assert main([*args, "--out", str(out),
-                     "--checkpoint-dir", str(ckpt)]) == 0
-        assert out.read_bytes() == ref.read_bytes()
-
-
 class TestVerifyArtifact:
     def test_valid_dataset(self, artifacts, capsys):
         dataset, _ = artifacts
@@ -326,16 +274,13 @@ class TestVerifyArtifact:
         payload = json.loads(capsys.readouterr().out)
         assert payload["artifact_kind"] == "surrogate"
 
-    def test_valid_journal(self, tmp_path, capsys):
-        journal = tmp_path / "j.wal"
-        assert main(["collect", "--out", str(tmp_path / "d.json"),
-                     "--journal", str(journal),
-                     *TestJournalAndResume.COLLECT]) == 0
-        capsys.readouterr()  # drop collect's own output
-        assert main(["verify-artifact", str(journal)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kind"] == "journal"
-        assert payload["records"] == 9
+    def test_jsonl_file_is_corrupt(self, artifacts, tmp_path, capsys):
+        """A multi-line JSONL file is not an artifact, whatever its lines."""
+        dataset, _ = artifacts
+        lines = tmp_path / "lines.jsonl"
+        lines.write_text(dataset.read_text() + "\n" + dataset.read_text() + "\n")
+        assert main(["verify-artifact", str(lines)]) == 1
+        assert "CORRUPT" in capsys.readouterr().err
 
     def test_corrupt_artifact_exits_nonzero(self, artifacts, tmp_path, capsys):
         dataset, _ = artifacts
@@ -364,3 +309,43 @@ class TestValidation:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workloads", "1"],
+            ["--configurations", "0"],
+            ["--faulty", "-1"],
+            ["--run-seconds", "0"],
+            ["--run-seconds", "nan"],
+        ],
+    )
+    def test_bad_collect_flags_exit_2(self, flags, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["collect", "--out", str(out), "--quiet", *flags])
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_networks_exit_2(self, artifacts, tmp_path, capsys):
+        dataset, _ = artifacts
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(dataset),
+                  "--out", str(tmp_path / "never.json"), "--networks", "0"])
+        assert exc.value.code == 2
+        assert "--networks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resume", "--journal", "c.wal", "--out", "d.json"],
+            ["collect", "--out", "d.json", "--journal", "c.wal"],
+            ["train", "--dataset", "d.json", "--out", "s.json",
+             "--checkpoint-dir", "ckpt"],
+        ],
+    )
+    def test_resume_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

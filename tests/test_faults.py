@@ -5,7 +5,6 @@ import pytest
 from repro.datastore import CassandraLike, Cluster
 from repro.errors import FaultError, ReproError, TransientError
 from repro.faults import (
-    BenchFault,
     DiskSlowdown,
     FaultInjector,
     FaultPlan,
@@ -59,10 +58,6 @@ class TestPlanValidation:
             FaultPlan(
                 transient_faults=(TransientFault(kind="teleport", window=0),)
             ).validate()
-
-    def test_bench_degradation_range(self):
-        with pytest.raises(FaultError):
-            FaultPlan(bench_faults=(BenchFault(index=0, degradation=1.5),)).validate()
 
     def test_node_range_checked_against_cluster(self):
         plan = FaultPlan(node_crashes=(NodeCrash(window=0, node=5),))
@@ -138,17 +133,6 @@ class TestPlanSerialization:
     def test_round_trip(self):
         plan = FaultPlan.generate(seed=9, n_windows=100, n_nodes=4)
         assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_bench_faults_round_trip(self):
-        plan = FaultPlan(
-            bench_faults=(
-                BenchFault(index=3, degradation=0.4),
-                BenchFault(index=7, degradation=0.2, transient=False),
-            )
-        )
-        restored = FaultPlan.from_json(plan.to_json())
-        assert restored == plan
-        assert restored.bench_faults[1].transient is False
 
     def test_malformed_json_raises_fault_error(self):
         with pytest.raises(FaultError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.bloom import BloomFilter, hash_key
@@ -45,6 +45,8 @@ class TestBloomFilter:
         assert BloomFilter(expected_items=5, fp_chance=0.01).expected_fp_rate == 0.0
 
     @given(st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=100))
+    @example(["\x00"])
+    @example(["a", "a\x00"])
     @settings(max_examples=50, deadline=None)
     def test_membership_property(self, keys):
         """Property: a bloom filter never lies about absence."""

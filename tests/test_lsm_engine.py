@@ -2,12 +2,13 @@
 import copy
 import functools
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.lsm.background import compaction_rate
-from repro.lsm.engine import LSMEngine
+from repro.lsm.engine import OP_READ, OP_WRITE, LSMEngine
 from repro.sim.clock import SimClock
 
 from tests.conftest import make_knobs
@@ -111,6 +112,45 @@ class TestFlushing:
         engine.delete("a")
         engine.flush()
         assert engine.get("a") is None
+
+
+class TestNulKeys:
+    """Keys holding NULs, which a numpy ``<U`` array would truncate, read
+    back exactly on every read path: ``'a\x00'`` is not ``'a'``."""
+
+    PROBES = ["a", "a\x00", "\x00", "b", "a\x00\x00"]
+
+    def check(self, engine, oracle):
+        assert {k: engine.get(k) for k in self.PROBES} == {
+            k: oracle.get(k) for k in self.PROBES
+        }
+        # The NUL-free block is the one that takes a batch probe plan.
+        for block in (self.PROBES, ["a", "b"]):
+            assert engine.multi_get(block) == {k: oracle.get(k) for k in block}
+            # execute_batch returns no values: its reads must find and
+            # charge exactly what get() does, one key at a time.
+            batched, one_by_one = copy.deepcopy(engine), copy.deepcopy(engine)
+            batched.execute_batch(np.full(len(block), OP_READ), block)
+            for key in block:
+                one_by_one.get(key)
+            assert batched.stats == one_by_one.stats
+            assert batched.clock.now == one_by_one.clock.now
+
+    def test_reads_match_a_dict(self, small_knobs):
+        engine, oracle = LSMEngine(small_knobs), {}
+        for key, value in (("a\x00", b"one"), ("a", b"two"), ("\x00", b"three")):
+            engine.put(key, value)
+            oracle[key] = value
+            self.check(engine, oracle)
+            engine.flush()
+            self.check(engine, oracle)
+        engine.execute_batch(
+            np.full(2, OP_WRITE), ["a\x00", "\x00"], np.array([4, 5])
+        )
+        oracle.update({"a\x00": bytes(4), "\x00": bytes(5)})
+        self.check(engine, oracle)
+        engine.flush()
+        self.check(engine, oracle)
 
 
 class TestCompaction:
