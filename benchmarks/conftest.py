@@ -7,6 +7,10 @@ rough factors, where crossovers fall) and attach the reproduced rows to
 ``benchmark.extra_info`` so the pytest-benchmark report carries the
 paper-vs-measured numbers.  Each bench also writes its rows to
 ``benchmarks/results/<name>.json`` for EXPERIMENTS.md.
+
+The benches run on one BLAS/OpenMP thread, pinned before numpy loads
+(``repro.blas``), so the surrogates they train do not depend on the
+host's core count.
 """
 
 from __future__ import annotations
@@ -14,17 +18,21 @@ from __future__ import annotations
 import json
 import pathlib
 
-import pytest
+from repro.blas import pin_threads
 
-from repro.bench.collection import DataCollectionCampaign
-from repro.bench.ycsb import YCSBBenchmark
-from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
-from repro.core.rafiki import Rafiki
-from repro.core.surrogate import SurrogateModel
-from repro.datastore import CassandraLike, ScyllaLike
-from repro.middleware import MiddlewareScheduler, TenantSpec
-from repro.ml.ensemble import EnsembleConfig
-from repro.workload.spec import mgrast_workload
+pin_threads()
+
+import pytest  # noqa: E402
+
+from repro.bench.collection import DataCollectionCampaign  # noqa: E402
+from repro.bench.ycsb import YCSBBenchmark  # noqa: E402
+from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS  # noqa: E402
+from repro.core.rafiki import Rafiki  # noqa: E402
+from repro.core.surrogate import SurrogateModel  # noqa: E402
+from repro.datastore import CassandraLike, ScyllaLike  # noqa: E402
+from repro.middleware import MiddlewareScheduler, TenantSpec  # noqa: E402
+from repro.ml.ensemble import EnsembleConfig  # noqa: E402
+from repro.workload.spec import mgrast_workload  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

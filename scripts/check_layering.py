@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Assert the repro import DAG: lower layers never import upward.
+"""Assert the repro import DAG: lower layers never import upward, and
+no module loads scipy at import time.
 
 The package is layered (see DESIGN.md, "Middleware service layer")::
 
-    sim / runtime / errors          rank 0   substrate + plumbing
+    sim / runtime / errors / blas   rank 0   substrate + plumbing
     config / faults                 rank 1   vocabulary
     lsm                             rank 2   storage engine
     workload / datastore            rank 3   load + servers
@@ -20,12 +21,17 @@ dependency to call time and cannot create an import cycle.  This script
 therefore scans only statements that execute at import time (module and
 class bodies; function bodies are skipped).
 
+The same scan enforces the footprint rule (DESIGN.md, "Process
+footprint and one BLAS thread"): ``scipy`` is imported only inside the
+functions that call it, so serving never loads it.
+
 Run from the repo root::
 
     PYTHONPATH=src python scripts/check_layering.py
 
-Exit status 0 = DAG holds; 1 = at least one upward import, each printed
-as ``file:line: <importer> (rank a) -> <target> (rank b)``.
+Exit status 0 = both rules hold; 1 = at least one violation, each
+printed as ``file:line: <importer> (rank a) -> <target> (rank b)`` or
+``file:line: <importer> -> scipy... at import time``.
 
 Pure stdlib (ast only) so the CI lint job needs no third-party deps.
 """
@@ -38,6 +44,7 @@ from pathlib import Path
 
 #: First path component under ``repro.`` -> layer rank.
 LAYERS = {
+    "blas": 0,  # the thread pin; must load before numpy, so imports none of it
     "errors": 0,
     "sim": 0,
     "runtime": 0,
@@ -181,6 +188,11 @@ def check(src: Path):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in import_time_nodes(tree):
             for target in imported_modules(node, importer):
+                if target.split(".")[0] == "scipy":
+                    violations.append(
+                        f"{path}:{node.lineno}: {importer} -> {target} at import time"
+                    )
+                    continue
                 target_rank = layer_of(target)
                 if target_rank is None:  # stdlib / third-party
                     continue
@@ -200,12 +212,15 @@ def main() -> int:
         return 1
     violations = check(src)
     if violations:
-        print(f"{len(violations)} upward import(s) break the layer DAG:")
+        print(f"{len(violations)} import(s) break the layering rules:")
         for v in violations:
             print(f"  {v}")
         return 1
     n_modules = sum(1 for _ in (src / "repro").rglob("*.py"))
-    print(f"layering OK: {n_modules} modules respect the import DAG")
+    print(
+        f"layering OK: {n_modules} modules respect the import DAG; "
+        "none imports scipy at import time"
+    )
     return 0
 
 

@@ -39,6 +39,7 @@ ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
 BACKGROUND = "repro/lsm/background.py"
 BACKGROUND_TESTS = "tests/test_lsm_background.py"
+ENTRY_POINTS = "tests/test_entry_points.py"
 
 TRAPS = [
     (
@@ -263,6 +264,28 @@ TRAPS = [
         ],
         "tests/test_lsm_compaction.py::TestSizeBuckets"
         "::test_the_running_average_moves_the_window",
+    ),
+    # -- process entry: what a fresh interpreter loads and how many BLAS
+    # -- threads it computes on
+    (
+        "footprint: scipy.stats imported at module level again",
+        "repro/core/anova.py",
+        [
+            (
+                "import numpy as np\n\nfrom repro",
+                "import numpy as np\nfrom scipy import stats\n\nfrom repro",
+            )
+        ],
+        f"{ENTRY_POINTS}::TestImportFootprint"
+        "::test_root_loads_no_numpy_and_serving_loads_no_scipy",
+    ),
+    (
+        # Needs a host with >= 2 CPUs: OpenBLAS caps its threads at the core count.
+        "threads: python -m repro leaves the BLAS thread count to the caller",
+        "repro/__main__.py",
+        [("    pin_threads()\n", "")],
+        f"{ENTRY_POINTS}::TestOneBlasThread"
+        "::test_train_writes_the_same_bytes_at_any_thread_count",
     ),
 ]
 

@@ -25,84 +25,54 @@ Quickstart::
     print(best.configuration.non_default_items())
 """
 
-from repro.config import (
-    CASSANDRA_KEY_PARAMETERS,
-    Configuration,
-    ConfigurationSpace,
-    SCYLLA_KEY_PARAMETERS,
-    cassandra_space,
-    scylla_space,
-)
-from repro.datastore import CassandraLike, Cluster, EngineCluster, HashRing, ScyllaLike
-from repro.errors import (
-    FaultError,
-    PersistenceError,
-    ReproError,
-    SearchError,
-    TrainingError,
-    TransientError,
-)
-from repro.faults import (
-    ActuationFault,
-    CrashPoint,
-    FaultInjector,
-    FaultPlan,
-    StaleRecovery,
-)
-from repro.bench import (
-    BenchmarkResult,
-    DataCollectionCampaign,
-    PerformanceDataset,
-    PerformanceSample,
-    YCSBBenchmark,
-)
-from repro.core import (
-    ConfigurationOptimizer,
-    DecisionPolicy,
-    ExhaustiveSearch,
-    ForecastPolicy,
-    GreedySearch,
-    HysteresisPolicy,
-    OptimizationResult,
-    OraclePolicy,
-    Rafiki,
-    RetryPolicy,
-    RafikiPipeline,
-    RandomSearch,
-    ReactivePolicy,
-    RecommendationCache,
-    SurrogateModel,
-    rank_parameters,
-    select_key_parameters,
-)
-from repro.middleware import (
-    DriftReconciler,
-    GuardSpec,
-    MiddlewareScheduler,
-    ReconcileSpec,
-    SimulatedDatastoreAdapter,
-    SloSpec,
-    TenantGuard,
-    TenantSession,
-    TenantSpec,
-    load_manifest,
-)
-from repro.runtime import (
-    EventBus,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    ScopedEventBus,
-    SerialBackend,
-)
-from repro.workload import (
-    MGRastTraceGenerator,
-    Trace,
-    WorkloadSpec,
-    characterize_trace,
-)
-from repro.workload.spec import mgrast_workload
+import importlib
 
 __version__ = "1.0.0"
+
+#: Home module of every public name.  ``import repro`` imports none of
+#: them (and so no numpy); :func:`__getattr__` loads a name's home on
+#: first use, so a process pays only for the layers it touches.
+_HOMES = {
+    "repro.config": (
+        "CASSANDRA_KEY_PARAMETERS", "Configuration", "ConfigurationSpace",
+        "SCYLLA_KEY_PARAMETERS", "cassandra_space", "scylla_space",
+    ),
+    "repro.datastore": (
+        "CassandraLike", "Cluster", "EngineCluster", "HashRing", "ScyllaLike",
+    ),
+    "repro.errors": (
+        "FaultError", "PersistenceError", "ReproError", "SearchError", "TrainingError",
+        "TransientError",
+    ),
+    "repro.faults": (
+        "ActuationFault", "CrashPoint", "FaultInjector", "FaultPlan", "StaleRecovery",
+    ),
+    "repro.bench": (
+        "BenchmarkResult", "DataCollectionCampaign", "PerformanceDataset",
+        "PerformanceSample", "YCSBBenchmark",
+    ),
+    "repro.core": (
+        "ConfigurationOptimizer", "DecisionPolicy", "ExhaustiveSearch",
+        "ForecastPolicy", "GreedySearch", "HysteresisPolicy", "OptimizationResult",
+        "OraclePolicy", "Rafiki", "RetryPolicy", "RafikiPipeline", "RandomSearch",
+        "ReactivePolicy", "RecommendationCache", "SurrogateModel", "rank_parameters",
+        "select_key_parameters",
+    ),
+    "repro.middleware": (
+        "DriftReconciler", "GuardSpec", "MiddlewareScheduler", "ReconcileSpec",
+        "SimulatedDatastoreAdapter", "SloSpec", "TenantGuard", "TenantSession",
+        "TenantSpec", "load_manifest",
+    ),
+    "repro.runtime": (
+        "EventBus", "ExecutionBackend", "ProcessPoolBackend", "ScopedEventBus",
+        "SerialBackend",
+    ),
+    "repro.workload": (
+        "MGRastTraceGenerator", "Trace", "WorkloadSpec", "characterize_trace",
+    ),
+    "repro.workload.spec": ("mgrast_workload",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -181,3 +151,16 @@ __all__ = [
     "Trace",
     "characterize_trace",
 ]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config.space import Configuration
@@ -100,6 +99,8 @@ class SweepTask:
 def execute_sweep_task(task: SweepTask) -> ParameterEffect:
     """Benchmark one parameter's levels and score the effect
     (module-level so process pools can pickle it)."""
+    from scipy import stats  # only the ANOVA pays scipy.stats' ~0.5 s, ~45 MB load
+
     groups: List[List[float]] = []
     for config, level_rngs in zip(task.configurations, task.rngs):
         groups.append(

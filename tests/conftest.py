@@ -1,21 +1,16 @@
 """Shared fixtures: small-scale knobs and hardware for fast tests.
 
 The suite runs on one BLAS/OpenMP thread, pinned here before numpy
-loads (the same variables and rule as ``benchmarks/e2e/run.py``): the
+loads by the same helper as ``python -m repro`` (``repro.blas``): the
 trainer's small solves gain nothing from threads, and a trained
 surrogate's last bits depend on the thread count.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+from repro.blas import pin_threads
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in THREAD_VARS):
-    raise RuntimeError("numpy was imported before the BLAS/OpenMP thread counts were pinned")
-for _var in THREAD_VARS:
-    os.environ[_var] = "1"
+pin_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -53,6 +53,17 @@ class TestCheckerCatchesViolations:
         )
         assert checker.check(src) == []
 
+    def test_module_level_scipy_import_flagged(self, tmp_path):
+        checker = load_checker()
+        src = self._fake_tree(
+            tmp_path,
+            "import numpy\nfrom scipy import stats\n\n"
+            "def solve():\n    from scipy.linalg import solve_triangular\n",
+        )
+        assert checker.check(src) == [
+            f"{src / 'repro' / 'sim' / '__init__.py'}:2: repro.sim -> scipy at import time"
+        ]
+
     def test_unknown_subpackage_is_an_error_not_a_pass(self, tmp_path):
         checker = load_checker()
         src = self._fake_tree(tmp_path, "")

@@ -1,5 +1,6 @@
 """The documented public API stays importable from the package root."""
 
+import pytest
 
 import repro
 from repro.errors import (
@@ -20,6 +21,11 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_lazy_root_lists_every_export_and_nothing_else_resolves(self):
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
 
     def test_headline_classes_exported(self):
         for name in [
