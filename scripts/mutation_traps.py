@@ -40,6 +40,17 @@ OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
 BACKGROUND = "repro/lsm/background.py"
 BACKGROUND_TESTS = "tests/test_lsm_background.py"
 ENTRY_POINTS = "tests/test_entry_points.py"
+ANALYTIC = "repro/lsm/analytic.py"
+ANALYTIC_TESTS = "tests/test_lsm_analytic.py"
+STRUCTURE = f"{ANALYTIC_TESTS}::TestStepStructureTraps"
+SEGMENT_KEY = (
+    "            or s.n_checked != n_checked\n"
+    "            or s.n_backlog != n_backlog\n"
+    "            or s.flushing is not flushing\n"
+)
+SEGMENT_DROP = (
+    "        if moved or (model.memtable_bytes > t.half_flush_trigger) is not s.flushing:\n"
+)
 
 TRAPS = [
     (
@@ -264,6 +275,148 @@ TRAPS = [
         ],
         "tests/test_lsm_compaction.py::TestSizeBuckets"
         "::test_the_running_average_moves_the_window",
+    ),
+    # -- the analytic substrate: what a node cursor holds across seconds,
+    # -- what keys a segment, and what a served step owes
+    (
+        "cursor: segment kept after the structure moved",
+        ANALYTIC,
+        [(SEGMENT_DROP, SEGMENT_DROP.replace("moved or ", ""))],
+        f"{STRUCTURE}::test_chained_merge_keeps_backlog_length",
+    ),
+    (
+        "cursor: the half-trigger crossing ignored",
+        ANALYTIC,
+        [(SEGMENT_DROP, "        if moved:\n")],
+        f"{STRUCTURE}::test_half_trigger_crossed_both_ways",
+    ),
+    (
+        "cursor: the hit ratio not recomputed after a step",
+        ANALYTIC,
+        [("        self.hit = model._cache_hit(t)\n", "")],
+        f"{STRUCTURE}::test_working_set_outgrows_the_cache_mid_run",
+    ),
+    (
+        "soft-min: the six-cap form drops its NaN fallback",
+        ANALYTIC,
+        [
+            (
+                "        if total == total:\n"
+                "            return scale * total ** (-1.0 / p)\n",
+                "        return scale * total ** (-1.0 / p)\n",
+            )
+        ],
+        "tests/test_lsm_analytic_properties.py::TestSoftMin"
+        "::test_six_cap_form_equals_math_oracle",
+    ),
+    (
+        "segment: key without the tables a read checks",
+        ANALYTIC,
+        [("            or s.n_checked != n_checked\n", "")],
+        f"{STRUCTURE}::test_chained_merge_keeps_backlog_length",
+    ),
+    (
+        "segment: keyed on the backlog length alone",
+        ANALYTIC,
+        [(SEGMENT_KEY, "            or s.n_backlog != n_backlog\n")],
+        f"{STRUCTURE}::test_chained_merge_keeps_backlog_length",
+    ),
+    (
+        "segment: key without the flush flag",
+        ANALYTIC,
+        [("            or s.flushing is not flushing\n", "")],
+        f"{STRUCTURE}::test_half_trigger_crossed_both_ways",
+    ),
+    (
+        "writes: one flush per step at most",
+        ANALYTIC,
+        [
+            (
+                "while self.memtable_bytes >= trigger:",
+                "if self.memtable_bytes >= trigger:",
+            )
+        ],
+        f"{STRUCTURE}::test_several_flushes_inside_one_step",
+    ),
+    (
+        "cache hit: the steady share frozen at the overflowing cache's",
+        ANALYTIC,
+        [
+            (
+                "steady = 1.0 if working_set_pages <= pages else t.steady_hit",
+                "steady = t.steady_hit",
+            )
+        ],
+        f"{STRUCTURE}::test_working_set_outgrows_the_cache_mid_run",
+    ),
+    (
+        "regime: a table kept across rebound knobs",
+        ANALYTIC,
+        [("            or t.knobs is not self.knobs\n", "")],
+        f"{ANALYTIC_TESTS}::TestTermTable::test_rebound_knobs_invalidate",
+    ),
+    (
+        "noise: a noiseless run draws anyway",
+        ANALYTIC,
+        [
+            (
+                "draws = self.rng.standard_normal(steps).tolist() if sigma > 0 else None",
+                "draws = self.rng.standard_normal(steps).tolist()",
+            )
+        ],
+        f"{STRUCTURE}::test_noiseless_model_draws_nothing",
+    ),
+    (
+        "noise: the block drawn before the read ratio is checked",
+        ANALYTIC,
+        [
+            (
+                '        if not (0.0 <= read_ratio <= 1.0):\n'
+                '            raise ValueError("read_ratio must be in [0, 1]")\n'
+                "        steps = ",
+                "        steps = ",
+            ),
+            (
+                "if sigma > 0 else None\n",
+                "if sigma > 0 else None\n"
+                "        if not (0.0 <= read_ratio <= 1.0):\n"
+                '            raise ValueError("read_ratio must be in [0, 1]")\n',
+            ),
+        ],
+        f"{ANALYTIC_TESTS}::TestRejectedCallsTouchNothing::test_model_run",
+    ),
+    (
+        "pickle: the regime table pickled with the model",
+        ANALYTIC,
+        [('        del state["_terms"]\n', "")],
+        f"{ANALYTIC_TESTS}::TestTermTable::test_pickle_is_unchanged_by_a_solve",
+    ),
+    (
+        "absorb: the drain fast path taken when the head ends exactly on the budget",
+        ANALYTIC,
+        [
+            (
+                "if head.remaining_io_bytes > budget > 0.0:",
+                "if head.remaining_io_bytes >= budget > 0.0:",
+            )
+        ],
+        f"{STRUCTURE}::test_head_compaction_ending_exactly_on_the_budget",
+    ),
+    (
+        "absorb: a flush drains at the compaction rate from before it",
+        ANALYTIC,
+        [
+            (
+                "                model._drain_background(dt)\n"
+                "                moved = True\n"
+                "        comp_rate = s.comp_rate\n"
+                "        if comp_rate > 0.0 and not moved:\n",
+                "                moved = True\n"
+                "        comp_rate = s.comp_rate\n"
+                "        if comp_rate > 0.0:\n",
+            )
+        ],
+        f"{STRUCTURE}::test_several_flushes_inside_one_step",
     ),
     # -- process entry: what a fresh interpreter loads and how many BLAS
     # -- threads it computes on

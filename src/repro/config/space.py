@@ -26,7 +26,7 @@ class Configuration(Mapping[str, Any]):
     the owning space has a value (explicit or default).
     """
 
-    __slots__ = ("_space", "_values", "_hash")
+    __slots__ = ("_space", "_values", "_hash", "_fingerprint")
 
     def __init__(self, space: "ConfigurationSpace", overrides: Optional[Mapping[str, Any]] = None):
         overrides = dict(overrides or {})
@@ -41,6 +41,16 @@ class Configuration(Mapping[str, Any]):
         self._space = space
         self._values = values
         self._hash: Optional[int] = None
+        self._fingerprint: Optional[str] = None
+
+    def __getstate__(self):
+        # The two cached digests stay out of pickles: ``hash()`` is salted
+        # per process, and a pickle must not depend on what was asked.
+        return self._space, self._values
+
+    def __setstate__(self, state):
+        self._space, self._values = state
+        self._hash = self._fingerprint = None
 
     @property
     def space(self) -> "ConfigurationSpace":
@@ -94,10 +104,10 @@ class Configuration(Mapping[str, Any]):
         randomization), which is what lets the actuation layer compare
         intended-vs-applied configs per node and report drift compactly.
         """
-        digest = hashlib.sha1(
-            repr(sorted(self._values.items())).encode("utf-8")
-        ).hexdigest()
-        return digest[:8]
+        if self._fingerprint is None:
+            digest = hashlib.sha1(repr(sorted(self._values.items())).encode("utf-8"))
+            self._fingerprint = digest.hexdigest()[:8]
+        return self._fingerprint
 
     def __repr__(self) -> str:
         nd = self.non_default_items()

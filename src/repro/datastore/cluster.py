@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.config.space import Configuration
 from repro.datastore.base import Datastore
 from repro.errors import ActuationError, DatastoreError
-from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile
+from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _NodeCursor
 from repro.lsm.knobs import EngineKnobs
 from repro.sim.rng import SeedLike, SeedSequence, derive_rng
 
@@ -240,7 +240,7 @@ class Cluster:
 
     def _plan(self, read_ratio: float) -> tuple:
         """What a capacity solve takes from the live set and the mix:
-        ``(live (index, node, slowdown) triples, node read share,
+        ``(live (index, node cursor, slowdown) triples, node read share,
         fan-out)``.  Down nodes take no replicas, so the effective RF and
         read fan-out shrink with the live set.
         """
@@ -252,22 +252,25 @@ class Cluster:
         rf = min(self.replication_factor, len(live))
         node_reads = read_ratio * min(self.read_fanout, rf)
         fanout = node_reads + (1.0 - read_ratio) * rf
-        servers = [(i, self.nodes[i], self._slowdown.get(i, 1.0)) for i in live]
-        return servers, node_reads / fanout, fanout
+        node_rr = node_reads / fanout
+        cursors = [
+            (i, _NodeCursor(self.nodes[i], node_rr), self._slowdown.get(i, 1.0))
+            for i in live
+        ]
+        return cursors, node_rr, fanout
 
-    def _capacity(self, servers, node_rr: float, fanout: float) -> float:
+    def _capacity(self, cursors, fanout: float) -> float:
         """Logical ops/s at this instant: the slowest live node bounds
         the balanced per-node rate, the shooters bound the ring."""
-        per_node = min(
-            [node.sustainable_throughput(node_rr) / slow for _, node, slow in servers]
-        )
-        server_cap = per_node * len(servers) / fanout
+        per_node = min([cursor.capacity() / slow for _, cursor, slow in cursors])
+        server_cap = per_node * len(cursors) / fanout
         client_cap = self.n_shooters * SHOOTER_CAPACITY_OPS
         return min(server_cap, client_cap)
 
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Logical ops/s the cluster sustains at this instant."""
-        return self._capacity(*self._plan(read_ratio))
+        cursors, _, fanout = self._plan(read_ratio)
+        return self._capacity(cursors, fanout)
 
     # -- stepping --------------------------------------------------------------
 
@@ -278,30 +281,28 @@ class Cluster:
     def run(self, read_ratio: float, duration: float, dt: float = 1.0):
         """Step the cluster for ``duration`` seconds; per-step results.
 
-        A step is one capacity solve and one push of every live node's
+        One cursor per live node for the whole run; a step is one
+        capacity solve over them and one absorb of every live node's
         share, with the same values the solve used.
         """
         if not dt > 0:
             raise ValueError("dt must be positive")
         if not duration > 0:
             raise ValueError("duration must be positive")
-        servers, node_rr, fanout = self._plan(read_ratio)
+        cursors, node_rr, fanout = self._plan(read_ratio)
+        capacity, n_live = self._capacity, len(cursors)
         results = []
         for _ in range(max(1, int(round(duration / dt)))):
-            x = self._capacity(servers, node_rr, fanout)
-            node_ops = x * fanout / len(servers)
+            x = capacity(cursors, fanout)
+            node_ops = x * fanout / n_live
             reads = node_ops * node_rr * dt
             writes = node_ops * (1.0 - node_rr) * dt
             per_node = [0.0] * self.n_nodes
-            for i, node, _ in servers:
-                node.apply_external_load(reads, writes, dt)
+            for i, cursor, _ in cursors:
+                cursor.absorb(reads, writes, dt)
                 per_node[i] = node_ops
             self.t += dt
-            results.append(
-                ClusterStepResult(
-                    t=self.t, throughput=x, per_node_throughput=per_node, dt=dt
-                )
-            )
+            results.append(ClusterStepResult(self.t, x, per_node, dt))
         return results
 
     def load(self, n_keys: int) -> None:

@@ -86,6 +86,21 @@ def _soft_min(caps) -> float:
     return _soft_min(finite) if min(finite) > 0 else 0.0
 
 
+def _soft_min6(cpu, seq, flush, wpool, iops, rpool) -> float:
+    """:func:`_soft_min` of the solve's six caps with no tuple built: the
+    same left-to-right sum (``0.0 + x`` is ``x``), and ``_soft_min``
+    itself whenever a cap is not positive or the sum is NaN."""
+    scale, p = min(cpu, seq, flush, wpool, iops, rpool), _SOFTMIN_POWER
+    if 0.0 < scale < math.inf:
+        total = (
+            (scale / cpu) ** p + (scale / seq) ** p + (scale / flush) ** p
+            + (scale / wpool) ** p + (scale / iops) ** p + (scale / rpool) ** p
+        )
+        if total == total:
+            return scale * total ** (-1.0 / p)
+    return _soft_min((cpu, seq, flush, wpool, iops, rpool))
+
+
 @dataclass(frozen=True)
 class WorkloadProfile:
     """Workload characteristics that shape per-op costs (paper §3.3).
@@ -253,11 +268,73 @@ class _SegmentTerms:
             # Random disk; the product underflows for a denormal read ratio.
             r_probes = r * disk_probes
             iops_cap = iops / r_probes if r_probes > 0 else inf
-            return _soft_min(
-                (cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap)
+            return _soft_min6(
+                cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap
             )
 
         self.solve = solve
+
+
+class _NodeCursor:
+    """One model stepped second by second at one read ratio, by
+    :meth:`AnalyticLSMModel.run` and by each node of a ring: the regime
+    table, the segment's terms and the hit ratio, held across seconds.
+    Valid while nothing but :meth:`absorb` moves the model."""
+
+    __slots__ = ("model", "t", "segment", "hit", "run_bias", "modulation")
+
+    def __init__(self, model: "AnalyticLSMModel", read_ratio: float):
+        self.model = model
+        self.t = model._regime(read_ratio)
+        self.segment: Optional[_SegmentTerms] = None
+        self.hit = model._cache_hit(self.t)
+        self.run_bias = model.run_bias
+        self.modulation = model._throughput_modulation
+
+    def capacity(self) -> float:
+        """Ops/s the model sustains at this instant (before noise)."""
+        s = self.segment
+        if s is None:
+            s = self.segment = self.model._segment(self.t)
+        x = s.solve(self.hit) * self.run_bias
+        x = 1.0 if x < 1.0 else x
+        modulation = self.modulation
+        return x if modulation is None else x * modulation(self.model.t)
+
+    def absorb(self, reads, writes, dt) -> bool:
+        """One served step's consequences, after :meth:`capacity`:
+        memtable fill, flushes, compaction drain (at the segment's rate,
+        re-read after a flush), the clocks.  Returns whether the
+        structure moved: a flush landed or a compaction completed.  That,
+        or a flush-flag flip, ends the segment."""
+        model, t, s = self.model, self.t, self.segment
+        moved = False
+        if writes > 0:
+            filled = model.memtable_bytes + writes * t.record_bytes
+            if filled < t.flush_trigger:
+                model.dataset_bytes += writes * t.insert_fraction * t.record_bytes
+                model.memtable_bytes = filled
+            else:
+                model._apply_writes(writes)
+                model._drain_background(dt)
+                moved = True
+        comp_rate = s.comp_rate
+        if comp_rate > 0.0 and not moved:
+            # The queue holds io-bytes (read+write); drain at io-rate.
+            budget = comp_rate * t.costs.compaction_io_factor * dt
+            head = model.backlog[0]
+            if head.remaining_io_bytes > budget > 0.0:
+                head.remaining_io_bytes -= budget
+            else:
+                model._drain_background(dt)
+                moved = True
+        model.t += dt
+        model.cache_age += dt
+        model.total_ops += reads + writes
+        if moved or (model.memtable_bytes > t.half_flush_trigger) is not s.flushing:
+            self.segment = None
+        self.hit = model._cache_hit(t)
+        return moved
 
 
 class AnalyticLSMModel:
@@ -425,11 +502,7 @@ class AnalyticLSMModel:
         """
         if not (0.0 <= read_ratio <= 1.0):
             raise ValueError("read_ratio must be in [0, 1]")
-        t = self._regime(read_ratio)
-        x = self._segment(t).solve(self._cache_hit(t)) * self.run_bias
-        x = 1.0 if x < 1.0 else x
-        modulation = self._throughput_modulation
-        return x if modulation is None else x * modulation(self.t)
+        return _NodeCursor(self, read_ratio).capacity()
 
     # ------------------------------------------------------------------ stepping
 
@@ -442,12 +515,10 @@ class AnalyticLSMModel:
     ) -> List[StepResult]:
         """Run ``duration`` seconds and return the per-step series.
 
-        The stepping loop.  Its steps fall into structural segments
-        (:meth:`_segment`; one ends when a flush lands, a compaction
-        completes or the memtable crosses half its trigger): the
-        segment's terms are derived once, and a step is the ramp's hit
-        ratio, the rest of the solve, the noise factor, the latencies
-        and :meth:`_absorb`.
+        The stepping loop, through one :class:`_NodeCursor`: its steps
+        fall into structural segments whose terms are derived once, and
+        a step is the rest of the solve, the noise factor, the latencies
+        and the absorb.
         """
         if not dt > 0:
             raise ValueError("dt must be positive")
@@ -462,22 +533,15 @@ class AnalyticLSMModel:
         draws = self.rng.standard_normal(steps).tolist() if sigma > 0 else None
 
         r, w = read_ratio, 1.0 - read_ratio
-        t = self._regime(r)
-        read_pool, read_hold = t.knobs.concurrent_reads, t.costs.read_thread_hold
-        write_pool, write_hold = t.knobs.concurrent_writes, t.costs.write_thread_hold
-        run_bias, modulation = self.run_bias, self._throughput_modulation
-        backlog, absorb, cache_hit = self.backlog, self._absorb, self._cache_hit
-        sstables, hit, half_trigger = self.sstable_count, cache_hit(t), t.half_flush_trigger
+        cursor = _NodeCursor(self, r)
+        knobs, costs = cursor.t.knobs, cursor.t.costs
+        read_pool, read_hold = knobs.concurrent_reads, costs.read_thread_hold
+        write_pool, write_hold = knobs.concurrent_writes, costs.write_thread_hold
+        capacity, absorb, backlog = cursor.capacity, cursor.absorb, self.backlog
+        sstables = self.sstable_count
         results: List[StepResult] = []
-        s = None
         for k in range(steps):
-            if s is None:
-                s = self._segment(t)
-                solve, comp_rate, flushing = s.solve, s.comp_rate, s.flushing
-            x = solve(hit) * run_bias
-            x = 1.0 if x < 1.0 else x
-            if modulation is not None:
-                x = x * modulation(self.t)
+            x = capacity()
             if draws is not None:
                 factor = 1.0 + sigma * draws[k]
                 x *= factor if factor > 0.2 else 0.2
@@ -497,64 +561,16 @@ class AnalyticLSMModel:
                 if write_hold > write_lat:
                     write_lat = write_hold
 
-            if absorb(t, comp_rate, reads, writes, dt):
+            if absorb(reads, writes, dt):
                 sstables = self.sstable_count
-                s = None
-            elif (self.memtable_bytes > half_trigger) is not flushing:
-                s = None
-            hit = cache_hit(t)
             pending = sum(task.remaining_io_bytes for task in backlog) if backlog else 0
             results.append(
                 StepResult(
-                    self.t, dt, x, reads, writes, sstables, hit, pending, read_lat, write_lat
+                    self.t, dt, x, reads, writes, sstables, cursor.hit, pending,
+                    read_lat, write_lat,
                 )
             )
         return results
-
-    def _absorb(self, t: _RegimeTerms, comp_rate, reads, writes, dt) -> bool:
-        """One served step's consequences: memtable fill, flushes,
-        compaction drain, the clocks.  ``comp_rate`` is the drain rate
-        going in (re-read if a flush lands).  Returns whether the
-        structure moved: a flush landed or a compaction completed.
-        """
-        moved = False
-        if writes > 0:
-            filled = self.memtable_bytes + writes * t.record_bytes
-            if filled < t.flush_trigger:
-                self.dataset_bytes += writes * t.insert_fraction * t.record_bytes
-                self.memtable_bytes = filled
-            else:
-                self._apply_writes(writes)
-                self._drain_background(dt)
-                moved = True
-        if comp_rate > 0.0 and not moved:
-            # The queue holds io-bytes (read+write); drain at io-rate.
-            budget = comp_rate * t.costs.compaction_io_factor * dt
-            head = self.backlog[0]
-            if head.remaining_io_bytes > budget > 0.0:
-                head.remaining_io_bytes -= budget
-            else:
-                self._drain_background(dt)
-                moved = True
-        self.t += dt
-        self.cache_age += dt
-        self.total_ops += reads + writes
-        return moved
-
-    def apply_external_load(self, reads: float, writes: float, dt: float) -> None:
-        """Apply work whose rate was decided elsewhere (cluster path).
-
-        A cluster coordinator solves the throughput equation across
-        replicas and then pushes each node its share; the node only has
-        to absorb the structural consequences.
-        """
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        if reads < 0 or writes < 0:
-            raise ValueError("work cannot be negative")
-        self._absorb(
-            self._regime(), compaction_rate(self.knobs, len(self.backlog)), reads, writes, dt
-        )
 
     def load(self, n_keys: int) -> None:
         """Load phase: bulk-insert ``n_keys`` fresh rows (YCSB load)."""

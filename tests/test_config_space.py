@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.config.parameter import FloatParameter, IntegerParameter
 from repro.config.space import Configuration, ConfigurationSpace
 from repro.errors import ConfigurationError
@@ -127,3 +134,53 @@ class TestConfiguration:
     def test_repr_shows_overrides(self, tiny_space):
         assert "a=5" in repr(Configuration(tiny_space, {"a": 5}))
         assert "defaults" in repr(tiny_space.default_configuration())
+
+
+DUMP = """
+import pickle, sys
+from repro.config import cassandra_space
+cfg = cassandra_space().configuration(concurrent_reads=64)
+hash(cfg), cfg.fingerprint()
+sys.stdout.buffer.write(pickle.dumps(cfg))
+"""
+
+LOAD = """
+import pickle, sys
+from repro.config import cassandra_space
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = cassandra_space().configuration(concurrent_reads=64)
+print(loaded == fresh, hash(loaded) == hash(fresh), loaded in {fresh},
+      {fresh: 1}.get(loaded), loaded.fingerprint() == fresh.fingerprint())
+"""
+
+
+class TestConfigurationPickle:
+    """A configuration's cached digests are derived state: ``hash()`` is
+    salted per process (spawn and forkserver pool workers each draw
+    their own salt), so a pickle carries only the space and the values."""
+
+    @staticmethod
+    def _python(code, hash_seed, stdin=None):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=stdin, env=env,
+            capture_output=True, check=True,
+        )
+        return done.stdout
+
+    def test_loads_under_another_hash_seed(self):
+        blob = self._python(DUMP, "1")
+        assert self._python(LOAD, "2", stdin=blob).split() == [b"True"] * 3 + [
+            b"1", b"True"
+        ]
+
+    def test_pickle_is_unchanged_by_hash_and_fingerprint(self, tiny_space):
+        cfg = Configuration(tiny_space, {"a": 5})
+        blob = pickle.dumps(cfg)
+        hash(cfg)
+        assert cfg.fingerprint() is cfg.fingerprint()    # computed once
+        assert pickle.dumps(cfg) == blob
+        clone = pickle.loads(blob)
+        assert clone == cfg and hash(clone) == hash(cfg)
+        assert clone.fingerprint() == cfg.fingerprint()

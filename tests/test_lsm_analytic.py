@@ -1,3 +1,4 @@
+import copy
 import pickle
 import sys
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.lsm.analytic import AnalyticLSMModel, _soft_min
+from repro.lsm.background import compaction_rate
 from repro.lsm.sstable import BLOCK_BYTES
 from tests.oracles import reference_throughput
 from tests.test_lsm_analytic_properties import assert_run_equals_oracle
@@ -28,6 +30,19 @@ def make_model(seed=1, noise=0.0, bias=0.0, **knob_overrides):
         noise_sigma=noise,
         run_bias_sigma=bias,
     )
+
+
+def make_ring(load_keys=300_000):
+    """A loaded 3-node RF=2 CassandraLike ring, one shooter per node."""
+    from repro.datastore import CassandraLike, Cluster
+
+    ds = CassandraLike()
+    ring = Cluster(
+        ds, ds.default_configuration(), n_nodes=3, replication_factor=2,
+        n_shooters=3, seed=2,
+    )
+    ring.load(load_keys)
+    return ring
 
 
 class TestSoftMin:
@@ -90,12 +105,15 @@ class TestStepping:
         m.run(0.0, duration=30)
         assert m.dataset_bytes == pytest.approx(grown)
 
-    def test_apply_external_load(self):
-        m = make_model()
-        m.apply_external_load(reads=1000, writes=50_000, dt=1.0)
-        assert m.total_ops == 51_000
-        with pytest.raises(ValueError):
-            m.apply_external_load(reads=-1, writes=0, dt=1.0)
+    def test_ring_absorbs_each_live_nodes_share(self):
+        ring = make_ring()
+        ring.fail_node(2)
+        before = [(node.t, node.total_ops) for node in ring.nodes]
+        share = ring.step(0.5, dt=2.0).per_node_throughput
+        assert share[0] == share[1] > 0.0 == share[2]
+        for node, (t, ops), x in zip(ring.nodes, before, share):
+            assert node.t == t + (2.0 if x else 0.0)
+            assert node.total_ops - ops == pytest.approx(2.0 * x)
 
     def test_load_reaches_target(self):
         m = make_model()
@@ -454,6 +472,23 @@ class TestStepStructureTraps:
         assert lv.sustainable_throughput(0.5) == reference_throughput(lv, 0.5)
         assert_run_equals_oracle(lv, 0.5, 5)
 
+    def test_head_compaction_ending_exactly_on_the_budget(self):
+        """A head task whose remaining bytes equal the step's drain
+        budget completes in that step: the fast path is for a head that
+        outlasts the budget strictly."""
+        m = make_model(noise=0.015)
+        m.load(1_000_000)
+        m.settle(max_seconds=50_000)
+        m.st_tables = [100.0 * MB] * 4
+        m._maybe_trigger_size_tiered()
+        assert len(m.backlog) == 1
+        budget = compaction_rate(m.knobs, 1) * m.costs.compaction_io_factor * 1.0
+        m.backlog[0].remaining_io_bytes = budget
+        done = m.total_compactions
+        steps = assert_run_equals_oracle(m, 1.0, 3)
+        assert m.total_compactions == done + 1
+        assert steps[0].compaction_backlog_bytes == 0 and steps[0].sstable_count == 1
+
     def test_noiseless_model_draws_nothing(self):
         m = make_model(noise=0.0, bias=0.02, seed=9)
         m.load(500_000)
@@ -601,13 +636,18 @@ class TestNoArrayMathInAStep:
         assert short == long and set(long) <= {"standard_normal", "tolist"}
         assert self._numpy_calls(lambda: m.step(0.5)) == long
 
-    def test_apply_external_load(self):
+    def test_ring_absorb(self):
+        """Write-heavy: the nodes' absorbs flush and queue compactions,
+        without array math and without touching the nodes' noise streams."""
         m = make_model(noise=0.0)
         m.load(1_000_000)
         assert self._numpy_calls(lambda: m.run(0.5, 50)) == []
-        assert self._numpy_calls(
-            lambda: m.apply_external_load(reads=20_000.0, writes=60_000.0, dt=1.0)
-        ) == []
+        ring = make_ring(load_keys=600_000)
+        streams = [node.rng.bit_generator.state for node in ring.nodes]
+        flushed = [node.total_flushes for node in ring.nodes]
+        assert self._numpy_calls(lambda: ring.run(0.0, 100)) == []
+        assert all(n.total_flushes > f for n, f in zip(ring.nodes, flushed))
+        assert [node.rng.bit_generator.state for node in ring.nodes] == streams
 
     def test_cluster_step(self):
         from repro.datastore import CassandraLike, Cluster
@@ -621,3 +661,42 @@ class TestNoArrayMathInAStep:
         cluster.fail_node(1)
         assert self._numpy_calls(lambda: cluster.run(0.5, 200)) == []
         assert self._numpy_calls(lambda: cluster.step(0.5)) == []
+
+
+class TestNodeCursor:
+    """A ring holds each live node's segment terms across seconds, as the
+    single-node loop does: they are re-derived per structural event (a
+    flush, a completed compaction, a half-trigger crossing), not per
+    node-second."""
+
+    def test_ring_derives_segments_per_event_not_per_second(self, monkeypatch):
+        seconds, rr = 600, 0.5
+        ring = make_ring(load_keys=600_000)
+        twin = copy.deepcopy(ring)
+
+        def flushing(node):
+            return node.memtable_bytes > 0.5 * node.knobs.flush_trigger_bytes
+
+        # The twin, stepped one second at a time, counts the flag flips.
+        sides, flips = [flushing(n) for n in twin.nodes], 0
+        for _ in range(seconds):
+            twin.step(rr)
+            now = [flushing(n) for n in twin.nodes]
+            flips += sum(a is not b for a, b in zip(sides, now))
+            sides = now
+
+        before = [n.total_flushes + n.total_compactions for n in ring.nodes]
+        derive, calls = AnalyticLSMModel._segment, []
+
+        def counting(model, t):
+            calls.append(model)
+            return derive(model, t)
+
+        monkeypatch.setattr(AnalyticLSMModel, "_segment", counting)
+        ring.run(rr, seconds)
+        moved = sum(
+            n.total_flushes + n.total_compactions - b for n, b in zip(ring.nodes, before)
+        )
+        assert moved > 0 and flips > 0
+        assert len(calls) <= len(ring.nodes) + moved + flips < seconds
+        assert pickle.dumps(ring.nodes) == pickle.dumps(twin.nodes)

@@ -6,13 +6,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike, Cluster, ScyllaLike
-from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _soft_min
+from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _soft_min, _soft_min6
 from repro.lsm.knobs import EngineKnobs
 from tests.oracles import (
     oracle_cluster_step,
@@ -303,6 +303,8 @@ any_caps = st.one_of(
     finite_caps,
     st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, -5.0]),
 )
+six_caps = st.lists(any_caps, min_size=6, max_size=6)
+tied_caps = st.lists(st.sampled_from([1e-3, 7.5, 1e9, math.inf]), min_size=6, max_size=6)
 
 
 def ulps_apart(a, b):
@@ -315,6 +317,20 @@ class TestSoftMin:
     def test_equals_math_oracle(self, caps):
         got, want = _soft_min(caps), soft_min_oracle(caps)
         assert got == want and type(got) is float
+
+    @given(caps=st.one_of(six_caps, tied_caps))
+    @example(caps=[1.0, math.nan, 2.0, 3.0, 4.0, 5.0])    # NaN after a positive min
+    @example(caps=[math.nan, 1.0, 2.0, 3.0, 4.0, 5.0])
+    @example(caps=[2.0, math.inf, 2.0, math.inf, 7.0, 2.0])
+    @example(caps=[3.0, 0.0, 4.0, -0.0, 5.0, -5.0])
+    @example(caps=[math.inf] * 6)
+    @settings(max_examples=500, deadline=None)
+    def test_six_cap_form_equals_math_oracle(self, caps):
+        """The solve's fixed-arity form, bit for bit (``hex`` tells
+        ``-0.0`` from ``0.0``)."""
+        got = _soft_min6(*caps)
+        assert type(got) is float
+        assert got.hex() == soft_min_oracle(caps).hex() == _soft_min(caps).hex()
 
     @given(caps=st.lists(any_caps, min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)
