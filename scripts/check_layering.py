@@ -98,12 +98,10 @@ SUBLAYERS = {
         "adapter": 2,
         "__init__": 3,
     },
-    # Runtime: events are leaf vocabulary; the state shipper publishes
-    # on the bus, and the pool backend is a peer that may one day warm
-    # worker caches itself.
+    # Runtime: events are leaf vocabulary; the pool backend publishes
+    # its crash records on the bus.
     "runtime": {
         "events": 0,
-        "stateship": 1,
         "backend": 1,
         "__init__": 2,
     },

@@ -418,6 +418,19 @@ TRAPS = [
         ],
         f"{STRUCTURE}::test_several_flushes_inside_one_step",
     ),
+    # -- the sharded serve round: what state its workers decide with
+    (
+        "sharded round: the first round's rafiki blob reused across rounds",
+        "repro/middleware/scheduler.py",
+        [
+            (
+                "blob = self._rafiki_blob()",
+                'blob = vars(self).setdefault("_first_blob", self._rafiki_blob())',
+            )
+        ],
+        "tests/test_sharded_scheduler.py::TestRoundBlob"
+        "::test_ensemble_retrained_mid_run_reaches_the_workers",
+    ),
     # -- process entry: what a fresh interpreter loads and how many BLAS
     # -- threads it computes on
     (

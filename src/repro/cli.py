@@ -352,16 +352,13 @@ def cmd_serve(args) -> int:
         )
     state_report = scheduler.state_report()
     if state_report is not None:
-        # Only sharded serves (--workers > 1) have a shipper, and the
-        # hit/miss split depends on which worker drew which task — so this
-        # is diagnostics on stderr, keeping stdout byte-identical to a
+        # Only sharded serves (--workers > 1) ship state, so this is
+        # diagnostics on stderr, keeping stdout byte-identical to a
         # serial serve (the contract tests and smoke scripts compare).
         print(
             f"state shipping:   {state_report['blob_ships']} blob ships "
             f"({state_report['blob_bytes']:,} bytes), "
-            f"{state_report['fingerprint_tasks']} fingerprint-only tasks, "
-            f"{state_report['state_hits']} cache hits, "
-            f"{state_report['state_misses']} misses",
+            f"{state_report['payload_bytes']:,} task payload bytes",
             file=sys.stderr,
         )
     scheduler.close()

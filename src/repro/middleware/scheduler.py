@@ -22,40 +22,26 @@ Every tenant's events are namespaced (``tenant.<id>.controller.*``,
 **Sharded serve.**  Within one window round, tenant sessions are
 independent except for the shared rafiki (surrogate + recommendation
 cache) and the shared bus.  ``backend=`` / ``workers=`` fan each round
-out across :class:`~repro.runtime.backend.ProcessPoolBackend` workers:
-every worker steps one session against a *copy* of the round-start
-rafiki state and journals its externally visible effects (published
-events and ``recommend()`` calls); the parent then, in registration
-order, merges the journals back — replaying events on the shared bus
-and folding fresh search results into the shared cache (burning the
-same named seed stream a serial search would have consumed).  Because
-the GA search is deterministic given the round-start seed stream,
-two tenants racing the same regime in one round compute the *same*
-result the serial run's cache hit would have returned, so sharded runs
-are bit-identical to serial (see ``tests/test_sharded_scheduler.py``).
-
-**State shipping.**  The round-start rafiki copy does *not* travel as
-a fresh pickle in every task: the scheduler fingerprints the
-decision-relevant state (ensemble weights, cache contents, seed-stream
-counters — not hit/miss stats or LRU order, which mutate on every
-lookup without affecting results) and, through a
-:class:`~repro.runtime.stateship.StateShipper`, ships the full blob
-only when the fingerprint changes (first round, post-retrain, a new
-regime entering the cache).  Steady-state rounds ship the 16-byte
-fingerprint; each persistent-pool worker unpickles from its local blob
-cache.  A worker that missed the broadcast (fresh pool, post-crash
-rebuild) answers with a ``StateMiss`` before touching its session and
-the parent re-runs that one task blob-attached.  The protocol is
-observable as ``backend.state_shipped_bytes`` / ``backend.state_hit``
-/ ``backend.state_miss`` events — the only topics exempt from the
-serial == sharded event-sequence contract, because blob placement
-depends on OS scheduling.
-The rafiki's own event bus must be unset (worker copies cannot replay
-mid-search progress events).  The second historical caveat — the
-recommendation cache evicting *within* one window round — is now
-detected instead of silently breaking bit-identity: a round whose
-current-window regimes cannot all fit the cache falls back to the serial
-loop for that round (``scheduler.serial_fallback`` event), and an
+out across :class:`~repro.runtime.backend.ProcessPoolBackend` workers.
+The parent pickles the round-start rafiki once per round, and every
+rafiki tenant's task carries that one blob; each worker unpickles its
+own copy, steps one session against it and journals its externally
+visible effects (published events and ``recommend()`` calls).  The
+parent then, in registration order, merges the journals back —
+replaying events on the shared bus and folding fresh search results
+into the shared cache (burning the same named seed stream a serial
+search would have consumed).  Because the GA search is deterministic
+given the round-start seed stream, two tenants racing the same regime
+in one round compute the *same* result the serial run's cache hit would
+have returned, so sharded runs are bit-identical to serial: results,
+shared-cache state and the whole event log, with no exempt topic (see
+``tests/test_sharded_scheduler.py``).
+Two conditions bound that guarantee.  The rafiki's own event bus must
+be unset (worker copies cannot replay mid-search progress events).  And
+the recommendation cache must not evict *within* a window round, which
+is detected rather than left to break bit-identity: a round whose
+current-window regimes cannot all fit the cache runs on the serial loop
+(``scheduler.serial_fallback`` event), and an
 eviction that still slips through (a policy searching a regime the
 pre-round estimate could not see) raises
 :class:`~repro.errors.MiddlewareError` rather than returning results
@@ -76,7 +62,6 @@ scales every admitted window by the round's capacity factor.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -100,14 +85,6 @@ from repro.middleware.session import TenantSession
 from repro.middleware.slo import SloSpec
 from repro.runtime.backend import ExecutionBackend, resolve_backend
 from repro.runtime.events import EventBus
-from repro.runtime.stateship import (
-    StateMiss,
-    StateMissError,
-    StateShipment,
-    StateShipper,
-    install_shipment,
-    state_fingerprint,
-)
 from repro.sim.clock import SimClock
 from repro.sim.rng import SeedSequence
 from repro.workload.spec import WorkloadSpec
@@ -175,24 +152,14 @@ def _shard_window_worker(task):
     The session arrives with its bus references stripped (they hold
     parent-side subscriber callables that must not travel); a recording
     bus takes their place so the step's event stream can be replayed in
-    the parent.  The shared rafiki state arrives as a
-    :class:`~repro.runtime.stateship.StateShipment`: blob-attached on a
-    fingerprint change, fingerprint-only in steady state, resolved
-    against this worker process's blob cache.  A fingerprint-only
-    shipment that misses the cache returns a
-    :class:`~repro.runtime.stateship.StateMiss` marker *before touching
-    the session*, so the parent can re-run the task with the blob
-    attached.  Returns ``(session, event_records, search_records,
-    state_from_cache)`` with the buses stripped again for the trip home.
+    the parent.  The shared rafiki arrives as the round's one pickle
+    (``None`` for a static-default tenant) and is unpickled into this
+    task's own copy.  Returns ``(session, event_records,
+    search_records)`` with the buses stripped again for the trip home.
     """
-    tenant_id, read_ratio, capacity_factor, session, shipment = task
+    tenant_id, read_ratio, capacity_factor, session, blob = task
     searches: List[tuple] = []
-    from_cache = False
-    if shipment is not None:
-        try:
-            blob, from_cache = install_shipment(shipment)
-        except StateMissError:
-            return StateMiss(shipment.fingerprint)
+    if blob is not None:
         session.rafiki = _RecordingRafiki(pickle.loads(blob), searches)
     recorder = _RecordingBus()
     _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
@@ -201,7 +168,7 @@ def _shard_window_worker(task):
     finally:
         _attach_session_bus(session, None)
         session.rafiki = None
-    return session, recorder.records, searches, from_cache
+    return session, recorder.records, searches
 
 
 @dataclass
@@ -311,10 +278,13 @@ class MiddlewareScheduler:
         else:
             self.backend = None
             self._owns_backend = False
-        # One shipper per scheduler: the shared rafiki is the one big
-        # blob whose steady-state rounds should ship O(1) bytes.
-        self._shipper = (
-            StateShipper(events=self.events) if self.backend is not None else None
+        # What the sharded rounds shipped: rafiki blobs pickled (one per
+        # round with a rafiki tenant), their bytes, and the bytes every
+        # task carrying one added to its pickle.
+        self._shipped = (
+            dict(blob_ships=0, blob_bytes=0, payload_bytes=0)
+            if self.backend is not None
+            else None
         )
         # cluster_capacity activates admission control + the overload
         # model; None (the default) keeps runs bit-identical to the
@@ -579,17 +549,19 @@ class MiddlewareScheduler:
         """Fan one window round out over the backend's workers.
 
         Workers receive bus-stripped sessions plus one shared pickle of
-        the round-start rafiki state; results are merged back in
-        registration order (the lockstep barrier), so the shared cache,
-        seed streams, and event log evolve exactly as a serial round's.
-        Shed tenants never travel: their zero-throughput windows are
-        recorded parent-side at their registration slot, exactly where
-        the serial loop would have recorded them.
+        the round-start rafiki state, taken afresh every round; results
+        are merged back in registration order (the lockstep barrier), so
+        the shared cache, seed streams, and event log evolve exactly as a
+        serial round's.  Shed tenants never travel: their zero-throughput
+        windows are recorded parent-side at their registration slot,
+        exactly where the serial loop would have recorded them.
         """
         served = [t for t in active if t not in shed]
-        shipment = self._prepare_state_shipment() if any(
-            self._tenants[t][0].use_rafiki for t in served
-        ) else None
+        blob = None
+        if any(self._tenants[t][0].use_rafiki for t in served):
+            blob = self._rafiki_blob()
+            self._shipped["blob_ships"] += 1
+            self._shipped["blob_bytes"] += len(blob)
         cache = getattr(self.rafiki, "cache", None)
         evictions_before = (
             cache.stats.evictions
@@ -601,21 +573,20 @@ class MiddlewareScheduler:
             spec, session = self._tenants[tenant_id]
             _attach_session_bus(session, None)
             session.rafiki = None
-            task_shipment = shipment if spec.use_rafiki else None
-            if task_shipment is not None:
-                self._shipper.count_task(task_shipment)
+            task_blob = blob if spec.use_rafiki else None
+            if task_blob is not None:
+                self._shipped["payload_bytes"] += len(task_blob)
             tasks.append(
                 (
                     tenant_id,
                     float(spec.rr_series[w]),
                     float(factor),
                     session,
-                    task_shipment,
+                    task_blob,
                 )
             )
         try:
             outcomes = self.backend.map_tasks(_shard_window_worker, tasks)
-            outcomes = self._refetch_state_misses(tasks, outcomes)
         finally:
             # On a worker-raised error the parent-side sessions are left
             # bus-stripped; restore them so the scheduler stays usable.
@@ -628,9 +599,7 @@ class MiddlewareScheduler:
             if tenant_id in shed:
                 session.record_shed_window(spec.rr_series[w])
                 continue
-            session, event_records, search_records, from_cache = next(results)
-            if from_cache:
-                self._shipper.record_hit(tenant=tenant_id, window=w)
+            session, event_records, search_records = next(results)
             self._reattach(spec, session)
             self._tenants[tenant_id] = (spec, session)
             self._merge_searches(search_records)
@@ -653,87 +622,11 @@ class MiddlewareScheduler:
         )
         session.rafiki = self.rafiki if spec.use_rafiki else None
 
-    def _state_fingerprint(self) -> str:
-        """Stable content hash of the shared rafiki's *decision-relevant*
-        state.
-
-        Covers everything a worker's ``recommend()`` result can depend
-        on — ensemble weights, cache *contents*, named-seed-stream
-        counters, GA budget knobs — while deliberately excluding the
-        volatile bookkeeping that mutates on every lookup (cache
-        hit/miss stats, LRU recency order, surrogate wall-clock stats).
-        Two states with equal fingerprints therefore produce bitwise-
-        identical worker results, which is what lets steady-state
-        rounds ship the fingerprint instead of the blob.  Duck-typed
-        recommenders without the real cache/seeds structure fall back
-        to hashing their full (stripped) pickle.
-        """
-        rafiki = self.rafiki
-        cache = getattr(rafiki, "cache", None)
-        seeds = getattr(rafiki, "seeds", None)
-        if isinstance(cache, RecommendationCache) and isinstance(
-            seeds, SeedSequence
-        ):
-            optimizer = rafiki.optimizer
-            knobs = {
-                key: value
-                for key, value in vars(optimizer).items()
-                if key not in ("surrogate", "bus")
-            }
-            canonical = (
-                rafiki.surrogate.ensemble,
-                rafiki.surrogate.feature_parameters,
-                knobs,
-                sorted(cache._entries.items()),
-                (cache.resolution, cache.capacity),
-                (seeds.root_seed, sorted(seeds._counts.items())),
-            )
-            digest = hashlib.sha256(pickle.dumps(canonical)).hexdigest()
-            return digest[:16]
-        return state_fingerprint(self._rafiki_blob())
-
-    def _prepare_state_shipment(self) -> StateShipment:
-        """This round's rafiki shipment: blob on fingerprint change,
-        fingerprint-only otherwise (the blob pickle is skipped too)."""
-        return self._shipper.prepare(self._state_fingerprint(), self._rafiki_blob)
-
-    def _refetch_state_misses(self, tasks, outcomes) -> list:
-        """Re-run tasks whose worker lacked the state blob.
-
-        A fresh or restarted worker (new pool, ``persistent=False``
-        backend, post-crash rebuild, serial fallback in a parent that
-        never cached the blob) answers a fingerprint-only shipment with
-        a :class:`StateMiss` *before* touching its session, so the task
-        is safely re-runnable with the blob attached — a one-shot
-        refetch per task.
-        """
-        missed = [
-            index
-            for index, outcome in enumerate(outcomes)
-            if isinstance(outcome, StateMiss)
-        ]
-        if not missed:
-            return outcomes
-        retry_tasks = []
-        for index in missed:
-            tenant_id, read_ratio, factor, session, shipment = tasks[index]
-            self._shipper.record_miss(tenant=tenant_id)
-            refetch = self._shipper.refetch(shipment.fingerprint)
-            self._shipper.count_task(refetch)
-            retry_tasks.append((tenant_id, read_ratio, factor, session, refetch))
-        retried = self.backend.map_tasks(_shard_window_worker, retry_tasks)
-        outcomes = list(outcomes)
-        for index, outcome in zip(missed, retried):
-            if isinstance(outcome, StateMiss):  # blob travelled: impossible
-                raise MiddlewareError(
-                    "worker missed the state blob on a blob-attached refetch"
-                )
-            outcomes[index] = outcome
-        return outcomes
-
     def state_report(self) -> Optional[dict]:
-        """State-shipping counters (None for the in-process serial loop)."""
-        return self._shipper.report() if self._shipper is not None else None
+        """What the sharded rounds shipped so far — ``blob_ships``,
+        ``blob_bytes``, ``payload_bytes`` — or None for the in-process
+        serial loop."""
+        return dict(self._shipped) if self._shipped is not None else None
 
     def close(self) -> None:
         """Release the execution backend if this scheduler created it

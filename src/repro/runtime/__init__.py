@@ -4,21 +4,19 @@ The offline Rafiki stages — the 220-point data-collection campaign
 (§4.2), the ~25-parameter OFAT ANOVA sweep (§3.4), and the 20-net
 ensemble training (§3.6) — are all embarrassingly parallel: every work
 unit is independent and carries its own pre-derived random stream.  This
-package provides the two pieces that let those stages scale with cores
-without giving up the repo's core invariant (bitwise determinism under a
-seed):
+package provides the two pieces that let those stages, and the sharded
+serve loop's window rounds, scale with cores without giving up the
+repo's core invariant (bitwise determinism under a seed):
 
 * :class:`ExecutionBackend` — ``map_tasks(fn, tasks)`` over independent,
   picklable work units.  :class:`SerialBackend` runs them inline;
-  :class:`ProcessPoolBackend` fans them out over worker processes.
-  Because every task ships its own :class:`~repro.sim.rng.SeedSequence`-
-  derived generator, results are identical regardless of scheduling.
+  :class:`ProcessPoolBackend` fans them out over one lazily built,
+  reused pool of worker processes (``warm()`` pre-spawns it,
+  ``close()`` releases it).  Because every task ships its own
+  :class:`~repro.sim.rng.SeedSequence`-derived generator, results are
+  identical regardless of scheduling.
 * :class:`EventBus` — structured pub/sub progress events: the one
   channel every stage and the online loop report on.
-* :mod:`repro.runtime.stateship` — content-addressed state shipping for
-  persistent pools: the scheduler ships big shared state (the rafiki
-  blob) once per fingerprint change and fingerprints-only afterwards,
-  with worker-side blob caches and a one-shot miss/refetch protocol.
 """
 
 from repro.runtime.backend import (
@@ -28,14 +26,6 @@ from repro.runtime.backend import (
     resolve_backend,
 )
 from repro.runtime.events import Event, EventBus, ScopedEventBus
-from repro.runtime.stateship import (
-    StateMiss,
-    StateMissError,
-    StateShipment,
-    StateShipper,
-    install_shipment,
-    state_fingerprint,
-)
 
 __all__ = [
     "ExecutionBackend",
@@ -45,10 +35,4 @@ __all__ = [
     "Event",
     "EventBus",
     "ScopedEventBus",
-    "StateShipment",
-    "StateShipper",
-    "StateMiss",
-    "StateMissError",
-    "install_shipment",
-    "state_fingerprint",
 ]

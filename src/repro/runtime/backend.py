@@ -91,17 +91,15 @@ class ProcessPoolBackend(ExecutionBackend):
     execution falls back to the serial path to avoid pointless process
     overhead.
 
-    **Pool lifecycle.**  In the default *persistent* mode one pool is
-    created lazily on first use and reused across ``map_tasks`` calls
-    until ``close()`` (or context-manager exit) shuts it down — a
-    long-lived serve loop pays worker spawn (and any worker-side state
-    warm-up, see :mod:`repro.runtime.stateship`) once, not per round.
-    ``persistent=False`` tears the pool down after every ``map_tasks``
-    call instead, trading the reuse for a zero-idle-footprint backend;
-    it is also the reference mode the state-shipping tests use to force
-    cold workers.  ``pools_created`` / ``map_calls`` count both modes'
-    behaviour for observability, and ``warm()`` pre-spawns the workers
-    so the first real round does not absorb the fork/exec cost.
+    **Pool lifecycle.**  One pool is created lazily on first use and
+    reused across ``map_tasks`` calls until ``close()`` (or
+    context-manager exit) shuts it down, so a long-lived serve loop pays
+    worker spawn once, not per round; a closed backend builds a fresh
+    pool on its next call.  ``warm()`` pre-spawns the workers so the
+    first real round does not absorb the fork/exec cost, and
+    ``pools_created`` / ``map_calls`` make the lifecycle observable.
+    At most four tasks per worker are in flight at once, bounding memory
+    for large campaigns.
 
     ``task_retries`` bounds how many times one task may be requeued
     after taking its pool down with it; ``pool_restarts`` bounds how
@@ -114,11 +112,9 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_pending: Optional[int] = None,
         task_retries: int = 2,
         pool_restarts: int = 2,
         events: Optional[EventBus] = None,
-        persistent: bool = True,
     ):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -127,16 +123,12 @@ class ProcessPoolBackend(ExecutionBackend):
         if pool_restarts < 0:
             raise ValueError("pool_restarts must be >= 0")
         self.workers = workers or os.cpu_count() or 1
-        #: Cap on simultaneously submitted futures, bounding memory for
-        #: large campaigns; defaults to 4 in-flight tasks per worker.
-        self.max_pending = max_pending or 4 * self.workers
         self.task_retries = task_retries
         self.pool_restarts = pool_restarts
         self.events = events
-        self.persistent = persistent
         #: Lifetime counters: pools built (lazy creations + post-crash
-        #: rebuilds) and ``map_tasks`` calls served.  A persistent pool
-        #: that never breaks shows ``pools_created == 1`` however many
+        #: rebuilds) and ``map_tasks`` calls served.  A pool that never
+        #: breaks or closes shows ``pools_created == 1`` however many
         #: rounds it serves.
         self.pools_created = 0
         self.map_calls = 0
@@ -149,9 +141,9 @@ class ProcessPoolBackend(ExecutionBackend):
         return self._executor
 
     def warm(self) -> None:
-        """Pre-spawn the worker processes (persistent mode's one-time
-        cost), so the first real ``map_tasks`` call measures work, not
-        fork/exec.  A no-op for ``workers=1``."""
+        """Pre-spawn the worker processes (the pool's one-time cost), so
+        the first real ``map_tasks`` call measures work, not fork/exec.
+        A no-op for ``workers=1``."""
         if self.workers == 1:
             return
         pool = self._pool()
@@ -172,13 +164,7 @@ class ProcessPoolBackend(ExecutionBackend):
         tasks = list(tasks)
         if self.workers == 1 or len(tasks) <= 1:
             return SerialBackend().map_tasks(fn, tasks, on_result=on_result)
-        try:
-            return self._map_pooled(fn, tasks, on_result)
-        finally:
-            if not self.persistent:
-                self.close()
-
-    def _map_pooled(self, fn, tasks, on_result) -> List[Any]:
+        window = 4 * self.workers   # futures in flight, bounding memory
         results: List[Any] = [None] * len(tasks)
         completed = [False] * len(tasks)
         attempts = [0] * len(tasks)
@@ -200,7 +186,7 @@ class ProcessPoolBackend(ExecutionBackend):
         while queue or pending:
             victims: Optional[List[int]] = None
             try:
-                while queue and len(pending) < self.max_pending:
+                while queue and len(pending) < window:
                     index = queue.popleft()
                     attempts[index] += 1
                     pending[self._pool().submit(fn, tasks[index])] = index

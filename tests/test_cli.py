@@ -156,6 +156,29 @@ class TestServe:
             assert f"tenant {tenant_id}" in out
         assert "node restarts" in out  # the rolling tenant reports its cost
 
+    def test_sharded_serve_prints_the_serial_stdout(
+        self, artifacts, tmp_path, capsys
+    ):
+        """--workers 2 changes scheduling, not one byte of stdout; what
+        the rounds shipped goes to stderr."""
+        _, surrogate = artifacts
+        manifest = tmp_path / "tenants.json"
+        manifest.write_text(json.dumps(self.MANIFEST))
+        argv = [
+            "serve",
+            "--surrogate", str(surrogate),
+            "--manifest", str(manifest),
+            "--quiet",
+        ]
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        assert main([*argv, "--workers", "2"]) == 0
+        sharded = capsys.readouterr()
+        assert sharded.out == serial.out
+        assert "state shipping" not in serial.err
+        assert "blob ships" in sharded.err
+        assert "task payload bytes" in sharded.err
+
     def test_serve_rejects_bad_manifest(self, artifacts, tmp_path, capsys):
         _, surrogate = artifacts
         manifest = tmp_path / "bad.json"

@@ -393,9 +393,6 @@ def run_fleet(
     log_view = [
         (e.topic, e.message, repr(sorted(e.payload.items())))
         for e in log
-        # State-shipping telemetry depends on which worker got which task,
-        # so it is exempt from serial==sharded equivalence (see DESIGN.md).
-        if not e.topic.startswith("backend.state")
     ]
     return summary, log_view, scheduler
 

@@ -92,7 +92,8 @@ class TestProcessPoolBackend:
         assert backend._executor is None
 
     def test_bounded_pending_queue(self):
-        with ProcessPoolBackend(workers=2, max_pending=3) as backend:
+        # 20 tasks over a window of 4 in flight per worker.
+        with ProcessPoolBackend(workers=2) as backend:
             assert backend.map_tasks(square, list(range(20))) == [i * i for i in range(20)]
 
     def test_seeded_tasks_scheduling_independent(self):
@@ -120,6 +121,29 @@ class TestProcessPoolBackend:
         backend.close()
         # Reusable after close: a fresh pool is created lazily.
         assert backend.map_tasks(square, [3, 4]) == [9, 16]
+        assert backend.pools_created == 2
+        backend.close()
+
+
+class TestPoolLifecycle:
+    def test_pool_reused_across_calls(self):
+        with ProcessPoolBackend(workers=2) as backend:
+            backend.map_tasks(square, [1, 2, 3])
+            backend.map_tasks(square, [4, 5, 6])
+            assert backend.map_calls == 2
+            assert backend.pools_created == 1
+
+    def test_warm_prespawns_the_pool(self):
+        with ProcessPoolBackend(workers=2) as backend:
+            backend.warm()
+            assert backend.pools_created == 1
+            backend.map_tasks(square, [1, 2, 3])
+            assert backend.pools_created == 1
+
+    def test_warm_is_a_noop_for_serial_width(self):
+        backend = ProcessPoolBackend(workers=1)
+        backend.warm()
+        assert backend.pools_created == 0
 
 
 class TestWorkerCrashContainment:
@@ -145,7 +169,7 @@ class TestWorkerCrashContainment:
             )
         assert sorted(seen) == [0, 1, 2, 3, 4]
 
-    def test_persistent_crasher_falls_back_to_serial(self):
+    def test_repeat_crasher_falls_back_to_serial(self):
         bus = EventBus()
         fallbacks = []
         bus.subscribe(lambda e: fallbacks.append(e), topic="backend.serial_fallback")

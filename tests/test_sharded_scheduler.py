@@ -8,6 +8,8 @@ counters, extending the PR 1 serial/parallel equivalence guarantee to
 the serve path.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -94,10 +96,34 @@ def spec(tenant_id, series, seed=0, **kwargs):
     )
 
 
-def run_campaign(cassandra, specs, backend=None, rafiki=None):
+def make_rafiki(cassandra, surrogate, **kwargs):
+    rafiki = Rafiki(
+        cassandra, surrogate, PARAMS, seed=0, rr_cache_resolution=0.01, **kwargs
+    )
+    rafiki.optimizer.population_size = 8
+    rafiki.optimizer.generations = 2
+    return rafiki
+
+
+def rafiki_state(rafiki):
+    """The shared state a serial and a sharded run must agree on bitwise:
+    cache statistics, LRU order and contents, seed-stream counters."""
+    return (
+        (rafiki.cache.stats.hits, rafiki.cache.stats.misses),
+        [
+            (key, result.predicted_throughput, str(result.configuration))
+            for key, result in rafiki.cache._entries.items()
+        ],
+        dict(rafiki.seeds._counts),
+    )
+
+
+def run_campaign(cassandra, specs, backend=None, rafiki=None, on_window=None):
     events = EventBus()
     log = []
     events.subscribe(log.append)
+    if on_window is not None:
+        events.subscribe(on_window, topic="scheduler.window")
     rafiki = rafiki if rafiki is not None else CachingFakeRafiki(cassandra)
     scheduler = MiddlewareScheduler(cassandra, rafiki, events=events, backend=backend)
     for s in specs:
@@ -118,14 +144,8 @@ def run_campaign(cassandra, specs, backend=None, rafiki=None):
         ]
         for tid, r in results.items()
     }
-    # backend.state_* topics are exempt from the serial == sharded
-    # contract (blob placement depends on OS worker scheduling); every
-    # other event must match bitwise.
-    log_view = [
-        (e.topic, e.message, repr(sorted(e.payload.items())))
-        for e in log
-        if not e.topic.startswith("backend.state")
-    ]
+    # Every event, with no exempt topic, must match serial bitwise.
+    log_view = [(e.topic, e.message, repr(sorted(e.payload.items()))) for e in log]
     return summary, log_view, rafiki
 
 
@@ -164,11 +184,10 @@ class TestShardedEqualsSerial:
         assert {
             tid: [e.mean_throughput for e in r.events] for tid, r in results.items()
         } == {tid: [e[3] for e in evs] for tid, evs in ref_summary.items()}
-        assert [
-            (e.topic, e.message)
-            for e in log
-            if not e.topic.startswith("backend.state")
-        ] == [(topic, message) for topic, message, _ in ref_log]
+        assert [(e.topic, e.message) for e in log] == [
+            (topic, message) for topic, message, _ in ref_log
+        ]
+        scheduler.close()
 
     def test_workers_one_keeps_legacy_serial_loop(self, cassandra):
         scheduler = MiddlewareScheduler(
@@ -224,21 +243,102 @@ class TestRealRafikiProtocol:
         assert sharded == serial
 
 
+class TestRoundBlob:
+    """Every sharded round ships the round-start rafiki as one fresh
+    pickle, whatever happened to the ensemble or the pool since."""
+
+    SERIES = {"a": [0.30, 0.30, 0.55, 0.70], "b": [0.30, 0.40, 0.55, 0.80]}
+
+    def campaign(self, cassandra, surrogate, backend=None, on_window=None):
+        """(summary, event log, rafiki state); ``on_window(event, rafiki)``
+        runs after every round."""
+        rafiki = make_rafiki(cassandra, surrogate)
+        specs = [
+            spec(tenant_id, series, seed=i + 1, policy=OraclePolicy())
+            for i, (tenant_id, series) in enumerate(self.SERIES.items())
+        ]
+        hook = None if on_window is None else lambda e: on_window(e, rafiki)
+        summary, log, rafiki = run_campaign(
+            cassandra, specs, backend=backend, rafiki=rafiki, on_window=hook
+        )
+        return summary, log, rafiki_state(rafiki)
+
+    def test_ensemble_retrained_mid_run_reaches_the_workers(
+        self, cassandra, tiny_surrogate
+    ):
+        def retrain_after_round_1(event, rafiki):
+            if event.payload["window"] == 1:
+                for net in rafiki.surrogate.ensemble.networks:
+                    net.weights[0] = net.weights[0] * 1.001
+
+        fresh = lambda: pickle.loads(pickle.dumps(tiny_surrogate))  # noqa: E731
+        serial = self.campaign(cassandra, fresh(), on_window=retrain_after_round_1)
+        # The retrain moves the searches of rounds 2-3 ...
+        assert serial[2] != self.campaign(cassandra, fresh())[2]
+        # ... and the workers search with the retrained ensemble too.
+        with ProcessPoolBackend(workers=2) as backend:
+            sharded = self.campaign(
+                cassandra, fresh(), backend=backend, on_window=retrain_after_round_1
+            )
+        assert sharded == serial
+
+    def test_pool_closed_between_rounds(self, cassandra, tiny_surrogate):
+        backend = ProcessPoolBackend(workers=2)
+
+        def close_after_round_1(event, rafiki):
+            if event.payload["window"] == 1:
+                backend.close()  # round 2 runs on fresh workers
+
+        serial = self.campaign(cassandra, tiny_surrogate)
+        sharded = self.campaign(
+            cassandra, tiny_surrogate, backend=backend, on_window=close_after_round_1
+        )
+        backend.close()
+        assert backend.pools_created == 2
+        assert sharded == serial
+
+    def test_state_report_counts_the_rounds_with_a_rafiki_tenant(
+        self, cassandra, tiny_surrogate
+    ):
+        def serve(scheduler):
+            scheduler.add_tenant(
+                spec("tuned", [0.20, 0.60], seed=1, policy=OraclePolicy())
+            )
+            scheduler.add_tenant(spec("static", [0.5] * 4, seed=2, use_rafiki=False))
+            scheduler.run()
+            return scheduler.state_report()
+
+        rafiki = make_rafiki(cassandra, tiny_surrogate)
+        assert serve(MiddlewareScheduler(cassandra, rafiki)) is None
+        rafiki = make_rafiki(cassandra, tiny_surrogate)
+        with MiddlewareScheduler(cassandra, rafiki, workers=2) as scheduler:
+            report = serve(scheduler)
+        # Rounds 2-3 serve the static tenant alone: no blob.
+        assert report["blob_ships"] == 2
+        # One rafiki task per round carries the round's blob.
+        assert report["payload_bytes"] == report["blob_bytes"] > 0
+        # Exiting the context closed the scheduler-owned pool.
+        assert scheduler.backend._executor is None
+
+    def test_first_query_leaves_the_blob_unchanged(self, cassandra, tiny_surrogate):
+        # A freshly loaded surrogate has built none of its derived
+        # inference state yet; building it must not leak into what ships.
+        surrogate = pickle.loads(pickle.dumps(tiny_surrogate))
+        rafiki = make_rafiki(cassandra, surrogate)
+        scheduler = MiddlewareScheduler(cassandra, rafiki, backend=SerialBackend())
+        ensemble_pickle = pickle.dumps(surrogate.ensemble)
+        blob_bytes = len(scheduler._rafiki_blob())
+        rafiki.predicted_throughput(0.5, cassandra.default_configuration())
+        rafiki.predicted_mean_std(0.5, cassandra.default_configuration())
+        assert pickle.dumps(surrogate.ensemble) == ensemble_pickle
+        assert len(scheduler._rafiki_blob()) == blob_bytes
+
+
 class TestCacheEvictionCaveat:
     """A too-small shared cache must never silently break bit-identity."""
 
     def tiny_cache_rafiki(self, cassandra, tiny_surrogate):
-        rafiki = Rafiki(
-            cassandra,
-            tiny_surrogate,
-            PARAMS,
-            seed=0,
-            rr_cache_resolution=0.01,
-            cache_capacity=1,
-        )
-        rafiki.optimizer.population_size = 8
-        rafiki.optimizer.generations = 2
-        return rafiki
+        return make_rafiki(cassandra, tiny_surrogate, cache_capacity=1)
 
     def test_risky_round_falls_back_to_serial(self, cassandra, tiny_surrogate):
         # Two oracle tenants racing distinct regimes into a 1-entry
@@ -284,11 +384,7 @@ class TestCacheEvictionCaveat:
             run(SerialBackend())
 
     def test_ample_cache_never_falls_back(self, cassandra, tiny_surrogate):
-        rafiki = Rafiki(
-            cassandra, tiny_surrogate, PARAMS, seed=0, rr_cache_resolution=0.01
-        )
-        rafiki.optimizer.population_size = 8
-        rafiki.optimizer.generations = 2
+        rafiki = make_rafiki(cassandra, tiny_surrogate)
         _, log, _ = run_campaign(
             cassandra,
             [

@@ -81,13 +81,9 @@ def run_campaign(rr_series, fault_plan, reconcile, workers=None,
     """One 3-node tenant campaign; returns (scheduler, run, trace)."""
     events = EventBus()
     trace = []
-    def record(e):
-        # State-shipping telemetry depends on which worker got which task,
-        # so it is exempt from serial==sharded equivalence (see DESIGN.md).
-        if not e.topic.startswith("backend.state"):
-            trace.append((e.topic, tuple(sorted(e.payload.items()))))
-
-    events.subscribe(record)
+    events.subscribe(
+        lambda e: trace.append((e.topic, tuple(sorted(e.payload.items()))))
+    )
     cassandra = CassandraLike()
     scheduler = MiddlewareScheduler(
         cassandra, RegimeRafiki(cassandra), events=events, workers=workers
