@@ -42,6 +42,7 @@ BACKGROUND_TESTS = "tests/test_lsm_background.py"
 ENTRY_POINTS = "tests/test_entry_points.py"
 ANALYTIC = "repro/lsm/analytic.py"
 ANALYTIC_TESTS = "tests/test_lsm_analytic.py"
+SCHEDULER = "repro/middleware/scheduler.py"
 STRUCTURE = f"{ANALYTIC_TESTS}::TestStepStructureTraps"
 SEGMENT_KEY = (
     "            or s.n_checked != n_checked\n"
@@ -418,10 +419,11 @@ TRAPS = [
         ],
         f"{STRUCTURE}::test_several_flushes_inside_one_step",
     ),
-    # -- the sharded serve round: what state its workers decide with
+    # -- the sharded serve round: the rafiki its workers' canaries read and
+    # -- the order its two journals are republished in
     (
         "sharded round: the first round's rafiki blob reused across rounds",
-        "repro/middleware/scheduler.py",
+        SCHEDULER,
         [
             (
                 "blob = self._rafiki_blob()",
@@ -430,6 +432,17 @@ TRAPS = [
         ],
         "tests/test_sharded_scheduler.py::TestRoundBlob"
         "::test_ensemble_retrained_mid_run_reaches_the_workers",
+    ),
+    (
+        "sharded round: the worker's journal republished before the parent's",
+        SCHEDULER,
+        [
+            (
+                "journals[tenant_id] + worker_records",
+                "worker_records + journals[tenant_id]",
+            )
+        ],
+        "tests/test_sharded_scheduler.py::TestEveryFeatureOn::test_serial_equals_sharded",
     ),
     # -- process entry: what a fresh interpreter loads and how many BLAS
     # -- threads it computes on

@@ -404,6 +404,14 @@ def _positive_float(text):
     return value
 
 
+def _fraction(text):
+    """An argparse ``type``: a number in [0, 1), else exit 2."""
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
 def _parent(*adders) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for add in adders:
@@ -486,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[datastore_p, seed_p, quiet_p],
     )
     p.add_argument("--surrogate", required=True)
-    p.add_argument("--hours", type=int, default=24)
+    p.add_argument("--hours", type=_int_at_least(1), default=24)
     p.add_argument("--mode", default="oracle", choices=DECISION_MODES)
     p.add_argument(
         "--nodes", type=_int_at_least(1), default=1, help="simulated cluster size"
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--canary-margin",
-        type=float,
+        type=_fraction,
         default=None,
         help="enable canary-and-rollback with this undershoot margin, e.g. 0.2",
     )
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--hours",
-        type=float,
+        type=_positive_float,
         default=None,
         help="override every tenant's campaign length",
     )
@@ -539,13 +547,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthesize + characterize a trace",
         parents=[seed_p],
     )
-    p.add_argument("--hours", type=int, default=24)
-    p.add_argument("--queries", type=int, default=1000, help="queries per window")
+    p.add_argument("--hours", type=_int_at_least(1), default=24)
+    p.add_argument(
+        "--queries", type=_int_at_least(1), default=1000, help="queries per window"
+    )
     p.set_defaults(func=cmd_characterize)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "replication_factor", 1) > getattr(args, "nodes", 1):
+        parser.error(
+            f"--replication-factor {args.replication_factor} exceeds "
+            f"--nodes {args.nodes}"
+        )
     return args.func(args)

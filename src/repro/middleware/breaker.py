@@ -1,4 +1,4 @@
-"""Closed -> open -> half-open circuit breakers for per-tenant operations.
+"""Circuit breakers and bulkheads for per-tenant operations.
 
 The two expensive / failure-prone per-tenant operations — the surrogate
 search and the config actuation push — each sit behind one of these.
@@ -14,10 +14,15 @@ machine is fully deterministic: the same window/outcome sequence always
 walks the same transitions.  It publishes nothing itself; the owning
 :class:`~repro.middleware.guard.TenantGuard` maps the transition labels
 returned here onto ``guard.breaker.*`` events.
+
+A bulkhead caps how often an operation runs inside a rolling span of
+windows; the guard uses one per search and push, the drift reconciler
+one for its repairs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional, Tuple
 
 from repro.errors import GuardError
@@ -107,3 +112,27 @@ class CircuitBreaker:
             f"CircuitBreaker({self.name!r}, state={self.state!r}, "
             f"opens={self.opened_count})"
         )
+
+
+class _Bulkhead:
+    """Rolling-window invocation budget for one operation."""
+
+    def __init__(self, name: str, limit: Optional[int], span: int):
+        self.name = name
+        self.limit = limit
+        self.span = span
+        self._uses: deque = deque()
+        self.blocked = 0
+
+    def used(self, window: int) -> int:
+        while self._uses and self._uses[0] <= window - self.span:
+            self._uses.popleft()
+        return len(self._uses)
+
+    def allow(self, window: int) -> bool:
+        if self.limit is None:
+            return True
+        return self.used(window) < self.limit
+
+    def record(self, window: int) -> None:
+        self._uses.append(window)

@@ -24,12 +24,11 @@ guards through worker processes bit-identically.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import GuardError
-from repro.middleware.breaker import CircuitBreaker
+from repro.middleware.breaker import CircuitBreaker, _Bulkhead
 from repro.middleware.slo import SloSpec, SloTracker
 
 #: Keys a manifest ``[tenants.guard]`` stanza may set.
@@ -89,30 +88,6 @@ class GuardSpec:
         if bad:
             raise GuardError(f"unknown [guard] key(s) {sorted(bad)}")
         return cls(**document)
-
-
-class _Bulkhead:
-    """Rolling-window invocation budget for one operation."""
-
-    def __init__(self, name: str, limit: Optional[int], span: int):
-        self.name = name
-        self.limit = limit
-        self.span = span
-        self._uses: deque = deque()
-        self.blocked = 0
-
-    def used(self, window: int) -> int:
-        while self._uses and self._uses[0] <= window - self.span:
-            self._uses.popleft()
-        return len(self._uses)
-
-    def allow(self, window: int) -> bool:
-        if self.limit is None:
-            return True
-        return self.used(window) < self.limit
-
-    def record(self, window: int) -> None:
-        self._uses.append(window)
 
 
 class TenantGuard:

@@ -24,14 +24,14 @@ identical drift/repair/quarantine event sequences.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import GuardError
+from repro.middleware.breaker import _Bulkhead
 
 #: Keys a manifest ``[tenants.reconcile]`` stanza may set.
-RECONCILE_STANZA_KEYS = frozenset({"enabled", "max_repairs", "span", "escalate"})
+RECONCILE_STANZA_KEYS = frozenset({"max_repairs", "span", "escalate"})
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,10 @@ class ReconcileSpec:
     budget (``None`` = uncapped); ``escalate`` controls whether
     unrepaired drift degrades the window and trips the push breaker
     (``False`` keeps quarantining without touching the breaker —
-    observe-only mode).  ``enabled=False`` skips verification entirely,
-    reproducing the pre-reconciler blind-actuation behaviour.
+    observe-only mode).  A tenant without a spec runs no reconciler at
+    all: the blind-actuation loop.
     """
 
-    enabled: bool = True
     max_repairs: Optional[int] = None
     span: int = 8
     escalate: bool = True
@@ -92,24 +91,12 @@ class DriftReconciler:
         self.tenant_id = tenant_id
         self.spec = spec or ReconcileSpec()
         self.events = events
-        self._repairs: deque = deque()
+        self._repairs = _Bulkhead("repair", self.spec.max_repairs, self.spec.span)
         self.drift_windows = 0
         self.repairs_attempted = 0
         self.repairs_succeeded = 0
         self.quarantined_windows = 0
         self.escalations = 0
-
-    # -- repair budget (rolling span, like the guard bulkheads) ----------------
-
-    def repairs_used(self, window: int) -> int:
-        while self._repairs and self._repairs[0] <= window - self.spec.span:
-            self._repairs.popleft()
-        return len(self._repairs)
-
-    def allow_repair(self, window: int) -> bool:
-        if self.spec.max_repairs is None:
-            return True
-        return self.repairs_used(window) < self.spec.max_repairs
 
     # -- the reconcile pass ----------------------------------------------------
 
@@ -123,8 +110,6 @@ class DriftReconciler:
         fault-free runs stay bit-identical.
         """
         outcome = ReconcileOutcome()
-        if not self.spec.enabled:
-            return outcome
         report = adapter.verify_config()
         if not report.has_drift:
             return outcome
@@ -147,21 +132,21 @@ class DriftReconciler:
             applied_fingerprints=applied,
             down_nodes=report.down_drifted_nodes,
         )
-        if not self.allow_repair(window):
+        if not self._repairs.allow(window):
             self._publish(
                 "actuate.repair_blocked",
-                f"repair budget spent ({self.repairs_used(window)}/"
+                f"repair budget spent ({self._repairs.used(window)}/"
                 f"{self.spec.max_repairs} in {self.spec.span} windows); "
                 f"drift persists (window {window})",
                 window=window,
                 nodes=report.drifted_nodes,
-                used=self.repairs_used(window),
+                used=self._repairs.used(window),
                 limit=self.spec.max_repairs,
                 span=self.spec.span,
             )
             outcome.escalated = self.spec.escalate
         else:
-            self._repairs.append(window)
+            self._repairs.record(window)
             self.repairs_attempted += 1
             outcome.repair_report = adapter.repair_config(
                 report.drifted_nodes, read_ratio, rolling=rolling
@@ -176,7 +161,7 @@ class DriftReconciler:
                     f"(window {window})",
                     window=window,
                     nodes=report.drifted_nodes,
-                    repairs_used=self.repairs_used(window),
+                    repairs_used=self._repairs.used(window),
                 )
             else:
                 self._publish(

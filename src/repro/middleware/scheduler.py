@@ -22,30 +22,25 @@ Every tenant's events are namespaced (``tenant.<id>.controller.*``,
 **Sharded serve.**  Within one window round, tenant sessions are
 independent except for the shared rafiki (surrogate + recommendation
 cache) and the shared bus.  ``backend=`` / ``workers=`` fan each round
-out across :class:`~repro.runtime.backend.ProcessPoolBackend` workers.
-The parent pickles the round-start rafiki once per round, and every
-rafiki tenant's task carries that one blob; each worker unpickles its
-own copy, steps one session against it and journals its externally
-visible effects (published events and ``recommend()`` calls).  The
-parent then, in registration order, merges the journals back —
-replaying events on the shared bus and folding fresh search results
-into the shared cache (burning the same named seed stream a serial
-search would have consumed).  Because the GA search is deterministic
-given the round-start seed stream, two tenants racing the same regime
-in one round compute the *same* result the serial run's cache hit would
-have returned, so sharded runs are bit-identical to serial: results,
-shared-cache state and the whole event log, with no exempt topic (see
+out across :class:`~repro.runtime.backend.ProcessPoolBackend` workers,
+split at the decision.  The parent runs every served tenant's OBSERVE
+and DECIDE phases itself, in registration order, against the shared
+rafiki, so every ``recommend()`` hits, misses, evicts and draws its
+named seed stream exactly as the serial loop's would, whatever the cache
+capacity.  Each worker then finishes one decided window (ACTUATE through
+RECORD) with its own copy of the round-start rafiki, pickled once per
+round, which the canary asks for ``predicted_mean_std``.  Both halves
+journal the tenant's events; the parent republishes them tenant by
+tenant in registration order, its own journal first.  Sharded runs are
+therefore bit-identical to serial: results, shared-cache state and the
+whole event log, with no exempt topic (see
 ``tests/test_sharded_scheduler.py``).
-Two conditions bound that guarantee.  The rafiki's own event bus must
-be unset (worker copies cannot replay mid-search progress events).  And
-the recommendation cache must not evict *within* a window round, which
-is detected rather than left to break bit-identity: a round whose
-current-window regimes cannot all fit the cache runs on the serial loop
-(``scheduler.serial_fallback`` event), and an
-eviction that still slips through (a policy searching a regime the
-pre-round estimate could not see) raises
-:class:`~repro.errors.MiddlewareError` rather than returning results
-that may diverge from a serial run.
+One condition bounds that guarantee: the rafiki's own event bus
+(``Rafiki(events=...)``, which receives the GA's ``search.*`` events).
+Those are published live while the parent decides, so that bus alone
+sees the serial sequence, but they precede every journaled tenant event
+of their round; if the rafiki publishes on the scheduler's bus, or one
+subscriber listens to both, the interleaving differs from a serial run.
 
 **Overload protection.**  ``cluster_capacity=`` activates the guard
 layer's admission control (see :mod:`repro.middleware.ledger`): each
@@ -66,9 +61,6 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.cache import RecommendationCache
 from repro.core.controller import ControllerRun, RetryPolicy
 from repro.core.policies import DecisionPolicy, HysteresisPolicy, OraclePolicy
 from repro.datastore.adapter import (
@@ -76,7 +68,7 @@ from repro.datastore.adapter import (
     SimulatedDatastoreAdapter,
 )
 from repro.datastore.base import Datastore
-from repro.errors import MiddlewareError, SearchError
+from repro.errors import SearchError
 from repro.faults.plan import FaultPlan
 from repro.middleware.guard import GuardSpec, TenantGuard
 from repro.middleware.ledger import CapacityLedger
@@ -86,7 +78,6 @@ from repro.middleware.slo import SloSpec
 from repro.runtime.backend import ExecutionBackend, resolve_backend
 from repro.runtime.events import EventBus
 from repro.sim.clock import SimClock
-from repro.sim.rng import SeedSequence
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
@@ -96,7 +87,7 @@ def _default_policy() -> DecisionPolicy:
 
 
 class _RecordingBus(EventBus):
-    """Worker-side bus: journals every publish for parent-side replay."""
+    """Journals every publish so the parent can republish it in order."""
 
     def __init__(self):
         super().__init__()
@@ -107,32 +98,8 @@ class _RecordingBus(EventBus):
         return super().publish(topic, message, **payload)
 
 
-class _RecordingRafiki:
-    """Worker-side proxy over a rafiki copy, journaling ``recommend()``.
-
-    The journal carries ``(read_ratio, result)`` pairs; the parent
-    replays them against the shared rafiki so its cache/seed state
-    evolves exactly as a serial round's would.
-    """
-
-    def __init__(self, inner, records: List[tuple]):
-        self._inner = inner
-        self._records = records
-
-    def recommend(self, read_ratio, use_cache: bool = True):
-        result = self._inner.recommend(read_ratio, use_cache=use_cache)
-        self._records.append((float(read_ratio), result))
-        return result
-
-    def predicted_throughput(self, read_ratio, config):
-        return self._inner.predicted_throughput(read_ratio, config)
-
-    def predicted_mean_std(self, read_ratio, config):
-        return self._inner.predicted_mean_std(read_ratio, config)
-
-
 def _attach_session_bus(session: TenantSession, bus) -> None:
-    """Point every bus reference a session's step() publishes on at ``bus``."""
+    """Point every bus reference a session's phases publish on at ``bus``."""
     session.events = bus
     session.adapter.events = bus
     cluster = getattr(session.adapter, "cluster", None)
@@ -147,28 +114,28 @@ def _attach_session_bus(session: TenantSession, bus) -> None:
 
 
 def _shard_window_worker(task):
-    """Run one tenant's window in a worker process.
+    """Finish one tenant's decided window in a worker process.
 
-    The session arrives with its bus references stripped (they hold
-    parent-side subscriber callables that must not travel); a recording
-    bus takes their place so the step's event stream can be replayed in
-    the parent.  The shared rafiki arrives as the round's one pickle
-    (``None`` for a static-default tenant) and is unpickled into this
-    task's own copy.  Returns ``(session, event_records,
-    search_records)`` with the buses stripped again for the trip home.
+    The session arrives in phase ``actuate`` with its bus references
+    stripped (they hold parent-side subscriber callables that must not
+    travel); a recording bus takes their place so the remaining phases'
+    events can be republished in the parent.  The round's rafiki pickle
+    (``None`` for a static-default tenant) is unpickled into this task's
+    own copy for the canary.  Returns ``(session, event_records)`` with
+    the buses stripped again for the trip home.
     """
-    tenant_id, read_ratio, capacity_factor, session, blob = task
-    searches: List[tuple] = []
+    tenant_id, session, blob = task
     if blob is not None:
-        session.rafiki = _RecordingRafiki(pickle.loads(blob), searches)
+        session.rafiki = pickle.loads(blob)
     recorder = _RecordingBus()
     _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
     try:
-        session.step(read_ratio, capacity_factor=capacity_factor)
+        while session.advance_phase() != "idle":
+            pass
     finally:
         _attach_session_bus(session, None)
         session.rafiki = None
-    return session, recorder.records, searches
+    return session, recorder.records
 
 
 @dataclass
@@ -390,22 +357,7 @@ class MiddlewareScheduler:
                 default=0.0,
             )
             shed, factor = self._plan_round(w, active)
-            sharded = self.backend is not None
-            if sharded and self._eviction_risk(
-                w, [t for t in active if t not in shed]
-            ):
-                # The round's regimes cannot all fit the shared cache:
-                # sharding would evict mid-round and break bit-identity
-                # with the serial loop, so run this round serially.
-                self.events.publish(
-                    "scheduler.serial_fallback",
-                    f"window round {w}: recommendation cache too small for "
-                    "the round's regimes; running the round serially",
-                    window=w,
-                    reason="cache-eviction-risk",
-                )
-                sharded = False
-            if sharded:
+            if self.backend is not None:
                 self._run_round_sharded(w, active, shed, factor)
             else:
                 for tenant_id in active:
@@ -517,28 +469,6 @@ class MiddlewareScheduler:
 
     # -- sharded rounds ---------------------------------------------------------
 
-    def _eviction_risk(self, w: int, tenants: Sequence[str]) -> bool:
-        """Could this round's searches evict from the shared cache?
-
-        Conservative pre-round estimate over the tenants' *current*
-        window regimes (what an oracle policy would search).  Duck-typed
-        recommenders without a real :class:`RecommendationCache` are the
-        generic replay path and exempt.
-        """
-        cache = getattr(self.rafiki, "cache", None)
-        if not isinstance(cache, RecommendationCache):
-            return False
-        new_keys = set()
-        for tenant_id in tenants:
-            spec, _ = self._tenants[tenant_id]
-            if not spec.use_rafiki:
-                continue
-            rr = float(np.clip(spec.rr_series[w], 0.0, 1.0))
-            key = cache.quantize(rr)
-            if key not in cache:
-                new_keys.add(key)
-        return len(cache) + len(new_keys) > cache.capacity
-
     def _run_round_sharded(
         self,
         w: int,
@@ -546,15 +476,16 @@ class MiddlewareScheduler:
         shed: frozenset = frozenset(),
         factor: float = 1.0,
     ) -> None:
-        """Fan one window round out over the backend's workers.
+        """Decide in the parent, then fan the rest of the round out.
 
-        Workers receive bus-stripped sessions plus one shared pickle of
-        the round-start rafiki state, taken afresh every round; results
-        are merged back in registration order (the lockstep barrier), so
-        the shared cache, seed streams, and event log evolve exactly as a
-        serial round's.  Shed tenants never travel: their zero-throughput
-        windows are recorded parent-side at their registration slot,
-        exactly where the serial loop would have recorded them.
+        Each served tenant's OBSERVE and DECIDE run here, in registration
+        order, against the shared rafiki.  Workers receive the decided,
+        bus-stripped sessions plus one pickle of the round-start rafiki,
+        taken afresh every round.  The lockstep barrier then republishes,
+        tenant by tenant, the parent's journal and the worker's.  Shed
+        tenants never travel: their zero-throughput windows are recorded
+        at their registration slot, exactly where the serial loop would
+        have recorded them.
         """
         served = [t for t in active if t not in shed]
         blob = None
@@ -562,34 +493,27 @@ class MiddlewareScheduler:
             blob = self._rafiki_blob()
             self._shipped["blob_ships"] += 1
             self._shipped["blob_bytes"] += len(blob)
-        cache = getattr(self.rafiki, "cache", None)
-        evictions_before = (
-            cache.stats.evictions
-            if isinstance(cache, RecommendationCache)
-            else None
-        )
+        journals = {}
         tasks = []
-        for tenant_id in served:
-            spec, session = self._tenants[tenant_id]
-            _attach_session_bus(session, None)
-            session.rafiki = None
-            task_blob = blob if spec.use_rafiki else None
-            if task_blob is not None:
-                self._shipped["payload_bytes"] += len(task_blob)
-            tasks.append(
-                (
-                    tenant_id,
-                    float(spec.rr_series[w]),
-                    float(factor),
-                    session,
-                    task_blob,
-                )
-            )
         try:
+            for tenant_id in served:
+                spec, session = self._tenants[tenant_id]
+                recorder = _RecordingBus()
+                _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
+                session.begin_window(spec.rr_series[w], capacity_factor=factor)
+                session.advance_phase()     # observe
+                session.advance_phase()     # decide
+                journals[tenant_id] = recorder.records
+                _attach_session_bus(session, None)
+                session.rafiki = None
+                task_blob = blob if spec.use_rafiki else None
+                if task_blob is not None:
+                    self._shipped["payload_bytes"] += len(task_blob)
+                tasks.append((tenant_id, session, task_blob))
             outcomes = self.backend.map_tasks(_shard_window_worker, tasks)
         finally:
-            # On a worker-raised error the parent-side sessions are left
-            # bus-stripped; restore them so the scheduler stays usable.
+            # On an error the parent-side sessions are left bus-stripped;
+            # give them back their buses and the shared rafiki.
             for tenant_id in served:
                 spec, session = self._tenants[tenant_id]
                 self._reattach(spec, session)
@@ -599,22 +523,11 @@ class MiddlewareScheduler:
             if tenant_id in shed:
                 session.record_shed_window(spec.rr_series[w])
                 continue
-            session, event_records, search_records = next(results)
+            session, worker_records = next(results)
             self._reattach(spec, session)
             self._tenants[tenant_id] = (spec, session)
-            self._merge_searches(search_records)
-            for topic, message, payload in event_records:
+            for topic, message, payload in journals[tenant_id] + worker_records:
                 self.events.publish(topic, message, **payload)
-        if (
-            evictions_before is not None
-            and cache.stats.evictions > evictions_before
-        ):
-            raise MiddlewareError(
-                f"recommendation cache evicted inside sharded window round "
-                f"{w}: sharded results can silently diverge from a serial "
-                "run once round-start cache state is stale. Raise the "
-                "rafiki's cache_capacity or serve serially (workers=1)."
-            )
 
     def _reattach(self, spec: TenantSpec, session: TenantSession) -> None:
         _attach_session_bus(
@@ -657,32 +570,6 @@ class MiddlewareScheduler:
         finally:
             for obj, attr, value in stripped:
                 setattr(obj, attr, value)
-
-    def _merge_searches(self, records: Sequence[tuple]) -> None:
-        """Fold one worker's ``recommend()`` journal into the shared rafiki.
-
-        For a real :class:`~repro.core.rafiki.Rafiki` the replay is
-        exact: each journaled call performs the same cache lookup a
-        serial call would (same hit/miss stats, same LRU refresh), and a
-        miss installs the worker's result after burning the named seed
-        stream the serial search would have consumed — so a later round
-        searching a new regime draws from the identical stream index.
-        Duck-typed recommenders without cache/seeds state (test fakes)
-        fall back to replaying the calls outright, which is cheap for
-        anything whose recommend() is a table fill.
-        """
-        rafiki = self.rafiki
-        cache = getattr(rafiki, "cache", None)
-        seeds = getattr(rafiki, "seeds", None)
-        if isinstance(cache, RecommendationCache) and isinstance(seeds, SeedSequence):
-            for read_ratio, result in records:
-                key = cache.quantize(read_ratio)
-                if cache.get(key) is None:
-                    seeds.stream(f"search-rr{key}")
-                    cache.put(key, result)
-        else:
-            for read_ratio, _ in records:
-                rafiki.recommend(read_ratio)
 
     def __repr__(self) -> str:
         return (

@@ -360,6 +360,30 @@ class TestValidation:
         assert "--networks" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["replay", "--canary-margin", "1.5"], "--canary-margin"),
+            (["replay", "--canary-margin", "-0.1"], "--canary-margin"),
+            (["replay", "--nodes", "2", "--replication-factor", "3"],
+             "--replication-factor"),
+            (["replay", "--hours", "0"], "--hours"),
+            (["replay", "--hours", "-2"], "--hours"),
+            (["serve", "--manifest", "m.json", "--hours", "0"], "--hours"),
+            (["serve", "--manifest", "m.json", "--hours", "-2"], "--hours"),
+            (["characterize", "--hours", "0"], "--hours"),
+            (["characterize", "--queries", "0"], "--queries"),
+        ],
+    )
+    def test_bad_online_flags_exit_2(self, artifacts, argv, flag, capsys):
+        _, surrogate = artifacts
+        if argv[0] != "characterize":
+            argv = [*argv, "--surrogate", str(surrogate)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["resume", "--journal", "c.wal", "--out", "d.json"],

@@ -1,11 +1,10 @@
 """Sharded-vs-serial equivalence of the multi-tenant serve loop.
 
 The scheduler's ``backend=`` fan-out must be *bit-identical* to the
-legacy inline loop: same per-tenant results, same event log in
-registration order, and — for a real :class:`~repro.core.rafiki.Rafiki`
-— the same shared-cache statistics, LRU order, and named-seed-stream
-counters, extending the PR 1 serial/parallel equivalence guarantee to
-the serve path.
+inline loop: same per-tenant results, same event log in registration
+order, and — for a real :class:`~repro.core.rafiki.Rafiki` — the same
+shared-cache statistics, LRU order, and named-seed-stream counters, at
+any cache capacity and with every session feature on at once.
 """
 
 import pickle
@@ -21,8 +20,15 @@ from repro.core.search import OptimizationResult
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike
 from repro.datastore.adapter import SimulatedDatastoreAdapter
-from repro.errors import DatastoreError, MiddlewareError, SearchError
-from repro.middleware import MiddlewareScheduler, TenantSpec
+from repro.errors import DatastoreError, SearchError
+from repro.faults import FaultPlan
+from repro.middleware import (
+    GuardSpec,
+    MiddlewareScheduler,
+    ReconcileSpec,
+    SloSpec,
+    TenantSpec,
+)
 from repro.ml.ensemble import EnsembleConfig
 from repro.runtime import EventBus
 from repro.runtime.backend import ProcessPoolBackend, SerialBackend
@@ -59,7 +65,7 @@ def tiny_surrogate():
 
 
 class CachingFakeRafiki:
-    """Duck-typed recommender exercising the generic merge fallback."""
+    """Duck-typed recommender: the shared rafiki needs no real cache."""
 
     def __init__(self, datastore):
         self.datastore = datastore
@@ -108,8 +114,9 @@ def make_rafiki(cassandra, surrogate, **kwargs):
 def rafiki_state(rafiki):
     """The shared state a serial and a sharded run must agree on bitwise:
     cache statistics, LRU order and contents, seed-stream counters."""
+    stats = rafiki.cache.stats
     return (
-        (rafiki.cache.stats.hits, rafiki.cache.stats.misses),
+        (stats.hits, stats.misses, stats.evictions),
         [
             (key, result.predicted_throughput, str(result.configuration))
             for key, result in rafiki.cache._entries.items()
@@ -118,14 +125,19 @@ def rafiki_state(rafiki):
     )
 
 
-def run_campaign(cassandra, specs, backend=None, rafiki=None, on_window=None):
+def run_campaign(
+    cassandra, specs, backend=None, rafiki=None, on_window=None, **sched_kwargs
+):
+    """(per-tenant summary, full event log, scheduler) of one campaign."""
     events = EventBus()
     log = []
     events.subscribe(log.append)
     if on_window is not None:
         events.subscribe(on_window, topic="scheduler.window")
     rafiki = rafiki if rafiki is not None else CachingFakeRafiki(cassandra)
-    scheduler = MiddlewareScheduler(cassandra, rafiki, events=events, backend=backend)
+    scheduler = MiddlewareScheduler(
+        cassandra, rafiki, events=events, backend=backend, **sched_kwargs
+    )
     for s in specs:
         scheduler.add_tenant(s)
     results = scheduler.run()
@@ -138,6 +150,8 @@ def run_campaign(cassandra, specs, backend=None, rafiki=None, on_window=None):
                 e.mean_throughput,
                 e.rolled_back,
                 e.degraded,
+                e.shed,
+                e.quarantined,
                 str(e.configuration),
             )
             for e in r.events
@@ -146,7 +160,7 @@ def run_campaign(cassandra, specs, backend=None, rafiki=None, on_window=None):
     }
     # Every event, with no exempt topic, must match serial bitwise.
     log_view = [(e.topic, e.message, repr(sorted(e.payload.items()))) for e in log]
-    return summary, log_view, rafiki
+    return summary, log_view, scheduler
 
 
 SPECS = lambda: [spec(f"t{i}", [0.2, 0.9, 0.4], seed=i) for i in range(4)]  # noqa: E731
@@ -159,15 +173,18 @@ class TestShardedEqualsSerial:
         ids=["serial-backend", "process-pool"],
     )
     def test_results_and_events_bit_identical(self, cassandra, backend_factory):
-        ref_summary, ref_log, ref_rafiki = run_campaign(cassandra, SPECS())
-        summary, log, rafiki = run_campaign(
+        ref_summary, ref_log, ref = run_campaign(cassandra, SPECS())
+        summary, log, sharded = run_campaign(
             cassandra, SPECS(), backend=backend_factory()
         )
         assert summary == ref_summary
         assert log == ref_log
-        # The generic merge replays recommend() calls on the shared
-        # fake, so its cache statistics evolve exactly as serial.
-        assert (rafiki.hits, rafiki.misses) == (ref_rafiki.hits, ref_rafiki.misses)
+        # The parent decides on the shared fake, so its cache
+        # statistics evolve exactly as serial.
+        assert (sharded.rafiki.hits, sharded.rafiki.misses) == (
+            ref.rafiki.hits,
+            ref.rafiki.misses,
+        )
 
     def test_workers_arg_resolves_to_sharded_path(self, cassandra):
         ref_summary, ref_log, _ = run_campaign(cassandra, SPECS())
@@ -211,8 +228,8 @@ class TestShardedEqualsSerial:
 
 class TestRealRafikiProtocol:
     def test_cache_lru_and_seed_streams_identical(self, cassandra, tiny_surrogate):
-        """The exact-merge path: shared cache stats, LRU order, and
-        named seed-stream counters must match a serial run bitwise."""
+        """Shared cache stats, LRU order, and named seed-stream counters
+        must match a serial run bitwise."""
 
         def campaign(backend):
             rafiki = Rafiki(
@@ -220,23 +237,17 @@ class TestRealRafikiProtocol:
             )
             rafiki.optimizer.population_size = 8
             rafiki.optimizer.generations = 3
-            # 0.62 repeats across tenants: worker-duplicated searches
-            # must merge into ONE cache entry and ONE seed-stream burn.
+            # 0.62 repeats across tenants: one search, one cache entry
+            # and one seed-stream draw, then hits.
             specs = [
                 spec("a", [0.20, 0.62], seed=1, policy=OraclePolicy()),
                 spec("b", [0.62, 0.80], seed=2, policy=OraclePolicy()),
                 spec("c", [0.47, 0.62], seed=3, policy=OraclePolicy()),
             ]
-            summary, log, rafiki = run_campaign(
+            summary, log, _ = run_campaign(
                 cassandra, specs, backend=backend, rafiki=rafiki
             )
-            return (
-                summary,
-                log,
-                (rafiki.cache.stats.hits, rafiki.cache.stats.misses),
-                list(rafiki.cache._entries.keys()),
-                dict(rafiki.seeds._counts),
-            )
+            return summary, log, rafiki_state(rafiki)
 
         serial = campaign(None)
         sharded = campaign(ProcessPoolBackend(workers=2))
@@ -245,23 +256,37 @@ class TestRealRafikiProtocol:
 
 class TestRoundBlob:
     """Every sharded round ships the round-start rafiki as one fresh
-    pickle, whatever happened to the ensemble or the pool since."""
+    pickle, whatever happened to the ensemble or the pool since.  The
+    workers' canaries read the surrogate from it."""
 
     SERIES = {"a": [0.30, 0.30, 0.55, 0.70], "b": [0.30, 0.40, 0.55, 0.80]}
 
     def campaign(self, cassandra, surrogate, backend=None, on_window=None):
-        """(summary, event log, rafiki state); ``on_window(event, rafiki)``
-        runs after every round."""
+        """(summary, event log, rafiki state, canary state per tenant);
+        ``on_window(event, rafiki)`` runs after every round."""
         rafiki = make_rafiki(cassandra, surrogate)
         specs = [
-            spec(tenant_id, series, seed=i + 1, policy=OraclePolicy())
+            spec(
+                tenant_id,
+                series,
+                seed=i + 1,
+                policy=OraclePolicy(),
+                canary_margin=0.05,
+            )
             for i, (tenant_id, series) in enumerate(self.SERIES.items())
         ]
         hook = None if on_window is None else lambda e: on_window(e, rafiki)
-        summary, log, rafiki = run_campaign(
+        summary, log, scheduler = run_campaign(
             cassandra, specs, backend=backend, rafiki=rafiki, on_window=hook
         )
-        return summary, log, rafiki_state(rafiki)
+        canary = {
+            tenant_id: (
+                scheduler.session(tenant_id)._ratio_baseline,
+                scheduler.session(tenant_id).result.rollback_count,
+            )
+            for tenant_id in self.SERIES
+        }
+        return summary, log, rafiki_state(rafiki), canary
 
     def test_ensemble_retrained_mid_run_reaches_the_workers(
         self, cassandra, tiny_surrogate
@@ -273,9 +298,12 @@ class TestRoundBlob:
 
         fresh = lambda: pickle.loads(pickle.dumps(tiny_surrogate))  # noqa: E731
         serial = self.campaign(cassandra, fresh(), on_window=retrain_after_round_1)
-        # The retrain moves the searches of rounds 2-3 ...
-        assert serial[2] != self.campaign(cassandra, fresh())[2]
-        # ... and the workers search with the retrained ensemble too.
+        # The retrain moves the searches and the canaries of rounds 2-3 ...
+        untouched = self.campaign(cassandra, fresh())
+        assert serial[2] != untouched[2]
+        assert serial[3] != untouched[3]
+        # ... and the workers' canaries predict with the retrained
+        # ensemble too.
         with ProcessPoolBackend(workers=2) as backend:
             sharded = self.campaign(
                 cassandra, fresh(), backend=backend, on_window=retrain_after_round_1
@@ -334,67 +362,122 @@ class TestRoundBlob:
         assert len(scheduler._rafiki_blob()) == blob_bytes
 
 
-class TestCacheEvictionCaveat:
-    """A too-small shared cache must never silently break bit-identity."""
+class TestAnyCacheCapacity:
+    """The parent decides on the one shared cache, so evicting inside a
+    round is no different from serial, down to a 1-entry cache."""
 
-    def tiny_cache_rafiki(self, cassandra, tiny_surrogate):
-        return make_rafiki(cassandra, tiny_surrogate, cache_capacity=1)
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_regimes_racing_a_small_cache(self, cassandra, tiny_surrogate, capacity):
+        # Two oracle tenants race distinct regimes: every round evicts.
+        def campaign(backend):
+            rafiki = make_rafiki(cassandra, tiny_surrogate, cache_capacity=capacity)
+            specs = [
+                spec("a", [0.20, 0.60, 0.20], seed=1, policy=OraclePolicy()),
+                spec("b", [0.80, 0.40, 0.60], seed=2, policy=OraclePolicy()),
+            ]
+            summary, log, _ = run_campaign(
+                cassandra, specs, backend=backend, rafiki=rafiki
+            )
+            return summary, log, rafiki_state(rafiki)
 
-    def test_risky_round_falls_back_to_serial(self, cassandra, tiny_surrogate):
-        # Two oracle tenants racing distinct regimes into a 1-entry
-        # cache: every round would evict mid-round, so every round must
-        # run serially — announced, and bit-identical to a serial run.
-        specs = lambda: [  # noqa: E731
-            spec("a", [0.20, 0.60], seed=1, policy=OraclePolicy()),
-            spec("b", [0.80, 0.40], seed=2, policy=OraclePolicy()),
-        ]
-        ref = run_campaign(
-            cassandra, specs(), rafiki=self.tiny_cache_rafiki(cassandra, tiny_surrogate)
-        )
-        sharded = run_campaign(
-            cassandra,
-            specs(),
-            backend=ProcessPoolBackend(workers=2),
-            rafiki=self.tiny_cache_rafiki(cassandra, tiny_surrogate),
-        )
-        assert sharded[0] == ref[0]
-        topics = [t for t, _, _ in sharded[1]]
-        assert topics.count("scheduler.serial_fallback") == 2
-        # Apart from the fallback announcements, the same event log.
-        assert [
-            r for r in sharded[1] if r[0] != "scheduler.serial_fallback"
-        ] == ref[1]
+        serial = campaign(None)
+        assert serial[2][0][2] > 0          # the cache did evict
+        assert campaign(ProcessPoolBackend(workers=2)) == serial
 
-    def test_unforeseen_eviction_is_an_error_not_a_divergence(
+    def test_reactive_policy_evicting_the_current_regime(
         self, cassandra, tiny_surrogate
     ):
-        # A reactive policy searches the *previous* window's regime —
-        # invisible to the pre-round estimate (which looks at current
-        # regimes).  Window 2: the estimate sees 0.9 (cached, fits) but
-        # the policy searches 0.5, evicting 0.9 mid-merge.  That must
-        # raise, not silently return possibly-divergent results.
-        run = lambda backend: run_campaign(  # noqa: E731
-            cassandra,
-            [spec("r", [0.9, 0.5, 0.9], seed=1, policy=ReactivePolicy())],
-            backend=backend,
-            rafiki=self.tiny_cache_rafiki(cassandra, tiny_surrogate),
-        )
-        run(None)  # serial handles the eviction fine
-        with pytest.raises(MiddlewareError, match="evicted"):
-            run(SerialBackend())
+        # A reactive policy searches the *previous* window's regime:
+        # window 2 searches 0.5 into a 1-entry cache holding 0.9.
+        def campaign(backend):
+            rafiki = make_rafiki(cassandra, tiny_surrogate, cache_capacity=1)
+            summary, log, _ = run_campaign(
+                cassandra,
+                [spec("r", [0.9, 0.5, 0.9], seed=1, policy=ReactivePolicy())],
+                backend=backend,
+                rafiki=rafiki,
+            )
+            return summary, log, rafiki_state(rafiki)
 
-    def test_ample_cache_never_falls_back(self, cassandra, tiny_surrogate):
-        rafiki = make_rafiki(cassandra, tiny_surrogate)
-        _, log, _ = run_campaign(
+        serial = campaign(None)
+        assert serial[2][0][2] > 0
+        assert campaign(SerialBackend()) == serial
+
+
+class TestEveryFeatureOn:
+    """Serial == sharded with every session feature on at once, under a
+    generated fault plan and a shared cache too small for the fleet."""
+
+    SERIES = [0.2, 0.7, 0.4, 0.9, 0.3, 0.8, 0.5, 0.1, 0.6, 0.35]
+
+    def fleet(self):
+        specs = []
+        for i in range(3):
+            plan = FaultPlan.generate(
+                seed=40 + i,
+                n_windows=len(self.SERIES),
+                n_nodes=3,
+                crash_probability=0.2,
+                slowdown_probability=0.1,
+                search_fault_probability=0.2,
+                push_fault_probability=0.2,
+                actuation_fault_probability=0.2,
+                stale_recovery_probability=0.2,
+            )
+            specs.append(
+                spec(
+                    f"t{i}",
+                    self.SERIES[i:] + self.SERIES[:i],
+                    seed=i + 1,
+                    n_nodes=3,
+                    policy=OraclePolicy(),
+                    fault_plan=plan,
+                    restart_policy="rolling",
+                    canary_margin=0.05,
+                    slo=SloSpec(throughput_floor=40_000, window_span=4),
+                    guard=GuardSpec(max_searches=4, max_restarts=3, span=5),
+                    reconcile=ReconcileSpec(max_repairs=1),
+                    trace_phases=True,
+                    priority=i,
+                )
+            )
+        return specs
+
+    def campaign(self, cassandra, tiny_surrogate, backend=None, capacity=None):
+        rafiki = make_rafiki(cassandra, tiny_surrogate, cache_capacity=2)
+        summary, log, _ = run_campaign(
             cassandra,
-            [
-                spec("a", [0.20, 0.60], seed=1, policy=OraclePolicy()),
-                spec("b", [0.80, 0.40], seed=2, policy=OraclePolicy()),
-            ],
-            backend=SerialBackend(),
+            self.fleet(),
+            backend=backend,
             rafiki=rafiki,
+            cluster_capacity=capacity,
         )
-        assert all(t != "scheduler.serial_fallback" for t, _, _ in log)
+        return summary, log, rafiki_state(rafiki)
+
+    def test_serial_equals_sharded(self, cassandra, tiny_surrogate):
+        probe, _, _ = self.campaign(cassandra, tiny_surrogate)
+        capacity = 0.7 * sum(windows[1][3] for windows in probe.values())
+        serial = self.campaign(cassandra, tiny_surrogate, capacity=capacity)
+        topics = {topic for topic, _, _ in serial[1]}
+        for fired in (
+            "guard.shed",
+            "fault.injected",
+            "controller.retry",
+            "actuate.rolling_restart",
+            "actuate.drift",
+            "actuate.repair",
+            "controller.rollback",
+            "guard.bulkhead.exhausted",
+            "guard.slo.violation",
+            "session.phase",
+        ):
+            assert any(t.endswith(fired) for t in topics), fired
+        assert serial[2][0][2] > 0          # the 2-entry cache evicted
+        with ProcessPoolBackend(workers=2) as backend:
+            sharded = self.campaign(
+                cassandra, tiny_surrogate, backend=backend, capacity=capacity
+            )
+        assert sharded == serial
 
 
 class TestEngineExecutionTenants:

@@ -500,19 +500,27 @@ class TestReconcileSpec:
         reconciler = DriftReconciler(
             "t", spec=ReconcileSpec(max_repairs=2, span=4)
         )
-        assert reconciler.allow_repair(0)
-        reconciler._repairs.extend([0, 1])
-        assert not reconciler.allow_repair(2)   # both inside the span
-        assert reconciler.allow_repair(5)       # window 0 aged out
+        budget = reconciler._repairs
+        assert budget.allow(0)
+        budget.record(0)
+        budget.record(1)
+        assert not budget.allow(2)   # both inside the span
+        assert budget.allow(5)       # window 0 aged out
 
     def test_disabled_reconciler_never_reads_back(self, cassandra):
-        class ExplodingAdapter:
+        class ExplodingAdapter(SimulatedDatastoreAdapter):
             def verify_config(self):
-                raise AssertionError("disabled reconciler must not verify")
+                raise AssertionError("no reconciler, no read-back")
 
-        reconciler = DriftReconciler("t", spec=ReconcileSpec(enabled=False))
-        outcome = reconciler.reconcile(0, ExplodingAdapter(), 0.5)
-        assert not outcome.drift_detected and not outcome.quarantined
+        session = TenantSession(
+            cassandra,
+            RegimeRafiki(cassandra),
+            ExplodingAdapter(cassandra, n_nodes=3, seed=0),
+            OraclePolicy(),
+        ).start()
+        events = [session.step(rr) for rr in (0.3, 0.7)]
+        assert session.reconciler is None
+        assert all(e.reconfigured and not e.quarantined for e in events)
 
 
 # ---------------------------------------------------------------------------
