@@ -69,9 +69,8 @@ TRAPS = [
                 "                        self.evaluations - self.population_size)\n",
             ),
             (
-                "            winner = self.encoder.snap(population[int(np.argmax(fitness))])\n",
-                "            rode, winner = winner, self.encoder.snap(\n"
-                "                population[int(np.argmax(fitness))])\n",
+                "            winner = encoder.snap(population[fitness.argmax()])\n",
+                "            rode, winner = winner, encoder.snap(population[fitness.argmax()])\n",
             ),
             (
                 "                if book(generation, winner, raw_winner, self.evaluations):\n"
@@ -109,6 +108,23 @@ TRAPS = [
         f"{REFERENCE}::test_surrogate_search",
     ),
     (
+        "the merged draw's halves swapped (mutation mask used as crossover weights)",
+        GA,
+        [
+            (
+                "weights, mutate = rng.random((2, n_children, n_genes))",
+                "mutate, weights = rng.random((2, n_children, n_genes))",
+            )
+        ],
+        f"{REFERENCE}::test_surrogate_search",
+    ),
+    (
+        "the default floor read from row 0 instead of the riding last row",
+        "repro/core/search.py",
+        [("default_fitness = float(scores[-1])", "default_fitness = float(scores[0])")],
+        f"{EQUIVALENCE}::TestOptimizerBatchEquivalence::test_batched_and_scalar_paths_identical",
+    ),
+    (
         "seed genes outside the bounds accepted",
         GA,
         [
@@ -134,10 +150,17 @@ TRAPS = [
             ("wide = sizes[i] > 1 and sizes[i + 1] > 1", "wide = sizes[i] > 1"),
             ("wide = w.shape[1] > 1 and w.shape[2] > 1", "wide = w.shape[1] > 1"),
             (
-                "forwards = a[:, :, 0]",
-                "forwards = a[:, 0, :] if rows_inner else a[:, :, 0]",
+                "forwards = a[:, :n, 0]",
+                "forwards = a[:, 0, :n] if rows_inner else a[:, :n, 0]",
             ),
         ],
+        f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
+        "::test_stacked_forward_matches_per_member_oracle",
+    ),
+    (
+        "a one-row query contracted without its twin row",
+        ENSEMBLE,
+        [("            x = np.concatenate((x, x))\n", "            pass\n")],
         f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
         "::test_stacked_forward_matches_per_member_oracle",
     ),

@@ -28,7 +28,7 @@ from repro.config.space import Configuration
 from repro.core.surrogate import SurrogateModel
 from repro.datastore.base import Datastore
 from repro.errors import SearchError
-from repro.ga.algorithm import GAResult, GeneticAlgorithm
+from repro.ga.algorithm import GAResult, GeneticAlgorithm, _check_sizes
 from repro.ga.encoding import ConfigurationEncoder
 from repro.runtime.events import EventBus
 from repro.sim.rng import SeedLike, SeedSequence, derive_rng
@@ -74,9 +74,10 @@ class ConfigurationOptimizer:
         bus: Optional[EventBus] = None,
     ):
         """``seed_default`` keeps the vendor default as a candidate
-        floor: after the GA finishes, the default wins if the surrogate
-        scores it higher than anything evolution found.  (Injecting it
-        into the population instead collapses diversity around it.)
+        floor: scored as the last row of generation 0's batch, it wins
+        if the surrogate scores it higher than anything evolution found.
+        (Injecting it into the population instead collapses diversity
+        around it.)
 
         ``uncertainty_penalty`` (an extension beyond the paper) subtracts
         ``k x ensemble-spread`` from the fitness, discouraging the GA
@@ -84,7 +85,8 @@ class ConfigurationOptimizer:
 
         The whole GA population is scored per generation in one
         surrogate call.  ``bus`` receives ``search.*`` progress events
-        when given.
+        when given.  Population and generations follow the GA's size
+        rules, checked here rather than at the first search.
         """
         self.surrogate = surrogate
         names = tuple(parameters or surrogate.feature_parameters)
@@ -94,6 +96,7 @@ class ConfigurationOptimizer:
             )
         if uncertainty_penalty < 0.0:
             raise SearchError("uncertainty_penalty must be non-negative")
+        _check_sizes(population_size, generations)
         self.encoder = ConfigurationEncoder(surrogate.space, names)
         #: The vendor default's genes, the ``seed_default`` floor candidate.
         self.default_genes = self.encoder.encode(
@@ -117,17 +120,25 @@ class ConfigurationOptimizer:
 
         return fitness_batch
 
-    def optimize(
-        self,
-        read_ratio: float,
-        seed: SeedLike = 0,
-        seed_configs: Optional[Sequence[Configuration]] = None,
-    ) -> OptimizationResult:
+    def optimize(self, read_ratio: float, seed: SeedLike = 0) -> OptimizationResult:
         """Equation 3 via Equation 4: argmax_C fnet(W, C)."""
         if not (0.0 <= read_ratio <= 1.0):
             raise SearchError("read_ratio must be in [0, 1]")
 
-        fitness = self._fitness_batch(read_ratio)
+        score = self._fitness_batch(read_ratio)
+        default_fitness = None
+
+        def fitness(genes_matrix: np.ndarray) -> np.ndarray:
+            # The vendor default rides as the last row of generation 0's
+            # batch: the ensemble is row-stable, so its score is a
+            # one-row call's, bit for bit, without a call of its own.
+            nonlocal default_fitness
+            if default_fitness is not None or not self.seed_default:
+                return score(genes_matrix)
+            scores = score(np.concatenate((genes_matrix, self.default_genes[None, :])))
+            default_fitness = float(scores[-1])
+            return scores[:-1]
+
         ga = GeneticAlgorithm(
             encoder=self.encoder,
             fitness_batch_fn=fitness,
@@ -135,15 +146,11 @@ class ConfigurationOptimizer:
             generations=self.generations,
             bus=self.bus,
         )
-        initial = (
-            [self.encoder.encode(c) for c in seed_configs] if seed_configs else None
-        )
-        result: GAResult = ga.run(seed=seed, initial=initial)
+        result: GAResult = ga.run(seed=seed)
         best_config = result.best_configuration
         best_fitness = result.best_fitness
         evaluations = result.evaluations
-        if self.seed_default:
-            default_fitness = float(fitness(self.default_genes[None, :])[0])
+        if default_fitness is not None:
             evaluations += 1
             if default_fitness > best_fitness:
                 best_config = self.surrogate.space.default_configuration()

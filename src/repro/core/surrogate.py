@@ -105,18 +105,11 @@ class SurrogateModel:
         """Predicted AOPS for a concrete configuration."""
         return float(self.predict_features(self.encode(read_ratio, config)[None, :])[0])
 
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        """The query boundary's one check: fitted, float, 2-D."""
-        if not self.is_fitted:
-            raise TrainingError("surrogate queried before fit()")
-        rows = np.asarray(rows, dtype=float)
-        return rows[None, :] if rows.ndim == 1 else rows
-
     def predict_features(self, rows: np.ndarray) -> np.ndarray:
         """Predict from raw feature rows (the GA's hot path)."""
-        rows = self._rows(rows)
+        rows = self.ensemble._rows(rows)  # the query boundary's one check
         t0 = time.perf_counter()
-        out = self.ensemble.predict(rows)
+        out = self.ensemble._predict_rows(rows, spread=False)
         self.stats.query_wall_seconds += time.perf_counter() - t0
         self.stats.n_queries += rows.shape[0]
         return out
@@ -129,9 +122,9 @@ class SurrogateModel:
         run every member network twice on the same rows.  Returns
         ``(mean, std)``, each ``(n,)``.
         """
-        rows = self._rows(rows)
+        rows = self.ensemble._rows(rows)  # the query boundary's one check
         t0 = time.perf_counter()
-        mean, std = self.ensemble.predict_mean_std(rows)
+        mean, std = self.ensemble._predict_rows(rows, spread=True)
         self.stats.query_wall_seconds += time.perf_counter() - t0
         self.stats.n_queries += rows.shape[0]
         return mean, std

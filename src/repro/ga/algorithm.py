@@ -23,7 +23,8 @@ bit-for-bit yields a bit-identical :class:`GAResult`.
 The population is one ``(P, n_genes)`` matrix from the first draw to the
 last generation, and every row of it lies within the encoder's bounds:
 selection, crossover, mutation, the penalty and the feasibility snap
-all run in array space, and a
+all run in array space — the operators of :mod:`repro.ga.operators`,
+written inline for a whole generation — and a
 :class:`~repro.config.space.Configuration` is built exactly once, for
 the winner.  A generation costs one fitness call: its population plus
 the previous generation's snapped winner (see :meth:`GeneticAlgorithm.run`).
@@ -39,11 +40,6 @@ import numpy as np
 from repro.config.space import Configuration
 from repro.errors import SearchError
 from repro.ga.encoding import ConfigurationEncoder
-from repro.ga.operators import (
-    gaussian_mutation_many,
-    tournament_select_many,
-    weighted_average_crossover_many,
-)
 from repro.runtime.events import EventBus
 from repro.sim.rng import SeedLike, derive_rng
 
@@ -63,6 +59,17 @@ class GAResult:
     evaluations: int
     generations: int
     history: List[float] = field(default_factory=list)  # best-so-far per gen
+
+
+def _check_sizes(population_size: int, generations: int, elites: int = DEFAULT_ELITES) -> None:
+    """The GA's size rules, shared with the optimizers that build GAs
+    per search so they can refuse a bad budget when constructed."""
+    if population_size < 4:
+        raise SearchError("population must be at least 4")
+    if generations < 1:
+        raise SearchError("need at least one generation")
+    if not (0 <= elites < population_size):
+        raise SearchError("elites must fit inside the population")
 
 
 class GeneticAlgorithm:
@@ -103,12 +110,7 @@ class GeneticAlgorithm:
         fitness_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         bus: Optional[EventBus] = None,
     ):
-        if population_size < 4:
-            raise SearchError("population must be at least 4")
-        if generations < 1:
-            raise SearchError("need at least one generation")
-        if not (0 <= elites < population_size):
-            raise SearchError("elites must fit inside the population")
+        _check_sizes(population_size, generations, elites)
         if not (0.0 <= mutation_rate <= 1.0):
             raise SearchError("mutation_rate must be in [0, 1]")
         if not mutation_scale >= 0.0:
@@ -145,19 +147,6 @@ class GeneticAlgorithm:
             return out
         return np.array([float(self.fitness_fn(g)) for g in population])
 
-    def _penalized_many(
-        self, population: np.ndarray, raw: np.ndarray, penalty_scale: float
-    ) -> np.ndarray:
-        """Deb-penalized fitness for the whole population.
-
-        The population is within bounds, so its violation is the
-        integrality gap alone.  Elementwise ``np.where`` matches
-        :func:`penalized_fitness` bit for bit: feasible rows pass through
-        untouched, infeasible rows subtract the same product.
-        """
-        violations = self.encoder._integrality_gap(population)
-        return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
-
     def _publish(self, topic: str, message: str, **payload) -> None:
         if self.bus is not None:
             self.bus.publish(topic, message, **payload)
@@ -183,7 +172,8 @@ class GeneticAlgorithm:
         generation reaching the limit).  Rows scored, RNG draws and
         events are those of scoring every winner at once.
         """
-        lower, upper, n_genes = self.encoder.lower, self.encoder.upper, self.encoder.n_genes
+        encoder = self.encoder
+        lower, upper, n_genes = encoder.lower, encoder.upper, encoder.n_genes
         initial_genes = [np.asarray(genes, dtype=float) for genes in initial or ()]
         for genes in initial_genes:
             if genes.shape != (n_genes,):
@@ -233,23 +223,27 @@ class GeneticAlgorithm:
         winner = None  # the previous generation's, when it rides along
         for generation in range(self.generations + 1):
             if generation:
-                # Variation runs population-at-a-time: every child's
-                # parents, crossover weights and mutation draws come from
-                # one block RNG call each.
-                elite_rows = np.argsort(fitness)[::-1][: self.elites]
-                parents = population[tournament_select_many(fitness, rng, parent_rows)]
-                children = weighted_average_crossover_many(
-                    parents[:n_children], parents[n_children:], rng
-                )
-                children = gaussian_mutation_many(
+                # Variation runs population-at-a-time, one block draw per
+                # kind: both parents of every child (3-way tournaments,
+                # ties to the earliest-drawn contender), the crossover
+                # weights and mutation mask together, the mutation noise.
+                elite_rows = fitness.argsort()[::-1][: self.elites]
+                contenders = rng.integers(self.population_size, size=(2 * n_children, 3))
+                parents = population[contenders[parent_rows, fitness[contenders].argmax(axis=1)]]
+                weights, mutate = rng.random((2, n_children, n_genes))
+                children = weights * parents[:n_children] + (1.0 - weights) * parents[n_children:]
+                noise = rng.standard_normal((n_children, n_genes))
+                children = np.where(
+                    mutate < self.mutation_rate,
+                    children + noise * self.mutation_scale * encoder.span,
                     children,
-                    lower,
-                    upper,
-                    self.encoder.span,
-                    rng,
-                    rate=self.mutation_rate,
-                    scale=self.mutation_scale,
                 )
+                # np.clip without its wrapper.  The two differ only on
+                # a signed zero against a zero bound, and no draw,
+                # crossover or mutation makes a -0.0 gene: only an
+                # ``initial`` seed can bring one in.
+                np.maximum(children, lower, out=children)
+                np.minimum(children, upper, out=children)
                 population = np.concatenate((population[elite_rows], children))
             if winner is None:
                 raw = self._raw_fitness_many(population)
@@ -268,15 +262,19 @@ class GeneticAlgorithm:
                 else:
                     spread = max(np.ptp(raw), abs(np.mean(raw)) * 0.1, 1e-9)
                     penalty_scale = 2.0 * spread
-            fitness = self._penalized_many(population, raw, penalty_scale)
-            winner = self.encoder.snap(population[int(np.argmax(fitness))])
+            # Deb penalty: the population is within bounds, so its
+            # violation is the integrality gap alone; feasible rows pass
+            # through untouched, as in :func:`penalized_fitness`.
+            gap = encoder._integrality_gap(population)
+            fitness = np.where(gap > 0.0, raw - penalty_scale * gap, raw)
+            winner = encoder.snap(population[fitness.argmax()])
             if generation == self.generations or stagnant + 1 >= self.stagnation_limit:
                 raw_winner = float(self._raw_fitness_many(winner[None, :])[0])
                 if book(generation, winner, raw_winner, self.evaluations):
                     break
                 winner = None
 
-        config = self.encoder.decode(best_genes)
+        config = encoder.decode(best_genes)
         self._publish(
             "search.done",
             f"search finished after {generation} generations",

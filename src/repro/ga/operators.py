@@ -1,4 +1,8 @@
-"""GA variation and selection operators."""
+"""GA variation and selection operators, one individual at a time.
+
+:meth:`~repro.ga.algorithm.GeneticAlgorithm.run` applies the same
+per-child semantics to a whole generation inline, from block draws.
+"""
 
 from __future__ import annotations
 
@@ -59,61 +63,3 @@ def tournament_select(
         if fitness[int(idx)] > fitness[best]:
             best = int(idx)
     return best
-
-
-# -- population-at-a-time variants ------------------------------------------
-#
-# The GA's per-generation work is embarrassingly parallel across
-# children, and the per-child python overhead (one rng call + one
-# scan per tournament, one rng call per crossover/mutation) rivals the
-# surrogate queries themselves once fitness goes batched.  These
-# variants draw every child's randomness in one generator call each.
-# They consume the RNG stream in a different (block-wise) order than a
-# loop over the scalar operators, but remain fully deterministic per
-# seed, and per-child semantics are unchanged.
-
-
-def tournament_select_many(
-    fitness: np.ndarray,
-    rng: np.random.Generator,
-    rows: np.ndarray,
-    k: int = 3,
-) -> np.ndarray:
-    """One tournament winner per entry of ``rows``: ``(count,)`` indices.
-
-    ``rows`` is ``np.arange(count)``, which the caller derives once per
-    search.  One call for ``2 * count`` winners draws the same stream as
-    two calls for ``count``, so both parents of every child come from
-    one draw.  Ties go to the earliest-drawn contender, matching the
-    scalar operator's strict-improvement scan.
-    """
-    n = len(fitness)
-    if n == 0:
-        raise ValueError("empty population")
-    contenders = rng.integers(n, size=(len(rows), min(k, n)))
-    return contenders[rows, np.argmax(fitness[contenders], axis=1)]
-
-
-def weighted_average_crossover_many(
-    parents_a: np.ndarray, parents_b: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-gene random-weighted average for a whole block of pairs."""
-    r = rng.random(parents_a.shape)
-    return r * parents_a + (1.0 - r) * parents_b
-
-
-def gaussian_mutation_many(
-    children: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    span: np.ndarray,
-    rng: np.random.Generator,
-    rate: float = 0.2,
-    scale: float = 0.1,
-) -> np.ndarray:
-    """Per-gene gaussian jitter over a ``(count, n_genes)`` block,
-    scaled to each gene's ``span`` (the encoder's precomputed range)."""
-    mask = rng.random(children.shape) < rate
-    noise = rng.standard_normal(children.shape)
-    mutated = np.where(mask, children + noise * scale * span, children)
-    return np.clip(mutated, lower, upper)

@@ -148,11 +148,12 @@ class NetworkEnsemble:
         self._stacked = None
 
     def _stacked_layers(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-layer ``(M, fan_in, fan_out)`` weights and biases of the
-        members, restacked whenever a member array changed.  A wide
-        layer's bias is held ``(M, fan_out, 1)``, a width-1 layer's
-        ``(M, 1, fan_out)``: the shape its pre-activations come out in
-        (see :meth:`_member_mean`).
+        """Per-layer weights and biases of the members, restacked
+        whenever a member array changed.  A wide layer's are held
+        ``(M, fan_out, fan_in)`` and ``(M, fan_out, 1)``, a width-1
+        layer's ``(M, fan_in, fan_out)`` and ``(M, 1, fan_out)``: the
+        layouts its contraction reads and its pre-activations come out
+        in (see :meth:`_member_mean`).
 
         Callers *rebind* member arrays (``set_weights``, a loaded
         ``networks`` list, ``net.weights[0] = ...``), so the stack is
@@ -173,37 +174,44 @@ class NetworkEnsemble:
             raise TrainingError(
                 "ensemble members must share one single-output topology"
             )
-        n_layers = len(sizes) - 1
-        weights = [
-            np.stack([net.weights[i] for net in self.networks])
-            for i in range(n_layers)
-        ]
-        biases = []
-        for i in range(n_layers):
+        weights, biases = [], []
+        for i in range(len(sizes) - 1):
+            w = np.stack([net.weights[i] for net in self.networks])
             b = np.stack([net.biases[i] for net in self.networks])
             wide = sizes[i] > 1 and sizes[i + 1] > 1
+            weights.append(np.ascontiguousarray(w.transpose(0, 2, 1)) if wide else w)
             biases.append(np.ascontiguousarray(b[:, :, None]) if wide else b[:, None, :])
         self._stacked = (sources, weights, biases)
         return weights, biases
 
-    def _member_mean(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Every member's forward pass and their mean, standardized units.
+    def _member_mean(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every member's forward pass and their mean, in standardized
+        target units, from checked raw rows ``(n, d)`` (see :meth:`_rows`).
 
-        The members share one topology, so each layer is one ``einsum``
-        over the whole ensemble: ``(n, d) -> (M, n)``.  ``einsum`` (not
-        BLAS ``@``) keeps every output row bit-identical whether it is
-        evaluated alone or inside a batch, and row ``m`` bit-identical
-        to ``networks[m].forward_rows(xs)``.
+        The features are standardized with
+        :meth:`StandardScaler.transform`'s elementwise ops,
+        ``(x - mean) / scale``, written straight into the layout layer 0
+        reads.  The members share one topology, so each layer is one
+        ``einsum`` over the whole ensemble: ``(n, d) -> (M, n)``.
+        ``einsum`` (not BLAS ``@``) keeps every output row bit-identical
+        whether it is evaluated alone or inside a batch, and row ``m``
+        bit-identical to ``networks[m].forward_rows`` on the standardized
+        rows.
 
         A wide layer (``fan_in > 1 and fan_out > 1``) runs rows-innermost:
-        activations are held ``(M, width, n)`` and the contraction's inner
-        loop walks the row axis instead of a fan axis 4-14 long.  Either
-        layout is the same multiply-add per output element, sequential
-        in ``j``, so the bits do not move.  A width-1 layer reduces
-        through a dot kernel whose accumulation order follows its
-        operands' strides, so it keeps the ``(M, n, fan_in)`` C layout
-        ``forward_rows`` gives it.  ``tanh(order="C")`` writes each
-        activation in the layout the next layer reads.
+        activations are held ``(M, width, n)`` (layer 0's input
+        ``(d, n)``), weights ``(M, fan_out, fan_in)``, and the
+        contraction's inner loop walks the row axis instead of a fan axis
+        4-14 long.  That is the same multiply-add per output element as
+        ``forward_rows``, sequential in ``j``, so the bits do not move —
+        while there is a row axis to walk: with one row, ``einsum`` dots
+        along the contiguous ``fan_in`` axis in another order.  A
+        one-row query is therefore scored as two copies of its row.  A
+        width-1 layer reduces through a dot kernel whose accumulation
+        order follows its operands' strides, so it keeps the
+        ``(M, n, fan_in)`` C layout ``forward_rows`` gives it.
+        ``tanh(order="C")`` writes each activation in the layout the next
+        layer reads.
 
         The mean accumulates the members sequentially with elementwise
         ops: unlike an ``np.mean`` axis reduction (whose unrolled base
@@ -211,51 +219,67 @@ class NetworkEnsemble:
         row-stable too.
         """
         weights, biases = self._stacked_layers()
-        a, rows_inner = xs, False
+        mean, scale = self.x_scaler.mean_, self.x_scaler.scale_
+        n = len(x)
+        if n == 1:  # keep a row axis for the wide layers to walk
+            x = np.concatenate((x, x))
+        rows_inner = False
         for layer, (w, b) in enumerate(zip(weights, biases)):
             wide = w.shape[1] > 1 and w.shape[2] > 1
             if layer:
                 a = np.tanh(a if wide == rows_inner else a.transpose(0, 2, 1), order="C")
             elif wide:
-                a = np.ascontiguousarray(a.T)
+                a = np.subtract(x.T, mean[:, None], out=np.empty(x.shape[::-1]))
+                a /= scale[:, None]
+            else:
+                a = (x - mean) / scale
             if wide:
-                a = np.einsum("mjk,mji->mki" if layer else "mjk,ji->mki", w, a)
+                a = np.einsum("mkj,mji->mki" if layer else "mkj,ji->mki", w, a)
             else:
                 a = np.einsum("mij,mjk->mik" if layer else "ij,mjk->mik", a, w)
             a += b
             rows_inner = wide
-        forwards = a[:, :, 0]  # the output layer is width-1
+        forwards = a[:, :n, 0]  # the output layer is width-1
         total = forwards[0].copy()
         for f in forwards[1:]:
             total += f
         return forwards, total / len(forwards)
 
-    def _mean_std_scaled(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Member mean and spread in *standardized* target units."""
-        forwards, mean = self._member_mean(xs)
-        sq = np.zeros_like(mean)
-        for f in forwards:
-            sq += (f - mean) ** 2
-        std = np.sqrt(sq / len(forwards))
-        return mean, std
-
-    def _scaled_rows(self, x: np.ndarray) -> np.ndarray:
-        """Query rows, checked once and standardized: ``(n, d)``."""
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """Query rows, checked once: fitted, float, ``(n, d)``."""
         if not self.is_fitted:
             raise TrainingError("ensemble used before fit()")
         x = np.asarray(x, dtype=float)
-        return self.x_scaler.transform(x[None, :] if x.ndim == 1 else x)
+        return x[None, :] if x.ndim == 1 else x
+
+    def _predict_rows(self, x: np.ndarray, spread: bool):
+        """The one predict path, on rows :meth:`_rows` has checked: the
+        member mean in original target units (AOPS) — with ``spread``,
+        ``(mean, std)``, both from one walk over the members.  The
+        public predicts and the surrogate's queries all run it.
+
+        The mean is mapped back with
+        :meth:`StandardScaler.inverse_transform`'s elementwise ops,
+        ``mean * scale + mean_``.
+        """
+        forwards, mean = self._member_mean(x)
+        y_scale = self.y_scaler.scale_[0]
+        out = mean * y_scale + self.y_scaler.mean_[0]
+        if not spread:
+            return out
+        sq = np.zeros_like(mean)
+        for f in forwards:
+            sq += (f - mean) ** 2
+        return out, np.sqrt(sq / len(forwards)) * y_scale
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Ensemble-mean prediction in original target units (AOPS)."""
-        _, mean = self._member_mean(self._scaled_rows(x))
-        out = self.y_scaler.inverse_transform(mean)
+        out = self._predict_rows(self._rows(x), spread=False)
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_std(self, x: np.ndarray) -> np.ndarray:
         """Across-member prediction spread (a cheap uncertainty proxy)."""
-        _, std = self._mean_std_scaled(self._scaled_rows(x))
-        return std * self.y_scaler.scale_[0]
+        return self._predict_rows(self._rows(x), spread=True)[1]
 
     def predict_mean_std(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Mean and spread from a single walk over the member networks.
@@ -265,8 +289,4 @@ class NetworkEnsemble:
         this returns ``(mean, std)`` — both ``(n,)``, original target
         units — from one set of forward passes.
         """
-        mean, std = self._mean_std_scaled(self._scaled_rows(x))
-        return (
-            self.y_scaler.inverse_transform(mean),
-            std * self.y_scaler.scale_[0],
-        )
+        return self._predict_rows(self._rows(x), spread=True)

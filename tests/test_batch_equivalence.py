@@ -507,34 +507,84 @@ class TestOptimizerBatchEquivalence:
     @pytest.mark.parametrize("penalty", [0.0, 0.5])
     def test_batched_and_scalar_paths_identical(self, surrogate, penalty):
         """``optimize`` against a GA run on the per-row oracle plus the
-        vendor-default floor scored through it."""
-        optimizer = ConfigurationOptimizer(
-            surrogate, population_size=16, generations=10, uncertainty_penalty=penalty
-        )
-        fast = optimizer.optimize(0.6, seed=9)
+        vendor-default floor scored through it: once where evolution
+        wins, once (a 6 x 2 budget) where the floor does."""
+        for population, generations, seed, floor_wins in ((16, 10, 9, False), (6, 2, 6, True)):
+            optimizer = ConfigurationOptimizer(
+                surrogate,
+                population_size=population,
+                generations=generations,
+                uncertainty_penalty=penalty,
+            )
+            fast = optimizer.optimize(0.6, seed=seed)
 
-        fitness = scalar_fitness(optimizer, 0.6)
-        ref = GeneticAlgorithm(
-            optimizer.encoder, fitness_fn=fitness, population_size=16, generations=10
-        ).run(seed=9)
-        default_fitness = fitness(optimizer.default_genes)
-        if default_fitness > ref.best_fitness:
-            want = (SPACE.default_configuration(), default_fitness)
-        else:
-            want = (ref.best_configuration, ref.best_fitness)
+            fitness = scalar_fitness(optimizer, 0.6)
+            ref = GeneticAlgorithm(
+                optimizer.encoder,
+                fitness_fn=fitness,
+                population_size=population,
+                generations=generations,
+            ).run(seed=seed)
+            default_fitness = fitness(optimizer.default_genes)
+            assert (default_fitness > ref.best_fitness) is floor_wins
+            if floor_wins:
+                want = (SPACE.default_configuration(), default_fitness)
+            else:
+                want = (ref.best_configuration, ref.best_fitness)
 
-        assert (fast.configuration, fast.predicted_throughput) == want  # bitwise
-        assert fast.evaluations == ref.evaluations + 1
-        assert fast.history == ref.history
+            assert (fast.configuration, fast.predicted_throughput) == want  # bitwise
+            assert fast.evaluations == ref.evaluations + 1
+            assert fast.history == ref.history
 
     @pytest.mark.parametrize("penalty", [0.0, 0.5])
-    def test_default_floor_scored_as_a_one_row_matrix(self, surrogate, penalty):
+    def test_riding_floor_is_one_row_score(self, surrogate, penalty):
+        """The vendor default rides as the last row of generation 0's
+        batch; it must score what a one-row call of its own, and the
+        per-row oracle, give it."""
         optimizer = ConfigurationOptimizer(surrogate, uncertainty_penalty=penalty)
         default = optimizer.default_genes
+        population = np.random.default_rng(3).uniform(
+            optimizer.encoder.lower, optimizer.encoder.upper, size=(48, len(default))
+        )
+        batch = np.concatenate((population, default[None, :]))
         for rr in np.linspace(0.0, 1.0, 101):
             got = optimizer._fitness_batch(rr)(default[None, :])
             assert got.shape == (1,)
             assert float(got[0]) == scalar_fitness(optimizer, rr)(default)
+            assert optimizer._fitness_batch(rr)(batch)[-1] == got[0]
+
+    @pytest.mark.parametrize(
+        "penalty,method", [(0.0, "predict_features"), (0.5, "predict_mean_std")]
+    )
+    def test_call_inventory_of_a_full_search(self, surrogate, monkeypatch, penalty, method):
+        """A 48 x 16 search that runs every generation makes G + 2 = 18
+        surrogate calls and scores 834 rows: generation 0 with the
+        default floor riding last, 16 generations each with the previous
+        winner riding last, and the last winner alone."""
+        optimizer = ConfigurationOptimizer(
+            surrogate, population_size=48, generations=16, uncertainty_penalty=penalty
+        )
+        calls = []
+
+        def recorder(inner):
+            def wrapper(rows):
+                calls.append((inner.__name__, rows.copy()))
+                return inner(rows)
+
+            return wrapper
+
+        for name in ("predict_features", "predict_mean_std"):
+            monkeypatch.setattr(surrogate, name, recorder(getattr(surrogate, name)))
+        before = surrogate.stats.n_queries
+        result = optimizer.optimize(0.3, seed=5)
+
+        assert len(result.history) == 17  # no early stop
+        assert [name for name, _ in calls] == [method] * 18
+        assert [len(rows) for _, rows in calls] == [49] * 17 + [1]
+        assert result.evaluations == sum(len(rows) for _, rows in calls) == 834
+        floor_row = optimizer.encoder.features_batch(optimizer.default_genes[None, :], 0.3)
+        assert calls[0][1][-1].tobytes() == floor_row[0].tobytes()
+        assert surrogate.stats.n_queries == before + 834
 
     def test_uncertainty_penalty_single_ensemble_walk(self, surrogate):
         """The penalized fitness must not re-run the ensemble for the

@@ -70,11 +70,14 @@ class TestConfigurationOptimizer:
         with pytest.raises(SearchError):
             ConfigurationOptimizer(surrogate, uncertainty_penalty=-0.1)
 
-    def test_seed_configs_accepted(self, surrogate):
-        space = surrogate.space
-        seeds = [space.default_configuration()]
-        result = ConfigurationOptimizer(surrogate).optimize(0.5, seed=1, seed_configs=seeds)
-        assert result.predicted_throughput > 0
+    @pytest.mark.parametrize("population,generations", [(2, 0), (3, 70), (48, 0)])
+    def test_ga_sizes_checked_at_construction(self, surrogate, population, generations):
+        """A budget the GA would refuse is refused when the optimizer is
+        built, not at its first search inside a live window."""
+        with pytest.raises(SearchError):
+            ConfigurationOptimizer(
+                surrogate, population_size=population, generations=generations
+            )
 
 
 class TestGreedySearch:
