@@ -9,6 +9,8 @@ the untouched tree (they must pass), then applies each row to a
 temporary copy of ``src/`` — every ``find`` must occur exactly once, so
 a row that has drifted from the code fails loudly instead of mutating
 nothing — and runs the named test against the copy, which must fail.
+Hypothesis runs without its shrink phase (the ``no-shrink`` profile in
+``tests/conftest.py``): a trap needs the failure, not the smallest one.
 
 Run from the repo root (~2 min)::
 
@@ -37,6 +39,7 @@ EQUIVALENCE = "tests/test_batch_equivalence.py"
 REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
 ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
+STATE_MACHINE = "tests/test_lsm_state_machine.py::TestEngineMatchesDict"
 BACKGROUND = "repro/lsm/background.py"
 BACKGROUND_TESTS = "tests/test_lsm_background.py"
 ENTRY_POINTS = "tests/test_entry_points.py"
@@ -252,6 +255,32 @@ TRAPS = [
         ],
         "tests/test_batch_opstream.py::TestProbePlanTraps"
         "::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    # -- the engine against a dict: rows no other test catches
+    (
+        "scan: a flushed tombstone skipped, so the older row it shadows comes back",
+        ENGINE,
+        [
+            (
+                "            for rec in table.records_in_range(start_key, end_key):\n",
+                "            for rec in table.records_in_range(start_key, end_key):\n"
+                "                if rec.is_tombstone:\n"
+                "                    continue\n",
+            )
+        ],
+        STATE_MACHINE,
+    ),
+    (
+        "scan: the memtable's tombstones dropped, so a delete over a flushed row is lost",
+        "repro/lsm/memtable.py",
+        [
+            (
+                "            if start_key <= key <= end_key:\n",
+                "            if start_key <= key <= end_key"
+                " and not self._rows[key].is_tombstone:\n",
+            )
+        ],
+        STATE_MACHINE,
     ),
     # -- the background model both substrates share, against test-side
     # -- oracles that do not import it
@@ -495,7 +524,10 @@ TRAPS = [
 def run_tests(src: Path, test_ids) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *test_ids],
+        [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-profile=no-shrink", *test_ids,
+        ],
         cwd=REPO,
         env=env,
         capture_output=True,

@@ -45,7 +45,7 @@ _HOMES = {
         "TransientError",
     ),
     "repro.faults": (
-        "ActuationFault", "CrashPoint", "FaultInjector", "FaultPlan", "StaleRecovery",
+        "ActuationFault", "FaultInjector", "FaultPlan", "StaleRecovery",
     ),
     "repro.bench": (
         "BenchmarkResult", "DataCollectionCampaign", "PerformanceDataset",
@@ -122,7 +122,6 @@ __all__ = [
     # fault injection
     "FaultPlan",
     "FaultInjector",
-    "CrashPoint",
     "ActuationFault",
     "StaleRecovery",
     # decision policies

@@ -51,9 +51,8 @@ class PersistenceError(ReproError):
     """An on-disk artifact is missing, truncated, or corrupt.
 
     Raised by every loader of external state (surrogate files, dataset
-    artifacts, manifests, SSTable scrubs)
-    so callers never see raw ``JSONDecodeError``/``KeyError`` from a
-    torn or bit-flipped file.
+    artifacts, manifests) so callers never see raw
+    ``JSONDecodeError``/``KeyError`` from a torn or bit-flipped file.
     """
 
 

@@ -13,7 +13,6 @@ pipeline is bit-identical to a fault-free build.
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ActuationFault,
-    CrashPoint,
     DiskSlowdown,
     FaultPlan,
     NodeCrash,
@@ -23,7 +22,6 @@ from repro.faults.plan import (
 
 __all__ = [
     "ActuationFault",
-    "CrashPoint",
     "DiskSlowdown",
     "FaultInjector",
     "FaultPlan",

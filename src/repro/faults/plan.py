@@ -2,12 +2,12 @@
 
 A :class:`FaultPlan` is *data*: a frozen schedule of node crashes and
 recoveries, disk slowdowns, silent push failures, stale rejoins and
-transient control-plane failures, addressed by controller window index
-(or, for engine crash points, by operation index).  Plans are either
-written by hand (canned scenarios, CI smoke jobs) or drawn from a seed with
-:meth:`FaultPlan.generate`; either way the same plan replayed against
-the same seeded system produces the identical event sequence, which is
-what makes fault runs auditable and regressions bisectable.
+transient control-plane failures, addressed by controller window index.
+Plans are either written by hand (canned scenarios, CI smoke jobs) or
+drawn from a seed with :meth:`FaultPlan.generate`; either way the same
+plan replayed against the same seeded system produces the identical
+event sequence, which is what makes fault runs auditable and
+regressions bisectable.
 
 The plan never *acts* — applying it to a live cluster/controller is the
 :class:`~repro.faults.injector.FaultInjector`'s job.
@@ -16,7 +16,7 @@ The plan never *acts* — applying it to a live cluster/controller is the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from repro.errors import FaultError
@@ -126,24 +126,15 @@ class StaleRecovery:
             raise FaultError(f"recovery must come after the crash: {self}")
 
 
-@dataclass(frozen=True)
-class CrashPoint:
-    """A process kill striking an LSM engine after ``op`` operations.
-
-    The crash drops all volatile engine state (memtable, caches,
-    in-flight background work); durable state (commitlog, SSTables)
-    survives and :meth:`~repro.lsm.engine.LSMEngine.recover` rebuilds
-    from it.  Addressed by zero-based operation index: the crash strikes
-    *before* the op at ``op`` executes.  Crash points are authored (or
-    drawn by tests), not produced by :meth:`FaultPlan.generate` — they
-    target the storage engine, not the online loop.
-    """
-
-    op: int
-
-    def validate(self) -> None:
-        if self.op < 0:
-            raise FaultError(f"crash point op index must be >= 0, got {self.op}")
+#: Every schedule field of a :class:`FaultPlan`, with its entry type, in
+#: serialization order.
+_ENTRY_TYPES = {
+    "node_crashes": NodeCrash,
+    "disk_slowdowns": DiskSlowdown,
+    "transient_faults": TransientFault,
+    "actuation_faults": ActuationFault,
+    "stale_recoveries": StaleRecovery,
+}
 
 
 @dataclass(frozen=True)
@@ -153,37 +144,21 @@ class FaultPlan:
     node_crashes: Tuple[NodeCrash, ...] = ()
     disk_slowdowns: Tuple[DiskSlowdown, ...] = ()
     transient_faults: Tuple[TransientFault, ...] = ()
-    crash_points: Tuple[CrashPoint, ...] = field(default_factory=tuple)
-    actuation_faults: Tuple[ActuationFault, ...] = field(default_factory=tuple)
-    stale_recoveries: Tuple[StaleRecovery, ...] = field(default_factory=tuple)
+    actuation_faults: Tuple[ActuationFault, ...] = ()
+    stale_recoveries: Tuple[StaleRecovery, ...] = ()
 
     def __post_init__(self):
         # Tolerate lists in hand-written plans.
-        object.__setattr__(self, "node_crashes", tuple(self.node_crashes))
-        object.__setattr__(self, "disk_slowdowns", tuple(self.disk_slowdowns))
-        object.__setattr__(self, "transient_faults", tuple(self.transient_faults))
-        object.__setattr__(self, "crash_points", tuple(self.crash_points))
-        object.__setattr__(self, "actuation_faults", tuple(self.actuation_faults))
-        object.__setattr__(self, "stale_recoveries", tuple(self.stale_recoveries))
+        for name in _ENTRY_TYPES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def validate(self, n_nodes: Optional[int] = None) -> None:
         """Check schedule sanity; with ``n_nodes``, also node ranges."""
-        for item in (
-            *self.node_crashes,
-            *self.disk_slowdowns,
-            *self.transient_faults,
-            *self.crash_points,
-            *self.actuation_faults,
-            *self.stale_recoveries,
-        ):
-            item.validate()
+        for name in _ENTRY_TYPES:
+            for item in getattr(self, name):
+                item.validate()
         if n_nodes is not None:
-            for item in (
-                *self.node_crashes,
-                *self.disk_slowdowns,
-                *self.actuation_faults,
-                *self.stale_recoveries,
-            ):
+            for item in self._node_faults():
                 if item.node >= n_nodes:
                     raise FaultError(
                         f"fault targets node {item.node} but the cluster has "
@@ -192,28 +167,20 @@ class FaultPlan:
 
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.node_crashes
-            or self.disk_slowdowns
-            or self.transient_faults
-            or self.crash_points
-            or self.actuation_faults
-            or self.stale_recoveries
-        )
+        return not any(getattr(self, name) for name in _ENTRY_TYPES)
 
     @property
     def max_node(self) -> int:
         """Highest node index any fault touches (-1 if none)."""
-        nodes = [
-            f.node
-            for f in (
-                *self.node_crashes,
-                *self.disk_slowdowns,
-                *self.actuation_faults,
-                *self.stale_recoveries,
-            )
-        ]
-        return max(nodes) if nodes else -1
+        return max((f.node for f in self._node_faults()), default=-1)
+
+    def _node_faults(self) -> tuple:
+        return (
+            *self.node_crashes,
+            *self.disk_slowdowns,
+            *self.actuation_faults,
+            *self.stale_recoveries,
+        )
 
     # -- generation ----------------------------------------------------------
 
@@ -330,12 +297,8 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         return {
-            "node_crashes": [asdict(c) for c in self.node_crashes],
-            "disk_slowdowns": [asdict(s) for s in self.disk_slowdowns],
-            "transient_faults": [asdict(t) for t in self.transient_faults],
-            "crash_points": [asdict(p) for p in self.crash_points],
-            "actuation_faults": [asdict(a) for a in self.actuation_faults],
-            "stale_recoveries": [asdict(s) for s in self.stale_recoveries],
+            name: [asdict(entry) for entry in getattr(self, name)]
+            for name in _ENTRY_TYPES
         }
 
     def to_json(self) -> str:
@@ -343,26 +306,20 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
+        if not isinstance(payload, dict):
+            raise FaultError(
+                f"fault plan must be an object, got {type(payload).__name__}"
+            )
+        unknown = sorted(set(payload) - set(_ENTRY_TYPES))
+        if unknown:
+            raise FaultError(f"unknown fault plan keys: {unknown}")
         try:
             return cls(
-                node_crashes=tuple(
-                    NodeCrash(**c) for c in payload.get("node_crashes", [])
-                ),
-                disk_slowdowns=tuple(
-                    DiskSlowdown(**s) for s in payload.get("disk_slowdowns", [])
-                ),
-                transient_faults=tuple(
-                    TransientFault(**t) for t in payload.get("transient_faults", [])
-                ),
-                crash_points=tuple(
-                    CrashPoint(**p) for p in payload.get("crash_points", [])
-                ),
-                actuation_faults=tuple(
-                    ActuationFault(**a) for a in payload.get("actuation_faults", [])
-                ),
-                stale_recoveries=tuple(
-                    StaleRecovery(**s) for s in payload.get("stale_recoveries", [])
-                ),
+                **{
+                    name: tuple(kind(**entry) for entry in payload[name])
+                    for name, kind in _ENTRY_TYPES.items()
+                    if name in payload
+                }
             )
         except TypeError as exc:
             raise FaultError(f"malformed fault plan: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Commit log: sequential durability log for unflushed writes.
+"""Commit log: the sequential write-ahead cost of every write.
 
 Every write is appended here before it is acknowledged (paper §2.2.1,
 Figure 2).  Appends are sequential disk I/O; ``commitlog_sync_period_in_ms``
@@ -6,19 +6,14 @@ controls how often the log fsyncs in periodic mode (each sync adds a
 fixed overhead), and segments of ``commitlog_segment_size_in_mb`` are
 recycled once the corresponding memtables flush.
 
-The log also *retains* the records appended since the last flush, which
-is the whole point of its existence: after a simulated process kill the
-engine's recovery path (:meth:`~repro.lsm.engine.LSMEngine.recover`)
-replays them into a fresh memtable — Cassandra's
-commitlog-replay-on-restart.  A kill models ``SIGKILL`` (the OS page
-cache survives), so every appended record is replayable regardless of
-where the periodic-sync clock stood; power-loss semantics are out of
-scope.
+The log models cost only: it counts bytes, segments and sync barriers
+and keeps no records, because the engine models steady-state
+throughput, not restarts.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.lsm.record import Record
 
@@ -38,12 +33,6 @@ class CommitLog:
         self.sync_period_s = float(sync_period_s)
         self._active_segment_bytes = 0
         self._sealed_segments: List[int] = []
-        # Records appended since the last memtable flush: exactly the
-        # set a restart must replay.  Flushing drains the *entire*
-        # memtable, so every earlier append is durable in an SSTable by
-        # the time discard_flushed() runs, and the retained window never
-        # outgrows one flush interval.
-        self._unflushed_records: List[Record] = []
         self.total_bytes_written = 0
         self.total_syncs = 0
         # The sync clock starts at the first append, not at an implicit
@@ -60,14 +49,6 @@ class CommitLog:
     def sealed_segment_count(self) -> int:
         return len(self._sealed_segments)
 
-    @property
-    def unflushed_record_count(self) -> int:
-        return len(self._unflushed_records)
-
-    @property
-    def unflushed_bytes(self) -> int:
-        return sum(r.size_bytes for r in self._unflushed_records)
-
     def append(self, record: Record, now: float) -> float:
         """Append a record; returns *extra* disk seconds beyond the
         streaming byte cost (i.e., any sync barrier crossed).
@@ -78,12 +59,10 @@ class CommitLog:
         nbytes = record.size_bytes
         self._active_segment_bytes += nbytes
         self.total_bytes_written += nbytes
-        self._unflushed_records.append(record)
         extra = 0.0
         # ``>=`` on purpose: a record that lands exactly on the segment
         # boundary belongs to the segment it filled, and the next append
-        # starts a fresh one at 0 bytes (possibly left empty forever —
-        # replay tolerates that).
+        # starts a fresh one at 0 bytes.
         if self._active_segment_bytes >= self.segment_size_bytes:
             self._sealed_segments.append(self._active_segment_bytes)
             self._active_segment_bytes = 0
@@ -97,28 +76,10 @@ class CommitLog:
             extra += SYNC_OVERHEAD_SECONDS
         return extra
 
-    def replay(self) -> Iterator[Record]:
-        """Records a restart must re-apply, in original append order.
-
-        Yields everything appended since the last flush — sealed-but-
-        undiscarded segments and the active segment alike; an empty
-        active segment (crash right after a roll or a flush) simply
-        contributes nothing.  Replaying records whose newer versions
-        already reached an SSTable is harmless: last-write-wins
-        resolution picks the durable version back.
-        """
-        return iter(list(self._unflushed_records))
-
     def discard_flushed(self) -> int:
-        """Recycle sealed segments after a memtable flush; returns bytes.
-
-        Also drops the retained replay window: a flush drains the whole
-        memtable, so every record appended before this call is now
-        durable in an SSTable and never needs replaying.
-        """
+        """Recycle sealed segments after a memtable flush; returns bytes."""
         freed = sum(self._sealed_segments)
         self._sealed_segments.clear()
-        self._unflushed_records.clear()
         return freed
 
     def __repr__(self) -> str:

@@ -18,7 +18,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.errors import DatastoreError, PersistenceError
+from repro.errors import DatastoreError
 from repro.lsm.background import BackgroundTerms, compaction_rate
 from repro.lsm.bloom import hash_key, hash_keys
 from repro.lsm.commitlog import CommitLog
@@ -114,18 +114,6 @@ class _ProbePlan:
         self.epoch = -1  # no layout has this epoch: the first read plans
 
 
-@dataclass
-class RecoveryReport:
-    """What one commitlog-replay restart did, and what it cost."""
-
-    replayed_records: int = 0
-    replayed_bytes: int = 0
-    scrubbed_tables: int = 0
-    scrubbed_bytes: int = 0
-    recovery_seconds: float = 0.0
-    flushed_after_replay: bool = False
-
-
 class LSMEngine:
     """Log-structured merge engine over simulated hardware.
 
@@ -147,13 +135,11 @@ class LSMEngine:
         hardware: HardwareSpec = DEFAULT_SERVER,
         clock: Optional[SimClock] = None,
         costs: CostConstants = DEFAULT_COSTS,
-        events=None,
     ):
         self.knobs = knobs
         self.hardware = hardware
         self.clock = clock if clock is not None else SimClock()
         self.costs = costs
-        self.events = events  # optional EventBus for recovery.* topics
         self.stats = EngineStats()
         self.disk = DiskModel(hardware)
 
@@ -610,105 +596,6 @@ class LSMEngine:
             self._propose_compactions()
         if knobs.memtable_space_bytes != old.memtable_space_bytes:
             self.memtable.capacity_bytes = knobs.memtable_space_bytes
-
-    # ------------------------------------------------------------------ crash/recovery
-
-    def crash(self) -> None:
-        """Simulate a process kill: every volatile structure vanishes.
-
-        The memtable, flush queue, in-flight compactions, and file cache
-        are process memory and are lost; the commitlog and the SSTable
-        layout are on disk and survive (the kill models ``SIGKILL`` — the
-        OS page cache persists, so the full commitlog tail is intact).
-        The simulated clock keeps running: wall time does not reset when
-        a server dies.  Call :meth:`recover` to rebuild.
-        """
-        self.memtable = Memtable(capacity_bytes=self.knobs.memtable_space_bytes)
-        self._pending_compactions.clear()
-        self._busy_table_ids.clear()
-        self._flush_queue_bytes = 0.0
-        self.cache = LruFileCache(capacity_bytes=self.knobs.file_cache_bytes)
-        self._write_seq = 0
-        if self.events is not None:
-            self.events.publish(
-                "fault.injected",
-                f"engine crash at t={self.clock.now:.3f}s",
-                kind="engine-crash",
-                t=self.clock.now,
-            )
-
-    def recover(self, scrub: bool = True) -> RecoveryReport:
-        """Restart after :meth:`crash`: scrub SSTables, replay the commitlog.
-
-        Mirrors Cassandra's startup sequence: verify on-disk tables
-        against their content checksums (corruption is *detected here*,
-        raising :class:`~repro.errors.PersistenceError`, instead of
-        surfacing as wrong answers on some later read), then re-apply
-        every unflushed commitlog record to a fresh memtable.  Replayed
-        records carry their original timestamps, so re-applying writes
-        whose newer versions already reached an SSTable is resolved by
-        last-write-wins exactly as on the pre-crash read path.
-
-        The rebuilt engine serves every acknowledged write; only the
-        clock differs from an uninterrupted run, by the replay/scrub
-        cost this method charges.
-        """
-        report = RecoveryReport()
-        if scrub:
-            corrupt = []
-            for table in self.layout.all_tables():
-                report.scrubbed_tables += 1
-                report.scrubbed_bytes += table.size_bytes
-                if not table.verify():
-                    corrupt.append(table.table_id)
-            if corrupt:
-                if self.events is not None:
-                    self.events.publish(
-                        "recovery.corrupt_artifact",
-                        f"sstable checksum scrub failed for tables {corrupt}",
-                        tables=corrupt,
-                    )
-                raise PersistenceError(
-                    f"sstable scrub: checksum mismatch in tables {corrupt}"
-                )
-
-        for record in self.commitlog.replay():
-            self.memtable.put(record)
-            report.replayed_records += 1
-            report.replayed_bytes += record.size_bytes
-
-        # Replay + scrub are sequential streaming reads, with nothing in
-        # the background: the crash emptied the flush queue and compactions.
-        read_bytes = report.replayed_bytes + report.scrubbed_bytes
-        self.disk.stats.seq_bytes_read += read_bytes
-        dt = read_bytes / self._charge_terms().seq_bandwidth
-        report.recovery_seconds = dt
-        if dt > 0:
-            self.stats.busy_seconds += dt
-            self.clock.advance(dt)
-
-        # Cassandra flushes replayed mutations that already exceed the
-        # threshold, then resumes normal compaction scheduling.
-        if self.memtable.should_flush(self.knobs.memtable_cleanup_threshold):
-            self._flush_memtable()
-            report.flushed_after_replay = True
-        self._propose_compactions()
-
-        if self.events is not None:
-            self.events.publish(
-                "recovery.journal_replayed",
-                f"replayed {report.replayed_records} commitlog records "
-                f"({report.replayed_bytes}B), scrubbed {report.scrubbed_tables} tables",
-                records=report.replayed_records,
-                bytes=report.replayed_bytes,
-                tables=report.scrubbed_tables,
-                seconds=report.recovery_seconds,
-            )
-        return report
-
-    def scrub(self) -> List[int]:
-        """Checksum-verify every SSTable; returns corrupt table ids."""
-        return [t.table_id for t in self.layout.all_tables() if not t.verify()]
 
     # -- introspection ---------------------------------------------------------
 

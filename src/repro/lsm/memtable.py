@@ -38,7 +38,7 @@ class Memtable:
         existing = self._rows.get(record.key)
         if existing is not None:
             if not record.supersedes(existing):
-                return  # stale write, e.g. replayed out of order
+                return  # stale write, e.g. an older coordinator timestamp
             self._bytes -= existing.size_bytes
         self._rows[record.key] = record
         self._bytes += record.size_bytes

@@ -8,8 +8,6 @@ merges several into new ones and discards the inputs (paper §2.2.1).
 from __future__ import annotations
 
 import bisect
-import struct
-import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,28 +18,6 @@ from repro.lsm.record import Record
 #: Logical block size used for cache accounting (Cassandra reads 64k
 #: buffered chunks through its file cache).
 BLOCK_BYTES = 64 * 1024
-
-
-def checksum_records(records: Sequence[Record]) -> int:
-    """CRC32 over a record run's full content (keys, timestamps, values).
-
-    The analogue of Cassandra's per-SSTable digest file: computed when a
-    table is built, recomputed by a recovery scrub to detect at-rest
-    corruption before a read can return damaged data.  Timestamps are
-    hashed as raw IEEE-754 bytes so the checksum is exact, not
-    repr-dependent.
-    """
-    crc = 0
-    crc32, pack = zlib.crc32, struct.Struct("<d").pack
-    for rec in records:
-        # CRC-32 streams (crc32(a + b) == crc32(b, crc32(a))): the small
-        # fields go in as one buffer, the value as it is, uncopied.
-        head = rec.key.encode("utf-8") + pack(rec.timestamp)
-        if rec.value is None:
-            crc = crc32(head + b"\x01", crc)  # tombstone marker
-        else:
-            crc = crc32(rec.value, crc32(head + b"\x00", crc))
-    return crc & 0xFFFFFFFF
 
 
 class SSTable:
@@ -60,7 +36,6 @@ class SSTable:
         "bloom",
         "size_bytes",
         "created_at",
-        "checksum",
     )
 
     def __init__(
@@ -84,7 +59,6 @@ class SSTable:
         self.bloom = BloomFilter.from_keys(keys, fp_chance)
         self.size_bytes = sum(r.size_bytes for r in records)
         self.created_at = created_at
-        self.checksum = checksum_records(self._records)
 
     # -- pickling --------------------------------------------------------------
 
@@ -129,10 +103,6 @@ class SSTable:
         return self.min_key <= max_key and min_key <= self.max_key
 
     # -- reads ---------------------------------------------------------------
-
-    def verify(self) -> bool:
-        """Recompute the content checksum (a recovery scrub's read pass)."""
-        return checksum_records(self._records) == self.checksum
 
     def might_contain(self, key: str, hashed=None) -> bool:
         """Bloom-filter membership test (false positives possible).

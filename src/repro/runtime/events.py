@@ -6,11 +6,8 @@ The :class:`EventBus` is the one progress channel: producers publish
 consumers subscribe to exact topics or topic prefixes, so anything
 downstream can filter or aggregate without agreeing on a string format.
 
-Crash-recovery actions publish under the ``recovery`` prefix (see
-:mod:`repro.recovery`): ``recovery.journal_replayed`` when an LSM
-engine's commitlog was re-applied after a crash, and
-``recovery.corrupt_artifact`` when a checksummed file failed
-verification.
+A checksummed artifact that fails verification publishes
+``recovery.corrupt_artifact`` (see :mod:`repro.recovery`).
 
 The bus is intentionally synchronous and in-process: it is a progress /
 observability channel, not a task queue (that is the execution

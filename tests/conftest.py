@@ -14,6 +14,7 @@ pin_threads()
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import Phase, settings  # noqa: E402
 
 from repro.config import cassandra_space  # noqa: E402
 from repro.config.cassandra import LEVELED, SIZE_TIERED  # noqa: E402
@@ -24,6 +25,13 @@ from repro.sim.hardware import HardwareSpec  # noqa: E402
 
 KB = 1024
 MB = 1024 * KB
+
+#: ``--hypothesis-profile=no-shrink`` asks only whether a property fails,
+#: not for its smallest counterexample (``scripts/mutation_traps.py``):
+#: shrinking a failing engine state machine can take minutes.
+settings.register_profile(
+    "no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+)
 
 
 def make_knobs(**overrides) -> EngineKnobs:

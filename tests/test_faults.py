@@ -135,12 +135,22 @@ class TestPlanSerialization:
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_malformed_json_raises_fault_error(self):
-        with pytest.raises(FaultError):
-            FaultPlan.from_json("{not json")
+        for text in ("{not json", "[]", "3", "null", '"plan"'):
+            with pytest.raises(FaultError):
+                FaultPlan.from_json(text)
 
     def test_malformed_fields_raise_fault_error(self):
-        with pytest.raises(FaultError):
-            FaultPlan.from_dict({"node_crashes": [{"bogus_field": 1}]})
+        for payload in (
+            {"node_crashes": [{"bogus_field": 1}]},
+            # A misspelled or retired key must not load as an empty plan.
+            {"node_crash": [{"window": 1, "node": 0}]},
+            {"crash_points": [{"op": 3}]},
+            {"node_crashes": [], "extra": []},
+            {"node_crashes": [1]},
+            {"node_crashes": 3},
+        ):
+            with pytest.raises(FaultError):
+                FaultPlan.from_dict(payload)
 
 
 class TestInjector:

@@ -81,46 +81,3 @@ class TestSegmentBoundary:
         assert log.sealed_segment_count == 0
         assert log.active_segment_bytes == rec().size_bytes
 
-
-class TestReplayWindow:
-    def test_replay_returns_appended_records_in_order(self):
-        log = CommitLog(segment_size_bytes=10**9, sync_period_s=1e9)
-        records = [rec(key=f"k{i}") for i in range(5)]
-        for i, r in enumerate(records):
-            log.append(r, now=float(i))
-        assert list(log.replay()) == records
-        assert log.unflushed_record_count == 5
-
-    def test_replay_spans_sealed_segments(self):
-        # Records in sealed-but-undiscarded segments are still replayable.
-        log = CommitLog(segment_size_bytes=100, sync_period_s=1e9)
-        for i in range(4):
-            log.append(rec(key=f"k{i}"), now=0.0)  # each append seals
-        assert log.sealed_segment_count == 4
-        assert len(list(log.replay())) == 4
-
-    def test_empty_active_segment_replay_is_empty(self):
-        log = CommitLog(segment_size_bytes=10**9, sync_period_s=1e9)
-        assert list(log.replay()) == []
-
-    def test_discard_flushed_clears_replay_window(self):
-        log = CommitLog(segment_size_bytes=100, sync_period_s=1e9)
-        log.append(rec(size=60), now=0.0)
-        log.discard_flushed()
-        assert list(log.replay()) == []
-        assert log.unflushed_record_count == 0
-        assert log.unflushed_bytes == 0
-
-    def test_replay_window_restarts_after_discard(self):
-        log = CommitLog(segment_size_bytes=10**9, sync_period_s=1e9)
-        log.append(rec(key="old"), now=0.0)
-        log.discard_flushed()
-        log.append(rec(key="new"), now=1.0)
-        assert [r.key for r in log.replay()] == ["new"]
-
-    def test_replay_is_snapshot_not_view(self):
-        log = CommitLog(segment_size_bytes=10**9, sync_period_s=1e9)
-        log.append(rec(key="a"), now=0.0)
-        it = log.replay()
-        log.append(rec(key="b"), now=0.0)
-        assert [r.key for r in it] == ["a"]

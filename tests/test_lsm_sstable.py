@@ -1,10 +1,7 @@
-import struct
-import zlib
-
 import pytest
 
 from repro.lsm.record import Record
-from repro.lsm.sstable import SSTable, checksum_records, merge_records, split_into_tables
+from repro.lsm.sstable import SSTable, merge_records, split_into_tables
 
 
 def recs(*keys, ts=1.0, size=20):
@@ -72,30 +69,6 @@ class TestSSTable:
     def test_block_of_within_range(self):
         t = make_table(*[f"k{i:03d}" for i in range(50)])
         assert 0 <= t.block_of("k025") < max(t.block_count, 1)
-
-
-class TestChecksum:
-    def test_equals_the_field_by_field_crc(self):
-        """One crc32 call per field is the definition; joining the small
-        fields into one buffer must not change a bit of it."""
-        rows = [
-            Record("a", 1.0, b"value"),
-            Record("b", 2.5, b""),  # empty value is not a tombstone
-            Record("c", 3.0, None),
-            Record("clé-\u00fc\u4e2d", -0.0, bytes(3072)),
-            Record("", 1e-12, None),
-        ]
-        crc = 0
-        for rec in rows:
-            crc = zlib.crc32(rec.key.encode("utf-8"), crc)
-            crc = zlib.crc32(struct.pack("<d", rec.timestamp), crc)
-            if rec.value is None:
-                crc = zlib.crc32(b"\x01", crc)
-            else:
-                crc = zlib.crc32(b"\x00", crc)
-                crc = zlib.crc32(rec.value, crc)
-        assert checksum_records(rows) == crc & 0xFFFFFFFF
-        assert checksum_records(rows[:2]) != checksum_records([rows[0], Record("b", 2.5, None)])
 
 
 class TestMergeRecords:
