@@ -31,7 +31,10 @@ Run from the repo root::
 
 Exit status 0 = both rules hold; 1 = at least one violation, each
 printed as ``file:line: <importer> (rank a) -> <target> (rank b)`` or
-``file:line: <importer> -> scipy... at import time``.
+``file:line: <importer> -> scipy... at import time``.  A ``LAYERS`` or
+``SUBLAYERS`` entry naming a module that does not exist is a violation
+too (``stale rank: repro.<name> ...``): a deleted module must take its
+rank with it.
 
 Pure stdlib (ast only) so the CI lint job needs no third-party deps.
 """
@@ -87,14 +90,12 @@ SUBLAYERS = {
     },
     # The datastore's actuation stack is ordered too: base servers are
     # leaves, the analytic cluster composes them (and owns the per-node
-    # applied-config state), the materialized ring and the adapter sit
-    # on top of the cluster.
+    # applied-config state), and the adapter sits on top of the cluster.
     "datastore": {
         "base": 0,
         "cassandra": 1,
         "scylla": 1,
         "cluster": 1,
-        "ring": 2,
         "adapter": 2,
         "__init__": 3,
     },
@@ -203,14 +204,29 @@ def check(src: Path):
     return violations
 
 
+def stale_ranks(src: Path):
+    """The ``LAYERS`` / ``SUBLAYERS`` entries that name no module under
+    ``src`` (a ``<name>.py`` file or a ``<name>/`` package)."""
+    def exists(parent: Path, name: str) -> bool:
+        return (parent / f"{name}.py").is_file() or (parent / name).is_dir()
+
+    root = src / "repro"
+    stale = [f"repro.{head}" for head in LAYERS if not exists(root, head)]
+    for head, names in SUBLAYERS.items():
+        stale.extend(
+            f"repro.{head}.{name}" for name in names if not exists(root / head, name)
+        )
+    return [f"stale rank: {name} names no module in {root}" for name in stale]
+
+
 def main() -> int:
     src = Path(__file__).resolve().parent.parent / "src"
     if not (src / "repro").is_dir():
         print(f"cannot find src/repro under {src}", file=sys.stderr)
         return 1
-    violations = check(src)
+    violations = check(src) + stale_ranks(src)
     if violations:
-        print(f"{len(violations)} import(s) break the layering rules:")
+        print(f"{len(violations)} violation(s) of the layering rules:")
         for v in violations:
             print(f"  {v}")
         return 1

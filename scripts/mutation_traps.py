@@ -230,7 +230,7 @@ TRAPS = [
         "op loop: the write sequence stands still (timestamp ties)",
         ENGINE,
         [("self._write_seq += 1", "pass")],
-        f"{OP_LOOP}::test_client_timestamps",
+        f"{OP_LOOP}::test_sync_barriers",
     ),
     (
         "op loop: no flush check inside a same-kind run, only at its first op",

@@ -38,7 +38,7 @@ _HOMES = {
         "SCYLLA_KEY_PARAMETERS", "cassandra_space", "scylla_space",
     ),
     "repro.datastore": (
-        "CassandraLike", "Cluster", "EngineCluster", "HashRing", "ScyllaLike",
+        "CassandraLike", "Cluster", "ScyllaLike",
     ),
     "repro.errors": (
         "FaultError", "PersistenceError", "ReproError", "SearchError", "TrainingError",
@@ -87,8 +87,6 @@ __all__ = [
     "CassandraLike",
     "ScyllaLike",
     "Cluster",
-    "EngineCluster",
-    "HashRing",
     # benchmarking
     "YCSBBenchmark",
     "BenchmarkResult",

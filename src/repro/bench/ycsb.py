@@ -19,9 +19,10 @@ import numpy as np
 
 from repro.bench.metrics import BenchmarkResult, ThroughputSample
 from repro.config.space import Configuration
-from repro.datastore.adapter import SimulatedDatastoreAdapter, _EngineServer
+from repro.datastore.adapter import SimulatedDatastoreAdapter
 from repro.datastore.base import Datastore
-from repro.sim.rng import SeedLike
+from repro.sim.rng import SeedLike, derive_rng
+from repro.workload.generator import OperationGenerator
 from repro.workload.spec import WorkloadSpec
 
 #: The paper's benchmark window: 5 minutes of stable metrics (§3.5).
@@ -33,6 +34,10 @@ REPORT_INTERVAL_SECONDS = 10.0
 #: run phase inherits whatever compaction backlog the load left — which
 #: is precisely what makes the compaction strategy matter for reads.
 SETTLE_SECONDS = 60.0
+#: Most ops per engine-path ``execute_batch`` block.  A block pays one
+#: key-hash pass and one probe plan per layout change (a flush, a
+#: completed compaction), whatever its read/write mix.
+BATCH_OPS = 4096
 
 
 class YCSBBenchmark:
@@ -133,17 +138,20 @@ class YCSBBenchmark:
         through :meth:`~repro.lsm.engine.LSMEngine.execute_batch`; the
         report series is read off each block's per-op end times.
         """
-        server = _EngineServer(self.datastore, config, workload, seed=seed)
-        server.load(load_keys)
-        server.settle()
-        engine, gen = server.engine, server.generator
+        if n_ops < 1:
+            raise ValueError(f"n_ops must be >= 1, got {n_ops}")
+        engine = self.datastore.new_engine_instance(config)
+        gen = OperationGenerator(workload, derive_rng(seed))
+        load = gen.load_batch(load_keys)
+        engine.execute_batch(load.kinds, load.key_names(), load.value_sizes)
+        engine.idle_until_compact(max_seconds=600.0)
 
         t0 = engine.clock.now
         series = []
         last_report_t, last_report_ops = t0, 0
         done = 0
         while done < n_ops:
-            block = gen.operation_batch(min(_EngineServer.BATCH_OPS, n_ops - done))
+            block = gen.operation_batch(min(BATCH_OPS, n_ops - done))
             result = engine.execute_batch(
                 block.kinds, block.key_names(), block.value_sizes
             )

@@ -10,26 +10,18 @@ into a replicated peer-to-peer ring (Table 3's multi-server setup), and
 rolling-restart / teardown lifecycle on top of either.
 """
 
-from repro.datastore.adapter import (
-    DatastoreAdapter,
-    RollingRestartReport,
-    SimulatedDatastoreAdapter,
-)
+from repro.datastore.adapter import RollingRestartReport, SimulatedDatastoreAdapter
 from repro.datastore.base import Datastore
 from repro.datastore.cassandra import CassandraLike
 from repro.datastore.scylla import ScyllaLike, ScyllaAutotuner
 from repro.datastore.cluster import Cluster
-from repro.datastore.ring import EngineCluster, HashRing
 
 __all__ = [
     "Datastore",
-    "DatastoreAdapter",
     "SimulatedDatastoreAdapter",
     "RollingRestartReport",
     "CassandraLike",
     "ScyllaLike",
     "ScyllaAutotuner",
     "Cluster",
-    "EngineCluster",
-    "HashRing",
 ]

@@ -2,12 +2,12 @@
 
 Three call sites used to mint simulated servers by hand — the online
 controller's ``_make_server``, the YCSB harness's fresh-instance-per-
-sample reset, and the CLI's replay wiring.  The :class:`DatastoreAdapter`
-protocol extracts that duplication into one place that owns the full
-lifecycle: **provision** (fresh server or cluster), **apply-config**
-(the legacy teleport push), **rolling-restart** (per-node config
-application that charges the transient capacity loss a real restart
-costs), and **teardown**.
+sample reset, and the CLI's replay wiring.
+:class:`SimulatedDatastoreAdapter` extracts that duplication into one
+place that owns the full lifecycle: **provision** (fresh server or
+cluster), **apply-config** (the legacy teleport push),
+**rolling-restart** (per-node config application that charges the
+transient capacity loss a real restart costs), and **teardown**.
 
 The rolling restart is what makes reconfiguration cost a first-class
 modeled event instead of a flat penalty constant: each node is taken out
@@ -20,11 +20,12 @@ Rafiki's hysteresis exists to amortize.
 :class:`~repro.datastore.cluster.Cluster` node armed with an
 ActuationFault refusal (or config-isolated for a StaleRecovery) keeps
 its old knobs, and the push reports carry the per-node applied/failed
-split.  :meth:`DatastoreAdapter.verify_config` is the read-back — it
-returns the intended-vs-applied :class:`DriftReport` the middleware's
-reconcile loop consumes — and :meth:`DatastoreAdapter.repair_config`
-re-pushes the intended config to just the drifted nodes, charging the
-usual per-node rolling-restart transient.
+split.  :meth:`SimulatedDatastoreAdapter.verify_config` is the
+read-back — it returns the intended-vs-applied :class:`DriftReport` the
+middleware's reconcile loop consumes — and
+:meth:`SimulatedDatastoreAdapter.repair_config` re-pushes the intended
+config to just the drifted nodes, charging the usual per-node
+rolling-restart transient.
 """
 
 from __future__ import annotations
@@ -32,20 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.config.space import Configuration
 from repro.datastore.base import Datastore
 from repro.datastore.cluster import Cluster, DriftReport
 from repro.errors import ActuationError, DatastoreError
-from repro.lsm.analytic import StepResult, WorkloadProfile
-from repro.lsm.engine import OP_READ
-from repro.sim.rng import SeedLike, derive_rng
-from repro.workload.generator import OperationGenerator
-from repro.workload.spec import WorkloadSpec
-
-#: How a :class:`SimulatedDatastoreAdapter` executes its tenant's load.
-EXECUTION_MODES = ("analytic", "engine")
+from repro.lsm.analytic import WorkloadProfile
+from repro.sim.rng import SeedLike
 
 #: Simulated seconds one node needs to restart with a new configuration.
 #: Rafiki's targets restart in tens of seconds (JVM warmup for Cassandra,
@@ -70,161 +63,14 @@ class RollingRestartReport:
     failed_nodes: Tuple[int, ...] = ()
 
 
-class DatastoreAdapter:
-    """Protocol for actuating configuration changes on a datastore.
-
-    Implementations own one server (or cluster) end to end.  The online
-    session layer only ever talks to this interface, so swapping the
-    simulated substrate for a real fleet driver means implementing these
-    five methods.
-    """
-
-    def provision(self, load_keys: Optional[int] = None,
-                  settle_seconds: Optional[float] = None):
-        """Create a fresh server; optionally run the load+settle phase."""
-        raise NotImplementedError
-
-    def apply_config(self, config: Configuration) -> None:
-        """Push ``config`` to every node instantly (legacy semantics)."""
-        raise NotImplementedError
-
-    def rolling_restart(self, config: Configuration, read_ratio: float,
-                        dt: float = 1.0) -> RollingRestartReport:
-        """Apply ``config`` node by node, charging restart downtime."""
-        raise NotImplementedError
-
-    def verify_config(self) -> DriftReport:
-        """Read back what each node is actually running (drift check)."""
-        raise NotImplementedError
-
-    def repair_config(self, nodes, read_ratio: float, rolling: bool = True,
-                      dt: float = 1.0) -> RollingRestartReport:
-        """Re-push the intended config to just ``nodes`` (drift repair)."""
-        raise NotImplementedError
-
-    def run(self, read_ratio: float, duration: float, dt: float = 1.0):
-        """Drive the provisioned server for ``duration`` simulated seconds."""
-        raise NotImplementedError
-
-    def teardown(self) -> None:
-        """Release the server (the analogue of the paper's Docker reset)."""
-        raise NotImplementedError
-
-
-class _EngineServer:
-    """Materialized-engine substrate behind the adapter's server protocol.
-
-    Drives a real :class:`~repro.lsm.engine.LSMEngine` through vectorized
-    :class:`~repro.workload.generator.OperationBatch` blocks
-    (``execute_batch``) and reports :class:`~repro.lsm.analytic.StepResult`
-    entries, so the :class:`TenantSession` execute phase and window
-    accounting consume engine-mode windows exactly as analytic ones.
-    Batches are sized from the last observed rate so a ``run(duration)``
-    call overshoots its window boundary by at most one small block.
-    """
-
-    #: Most ops per execute_batch block.  A block pays one key-hash pass
-    #: and one probe plan per layout change (a flush, a completed
-    #: compaction), whatever its read/write mix, so the bound is what a
-    #: window may overshoot by, not a run length worth vectorizing.
-    BATCH_OPS = 4096
-    #: Block size used before any throughput estimate exists.
-    PROBE_OPS = 512
-
-    def __init__(
-        self,
-        datastore: Datastore,
-        config: Configuration,
-        workload: WorkloadSpec,
-        seed: SeedLike = 0,
-    ):
-        self.workload = workload
-        self.engine = datastore.new_engine_instance(config)
-        self.generator = OperationGenerator(workload, derive_rng(seed))
-        self._ops_per_second: Optional[float] = None
-
-    def load(self, n_keys: int) -> None:
-        """YCSB load phase: ``n_keys`` fresh inserts, as one batch."""
-        block = self.generator.load_batch(n_keys)
-        self.engine.execute_batch(block.kinds, block.key_names(), block.value_sizes)
-
-    def settle(self, max_seconds: float = 600.0, dt: float = 1.0) -> None:
-        self.engine.idle_until_compact(max_seconds=max_seconds)
-
-    def run(self, read_ratio: float, duration: float, dt: float = 1.0) -> List[StepResult]:
-        """Serve ``duration`` simulated seconds of the op stream."""
-        steps: List[StepResult] = []
-        clock = self.engine.clock
-        t_end = clock.now + duration
-        while clock.now < t_end:
-            n = self._next_batch_ops(t_end - clock.now)
-            block = self.generator.operation_batch(n, read_ratio=read_ratio)
-            t0 = clock.now
-            self.engine.execute_batch(
-                block.kinds, block.key_names(), block.value_sizes
-            )
-            elapsed = clock.now - t0
-            if elapsed <= 0.0:  # defensive: a zero-advance block would spin
-                break
-            self._ops_per_second = n / elapsed
-            reads = int(np.count_nonzero(block.kinds == OP_READ))
-            steps.append(
-                StepResult(
-                    t=clock.now,
-                    dt=elapsed,
-                    throughput=n / elapsed,
-                    reads=float(reads),
-                    writes=float(n - reads),
-                    sstable_count=self.engine.sstable_count,
-                    cache_hit_ratio=self.engine.cache.hit_ratio,
-                    compaction_backlog_bytes=self.engine.compaction_backlog_bytes,
-                )
-            )
-        return steps
-
-    def _next_batch_ops(self, remaining_seconds: float) -> int:
-        if self._ops_per_second is None:
-            return self.PROBE_OPS
-        target = self._ops_per_second * remaining_seconds
-        return int(min(self.BATCH_OPS, max(64.0, target)))
-
-    def reconfigure(self, knobs) -> None:
-        self.engine.reconfigure(knobs)
-
-    def sustainable_throughput(self, read_ratio: float) -> float:
-        """Capacity estimate for restart accounting.
-
-        The engine has no closed-form bottleneck equation, so the last
-        observed batch rate stands in; a server that has not yet served
-        traffic runs one probe block (at the given mix) to measure it.
-        """
-        if self._ops_per_second is None:
-            block = self.generator.operation_batch(
-                self.PROBE_OPS, read_ratio=read_ratio
-            )
-            t0 = self.engine.clock.now
-            self.engine.execute_batch(
-                block.kinds, block.key_names(), block.value_sizes
-            )
-            elapsed = self.engine.clock.now - t0
-            if elapsed <= 0.0:
-                raise DatastoreError("engine probe did not advance time")
-            self._ops_per_second = self.PROBE_OPS / elapsed
-        return self._ops_per_second
-
-
-class SimulatedDatastoreAdapter(DatastoreAdapter):
+class SimulatedDatastoreAdapter:
     """Adapter over the simulated substrate (analytic model / Cluster).
 
     ``n_nodes == 1`` provisions a single analytic server;
     ``n_nodes > 1`` provisions a :class:`Cluster` with one YCSB shooter
-    per node.
-
-    ``execution="engine"`` swaps the analytic substrate for a
-    materialized :class:`~repro.lsm.engine.LSMEngine` fed by the
-    vectorized op-stream path (:class:`_EngineServer`); it requires a
-    ``workload`` spec (the op generator needs the full key/value shape,
-    not just the profile) and is single-node only.
+    per node.  The online session layer talks to this class only, so
+    swapping the simulated substrate for a real fleet driver means
+    reimplementing its lifecycle methods.
     """
 
     def __init__(
@@ -238,29 +84,15 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
         seed: SeedLike = 0,
         restart_seconds_per_node: float = RESTART_SECONDS_PER_NODE,
         events=None,
-        execution: str = "analytic",
-        workload: Optional[WorkloadSpec] = None,
     ):
         if n_nodes < 1:
             raise DatastoreError("adapter needs n_nodes >= 1")
+        if not (1 <= replication_factor <= n_nodes):
+            raise DatastoreError(
+                f"replication factor {replication_factor} must be in [1, {n_nodes}]"
+            )
         if restart_seconds_per_node < 0:
             raise DatastoreError("restart_seconds_per_node must be >= 0")
-        if execution not in EXECUTION_MODES:
-            raise DatastoreError(
-                f"unknown execution mode {execution!r} "
-                f"(expected one of {EXECUTION_MODES})"
-            )
-        if execution == "engine":
-            if n_nodes != 1:
-                raise DatastoreError(
-                    "engine execution is single-node (the materialized "
-                    "engine has no ring); use n_nodes=1 or execution='analytic'"
-                )
-            if workload is None:
-                raise DatastoreError(
-                    "engine execution needs a workload= spec to drive the "
-                    "operation generator"
-                )
         self.datastore = datastore
         self.config = initial_config or datastore.default_configuration()
         self.n_nodes = n_nodes
@@ -269,8 +101,6 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
         self.seed = seed
         self.restart_seconds_per_node = restart_seconds_per_node
         self.events = events
-        self.execution = execution
-        self.workload = workload
         self.server = None
         self.cluster: Optional[Cluster] = None
         # Single-server applied-config tracking (clusters track per node).
@@ -280,12 +110,7 @@ class SimulatedDatastoreAdapter(DatastoreAdapter):
 
     def provision(self, load_keys: Optional[int] = None,
                   settle_seconds: Optional[float] = None):
-        if self.execution == "engine":
-            self.server = _EngineServer(
-                self.datastore, self.config, self.workload, seed=self.seed
-            )
-            self.cluster = None
-        elif self.n_nodes == 1:
+        if self.n_nodes == 1:
             self.server = self.datastore.new_analytic_instance(
                 self.config, profile=self.profile, seed=self.seed
             )

@@ -9,9 +9,8 @@ cluster loaded.
 
 Nodes can be marked down (:meth:`Cluster.fail_node`) or given a degraded
 disk (:meth:`Cluster.set_disk_slowdown`); throughput and capacity math
-then run over the surviving nodes, mirroring the data-path failures in
-:mod:`repro.datastore.ring`.  With every node live and no slowdowns the
-math is bit-identical to the fault-free model.
+then run over the surviving nodes.  With every node live and no
+slowdowns the math is bit-identical to the fault-free model.
 
 **Verified actuation.**  Each node tracks the :class:`Configuration` it
 is *actually running* (its applied config), separately from the ring's

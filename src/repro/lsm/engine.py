@@ -164,28 +164,17 @@ class LSMEngine:
 
     # ------------------------------------------------------------------ public API
 
-    def put(self, key: str, value: bytes, timestamp: Optional[float] = None) -> None:
-        """Durably write a whole-row upsert and charge its cost.
+    def put(self, key: str, value: bytes) -> None:
+        """Durably write a whole-row upsert and charge its cost."""
+        self._execute((OP_WRITE,), (key,), (value,))
 
-        ``timestamp`` lets a cluster coordinator impose client
-        timestamps (Cassandra's last-write-wins resolution); by default
-        the engine stamps with its own monotonic clock.
-        """
-        self._execute((OP_WRITE,), (key,), (value,), timestamp=timestamp)
-
-    def delete(self, key: str, timestamp: Optional[float] = None) -> None:
+    def delete(self, key: str) -> None:
         """Write a tombstone for ``key``."""
-        self._execute((OP_DELETE,), (key,), timestamp=timestamp)
-
-    def get_record(self, key: str) -> Optional[Record]:
-        """Like :meth:`get` but returns the winning record itself
-        (timestamp included, tombstones too) — replication resolution
-        needs the metadata, not just the value."""
-        return self._execute((OP_READ,), (key,))[1]
+        self._execute((OP_DELETE,), (key,))
 
     def get(self, key: str) -> Optional[bytes]:
         """Read the newest value for ``key``; None if absent or deleted."""
-        best = self.get_record(key)
+        best = self._execute((OP_READ,), (key,))[1]
         if best is None or best.is_tombstone:
             return None
         return best.value
@@ -432,16 +421,14 @@ class LSMEngine:
         kinds: Sequence[int],
         keys: Sequence[str],
         values: Optional[Sequence[Optional[bytes]]] = None,
-        timestamp: Optional[float] = None,
         plan: Optional[_ProbePlan] = None,
     ):
         """The op loop: every point op of a checked block, in one pass,
         and the one place a point op is applied and charged.
 
-        ``values`` holds the write payloads by op, ``timestamp`` a
-        client timestamp for the mutations in place of the engine's
-        own and ``plan`` the block's probe plan.  Returns the clock
-        after each op and the record the last read found.
+        ``values`` holds the write payloads by op and ``plan`` the
+        block's probe plan.  Returns the clock after each op and the
+        record the last read found.
 
         What depends only on ``knobs``/``costs`` is bound once; what
         depends on the background regime (the charge terms, the write's
@@ -471,12 +458,10 @@ class LSMEngine:
                 k += 1
             else:
                 tombstone = kind == OP_DELETE
-                ts = timestamp
-                if ts is None:
-                    # Strictly increasing even when the clock stands still.
-                    self._write_seq += 1
-                    ts = now + self._write_seq * 1e-12
-                rec = Record(key, ts, None if tombstone else values[j])
+                # Strictly increasing even when the clock stands still.
+                self._write_seq += 1
+                rec = Record(key, now + self._write_seq * 1e-12,
+                             None if tombstone else values[j])
                 # Seconds owed to a commitlog sync barrier, if this
                 # append crossed one.
                 extra = log_append(rec, now)

@@ -38,7 +38,7 @@ class Memtable:
         existing = self._rows.get(record.key)
         if existing is not None:
             if not record.supersedes(existing):
-                return  # stale write, e.g. an older coordinator timestamp
+                return  # an older version never overwrites a newer one
             self._bytes -= existing.size_bytes
         self._rows[record.key] = record
         self._bytes += record.size_bytes

@@ -3,7 +3,7 @@
 The paper positions Rafiki as middleware *between* dynamic workloads and
 a datastore fleet.  This package is that service layer, in four tiers:
 
-* **Actuation** — :class:`~repro.datastore.adapter.DatastoreAdapter`
+* **Actuation** — :class:`~repro.datastore.adapter.SimulatedDatastoreAdapter`
   (re-exported here): provision / apply-config / rolling-restart /
   teardown, with restart transients charged as modeled capacity loss.
 * **Session** — :class:`TenantSession`: one tenant's
@@ -32,11 +32,7 @@ so the canary EWMA and SLO budget never ingest drifted throughput.
 Off by default, like the guards.
 """
 
-from repro.datastore.adapter import (
-    DatastoreAdapter,
-    RollingRestartReport,
-    SimulatedDatastoreAdapter,
-)
+from repro.datastore.adapter import RollingRestartReport, SimulatedDatastoreAdapter
 from repro.middleware.breaker import CircuitBreaker
 from repro.middleware.guard import GuardSpec, TenantGuard
 from repro.middleware.ledger import CapacityLedger
@@ -61,7 +57,6 @@ from repro.middleware.session import (
 from repro.middleware.slo import SloSpec, SloTracker
 
 __all__ = [
-    "DatastoreAdapter",
     "SimulatedDatastoreAdapter",
     "RollingRestartReport",
     "TenantSession",

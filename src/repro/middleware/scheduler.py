@@ -160,7 +160,6 @@ class TenantSpec:
     restart_seconds_per_node: float = RESTART_SECONDS_PER_NODE
     load: bool = True
     trace_phases: bool = False
-    execution: str = "analytic"    # "analytic" | "engine" (materialized LSM)
     # Overload protection (all optional; None keeps the tenant unguarded):
     # lower priority = more important = shed last under admission control.
     priority: int = 0
@@ -176,9 +175,10 @@ class TenantSpec:
             raise SearchError(f"tenant {self.tenant_id!r} has an empty RR series")
         if self.n_nodes < 1:
             raise SearchError("n_nodes must be >= 1")
-        if self.execution == "engine" and self.n_nodes != 1:
+        if not (1 <= self.replication_factor <= self.n_nodes):
             raise SearchError(
-                f"tenant {self.tenant_id!r}: engine execution is single-node"
+                f"replication factor {self.replication_factor} must be in "
+                f"[1, {self.n_nodes}]"
             )
         if self.fault_plan is not None:
             self.fault_plan.validate()
@@ -288,8 +288,6 @@ class MiddlewareScheduler:
             seed=spec.seed,
             restart_seconds_per_node=spec.restart_seconds_per_node,
             events=scoped,
-            execution=spec.execution,
-            workload=spec.base_workload,
         )
         guard = None
         if spec.slo is not None or spec.guard is not None:

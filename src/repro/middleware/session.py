@@ -59,7 +59,7 @@ from repro.core.controller import (
     RetryPolicy,
 )
 from repro.core.policies import DecisionPolicy, WindowObservation
-from repro.datastore.adapter import DatastoreAdapter, RollingRestartReport
+from repro.datastore.adapter import RollingRestartReport, SimulatedDatastoreAdapter
 from repro.datastore.base import Datastore
 from repro.errors import SearchError, TransientError
 from repro.faults.injector import FaultInjector
@@ -105,7 +105,7 @@ class TenantSession:
         self,
         datastore: Datastore,
         rafiki,
-        adapter: DatastoreAdapter,
+        adapter: SimulatedDatastoreAdapter,
         policy: DecisionPolicy,
         *,
         tenant_id: str = "tenant",
@@ -136,7 +136,7 @@ class TenantSession:
         if fault_plan is not None:
             # Validate against the tenant's actual ring size so a plan
             # targeting node 7 on a 3-node tenant fails here, not mid-run.
-            fault_plan.validate(n_nodes=getattr(adapter, "n_nodes", None))
+            fault_plan.validate(n_nodes=adapter.n_nodes)
         self.datastore = datastore
         self.rafiki = rafiki
         self.adapter = adapter

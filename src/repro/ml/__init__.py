@@ -10,7 +10,7 @@ baseline the paper tried and rejected (§3.7.2).
 
 from repro.ml.scaler import StandardScaler
 from repro.ml.network import FeedForwardNetwork
-from repro.ml.train import TrainingResult, train_bayesian_lm, train_adam
+from repro.ml.train import TrainingResult, train_bayesian_lm
 from repro.ml.ensemble import NetworkEnsemble, EnsembleConfig
 from repro.ml.metrics import mean_absolute_percentage_error, r2_score, rmse
 from repro.ml.decision_tree import DecisionTreeRegressor, ModelTreeRegressor
@@ -20,7 +20,6 @@ __all__ = [
     "FeedForwardNetwork",
     "TrainingResult",
     "train_bayesian_lm",
-    "train_adam",
     "NetworkEnsemble",
     "EnsembleConfig",
     "mean_absolute_percentage_error",

@@ -10,8 +10,7 @@ framework:
 * ``alpha = gamma / (2 E_W)``, ``beta = (N - gamma) / (2 E_D)``.
 
 Training runs to convergence or 200 epochs, whichever comes first — the
-paper stresses it must not early-stop (§3.6.2).  An Adam + fixed-L2
-trainer is provided as a cheaper fallback for large datasets.
+paper stresses it must not early-stop (§3.6.2).
 
 Numerical note (factorization reuse): the regularized Hessians here —
 ``beta J^T J + (alpha + mu) I`` for the LM step and ``beta J^T J +
@@ -210,53 +209,4 @@ def train_bayesian_lm(
         beta=beta,
         effective_parameters=gamma,
         converged=converged,
-    )
-
-
-def train_adam(
-    net: FeedForwardNetwork,
-    x: np.ndarray,
-    y: np.ndarray,
-    epochs: int = 400,
-    learning_rate: float = 0.01,
-    l2: float = 1e-4,
-    batch_size: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> TrainingResult:
-    """Plain Adam with fixed L2 — a fallback for large datasets where
-    the LM normal equations get expensive."""
-    x, y = _check_data(x, y)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    n = x.shape[0]
-    batch = n if batch_size <= 0 else min(batch_size, n)
-    w = net.get_weights()
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            net.set_weights(w)
-            pred, jac = net.forward_with_jacobian(x[idx])
-            residuals = pred - y[idx]
-            grad = 2.0 * (jac.T @ residuals) / len(idx) + 2.0 * l2 * w
-            t += 1
-            m = beta1 * m + (1 - beta1) * grad
-            v = beta2 * v + (1 - beta2) * grad**2
-            m_hat = m / (1 - beta1**t)
-            v_hat = v / (1 - beta2**t)
-            w = w - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    net.set_weights(w)
-    residuals = net.predict(x) - y
-    e_d = float(residuals @ residuals)
-    return TrainingResult(
-        epochs=epochs,
-        train_mse=e_d / n,
-        objective=e_d + l2 * float(w @ w),
-        alpha=l2,
-        beta=1.0,
-        effective_parameters=float(net.n_weights),
-        converged=True,
     )

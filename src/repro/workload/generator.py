@@ -93,8 +93,7 @@ class OperationGenerator:
         advance the insert cursor, and existing-key draws map modulo
         the keys populated before the op.  Columns are drawn one after
         another (all kind coins, then all update coins, then all key
-        ids).  ``read_ratio`` overrides the spec's ratio for serving a
-        mid-campaign workload mix.
+        ids).  ``read_ratio`` overrides the spec's ratio for this block.
         """
         if n < 0:
             raise ValueError("n must be non-negative")

@@ -44,13 +44,7 @@ from repro.workload.keydist import (
 from repro.workload.spec import WorkloadSpec
 
 from .conftest import MB, make_knobs
-from .oracles import (
-    apply_scalar,
-    apply_scalar_columns,
-    oracle_delete,
-    oracle_get,
-    oracle_put,
-)
+from .oracles import apply_scalar, apply_scalar_columns
 
 
 def small_hardware() -> HardwareSpec:
@@ -621,30 +615,6 @@ class TestOpLoop:
         )
         run_ops(batched, scalar, alternating(300))
         assert batched.commitlog.total_syncs > 4
-
-    def test_client_timestamps(self):
-        """One-op only (a block has no client timestamps): an older
-        timestamp loses to the stored row, a newer one wins, and neither
-        advances the engine's own tie-break sequence."""
-        one_op, scalar = loaded_twins()
-
-        def get(name):
-            value = one_op.get(name)
-            assert oracle_get(scalar, name) == value
-            assert engine_state(one_op) == engine_state(scalar)
-            return value
-
-        get(key(7))
-        stored = one_op.layout.all_tables()[0].record_at(7).timestamp
-        for ts, size in ((stored - 1.0, 10), (stored + 1.0, 20)):
-            one_op.put(key(7), bytes(size), timestamp=ts)
-            oracle_put(scalar, key(7), bytes(size), timestamp=ts)
-            assert one_op._write_seq == scalar._write_seq == 500
-            assert len(get(key(7))) == (200 if ts < stored else 20)
-        one_op.delete(key(7), timestamp=stored + 0.5)
-        oracle_delete(scalar, key(7), timestamp=stored + 0.5)
-        assert get(key(7)) == bytes(20)
-        run_ops(one_op, scalar, alternating(20, first=600))
 
     def test_terms_are_asked_per_event_not_per_op(self, monkeypatch):
         """A count, not a timing, on a 512-op block at read ratio 0.5

@@ -59,6 +59,14 @@ class TestAnalyticRun:
             YCSBBenchmark(cassandra, run_seconds=0)
         with pytest.raises(ValueError):
             YCSBBenchmark(cassandra, step_seconds=0)
+        bench = YCSBBenchmark(cassandra)
+        for n_ops in (0, -5):  # rejected before the load phase runs
+            with pytest.raises(ValueError, match="n_ops"):
+                bench.run_engine(
+                    cassandra.default_configuration(),
+                    WorkloadSpec(read_ratio=0.5),
+                    n_ops=n_ops,
+                )
 
 
 class TestEngineRun:

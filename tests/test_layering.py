@@ -20,6 +20,7 @@ class TestRepoLayering:
     def test_no_upward_imports(self):
         checker = load_checker()
         assert checker.check(REPO / "src") == []
+        assert checker.stale_ranks(REPO / "src") == []
 
     def test_script_exits_zero(self):
         proc = subprocess.run(
@@ -75,3 +76,30 @@ class TestCheckerCatchesViolations:
             assert "newthing" in str(exc)
         else:  # pragma: no cover
             raise AssertionError("unknown subpackage should require a rank")
+
+    def test_stale_rank_entry_flagged(self, tmp_path, monkeypatch):
+        checker = load_checker()
+        src = self._fake_tree(tmp_path, "")
+        monkeypatch.setattr(
+            checker, "LAYERS", {"sim": 0, "cli": 9, "__init__": 9, "gone": 3}
+        )
+        monkeypatch.setattr(checker, "SUBLAYERS", {"sim": {"__init__": 0, "ring": 2}})
+        assert checker.check(src) == []
+        assert checker.stale_ranks(src) == [
+            f"stale rank: repro.gone names no module in {src / 'repro'}",
+            f"stale rank: repro.sim.ring names no module in {src / 'repro'}",
+        ]
+
+    def test_script_exits_nonzero_on_a_stale_rank(self, tmp_path):
+        # The script's ranks name the real package's modules, none of
+        # which (bar sim and cli) exist in the fake tree.
+        self._fake_tree(tmp_path, "")
+        (tmp_path / "scripts").mkdir()
+        script = tmp_path / "scripts" / SCRIPT.name
+        script.write_text(SCRIPT.read_text())
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "stale rank: repro.lsm names no module" in proc.stdout
+        assert "stale rank: repro.sim " not in proc.stdout

@@ -66,6 +66,11 @@ class TestProvisionParity:
             SimulatedDatastoreAdapter(cassandra, n_nodes=0)
         with pytest.raises(DatastoreError):
             SimulatedDatastoreAdapter(cassandra, restart_seconds_per_node=-1.0)
+        for n_nodes, rf in ((3, 5), (1, 3), (1, 0)):
+            with pytest.raises(DatastoreError, match="replication factor"):
+                SimulatedDatastoreAdapter(
+                    cassandra, n_nodes=n_nodes, replication_factor=rf
+                )
 
 
 class TestApplyConfig:

@@ -101,6 +101,9 @@ class TestValidation:
             spec("a", [])
         with pytest.raises(SearchError):
             spec("a", [0.5], n_nodes=0)
+        for n_nodes, rf in ((3, 5), (1, 3), (1, 0)):
+            with pytest.raises(SearchError, match="replication factor"):
+                spec("a", [0.5], n_nodes=n_nodes, replication_factor=rf)
 
 
 class TestDeterminism:

@@ -7,7 +7,6 @@ from repro.ml.train import (
     EQUIVALENCE_RTOL,
     _chol_inverse_trace,
     _chol_solve,
-    train_adam,
     train_bayesian_lm,
 )
 
@@ -79,20 +78,6 @@ class TestBayesianLM:
         train_bayesian_lm(net1, x, y, max_epochs=30)
         train_bayesian_lm(net2, x, y, max_epochs=30)
         assert np.allclose(net1.get_weights(), net2.get_weights())
-
-
-class TestAdam:
-    def test_fits_reasonably(self):
-        x, y = toy_problem()
-        net = FeedForwardNetwork([3, 10, 1], rng=np.random.default_rng(1))
-        result = train_adam(net, x, y, epochs=300)
-        assert result.train_mse < 0.05
-
-    def test_minibatch_mode(self):
-        x, y = toy_problem()
-        net = FeedForwardNetwork([3, 10, 1], rng=np.random.default_rng(1))
-        result = train_adam(net, x, y, epochs=100, batch_size=32)
-        assert result.train_mse < 0.2
 
 
 def _reference_lm(net, x, y, max_epochs, tolerance=1e-7, mu0=5e-3, mu_max=1e10):
@@ -215,10 +200,3 @@ class TestForwardReuse:
         # once (never, when the last epoch left the weights unchanged).
         assert net.jacobian_calls <= 1
         assert net.combined_calls == result.epochs + net.jacobian_calls
-
-    def test_adam_never_double_forwards_a_batch(self):
-        x, y = toy_problem()
-        net = CountingNetwork([3, 6, 1], rng=np.random.default_rng(1))
-        train_adam(net, x, y, epochs=3, batch_size=50)
-        assert net.jacobian_calls == 0
-        assert net.combined_calls == 3 * 3  # 150 samples / 50 per batch

@@ -1,5 +1,8 @@
 """The documented public API stays importable from the package root."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -19,8 +22,17 @@ class TestPublicApi:
         assert repro.__version__
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        """The root's and every subpackage's ``__all__``, so a stale
+        re-export of a deleted name fails here."""
+        packages = [repro] + [
+            importlib.import_module(f"repro.{info.name}")
+            for info in pkgutil.iter_modules(repro.__path__)
+            if info.ispkg
+        ]
+        assert len(packages) > 10
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, (package.__name__, name)
 
     def test_lazy_root_lists_every_export_and_nothing_else_resolves(self):
         assert set(repro.__all__) <= set(dir(repro))

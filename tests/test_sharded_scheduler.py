@@ -19,8 +19,6 @@ from repro.core.rafiki import Rafiki
 from repro.core.search import OptimizationResult
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike
-from repro.datastore.adapter import SimulatedDatastoreAdapter
-from repro.errors import DatastoreError, SearchError
 from repro.faults import FaultPlan
 from repro.middleware import (
     GuardSpec,
@@ -478,51 +476,3 @@ class TestEveryFeatureOn:
                 cassandra, tiny_surrogate, backend=backend, capacity=capacity
             )
         assert sharded == serial
-
-
-class TestEngineExecutionTenants:
-    ENGINE_WORKLOAD = WorkloadSpec(read_ratio=0.9, n_keys=2000, krd_mean_ops=300)
-
-    def engine_spec(self, **kwargs):
-        return TenantSpec(
-            tenant_id="eng",
-            rr_series=[0.9, 0.5],
-            base_workload=self.ENGINE_WORKLOAD,
-            seed=1,
-            window_seconds=5,
-            load=True,
-            execution="engine",
-            **kwargs,
-        )
-
-    def test_engine_tenant_serial_matches_sharded(self, cassandra):
-        def campaign(backend):
-            scheduler = MiddlewareScheduler(
-                cassandra, CachingFakeRafiki(cassandra), backend=backend
-            )
-            scheduler.add_tenant(self.engine_spec())
-            run = scheduler.run()["eng"]
-            return [(e.window_index, e.mean_throughput) for e in run.events]
-
-        serial = campaign(None)
-        assert serial == campaign(SerialBackend())
-        assert any(tp > 0 for _, tp in serial)
-
-    def test_engine_execution_is_single_node_only(self):
-        with pytest.raises(SearchError, match="single-node"):
-            self.engine_spec(n_nodes=3)
-
-    def test_adapter_validates_execution_mode(self, cassandra):
-        config = cassandra.default_configuration()
-        with pytest.raises(DatastoreError, match="execution"):
-            SimulatedDatastoreAdapter(cassandra, config, execution="quantum")
-        with pytest.raises(DatastoreError, match="workload"):
-            SimulatedDatastoreAdapter(cassandra, config, execution="engine")
-        with pytest.raises(DatastoreError, match="single-node"):
-            SimulatedDatastoreAdapter(
-                cassandra,
-                config,
-                execution="engine",
-                workload=self.ENGINE_WORKLOAD,
-                n_nodes=3,
-            )
