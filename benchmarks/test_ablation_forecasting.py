@@ -14,7 +14,6 @@ import pytest
 
 from benchmarks.conftest import SEED, replay_day, write_results
 from repro.core.policies import HysteresisPolicy, make_policy
-from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 
 
@@ -22,22 +21,20 @@ from repro.workload.mgrast import MGRastTraceGenerator
 def mode_results(cassandra, cassandra_rafiki, base_workload):
     rr_series = MGRastTraceGenerator(seed=SEED + 3).read_ratio_series(24 * 3600)
 
-    def run(mode, rafiki, forecaster=None):
+    def run(mode, rafiki):
         return replay_day(
             cassandra,
             rafiki,
             base_workload,
             rr_series,
-            policy=HysteresisPolicy(make_policy(mode, forecaster), min_change=0.08),
+            policy=HysteresisPolicy(make_policy(mode), min_change=0.08),
         )
 
     return {
         "static": run("oracle", None),
         "oracle": run("oracle", cassandra_rafiki),
         "reactive": run("reactive", cassandra_rafiki),
-        "forecast": run(
-            "forecast", cassandra_rafiki, MarkovRegimeForecaster(n_bins=5)
-        ),
+        "forecast": run("forecast", cassandra_rafiki),
     }
 
 

@@ -256,28 +256,16 @@ TRAPS = [
         "tests/test_batch_opstream.py::TestProbePlanTraps"
         "::test_flush_mid_block_is_seen_by_later_reads",
     ),
-    # -- the engine against a dict: rows no other test catches
+    # -- the engine against a dict
     (
-        "scan: a flushed tombstone skipped, so the older row it shadows comes back",
+        "point read: a flushed tombstone skipped, so the older row it shadows comes back",
         ENGINE,
         [
             (
-                "            for rec in table.records_in_range(start_key, end_key):\n",
-                "            for rec in table.records_in_range(start_key, end_key):\n"
-                "                if rec.is_tombstone:\n"
-                "                    continue\n",
-            )
-        ],
-        STATE_MACHINE,
-    ),
-    (
-        "scan: the memtable's tombstones dropped, so a delete over a flushed row is lost",
-        "repro/lsm/memtable.py",
-        [
-            (
-                "            if start_key <= key <= end_key:\n",
-                "            if start_key <= key <= end_key"
-                " and not self._rows[key].is_tombstone:\n",
+                "            rec = table.record_at(row)\n",
+                "            rec = table.record_at(row)\n"
+                "            if rec.is_tombstone:\n"
+                "                continue\n",
             )
         ],
         STATE_MACHINE,

@@ -45,7 +45,7 @@ from repro.core.policies import DECISION_MODES, HysteresisPolicy, make_policy
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
-from repro.errors import GuardError, PersistenceError, SearchError
+from repro.errors import GuardError, PersistenceError, SearchError, WorkloadError
 from repro.faults import FaultPlan
 from repro.middleware import (
     MiddlewareScheduler,
@@ -57,7 +57,6 @@ from repro.ml.ensemble import EnsembleConfig
 from repro.recovery.atomic import verify_artifact
 from repro.runtime import EventBus, resolve_backend
 from repro.workload.characterize import characterize_trace
-from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 from repro.workload.spec import mgrast_workload
 
@@ -188,7 +187,6 @@ def cmd_replay(args) -> int:
         events.subscribe(lambda e: print(f"   {e}"), topic="tenant.rafiki.fault")
         events.subscribe(lambda e: print(f"   {e}"), topic="tenant.rafiki.controller")
 
-    forecaster = MarkovRegimeForecaster() if args.mode == "forecast" else None
     scheduler = MiddlewareScheduler(datastore, rafiki, events=events)
     scheduler.add_tenant(
         TenantSpec(
@@ -206,9 +204,7 @@ def cmd_replay(args) -> int:
             tenant_id="rafiki",
             rr_series=series,
             base_workload=base_workload,
-            policy=HysteresisPolicy(
-                make_policy(args.mode, forecaster), min_change=0.08
-            ),
+            policy=HysteresisPolicy(make_policy(args.mode), min_change=0.08),
             n_nodes=args.nodes,
             replication_factor=args.replication_factor,
             seed=args.seed,
@@ -368,7 +364,11 @@ def cmd_serve(args) -> int:
 def cmd_characterize(args) -> int:
     generator = MGRastTraceGenerator(seed=args.seed, queries_per_window=args.queries)
     trace = generator.generate(duration_seconds=args.hours * 3600)
-    ch = characterize_trace(trace)
+    try:
+        ch = characterize_trace(trace)
+    except WorkloadError as exc:
+        print(f"cannot characterize: {exc}", file=sys.stderr)
+        return 1
     payload = {
         "windows": ch.n_windows,
         "window_seconds": ch.window_seconds,
@@ -412,6 +412,14 @@ def _fraction(text):
     return value
 
 
+def _read_ratio(text):
+    """An argparse ``type``: a read ratio in [0, 1], else exit 2."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _parent(*adders) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for add in adders:
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[datastore_p, seed_p, workers_p, quiet_p],
     )
     p.add_argument("--out", required=True, help="dataset JSON path")
-    p.add_argument("--base-read-ratio", type=float, default=0.5)
+    p.add_argument("--base-read-ratio", type=_read_ratio, default=0.5)
     p.add_argument("--workloads", type=_int_at_least(2), default=11)
     p.add_argument("--configurations", type=_int_at_least(1), default=20)
     p.add_argument("--faulty", type=_int_at_least(0), default=20)
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[datastore_p, seed_p],
     )
     p.add_argument("--surrogate", required=True)
-    p.add_argument("--read-ratio", type=float, required=True)
+    p.add_argument("--read-ratio", type=_read_ratio, required=True)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser(

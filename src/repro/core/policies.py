@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import SearchError
-from repro.workload.forecast import RRForecaster
+from repro.workload.forecast import MarkovRegimeForecaster
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,19 @@ class ReactivePolicy(DecisionPolicy):
 class ForecastPolicy(DecisionPolicy):
     """Proactive tuning from a one-step-ahead RR forecast (§6).
 
-    Cold start: until the forecaster has seen at least one observation,
-    ``decide`` returns ``None`` — predicting from an unfitted forecaster
-    would just emit its prior (e.g. 0.5) and trigger a reconfiguration
-    based on no data, the same first-window blindness reactive mode
-    already acknowledges.  Pass ``assume_warm=True`` for a forecaster
-    that was pre-trained on historical windows.
+    The forecaster is a fresh :class:`MarkovRegimeForecaster`.  Cold
+    start: until it has seen at least one observation, ``decide``
+    returns ``None`` — predicting from an unfitted forecaster would just
+    emit its prior (0.5) and trigger a reconfiguration based on no data,
+    the same first-window blindness reactive mode already acknowledges.
     """
 
     name = "forecast"
     proactive = True
 
-    def __init__(self, forecaster: RRForecaster, assume_warm: bool = False):
-        if forecaster is None:
-            raise SearchError("forecast mode needs a forecaster")
-        self.forecaster = forecaster
-        self._observations = 1 if assume_warm else 0
+    def __init__(self):
+        self.forecaster = MarkovRegimeForecaster()
+        self._observations = 0
 
     def decide(self, window: WindowObservation) -> Optional[float]:
         if self._observations == 0:
@@ -112,27 +109,17 @@ class HysteresisPolicy(DecisionPolicy):
     """Composable damper around any inner policy.
 
     Passes the inner decision through only when it moved at least
-    ``min_change`` away from the last *acted-on* decision (hysteresis),
-    and at most once every ``cooldown_windows`` windows (cooldown) —
+    ``min_change`` away from the last *acted-on* decision (hysteresis) —
     reconfigurations cost downtime, so chattering around a regime
     boundary must not translate into reconfiguration storms.
     """
 
-    def __init__(
-        self,
-        inner: DecisionPolicy,
-        min_change: float = 0.08,
-        cooldown_windows: int = 0,
-    ):
+    def __init__(self, inner: DecisionPolicy, min_change: float = 0.08):
         if min_change < 0:
             raise SearchError("min_change must be >= 0")
-        if cooldown_windows < 0:
-            raise SearchError("cooldown_windows must be >= 0")
         self.inner = inner
         self.min_change = min_change
-        self.cooldown_windows = cooldown_windows
         self._last_rr: Optional[float] = None
-        self._last_window: Optional[int] = None
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -146,15 +133,9 @@ class HysteresisPolicy(DecisionPolicy):
         raw = self.inner.decide(window)
         if raw is None:
             return None
-        if (
-            self._last_window is not None
-            and window.index - self._last_window < self.cooldown_windows
-        ):
-            return None
         if self._last_rr is not None and abs(raw - self._last_rr) < self.min_change:
             return None
         self._last_rr = raw
-        self._last_window = window.index
         return raw
 
     def observe(self, read_ratio: float) -> None:
@@ -162,7 +143,6 @@ class HysteresisPolicy(DecisionPolicy):
 
     def reset(self) -> None:
         self._last_rr = None
-        self._last_window = None
         self.inner.reset()
 
 
@@ -170,14 +150,12 @@ class HysteresisPolicy(DecisionPolicy):
 DECISION_MODES = ("oracle", "reactive", "forecast")
 
 
-def make_policy(
-    mode: str, forecaster: Optional[RRForecaster] = None
-) -> DecisionPolicy:
+def make_policy(mode: str) -> DecisionPolicy:
     """The CLI's string -> policy map (``replay --mode``)."""
     if mode == "oracle":
         return OraclePolicy()
     if mode == "reactive":
         return ReactivePolicy()
     if mode == "forecast":
-        return ForecastPolicy(forecaster)
+        return ForecastPolicy()
     raise SearchError(f"unknown decision mode {mode!r}")

@@ -316,19 +316,6 @@ class Cluster:
         for i, node in enumerate(self.nodes):
             node.load(base + (1 if i < remainder else 0))
 
-    def reconfigure(self, knobs: EngineKnobs) -> None:
-        """Push new engine knobs to every node (legacy uniform push).
-
-        This is the pre-verified-actuation path: it cannot fail, ignores
-        refusals/isolation, and syncs every node's applied config to the
-        intended one (the knobs are assumed to derive from it).  New code
-        should go through :meth:`apply_config`, which applies per node
-        and reports what actually landed.
-        """
-        for node in self.nodes:
-            node.reconfigure(knobs)
-        self._applied = [self.config] * self.n_nodes
-
     # -- verified actuation ---------------------------------------------------
 
     def set_intended(self, config: Configuration) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, List, Optional, Sequence, Set, Tuple
 from collections import deque
 
 import numpy as np
@@ -185,9 +185,8 @@ class LSMEngine:
         Probes the memtable, then every bloom-positive SSTable
         (Cassandra merges row fragments, so it cannot stop early),
         tallying bloom checks, index probes, cache traffic, and disk
-        misses; the caller converts the tallies into simulated time
-        (once per op on the point-read path, once per *batch* on the
-        multi-get path).  The SSTable side is a list of probe events
+        misses; the op loop converts the tallies into simulated time.
+        The SSTable side is a list of probe events
         replayed against the LRU cache: those of read ``k`` of ``plan``
         (re-planned first if the layout moved since), or without a plan
         found table by table — any string, hashed once.  Returns
@@ -329,35 +328,6 @@ class LSMEngine:
                 np.concatenate(row_chunks)[order].tolist(),
             )
         )
-
-    def exists(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def multi_get(self, keys) -> Dict[str, Optional[bytes]]:
-        """Batch point lookups, charged as one batched operation.
-
-        All keys are probed first, under one probe plan (probing
-        advances no simulated time, so layout and memtable are frozen
-        for the duration whatever the background), then the accumulated
-        demand is pushed through :meth:`_advance_for_op` once: the batch
-        pays a single read-dispatch base cost, its CPU and random-read
-        demands overlap (the op takes the bottleneck's time, not the sum
-        of per-key maxima), and the thread pool is held for the whole
-        batch.  Results are identical to N :meth:`get` calls — only the
-        simulated time differs.
-        """
-        keys = list(keys)
-        out: Dict[str, Optional[bytes]] = {}
-        if not keys:
-            return out
-        plan = self._plan(keys)
-        probed = [self._probe_newest(key, plan, i) for i, key in enumerate(keys)]
-        for key, (rec, *_) in zip(keys, probed):
-            out[key] = None if rec is None or rec.is_tombstone else rec.value
-        blooms, probes, hits, disk = map(sum, list(zip(*probed))[1:])
-        cpu = read_cpu_seconds(blooms, probes, hits, self.costs)
-        self._advance_for_op(cpu, 0.0, disk, self.costs.read_thread_hold * len(keys))
-        return out
 
     def execute_batch(
         self,
@@ -513,49 +483,6 @@ class LSMEngine:
                 terms = None
         return end_times, best
 
-    def scan(self, start_key: str, end_key: str, limit: int = 0) -> List[tuple]:
-        """Range scan: ``[(key, value)]`` for start <= key <= end, sorted.
-
-        Merges the memtable with every overlapping SSTable (newest
-        version wins, tombstones excluded).  Charged as a streaming read
-        of the overlapping table bytes plus per-row merge CPU — range
-        reads are sequential I/O, unlike point lookups.
-        """
-        if start_key > end_key:
-            raise DatastoreError(f"invalid scan range [{start_key!r}, {end_key!r}]")
-        self.stats.reads += 1
-
-        newest: Dict[str, Record] = {}
-        for rec in self.memtable.scan(start_key, end_key):
-            newest[rec.key] = rec
-
-        seq_bytes = 0.0
-        rows_merged = len(newest)
-        for table in self.layout.all_tables():
-            if not table.overlaps_range(start_key, end_key):
-                continue
-            # A real engine seeks to start_key and streams; charge the
-            # overlapping fraction of the table's bytes.
-            seq_bytes += table.size_bytes * table.range_fraction(start_key, end_key)
-            for rec in table.records_in_range(start_key, end_key):
-                rows_merged += 1
-                cur = newest.get(rec.key)
-                if cur is None or rec.supersedes(cur):
-                    newest[rec.key] = rec
-
-        results = [
-            (key, rec.value)
-            for key, rec in sorted(newest.items())
-            if not rec.is_tombstone
-        ]
-        if limit > 0:
-            results = results[:limit]
-
-        cpu = self.costs.cpu_read_base + rows_merged * self.costs.cpu_probe * 0.1
-        seeks = min(self.layout.table_count, 1)  # initial seeks
-        self._advance_for_op(cpu, seq_bytes, seeks, self.costs.read_thread_hold)
-        return results
-
     def flush(self) -> Optional[SSTable]:
         """Force-flush the memtable (used on shutdown / phase boundaries)."""
         return self._flush_memtable()
@@ -639,29 +566,6 @@ class LSMEngine:
         return self._next_task_id
 
     # ------------------------------------------------------------------ timing
-
-    def _advance_for_op(
-        self, cpu_seconds: float, seq_bytes: float, random_reads: int, hold_seconds: float
-    ) -> None:
-        """Advance the clock by a batched read's bottleneck interval.
-
-        The accumulated demands of a :meth:`multi_get` or :meth:`scan`
-        over the capacities the op loop divides a point op's by; the
-        read pool is held for ``hold_seconds``.
-        """
-        terms = self._charge_terms()
-        self.disk.stats.seq_bytes_read += seq_bytes
-        self.disk.stats.random_reads += random_reads
-        dt = max(
-            cpu_seconds * terms.read_contention / terms.cores,
-            seq_bytes / terms.seq_bandwidth,
-            random_reads / terms.rand_iops,
-            hold_seconds / self.knobs.concurrent_reads,
-        )
-        self.stats.busy_seconds += dt
-        self.clock.advance(dt)
-        if self._pending_compactions or self._flush_queue_bytes > 0:
-            self._drain_background(dt, terms.compaction_rate)
 
     def _regime(self) -> tuple:
         """``(active compactors, flush queue non-empty)``: all of the

@@ -54,13 +54,6 @@ class Memtable:
         """Flush trigger: fill fraction reached ``cleanup_threshold``."""
         return self._bytes >= cleanup_threshold * self.capacity_bytes
 
-    def scan(self, start_key: str, end_key: str) -> Iterator[Record]:
-        """Records with start <= key <= end, in key order (tombstones
-        included — the caller merges)."""
-        for key in sorted(self._rows):
-            if start_key <= key <= end_key:
-                yield self._rows[key]
-
     def drain(self) -> Iterator[Record]:
         """Yield all records in key order and leave the memtable empty."""
         rows = self._rows

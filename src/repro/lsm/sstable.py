@@ -116,11 +116,6 @@ class SSTable:
             return self.bloom.might_contain(key)
         return self.bloom.might_contain_hashed(*hashed)
 
-    def get(self, key: str) -> Optional[Record]:
-        """Exact lookup; None if absent (bloom said maybe but lied)."""
-        row = self.locate(key)[1]
-        return self._records[row] if row >= 0 else None
-
     def record_at(self, i: int) -> Record:
         """Record at a known sorted position (from a batched searchsorted)."""
         return self._records[i]
@@ -169,18 +164,6 @@ class SSTable:
 
     def records(self) -> Iterable[Record]:
         return iter(self._records)
-
-    def records_in_range(self, start_key: str, end_key: str) -> Iterable[Record]:
-        """Records with start <= key <= end, in key order."""
-        lo = bisect.bisect_left(self._keys, start_key)
-        hi = bisect.bisect_right(self._keys, end_key)
-        return iter(self._records[lo:hi])
-
-    def range_fraction(self, start_key: str, end_key: str) -> float:
-        """Fraction of this table's rows inside [start, end]."""
-        lo = bisect.bisect_left(self._keys, start_key)
-        hi = bisect.bisect_right(self._keys, end_key)
-        return max(hi - lo, 0) / max(len(self._keys), 1)
 
     def __repr__(self) -> str:
         return (

@@ -74,7 +74,6 @@ from repro.middleware.guard import GUARD_STANZA_KEYS, GuardSpec
 from repro.middleware.reconcile import RECONCILE_STANZA_KEYS, ReconcileSpec
 from repro.middleware.scheduler import TenantSpec
 from repro.middleware.slo import SLO_STANZA_KEYS, SloSpec
-from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 from repro.workload.spec import mgrast_workload
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
@@ -104,6 +103,9 @@ TENANT_KEYS = frozenset(
         "reconcile",
     }
 )
+
+#: Tenant keys that must hold an integer (``fault_seed`` may be null).
+_INTEGER_KEYS = ("nodes", "replication_factor", "seed", "priority", "fault_seed")
 
 #: Keys the top-level ``[guard]`` section may set.
 GUARD_SECTION_KEYS = frozenset({"cluster_capacity", "shedding"})
@@ -276,6 +278,20 @@ def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> Tenant
             raise PersistenceError(
                 f"manifest {source}: duplicate tenant id {tenant_id!r}"
             )
+        # ``type(...) is int``, not isinstance: a bool is an int too, and
+        # ``nodes = true`` is as wrong as ``nodes = 2.5``.
+        for key in _INTEGER_KEYS:
+            value = merged[key]
+            if type(value) is not int and not (key == "fault_seed" and value is None):
+                raise PersistenceError(
+                    f"manifest {source}: tenant {tenant_id!r}: {key} must be "
+                    f"an integer, got {value!r}"
+                )
+        if not isinstance(merged["load"], bool):
+            raise PersistenceError(
+                f"manifest {source}: tenant {tenant_id!r}: load must be a "
+                f"boolean, got {merged['load']!r}"
+            )
         seen.add(tenant_id)
         tenants.append(merged)
     capacity = guard_section.get("cluster_capacity")
@@ -315,9 +331,8 @@ def specs_from_manifest(
             series = MGRastTraceGenerator(
                 seed=entry["seed"], window_seconds=entry["window_seconds"]
             ).read_ratio_series(tenant_hours * 3600)
-            forecaster = MarkovRegimeForecaster() if mode == "forecast" else None
             policy = HysteresisPolicy(
-                make_policy(mode, forecaster),
+                make_policy(mode),
                 min_change=entry["rr_change_threshold"],
             )
             fault_plan = None
@@ -359,8 +374,8 @@ def specs_from_manifest(
                     fault_plan=fault_plan,
                     restart_policy=entry["restart_policy"],
                     restart_seconds_per_node=entry["restart_seconds_per_node"],
-                    load=bool(entry["load"]),
-                    priority=int(entry["priority"]),
+                    load=entry["load"],
+                    priority=entry["priority"],
                     slo=slo,
                     guard=guard,
                     reconcile=reconcile,

@@ -5,18 +5,12 @@ LRU of fixed-size pages holding SSTable blocks read from disk.  The LSM
 engine consults it on every SSTable access; hits cost CPU only, misses
 cost a random disk read.
 
-Two interfaces are provided on one structure:
-
-* exact per-key LRU (:meth:`access`) used on the per-operation path, and
-* an analytic hit-ratio estimator (:meth:`expected_hit_ratio`) used on the
-  batched path, derived from the key-reuse-distance distribution — the
-  same quantity the paper characterizes (KRD) and the reason caching is of
-  "limited value" for MG-RAST (§3.3).
+The analytic model computes its own steady-state hit ratio from the
+key-reuse distance (:mod:`repro.lsm.analytic`).
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Hashable
 
@@ -81,31 +75,6 @@ class LruFileCache:
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # -- analytic path -----------------------------------------------------------
-
-    def expected_hit_ratio(self, mean_reuse_distance: float, working_set_pages: float) -> float:
-        """Estimate steady-state hit ratio from the KRD distribution.
-
-        With exponentially distributed reuse distances of mean ``d`` (in
-        pages touched between reuses) and a cache of ``C`` pages over a
-        working set of ``W`` pages, a re-access hits iff fewer than ``C``
-        *distinct* pages intervened.  Approximating distinct-page count by
-        the reuse distance capped by the working set, the hit probability
-        is ``P[D < C_eff] = 1 - exp(-C_eff / d)`` with
-        ``C_eff = min(C, W)``.  This is the classic che-approximation
-        shape and matches the paper's observation that huge KRD makes
-        caches nearly useless.
-        """
-        if mean_reuse_distance <= 0:
-            raise ValueError("mean reuse distance must be positive")
-        c_eff = min(float(self._capacity_pages), max(working_set_pages, 1.0))
-        if c_eff <= 0:
-            return 0.0
-        if working_set_pages <= self._capacity_pages:
-            # Entire working set fits: everything but cold misses hits.
-            return 1.0
-        return 1.0 - math.exp(-c_eff / mean_reuse_distance)
 
     def __repr__(self) -> str:
         return (

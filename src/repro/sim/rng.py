@@ -49,12 +49,6 @@ class SeedSequence:
         seq = np.random.SeedSequence([self._root, index, *name_entropy])
         return np.random.default_rng(seq)
 
-    def child(self, name: str) -> "SeedSequence":
-        """Derive a child SeedSequence (e.g., one per cluster node)."""
-        rng = self.stream(f"child:{name}")
-        return SeedSequence(int(rng.integers(0, 2**31 - 1)))
-
-
 def derive_rng(seed: SeedLike) -> np.random.Generator:
     """Coerce ``seed`` (int, Generator, or None) into a Generator."""
     if isinstance(seed, np.random.Generator):

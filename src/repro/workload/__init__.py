@@ -1,4 +1,4 @@
-"""Workload modelling: specs, key distributions, traces, characterization.
+"""Workload modelling: specs, key selection, traces, characterization.
 
 Implements the paper's workload layer (§2.4, §3.3): MG-RAST-style
 dynamic query streams, the two characterization statistics Rafiki uses —
@@ -7,11 +7,7 @@ with an exponential distribution) — and generators to drive benchmarks.
 """
 
 from repro.workload.spec import WorkloadSpec, READ, WRITE, DELETE
-from repro.workload.keydist import (
-    ExponentialReuseKeyDistribution,
-    UniformKeyDistribution,
-    ZipfianKeyDistribution,
-)
+from repro.workload.keydist import ExponentialReuseKeyDistribution
 from repro.workload.generator import OperationGenerator
 from repro.workload.trace import QueryRecord, Trace
 from repro.workload.mgrast import MGRastTraceGenerator, MGRastPhase
@@ -21,13 +17,7 @@ from repro.workload.characterize import (
     fit_exponential_krd,
     read_ratio_windows,
 )
-from repro.workload.forecast import (
-    ExponentialSmoothingForecaster,
-    LastValueForecaster,
-    MarkovRegimeForecaster,
-    RRForecaster,
-    forecast_series,
-)
+from repro.workload.forecast import MarkovRegimeForecaster
 
 __all__ = [
     "WorkloadSpec",
@@ -35,8 +25,6 @@ __all__ = [
     "WRITE",
     "DELETE",
     "ExponentialReuseKeyDistribution",
-    "UniformKeyDistribution",
-    "ZipfianKeyDistribution",
     "OperationGenerator",
     "QueryRecord",
     "Trace",
@@ -46,9 +34,5 @@ __all__ = [
     "characterize_trace",
     "fit_exponential_krd",
     "read_ratio_windows",
-    "RRForecaster",
-    "LastValueForecaster",
-    "ExponentialSmoothingForecaster",
     "MarkovRegimeForecaster",
-    "forecast_series",
 ]

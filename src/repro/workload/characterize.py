@@ -7,8 +7,6 @@ From a raw query trace, extract the two statistics Rafiki uses:
   for MG-RAST.
 * **Key Reuse Distance (KRD)** — fit an exponential distribution over
   the observed reuse distances of the whole trace.
-
-Also provides a stationarity diagnostic used to justify the window size.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import WorkloadError
-from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS, Trace
 
 
@@ -36,15 +31,6 @@ class WorkloadCharacterization:
     @property
     def n_windows(self) -> int:
         return len(self.read_ratios)
-
-    def window_spec(self, index: int, n_keys: int = 30_000_000) -> WorkloadSpec:
-        """Benchmark spec for one observed window."""
-        return WorkloadSpec(
-            read_ratio=self.read_ratios[index],
-            krd_mean_ops=self.krd_mean_ops,
-            n_keys=n_keys,
-            name=f"window-{index:04d}",
-        )
 
 
 def read_ratio_windows(
@@ -72,31 +58,6 @@ def fit_exponential_krd(trace: Trace, max_records: int = 0) -> Tuple[float, int]
     if distances.size == 0:
         raise WorkloadError("trace exhibits no key reuse; cannot fit KRD")
     return float(distances.mean()), int(distances.size)
-
-
-def rr_stationarity_score(
-    trace: Trace, window_seconds: float, n_subwindows: int = 4
-) -> float:
-    """How stationary RR is *within* windows of the given width.
-
-    Splits each window into ``n_subwindows`` parts and returns the mean
-    absolute deviation of sub-window RR from the window RR (lower is more
-    stationary).  The paper picks the window size for which RR is
-    stationary "in an information-theoretic sense"; this is the
-    operational proxy.
-    """
-    deviations: List[float] = []
-    for _, records in trace.windows(window_seconds):
-        if len(records) < 2 * n_subwindows:
-            continue
-        reads = np.array([1.0 if r.kind == "read" else 0.0 for r in records])
-        window_rr = reads.mean()
-        for part in np.array_split(reads, n_subwindows):
-            if part.size:
-                deviations.append(abs(part.mean() - window_rr))
-    if not deviations:
-        raise WorkloadError("trace too short for a stationarity estimate")
-    return float(np.mean(deviations))
 
 
 def characterize_trace(

@@ -5,83 +5,24 @@ point being that if the next window's read ratio can be predicted, the
 controller can reconfigure *proactively* at the window boundary instead
 of reacting one window late.
 
-Three online forecasters over the per-window RR series:
-
-* :class:`LastValueForecaster` — predicts "same as last window"; this is
-  what a purely reactive controller implicitly assumes.
-* :class:`ExponentialSmoothingForecaster` — smooths wobble inside a
-  regime but lags regime switches.
-* :class:`MarkovRegimeForecaster` — quantizes RR into regime bins and
-  learns the window-to-window transition matrix online; suits MG-RAST's
-  regime-switching structure (Figure 3), where "same regime" is likely
-  but switches have learnable destinations.
-
-All are online: ``update()`` with each observed window, ``predict()``
-for the next.  They never see the future.
+:class:`MarkovRegimeForecaster` quantizes RR into regime bins and learns
+the window-to-window transition matrix online; it suits MG-RAST's
+regime-switching structure (Figure 3), where "same regime" is likely but
+switches have learnable destinations.  It is online: ``update()`` with
+each observed window, ``predict()`` for the next.  It never sees the
+future.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
 
 
-class RRForecaster:
-    """Interface: an online predictor of the next window's read ratio."""
-
-    def update(self, read_ratio: float) -> None:
-        """Feed the just-observed window's RR."""
-        raise NotImplementedError
-
-    def predict(self) -> float:
-        """Predict the next window's RR (in [0, 1])."""
-        raise NotImplementedError
-
-    def observe_and_predict(self, read_ratio: float) -> float:
-        self.update(read_ratio)
-        return self.predict()
-
-    @staticmethod
-    def _check(read_ratio: float) -> float:
-        if not (0.0 <= read_ratio <= 1.0):
-            raise WorkloadError(f"read ratio {read_ratio} outside [0, 1]")
-        return float(read_ratio)
-
-
-class LastValueForecaster(RRForecaster):
-    """Next window == this window (the reactive-controller assumption)."""
-
-    def __init__(self, initial: float = 0.5):
-        self._last = self._check(initial)
-
-    def update(self, read_ratio: float) -> None:
-        self._last = self._check(read_ratio)
-
-    def predict(self) -> float:
-        return self._last
-
-
-class ExponentialSmoothingForecaster(RRForecaster):
-    """EWMA over the RR series: ``level <- a*rr + (1-a)*level``."""
-
-    def __init__(self, alpha: float = 0.5, initial: float = 0.5):
-        if not (0.0 < alpha <= 1.0):
-            raise WorkloadError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._level = self._check(initial)
-
-    def update(self, read_ratio: float) -> None:
-        rr = self._check(read_ratio)
-        self._level = self.alpha * rr + (1.0 - self.alpha) * self._level
-
-    def predict(self) -> float:
-        return self._level
-
-
-class MarkovRegimeForecaster(RRForecaster):
+class MarkovRegimeForecaster:
     """First-order Markov chain over quantized RR regimes.
 
     RR is binned into ``n_bins`` regimes; transition counts are learned
@@ -112,7 +53,10 @@ class MarkovRegimeForecaster(RRForecaster):
         return (b + 0.5) / self.n_bins
 
     def update(self, read_ratio: float) -> None:
-        rr = self._check(read_ratio)
+        """Feed the just-observed window's RR."""
+        if not (0.0 <= read_ratio <= 1.0):
+            raise WorkloadError(f"read ratio {read_ratio} outside [0, 1]")
+        rr = float(read_ratio)
         new_bin = self._bin_of(rr)
         self._bin_sums[new_bin] += rr
         self._bin_counts[new_bin] += 1
@@ -121,30 +65,10 @@ class MarkovRegimeForecaster(RRForecaster):
         self._current_bin = new_bin
 
     def predict(self) -> float:
+        """Predict the next window's RR (in [0, 1])."""
         if self._current_bin is None:
             return 0.5
         row = self._transitions[self._current_bin]
         probs = row / row.sum()
         centers = np.array([self._bin_center(b) for b in range(self.n_bins)])
         return float(np.clip(probs @ centers, 0.0, 1.0))
-
-    def transition_matrix(self) -> np.ndarray:
-        """Row-normalized learned transition probabilities."""
-        rows = self._transitions.sum(axis=1, keepdims=True)
-        return self._transitions / rows
-
-
-def forecast_series(
-    forecaster: RRForecaster, rr_series: "np.ndarray"
-) -> List[float]:
-    """One-step-ahead forecasts for each window (given only the past).
-
-    ``predictions[i]`` is the forecast for window ``i`` made after
-    observing windows ``0..i-1``; ``predictions[0]`` is the forecaster's
-    prior.
-    """
-    predictions: List[float] = []
-    for rr in rr_series:
-        predictions.append(forecaster.predict())
-        forecaster.update(float(rr))
-    return predictions

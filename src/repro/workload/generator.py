@@ -14,11 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE
-from repro.workload.keydist import (
-    _KEY_NAME_FORMAT,
-    ExponentialReuseKeyDistribution,
-    KeyDistribution,
-)
+from repro.workload.keydist import _KEY_NAME_FORMAT, ExponentialReuseKeyDistribution
 from repro.workload.spec import WorkloadSpec
 
 
@@ -61,12 +57,11 @@ class OperationGenerator:
         self,
         spec: WorkloadSpec,
         rng: np.random.Generator,
-        key_dist: Optional[KeyDistribution] = None,
         loaded_keys: int = 0,
     ):
         self.spec = spec
         self.rng = rng
-        self.key_dist = key_dist or ExponentialReuseKeyDistribution(
+        self.key_dist = ExponentialReuseKeyDistribution(
             n_keys=spec.n_keys,
             mean_reuse_distance=spec.krd_mean_ops,
         )

@@ -1,12 +1,9 @@
-"""Key-selection distributions.
+"""Key selection: the paper's key-reuse process.
 
 The paper characterizes MG-RAST key access by its Key Reuse Distance
 (KRD): "the number of queries that pass before the same key is
 re-accessed" (§3.3), summarized by a fitted exponential distribution.
-:class:`ExponentialReuseKeyDistribution` generates exactly that process;
-uniform and zipfian selectors are provided for contrast (zipfian is the
-archetypal YCSB web workload the paper argues MG-RAST does *not* look
-like).
+:class:`ExponentialReuseKeyDistribution` generates exactly that process.
 """
 
 from __future__ import annotations
@@ -20,106 +17,7 @@ from repro.errors import WorkloadError
 _KEY_NAME_FORMAT = "user%012d"
 
 
-class KeyDistribution:
-    """Interface: pick keys from a keyspace of ``n_keys`` items."""
-
-    def __init__(self, n_keys: int):
-        if n_keys <= 0:
-            raise WorkloadError("n_keys must be positive")
-        self.n_keys = n_keys
-
-    def next_key(self, rng: np.random.Generator) -> int:
-        """Return the integer id of the next key to access."""
-        raise NotImplementedError
-
-    def next_keys(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized sampling: the ids of the next ``n`` key accesses.
-
-        The base implementation loops :meth:`next_key` and is therefore
-        always stream-identical to scalar sampling; subclasses override
-        it with vectorized draws.  Uniform and zipfian batches consume
-        the generator exactly as ``n`` scalar calls would (numpy fills
-        arrays element-by-element with the same algorithm), so batched
-        and scalar op streams see the same keys; the exponential-reuse
-        sampler documents its own contract.
-        """
-        if n < 0:
-            raise WorkloadError("batch size must be non-negative")
-        return np.array([self.next_key(rng) for _ in range(n)], dtype=np.int64)
-
-    def key_name(self, key_id: int) -> str:
-        """``key_id`` under :data:`_KEY_NAME_FORMAT`."""
-        return _KEY_NAME_FORMAT % key_id
-
-
-class UniformKeyDistribution(KeyDistribution):
-    """Every key equally likely — the no-locality extreme."""
-
-    def next_key(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.n_keys))
-
-    def next_keys(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 0:
-            raise WorkloadError("batch size must be non-negative")
-        return rng.integers(self.n_keys, size=n).astype(np.int64)
-
-
-class ZipfianKeyDistribution(KeyDistribution):
-    """Zipf-skewed popularity (YCSB's default web-style workload).
-
-    Uses the rejection-inversion sampler so construction is O(1) in the
-    keyspace size.
-    """
-
-    def __init__(self, n_keys: int, theta: float = 0.99):
-        super().__init__(n_keys)
-        if not (0.0 < theta < 1.0):
-            raise WorkloadError("zipfian theta must be in (0, 1)")
-        self.theta = theta
-        # Gray et al. approximation constants (as used by YCSB).
-        zeta2 = self._zeta(2, theta)
-        self._zetan = self._zeta(n_keys, theta)
-        self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1 - (2.0 / n_keys) ** (1 - theta)) / (1 - zeta2 / self._zetan)
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        # Exact up to a cutoff, then an integral approximation: the tail
-        # of sum(1/i^theta) converges to the integral for large i.
-        cutoff = min(n, 10_000)
-        s = sum(1.0 / i**theta for i in range(1, cutoff + 1))
-        if n > cutoff:
-            s += (n ** (1 - theta) - cutoff ** (1 - theta)) / (1 - theta)
-        return s
-
-    def next_key(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5**self.theta:
-            return 1
-        return int(self.n_keys * (self._eta * u - self._eta + 1) ** self._alpha)
-
-    def next_keys(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 0:
-            raise WorkloadError("batch size must be non-negative")
-        u = rng.random(n)
-        uz = u * self._zetan
-        # Same expression tree as next_key, so each element is bit-equal
-        # to the scalar call on the same uniform draw.  Lanes taken by
-        # the uz < 1 + 0.5**theta branches can have a negative power
-        # base; they are discarded by the where, but the base is clamped
-        # so they never raise on the way through.
-        base = self._eta * u - self._eta + 1
-        tail = (self.n_keys * np.where(base > 0, base, 1.0) ** self._alpha).astype(
-            np.int64
-        )
-        keys = np.where(uz < 1.0, 0, np.where(uz < 1.0 + 0.5**self.theta, 1, tail))
-        return keys.astype(np.int64)
-
-
-class ExponentialReuseKeyDistribution(KeyDistribution):
+class ExponentialReuseKeyDistribution:
     """Key stream with exponentially distributed reuse distances.
 
     With probability ``reuse_probability`` the next access re-uses a key
@@ -136,11 +34,13 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
         reuse_probability: float = 0.8,
         history_limit: int = 2_000_000,
     ):
-        super().__init__(n_keys)
+        if n_keys <= 0:
+            raise WorkloadError("n_keys must be positive")
         if mean_reuse_distance <= 0:
             raise WorkloadError("mean_reuse_distance must be positive")
         if not (0.0 <= reuse_probability <= 1.0):
             raise WorkloadError("reuse_probability outside [0, 1]")
+        self.n_keys = n_keys
         self.mean_reuse_distance = float(mean_reuse_distance)
         self.reuse_probability = reuse_probability
         self.history_limit = history_limit
@@ -163,7 +63,12 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
             grown[: self._held] = self._history[: self._held]
             self._history = grown
 
+    def key_name(self, key_id: int) -> str:
+        """``key_id`` under :data:`_KEY_NAME_FORMAT`."""
+        return _KEY_NAME_FORMAT % key_id
+
     def next_key(self, rng: np.random.Generator) -> int:
+        """Return the integer id of the next key to access."""
         key = -1
         held, history = self._held, self._history
         if held and rng.random() < self.reuse_probability:
@@ -224,7 +129,7 @@ class ExponentialReuseKeyDistribution(KeyDistribution):
         if h + n > self.history_limit:
             # Eviction bookkeeping would trigger mid-batch; keep that
             # rare regime on the scalar path.
-            return super().next_keys(rng, n)
+            return np.array([self.next_key(rng) for _ in range(n)], dtype=np.int64)
 
         reuse_coin = rng.random(n)
         distance = rng.exponential(self.mean_reuse_distance, size=n).astype(np.int64)

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.sim.rng import SeedLike, derive_rng
 from repro.workload.keydist import ExponentialReuseKeyDistribution
-from repro.workload.spec import READ, WRITE, WorkloadSpec
+from repro.workload.spec import READ, WRITE
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS, QueryRecord, Trace
 
 
@@ -131,18 +131,3 @@ class MGRastTraceGenerator:
                     )
                 )
         return Trace(records)
-
-    # ------------------------------------------------------------------ specs
-
-    def workload_specs(
-        self, duration_seconds: float = FOUR_DAYS_SECONDS
-    ) -> List[WorkloadSpec]:
-        """One benchmark-ready spec per window (for replay experiments)."""
-        return [
-            WorkloadSpec(
-                read_ratio=float(rr),
-                krd_mean_ops=self.krd_mean_ops,
-                name=f"mgrast-w{i:04d}",
-            )
-            for i, rr in enumerate(self.read_ratio_series(duration_seconds))
-        ]

@@ -102,11 +102,3 @@ class Trace:
                 distances.append(i - prev - 1)
             last_seen[rec.key] = i
         return np.asarray(distances, dtype=float)
-
-    def subsample(self, fraction: float, rng: np.random.Generator) -> "Trace":
-        """Random subsample preserving order (the paper's case study
-        sub-sampling, §1)."""
-        if not (0.0 < fraction <= 1.0):
-            raise WorkloadError("fraction must be in (0, 1]")
-        keep = rng.random(len(self._records)) < fraction
-        return Trace([r for r, k in zip(self._records, keep) if k])

@@ -36,11 +36,7 @@ from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.hardware import HardwareSpec
 from repro.workload.generator import OperationGenerator
-from repro.workload.keydist import (
-    ExponentialReuseKeyDistribution,
-    UniformKeyDistribution,
-    ZipfianKeyDistribution,
-)
+from repro.workload.keydist import ExponentialReuseKeyDistribution
 from repro.workload.spec import WorkloadSpec
 
 from .conftest import MB, make_knobs
@@ -252,16 +248,6 @@ class TestGeneratorBatches:
 
 
 class TestKeyDistributionBatches:
-    @pytest.mark.parametrize(
-        "dist_cls", [UniformKeyDistribution, ZipfianKeyDistribution]
-    )
-    def test_batch_stream_identical_to_scalar(self, dist_cls):
-        scalar_dist, batch_dist = dist_cls(n_keys=1000), dist_cls(n_keys=1000)
-        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-        scalar = [scalar_dist.next_key(rng_a) for _ in range(500)]
-        batch = batch_dist.next_keys(rng_b, 500)
-        assert np.array_equal(np.array(scalar), batch)
-
     def test_exponential_reuse_batch_deterministic_and_bounded(self):
         def draw():
             dist = ExponentialReuseKeyDistribution(n_keys=500, mean_reuse_distance=30)

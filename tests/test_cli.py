@@ -283,6 +283,13 @@ class TestCharacterize:
         assert 0.0 <= payload["overall_read_ratio"] <= 1.0
         assert payload["krd_mean_ops"] > 0
 
+    def test_trace_without_key_reuse_exits_1(self, capsys):
+        rc = main(["characterize", "--hours", "1", "--queries", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no key reuse" in captured.err
+
 
 class TestVerifyArtifact:
     def test_valid_dataset(self, artifacts, capsys):
@@ -341,6 +348,9 @@ class TestValidation:
             ["--faulty", "-1"],
             ["--run-seconds", "0"],
             ["--run-seconds", "nan"],
+            ["--base-read-ratio", "1.5"],
+            ["--base-read-ratio", "-3"],
+            ["--base-read-ratio", "nan"],
         ],
     )
     def test_bad_collect_flags_exit_2(self, flags, tmp_path, capsys):
@@ -372,6 +382,8 @@ class TestValidation:
             (["serve", "--manifest", "m.json", "--hours", "-2"], "--hours"),
             (["characterize", "--hours", "0"], "--hours"),
             (["characterize", "--queries", "0"], "--queries"),
+            (["recommend", "--read-ratio", "1.5"], "--read-ratio"),
+            (["recommend", "--read-ratio", "-0.1"], "--read-ratio"),
         ],
     )
     def test_bad_online_flags_exit_2(self, artifacts, argv, flag, capsys):

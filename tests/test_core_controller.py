@@ -11,7 +11,6 @@ from repro.core.policies import (
 from repro.core.search import OptimizationResult
 from repro.datastore import CassandraLike
 from repro.errors import SearchError
-from repro.workload.forecast import LastValueForecaster, MarkovRegimeForecaster
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import run_single_tenant
 
@@ -115,12 +114,12 @@ class TestDecisionModes:
     covered in ``test_core_policies.py``."""
 
     def test_forecaster_updated_with_observations(self, cassandra, workload):
-        forecaster = MarkovRegimeForecaster()
+        policy = ForecastPolicy()
         run_single_tenant(
             cassandra, None, workload, [0.9, 0.9, 0.9],
-            window_seconds=30, policy=ForecastPolicy(forecaster), load=False,
+            window_seconds=30, policy=policy, load=False,
         )
-        assert forecaster.predict() > 0.6
+        assert policy.forecaster.predict() > 0.6
 
     def test_forecast_mode_skips_downtime(self, cassandra, workload):
         """Proactive reconfiguration at the boundary costs no window time."""
@@ -136,19 +135,17 @@ class TestDecisionModes:
                     strategy="switching",
                 )
 
-        def run_mode(mode, forecaster=None):
+        def run_mode(mode):
             run, _ = run_single_tenant(
                 cassandra, SwitchingRafiki(), workload, [0.2, 0.9],
                 window_seconds=30, reconfiguration_penalty_s=15.0, seed=3,
-                policy=HysteresisPolicy(
-                    make_policy(mode, forecaster), min_change=0.01
-                ),
+                policy=HysteresisPolicy(make_policy(mode), min_change=0.01),
                 load=False,
             )
             return run
 
         reactive = run_mode("oracle")
-        proactive = run_mode("forecast", LastValueForecaster(initial=0.2))
+        proactive = run_mode("forecast")
         # Note: both switch configurations; only the oracle/reactive one
         # pays the in-window penalty.
         assert proactive.events[-1].mean_throughput >= reactive.events[-1].mean_throughput

@@ -12,7 +12,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.errors import SearchError
-from repro.workload.forecast import LastValueForecaster
+from repro.workload.forecast import MarkovRegimeForecaster
 
 
 def window(index, rr, previous=None):
@@ -29,34 +29,27 @@ class TestPaperModes:
         assert policy.decide(window(1, 0.2, previous=0.7)) == 0.7
 
     def test_forecast_cold_start_returns_none(self):
-        policy = ForecastPolicy(LastValueForecaster(initial=0.5))
+        policy = ForecastPolicy()
         assert policy.decide(window(0, 0.9)) is None
 
     def test_forecast_predicts_after_observation(self):
-        policy = ForecastPolicy(LastValueForecaster(initial=0.5))
-        policy.observe(0.3)
-        assert policy.decide(window(1, 0.9, previous=0.3)) == pytest.approx(0.3)
-
-    def test_forecast_assume_warm(self):
-        policy = ForecastPolicy(LastValueForecaster(initial=0.4), assume_warm=True)
-        assert policy.decide(window(0, 0.9)) == pytest.approx(0.4)
+        policy = ForecastPolicy()
+        for _ in range(5):
+            policy.observe(0.3)
+        decided = policy.decide(window(5, 0.9, previous=0.3))
+        assert decided == pytest.approx(policy.forecaster.predict())
+        assert decided < 0.5  # the forecaster learned the low-RR regime
 
     def test_forecast_clips_prediction(self):
-        class WildForecaster(LastValueForecaster):
-            def predict(self):
-                return 1.7
-
-        policy = ForecastPolicy(WildForecaster(), assume_warm=True)
-        assert policy.decide(window(0, 0.5)) == 1.0
-
-    def test_forecast_requires_forecaster(self):
-        with pytest.raises(SearchError):
-            ForecastPolicy(None)
+        policy = ForecastPolicy()
+        policy.observe(0.5)
+        policy.forecaster.predict = lambda: 1.7
+        assert policy.decide(window(1, 0.5)) == 1.0
 
     def test_proactive_flags(self):
         assert not OraclePolicy().proactive
         assert not ReactivePolicy().proactive
-        assert ForecastPolicy(LastValueForecaster()).proactive
+        assert ForecastPolicy().proactive
 
 
 class TestHysteresis:
@@ -78,13 +71,6 @@ class TestHysteresis:
             assert policy.decide(window(i, rr)) is None
         assert policy.decide(window(4, 0.61)) == 0.61
 
-    def test_cooldown_suppresses_by_window_distance(self):
-        policy = HysteresisPolicy(OraclePolicy(), min_change=0.0, cooldown_windows=3)
-        assert policy.decide(window(0, 0.1)) == 0.1
-        assert policy.decide(window(1, 0.9)) is None
-        assert policy.decide(window(2, 0.9)) is None
-        assert policy.decide(window(3, 0.9)) == 0.9
-
     def test_inner_none_passes_through(self):
         policy = HysteresisPolicy(ReactivePolicy(), min_change=0.0)
         assert policy.decide(window(0, 0.5, previous=None)) is None
@@ -96,22 +82,20 @@ class TestHysteresis:
         assert policy.decide(window(0, 0.51)) == 0.51
 
     def test_delegates_name_and_proactive(self):
-        policy = HysteresisPolicy(ForecastPolicy(LastValueForecaster()))
+        policy = HysteresisPolicy(ForecastPolicy())
         assert policy.name == "forecast"
         assert policy.proactive
 
     def test_validation(self):
         with pytest.raises(SearchError):
             HysteresisPolicy(OraclePolicy(), min_change=-0.1)
-        with pytest.raises(SearchError):
-            HysteresisPolicy(OraclePolicy(), cooldown_windows=-1)
 
 
 class TestMakePolicy:
     def test_all_paper_modes(self):
         assert make_policy("oracle").name == "oracle"
         assert make_policy("reactive").name == "reactive"
-        assert make_policy("forecast", LastValueForecaster()).name == "forecast"
+        assert make_policy("forecast").name == "forecast"
         assert set(DECISION_MODES) == {"oracle", "reactive", "forecast"}
 
     def test_unknown_mode(self):
@@ -119,5 +103,7 @@ class TestMakePolicy:
             make_policy("psychic")
 
     def test_forecast_without_forecaster(self):
-        with pytest.raises(SearchError):
-            make_policy("forecast")
+        a, b = make_policy("forecast"), make_policy("forecast")
+        assert isinstance(a.forecaster, MarkovRegimeForecaster)
+        assert (a.forecaster.n_bins, a.forecaster.smoothing) == (5, 1.0)
+        assert a.forecaster is not b.forecaster

@@ -307,7 +307,7 @@ class TestClusterFaults:
         cluster = self.make(cassandra)
         cluster.fail_node(1)
         config = cassandra.space.configuration(concurrent_reads=64)
-        cluster.reconfigure(cassandra.effective_knobs(config))
+        assert cluster.apply_config(config) == ((0, 1, 2), ())
         cluster.recover_node(1)
         assert all(
             n.knobs.concurrent_reads == 64 for n in cluster.nodes

@@ -32,13 +32,13 @@ class TestSSTable:
         assert t.min_key == "a"
         assert t.max_key == "d"
 
-    def test_get_existing(self):
+    def test_locate_existing(self):
         t = make_table("a", "b", "c")
-        assert t.get("b").key == "b"
+        assert t.record_at(t.locate("b")[1]).key == "b"
 
-    def test_get_missing(self):
+    def test_locate_missing(self):
         t = make_table("a", "c")
-        assert t.get("b") is None
+        assert t.locate("b")[1] == -1
 
     def test_might_contain_range_prefilter(self):
         t = make_table("b", "c")

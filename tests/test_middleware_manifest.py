@@ -266,6 +266,19 @@ class TestSpecBuilding:
             assert "bad" in str(exc)
 
     def test_wrong_typed_value_names_the_tenant(self):
-        document = {"tenants": [{"id": "typo", "nodes": "three", "hours": 1}]}
-        with pytest.raises(PersistenceError, match="typo"):
-            specs_from_manifest(parse_manifest(document))
+        for key, value in [
+            ("nodes", "three"),
+            ("nodes", 2.5),
+            ("nodes", True),
+            ("replication_factor", 1.0),
+            ("seed", "7"),
+            ("priority", 1.7),
+            ("priority", True),
+            ("fault_seed", 3.5),
+            ("fault_seed", False),
+            ("load", "false"),
+            ("load", 0),
+        ]:
+            document = {"tenants": [{"id": "typo", key: value, "hours": 1}]}
+            with pytest.raises(PersistenceError, match=f"typo.*{key}"):
+                specs_from_manifest(parse_manifest(document))

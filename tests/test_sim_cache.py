@@ -84,42 +84,6 @@ class TestLruFileCache:
             cache.access(i)
             assert len(cache) <= 3
 
-
-class TestExpectedHitRatio:
-    def test_full_working_set_fits(self):
-        cache = make_cache(100)
-        assert cache.expected_hit_ratio(50.0, working_set_pages=50) == 1.0
-
-    def test_larger_cache_higher_hit(self):
-        small = make_cache(10)
-        big = make_cache(100)
-        ws = 10_000
-        assert big.expected_hit_ratio(500.0, ws) > small.expected_hit_ratio(500.0, ws)
-
-    def test_longer_reuse_distance_lower_hit(self):
-        cache = make_cache(50)
-        assert cache.expected_hit_ratio(100.0, 10_000) > cache.expected_hit_ratio(
-            10_000.0, 10_000
-        )
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            make_cache(4).expected_hit_ratio(0.0, 100)
-
-    def test_zero_capacity(self):
-        assert make_cache(0).expected_hit_ratio(10.0, 100) == 0.0
-
-    @given(
-        pages=st.integers(min_value=1, max_value=500),
-        krd=st.floats(min_value=1.0, max_value=1e6),
-        ws=st.floats(min_value=1.0, max_value=1e6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_ratio_is_probability(self, pages, krd, ws):
-        cache = make_cache(pages)
-        h = cache.expected_hit_ratio(krd, ws)
-        assert 0.0 <= h <= 1.0
-
     @given(data=st.lists(st.integers(min_value=0, max_value=20), max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_lru_matches_reference_model(self, data):

@@ -26,11 +26,6 @@ class TestSeedSequence:
         b = SeedSequence(2).stream("x")
         assert list(a.integers(1000, size=8)) != list(b.integers(1000, size=8))
 
-    def test_child_is_deterministic(self):
-        a = SeedSequence(3).child("node").root_seed
-        b = SeedSequence(3).child("node").root_seed
-        assert a == b
-
     def test_root_seed_property(self):
         assert SeedSequence(42).root_seed == 42
 

@@ -206,12 +206,6 @@ class TestClusterActuation:
         cluster.recover_node(2)  # clears isolation even if not down
         assert cluster.apply_node_config(2, target)
 
-    def test_legacy_reconfigure_syncs_applied_state(self, cassandra):
-        cluster = make_cluster(cassandra)
-        cluster.refuse_pushes(1, 5)  # legacy path ignores refusals
-        cluster.reconfigure(cassandra.effective_knobs(cluster.config))
-        assert not cluster.describe_drift().has_drift
-
     def test_node_index_checked(self, cassandra):
         cluster = make_cluster(cassandra)
         with pytest.raises(DatastoreError, match="out of range"):

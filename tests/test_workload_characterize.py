@@ -6,7 +6,6 @@ from repro.workload.characterize import (
     characterize_trace,
     fit_exponential_krd,
     read_ratio_windows,
-    rr_stationarity_score,
 )
 from repro.workload.mgrast import MGRastTraceGenerator
 from repro.workload.spec import READ, WRITE
@@ -73,26 +72,6 @@ class TestKrdFit:
         assert 10.0 < scale < 250.0  # right order of magnitude
 
 
-class TestStationarity:
-    def test_stationary_trace_low_score(self):
-        trace = trace_with_rr(0.5, n=4000)
-        score = rr_stationarity_score(trace, window_seconds=500)
-        assert score < 0.1
-
-    def test_oscillating_trace_high_score(self):
-        # RR flips every 100s; a 400s window mixes regimes badly.
-        records = []
-        for i in range(4000):
-            kind = READ if (i // 100) % 2 == 0 else WRITE
-            records.append(QueryRecord(float(i), kind, f"k{i % 7}"))
-        score = rr_stationarity_score(Trace(records), window_seconds=400)
-        assert score > 0.2
-
-    def test_too_short_raises(self):
-        with pytest.raises(WorkloadError):
-            rr_stationarity_score(trace_with_rr(0.5, n=4), window_seconds=1.0)
-
-
 class TestCharacterizeTrace:
     def test_full_characterization(self):
         gen = MGRastTraceGenerator(seed=9, queries_per_window=500, krd_mean_ops=100.0)
@@ -106,10 +85,3 @@ class TestCharacterizeTrace:
     def test_empty_trace_rejected(self):
         with pytest.raises(WorkloadError):
             characterize_trace(Trace([]))
-
-    def test_window_spec_roundtrip(self):
-        trace = trace_with_rr(0.6, n=3000)
-        ch = characterize_trace(trace, window_seconds=1000)
-        spec = ch.window_spec(0)
-        assert spec.read_ratio == ch.read_ratios[0]
-        assert spec.krd_mean_ops == ch.krd_mean_ops

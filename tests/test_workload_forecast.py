@@ -2,51 +2,18 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload.forecast import (
-    ExponentialSmoothingForecaster,
-    LastValueForecaster,
-    MarkovRegimeForecaster,
-    forecast_series,
-)
+from repro.workload.forecast import MarkovRegimeForecaster
 from repro.workload.mgrast import MGRastTraceGenerator
 
 
-class TestLastValue:
-    def test_predicts_last(self):
-        f = LastValueForecaster()
-        f.update(0.9)
-        assert f.predict() == 0.9
-
-    def test_initial_prior(self):
-        assert LastValueForecaster(initial=0.3).predict() == 0.3
-
-    def test_validates_input(self):
-        with pytest.raises(WorkloadError):
-            LastValueForecaster().update(1.5)
-
-
-class TestExponentialSmoothing:
-    def test_moves_toward_observations(self):
-        f = ExponentialSmoothingForecaster(alpha=0.5, initial=0.0)
-        f.update(1.0)
-        assert f.predict() == pytest.approx(0.5)
-        f.update(1.0)
-        assert f.predict() == pytest.approx(0.75)
-
-    def test_alpha_one_is_last_value(self):
-        f = ExponentialSmoothingForecaster(alpha=1.0)
-        f.update(0.8)
-        assert f.predict() == pytest.approx(0.8)
-
-    def test_alpha_validated(self):
-        with pytest.raises(WorkloadError):
-            ExponentialSmoothingForecaster(alpha=0.0)
-
-    def test_smooths_oscillation(self):
-        f = ExponentialSmoothingForecaster(alpha=0.3, initial=0.5)
-        for rr in [0.4, 0.6] * 10:
-            f.update(rr)
-        assert 0.4 < f.predict() < 0.6
+def one_step_ahead(forecaster, rr_series):
+    """One-step-ahead forecasts: entry ``i`` is made after observing
+    windows ``0..i-1`` only; entry 0 is the forecaster's prior."""
+    predictions = []
+    for rr in rr_series:
+        predictions.append(forecaster.predict())
+        forecaster.update(float(rr))
+    return predictions
 
 
 class TestMarkovRegime:
@@ -70,19 +37,16 @@ class TestMarkovRegime:
         f.update(0.9)
         assert f.predict() < 0.4
 
-    def test_transition_matrix_rows_normalized(self):
-        f = MarkovRegimeForecaster(n_bins=3)
-        for rr in [0.1, 0.5, 0.9, 0.1, 0.5]:
-            f.update(rr)
-        matrix = f.transition_matrix()
-        assert np.allclose(matrix.sum(axis=1), 1.0)
-
     def test_predictions_bounded(self):
         rng = np.random.default_rng(0)
         f = MarkovRegimeForecaster()
         for _ in range(100):
             f.update(float(rng.random()))
             assert 0.0 <= f.predict() <= 1.0
+
+    def test_validates_input(self):
+        with pytest.raises(WorkloadError):
+            MarkovRegimeForecaster().update(1.5)
 
     def test_validation(self):
         with pytest.raises(WorkloadError):
@@ -92,23 +56,19 @@ class TestMarkovRegime:
 
 
 class TestForecastSeries:
-    def test_one_step_ahead_alignment(self):
-        preds = forecast_series(LastValueForecaster(initial=0.5), np.array([0.1, 0.9]))
-        assert preds == [0.5, 0.1]
-
     def test_never_sees_future(self):
         """Prediction for window i cannot depend on windows >= i."""
         series = np.array([0.2, 0.4, 0.6, 0.8])
-        preds_full = forecast_series(MarkovRegimeForecaster(), series)
-        preds_prefix = forecast_series(MarkovRegimeForecaster(), series[:2])
+        preds_full = one_step_ahead(MarkovRegimeForecaster(), series)
+        preds_prefix = one_step_ahead(MarkovRegimeForecaster(), series[:2])
         assert preds_full[:2] == preds_prefix
 
     def test_markov_beats_last_value_on_mgrast(self):
         """On the regime-switching MG-RAST pattern, the Markov forecaster
         should at least match naive persistence (it subsumes it)."""
         series = MGRastTraceGenerator(seed=4).read_ratio_series(4 * 24 * 3600)
-        naive = forecast_series(LastValueForecaster(), series)
-        markov = forecast_series(MarkovRegimeForecaster(n_bins=5), series)
+        naive = [0.5, *series[:-1]]  # persistence: the last window's RR
+        markov = one_step_ahead(MarkovRegimeForecaster(n_bins=5), series)
         mae_naive = float(np.mean(np.abs(np.array(naive) - series)))
         mae_markov = float(np.mean(np.abs(np.array(markov) - series)))
         assert mae_markov < mae_naive * 1.15

@@ -4,46 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.workload.keydist import (
-    ExponentialReuseKeyDistribution,
-    UniformKeyDistribution,
-    ZipfianKeyDistribution,
-)
-
-
-class TestUniform:
-    def test_keys_in_range(self, rng):
-        dist = UniformKeyDistribution(100)
-        assert all(0 <= dist.next_key(rng) < 100 for _ in range(200))
-
-    def test_roughly_uniform(self, rng):
-        dist = UniformKeyDistribution(10)
-        counts = np.bincount([dist.next_key(rng) for _ in range(5000)], minlength=10)
-        assert counts.min() > 300
-
-    def test_invalid_keyspace(self):
-        with pytest.raises(WorkloadError):
-            UniformKeyDistribution(0)
-
-    def test_key_name_sortable(self):
-        dist = UniformKeyDistribution(10)
-        assert dist.key_name(2) < dist.key_name(10)
-
-
-class TestZipfian:
-    def test_keys_in_range(self, rng):
-        dist = ZipfianKeyDistribution(1000)
-        assert all(0 <= dist.next_key(rng) < 1000 for _ in range(500))
-
-    def test_skewed_toward_low_ids(self, rng):
-        dist = ZipfianKeyDistribution(10_000)
-        keys = [dist.next_key(rng) for _ in range(5000)]
-        head = sum(1 for k in keys if k < 100)
-        assert head > len(keys) * 0.3  # heavy head
-
-    def test_theta_validated(self):
-        with pytest.raises(WorkloadError):
-            ZipfianKeyDistribution(100, theta=1.5)
+from repro.workload.keydist import ExponentialReuseKeyDistribution
 
 
 class TestExponentialReuse:
@@ -83,11 +44,19 @@ class TestExponentialReuse:
         observed = np.mean(distances)
         assert 0.2 * mean < observed < 2.5 * mean
 
+    def test_invalid_keyspace(self):
+        with pytest.raises(WorkloadError):
+            ExponentialReuseKeyDistribution(0, mean_reuse_distance=5)
+
     def test_invalid_parameters(self):
         with pytest.raises(WorkloadError):
             ExponentialReuseKeyDistribution(10, mean_reuse_distance=0)
         with pytest.raises(WorkloadError):
             ExponentialReuseKeyDistribution(10, 5.0, reuse_probability=1.5)
+
+    def test_key_name_sortable(self):
+        dist = ExponentialReuseKeyDistribution(10, mean_reuse_distance=5)
+        assert dist.key_name(2) < dist.key_name(10)
 
     @given(seed=st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)

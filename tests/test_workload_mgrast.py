@@ -73,11 +73,6 @@ class TestTraceGeneration:
             observed = sum(1 for r in records if r.kind == "read") / len(records)
             assert observed == pytest.approx(expected, abs=0.1)
 
-    def test_workload_specs_per_window(self, gen):
-        specs = gen.workload_specs(duration_seconds=3 * 3600)
-        assert len(specs) == 3 * 3600 // DEFAULT_WINDOW_SECONDS
-        assert all(0.0 <= s.read_ratio <= 1.0 for s in specs)
-
 
 class TestPhases:
     def test_needs_phases(self):

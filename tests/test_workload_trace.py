@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -74,14 +73,3 @@ class TestTrace:
         full = t.key_reuse_distances()
         bounded = t.key_reuse_distances(max_records=10)
         assert len(bounded) < len(full)
-
-    def test_subsample_preserves_order(self):
-        t = make_trace("rw" * 50)
-        sub = t.subsample(0.5, np.random.default_rng(0))
-        times = [r.timestamp for r in sub]
-        assert times == sorted(times)
-        assert 0 < len(sub) < 100
-
-    def test_subsample_validates_fraction(self):
-        with pytest.raises(WorkloadError):
-            make_trace("r").subsample(0.0, np.random.default_rng(0))
