@@ -39,6 +39,8 @@ EQUIVALENCE = "tests/test_batch_equivalence.py"
 REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
 ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
+PLAN_TRAPS = "tests/test_batch_opstream.py::TestProbePlanTraps"
+BLOOM = "repro/lsm/bloom.py"
 STATE_MACHINE = "tests/test_lsm_state_machine.py::TestEngineMatchesDict"
 BACKGROUND = "repro/lsm/background.py"
 BACKGROUND_TESTS = "tests/test_lsm_background.py"
@@ -194,13 +196,13 @@ TRAPS = [
     (
         "op loop: charge terms kept when the flush queue drains to 0.0",
         ENGINE,
-        [("            moved = queue <= 0\n", "")],
+        [("                if queue <= 0:\n                    terms = None\n", "")],
         f"{OP_LOOP}::test_flush_then_the_queue_drains_to_zero",
     ),
     (
         "op loop: charge terms kept across a compaction's completion",
         ENGINE,
-        [("                moved = True\n", "")],
+        [("                completed = True\n", "")],
         f"{OP_LOOP}::test_last_compaction_completing_idles_the_regime",
     ),
     (
@@ -208,8 +210,8 @@ TRAPS = [
         ENGINE,
         [
             (
-                "if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):",
-                "if pending and drain(dt, compaction_rate):",
+                "            if queue > 0:\n                queue = self._flush",
+                "            if queue > 0 and pending:\n                queue = self._flush",
             )
         ],
         f"{OP_LOOP}::test_flush_then_the_queue_drains_to_zero",
@@ -229,7 +231,7 @@ TRAPS = [
     (
         "op loop: the write sequence stands still (timestamp ties)",
         ENGINE,
-        [("self._write_seq += 1", "pass")],
+        [("write_seq += 1", "pass")],
         f"{OP_LOOP}::test_sync_barriers",
     ),
     (
@@ -237,8 +239,8 @@ TRAPS = [
         ENGINE,
         [
             (
-                "if memtable.size_bytes >= flush_at:",
-                "if memtable.size_bytes >= flush_at and (j == 0 or kinds[j - 1] == OP_READ):",
+                "if mem_put(rec) >= flush_at:",
+                "if mem_put(rec) >= flush_at and (j == 0 or kinds[j - 1] == OP_READ):",
             )
         ],
         "tests/test_batch_opstream.py::TestExecuteBatchEquivalence"
@@ -256,16 +258,66 @@ TRAPS = [
         "tests/test_batch_opstream.py::TestProbePlanTraps"
         "::test_flush_mid_block_is_seen_by_later_reads",
     ),
+    (
+        "op loop: a per-block tally not written back to the stats",
+        ENGINE,
+        [("        stats.bloom_true_positives += true_positives\n", "")],
+        f"{OP_LOOP}::test_reads_after_a_read_run_keep_their_plan_entries",
+    ),
+    (
+        "op loop: the drain shortcut taken past a compaction's end",
+        ENGINE,
+        [
+            (
+                "if not common or p.remaining_bytes <= share:",
+                "if not common:",
+            )
+        ],
+        f"{OP_LOOP}::test_last_compaction_completing_idles_the_regime",
+    ),
+    # -- the probe plan: one layout-wide pass per epoch
+    (
+        "probe plan: a table's key-range ends searched on the wrong sides",
+        ENGINE,
+        [
+            (
+                't.min_key for t in tables], dtype=str), "left")',
+                't.min_key for t in tables], dtype=str), "right")',
+            ),
+            (
+                't.max_key for t in tables], dtype=str), "right")',
+                't.max_key for t in tables], dtype=str), "left")',
+            ),
+        ],
+        f"{PLAN_TRAPS}::test_reads_on_and_past_the_table_key_ranges",
+    ),
+    (
+        "filter bank: a filter's bits read at its neighbour's offset",
+        BLOOM,
+        [("pos += self.offsets[f]", "pos += self.offsets[np.maximum(f - 1, 0)]")],
+        f"{PLAN_TRAPS}::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    (
+        "filter bank: every filter tested with the largest hash count",
+        BLOOM,
+        [
+            (
+                "row = np.arange(n_hashes, dtype=np.uint64)[:, None]",
+                "row = np.arange(self.hash_counts[-1], dtype=np.uint64)[:, None]",
+            )
+        ],
+        f"{PLAN_TRAPS}::test_reconfigure_between_blocks",
+    ),
     # -- the engine against a dict
     (
         "point read: a flushed tombstone skipped, so the older row it shadows comes back",
         ENGINE,
         [
             (
-                "            rec = table.record_at(row)\n",
-                "            rec = table.record_at(row)\n"
-                "            if rec.is_tombstone:\n"
-                "                continue\n",
+                "                        rec = table.record_at(row)\n",
+                "                        rec = table.record_at(row)\n"
+                "                        if rec.is_tombstone:\n"
+                "                            continue\n",
             )
         ],
         STATE_MACHINE,

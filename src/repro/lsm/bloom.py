@@ -9,7 +9,7 @@ bit-array implementation sized from the target false-positive rate.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,17 +61,21 @@ def hash_keys(names: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     if nonzero.shape[1] > 1 and not bool(np.all(nonzero[:, :-1] >= nonzero[:, 1:])):
         return None
     lengths = nonzero.sum(axis=1)
-    codes64 = codes.astype(np.uint64)
+    full = int(lengths.min())  # columns every key covers need no mask
+    columns = codes.T.astype(np.uint64)
     prime = np.uint64(_FNV_PRIME)
-    h1 = np.full(names.size, _FNV_OFFSET ^ _H1_SEED, dtype=np.uint64)
-    h2 = np.full(names.size, _FNV_OFFSET ^ _H2_SEED, dtype=np.uint64)
+    # Row 0 is h1, row 1 is h2: one FNV-1a pass serves both seeds.
+    h = np.empty((2, names.size), dtype=np.uint64)
+    h[0], h[1] = _FNV_OFFSET ^ _H1_SEED, _FNV_OFFSET ^ _H2_SEED
     with np.errstate(over="ignore"):  # uint64 wrap-around is the FNV mask
         for j in range(width):
-            active = j < lengths
-            b = codes64[:, j]
-            h1 = np.where(active, (h1 ^ b) * prime, h1)
-            h2 = np.where(active, (h2 ^ b) * prime, h2)
-    return h1, h2 | np.uint64(1)
+            b = columns[j]
+            if j < full:
+                h ^= b
+                h *= prime
+            else:
+                h = np.where(j < lengths, (h ^ b) * prime, h)
+    return h[0], h[1] | np.uint64(1)
 
 
 class BloomFilter:
@@ -125,7 +129,7 @@ class BloomFilter:
         bits = np.frombuffer(self._bits, dtype=np.uint8)
         with np.errstate(over="ignore"):  # uint64 wrap == the scalar & MASK64
             pos = (
-                h1[:, None] + self._hash_indices() * h2[:, None]
+                h1[:, None] + np.arange(self.n_hashes, dtype=np.uint64) * h2[:, None]
             ) % np.uint64(self.n_bits)
         np.bitwise_or.at(
             bits,
@@ -133,10 +137,6 @@ class BloomFilter:
             (np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8)).ravel(),
         )
         self.n_items += len(h1)
-
-    def _hash_indices(self) -> np.ndarray:
-        """The ``0..k-1`` Kirsch-Mitzenmacher row, shaped for broadcast."""
-        return np.arange(self.n_hashes, dtype=np.uint64)[None, :]
 
     def might_contain(self, key: str) -> bool:
         """True if the key *may* be present (false positives possible)."""
@@ -152,23 +152,6 @@ class BloomFilter:
                 return False
         return True
 
-    def might_contain_many(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        """Batch membership test over pre-hashed keys (see :func:`hash_keys`).
-
-        Returns a bool array bitwise-identical to mapping
-        :meth:`might_contain` over the corresponding keys: the same
-        Kirsch-Mitzenmacher positions are derived and the same bits
-        tested, just across the whole batch per hash index.
-        """
-        bits = np.frombuffer(self._bits, dtype=np.uint8)
-        with np.errstate(over="ignore"):  # uint64 wrap == the scalar & MASK64
-            pos = (
-                h1[:, None] + self._hash_indices() * h2[:, None]
-            ) % np.uint64(self.n_bits)
-        byte = bits[(pos >> np.uint64(3)).astype(np.int64)]
-        hit = (byte >> (pos & np.uint64(7)).astype(np.uint8)) & 1 > 0
-        return hit.all(axis=1)
-
     def __contains__(self, key: str) -> bool:
         return self.might_contain(key)
 
@@ -183,3 +166,47 @@ class BloomFilter:
             return 0.0
         fill = 1.0 - math.exp(-self.n_hashes * self.n_items / self.n_bits)
         return fill**self.n_hashes
+
+
+class _FilterBank:
+    """Several filters' bit arrays end to end, one byte per bit, for one
+    membership test of many ``(filter, pre-hashed key)`` pairs across
+    all of them.
+
+    A snapshot: it is valid while its filters take no more adds, which
+    holds for the filters of immutable SSTables.
+    """
+
+    __slots__ = ("bits", "offsets", "n_bits", "n_hashes", "hash_counts")
+
+    def __init__(self, filters: Sequence[BloomFilter]):
+        raw = np.frombuffer(b"".join(f._bits for f in filters), dtype=np.uint8)
+        # Bit ``pos`` of a filter is bit ``pos & 7`` of its byte ``pos >> 3``.
+        self.bits = np.unpackbits(raw, bitorder="little").view(bool)
+        sizes = np.array([8 * len(f._bits) for f in filters], dtype=np.uint64)
+        self.offsets = np.cumsum(sizes) - sizes
+        self.n_bits = np.array([f.n_bits for f in filters], dtype=np.uint64)
+        self.n_hashes = np.array([f.n_hashes for f in filters], dtype=np.int64)
+        self.hash_counts = sorted(set(self.n_hashes.tolist()))
+
+    def might_contain_pairs(
+        self, owner: np.ndarray, h1: np.ndarray, h2: np.ndarray
+    ) -> np.ndarray:
+        """Per pair ``i``, whether filter ``owner[i]`` may hold the key
+        hashed to ``(h1[i], h2[i])`` (see :func:`hash_keys`): bitwise
+        what :meth:`BloomFilter.might_contain` answers, from the same
+        Kirsch-Mitzenmacher positions, in one numpy pass over all pairs
+        whose filters share a hash count.
+        """
+        hit = np.empty(len(owner), dtype=bool)
+        counts = self.n_hashes[owner]
+        for n_hashes in self.hash_counts:
+            pair = np.flatnonzero(counts == n_hashes)
+            f = owner[pair]
+            row = np.arange(n_hashes, dtype=np.uint64)[:, None]
+            with np.errstate(over="ignore"):  # uint64 wrap == the scalar & MASK64
+                pos = h1[pair] + row * h2[pair]
+            pos %= self.n_bits[f]
+            pos += self.offsets[f]
+            hit[pair] = self.bits[pos.astype(np.intp)].all(axis=0)
+        return hit

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import DatastoreError
 from repro.lsm.background import BackgroundTerms, compaction_rate
-from repro.lsm.bloom import hash_key, hash_keys
+from repro.lsm.bloom import _FilterBank, hash_key, hash_keys
 from repro.lsm.commitlog import CommitLog
 from repro.lsm.compaction import (
     CompactionTask,
@@ -30,7 +30,7 @@ from repro.lsm.compaction import (
 from repro.lsm.knobs import EngineKnobs
 from repro.lsm.memtable import Memtable
 from repro.lsm.record import Record
-from repro.lsm.sstable import SSTable, merge_records, split_into_tables
+from repro.lsm.sstable import SSTable, _blocks_of_rows, merge_records, split_into_tables
 from repro.sim.cache import LruFileCache
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskModel
@@ -98,19 +98,20 @@ class _PendingCompaction:
 class _ProbePlan:
     """SSTable probe events for the reads of one block.
 
-    ``names``/``h1``/``h2`` (key array and :func:`hash_keys` pair) are
-    fixed for the block; ``blooms``/``starts``/``events`` are what
-    :meth:`LSMEngine._replan` derived from them for the reads from
+    ``names``/``h1``/``h2`` (key array, :func:`hash_keys` pair) and
+    ``order`` (the reads sorted by key) are fixed for the block;
+    :meth:`LSMEngine._replan` derives the rest for the reads from
     ``base`` on under layout epoch ``epoch``: per read its bloom-check
-    count and, in ``events[starts[i]:starts[i + 1]]``, one
-    ``(table, cache page, sorted position or -1)`` per bloom-positive
-    candidate in the scalar probe's order.
+    count and, in ``events[starts[i]:starts[i + 1]]``, one ``(table,
+    cache page, sorted position or -1)`` per bloom-positive candidate in
+    the scalar probe's order.
     """
 
-    __slots__ = ("names", "h1", "h2", "epoch", "base", "blooms", "starts", "events")
+    __slots__ = ("names", "h1", "h2", "order", "epoch", "base", "blooms", "starts", "events")
 
     def __init__(self, names: np.ndarray, h1: np.ndarray, h2: np.ndarray):
         self.names, self.h1, self.h2 = names, h1, h2
+        self.order = np.argsort(names, kind="stable")
         self.epoch = -1  # no layout has this epoch: the first read plans
 
 
@@ -161,6 +162,12 @@ class LSMEngine:
         # Derived state, see _charge_terms: (knobs, costs, hardware,
         # {regime: terms}).
         self._terms: Optional[tuple] = None
+        # Derived state, see _replan: (layout epoch, tables in candidate
+        # rank, their filters' bank or None); kept out of pickles.
+        self._index: Optional[tuple] = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_index": None}
 
     # ------------------------------------------------------------------ public API
 
@@ -179,52 +186,6 @@ class LSMEngine:
             return None
         return best.value
 
-    def _probe_newest(self, key: str, plan: Optional[_ProbePlan] = None, k: int = 0):
-        """Find the newest record for ``key`` without charging time.
-
-        Probes the memtable, then every bloom-positive SSTable
-        (Cassandra merges row fragments, so it cannot stop early),
-        tallying bloom checks, index probes, cache traffic, and disk
-        misses; the op loop converts the tallies into simulated time.
-        The SSTable side is a list of probe events
-        replayed against the LRU cache: those of read ``k`` of ``plan``
-        (re-planned first if the layout moved since), or without a plan
-        found table by table — any string, hashed once.  Returns
-        ``(record, blooms, probes, cache_hits, disk_reads)``.
-        """
-        stats = self.stats
-        stats.reads += 1
-        best = self.memtable.get(key)
-        if best is not None:
-            stats.memtable_hits += 1
-
-        if plan is not None:
-            if plan.epoch != self.layout.epoch:
-                self._replan(plan, k)
-            i = k - plan.base
-            blooms = plan.blooms[i]
-            events = plan.events[plan.starts[i] : plan.starts[i + 1]]
-        else:
-            blooms, events = self._table_events(key)
-
-        cache_hits = 0
-        access = self.cache.access
-        for table, page, row in events:
-            if access(page):
-                cache_hits += 1
-            if row < 0:
-                continue  # bloom false positive
-            stats.bloom_true_positives += 1
-            rec = table.record_at(row)
-            if best is None or rec.supersedes(best):
-                best = rec
-        probes = len(events)
-        stats.bloom_checks += blooms
-        stats.tables_probed += probes
-        stats.cache_hits += cache_hits
-        stats.cache_misses += probes - cache_hits
-        return best, blooms, probes, cache_hits, probes - cache_hits
-
     def _table_events(self, key: str) -> Tuple[int, list]:
         """``(bloom checks, probe events)`` of ``key``, found table by
         table — any string, hashed once."""
@@ -239,8 +200,7 @@ class LSMEngine:
 
     def _plan(self, keys: Sequence[str]) -> Optional[_ProbePlan]:
         """An unbuilt probe plan for ``keys``; None when they do not hash
-        as a batch (non-ASCII, any NUL), which leaves their reads on the
-        table-by-table probe — correctness never depends on a plan."""
+        as a batch (non-ASCII, any NUL): they probe table by table."""
         if "\x00" in "".join(keys):  # a <U array would drop trailing NULs
             return None
         names = np.asarray(keys)
@@ -250,82 +210,87 @@ class LSMEngine:
     def _replan(self, plan: _ProbePlan, k: int) -> None:
         """Derive ``plan`` for its reads from ``k`` on under the current layout.
 
-        Bloom tests, range assignment and index lookups run across all
-        of those reads with numpy, table by table in candidate-rank
-        order; a stable sort by read then yields each read's events in
-        exactly the order :meth:`TableLayout.read_candidates` gives the
-        table-by-table probe, so the LRU replay, every tally and every
-        stats counter come out bit-identical to it.
+        One pass over the tables in candidate rank (L0 newest first,
+        then each level in ``min_key`` order): a table's key range is a
+        slice of the reads sorted by key — every L0 table in range is a
+        candidate, in a deeper level only the *first* (``read_candidates``
+        breaks on a match; tables can overlap mid-compaction) — then one
+        bloom test of all (table, read) pairs against the epoch's
+        filters end to end, and one search per table for its positives.
+        A stable sort by read leaves each read's events in the order the
+        table-by-table probe meets them, so the LRU replay and every
+        tally come out bit-identical to it.
         """
-        names, h1, h2 = plan.names[k:], plan.h1[k:], plan.h2[k:]
+        layout = self.layout
+        if self._index is None or self._index[0] != layout.epoch:
+            tables = list(reversed(layout.levels[0]))
+            tables += [t for level in layout.levels[1:] for t in level]
+            exact = all(t.keys_array() is not None for t in tables)
+            bank = _FilterBank([t.bloom for t in tables]) if exact else None
+            self._index = (layout.epoch, tables, bank)
+        _, tables, bank = self._index
+        plan.epoch, plan.base = layout.epoch, k
+        names = plan.names[k:]
         n = len(names)
-        blooms = np.zeros(n, dtype=np.int64)
-        tables: List[SSTable] = []
-        read_chunks: List[np.ndarray] = []
-        block_chunks: List[np.ndarray] = []
-        row_chunks: List[np.ndarray] = []
-
-        def bloom_test(table: SSTable, in_range: np.ndarray) -> None:
-            sub = in_range[table.bloom.might_contain_many(h1[in_range], h2[in_range])]
-            if len(sub) == 0:
-                return
-            karr = table.keys_array()
-            idx = np.searchsorted(karr, names[sub])
-            clamped = np.minimum(idx, len(karr) - 1)
-            tables.append(table)
-            read_chunks.append(sub)
-            block_chunks.append(table.block_of_many(clamped))
-            row_chunks.append(np.where(karr[clamped] == names[sub], idx, -1))
-
-        levels = self.layout.levels
-        plan.epoch, plan.base = self.layout.epoch, k
-        if any(t.keys_array() is None for level in levels for t in level):
-            # A table holding a NUL key has no exact key array, so this
-            # layout is probed table by table (the plan's keys hold none).
+        if bank is None:  # a table holds a NUL key: probe table by table
             found = [self._table_events(key) for key in names.tolist()]
             plan.blooms = [count for count, _ in found]
             plan.events = [event for _, events in found for event in events]
             plan.starts = np.cumsum([0] + [len(events) for _, events in found]).tolist()
             return
-        # L0: every table is a candidate for every key, newest first; the
-        # range check comes after the bloom counter, as in might_contain.
-        blooms += len(levels[0])
-        for table in reversed(levels[0]):
-            in_range = np.flatnonzero(
-                (names >= table.min_key) & (names <= table.max_key)
-            )
-            if len(in_range):
-                bloom_test(table, in_range)
-        # Levels >= 1: the candidate is the *first* range-matching table
-        # in min_key order (read_candidates breaks on a match).  Tables
-        # can transiently overlap mid-compaction, so a first-match sweep
-        # over the level's few tables is required, not a searchsorted.
-        for level in levels[1:]:
+        # Every L0 table counts a bloom check, in range or not (the range
+        # check comes after the counter, as in might_contain).
+        n_l0 = len(layout.levels[0])
+        blooms = np.full(n, n_l0, dtype=np.int64)
+        order = plan.order if k == 0 else plan.order[plan.order >= k] - k
+        by_key = names[order]
+        lo = np.searchsorted(by_key, np.array([t.min_key for t in tables], dtype=str), "left")
+        hi = np.searchsorted(by_key, np.array([t.max_key for t in tables], dtype=str), "right")
+        spans = [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+        owners = [t for t in range(n_l0) if len(spans[t])]
+        chunks = [spans[t] for t in owners]
+        first = n_l0
+        for level in layout.levels[1:]:
             unassigned = np.ones(n, dtype=bool)
-            for table in level:
-                matched = np.flatnonzero(
-                    unassigned & (names >= table.min_key) & (names <= table.max_key)
-                )
+            for t in range(first, first + len(level)):
+                matched = spans[t][unassigned[spans[t]]]
                 if len(matched):
                     unassigned[matched] = False
                     blooms[matched] += 1
-                    bloom_test(table, matched)
-
+                    owners.append(t)
+                    chunks.append(matched)
+            first += len(level)
         plan.blooms = blooms.tolist()
-        if not tables:
+        if not chunks:
             plan.starts, plan.events = [0] * (n + 1), []
             return
-        reads = np.concatenate(read_chunks)
-        order = np.argsort(reads, kind="stable")  # chunks are in rank order
-        owner = np.repeat(np.arange(len(tables)), [len(c) for c in read_chunks])[order]
-        ids = np.array([t.table_id for t in tables])[owner]
-        blocks = np.concatenate(block_chunks)[order]
-        plan.starts = np.searchsorted(reads[order], np.arange(n + 1)).tolist()
+        owner = np.repeat(owners, [len(c) for c in chunks])
+        reads = np.concatenate(chunks)
+        positive = bank.might_contain_pairs(owner, plan.h1[k:][reads], plan.h2[k:][reads])
+        owner, reads = owner[positive], reads[positive]
+        keys = names[reads]
+        clamped = np.empty(len(reads), dtype=np.int64)
+        rows = np.empty(len(reads), dtype=np.int64)
+        # ``owner`` is non-decreasing (chunks went in rank order): one
+        # search per table over its run of bloom positives.
+        cuts = np.flatnonzero(np.diff(owner, prepend=-1, append=-1)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            karr = tables[owner[a]].keys_array()
+            idx = np.searchsorted(karr, keys[a:b])
+            clamped[a:b] = np.minimum(idx, len(karr) - 1)
+            rows[a:b] = np.where(karr[clamped[a:b]] == keys[a:b], idx, -1)
+        ids, sizes, counts = np.array(
+            [(t.table_id, t.size_bytes, t.key_count) for t in tables], dtype=np.int64
+        ).T
+        blocks = _blocks_of_rows(clamped, sizes[owner], counts[owner])
+        by_read = np.argsort(reads, kind="stable")
+        owner = owner[by_read]
+        plan.starts = np.searchsorted(reads[by_read], np.arange(n + 1)).tolist()
         plan.events = list(
             zip(
                 [tables[t] for t in owner.tolist()],
-                zip(ids.tolist(), blocks.tolist()),
-                np.concatenate(row_chunks)[order].tolist(),
+                zip(ids[owner].tolist(), blocks[by_read].tolist()),
+                rows[by_read].tolist(),
             )
         )
 
@@ -335,20 +300,18 @@ class LSMEngine:
         keys: Sequence[str],
         value_sizes: Optional[np.ndarray] = None,
     ) -> BatchResult:
-        """Apply one operation block — the serve hot path.
+        """Apply one operation block — the engine's hot path.
 
         ``kinds`` holds :data:`OP_READ`/:data:`OP_WRITE`/:data:`OP_DELETE`
         codes, ``keys`` the per-op key names, ``value_sizes`` the write
-        payload sizes (zero-filled payloads are materialized, one per
-        size and block: value *content* never affects stats, timing, or
-        cache behaviour — only ``len(value)`` does).  The block is
-        checked whole before any op runs, so a rejected block leaves the
-        engine untouched.  Its reads share one probe plan (hashed once,
-        re-derived when the layout moves) — the vectorized part; its ops
-        are applied and charged one by one in :meth:`_execute`, the loop
-        :meth:`get` / :meth:`put` / :meth:`delete` run one op of: stats,
-        clock trajectory, cache state, and results are bit-identical to
-        iterating the ops through them one at a time.
+        payload sizes (one zero-filled payload per size and block: only
+        ``len(value)`` ever affects stats, timing or the cache).  The
+        block is checked whole before any op runs, so a rejected block
+        leaves the engine untouched.  Its reads share one probe plan
+        (hashed once, re-derived when the layout moves); its ops run one
+        by one through :meth:`_execute`, the loop :meth:`get` /
+        :meth:`put` / :meth:`delete` run one op of, so stats, clock
+        trajectory, cache state and results are bit-identical to theirs.
         """
         kinds = np.asarray(kinds)
         n = len(kinds)
@@ -394,28 +357,37 @@ class LSMEngine:
         plan: Optional[_ProbePlan] = None,
     ):
         """The op loop: every point op of a checked block, in one pass,
-        and the one place a point op is applied and charged.
+        and the one place a point op is applied, probed and charged.
 
         ``values`` holds the write payloads by op and ``plan`` the
-        block's probe plan.  Returns the clock after each op and the
-        record the last read found.
+        block's probe plan (without one, SSTables are found table by
+        table).  A read probes the memtable, then every bloom-positive
+        SSTable (Cassandra merges row fragments, so it cannot stop
+        early), replaying its events against the LRU cache.  Returns the
+        clock after each op and the record the last read found.
 
-        What depends only on ``knobs``/``costs`` is bound once; what
+        What depends only on ``knobs``/``costs`` is bound once and the
+        op tallies are locals, written to the stats once per block; what
         depends on the background regime (the charge terms, the write's
         CPU quotient, the compaction rate) is held until an event that
         can move :meth:`_regime` — a flush, a drain that empties the
-        flush queue or completes a compaction — and re-asked at the
-        next op's charge, never earlier.
+        flush queue or completes a compaction — and re-asked at the next
+        op's charge, never earlier.
         """
         knobs, costs, stats = self.knobs, self.costs, self.stats
-        dstats, memtable, pending = self.disk.stats, self.memtable, self._pending_compactions
-        probe, mem_put, log_append = self._probe_newest, memtable.put, self.commitlog.append
-        advance, drain = self.clock.advance, self._drain_background
+        dstats, memtable, layout = self.disk.stats, self.memtable, self.layout
+        pending, compactors = self._pending_compactions, knobs.concurrent_compactors
+        mem_get, mem_put, log_append = memtable.get, memtable.put, self.commitlog.append
+        access, advance = self.cache.access, self.clock.advance
+        table_events, drain_compactions = self._table_events, self._drain_compactions
         write_cpu, log_overhead = write_cpu_seconds(costs), costs.commitlog_overhead_bytes
         read_pool = costs.read_thread_hold / knobs.concurrent_reads
         write_pool = costs.write_thread_hold / knobs.concurrent_writes
         flush_bw = knobs.memtable_flush_writers * costs.flush_writer_bandwidth
         flush_at = knobs.memtable_cleanup_threshold * memtable.capacity_bytes
+        deletes = memtable_hits = bloom_checks = true_positives = probed = cache_hits = 0
+        busy, stalled = stats.busy_seconds, stats.write_stall_seconds
+        seq_written, write_seq = dstats.seq_bytes_written, self._write_seq
         end_times: List[float] = []
         now = self.clock.now
         terms = best = None
@@ -424,23 +396,42 @@ class LSMEngine:
             key = keys[j]
             reading = kind == OP_READ
             if reading:
-                best, blooms, probes, hits, disk = probe(key, plan, k)
+                best = mem_get(key)
+                if best is not None:
+                    memtable_hits += 1
+                if plan is None:
+                    blooms, events = table_events(key)
+                else:
+                    if plan.epoch != layout.epoch:
+                        self._replan(plan, k)
+                    i = k - plan.base
+                    blooms = plan.blooms[i]
+                    events = plan.events[plan.starts[i] : plan.starts[i + 1]]
                 k += 1
+                hits = 0
+                for table, page, row in events:
+                    if access(page):
+                        hits += 1
+                    if row >= 0:  # else a bloom false positive
+                        true_positives += 1
+                        rec = table.record_at(row)
+                        if best is None or rec.supersedes(best):
+                            best = rec
+                probes = len(events)
+                disk = probes - hits
+                bloom_checks += blooms
+                probed += probes
+                cache_hits += hits
             else:
                 tombstone = kind == OP_DELETE
                 # Strictly increasing even when the clock stands still.
-                self._write_seq += 1
-                rec = Record(key, now + self._write_seq * 1e-12,
-                             None if tombstone else values[j])
+                write_seq += 1
+                rec = Record(key, now + write_seq * 1e-12, None if tombstone else values[j])
                 # Seconds owed to a commitlog sync barrier, if this
                 # append crossed one.
                 extra = log_append(rec, now)
-                mem_put(rec)
-                if tombstone:
-                    stats.deletes += 1
-                else:
-                    stats.writes += 1
-                if memtable.size_bytes >= flush_at:
+                deletes += tombstone
+                if mem_put(rec) >= flush_at:
                     flush_bytes = memtable.size_bytes
                     self._flush_memtable()
                     # If flush writers are behind, the write path stalls
@@ -448,7 +439,7 @@ class LSMEngine:
                     max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
                     if self._flush_queue_bytes > max_queue:
                         stall = (self._flush_queue_bytes - max_queue) / flush_bw
-                        stats.write_stall_seconds += stall
+                        stalled += stall
                         extra += stall
                     terms = None
 
@@ -468,19 +459,54 @@ class LSMEngine:
                 dt_cpu, dt_pool = cpu * read_contention / cores, read_pool
                 dt_seq = dt_rand = extra = 0.0
                 if disk:
-                    dstats.random_reads += disk
                     dt_rand = disk / rand_iops
             else:
                 log_bytes = rec.size_bytes + log_overhead
-                dstats.seq_bytes_written += log_bytes
+                seq_written += log_bytes
                 dt_cpu, dt_pool = write_dt_cpu, write_pool
                 dt_seq, dt_rand = log_bytes / seq_bandwidth, 0.0
             dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra
-            stats.busy_seconds += dt
+            busy += dt
             now = advance(dt)
             end_times.append(now)
-            if (pending or self._flush_queue_bytes > 0) and drain(dt, compaction_rate):
-                terms = None
+
+            # The op's share of background work (see _drain_background).
+            queue = self._flush_queue_bytes
+            if queue > 0:
+                queue = self._flush_queue_bytes = max(0.0, queue - flush_bw * dt)
+                if queue <= 0:
+                    terms = None
+            if pending:
+                budget = compaction_rate * dt
+                share = budget / len(pending)
+                # The common drain, decided without a call: every queued
+                # task active, none reaching its end, and the shares
+                # summing back to the budget, so that _drain_compactions
+                # would take exactly one turn and complete nothing.
+                common, spent = len(pending) <= compactors, 0.0
+                for p in pending:
+                    if not common or p.remaining_bytes <= share:
+                        common = False
+                        break
+                    spent += share
+                if common and spent >= budget:
+                    for p in pending:
+                        p.remaining_bytes -= share
+                elif drain_compactions(budget):
+                    terms = None
+
+        stats.reads += k
+        stats.writes += len(end_times) - k - deletes
+        stats.deletes += deletes
+        stats.memtable_hits += memtable_hits
+        stats.bloom_checks += bloom_checks
+        stats.bloom_true_positives += true_positives
+        stats.tables_probed += probed
+        stats.cache_hits += cache_hits
+        stats.cache_misses += probed - cache_hits
+        stats.busy_seconds, stats.write_stall_seconds = busy, stalled
+        dstats.random_reads += probed - cache_hits
+        dstats.seq_bytes_written, self._write_seq = seq_written, write_seq
         return end_times, best
 
     def flush(self) -> Optional[SSTable]:
@@ -508,6 +534,9 @@ class LSMEngine:
             self._propose_compactions()
         if knobs.memtable_space_bytes != old.memtable_space_bytes:
             self.memtable.capacity_bytes = knobs.memtable_space_bytes
+        # The op loop binds the log per block: the next one sees these.
+        self.commitlog.sync_period_s = float(knobs.commitlog_sync_period_s)
+        self.commitlog.segment_size_bytes = int(knobs.commitlog_segment_bytes)
 
     # -- introspection ---------------------------------------------------------
 
@@ -613,17 +642,20 @@ class LSMEngine:
         bytes/s, of compactions.  True when that emptied the flush queue
         or completed a compaction: all a drain can do to :meth:`_regime`.
         """
-        moved = False
+        emptied = False
         # Flush queue drains at flush-writer bandwidth.
         queue = self._flush_queue_bytes
         if queue > 0:
             flush_bw = self.knobs.memtable_flush_writers * self.costs.flush_writer_bandwidth
             queue = self._flush_queue_bytes = max(0.0, queue - flush_bw * dt)
-            moved = queue <= 0
+            emptied = queue <= 0
+        return self._drain_compactions(rate * dt) or emptied
 
-        # Compaction drains at its current rate, parallel across the first
-        # `concurrent_compactors` queued tasks.
-        budget = rate * dt
+    def _drain_compactions(self, budget: float) -> bool:
+        """Spend ``budget`` input bytes on the queued compactions,
+        parallel across the first ``concurrent_compactors``; True when
+        one completed."""
+        completed = False
         pending = self._pending_compactions
         compactors = self.knobs.concurrent_compactors
         while budget > 0 and pending:
@@ -639,13 +671,13 @@ class LSMEngine:
                 finished = finished or p.remaining_bytes <= 0
             budget -= consumed
             if finished:
-                moved = True
+                completed = True
                 for p in [p for p in pending if p.remaining_bytes <= 0]:
                     pending.remove(p)
                     self._complete_compaction(p.task)
             if consumed <= 0:
                 break
-        return moved
+        return completed
 
     # ------------------------------------------------------------------ compaction
 

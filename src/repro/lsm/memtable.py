@@ -33,15 +33,18 @@ class Memtable:
     def fill_fraction(self) -> float:
         return self._bytes / self.capacity_bytes
 
-    def put(self, record: Record) -> None:
-        """Insert or overwrite a row version (newest timestamp wins)."""
-        existing = self._rows.get(record.key)
+    def put(self, record: Record) -> int:
+        """Insert or overwrite a row version (newest timestamp wins);
+        returns :attr:`size_bytes` after it, the flush trigger's input."""
+        key = record.key
+        existing = self._rows.get(key)
         if existing is not None:
             if not record.supersedes(existing):
-                return  # an older version never overwrites a newer one
+                return self._bytes  # an older version never overwrites a newer one
             self._bytes -= existing.size_bytes
-        self._rows[record.key] = record
+        self._rows[key] = record
         self._bytes += record.size_bytes
+        return self._bytes
 
     def get(self, key: str) -> Optional[Record]:
         """Return the row version held here, tombstones included."""

@@ -134,33 +134,22 @@ class SSTable:
         return int(min(i, n - 1) * self.size_bytes / n) // BLOCK_BYTES, row
 
     def keys_array(self) -> Optional[np.ndarray]:
-        """Key column as a numpy array (cached) for batched searchsorted,
-        or None when a key holds a NUL: a ``<U`` array drops trailing
-        NULs, so such a table is probed key by key.
+        """Key column as a numpy array (cached) for batched lookups, or
+        None when a batched lookup could not match :meth:`locate`
+        exactly: a key holds a NUL (a ``<U`` array drops trailing NULs),
+        or the table is so large that :func:`_blocks_of_rows`' product
+        leaves float64's exact range.  Such a table is probed key by key.
 
         Tables are immutable, so the array is built once on first use;
         it does not survive pickling (rebuilt lazily after a restore).
         """
-        if self._keys_arr is None and "\x00" not in "".join(self._keys):
+        if (
+            self._keys_arr is None
+            and "\x00" not in "".join(self._keys)
+            and (len(self._keys) - 1) * self.size_bytes < 2**53
+        ):
             self._keys_arr = np.array(self._keys)
         return self._keys_arr
-
-    def block_of_many(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`block_of` over *clamped record indices*.
-
-        ``idx`` must already be ``min(bisect_left(key), len-1)`` per key.
-        The float expression mirrors the scalar one exactly; the int64
-        product is exact in float64 whenever it stays under 2**53, which
-        a guard enforces by falling back to the scalar form.
-        """
-        n = max(len(self._keys), 1)
-        if (n - 1) * self.size_bytes >= 2**53:  # pragma: no cover - huge tables
-            return np.array(
-                [int(int(i) * self.size_bytes / n) // BLOCK_BYTES for i in idx],
-                dtype=np.int64,
-            )
-        scaled = (idx.astype(np.int64) * self.size_bytes).astype(np.float64) / n
-        return np.trunc(scaled).astype(np.int64) // BLOCK_BYTES
 
     def records(self) -> Iterable[Record]:
         return iter(self._records)
@@ -170,6 +159,20 @@ class SSTable:
             f"SSTable(id={self.table_id}, L{self.level}, {self.key_count} keys, "
             f"{self.size_bytes}B, [{self.min_key}..{self.max_key}])"
         )
+
+
+def _blocks_of_rows(
+    rows: np.ndarray, size_bytes: np.ndarray, key_count: np.ndarray
+) -> np.ndarray:
+    """:meth:`SSTable.locate`'s logical block, vectorized over rows of
+    many tables: per row its *clamped* sorted position
+    (``min(bisect_left(key), len - 1)``) and its table's ``size_bytes``
+    and ``key_count``.  The float expression mirrors the scalar one; the
+    int64 product is exact in float64 while it stays under 2**53, which
+    :meth:`SSTable.keys_array` guarantees for every table it serves.
+    """
+    scaled = (rows * size_bytes).astype(np.float64) / key_count
+    return np.trunc(scaled).astype(np.int64) // BLOCK_BYTES
 
 
 def merge_records(

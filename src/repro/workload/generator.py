@@ -88,12 +88,14 @@ class OperationGenerator:
         advance the insert cursor, and existing-key draws map modulo
         the keys populated before the op.  Columns are drawn one after
         another (all kind coins, then all update coins, then all key
-        ids).  ``read_ratio`` overrides the spec's ratio for this block.
+        ids).  ``read_ratio`` overrides the spec's ratio for this block
+        under the spec's own checks: ``WorkloadError`` outside ``[0, 1]``,
+        on NaN, or when it leaves less than ``delete_fraction`` for writes.
         """
         if n < 0:
             raise ValueError("n must be non-negative")
-        rr = self.spec.read_ratio if read_ratio is None else float(read_ratio)
-        df = self.spec.delete_fraction
+        spec = self.spec if read_ratio is None else self.spec.with_read_ratio(float(read_ratio))
+        rr, df = spec.read_ratio, spec.delete_fraction
         u = self.rng.random(n)
         v = self.rng.random(n)
 

@@ -295,9 +295,42 @@ def oracle_delete(engine, key, timestamp=None) -> None:
     engine.stats.deletes += 1
 
 
+def oracle_probe(engine, key):
+    """The newest record for ``key``, found table by table as the probe
+    was written before the op loop: the memtable, then every
+    ``read_candidates`` table whose ``might_contain`` passes, located
+    and charged to the LRU cache in that order, with every tally booked
+    on the engine's stats.  Returns ``(record, blooms, probes,
+    cache_hits, disk_reads)``."""
+    stats = engine.stats
+    stats.reads += 1
+    best = engine.memtable.get(key)
+    if best is not None:
+        stats.memtable_hits += 1
+    candidates = engine.layout.read_candidates(key)
+    probes = cache_hits = 0
+    for table in candidates:
+        if not table.might_contain(key):
+            continue
+        block, row = table.locate(key)
+        probes += 1
+        cache_hits += engine.cache.access((table.table_id, block))
+        if row < 0:
+            continue  # bloom false positive
+        stats.bloom_true_positives += 1
+        rec = table.record_at(row)
+        if best is None or rec.supersedes(best):
+            best = rec
+    stats.bloom_checks += len(candidates)
+    stats.tables_probed += probes
+    stats.cache_hits += cache_hits
+    stats.cache_misses += probes - cache_hits
+    return best, len(candidates), probes, cache_hits, probes - cache_hits
+
+
 def oracle_get(engine, key):
     """One point read through the table-by-table probe, charged as one op."""
-    best, blooms, probes, cache_hits, disk_reads = engine._probe_newest(key)
+    best, blooms, probes, cache_hits, disk_reads = oracle_probe(engine, key)
     cpu = costs.read_cpu_seconds(blooms, probes, cache_hits, engine.costs)
     _oracle_advance_for_op(engine, cpu, 0.0, disk_reads, engine.costs.read_thread_hold)
     if best is None or best.is_tombstone:

@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike
-from repro.errors import DatastoreError
+from repro.errors import DatastoreError, WorkloadError
 from repro.lsm import bloom
 from repro.lsm import engine as engine_module
-from repro.lsm.bloom import BloomFilter, _fnv1a, hash_keys
+from repro.lsm.bloom import BloomFilter, _FilterBank, _fnv1a, hash_key, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.hardware import HardwareSpec
@@ -246,6 +246,19 @@ class TestGeneratorBatches:
         block = gen.operation_batch(2000, read_ratio=0.95)
         assert np.count_nonzero(block.kinds == OP_READ) / 2000 > 0.85
 
+    @pytest.mark.parametrize("read_ratio", [0.95, float("nan"), 1.5, -0.2])
+    def test_read_ratio_override_takes_the_spec_checks(self, read_ratio):
+        """With a tenth of ops deletes, 0.95 leaves no room for them, NaN
+        is no ratio, and 1.5 / -0.2 are out of range."""
+        spec = WorkloadSpec(read_ratio=0.1, n_keys=100, delete_fraction=0.1)
+        gen = OperationGenerator(spec, np.random.default_rng(2), loaded_keys=100)
+        state = gen.rng.bit_generator.state
+        with pytest.raises(WorkloadError):
+            gen.operation_batch(100, read_ratio=read_ratio)
+        assert gen.rng.bit_generator.state == state  # nothing drawn
+        block = gen.operation_batch(2000, read_ratio=0.8)
+        assert 0.07 < np.count_nonzero(block.kinds == OP_DELETE) / 2000 < 0.13
+
 
 class TestKeyDistributionBatches:
     def test_exponential_reuse_batch_deterministic_and_bounded(self):
@@ -333,13 +346,18 @@ class TestBloomBatches:
     KEYS = [f"user{i:012d}" for i in range(200)]
 
     def test_hash_keys_matches_scalar_fnv(self):
-        hashed = hash_keys(np.asarray(self.KEYS))
-        assert hashed is not None
-        h1, h2 = hashed
-        for i, key in enumerate(self.KEYS):
-            data = key.encode("utf-8")
-            assert int(h1[i]) == _fnv1a(data, seed=0x9E3779B9)
-            assert int(h2[i]) == (_fnv1a(data, seed=0x85EBCA6B) | 1)
+        # Equal lengths (every column unmasked), mixed lengths (the
+        # columns past the shortest key masked) and a one-key batch.
+        mixed = ["a", "bb", "user0001", "k" * 30, "q", "user000000000001"]
+        for keys in (self.KEYS, mixed, ["solo"]):
+            hashed = hash_keys(np.asarray(keys))
+            assert hashed is not None
+            h1, h2 = hashed
+            for i, key in enumerate(keys):
+                data = key.encode("utf-8")
+                assert int(h1[i]) == _fnv1a(data, seed=0x9E3779B9)
+                assert int(h2[i]) == (_fnv1a(data, seed=0x85EBCA6B) | 1)
+                assert (int(h1[i]), int(h2[i])) == hash_key(key)
 
     def test_hash_keys_refuses_non_ascii_and_embedded_nul(self):
         assert hash_keys(np.asarray(["café", "user1"])) is None
@@ -354,11 +372,25 @@ class TestBloomBatches:
         assert bytes(scalar._bits) == bytes(batch._bits)
         assert scalar.n_items == batch.n_items
 
-    def test_might_contain_many_matches_scalar_probe(self):
-        bf = BloomFilter.from_keys(self.KEYS, fp_chance=0.01)
+    def test_filter_bank_matches_scalar_probe(self):
+        """One pass over (filter, key) pairs across filters of three
+        hash counts, in any pair order, answers what each filter's own
+        scalar probe does."""
+        filters = [
+            BloomFilter.from_keys(self.KEYS[i::3], fp_chance=fp)
+            for i, fp in enumerate((0.01, 0.3, 0.01, 0.001))
+        ]
+        assert len({f.n_hashes for f in filters}) == 3
+        bank = _FilterBank(filters)
         probes = self.KEYS[::3] + [f"miss{i:08d}" for i in range(100)]
-        hits = bf.might_contain_many(*hash_keys(np.asarray(probes)))
-        assert hits.tolist() == [bf.might_contain(k) for k in probes]
+        rng = np.random.default_rng(7)
+        owner = rng.integers(0, len(filters), size=3 * len(probes))
+        which = rng.integers(0, len(probes), size=len(owner))
+        h1, h2 = hash_keys(np.asarray(probes)[which])
+        hits = bank.might_contain_pairs(owner, h1, h2)
+        expected = [filters[f].might_contain(probes[w]) for f, w in zip(owner, which)]
+        assert hits.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
 
 
 class TestRunEngineTail:
@@ -469,14 +501,46 @@ class TestProbePlanTraps:
             dict(bloom_fp_chance=0.3),
         ],
     )
-    def test_reconfigure_between_blocks(self, change):
+    def test_reconfigure_between_blocks(self, change, monkeypatch):
         batched, scalar = loaded_twins(n_keys=512)
         mixed = [op for i in range(200) for op in (read(key(3 * i % 512)), write(key(i)))]
         run_ops(batched, scalar, mixed)
+        # The hash counts of the L0 filters each plan was derived under.
+        planned, replan = [], LSMEngine._replan
+        monkeypatch.setattr(
+            LSMEngine,
+            "_replan",
+            lambda engine, plan, k: planned.append(
+                {t.bloom.n_hashes for t in engine.layout.levels[0]}
+            ) or replan(engine, plan, k),
+        )
         for engine in (batched, scalar):
             engine.reconfigure(replace(engine.knobs, **change))
         run_ops(batched, scalar, mixed)
         run_ops(batched, scalar, [read(key(i)) for i in range(300)])
+        if "bloom_fp_chance" in change:
+            # Old and new filters side by side in L0: the bank's pass
+            # ran over two hash counts at once.
+            assert any(len(counts) == 2 for counts in planned)
+
+    @pytest.mark.parametrize("strategy", [SIZE_TIERED, LEVELED])
+    def test_reads_on_and_past_the_table_key_ranges(self, strategy):
+        """Every table's key range excludes part of the block, and reads
+        land exactly on each range's ends (``searchsorted``'s sides) and
+        just past them."""
+        batched, scalar = loaded_twins(strategy, n_keys=700)
+        for engine in (batched, scalar):
+            engine.idle_until_compact()
+        run_ops(batched, scalar, [write(key(i)) for i in range(700, 830)])
+        tables = batched.layout.all_tables()
+        assert len(tables) >= 3
+        ends = sorted({name for t in tables for name in (t.min_key, t.max_key)})
+        past = [name[:-1] + chr(ord(name[-1]) + d) for name in ends for d in (-1, 1)]
+        names = ["a", "zz"] + ends + past + [key(i) for i in range(0, 830, 37)]
+        rng = np.random.default_rng(3)
+        names = [names[i] for i in rng.permutation(len(names))]
+        assert all(any(not t.min_key <= n <= t.max_key for n in names) for t in tables)
+        run_ops(batched, scalar, [read(name) for name in names])
 
     def test_write_then_read_and_delete_in_one_block(self):
         batched, scalar = loaded_twins()

@@ -1,5 +1,6 @@
 
 import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -223,6 +224,24 @@ class TestReconfigure:
         engine = LSMEngine(small_knobs)
         engine.reconfigure(make_knobs(memtable_space_bytes=128 * 1024))
         assert engine.memtable.capacity_bytes == 128 * 1024
+
+    def test_reconfigure_commitlog_knobs(self, small_knobs):
+        """A reconfigured engine books the syncs and sealed segments of
+        one built with the new knobs, in blocks and in one-op calls."""
+        change = dict(commitlog_sync_period_s=0.001, commitlog_segment_bytes=1024)
+        reconfigured = LSMEngine(small_knobs)
+        reconfigured.reconfigure(dataclasses.replace(small_knobs, **change))
+        built = LSMEngine(dataclasses.replace(small_knobs, **change))
+        for engine in (reconfigured, built):
+            engine.execute_batch(
+                np.full(100, OP_WRITE), [f"key{i:05d}" for i in range(100)], np.full(100, 60)
+            )
+            fill(engine, 100, prefix="more")
+        booked = [
+            (engine.commitlog.total_syncs, engine.commitlog.sealed_segment_count)
+            for engine in (reconfigured, built)
+        ]
+        assert booked[0] == booked[1] and min(booked[1]) > 0
 
 
 class TestCostAccounting:
