@@ -319,9 +319,7 @@ def bench_substrate(budget: dict) -> dict:
     cassandra = CassandraLike()
     config = cassandra.default_configuration()
     server = cassandra.new_analytic_instance(config, seed=1)
-    ring = Cluster(
-        cassandra, config, n_nodes=3, replication_factor=2, n_shooters=3, seed=1
-    )
+    ring = Cluster(cassandra, config, n_nodes=3, replication_factor=2, seed=1)
     out = dict(shape)
     for name, target in (("single_node", server), ("ring_3_nodes_rf2", ring)):
         target.load(shape["load_keys"])

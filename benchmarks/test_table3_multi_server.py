@@ -26,7 +26,6 @@ def cluster_throughput(cassandra, config, rr, n_nodes, workload, seed):
         config,
         n_nodes=n_nodes,
         replication_factor=n_nodes,  # paper: RF raised with the node count
-        n_shooters=n_nodes,          # paper: one more shooter for 2 servers
         profile=workload.to_profile(),
         seed=seed,
     )

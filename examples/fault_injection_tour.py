@@ -27,7 +27,6 @@ from repro import (
     MiddlewareScheduler,
     OraclePolicy,
     RafikiPipeline,
-    RetryPolicy,
     TenantSpec,
     mgrast_workload,
 )
@@ -57,7 +56,7 @@ def main():
     # A regime shift at window 4 makes the controller push a new config;
     # the same window crashes node 1 of 4 and degrades node 2's disk, so
     # the canary sees the throughput collapse and blames the push.  The
-    # search at window 4 also fails once, which the retry policy absorbs.
+    # search at window 4 also fails once, which the session's retry absorbs.
     rr_series = [0.2, 0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
     plan = FaultPlan(
         node_crashes=(NodeCrash(window=4, node=1, recover_window=6),),
@@ -81,7 +80,6 @@ def main():
             fault_plan=plan,
             n_nodes=4,
             replication_factor=2,
-            retry=RetryPolicy(max_attempts=3, backoff_s=2.0),
             # The tiny 4-net ensemble is very unsure about the read-heavy
             # regime; a softer std factor keeps the guard decisive.
             canary_margin=0.2,

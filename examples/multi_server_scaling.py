@@ -26,7 +26,6 @@ def cluster_throughput(cassandra, config, read_ratio, n_nodes, seed=7):
         config,
         n_nodes=n_nodes,
         replication_factor=n_nodes,
-        n_shooters=n_nodes,
         profile=workload.to_profile(),
         seed=seed,
     )

@@ -54,7 +54,7 @@ _HOMES = {
     "repro.core": (
         "ConfigurationOptimizer", "DecisionPolicy", "ExhaustiveSearch",
         "ForecastPolicy", "GreedySearch", "HysteresisPolicy", "OptimizationResult",
-        "OraclePolicy", "Rafiki", "RetryPolicy", "RafikiPipeline", "RandomSearch",
+        "OraclePolicy", "Rafiki", "RafikiPipeline", "RandomSearch",
         "ReactivePolicy", "RecommendationCache", "SurrogateModel", "rank_parameters",
         "select_key_parameters",
     ),
@@ -102,7 +102,6 @@ __all__ = [
     "GreedySearch",
     "RandomSearch",
     "OptimizationResult",
-    "RetryPolicy",
     "rank_parameters",
     "select_key_parameters",
     "RecommendationCache",

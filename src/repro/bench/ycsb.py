@@ -44,20 +44,12 @@ class YCSBBenchmark:
     """Drives one simulated server with one workload and measures AOPS."""
 
     def __init__(
-        self,
-        datastore: Datastore,
-        run_seconds: float = DEFAULT_RUN_SECONDS,
-        step_seconds: float = 1.0,
-        settle_seconds: float = SETTLE_SECONDS,
-        report_interval: float = REPORT_INTERVAL_SECONDS,
+        self, datastore: Datastore, run_seconds: float = DEFAULT_RUN_SECONDS
     ):
-        if run_seconds <= 0 or step_seconds <= 0:
-            raise ValueError("durations must be positive")
+        if run_seconds <= 0:
+            raise ValueError("run_seconds must be positive")
         self.datastore = datastore
         self.run_seconds = run_seconds
-        self.step_seconds = step_seconds
-        self.settle_seconds = settle_seconds
-        self.report_interval = report_interval
 
     # ------------------------------------------------------------------ fast path
 
@@ -80,9 +72,9 @@ class YCSBBenchmark:
         )
         adapter.provision(
             load_keys=workload.n_keys if load else None,
-            settle_seconds=self.settle_seconds,
+            settle_seconds=SETTLE_SECONDS,
         )
-        steps = adapter.run(workload.read_ratio, self.run_seconds, self.step_seconds)
+        steps = adapter.run(workload.read_ratio, self.run_seconds, 1.0)
         series = self._bucket_series(steps)
         mean_tp = float(np.mean([s.throughput for s in steps]))
         adapter.teardown()
@@ -106,7 +98,7 @@ class YCSBBenchmark:
         bucket_start = steps[0].t - steps[0].dt
         for s in steps:
             bucket.append(s.throughput)
-            if s.t - bucket_start >= self.report_interval:
+            if s.t - bucket_start >= REPORT_INTERVAL_SECONDS:
                 series.append(
                     ThroughputSample(t=s.t, ops_per_second=float(np.mean(bucket)))
                 )
@@ -159,7 +151,7 @@ class YCSBBenchmark:
             # interval after the previous sample.
             for j in range(result.n_ops):
                 t = float(result.end_times[j])
-                if t - last_report_t >= self.report_interval:
+                if t - last_report_t >= REPORT_INTERVAL_SECONDS:
                     series.append(
                         ThroughputSample(
                             t=t,

@@ -28,15 +28,11 @@ class ParameterSpec:
         The value shipped in the vendor's default config.
     description:
         Human-readable explanation, surfaced in reports.
-    performance_related:
-        Whether the parameter plausibly affects performance at all
-        (security/networking params are excluded from tuning per §3.8).
     """
 
     name: str
     default: Any
     description: str = ""
-    performance_related: bool = True
 
     # -- interface ---------------------------------------------------------
 

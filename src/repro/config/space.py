@@ -167,10 +167,6 @@ class ConfigurationSpace:
             f"{self.name}[{','.join(names)}]", [self[n] for n in names]
         )
 
-    def performance_parameters(self) -> List[ParameterSpec]:
-        """Parameters eligible for tuning (§3.8 excludes the rest)."""
-        return [p for p in self._params if p.performance_related]
-
     # -- construction -----------------------------------------------------------
 
     def default_configuration(self) -> Configuration:

@@ -39,7 +39,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.rafiki import Rafiki, RafikiPipeline, PipelineReport
-from repro.core.controller import ControllerEvent, RetryPolicy
+from repro.core.controller import ControllerEvent
 from repro.core.persistence import load_surrogate, save_surrogate
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "RafikiPipeline",
     "PipelineReport",
     "ControllerEvent",
-    "RetryPolicy",
     "save_surrogate",
     "load_surrogate",
 ]

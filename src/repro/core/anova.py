@@ -151,7 +151,7 @@ def rank_parameters(
         raise SearchError("repeats must be >= 1")
     bench = benchmark or YCSBBenchmark(datastore)
     names = list(parameters) if parameters is not None else [
-        p.name for p in datastore.space.performance_parameters()
+        p.name for p in datastore.space.parameters
     ]
     seeds = SeedSequence(seed)
     events = events or EventBus()

@@ -7,9 +7,6 @@ configuration.  The loop itself is a
 :class:`~repro.middleware.scheduler.MiddlewareScheduler`; this module
 holds the types every layer of it shares:
 
-* :class:`RetryPolicy` — bounded exponential backoff for transient
-  search/push failures; simulated backoff time is charged against the
-  window, so flakiness costs throughput instead of crashing runs.
 * :class:`ControllerEvent` / :class:`ControllerRun` — one window's
   outcome and a tenant's full run summary (reconfigurations, canary
   rollbacks, degraded / shed / quarantined windows).
@@ -30,29 +27,6 @@ from repro.errors import SearchError
 #: Smoothing of the observed/predicted throughput ratio the canary
 #: normalizes against (high = adapt fast to regime/fault shifts).
 CANARY_RATIO_ALPHA = 0.5
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for search/push calls.
-
-    Backoff is *simulated* time: every retry charges its backoff
-    against the window it happens in.  ``deadline_s`` caps the total
-    backoff one operation may accumulate regardless of attempts left.
-    """
-
-    max_attempts: int = 3
-    backoff_s: float = 2.0
-    backoff_factor: float = 2.0
-    deadline_s: float = 60.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise SearchError("max_attempts must be >= 1")
-        if self.backoff_s < 0 or self.deadline_s < 0:
-            raise SearchError("backoff and deadline must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise SearchError("backoff_factor must be >= 1")
 
 
 @dataclass

@@ -69,15 +69,13 @@ class ConfigurationOptimizer:
         parameters: Optional[Sequence[str]] = None,
         population_size: int = 48,
         generations: int = 70,
-        seed_default: bool = True,
         uncertainty_penalty: float = 0.0,
         bus: Optional[EventBus] = None,
     ):
-        """``seed_default`` keeps the vendor default as a candidate
-        floor: scored as the last row of generation 0's batch, it wins
-        if the surrogate scores it higher than anything evolution found.
-        (Injecting it into the population instead collapses diversity
-        around it.)
+        """The vendor default is a candidate floor: scored as the last
+        row of generation 0's batch, it wins if the surrogate scores it
+        higher than anything evolution found.  (Injecting it into the
+        population instead collapses diversity around it.)
 
         ``uncertainty_penalty`` (an extension beyond the paper) subtracts
         ``k x ensemble-spread`` from the fitness, discouraging the GA
@@ -98,13 +96,12 @@ class ConfigurationOptimizer:
             raise SearchError("uncertainty_penalty must be non-negative")
         _check_sizes(population_size, generations)
         self.encoder = ConfigurationEncoder(surrogate.space, names)
-        #: The vendor default's genes, the ``seed_default`` floor candidate.
+        #: The vendor default's genes, the floor candidate.
         self.default_genes = self.encoder.encode(
             surrogate.space.default_configuration()
         )
         self.population_size = population_size
         self.generations = generations
-        self.seed_default = seed_default
         self.uncertainty_penalty = uncertainty_penalty
         self.bus = bus
 
@@ -133,7 +130,7 @@ class ConfigurationOptimizer:
             # batch: the ensemble is row-stable, so its score is a
             # one-row call's, bit for bit, without a call of its own.
             nonlocal default_fitness
-            if default_fitness is not None or not self.seed_default:
+            if default_fitness is not None:
                 return score(genes_matrix)
             scores = score(np.concatenate((genes_matrix, self.default_genes[None, :])))
             default_fitness = float(scores[-1])
@@ -149,12 +146,10 @@ class ConfigurationOptimizer:
         result: GAResult = ga.run(seed=seed)
         best_config = result.best_configuration
         best_fitness = result.best_fitness
-        evaluations = result.evaluations
-        if default_fitness is not None:
-            evaluations += 1
-            if default_fitness > best_fitness:
-                best_config = self.surrogate.space.default_configuration()
-                best_fitness = default_fitness
+        evaluations = result.evaluations + 1
+        if default_fitness > best_fitness:
+            best_config = self.surrogate.space.default_configuration()
+            best_fitness = default_fitness
         return OptimizationResult(
             configuration=best_config,
             predicted_throughput=best_fitness,

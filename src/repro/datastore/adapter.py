@@ -121,7 +121,6 @@ class SimulatedDatastoreAdapter:
                 self.config,
                 n_nodes=self.n_nodes,
                 replication_factor=self.replication_factor,
-                n_shooters=self.n_nodes,
                 profile=self.profile,
                 seed=self.seed,
                 events=self.events,

@@ -3,9 +3,10 @@
 Nodes are independent simulated servers joined in a Cassandra-style
 ring.  Each logical write is applied to ``replication_factor`` replicas;
 each logical read is served by one replica (consistency level ONE, the
-throughput-oriented choice).  Client capacity is bounded by the number
-of YCSB "shooters" — the paper adds a shooter per server to keep the
-cluster loaded.
+throughput-oriented choice: metagenomics tolerates stale reads, §2.1).
+Client capacity is bounded by the YCSB "shooters" — the paper adds a
+shooter per server to keep the cluster loaded, so there is one per
+node.
 
 Nodes can be marked down (:meth:`Cluster.fail_node`) or given a degraded
 disk (:meth:`Cluster.set_disk_slowdown`); throughput and capacity math
@@ -38,9 +39,6 @@ from repro.sim.rng import SeedLike, SeedSequence, derive_rng
 
 #: Operations/second one benchmark client ("shooter") can generate.
 SHOOTER_CAPACITY_OPS = 130_000.0
-
-#: Read consistency levels: how many replicas serve each logical read.
-CONSISTENCY_LEVELS = ("ONE", "QUORUM", "ALL")
 
 
 @dataclass
@@ -82,8 +80,6 @@ class Cluster:
         config: Configuration,
         n_nodes: int,
         replication_factor: int = 1,
-        n_shooters: int = 1,
-        consistency_level: str = "ONE",
         profile: Optional[WorkloadProfile] = None,
         seed: SeedLike = 0,
         events=None,
@@ -94,18 +90,10 @@ class Cluster:
             raise DatastoreError(
                 f"replication factor {replication_factor} must be in [1, {n_nodes}]"
             )
-        if n_shooters <= 0:
-            raise DatastoreError("need at least one shooter")
-        if consistency_level not in CONSISTENCY_LEVELS:
-            raise DatastoreError(
-                f"consistency level {consistency_level!r} not in {CONSISTENCY_LEVELS}"
-            )
         self.datastore = datastore
         self.config = config
         self.n_nodes = n_nodes
         self.replication_factor = replication_factor
-        self.n_shooters = n_shooters
-        self.consistency_level = consistency_level
         root = seed if isinstance(seed, int) else int(derive_rng(seed).integers(2**31))
         seeds = SeedSequence(root)
         self.nodes: List[AnalyticLSMModel] = [
@@ -222,26 +210,12 @@ class Cluster:
 
     # -- replication math -----------------------------------------------------------
 
-    @property
-    def read_fanout(self) -> int:
-        """Replica reads per logical read, set by the consistency level.
-
-        The paper's throughput-oriented setup reads at ONE; QUORUM and
-        ALL trade throughput for stronger consistency (§2.1's CAP
-        discussion — metagenomics tolerates stale reads, so ONE is the
-        domain-appropriate choice).
-        """
-        if self.consistency_level == "ONE":
-            return 1
-        if self.consistency_level == "QUORUM":
-            return self.replication_factor // 2 + 1
-        return self.replication_factor
-
     def _plan(self, read_ratio: float) -> tuple:
         """What a capacity solve takes from the live set and the mix:
         ``(live (index, node cursor, slowdown) triples, node read share,
-        fan-out)``.  Down nodes take no replicas, so the effective RF and
-        read fan-out shrink with the live set.
+        fan-out)``.  A read touches one replica and a write every live
+        one: down nodes take no replicas, so the effective RF shrinks
+        with the live set.
         """
         if not (0.0 <= read_ratio <= 1.0):
             raise ValueError("read_ratio must be in [0, 1]")
@@ -249,9 +223,8 @@ class Cluster:
         if not live:
             raise DatastoreError("no live nodes")
         rf = min(self.replication_factor, len(live))
-        node_reads = read_ratio * min(self.read_fanout, rf)
-        fanout = node_reads + (1.0 - read_ratio) * rf
-        node_rr = node_reads / fanout
+        fanout = read_ratio + (1.0 - read_ratio) * rf
+        node_rr = read_ratio / fanout
         cursors = [
             (i, _NodeCursor(self.nodes[i], node_rr), self._slowdown.get(i, 1.0))
             for i in live
@@ -263,7 +236,7 @@ class Cluster:
         the balanced per-node rate, the shooters bound the ring."""
         per_node = min([cursor.capacity() / slow for _, cursor, slow in cursors])
         server_cap = per_node * len(cursors) / fanout
-        client_cap = self.n_shooters * SHOOTER_CAPACITY_OPS
+        client_cap = self.n_nodes * SHOOTER_CAPACITY_OPS
         return min(server_cap, client_cap)
 
     def sustainable_throughput(self, read_ratio: float) -> float:
@@ -413,5 +386,5 @@ class Cluster:
         down = f", down={sorted(self._down)}" if self._down else ""
         return (
             f"Cluster({self.datastore.name} x{self.n_nodes}, "
-            f"RF={self.replication_factor}, shooters={self.n_shooters}{down})"
+            f"RF={self.replication_factor}{down})"
         )

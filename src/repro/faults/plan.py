@@ -25,6 +25,12 @@ from repro.sim.rng import SeedLike, derive_rng
 #: Control-plane operations a :class:`TransientFault` can target.
 TRANSIENT_KINDS = ("search", "push")
 
+#: :meth:`FaultPlan.generate`'s per-window node-crash probability, the
+#: longest outage or slowdown it draws (windows), and its worst slowdown.
+_CRASH_PROBABILITY = 0.05
+_MAX_OUTAGE_WINDOWS = 3
+_MAX_SLOWDOWN_FACTOR = 4.0
+
 
 @dataclass(frozen=True)
 class NodeCrash:
@@ -190,22 +196,17 @@ class FaultPlan:
         seed: SeedLike,
         n_windows: int,
         n_nodes: int = 1,
-        crash_probability: float = 0.05,
         slowdown_probability: float = 0.05,
         search_fault_probability: float = 0.03,
         push_fault_probability: float = 0.03,
-        max_outage_windows: int = 3,
-        max_slowdown_factor: float = 4.0,
-        actuation_fault_probability: float = 0.0,
-        stale_recovery_probability: float = 0.0,
     ) -> "FaultPlan":
         """Draw a random-but-reproducible plan for an online run.
 
         Per window, each fault class fires independently with its
-        configured probability; crashed nodes recover after 1..
-        ``max_outage_windows`` windows.  At most one node is scheduled
-        down at a time so a plan can never strand the cluster below one
-        live node.
+        probability; crashed nodes recover after 1..3 windows.  At most
+        one node is scheduled down at a time so a plan can never strand
+        the cluster below one live node.  Actuation faults and stale
+        recoveries are never drawn: a plan names them explicitly.
         """
         if n_windows < 1:
             raise FaultError("need at least one window")
@@ -215,13 +216,11 @@ class FaultPlan:
         crashes = []
         slowdowns = []
         transients = []
-        actuations = []
-        stales = []
         down_until = -1  # last window of the currently scheduled outage
         for w in range(n_windows):
-            if n_nodes > 1 and w > down_until and rng.random() < crash_probability:
+            if n_nodes > 1 and w > down_until and rng.random() < _CRASH_PROBABILITY:
                 node = int(rng.integers(n_nodes))
-                outage = int(rng.integers(1, max_outage_windows + 1))
+                outage = int(rng.integers(1, _MAX_OUTAGE_WINDOWS + 1))
                 recover = w + outage
                 crashes.append(
                     NodeCrash(
@@ -233,8 +232,8 @@ class FaultPlan:
                 down_until = recover
             if rng.random() < slowdown_probability:
                 node = int(rng.integers(n_nodes))
-                factor = float(1.5 + (max_slowdown_factor - 1.5) * rng.random())
-                length = int(rng.integers(1, max_outage_windows + 1))
+                factor = float(1.5 + (_MAX_SLOWDOWN_FACTOR - 1.5) * rng.random())
+                length = int(rng.integers(1, _MAX_OUTAGE_WINDOWS + 1))
                 end = w + length
                 slowdowns.append(
                     DiskSlowdown(
@@ -256,41 +255,10 @@ class FaultPlan:
                         kind="push", window=w, failures=int(rng.integers(1, 3))
                     )
                 )
-            # The actuation classes default to probability 0 and short-circuit
-            # before touching the RNG, so plans drawn by older callers keep
-            # their exact draw sequence.
-            if (
-                n_nodes > 1
-                and actuation_fault_probability > 0.0
-                and rng.random() < actuation_fault_probability
-            ):
-                actuations.append(
-                    ActuationFault(
-                        window=w,
-                        node=int(rng.integers(n_nodes)),
-                        repairs_blocked=int(rng.integers(0, 2)),
-                    )
-                )
-            if (
-                n_nodes > 1
-                and stale_recovery_probability > 0.0
-                and w > down_until
-                and w + 1 < n_windows
-                and rng.random() < stale_recovery_probability
-            ):
-                node = int(rng.integers(n_nodes))
-                outage = int(rng.integers(1, max_outage_windows + 1))
-                recover = min(w + outage, n_windows - 1)
-                stales.append(
-                    StaleRecovery(window=w, node=node, recover_window=recover)
-                )
-                down_until = recover
         return cls(
             node_crashes=tuple(crashes),
             disk_slowdowns=tuple(slowdowns),
             transient_faults=tuple(transients),
-            actuation_faults=tuple(actuations),
-            stale_recoveries=tuple(stales),
         )
 
     # -- (de)serialization ---------------------------------------------------

@@ -18,7 +18,7 @@ a datastore fleet.  This package is that service layer, in four tiers:
 Overload protection rides below the session tier: per-tenant
 :class:`TenantGuard` facades compose an :class:`SloTracker` (rolling
 error budget over an :class:`SloSpec`), circuit breakers around search
-and actuation, and bulkhead budgets; the scheduler's
+and actuation, and a restart bulkhead; the scheduler's
 :class:`CapacityLedger` adds shared-cluster admission control and
 deterministic priority shedding.  All of it is off by default — an
 unguarded run is bit-identical to the pre-guard scheduler.

@@ -16,8 +16,8 @@ walks the same transitions.  It publishes nothing itself; the owning
 returned here onto ``guard.breaker.*`` events.
 
 A bulkhead caps how often an operation runs inside a rolling span of
-windows; the guard uses one per search and push, the drift reconciler
-one for its repairs.
+windows; the guard uses one for pushes, the drift reconciler one for its
+repairs.
 """
 
 from __future__ import annotations
@@ -115,14 +115,17 @@ class CircuitBreaker:
 
 
 class _Bulkhead:
-    """Rolling-window invocation budget for one operation."""
+    """Rolling-window invocation budget for one operation.
+
+    An uncapped bulkhead (``limit=None``) always allows and remembers
+    nothing.
+    """
 
     def __init__(self, name: str, limit: Optional[int], span: int):
         self.name = name
         self.limit = limit
         self.span = span
         self._uses: deque = deque()
-        self.blocked = 0
 
     def used(self, window: int) -> int:
         while self._uses and self._uses[0] <= window - self.span:
@@ -135,4 +138,5 @@ class _Bulkhead:
         return self.used(window) < self.limit
 
     def record(self, window: int) -> None:
-        self._uses.append(window)
+        if self.limit is not None:
+            self._uses.append(window)

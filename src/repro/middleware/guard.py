@@ -10,10 +10,9 @@ to.  It composes:
   around the expensive per-tenant operations — surrogate **search** and
   config **push** — tripped by consecutive failures or (push) by error
   budget exhaustion (``guard.breaker.*`` events);
-* **bulkhead budgets** capping search invocations and config pushes per
-  rolling ``span`` windows (``guard.bulkhead.exhausted`` events), so one
-  tenant cannot monopolize the shared search machinery or thrash its
-  ring with rolling restarts.
+* a **restart bulkhead** capping config pushes per rolling ``span``
+  windows (``guard.bulkhead.exhausted`` events), so one tenant cannot
+  thrash its ring with rolling restarts.
 
 A blocked operation is never an error: the session simply holds its
 current configuration for the window — the safe landing the paper's
@@ -33,14 +32,7 @@ from repro.middleware.slo import SloSpec, SloTracker
 
 #: Keys a manifest ``[tenants.guard]`` stanza may set.
 GUARD_STANZA_KEYS = frozenset(
-    {
-        "breaker_failures",
-        "breaker_cooldown",
-        "max_searches",
-        "max_restarts",
-        "span",
-        "open_on_budget_exhausted",
-    }
+    {"breaker_failures", "breaker_cooldown", "max_restarts", "span"}
 )
 
 
@@ -50,20 +42,17 @@ class GuardSpec:
 
     ``breaker_failures`` consecutive failed searches/pushes open the
     matching circuit; an open circuit holds for ``breaker_cooldown``
-    windows, then admits one half-open probe.  ``max_searches`` /
-    ``max_restarts`` cap the operations inside a rolling ``span``-window
-    bulkhead (``None`` = uncapped).  ``open_on_budget_exhausted`` trips
-    the push breaker when the tenant's SLO error budget burns out —
-    a tenant that is already missing its objective should stop paying
-    reconfiguration transients on top.
+    windows, then admits one half-open probe.  ``max_restarts`` caps the
+    config pushes inside a rolling ``span``-window bulkhead (``None`` =
+    uncapped).  The push breaker also trips when the tenant's SLO error
+    budget burns out — a tenant that is already missing its objective
+    should stop paying reconfiguration transients on top.
     """
 
     breaker_failures: int = 3
     breaker_cooldown: int = 4
-    max_searches: Optional[int] = None
     max_restarts: Optional[int] = None
     span: int = 8
-    open_on_budget_exhausted: bool = True
 
     def __post_init__(self):
         if self.breaker_failures < 1:
@@ -76,10 +65,8 @@ class GuardSpec:
             )
         if self.span < 1:
             raise GuardError(f"span must be >= 1, got {self.span!r}")
-        for name in ("max_searches", "max_restarts"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise GuardError(f"{name} must be >= 0, got {value!r}")
+        if self.max_restarts is not None and self.max_restarts < 0:
+            raise GuardError(f"max_restarts must be >= 0, got {self.max_restarts!r}")
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "GuardSpec":
@@ -114,9 +101,6 @@ class TenantGuard:
             failure_threshold=self.spec.breaker_failures,
             cooldown_windows=self.spec.breaker_cooldown,
         )
-        self._search_bulkhead = _Bulkhead(
-            "search", self.spec.max_searches, self.spec.span
-        )
         self._push_bulkhead = _Bulkhead(
             "push", self.spec.max_restarts, self.spec.span
         )
@@ -125,19 +109,36 @@ class TenantGuard:
 
     def allow_search(self, window: int) -> bool:
         """May this window run a surrogate search?"""
-        return self._allow(self.search_breaker, self._search_bulkhead, window)
+        return self._allow(self.search_breaker, window)
 
     def allow_push(self, window: int) -> bool:
         """May this window push (actuate) a configuration?"""
-        return self._allow(self.push_breaker, self._push_bulkhead, window)
+        if not self._allow(self.push_breaker, window):
+            return False
+        bulkhead = self._push_bulkhead
+        if bulkhead.allow(window):
+            return True
+        self._publish(
+            "guard.bulkhead.exhausted",
+            f"{bulkhead.name} budget spent "
+            f"({bulkhead.used(window)}/{bulkhead.limit} in "
+            f"{bulkhead.span} windows); holding the current configuration",
+            op=bulkhead.name,
+            window=window,
+            used=bulkhead.used(window),
+            limit=bulkhead.limit,
+            span=bulkhead.span,
+        )
+        return False
 
     def record_search(self, window: int, ok: bool) -> None:
-        """Report an attempted search's outcome to breaker + bulkhead."""
-        self._record(self.search_breaker, self._search_bulkhead, window, ok)
+        """Report an attempted search's outcome to its breaker."""
+        self._record(self.search_breaker, window, ok)
 
     def record_push(self, window: int, ok: bool) -> None:
         """Report an attempted push's outcome to breaker + bulkhead."""
-        self._record(self.push_breaker, self._push_bulkhead, window, ok)
+        self._push_bulkhead.record(window)
+        self._record(self.push_breaker, window, ok)
 
     def trip_push(self, window: int, reason: str) -> None:
         """Force the push breaker open (e.g. unrepaired config drift)."""
@@ -175,11 +176,10 @@ class TenantGuard:
                 window=event.window_index,
                 budget_remaining=self.slo.budget_remaining,
             )
-            if self.spec.open_on_budget_exhausted:
-                change = self.push_breaker.force_open(event.window_index)
-                self._breaker_event(
-                    "push", change, event.window_index, reason="error-budget"
-                )
+            change = self.push_breaker.force_open(event.window_index)
+            self._breaker_event(
+                "push", change, event.window_index, reason="error-budget"
+            )
         elif transition == "recovered":
             self._publish(
                 "guard.slo.recovered",
@@ -197,9 +197,7 @@ class TenantGuard:
 
     # -- internals ---------------------------------------------------------------
 
-    def _allow(
-        self, breaker: CircuitBreaker, bulkhead: _Bulkhead, window: int
-    ) -> bool:
+    def _allow(self, breaker: CircuitBreaker, window: int) -> bool:
         allowed, transition = breaker.allow(window)
         self._breaker_event(breaker.name, transition, window, reason="cooldown")
         if not allowed:
@@ -210,27 +208,9 @@ class TenantGuard:
                 op=breaker.name,
                 window=window,
             )
-            return False
-        if not bulkhead.allow(window):
-            bulkhead.blocked += 1
-            self._publish(
-                "guard.bulkhead.exhausted",
-                f"{bulkhead.name} budget spent "
-                f"({bulkhead.used(window)}/{bulkhead.limit} in "
-                f"{bulkhead.span} windows); holding the current configuration",
-                op=bulkhead.name,
-                window=window,
-                used=bulkhead.used(window),
-                limit=bulkhead.limit,
-                span=bulkhead.span,
-            )
-            return False
-        return True
+        return allowed
 
-    def _record(
-        self, breaker: CircuitBreaker, bulkhead: _Bulkhead, window: int, ok: bool
-    ) -> None:
-        bulkhead.record(window)
+    def _record(self, breaker: CircuitBreaker, window: int, ok: bool) -> None:
         change = (
             breaker.record_success(window) if ok else breaker.record_failure(window)
         )

@@ -287,6 +287,13 @@ def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> Tenant
                     f"manifest {source}: tenant {tenant_id!r}: {key} must be "
                     f"an integer, got {value!r}"
                 )
+        for key in ("hours", "window_seconds"):
+            value = merged[key]
+            if type(value) not in (int, float) or not value > 0:
+                raise PersistenceError(
+                    f"manifest {source}: tenant {tenant_id!r}: {key} must be "
+                    f"a positive number, got {value!r}"
+                )
         if not isinstance(merged["load"], bool):
             raise PersistenceError(
                 f"manifest {source}: tenant {tenant_id!r}: load must be a "

@@ -161,7 +161,6 @@ class DriftReconciler:
                     f"(window {window})",
                     window=window,
                     nodes=report.drifted_nodes,
-                    repairs_used=self._repairs.used(window),
                 )
             else:
                 self._publish(

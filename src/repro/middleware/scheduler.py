@@ -61,7 +61,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controller import ControllerRun, RetryPolicy
+from repro.core.controller import ControllerRun
 from repro.core.policies import DecisionPolicy, HysteresisPolicy, OraclePolicy
 from repro.datastore.adapter import (
     RESTART_SECONDS_PER_NODE,
@@ -152,7 +152,6 @@ class TenantSpec:
     seed: int = 0
     window_seconds: float = DEFAULT_WINDOW_SECONDS
     reconfiguration_penalty_s: float = 5.0
-    retry: Optional[RetryPolicy] = None
     canary_margin: Optional[float] = None
     canary_std_factor: float = 2.0
     fault_plan: Optional[FaultPlan] = None
@@ -175,6 +174,14 @@ class TenantSpec:
             raise SearchError(f"tenant {self.tenant_id!r} has an empty RR series")
         if self.n_nodes < 1:
             raise SearchError("n_nodes must be >= 1")
+        if not self.window_seconds > 0:
+            raise SearchError(f"window_seconds must be > 0, got {self.window_seconds!r}")
+        for name in (
+            "reconfiguration_penalty_s", "canary_std_factor", "restart_seconds_per_node"
+        ):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise SearchError(f"{name} must be >= 0, got {value!r}")
         if not (1 <= self.replication_factor <= self.n_nodes):
             raise SearchError(
                 f"replication factor {self.replication_factor} must be in "
@@ -215,7 +222,6 @@ class MiddlewareScheduler:
         rafiki=None,
         *,
         events: Optional[EventBus] = None,
-        clock: Optional[SimClock] = None,
         backend: Optional[ExecutionBackend] = None,
         workers: Optional[int] = None,
         cluster_capacity: Optional[float] = None,
@@ -224,7 +230,7 @@ class MiddlewareScheduler:
         self.datastore = datastore
         self.rafiki = rafiki
         self.events = events or EventBus()
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         # Up-front validation: a bad worker count would otherwise surface
         # windows later as an opaque crash inside the round loop.
         if workers is not None and workers < 1:
@@ -312,7 +318,6 @@ class MiddlewareScheduler:
             tenant_id=spec.tenant_id,
             window_seconds=spec.window_seconds,
             reconfiguration_penalty_s=spec.reconfiguration_penalty_s,
-            retry=spec.retry,
             canary_margin=spec.canary_margin,
             canary_std_factor=spec.canary_std_factor,
             events=scoped,

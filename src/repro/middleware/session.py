@@ -7,11 +7,11 @@ One workload window runs through discrete, resumable phases::
 Each :meth:`TenantSession.step` drives exactly one workload window
 through those phases (``advance_phase`` runs a single transition, so a
 scheduler — or a debugger — can interleave and inspect sessions
-mid-window).  Transient search/push faults back off under the
-:class:`~repro.core.controller.RetryPolicy`, an exhausted budget
-degrades to the vendor default (the paper's baseline), and with
-``canary_margin`` set a fresh push is canaried for one window against
-the surrogate's promise and reverted on undershoot.
+mid-window).  Transient search/push faults are retried with bounded
+exponential backoff, charged as simulated time against the window; an
+exhausted budget degrades to the vendor default (the paper's baseline),
+and with ``canary_margin`` set a fresh push is canaried for one window
+against the surrogate's promise and reverted on undershoot.
 
 ``restart_policy="instant"`` teleports a push onto the datastore and
 charges the flat ``reconfiguration_penalty_s``; ``"rolling"`` replaces
@@ -26,9 +26,9 @@ All events publish on the session's bus — hand it a
 publish sites.
 
 ``guard=`` attaches a :class:`~repro.middleware.guard.TenantGuard`: the
-DECIDE phase consults its search breaker/bulkhead before spending a
-surrogate search, ACTUATE consults the push breaker/bulkhead before
-actuating, and RECORD feeds the sealed window to the SLO tracker.  A
+DECIDE phase consults its search breaker before spending a surrogate
+search, ACTUATE consults the push breaker/bulkhead before actuating,
+and RECORD feeds the sealed window to the SLO tracker.  A
 blocked operation holds the current configuration (never an error), and
 canary *rollbacks* are deliberately never guard-gated — reverting a bad
 push is the safety action.  ``guard=None`` (the default) leaves every
@@ -52,12 +52,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.config.space import Configuration
-from repro.core.controller import (
-    CANARY_RATIO_ALPHA,
-    ControllerEvent,
-    ControllerRun,
-    RetryPolicy,
-)
+from repro.core.controller import CANARY_RATIO_ALPHA, ControllerEvent, ControllerRun
 from repro.core.policies import DecisionPolicy, WindowObservation
 from repro.datastore.adapter import RollingRestartReport, SimulatedDatastoreAdapter
 from repro.datastore.base import Datastore
@@ -74,6 +69,14 @@ SESSION_PHASES = (
 
 #: How configuration pushes land on the datastore.
 RESTART_POLICIES = ("instant", "rolling")
+
+#: Retry budget for a transient search/push failure: attempts per
+#: operation, the first backoff (simulated seconds) and its growth per
+#: retry, and the most backoff one operation may accumulate.
+_RETRY_ATTEMPTS = 3
+_RETRY_BACKOFF_S = 2.0
+_RETRY_BACKOFF_FACTOR = 2.0
+_RETRY_DEADLINE_S = 60.0
 
 
 @dataclass
@@ -111,7 +114,6 @@ class TenantSession:
         tenant_id: str = "tenant",
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         reconfiguration_penalty_s: float = 5.0,
-        retry: Optional[RetryPolicy] = None,
         canary_margin: Optional[float] = None,
         canary_std_factor: float = 2.0,
         events: Optional[EventBus] = None,
@@ -144,7 +146,6 @@ class TenantSession:
         self.tenant_id = tenant_id
         self.window_seconds = window_seconds
         self.reconfiguration_penalty_s = reconfiguration_penalty_s
-        self.retry = retry or RetryPolicy()
         self.canary_margin = canary_margin
         self.canary_std_factor = canary_std_factor
         self.events = events or EventBus()
@@ -317,8 +318,8 @@ class TenantSession:
         if decision_rr is None:
             return
         if self.guard is not None and not self.guard.allow_search(ws.index):
-            # Circuit open or search bulkhead spent: hold the current
-            # configuration instead of retry-storming the surrogate.
+            # Search circuit open: hold the current configuration
+            # instead of retry-storming the surrogate.
             ws.decision_rr = None
             return
         target, lost, degraded = self._decide_target(ws.index, decision_rr)
@@ -478,21 +479,21 @@ class TenantSession:
     def _attempt(
         self, kind: str, window: int, fn: Callable[[], object]
     ) -> Tuple[bool, object, float]:
-        """Run ``fn`` under the retry policy.
+        """Run ``fn`` under the retry budget.
 
         Returns ``(ok, result, lost_seconds)`` where ``lost_seconds`` is
         the simulated backoff spent on retries.  Only
         :class:`TransientError` is retried; anything else escapes.
         """
         lost = 0.0
-        backoff = self.retry.backoff_s
-        for attempt in range(1, self.retry.max_attempts + 1):
+        backoff = _RETRY_BACKOFF_S
+        for attempt in range(1, _RETRY_ATTEMPTS + 1):
             try:
                 return True, fn(), lost
             except TransientError:
                 out_of_budget = (
-                    attempt >= self.retry.max_attempts
-                    or lost + backoff > self.retry.deadline_s
+                    attempt >= _RETRY_ATTEMPTS
+                    or lost + backoff > _RETRY_DEADLINE_S
                 )
                 if out_of_budget:
                     return False, None, lost
@@ -506,7 +507,7 @@ class TenantSession:
                     backoff_s=backoff,
                 )
                 lost += backoff
-                backoff *= self.retry.backoff_factor
+                backoff *= _RETRY_BACKOFF_FACTOR
         return False, None, lost  # pragma: no cover - loop always returns
 
     def _decide_target(
@@ -538,7 +539,7 @@ class TenantSession:
         return self._default_config, lost, True
 
     def _push(self, ws: WindowState, target: Configuration) -> Tuple[bool, float]:
-        """Push a configuration under the retry policy.
+        """Push a configuration under the retry budget.
 
         ``restart_policy="rolling"`` routes the push through the
         adapter's rolling restart, recording the transient on the window

@@ -2,11 +2,10 @@
 
 Rafiki's job is keeping a shared cluster inside its performance envelope
 (paper §5); an :class:`SloSpec` makes that envelope explicit per tenant:
-a throughput floor the tenant must sustain, an optional modeled-latency
-ceiling, and an *error budget* — the fraction of windows inside a
-rolling evaluation span the tenant is allowed to miss before the guard
-layer reacts (stops churning configs, deprioritizes the tenant in
-admission control).
+a throughput floor the tenant must sustain and an *error budget* — the
+fraction of windows inside a rolling evaluation span the tenant is
+allowed to miss before the guard layer reacts (stops churning configs,
+deprioritizes the tenant in admission control).
 
 The :class:`SloTracker` is pure bookkeeping: it scores each sealed
 window against the spec and burns/refills the budget over the rolling
@@ -21,14 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.errors import GuardError
 
 #: Keys a manifest ``[tenants.slo]`` stanza may set.
-SLO_STANZA_KEYS = frozenset(
-    {"throughput_floor", "latency_ceiling_ms", "window_span", "error_budget"}
-)
+SLO_STANZA_KEYS = frozenset({"throughput_floor", "window_span", "error_budget"})
 
 
 @dataclass(frozen=True)
@@ -36,14 +33,11 @@ class SloSpec:
     """One tenant's service-level objective.
 
     ``throughput_floor`` is ops/s the tenant's windows must sustain;
-    ``latency_ceiling_ms`` bounds the modeled per-op service time
-    (``1000 / mean_throughput`` ms — a proxy, the simulation has no
-    queueing model); ``error_budget`` is the violating-window fraction
-    tolerated inside a rolling ``window_span``-window evaluation span.
+    ``error_budget`` is the violating-window fraction tolerated inside a
+    rolling ``window_span``-window evaluation span.
     """
 
     throughput_floor: float = 0.0
-    latency_ceiling_ms: Optional[float] = None
     window_span: int = 8
     error_budget: float = 0.1
 
@@ -51,12 +45,6 @@ class SloSpec:
         if not isfinite(self.throughput_floor) or self.throughput_floor < 0:
             raise GuardError(
                 f"throughput_floor must be >= 0, got {self.throughput_floor!r}"
-            )
-        if self.latency_ceiling_ms is not None and not (
-            isfinite(self.latency_ceiling_ms) and self.latency_ceiling_ms > 0
-        ):
-            raise GuardError(
-                f"latency_ceiling_ms must be > 0, got {self.latency_ceiling_ms!r}"
             )
         if self.window_span < 1:
             raise GuardError(f"window_span must be >= 1, got {self.window_span!r}")
@@ -115,14 +103,7 @@ class SloTracker:
             return True
         if event.degraded or event.rolled_back:
             return True
-        if event.mean_throughput < self.spec.throughput_floor:
-            return True
-        if self.spec.latency_ceiling_ms is not None:
-            if event.mean_throughput <= 0.0:
-                return True
-            if 1000.0 / event.mean_throughput > self.spec.latency_ceiling_ms:
-                return True
-        return False
+        return event.mean_throughput < self.spec.throughput_floor
 
     def score(self, event):
         """Fold one window into the rolling span; returns (violated, transition)."""

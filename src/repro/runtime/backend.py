@@ -17,10 +17,10 @@ this hook so workers never need a channel back to the UI.
 
 Worker crashes are contained rather than fatal: when the pool breaks
 (a worker segfaults, is OOM-killed, or otherwise dies mid-task), the
-in-flight tasks are requeued onto a fresh pool with a bounded per-task
-retry budget, and if the pool keeps collapsing the remaining tasks run
-serially in the parent — so a campaign finishes instead of dying with a
-raw ``BrokenProcessPool``.  Because a re-run task re-pickles its
+in-flight tasks are requeued onto a fresh pool (at most twice per task,
+two rebuilds per call), and if the pool keeps collapsing the remaining
+tasks run serially in the parent — so a campaign finishes instead of
+dying with a raw ``BrokenProcessPool``.  Because a re-run task re-pickles its
 pristine parent-side state (including its RNG), retried results are
 bitwise-identical to first-try results.
 """
@@ -33,14 +33,17 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.runtime.events import EventBus
-
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "resolve_backend",
 ]
+
+#: Requeues one task may take after taking its pool down with it, and
+#: fresh pools one ``map_tasks`` call builds before finishing serially.
+_TASK_RETRIES = 2
+_POOL_RESTARTS = 2
 
 
 class ExecutionBackend:
@@ -100,32 +103,12 @@ class ProcessPoolBackend(ExecutionBackend):
     ``pools_created`` / ``map_calls`` make the lifecycle observable.
     At most four tasks per worker are in flight at once, bounding memory
     for large campaigns.
-
-    ``task_retries`` bounds how many times one task may be requeued
-    after taking its pool down with it; ``pool_restarts`` bounds how
-    many fresh pools one ``map_tasks`` call will build before giving up
-    on process isolation and finishing the remaining tasks serially.
-    ``events`` (optional) receives ``backend.pool_broken`` /
-    ``backend.serial_fallback`` records for auditing.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        task_retries: int = 2,
-        pool_restarts: int = 2,
-        events: Optional[EventBus] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if task_retries < 0:
-            raise ValueError("task_retries must be >= 0")
-        if pool_restarts < 0:
-            raise ValueError("pool_restarts must be >= 0")
         self.workers = workers or os.cpu_count() or 1
-        self.task_retries = task_retries
-        self.pool_restarts = pool_restarts
-        self.events = events
         #: Lifetime counters: pools built (lazy creations + post-crash
         #: rebuilds) and ``map_tasks`` calls served.  A pool that never
         #: breaks or closes shows ``pools_created == 1`` however many
@@ -154,10 +137,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
-
-    def _publish(self, topic: str, message: str, **payload) -> None:
-        if self.events is not None:
-            self.events.publish(topic, message, **payload)
 
     def map_tasks(self, fn, tasks, on_result=None) -> List[Any]:
         self.map_calls += 1
@@ -212,22 +191,10 @@ class ProcessPoolBackend(ExecutionBackend):
             pending.clear()
             self._discard_pool()
             restarts += 1
-            exhausted = [i for i in victims if attempts[i] > self.task_retries]
-            self._publish(
-                "backend.pool_broken",
-                f"worker pool broke (restart {restarts}); "
-                f"{len(victims)} tasks requeued",
-                restarts=restarts, victims=victims, exhausted=exhausted,
-            )
-            if restarts > self.pool_restarts or exhausted:
+            exhausted = any(attempts[i] > _TASK_RETRIES for i in victims)
+            if restarts > _POOL_RESTARTS or exhausted:
                 # Containment failed: give up on process isolation and
                 # finish the remainder in the parent, in order.
-                self._publish(
-                    "backend.serial_fallback",
-                    "falling back to serial execution for "
-                    f"{sum(1 for c in completed if not c)} remaining tasks",
-                    restarts=restarts, exhausted=exhausted,
-                )
                 run_serially()
                 return results
             # Retry the victims first, preserving their original order.

@@ -634,14 +634,13 @@ def oracle_cluster_step(cluster, read_ratio, dt=1.0):
     re-derived every second, each node solved through the oracle."""
     live = cluster.live_node_indices
     rf = min(cluster.replication_factor, len(live))
-    node_reads = read_ratio * min(cluster.read_fanout, rf)
-    fanout = node_reads + (1.0 - read_ratio) * rf
-    node_rr = node_reads / fanout
+    fanout = read_ratio + (1.0 - read_ratio) * rf
+    node_rr = read_ratio / fanout
     per_node = min(
         oracle_solve(cluster.nodes[i], node_rr) / cluster._slowdown.get(i, 1.0)
         for i in live
     )
-    x = min(per_node * len(live) / fanout, cluster.n_shooters * SHOOTER_CAPACITY_OPS)
+    x = min(per_node * len(live) / fanout, cluster.n_nodes * SHOOTER_CAPACITY_OPS)
     node_ops = x * fanout / len(live)
     reads = node_ops * node_rr * dt
     writes = node_ops * (1.0 - node_rr) * dt

@@ -273,6 +273,35 @@ class TestServe:
         assert rc == 1
         assert "bad fleet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("hours", 0),
+            ("hours", -1),
+            ("window_seconds", 0),
+            ("window_seconds", -60),
+            ("reconfiguration_penalty_s", -5),
+            ("canary_std_factor", -0.5),
+            ("restart_seconds_per_node", -1),
+        ],
+    )
+    def test_serve_rejects_bad_tenant_values(
+        self, artifacts, tmp_path, capsys, key, value
+    ):
+        _, surrogate = artifacts
+        manifest = tmp_path / "tenants.json"
+        tenant = {"id": "archive", "nodes": 3, "restart_policy": "rolling", key: value}
+        manifest.write_text(
+            json.dumps({"defaults": self.MANIFEST["defaults"], "tenants": [tenant]})
+        )
+        rc = main(
+            ["serve", "--surrogate", str(surrogate), "--manifest", str(manifest)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"bad manifest: manifest {manifest}: tenant 'archive': ")
+        assert key in err
+
 
 class TestCharacterize:
     def test_outputs_characterization(self, capsys):

@@ -36,10 +36,6 @@ class TestCassandraSpace:
         assert cfg["memtable_cleanup_threshold"] == pytest.approx(0.11)
         assert cfg["concurrent_compactors"] == 2
 
-    def test_all_performance_related(self):
-        # We model only the performance half of cassandra.yaml.
-        assert all(p.performance_related for p in cassandra_space().parameters)
-
     def test_key_parameter_search_space_size(self):
         """§1: 'the search space conservatively has 25,000 points' for
         5 parameters x 10 workloads; our quantized space is comparable."""

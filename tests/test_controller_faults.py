@@ -8,7 +8,6 @@ and reproduce the identical event sequence when replayed.
 
 import pytest
 
-from repro.core.controller import RetryPolicy
 from repro.core.policies import HysteresisPolicy, OraclePolicy
 from repro.core.search import OptimizationResult
 from repro.datastore import CassandraLike
@@ -77,7 +76,6 @@ class TestRetryAndDegraded:
             [0.9, 0.9],
             window_seconds=60,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=3, backoff_s=1.0),
             load=False,
         )
         assert len(on_topic(log, "controller.retry")) == 1
@@ -95,7 +93,6 @@ class TestRetryAndDegraded:
             [0.9, 0.9],
             window_seconds=60,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, backoff_s=1.0),
             load=False,
         )
         degraded = on_topic(log, "controller.degraded")
@@ -117,7 +114,6 @@ class TestRetryAndDegraded:
             [0.9],
             window_seconds=60,
             fault_plan=plan,
-            retry=RetryPolicy(max_attempts=2, backoff_s=1.0),
             load=False,
         )
         assert run.events[0].degraded
@@ -143,18 +139,8 @@ class TestRetryAndDegraded:
             )
             return run.events[0].mean_throughput
 
-        flaky = first_window(
-            fault_plan=plan, retry=RetryPolicy(max_attempts=3, backoff_s=10.0)
-        )
+        flaky = first_window(fault_plan=plan)
         assert flaky < first_window()
-
-    def test_retry_policy_validation(self):
-        with pytest.raises(SearchError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(SearchError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(SearchError):
-            RetryPolicy(backoff_s=-1.0)
 
     def test_node_faults_require_multi_node_cluster(self, cassandra, workload):
         plan = FaultPlan(node_crashes=(NodeCrash(window=0, node=0),))

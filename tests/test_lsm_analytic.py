@@ -38,8 +38,7 @@ def make_ring(load_keys=300_000):
 
     ds = CassandraLike()
     ring = Cluster(
-        ds, ds.default_configuration(), n_nodes=3, replication_factor=2,
-        n_shooters=3, seed=2,
+        ds, ds.default_configuration(), n_nodes=3, replication_factor=2, seed=2,
     )
     ring.load(load_keys)
     return ring
@@ -654,8 +653,7 @@ class TestNoArrayMathInAStep:
 
         ds = CassandraLike()
         cluster = Cluster(
-            ds, ds.default_configuration(), n_nodes=3, replication_factor=2,
-            n_shooters=3, seed=2,
+            ds, ds.default_configuration(), n_nodes=3, replication_factor=2, seed=2,
         )
         cluster.load(600_000)
         cluster.fail_node(1)

@@ -261,7 +261,6 @@ class TestRunEqualsOracle:
 
     @given(
         store=st.sampled_from(sorted(STORES)),
-        level=st.sampled_from(["ONE", "QUORUM", "ALL"]),
         rf=st.integers(min_value=1, max_value=3),
         rr=st.sampled_from([0.0, 5e-324, 0.25, 0.5, 0.9, 1.0]),
         down=st.sampled_from([None, 0, 2]),
@@ -270,13 +269,13 @@ class TestRunEqualsOracle:
         dt=st.sampled_from([0.5, 1.0, 5.0]),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_cluster(self, store, level, rf, rr, down, slow, mixed, dt):
+    def test_cluster(self, store, rf, rr, down, slow, mixed, dt):
         """A down node, a slow disk, a mixed-config (drifted) ring, every
-        consistency level and replication factor."""
+        replication factor."""
         datastore = STORES[store]
         cluster = Cluster(
             datastore, datastore.default_configuration(), n_nodes=4,
-            replication_factor=rf, n_shooters=4, consistency_level=level, seed=5,
+            replication_factor=rf, seed=5,
         )
         cluster.load(400_000)
         if down is not None:
@@ -362,7 +361,6 @@ class TestSoftMin:
 
 class TestClusterStepEquivalence:
     @given(
-        level=st.sampled_from(["ONE", "QUORUM", "ALL"]),
         rf=st.integers(min_value=1, max_value=3),
         rr=st.sampled_from([0.0, 5e-324, 0.25, 0.5, 0.9, 1.0]),
         down=st.sampled_from([None, 0, 2]),
@@ -371,12 +369,12 @@ class TestClusterStepEquivalence:
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_step_throughput_is_the_solve_before_it(
-        self, level, rf, rr, down, slow, mixed
+        self, rf, rr, down, slow, mixed
     ):
         cassandra = CassandraLike()
         cluster = Cluster(
             cassandra, cassandra.default_configuration(), n_nodes=4,
-            replication_factor=rf, n_shooters=4, consistency_level=level, seed=5,
+            replication_factor=rf, seed=5,
         )
         cluster.load(400_000)
         if down is not None:

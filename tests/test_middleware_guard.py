@@ -27,7 +27,7 @@ from repro.middleware import (
     TenantGuard,
     TenantSpec,
 )
-from repro.middleware.breaker import CLOSED, HALF_OPEN, OPEN
+from repro.middleware.breaker import CLOSED, HALF_OPEN, OPEN, _Bulkhead
 from repro.runtime import EventBus
 from repro.runtime.backend import ProcessPoolBackend
 from repro.workload.spec import WorkloadSpec
@@ -109,7 +109,7 @@ class TestSloSpec:
         [
             {"throughput_floor": -1.0},
             {"throughput_floor": float("nan")},
-            {"latency_ceiling_ms": 0.0},
+            {"throughput_floor": float("inf")},
             {"window_span": 0},
             {"error_budget": 1.5},
             {"error_budget": -0.1},
@@ -136,13 +136,6 @@ class TestSloTracker:
         assert tracker.violates(window(2, 150.0, shed=True))
         assert tracker.violates(window(3, 150.0, degraded=True))
         assert tracker.violates(window(4, 150.0, rolled_back=True))
-
-    def test_latency_ceiling_is_a_throughput_proxy(self):
-        # 1000/throughput ms per op: 4 ops/s = 250 ms > 200 ms ceiling.
-        tracker = SloTracker(SloSpec(latency_ceiling_ms=200.0))
-        assert tracker.violates(window(0, 4.0))
-        assert not tracker.violates(window(1, 10.0))
-        assert tracker.violates(window(2, 0.0))
 
     def test_budget_exhausts_then_recovers(self):
         spec = SloSpec(throughput_floor=100.0, window_span=4, error_budget=0.25)
@@ -271,7 +264,7 @@ class TestGuardSpec:
             {"breaker_failures": 0},
             {"breaker_cooldown": 0},
             {"span": 0},
-            {"max_searches": -1},
+            {"max_restarts": -1},
             {"max_restarts": -2},
         ],
     )
@@ -291,15 +284,26 @@ class TestTenantGuard:
         bus.subscribe(log.append)
         return TenantGuard("t", events=bus, **guard_kwargs), log
 
-    def test_bulkhead_caps_searches_per_rolling_span(self):
+    def test_bulkhead_caps_pushes_per_rolling_span(self):
         guard, log = self.events_of(
-            {"spec": GuardSpec(max_searches=1, span=2)}
+            {"spec": GuardSpec(max_restarts=1, span=2)}
         )
-        assert guard.allow_search(0)
-        guard.record_search(0, ok=True)
-        assert not guard.allow_search(1)       # budget spent for the span
+        assert guard.allow_push(0)
+        guard.record_push(0, ok=True)
+        assert not guard.allow_push(1)         # budget spent for the span
         assert [e.topic for e in log] == ["guard.bulkhead.exhausted"]
-        assert guard.allow_search(2)           # window 0 rolled out
+        assert guard.allow_push(2)             # window 0 rolled out
+
+    @pytest.mark.parametrize("limit, kept", [(None, 0), (3, 3)])
+    def test_bulkhead_remembers_only_what_it_caps(self, limit, kept):
+        """5,000 windows later an uncapped bulkhead (the guard's push and
+        the reconciler's repair default) holds nothing, a capped one only
+        the uses still inside its span."""
+        bulkhead = _Bulkhead("push", limit, span=8)
+        for w in range(5_000):
+            if bulkhead.allow(w):
+                bulkhead.record(w)
+        assert len(bulkhead._uses) == kept
 
     def test_breaker_trip_publishes_events(self):
         guard, log = self.events_of(
@@ -328,18 +332,6 @@ class TestTenantGuard:
             "guard.breaker.open",
         ]
         assert log[-1].payload["reason"] == "error-budget"
-
-    def test_budget_exhaustion_opt_out(self):
-        guard, _ = self.events_of(
-            {
-                "slo": SloSpec(
-                    throughput_floor=100, window_span=2, error_budget=0.0
-                ),
-                "spec": GuardSpec(open_on_budget_exhausted=False),
-            }
-        )
-        guard.observe_window(window(0, 50.0))
-        assert guard.push_breaker.state == CLOSED
 
     def test_no_slo_means_infinite_budget(self):
         guard = TenantGuard("t")

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.runtime import EventBus, ProcessPoolBackend, SerialBackend, resolve_backend
+from repro.runtime import ProcessPoolBackend, SerialBackend, resolve_backend
+from repro.runtime.backend import _POOL_RESTARTS
 
 
 def square(x):
@@ -150,35 +151,27 @@ class TestWorkerCrashContainment:
     def test_crashed_task_retried_on_fresh_pool(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
         tasks = [(i, sentinel if i == 3 else None) for i in range(6)]
-        bus = EventBus()
-        broken = []
-        bus.subscribe(lambda e: broken.append(e), topic="backend.pool_broken")
-        with ProcessPoolBackend(workers=2, task_retries=2, events=bus) as backend:
+        with ProcessPoolBackend(workers=2) as backend:
             results = backend.map_tasks(crash_once, tasks)
+            assert backend.pools_created == 2      # one rebuild
         assert results == [i * i for i in range(6)]
-        assert len(broken) == 1
-        assert 3 in broken[0].payload["victims"]
 
     def test_on_result_fires_for_retried_tasks(self, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
         tasks = [(i, sentinel if i == 0 else None) for i in range(5)]
         seen = []
-        with ProcessPoolBackend(workers=2, task_retries=2) as backend:
+        with ProcessPoolBackend(workers=2) as backend:
             backend.map_tasks(
                 crash_once, tasks, on_result=lambda i, r: seen.append(i)
             )
         assert sorted(seen) == [0, 1, 2, 3, 4]
 
     def test_repeat_crasher_falls_back_to_serial(self):
-        bus = EventBus()
-        fallbacks = []
-        bus.subscribe(lambda e: fallbacks.append(e), topic="backend.serial_fallback")
-        with ProcessPoolBackend(
-            workers=2, task_retries=1, pool_restarts=2, events=bus
-        ) as backend:
+        with ProcessPoolBackend(workers=2) as backend:
             results = backend.map_tasks(crash_in_workers, list(range(8)))
+            # The first pool and two rebuilds break; the rest runs inline.
+            assert backend.pools_created == 1 + _POOL_RESTARTS
         assert results == [i * i for i in range(8)]
-        assert len(fallbacks) == 1
 
     def test_retried_results_bitwise_identical(self, tmp_path):
         """A retried task re-pickles its parent-side RNG, so the retry
@@ -186,18 +179,12 @@ class TestWorkerCrashContainment:
         sentinel = str(tmp_path / "crashed-once")
         rngs = [np.random.default_rng(s) for s in (7, 8, 9, 10)]
         tasks = [(rng, sentinel if i == 1 else None) for i, rng in enumerate(rngs)]
-        with ProcessPoolBackend(workers=2, task_retries=2) as backend:
+        with ProcessPoolBackend(workers=2) as backend:
             parallel = backend.map_tasks(draw_maybe_crash, tasks)
         serial = SerialBackend().map_tasks(
             draw, [np.random.default_rng(s) for s in (7, 8, 9, 10)]
         )
         assert parallel == serial
-
-    def test_invalid_budgets_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(workers=2, task_retries=-1)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(workers=2, pool_restarts=-1)
 
 
 class TestResolveBackend:

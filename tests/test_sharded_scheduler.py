@@ -7,6 +7,7 @@ shared-cache statistics, LRU order, and named-seed-stream counters, at
 any cache capacity and with every session feature on at once.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.rafiki import Rafiki
 from repro.core.search import OptimizationResult
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike
-from repro.faults import FaultPlan
+from repro.faults import ActuationFault, FaultPlan, StaleRecovery
 from repro.middleware import (
     GuardSpec,
     MiddlewareScheduler,
@@ -404,23 +405,28 @@ class TestAnyCacheCapacity:
 
 class TestEveryFeatureOn:
     """Serial == sharded with every session feature on at once, under a
-    generated fault plan and a shared cache too small for the fleet."""
+    generated fault plan plus partial pushes and a stale rejoin, and a
+    shared cache too small for the fleet."""
 
     SERIES = [0.2, 0.7, 0.4, 0.9, 0.3, 0.8, 0.5, 0.1, 0.6, 0.35]
 
     def fleet(self):
         specs = []
         for i in range(3):
-            plan = FaultPlan.generate(
-                seed=40 + i,
-                n_windows=len(self.SERIES),
-                n_nodes=3,
-                crash_probability=0.2,
-                slowdown_probability=0.1,
-                search_fault_probability=0.2,
-                push_fault_probability=0.2,
-                actuation_fault_probability=0.2,
-                stale_recovery_probability=0.2,
+            plan = dataclasses.replace(
+                FaultPlan.generate(
+                    seed=40 + i,
+                    n_windows=len(self.SERIES),
+                    n_nodes=3,
+                    slowdown_probability=0.1,
+                    search_fault_probability=0.2,
+                    push_fault_probability=0.2,
+                ),
+                actuation_faults=(
+                    ActuationFault(1, i, repairs_blocked=1),
+                    ActuationFault(5, (i + 1) % 3),
+                ),
+                stale_recoveries=(StaleRecovery(3, (i + 2) % 3, recover_window=6),),
             )
             specs.append(
                 spec(
@@ -433,7 +439,7 @@ class TestEveryFeatureOn:
                     restart_policy="rolling",
                     canary_margin=0.05,
                     slo=SloSpec(throughput_floor=40_000, window_span=4),
-                    guard=GuardSpec(max_searches=4, max_restarts=3, span=5),
+                    guard=GuardSpec(max_restarts=3, span=5),
                     reconcile=ReconcileSpec(max_repairs=1),
                     trace_phases=True,
                     priority=i,

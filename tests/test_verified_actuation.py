@@ -149,7 +149,6 @@ def make_cluster(cassandra, n_nodes=3, events=None):
         cassandra,
         cassandra.default_configuration(),
         n_nodes=n_nodes,
-        n_shooters=n_nodes,
         seed=0,
         events=events,
     )
@@ -368,22 +367,10 @@ class TestActuationFaultKinds:
         with pytest.raises(FaultError, match="node 5"):
             plan.validate(n_nodes=3)
 
-    def test_generated_plans_include_actuation_faults(self):
-        plan = FaultPlan.generate(
-            seed=11, n_windows=40, n_nodes=3,
-            crash_probability=0.0, slowdown_probability=0.0,
-            search_fault_probability=0.0, push_fault_probability=0.0,
-            actuation_fault_probability=0.4, stale_recovery_probability=0.3,
-        )
-        assert plan.actuation_faults and plan.stale_recoveries
-        plan.validate(n_nodes=3)
-        for stale in plan.stale_recoveries:
-            assert stale.recover_window < 40
-
     def test_zero_probability_draws_nothing(self):
+        # Generated plans never draw actuation faults: a plan names them.
         plan = FaultPlan.generate(
-            seed=11, n_windows=40, n_nodes=3,
-            crash_probability=0.0, slowdown_probability=0.0,
+            seed=11, n_windows=40, n_nodes=3, slowdown_probability=0.0,
             search_fault_probability=0.0, push_fault_probability=0.0,
         )
         assert plan.actuation_faults == () and plan.stale_recoveries == ()
@@ -740,19 +727,28 @@ class TestManifestReconcile:
 
 
 class TestReconcilerConvergence:
-    @given(seed=st.integers(min_value=0, max_value=200))
+    @given(
+        seed=st.integers(min_value=0, max_value=200),
+        refusals=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 1)),
+            max_size=4,
+        ),
+        stale=st.none() | st.tuples(
+            st.integers(0, 6), st.integers(0, 2), st.integers(1, 3)
+        ),
+    )
     @settings(
         max_examples=8, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_drift_is_repaired_or_degraded_never_silent(self, seed):
+    def test_drift_is_repaired_or_degraded_never_silent(self, seed, refusals, stale):
         n_windows = 8
         rr = ([0.3, 0.3, 0.7, 0.7] * 2)[:n_windows]  # pushes every 2 windows
-        plan = FaultPlan.generate(
-            seed=seed, n_windows=n_windows, n_nodes=3,
-            crash_probability=0.0, slowdown_probability=0.0,
-            search_fault_probability=0.0, push_fault_probability=0.0,
-            actuation_fault_probability=0.5, stale_recovery_probability=0.3,
+        plan = FaultPlan(
+            actuation_faults=[ActuationFault(*refusal) for refusal in refusals],
+            stale_recoveries=[]
+            if stale is None
+            else [StaleRecovery(stale[0], stale[1], min(stale[0] + stale[2], 7))],
         )
         _, run, trace = run_campaign(rr, plan, ReconcileSpec(), seed=seed)
         drifts = windows_of(trace, "actuate.drift")
