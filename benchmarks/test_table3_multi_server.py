@@ -31,8 +31,7 @@ def cluster_throughput(cassandra, config, rr, n_nodes, workload, seed):
     )
     cluster.load(workload.n_keys)
     cluster.settle()
-    steps = cluster.run(rr, duration=300)
-    return float(np.mean([s.throughput for s in steps]))
+    return float(np.mean(cluster.run(rr, duration=300)))
 
 
 @pytest.fixture(scope="module")

@@ -31,8 +31,7 @@ def cluster_throughput(cassandra, config, read_ratio, n_nodes, seed=7):
     )
     cluster.load(workload.n_keys)
     cluster.settle()
-    steps = cluster.run(read_ratio, duration=300)
-    return float(np.mean([s.throughput for s in steps]))
+    return float(np.mean(cluster.run(read_ratio, duration=300)))
 
 
 def main():

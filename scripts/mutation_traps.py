@@ -394,9 +394,9 @@ TRAPS = [
         ANALYTIC,
         [
             (
-                "        if total == total:\n"
-                "            return scale * total ** (-1.0 / p)\n",
-                "        return scale * total ** (-1.0 / p)\n",
+                "                if total == total:\n"
+                "                    return scale * total ** root\n",
+                "                return scale * total ** root\n",
             )
         ],
         "tests/test_lsm_analytic_properties.py::TestSoftMin"
@@ -510,6 +510,24 @@ TRAPS = [
             )
         ],
         f"{STRUCTURE}::test_several_flushes_inside_one_step",
+    ),
+    (
+        "ring: one live node's absorb skipped",
+        "repro/datastore/cluster.py",
+        [
+            (
+                "absorbs = [cursor.absorb for cursor in cursors]",
+                "absorbs = [cursor.absorb for cursor in cursors[1:]]",
+            )
+        ],
+        "tests/test_lsm_analytic_properties.py::TestRunEqualsOracle::test_cluster",
+    ),
+    (
+        "window: a fractional remainder served as a rounded number of seconds",
+        "repro/middleware/session.py",
+        [("math.floor(remaining)", "remaining")],
+        "tests/test_middleware_adapter.py::TestWindowWithNoTimeLeft"
+        "::test_fractional_penalty_serves_only_whole_seconds_left",
     ),
     # -- the sharded serve round: the rafiki its workers' canaries read and
     # -- the order its two journals are republished in

@@ -74,40 +74,41 @@ class YCSBBenchmark:
             load_keys=workload.n_keys if load else None,
             settle_seconds=SETTLE_SECONDS,
         )
-        steps = adapter.run(workload.read_ratio, self.run_seconds, 1.0)
-        series = self._bucket_series(steps)
-        mean_tp = float(np.mean([s.throughput for s in steps]))
+        server = adapter.server
+        start = server.t
+        throughputs = adapter.run(workload.read_ratio, self.run_seconds, 1.0)
+        metadata = {
+            "sstable_count": float(server.sstable_count),
+            "cache_hit_ratio": float(server.cache_hit_ratio()),
+            "compaction_backlog_bytes": float(server.compaction_backlog_bytes),
+        }
         adapter.teardown()
         return BenchmarkResult(
             workload=workload,
             configuration=config,
-            mean_throughput=mean_tp,
+            mean_throughput=float(np.mean(throughputs)),
             duration_seconds=self.run_seconds,
-            series=series,
-            metadata={
-                "sstable_count": float(steps[-1].sstable_count),
-                "cache_hit_ratio": float(steps[-1].cache_hit_ratio),
-                "compaction_backlog_bytes": float(steps[-1].compaction_backlog_bytes),
-            },
+            series=self._bucket_series(start, throughputs),
+            metadata=metadata,
         )
 
-    def _bucket_series(self, steps) -> list:
-        """Aggregate per-step throughput into report-interval buckets."""
+    @staticmethod
+    def _bucket_series(t: float, throughputs) -> list:
+        """Aggregate the 1-s throughputs of a run that started at
+        simulated time ``t`` into report-interval buckets, each stamped
+        with the clock at its last step."""
         series = []
         bucket: list = []
-        bucket_start = steps[0].t - steps[0].dt
-        for s in steps:
-            bucket.append(s.throughput)
-            if s.t - bucket_start >= REPORT_INTERVAL_SECONDS:
-                series.append(
-                    ThroughputSample(t=s.t, ops_per_second=float(np.mean(bucket)))
-                )
+        bucket_start = t + 1.0 - 1.0    # the first step's end, less its length
+        for x in throughputs:
+            t += 1.0
+            bucket.append(x)
+            if t - bucket_start >= REPORT_INTERVAL_SECONDS:
+                series.append(ThroughputSample(t=t, ops_per_second=float(np.mean(bucket))))
                 bucket = []
-                bucket_start = s.t
+                bucket_start = t
         if bucket:
-            series.append(
-                ThroughputSample(t=steps[-1].t, ops_per_second=float(np.mean(bucket)))
-            )
+            series.append(ThroughputSample(t=t, ops_per_second=float(np.mean(bucket))))
         return series
 
     # ------------------------------------------------------------------ engine path

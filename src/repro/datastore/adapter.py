@@ -56,7 +56,7 @@ class RollingRestartReport:
     duration_s: float                # simulated time the rolling phase consumed
     ops_served: float                # logical ops completed during the phase
     ops_lost: float                  # capacity shortfall vs. the healthy ring
-    steps: List = field(default_factory=list)  # per-step results (window-countable)
+    steps: List[float] = field(default_factory=list)  # ops/s of each 1-s step served
     #: Per-node applied results: which nodes actually took the new config
     #: and which silently kept their old one (partial-push faults).
     applied_nodes: Tuple[int, ...] = ()
@@ -164,8 +164,8 @@ class SimulatedDatastoreAdapter:
         self.config = config
         return applied, failed
 
-    def rolling_restart(self, config: Configuration, read_ratio: float,
-                        dt: float = 1.0) -> RollingRestartReport:
+    def rolling_restart(self, config: Configuration,
+                        read_ratio: float) -> RollingRestartReport:
         """Per-node restart into ``config``; the transient is charged.
 
         While node *i* restarts it is out of the serving set: on a
@@ -187,7 +187,7 @@ class SimulatedDatastoreAdapter:
             # old config remain drifted after — the read-back sees both.
             self.cluster.set_intended(config)
             report = self._cycle_nodes(
-                range(self.cluster.n_nodes), config, knobs, read_ratio, dt,
+                range(self.cluster.n_nodes), config, knobs, read_ratio,
                 rolling=True,
             )
         self.config = config
@@ -229,8 +229,8 @@ class SimulatedDatastoreAdapter:
             drifted_nodes=(0,) if applied != intended else (),
         )
 
-    def repair_config(self, nodes, read_ratio: float, rolling: bool = True,
-                      dt: float = 1.0) -> RollingRestartReport:
+    def repair_config(self, nodes, read_ratio: float,
+                      rolling: bool = True) -> RollingRestartReport:
         """Re-push the intended config to just the drifted ``nodes``.
 
         ``rolling=True`` cycles each node through a restart window (the
@@ -257,7 +257,7 @@ class SimulatedDatastoreAdapter:
                 )
         report = self._cycle_nodes(
             nodes, self.config, self.datastore.effective_knobs(self.config),
-            read_ratio, dt, rolling,
+            read_ratio, rolling,
         )
         self._publish(
             "actuate.repair",
@@ -294,13 +294,13 @@ class SimulatedDatastoreAdapter:
         )
 
     def _cycle_nodes(self, nodes, config: Configuration, knobs,
-                     read_ratio: float, dt: float,
-                     rolling: bool) -> RollingRestartReport:
+                     read_ratio: float, rolling: bool) -> RollingRestartReport:
         """Push ``config`` to ``nodes`` one by one; the report of doing so.
 
         ``rolling`` takes each live node out of the serving set for the
         restart window while the rest of the ring carries the load;
-        otherwise the push is instant.
+        otherwise the push is instant.  A restart window is served in
+        one-second steps.
         """
         cluster = self.cluster
         healthy_cap = cluster.sustainable_throughput(read_ratio)
@@ -328,7 +328,7 @@ class SimulatedDatastoreAdapter:
             cycled = rolling and not skip
             if cycled and self.restart_seconds_per_node > 0:
                 steps.extend(
-                    cluster.run(read_ratio, self.restart_seconds_per_node, dt=dt)
+                    cluster.run(read_ratio, self.restart_seconds_per_node)
                 )
             # The restart cycle is spent either way; a push the node
             # refused (ActuationFault) brings it back on its *old*
@@ -338,8 +338,8 @@ class SimulatedDatastoreAdapter:
             if cycled:
                 cluster.recover_node(i)
                 restarted += 1
-        duration = sum(s.dt for s in steps)
-        ops_served = sum(s.throughput * s.dt for s in steps)
+        duration = float(len(steps))
+        ops_served = sum(steps)
         return RollingRestartReport(
             nodes_restarted=restarted,
             skipped_nodes=tuple(skipped),

@@ -27,6 +27,7 @@ delta so the middleware's reconcile loop can detect and repair it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -39,16 +40,6 @@ from repro.sim.rng import SeedLike, SeedSequence, derive_rng
 
 #: Operations/second one benchmark client ("shooter") can generate.
 SHOOTER_CAPACITY_OPS = 130_000.0
-
-
-@dataclass
-class ClusterStepResult:
-    """Aggregate outcome of one cluster time step."""
-
-    t: float
-    throughput: float          # logical ops/s across the cluster
-    per_node_throughput: List[float]
-    dt: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -212,7 +203,7 @@ class Cluster:
 
     def _plan(self, read_ratio: float) -> tuple:
         """What a capacity solve takes from the live set and the mix:
-        ``(live (index, node cursor, slowdown) triples, node read share,
+        ``(live (node cursor, slowdown) pairs, node read share,
         fan-out)``.  A read touches one replica and a write every live
         one: down nodes take no replicas, so the effective RF shrinks
         with the live set.
@@ -225,33 +216,32 @@ class Cluster:
         rf = min(self.replication_factor, len(live))
         fanout = read_ratio + (1.0 - read_ratio) * rf
         node_rr = read_ratio / fanout
-        cursors = [
-            (i, _NodeCursor(self.nodes[i], node_rr), self._slowdown.get(i, 1.0))
-            for i in live
-        ]
-        return cursors, node_rr, fanout
+        cursors = [_NodeCursor(self.nodes[i], node_rr) for i in live]
+        caps = [(c.capacity, self._slowdown.get(i, 1.0)) for c, i in zip(cursors, live)]
+        return cursors, caps, node_rr, fanout
 
-    def _capacity(self, cursors, fanout: float) -> float:
+    def _capacity(self, caps, fanout: float) -> float:
         """Logical ops/s at this instant: the slowest live node bounds
         the balanced per-node rate, the shooters bound the ring."""
-        per_node = min([cursor.capacity() / slow for _, cursor, slow in cursors])
-        server_cap = per_node * len(cursors) / fanout
+        per_node = math.inf
+        for capacity, slow in caps:
+            x = capacity() / slow
+            if x < per_node:
+                per_node = x
+        server_cap = per_node * len(caps) / fanout
         client_cap = self.n_nodes * SHOOTER_CAPACITY_OPS
-        return min(server_cap, client_cap)
+        return client_cap if client_cap < server_cap else server_cap
 
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Logical ops/s the cluster sustains at this instant."""
-        cursors, _, fanout = self._plan(read_ratio)
-        return self._capacity(cursors, fanout)
+        _, caps, _, fanout = self._plan(read_ratio)
+        return self._capacity(caps, fanout)
 
     # -- stepping --------------------------------------------------------------
 
-    def step(self, read_ratio: float, dt: float = 1.0) -> ClusterStepResult:
-        """Advance the whole cluster ``dt`` seconds."""
-        return self.run(read_ratio, dt, dt)[0]
-
-    def run(self, read_ratio: float, duration: float, dt: float = 1.0):
-        """Step the cluster for ``duration`` seconds; per-step results.
+    def run(self, read_ratio: float, duration: float, dt: float = 1.0) -> List[float]:
+        """Step the cluster for ``duration`` seconds; the logical
+        throughput (ops/s) of every step.
 
         One cursor per live node for the whole run; a step is one
         capacity solve over them and one absorb of every live node's
@@ -261,21 +251,20 @@ class Cluster:
             raise ValueError("dt must be positive")
         if not duration > 0:
             raise ValueError("duration must be positive")
-        cursors, node_rr, fanout = self._plan(read_ratio)
+        cursors, caps, node_rr, fanout = self._plan(read_ratio)
         capacity, n_live = self._capacity, len(cursors)
-        results = []
+        absorbs = [cursor.absorb for cursor in cursors]
+        series: List[float] = []
         for _ in range(max(1, int(round(duration / dt)))):
-            x = capacity(cursors, fanout)
+            x = capacity(caps, fanout)
             node_ops = x * fanout / n_live
             reads = node_ops * node_rr * dt
             writes = node_ops * (1.0 - node_rr) * dt
-            per_node = [0.0] * self.n_nodes
-            for i, cursor, _ in cursors:
-                cursor.absorb(reads, writes, dt)
-                per_node[i] = node_ops
+            for absorb in absorbs:
+                absorb(reads, writes, dt)
             self.t += dt
-            results.append(ClusterStepResult(self.t, x, per_node, dt))
-        return results
+            series.append(x)
+        return series
 
     def load(self, n_keys: int) -> None:
         """Load phase: each node stores its replicated share of keys.

@@ -86,21 +86,6 @@ def _soft_min(caps) -> float:
     return _soft_min(finite) if min(finite) > 0 else 0.0
 
 
-def _soft_min6(cpu, seq, flush, wpool, iops, rpool) -> float:
-    """:func:`_soft_min` of the solve's six caps with no tuple built: the
-    same left-to-right sum (``0.0 + x`` is ``x``), and ``_soft_min``
-    itself whenever a cap is not positive or the sum is NaN."""
-    scale, p = min(cpu, seq, flush, wpool, iops, rpool), _SOFTMIN_POWER
-    if 0.0 < scale < math.inf:
-        total = (
-            (scale / cpu) ** p + (scale / seq) ** p + (scale / flush) ** p
-            + (scale / wpool) ** p + (scale / iops) ** p + (scale / rpool) ** p
-        )
-        if total == total:
-            return scale * total ** (-1.0 / p)
-    return _soft_min((cpu, seq, flush, wpool, iops, rpool))
-
-
 @dataclass(frozen=True)
 class WorkloadProfile:
     """Workload characteristics that shape per-op costs (paper §3.3).
@@ -120,30 +105,6 @@ class WorkloadProfile:
     @property
     def record_bytes(self) -> float:
         return RECORD_OVERHEAD_BYTES + self.key_bytes + self.value_bytes
-
-
-@dataclass
-class StepResult:
-    """Outcome of one analytic time step.
-
-    Latencies are closed-loop means via Little's law: the YCSB-style
-    benchmark keeps the worker pools saturated, so mean latency is the
-    pool size divided by the class throughput (and never below the bare
-    service time).  The paper optimizes throughput (§2.3) — MG-RAST is
-    not latency-sensitive — but a middleware user will still want to see
-    the latency consequences of a configuration.
-    """
-
-    t: float
-    dt: float
-    throughput: float  # ops/s sustained this step
-    reads: float
-    writes: float
-    sstable_count: int
-    cache_hit_ratio: float
-    compaction_backlog_bytes: float
-    read_latency_s: float = 0.0
-    write_latency_s: float = 0.0
 
 
 @dataclass
@@ -258,6 +219,8 @@ class _SegmentTerms:
         flush_cap, write_pool_cap, read_pool_cap = (
             t.flush_cap, t.write_pool_cap, t.read_pool_cap
         )
+        p = _SOFTMIN_POWER
+        root = -1.0 / p
 
         def solve(hit: float) -> float:
             """The instant's half: what hangs on the cache hit ratio."""
@@ -268,8 +231,20 @@ class _SegmentTerms:
             # Random disk; the product underflows for a denormal read ratio.
             r_probes = r * disk_probes
             iops_cap = iops / r_probes if r_probes > 0 else inf
-            return _soft_min6(
-                cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap
+            # _soft_min of the six caps with no tuple built: the same
+            # left-to-right sum (``0.0 + x`` is ``x``), and _soft_min
+            # itself whenever a cap is not positive or the sum is NaN.
+            scale = min(cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap)
+            if 0.0 < scale < inf:
+                total = (
+                    (scale / cpu_cap) ** p + (scale / seq_cap) ** p
+                    + (scale / flush_cap) ** p + (scale / write_pool_cap) ** p
+                    + (scale / iops_cap) ** p + (scale / read_pool_cap) ** p
+                )
+                if total == total:
+                    return scale * total ** root
+            return _soft_min(
+                (cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap)
             )
 
         self.solve = solve
@@ -301,12 +276,12 @@ class _NodeCursor:
         modulation = self.modulation
         return x if modulation is None else x * modulation(self.model.t)
 
-    def absorb(self, reads, writes, dt) -> bool:
+    def absorb(self, reads, writes, dt) -> None:
         """One served step's consequences, after :meth:`capacity`:
         memtable fill, flushes, compaction drain (at the segment's rate,
-        re-read after a flush), the clocks.  Returns whether the
-        structure moved: a flush landed or a compaction completed.  That,
-        or a flush-flag flip, ends the segment."""
+        re-read after a flush), the clocks and the hit ratio.  A moved
+        structure (a flush landed or a compaction completed) or a
+        flush-flag flip ends the segment."""
         model, t, s = self.model, self.t, self.segment
         moved = False
         if writes > 0:
@@ -334,7 +309,6 @@ class _NodeCursor:
         if moved or (model.memtable_bytes > t.half_flush_trigger) is not s.flushing:
             self.segment = None
         self.hit = model._cache_hit(t)
-        return moved
 
 
 class AnalyticLSMModel:
@@ -506,19 +480,14 @@ class AnalyticLSMModel:
 
     # ------------------------------------------------------------------ stepping
 
-    def step(self, read_ratio: float, dt: float = 1.0) -> StepResult:
-        """Advance ``dt`` simulated seconds at the given read ratio."""
-        return self.run(read_ratio, dt, dt)[0]
-
-    def run(
-        self, read_ratio: float, duration: float, dt: float = 1.0
-    ) -> List[StepResult]:
-        """Run ``duration`` seconds and return the per-step series.
+    def run(self, read_ratio: float, duration: float, dt: float = 1.0) -> List[float]:
+        """Run ``duration`` seconds; the throughput (ops/s) of every step.
 
         The stepping loop, through one :class:`_NodeCursor`: its steps
         fall into structural segments whose terms are derived once, and
-        a step is the rest of the solve, the noise factor, the latencies
-        and the absorb.
+        a step is the rest of the solve, the noise factor and the absorb.
+        The end state (``sstable_count``, :meth:`cache_hit_ratio`, the
+        backlog) is read off the model.
         """
         if not dt > 0:
             raise ValueError("dt must be positive")
@@ -534,43 +503,16 @@ class AnalyticLSMModel:
 
         r, w = read_ratio, 1.0 - read_ratio
         cursor = _NodeCursor(self, r)
-        knobs, costs = cursor.t.knobs, cursor.t.costs
-        read_pool, read_hold = knobs.concurrent_reads, costs.read_thread_hold
-        write_pool, write_hold = knobs.concurrent_writes, costs.write_thread_hold
-        capacity, absorb, backlog = cursor.capacity, cursor.absorb, self.backlog
-        sstables = self.sstable_count
-        results: List[StepResult] = []
+        capacity, absorb = cursor.capacity, cursor.absorb
+        series: List[float] = []
         for k in range(steps):
             x = capacity()
             if draws is not None:
                 factor = 1.0 + sigma * draws[k]
                 x *= factor if factor > 0.2 else 0.2
-
-            # Closed-loop mean latencies per class (Little's law).
-            read_rate = x * r
-            write_rate = x * w
-            reads = read_rate * dt
-            writes = write_rate * dt
-            read_lat = write_lat = 0.0
-            if read_rate > 0:
-                read_lat = read_pool / read_rate
-                if read_hold > read_lat:
-                    read_lat = read_hold
-            if write_rate > 0:
-                write_lat = write_pool / write_rate
-                if write_hold > write_lat:
-                    write_lat = write_hold
-
-            if absorb(reads, writes, dt):
-                sstables = self.sstable_count
-            pending = sum(task.remaining_io_bytes for task in backlog) if backlog else 0
-            results.append(
-                StepResult(
-                    self.t, dt, x, reads, writes, sstables, cursor.hit, pending,
-                    read_lat, write_lat,
-                )
-            )
-        return results
+            absorb(x * r * dt, x * w * dt, dt)
+            series.append(x)
+        return series
 
     def load(self, n_keys: int) -> None:
         """Load phase: bulk-insert ``n_keys`` fresh rows (YCSB load)."""

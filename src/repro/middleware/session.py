@@ -46,6 +46,7 @@ verification entirely — bit-identical to the blind-actuation loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -96,7 +97,7 @@ class WindowState:
     repair_report: Optional[RollingRestartReport] = None
     quarantined: bool = False
     drifted_nodes: Tuple[int, ...] = ()
-    steps: List = field(default_factory=list)
+    steps: List[float] = field(default_factory=list)   # ops/s of each 1-s step
     mean_throughput: float = 0.0
     event: Optional[ControllerEvent] = None
 
@@ -420,10 +421,10 @@ class TenantSession:
             lost = min(ws.retry_lost, duration - consumed)
             remaining = duration - consumed - lost
             ws.steps = [s for r in reports for s in r.steps]
-        # A window with less than one step left serves nothing more.
+        # The window serves its whole seconds left, none if under one.
         if remaining >= 1.0:
-            ws.steps += self.adapter.run(ws.read_ratio, remaining, dt=1.0)
-        window_ops = sum(s.throughput * s.dt for s in ws.steps)
+            ws.steps += self.adapter.run(ws.read_ratio, math.floor(remaining), dt=1.0)
+        window_ops = sum(ws.steps)
         ws.mean_throughput = window_ops / duration
         if ws.capacity_factor != 1.0:
             # Shared-cluster overload the scheduler could not shed away:

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from repro.config.cassandra import LEVELED
-from repro.datastore.cluster import SHOOTER_CAPACITY_OPS, ClusterStepResult
+from repro.datastore.cluster import SHOOTER_CAPACITY_OPS
 from repro.ga.algorithm import GAResult
-from repro.lsm.analytic import CACHE_WARMUP_SECONDS, StepResult
+from repro.lsm.analytic import CACHE_WARMUP_SECONDS
 from repro.lsm.engine import FLUSH_STALL_DEPTH, OP_DELETE, OP_READ
 from repro.lsm.record import Record
 from repro.lsm.sstable import BLOCK_BYTES
@@ -574,7 +574,7 @@ def reference_throughput(model, read_ratio):
     return max(soft_min_oracle(caps) * model.run_bias, 1.0)
 
 
-# -- the per-second oracle: ``step`` and ``Cluster.step`` as they were
+# -- the per-second oracle: a one-second step of a model and of a ring as
 # -- written before the stepping loop, on the untabled solve
 
 
@@ -595,43 +595,18 @@ def oracle_absorb(model, reads, writes, dt):
 
 
 def oracle_step(model, read_ratio, dt=1.0):
-    """One solve, one noise draw, one absorb, and a ``StepResult`` read
-    back off the model."""
+    """One solve, one noise draw, one absorb; the step's throughput."""
     x = oracle_solve(model, read_ratio)
     if model.noise_sigma > 0:
         x *= max(0.2, 1.0 + model.noise_sigma * model.rng.standard_normal())
-    reads = x * read_ratio * dt
-    writes = x * (1.0 - read_ratio) * dt
-    read_rate = x * read_ratio
-    write_rate = x * (1.0 - read_ratio)
-    read_lat = (
-        max(model.knobs.concurrent_reads / read_rate, model.costs.read_thread_hold)
-        if read_rate > 0
-        else 0.0
-    )
-    write_lat = (
-        max(model.knobs.concurrent_writes / write_rate, model.costs.write_thread_hold)
-        if write_rate > 0
-        else 0.0
-    )
-    oracle_absorb(model, reads, writes, dt)
-    return StepResult(
-        t=model.t,
-        dt=dt,
-        throughput=x,
-        reads=reads,
-        writes=writes,
-        sstable_count=model.sstable_count,
-        cache_hit_ratio=reference_hit(model),
-        compaction_backlog_bytes=model.compaction_backlog_bytes,
-        read_latency_s=read_lat,
-        write_latency_s=write_lat,
-    )
+    oracle_absorb(model, x * read_ratio * dt, x * (1.0 - read_ratio) * dt, dt)
+    return x
 
 
 def oracle_cluster_step(cluster, read_ratio, dt=1.0):
-    """``Cluster._solve`` + ``Cluster.step`` as they were: everything
-    re-derived every second, each node solved through the oracle."""
+    """A ring's one-second step as it was: everything re-derived every
+    second, each node solved through the oracle; the step's logical
+    throughput."""
     live = cluster.live_node_indices
     rf = min(cluster.replication_factor, len(live))
     fanout = read_ratio + (1.0 - read_ratio) * rf
@@ -644,11 +619,7 @@ def oracle_cluster_step(cluster, read_ratio, dt=1.0):
     node_ops = x * fanout / len(live)
     reads = node_ops * node_rr * dt
     writes = node_ops * (1.0 - node_rr) * dt
-    per_node_ops = [0.0] * cluster.n_nodes
     for i in live:
         oracle_absorb(cluster.nodes[i], reads, writes, dt)
-        per_node_ops[i] = node_ops
     cluster.t += dt
-    return ClusterStepResult(
-        t=cluster.t, throughput=x, per_node_throughput=per_node_ops, dt=dt
-    )
+    return x

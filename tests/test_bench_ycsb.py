@@ -54,6 +54,35 @@ class TestAnalyticRun:
         )
         assert result.metadata["sstable_count"] <= 2
 
+    def test_result_is_pinned(self, cassandra):
+        """Series, mean and end-state metadata of one write-heavy run with
+        a starved compactor (a backlog at the end, a clock that is not
+        whole after the load), to the last bit."""
+        config = cassandra.space.configuration(
+            concurrent_compactors=1, compaction_throughput_mb_per_sec=8,
+            memtable_cleanup_threshold=0.1,
+        )
+        workload = WorkloadSpec(read_ratio=0.05, n_keys=1_000_000, krd_mean_ops=50_000)
+        result = YCSBBenchmark(cassandra, run_seconds=95).run(config, workload, seed=3)
+        assert result.mean_throughput == 110429.97940056105
+        assert result.metadata == {
+            "sstable_count": 6.0,
+            "cache_hit_ratio": 0.4225250931278986,
+            "compaction_backlog_bytes": 2748107980.8,
+        }
+        assert [(s.t, s.ops_per_second) for s in result.series] == [
+            (18.956639603325407, 110894.89598593526),
+            (28.956639603325407, 110992.19700747868),
+            (38.95663960332541, 111725.4077012748),
+            (48.95663960332541, 110677.40342422019),
+            (58.95663960332541, 111259.10258229845),
+            (68.95663960332541, 109893.14319421141),
+            (78.95663960332541, 109492.90976006356),
+            (88.95663960332541, 109907.22243240145),
+            (98.95663960332541, 109820.15025400437),
+            (103.95663960332541, 108844.74392688398),
+        ]
+
     def test_invalid_durations(self, cassandra):
         with pytest.raises(ValueError):
             YCSBBenchmark(cassandra, run_seconds=0)

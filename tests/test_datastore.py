@@ -1,3 +1,7 @@
+import importlib.util
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from repro.datastore.scylla import ScyllaAutotuner
 from repro.errors import DatastoreError
 from repro.lsm.analytic import AnalyticLSMModel
 from repro.lsm.engine import LSMEngine
+from repro.workload.spec import mgrast_workload
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +46,7 @@ class TestCassandraLike:
     def test_instances_independent(self, cassandra):
         a = cassandra.new_analytic_instance(cassandra.default_configuration(), seed=1)
         b = cassandra.new_analytic_instance(cassandra.default_configuration(), seed=1)
-        a.step(0.5)
+        a.run(0.5, 1)
         assert b.t == 0.0
 
 
@@ -62,7 +67,7 @@ class TestScyllaLike:
     def test_throughput_oscillates(self, scylla):
         model = scylla.new_analytic_instance(scylla.default_configuration(), seed=2)
         model.load(1_000_000)
-        tps = [r.throughput for r in model.run(0.7, 200)]
+        tps = model.run(0.7, 200)
         cov = np.std(tps) / np.mean(tps)
         assert cov > 0.05
 
@@ -80,9 +85,9 @@ class TestScyllaLike:
                 model.autotuner.multiplier = lambda t: level
             return [
                 solo.sustainable_throughput(0.7),
-                solo.run(0.7, 3)[0].throughput,
+                solo.run(0.7, 3)[0],
                 ring.sustainable_throughput(0.7),
-                ring.run(0.7, 3)[0].throughput,
+                ring.run(0.7, 3)[0],
             ]
 
         assert [2.0 * x for x in solves(0.5)] == solves(1.0)
@@ -93,7 +98,7 @@ class TestScyllaLike:
             replication_factor=2, seed=2,
         )
         ring.load(1_500_000)
-        tps = [r.throughput for r in ring.run(0.7, 400)]
+        tps = ring.run(0.7, 400)
         assert np.std(tps) / np.mean(tps) > 0.05
         # Every node's own tuner ran, each on its own realization.
         levels = [node.autotuner._level for node in ring.nodes]
@@ -106,7 +111,7 @@ class TestScyllaLike:
             m = store.new_analytic_instance(store.default_configuration(), seed=seed)
             m.load(1_000_000)
             m.cache_age = 1000.0
-            tps = [r.throughput for r in m.run(0.7, 300)]
+            tps = m.run(0.7, 300)
             return np.std(tps) / np.mean(tps)
 
         scylla_cov = np.mean([cov(scylla, s) for s in range(3)])
@@ -183,10 +188,24 @@ class TestCluster:
         cfg = cassandra.default_configuration()
         cluster = Cluster(cassandra, cfg, n_nodes=2, replication_factor=2, seed=1)
         cluster.load(500_000)
-        results = cluster.run(0.5, duration=20)
-        assert len(results) == 20
-        assert all(r.throughput > 0 for r in results)
+        series = cluster.run(0.5, duration=20)
+        assert len(series) == 20
+        assert all(x > 0 for x in series)
         assert cluster.t == pytest.approx(20.0)
+
+    def test_example_and_bench_callers_run(self, cassandra):
+        """The ``cluster_throughput`` helpers of two callers no CI job
+        runs: the same ring on the same seed gives both the same mean."""
+        from benchmarks.test_table3_multi_server import cluster_throughput as bench
+
+        path = Path(__file__).parent.parent / "examples" / "multi_server_scaling.py"
+        spec = importlib.util.spec_from_file_location("multi_server_scaling", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        config = cassandra.default_configuration()
+        got = example.cluster_throughput(cassandra, config, 0.5, n_nodes=2, seed=7)
+        assert got > 0
+        assert got == bench(cassandra, config, 0.5, 2, mgrast_workload(0.5), seed=7)
 
     @pytest.mark.parametrize("duration", [0, -1.0])
     def test_run_with_no_time_left_raises(self, cassandra, duration):
@@ -252,9 +271,11 @@ class TestClusterFaults:
     def test_down_node_serves_nothing_in_step(self, cassandra):
         cluster = self.make(cassandra)
         cluster.fail_node(2)
-        result = cluster.step(0.5)
-        assert result.per_node_throughput[2] == 0.0
-        assert result.throughput > 0
+        before = [pickle.dumps(node) for node in cluster.nodes]
+        [x] = cluster.run(0.5, 1)
+        after = [pickle.dumps(node) for node in cluster.nodes]
+        assert x > 0
+        assert [a != b for a, b in zip(before, after)] == [True, True, False]
 
     def test_disk_slowdown_drags_cluster(self, cassandra):
         cluster = self.make(cassandra)

@@ -64,19 +64,20 @@ class TestSoftMin:
 class TestStepping:
     def test_step_advances_time(self):
         m = make_model()
-        m.step(0.5, dt=2.0)
+        m.run(0.5, 2.0, dt=2.0)
         assert m.t == pytest.approx(2.0)
 
     def test_step_rejects_bad_inputs(self):
         m = make_model()
         with pytest.raises(ValueError):
-            m.step(0.5, dt=0.0)
+            m.run(0.5, 1.0, dt=0.0)
         with pytest.raises(ValueError):
-            m.step(1.5)
+            m.run(1.5, 1.0)
 
     def test_throughput_positive(self):
         m = make_model()
-        assert m.step(0.5).throughput > 0
+        [x] = m.run(0.5, 1.0)
+        assert x > 0
 
     def test_run_returns_requested_steps(self):
         m = make_model()
@@ -105,14 +106,16 @@ class TestStepping:
         assert m.dataset_bytes == pytest.approx(grown)
 
     def test_ring_absorbs_each_live_nodes_share(self):
+        """Two live nodes at RF 2, for 2 s at read ratio 0.5: each serves
+        half the logical reads and every logical write."""
         ring = make_ring()
         ring.fail_node(2)
         before = [(node.t, node.total_ops) for node in ring.nodes]
-        share = ring.step(0.5, dt=2.0).per_node_throughput
-        assert share[0] == share[1] > 0.0 == share[2]
-        for node, (t, ops), x in zip(ring.nodes, before, share):
-            assert node.t == t + (2.0 if x else 0.0)
-            assert node.total_ops - ops == pytest.approx(2.0 * x)
+        [x] = ring.run(0.5, 2.0, dt=2.0)
+        moved = [(n.t - t, n.total_ops - ops) for n, (t, ops) in zip(ring.nodes, before)]
+        assert moved[0] == moved[1] and moved[2] == (0.0, 0.0)
+        assert moved[0][0] == 2.0
+        assert moved[0][1] == pytest.approx(2.0 * (0.5 * x / 2 + 0.5 * x))
 
     def test_load_reaches_target(self):
         m = make_model()
@@ -159,8 +162,8 @@ class TestThroughputShape:
         assert lv_model.sustainable_throughput(0.95) > st_model.sustainable_throughput(0.95)
 
     def test_size_tiered_beats_leveled_on_writes(self):
-        st_tp = np.mean([r.throughput for r in _loaded(SIZE_TIERED).run(0.05, 120)])
-        lv_tp = np.mean([r.throughput for r in _loaded(LEVELED).run(0.05, 120)])
+        st_tp = np.mean(_loaded(SIZE_TIERED).run(0.05, 120))
+        lv_tp = np.mean(_loaded(LEVELED).run(0.05, 120))
         assert st_tp > lv_tp
 
     def test_compaction_backlog_throttles(self):
@@ -170,33 +173,6 @@ class TestThroughputShape:
             m.load(5_000_000)
             m.run(0.5, duration=120)
         assert starved.sstable_count >= healthy.sstable_count
-
-
-class TestLatencies:
-    def test_pure_reads_have_no_write_latency(self):
-        m = make_model()
-        m.load(1_000_000)
-        step = m.step(1.0)
-        assert step.write_latency_s == 0.0
-        assert step.read_latency_s > 0.0
-
-    def test_latency_at_least_service_time(self):
-        m = make_model()
-        m.load(1_000_000)
-        step = m.step(0.5)
-        assert step.read_latency_s >= m.costs.read_thread_hold
-        assert step.write_latency_s >= m.costs.write_thread_hold
-
-    def test_slower_reads_higher_latency(self):
-        """A starved cache raises read latency along with lowering
-        throughput (Little's law, fixed pool)."""
-        fast = make_model(file_cache_size_in_mb=2048)
-        slow = make_model(file_cache_size_in_mb=32)
-        for m in (fast, slow):
-            m.load(5_000_000)
-            m.settle()
-            m.cache_age = 1000.0
-        assert slow.step(1.0).read_latency_s > fast.step(1.0).read_latency_s
 
 
 class TestReconfigure:
@@ -241,9 +217,7 @@ class TestDeterminismAndNoise:
         b = make_model(seed=5)
         for m in (a, b):
             m.load(1_000_000)
-        ra = [r.throughput for r in a.run(0.5, 30)]
-        rb = [r.throughput for r in b.run(0.5, 30)]
-        assert ra == rb
+        assert a.run(0.5, 30) == b.run(0.5, 30)
 
     def test_run_bias_applied_once(self):
         m = make_model(bias=0.05, seed=3)
@@ -253,8 +227,7 @@ class TestDeterminismAndNoise:
     def test_noise_changes_steps(self):
         m = make_model(noise=0.05, seed=3)
         m.load(1_000_000)
-        tps = [r.throughput for r in m.run(0.5, 20)]
-        assert len(set(round(t) for t in tps)) > 1
+        assert len(set(round(x) for x in m.run(0.5, 20))) > 1
 
 
 def _loaded(method):
@@ -363,7 +336,7 @@ class TestStepStructureTraps:
     """Layouts and moments where a stepping loop that derives its
     per-segment terms too rarely (or absorbs a step through the wrong
     path) goes wrong.  Each run is held to the per-second oracle, bit for
-    bit, StepResults and final state."""
+    bit: the throughput series and the state after every step."""
 
     def test_chained_merge_keeps_backlog_length(self):
         """A merge completes and its output at once triggers the next:
@@ -425,10 +398,10 @@ class TestStepStructureTraps:
         m.cache_age = 500.0
         pages = m.knobs.file_cache_bytes / BLOCK_BYTES
         assert m.dataset_bytes / BLOCK_BYTES <= pages
-        steps = assert_run_equals_oracle(m, 0.3, 20)
+        states = assert_run_equals_oracle(m, 0.3, 20)
         assert m.dataset_bytes / BLOCK_BYTES > pages
         # Steady hit 1.0 while the data fit, the che-approximation after.
-        assert steps[0].cache_hit_ratio > 0.99 > steps[-1].cache_hit_ratio
+        assert states[0].cache_hit_ratio > 0.99 > states[-1].cache_hit_ratio
 
     def test_reconfigure_between_runs(self):
         """A strategy switch each way and a cache resize, mid-backlog."""
@@ -484,16 +457,16 @@ class TestStepStructureTraps:
         budget = compaction_rate(m.knobs, 1) * m.costs.compaction_io_factor * 1.0
         m.backlog[0].remaining_io_bytes = budget
         done = m.total_compactions
-        steps = assert_run_equals_oracle(m, 1.0, 3)
+        states = assert_run_equals_oracle(m, 1.0, 3)
         assert m.total_compactions == done + 1
-        assert steps[0].compaction_backlog_bytes == 0 and steps[0].sstable_count == 1
+        assert states[0].compaction_backlog_bytes == 0 and states[0].sstable_count == 1
 
     def test_noiseless_model_draws_nothing(self):
         m = make_model(noise=0.0, bias=0.02, seed=9)
         m.load(500_000)
         position = m.rng.bit_generator.state
         m.run(0.5, 30)
-        m.step(0.5)
+        m.run(0.5, 1)
         assert m.rng.bit_generator.state == position
 
     def test_pickle_carries_no_derived_state(self):
@@ -563,11 +536,12 @@ class TestRejectedCallsTouchNothing:
         assert pickle.dumps(m) == before     # t, layout, total_ops, RNG position
 
     def test_model_step(self):
+        """One-second runs, on a model that never ran."""
         m = make_model(noise=0.015, seed=4)
         before = pickle.dumps(m)
-        for args in ((0.5, 0.0), (1.5, 1.0), (float("nan"), 1.0)):
+        for args in ((0.5, 1.0, 0.0), (1.5, 1.0), (float("nan"), 1.0)):
             with pytest.raises(ValueError):
-                m.step(*args)
+                m.run(*args)
         assert pickle.dumps(m) == before
 
     @pytest.mark.parametrize("kwargs", BAD)
@@ -582,12 +556,9 @@ class TestRejectedCallsTouchNothing:
         before = pickle.dumps(cluster.nodes)
         with pytest.raises(ValueError):
             cluster.run(**kwargs)
-        if "dt" in kwargs:
-            with pytest.raises(ValueError):
-                cluster.step(kwargs["read_ratio"], kwargs["dt"])
         if not 0.0 <= kwargs["read_ratio"] <= 1.0:
             with pytest.raises(ValueError):
-                cluster.step(kwargs["read_ratio"])
+                cluster.run(kwargs["read_ratio"], 1)
             with pytest.raises(ValueError):
                 cluster.sustainable_throughput(kwargs["read_ratio"])
         assert cluster.t == 0.0 and pickle.dumps(cluster.nodes) == before
@@ -633,7 +604,7 @@ class TestNoArrayMathInAStep:
         assert m.total_flushes > 0          # the general paths ran too
         # (Whether the profiler sees the Cython-level draw varies by build.)
         assert short == long and set(long) <= {"standard_normal", "tolist"}
-        assert self._numpy_calls(lambda: m.step(0.5)) == long
+        assert self._numpy_calls(lambda: m.run(0.5, 1)) == long
 
     def test_ring_absorb(self):
         """Write-heavy: the nodes' absorbs flush and queue compactions,
@@ -658,7 +629,7 @@ class TestNoArrayMathInAStep:
         cluster.load(600_000)
         cluster.fail_node(1)
         assert self._numpy_calls(lambda: cluster.run(0.5, 200)) == []
-        assert self._numpy_calls(lambda: cluster.step(0.5)) == []
+        assert self._numpy_calls(lambda: cluster.run(0.5, 1)) == []
 
 
 class TestNodeCursor:
@@ -678,7 +649,7 @@ class TestNodeCursor:
         # The twin, stepped one second at a time, counts the flag flips.
         sides, flips = [flushing(n) for n in twin.nodes], 0
         for _ in range(seconds):
-            twin.step(rr)
+            twin.run(rr, 1)
             now = [flushing(n) for n in twin.nodes]
             flips += sum(a is not b for a, b in zip(sides, now))
             sides = now

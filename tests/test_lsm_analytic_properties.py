@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike, Cluster, ScyllaLike
-from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _soft_min, _soft_min6
+from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _SegmentTerms, _soft_min
 from repro.lsm.knobs import EngineKnobs
 from tests.oracles import (
     oracle_cluster_step,
     oracle_step,
+    reference_hit,
     reference_throughput,
     soft_min_oracle,
 )
@@ -141,15 +143,46 @@ def assert_same_bits(got, want):
     assert pickle.dumps(got) == pickle.dumps(want)
 
 
-def assert_run_equals_oracle(model, read_ratio, steps, dt=1.0):
-    """``run`` on ``model`` against the oracle on a deep-copied twin:
-    every ``StepResult`` field and the whole state afterwards."""
-    twin = copy.deepcopy(model)
-    got = model.run(read_ratio, steps * dt, dt)
-    want = [oracle_step(twin, read_ratio, dt) for _ in range(steps)]
-    assert_same_bits(got, want)
+def assert_same_state(model, twin):
+    """A model after production steps against its twin after the oracle's:
+    the whole pickle (clocks, layout, backlog, counters, generator
+    positions) and the end state a caller reads off it.  Returns that end
+    state."""
     assert_same_bits(model, twin)
-    return got
+    got = (model.cache_hit_ratio(), model.compaction_backlog_bytes, model.sstable_count)
+    assert_same_bits(
+        got, (reference_hit(twin), twin.compaction_backlog_bytes, twin.sstable_count)
+    )
+    return SimpleNamespace(
+        cache_hit_ratio=got[0], compaction_backlog_bytes=got[1], sstable_count=got[2]
+    )
+
+
+def assert_run_equals_oracle(
+    model, read_ratio, steps, dt=1.0, oracle=oracle_step, same_state=assert_same_state
+):
+    """``run`` on ``model`` (or a ring, with its ``oracle`` and
+    ``same_state``) against the oracle on a deep-copied twin: the
+    throughput series and the whole state afterwards, and, on a copy run
+    one step at a time, the state after every step.  Returns what
+    ``same_state`` returns after every step."""
+    stepped, twin = copy.deepcopy(model), copy.deepcopy(model)
+    got = model.run(read_ratio, steps * dt, dt)
+    want, states = [], []
+    for _ in range(steps):
+        want.append(oracle(twin, read_ratio, dt))
+        assert_same_bits(stepped.run(read_ratio, dt, dt), want[-1:])
+        states.append(same_state(stepped, twin))
+    assert_same_bits(got, want)
+    same_state(model, twin)
+    return states
+
+
+def assert_same_ring(cluster, twin):
+    """:func:`assert_same_state` for the whole pickled ring and each node."""
+    assert_same_bits(cluster, twin)
+    for node, twin_node in zip(cluster.nodes, twin.nodes):
+        assert_same_state(node, twin_node)
 
 
 solve_overrides = st.fixed_dictionaries(
@@ -200,7 +233,7 @@ class TestSolveEquivalence:
             model.settle(max_seconds=50_000)
         for rr in READ_RATIOS + (0.37,):
             assert model.sustainable_throughput(rr) == reference_throughput(model, rr)
-            model.step(rr)
+            model.run(rr, 1)
 
     def test_backlogged_states_are_covered(self):
         """The states above are not all idle: a starved compactor under
@@ -223,9 +256,9 @@ STORES = {"cassandra": CassandraLike(), "scylla": ScyllaLike()}
 
 class TestRunEqualsOracle:
     """The stepping loop against the per-second oracle, to the last bit:
-    every ``StepResult`` field, the clocks, the layout, the backlog, the
-    counters and the position of the noise stream (and, on a ScyllaLike
-    model, of its tuner's)."""
+    the throughput series, and after every step the clocks, the layout,
+    the backlog, the counters, the position of the noise stream (and, on a
+    ScyllaLike model, of its tuner's) and the end state read off them."""
 
     @given(
         store=st.sampled_from(sorted(STORES)),
@@ -288,13 +321,10 @@ class TestRunEqualsOracle:
                     compaction_method=LEVELED, concurrent_reads=64
                 ),
             )
-        twin = copy.deepcopy(cluster)
-        got = cluster.run(rr, 25 * dt, dt)
-        assert_same_bits(got, [oracle_cluster_step(twin, rr, dt) for _ in range(25)])
-        assert_same_bits(cluster.step(0.6, dt), oracle_cluster_step(twin, 0.6, dt))
-        assert cluster.t == twin.t
-        for node, twin_node in zip(cluster.nodes, twin.nodes):
-            assert_same_bits(node, twin_node)
+        for ratio, steps in ((rr, 25), (0.6, 1)):
+            assert_run_equals_oracle(
+                cluster, ratio, steps, dt, oracle_cluster_step, assert_same_ring
+            )
 
 
 finite_caps = st.floats(min_value=1e-3, max_value=1e9)
@@ -304,6 +334,26 @@ any_caps = st.one_of(
 )
 six_caps = st.lists(any_caps, min_size=6, max_size=6)
 tied_caps = st.lists(st.sampled_from([1e-3, 7.5, 1e9, math.inf]), min_size=6, max_size=6)
+
+
+def six_cap_solve(caps):
+    """A segment's ``solve`` with its closed-over terms rebound so that, at
+    a hit ratio of 0, its six caps (cpu, sequential disk, flush, write
+    pool, random disk, read pool) are exactly ``caps``: every divisor is
+    1.0, so each cap passes through unrounded."""
+    model = make_model({}, seed=0)
+    solve = _SegmentTerms(model._regime(0.5), 1.0, 0, False).solve
+    cpu, seq, flush, wpool, iops, rpool = caps
+    terms = dict(
+        r=1.0, touched=1.0, probed=0.0, cpu_read_fixed=1.0, cpu_cache_hit=0.0,
+        read_contention=1.0, write_cpu=0.0, cores=cpu, seq_cap=seq, flush_cap=flush,
+        write_pool_cap=wpool, iops=iops, read_pool_cap=rpool,
+    )
+    for name, cell in zip(solve.__code__.co_freevars, solve.__closure__):
+        if name in terms:
+            cell.cell_contents = terms.pop(name)
+    assert not terms, f"solve no longer closes over {sorted(terms)}"
+    return solve(0.0)
 
 
 def ulps_apart(a, b):
@@ -325,9 +375,9 @@ class TestSoftMin:
     @example(caps=[math.inf] * 6)
     @settings(max_examples=500, deadline=None)
     def test_six_cap_form_equals_math_oracle(self, caps):
-        """The solve's fixed-arity form, bit for bit (``hex`` tells
+        """The solve's fused six-cap form, bit for bit (``hex`` tells
         ``-0.0`` from ``0.0``)."""
-        got = _soft_min6(*caps)
+        got = six_cap_solve(caps)
         assert type(got) is float
         assert got.hex() == soft_min_oracle(caps).hex() == _soft_min(caps).hex()
 
@@ -389,7 +439,7 @@ class TestClusterStepEquivalence:
             solved = cluster.sustainable_throughput(rr)
             # The solve is a pure read: asking twice changes nothing.
             assert cluster.sustainable_throughput(rr) == solved
-            result = cluster.step(rr)
-            assert result.throughput == solved
-            live = cluster.live_node_indices
-            assert [i for i, x in enumerate(result.per_node_throughput) if x > 0] == live
+            clocks = [node.t for node in cluster.nodes]
+            assert cluster.run(rr, 1) == [solved]
+            moved = [i for i, node in enumerate(cluster.nodes) if node.t != clocks[i]]
+            assert moved == cluster.live_node_indices
