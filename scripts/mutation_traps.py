@@ -74,8 +74,8 @@ TRAPS = [
                 "                        self.evaluations - self.population_size)\n",
             ),
             (
-                "            winner = encoder.snap(population[fitness.argmax()])\n",
-                "            rode, winner = winner, encoder.snap(population[fitness.argmax()])\n",
+                "            winner = np.where(encoder.integral, best.round() + 0.0, best)\n",
+                "            rode, winner = winner, np.where(encoder.integral, best.round() + 0.0, best)\n",
             ),
             (
                 "                if book(generation, winner, raw_winner, self.evaluations):\n"
@@ -124,9 +124,28 @@ TRAPS = [
         f"{REFERENCE}::test_surrogate_search",
     ),
     (
+        "one batch reused across generations: the elites copied after the children overwrote it",
+        GA,
+        [
+            (
+                "batch = np.empty((self.population_size + 1, n_genes))",
+                "batch = population.base if generation > 1 else "
+                "np.empty((self.population_size + 1, n_genes))",
+            )
+        ],
+        f"{REFERENCE}::test_surrogate_search",
+    ),
+    (
+        "the riding winner keeps the -0.0 that rounding gives small negatives",
+        GA,
+        [("best.round() + 0.0", "best.round()")],
+        "tests/test_batch_equivalence.py::TestGABatchDeterminism"
+        "::test_scored_winners_are_snapped_rows_bitwise",
+    ),
+    (
         "the default floor read from row 0 instead of the riding last row",
         "repro/core/search.py",
-        [("default_fitness = float(scores[-1])", "default_fitness = float(scores[0])")],
+        [("fitness.floor = float(scores[-1])", "fitness.floor = float(scores[0])")],
         f"{EQUIVALENCE}::TestOptimizerBatchEquivalence::test_batched_and_scalar_paths_identical",
     ),
     (
@@ -153,10 +172,9 @@ TRAPS = [
         ENSEMBLE,
         [
             ("wide = sizes[i] > 1 and sizes[i + 1] > 1", "wide = sizes[i] > 1"),
-            ("wide = w.shape[1] > 1 and w.shape[2] > 1", "wide = w.shape[1] > 1"),
             (
                 "forwards = a[:, :n, 0]",
-                "forwards = a[:, 0, :n] if rows_inner else a[:, :n, 0]",
+                "forwards = a[:, 0, :n] if layers[-1][3] else a[:, :n, 0]",
             ),
         ],
         f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
@@ -170,12 +188,24 @@ TRAPS = [
         "::test_stacked_forward_matches_per_member_oracle",
     ),
     (
+        "the forward's plan kept across a rebound scaler array",
+        ENSEMBLE,
+        [
+            (
+                "sources = [x_scaler.mean_, x_scaler.scale_, y_scaler.mean_, y_scaler.scale_]",
+                "sources = []",
+            )
+        ],
+        "tests/test_batch_equivalence.py::TestStackedEnsembleState"
+        "::test_rebinding_a_scaler_array_moves_the_next_prediction",
+    ),
+    (
         "a wide layer's bias left (M, 1, fan_out)",
         ENSEMBLE,
         [
             (
-                "np.ascontiguousarray(b[:, :, None]) if wide else b[:, None, :]",
-                "b[:, None, :]",
+                "b = np.ascontiguousarray(b[:, :, None])",
+                "b = b[:, None, :]",
             )
         ],
         f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"

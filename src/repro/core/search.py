@@ -106,36 +106,47 @@ class ConfigurationOptimizer:
         self.bus = bus
 
     def _fitness_batch(self, read_ratio: float):
-        """Population-at-a-time fitness: one member walk per generation."""
+        """One search's fitness, called once per generation with at most
+        ``P + 1`` gene rows: it unit-scales them (``features_batch``'s
+        ops) into a per-search feature buffer whose RR column is filled
+        once and scores them in one call of the surrogate's method,
+        looked up here so a wrapper put on the instance sees every call.
+        The vendor default waits in the buffer's last row and rides the
+        first ``P``-row call (generation 0's); its score — a one-row
+        call's, the ensemble being row-stable — lands in ``fitness.floor``.
+        """
+        lower, span = self.encoder.lower, self.encoder.span
+        rows = np.empty((self.population_size + 1, 1 + len(lower)))
+        rows[:, 0] = read_ratio
+        units = rows[:, 1:]
+        np.divide(self.default_genes - lower, span, out=units[-1])
+        penalty = self.uncertainty_penalty
+        surrogate = self.surrogate
+        predict = surrogate.predict_mean_std if penalty > 0.0 else surrogate.predict_features
 
-        def fitness_batch(genes_matrix: np.ndarray) -> np.ndarray:
-            rows = self.encoder.features_batch(genes_matrix, read_ratio)
-            if self.uncertainty_penalty > 0.0:
-                mean, spread = self.surrogate.predict_mean_std(rows)
-                return mean - self.uncertainty_penalty * spread
-            return self.surrogate.predict_features(rows)
+        def fitness(genes_matrix: np.ndarray) -> np.ndarray:
+            n = len(genes_matrix)
+            np.subtract(genes_matrix, lower, out=units[:n])
+            units[:n] /= span
+            m = n + 1 if fitness.floor is None and n == self.population_size else n
+            if penalty > 0.0:
+                mean, spread = predict(rows[:m])
+                scores = mean - penalty * spread
+            else:
+                scores = predict(rows[:m])
+            if m > n:  # generation 0: the floor rode along
+                fitness.floor = float(scores[-1])
+                return scores[:-1]
+            return scores
 
-        return fitness_batch
+        fitness.floor = None
+        return fitness
 
     def optimize(self, read_ratio: float, seed: SeedLike = 0) -> OptimizationResult:
         """Equation 3 via Equation 4: argmax_C fnet(W, C)."""
         if not (0.0 <= read_ratio <= 1.0):
             raise SearchError("read_ratio must be in [0, 1]")
-
-        score = self._fitness_batch(read_ratio)
-        default_fitness = None
-
-        def fitness(genes_matrix: np.ndarray) -> np.ndarray:
-            # The vendor default rides as the last row of generation 0's
-            # batch: the ensemble is row-stable, so its score is a
-            # one-row call's, bit for bit, without a call of its own.
-            nonlocal default_fitness
-            if default_fitness is not None:
-                return score(genes_matrix)
-            scores = score(np.concatenate((genes_matrix, self.default_genes[None, :])))
-            default_fitness = float(scores[-1])
-            return scores[:-1]
-
+        fitness = self._fitness_batch(read_ratio)
         ga = GeneticAlgorithm(
             encoder=self.encoder,
             fitness_batch_fn=fitness,
@@ -147,9 +158,9 @@ class ConfigurationOptimizer:
         best_config = result.best_configuration
         best_fitness = result.best_fitness
         evaluations = result.evaluations + 1
-        if default_fitness > best_fitness:
+        if fitness.floor > best_fitness:
             best_config = self.surrogate.space.default_configuration()
-            best_fitness = default_fitness
+            best_fitness = fitness.floor
         return OptimizationResult(
             configuration=best_config,
             predicted_throughput=best_fitness,

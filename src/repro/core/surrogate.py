@@ -107,11 +107,10 @@ class SurrogateModel:
 
     def predict_features(self, rows: np.ndarray) -> np.ndarray:
         """Predict from raw feature rows (the GA's hot path)."""
-        rows = self.ensemble._rows(rows)  # the query boundary's one check
         t0 = time.perf_counter()
-        out = self.ensemble._predict_rows(rows, spread=False)
+        out = self.ensemble._forward(rows, spread=False)
         self.stats.query_wall_seconds += time.perf_counter() - t0
-        self.stats.n_queries += rows.shape[0]
+        self.stats.n_queries += len(out)
         return out
 
     def predict_mean_std(self, rows: np.ndarray):
@@ -122,11 +121,10 @@ class SurrogateModel:
         run every member network twice on the same rows.  Returns
         ``(mean, std)``, each ``(n,)``.
         """
-        rows = self.ensemble._rows(rows)  # the query boundary's one check
         t0 = time.perf_counter()
-        mean, std = self.ensemble._predict_rows(rows, spread=True)
+        mean, std = self.ensemble._forward(rows, spread=True)
         self.stats.query_wall_seconds += time.perf_counter() - t0
-        self.stats.n_queries += rows.shape[0]
+        self.stats.n_queries += len(mean)
         return mean, std
 
     def predict_dataset(self, dataset: PerformanceDataset) -> np.ndarray:

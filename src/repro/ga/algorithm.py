@@ -223,32 +223,37 @@ class GeneticAlgorithm:
         winner = None  # the previous generation's, when it rides along
         for generation in range(self.generations + 1):
             if generation:
-                # Variation runs population-at-a-time, one block draw per
-                # kind: both parents of every child (3-way tournaments,
-                # ties to the earliest-drawn contender), the crossover
-                # weights and mutation mask together, the mutation noise.
+                # A fresh batch per generation (elites, children, riding
+                # winner): the elites are read from the previous one after
+                # the children are written.  Variation draws one block per
+                # kind: both parents of every child (3-way tournaments, ties
+                # to the earliest-drawn contender), crossover weights and
+                # mutation mask together, the mutation noise.
+                batch = np.empty((self.population_size + 1, n_genes))
+                children = batch[self.elites : self.population_size]
                 elite_rows = fitness.argsort()[::-1][: self.elites]
                 contenders = rng.integers(self.population_size, size=(2 * n_children, 3))
                 parents = population[contenders[parent_rows, fitness[contenders].argmax(axis=1)]]
                 weights, mutate = rng.random((2, n_children, n_genes))
-                children = weights * parents[:n_children] + (1.0 - weights) * parents[n_children:]
+                np.multiply(weights, parents[:n_children], out=children)
+                children += (1.0 - weights) * parents[n_children:]
                 noise = rng.standard_normal((n_children, n_genes))
-                children = np.where(
-                    mutate < self.mutation_rate,
-                    children + noise * self.mutation_scale * encoder.span,
-                    children,
-                )
+                noise *= self.mutation_scale  # noise * scale * span, left to right
+                noise *= encoder.span
+                np.add(children, noise, out=children, where=mutate < self.mutation_rate)
                 # np.clip without its wrapper.  The two differ only on
                 # a signed zero against a zero bound, and no draw,
                 # crossover or mutation makes a -0.0 gene: only an
                 # ``initial`` seed can bring one in.
                 np.maximum(children, lower, out=children)
                 np.minimum(children, upper, out=children)
-                population = np.concatenate((population[elite_rows], children))
+                batch[: self.elites] = population[elite_rows]
+                population = batch[: self.population_size]
             if winner is None:
                 raw = self._raw_fitness_many(population)
             else:
-                raw = self._raw_fitness_many(np.concatenate((population, winner[None, :])))
+                batch[-1] = winner
+                raw = self._raw_fitness_many(batch)
                 book(
                     generation - 1,
                     winner,
@@ -267,7 +272,9 @@ class GeneticAlgorithm:
             # through untouched, as in :func:`penalized_fitness`.
             gap = encoder._integrality_gap(population)
             fitness = np.where(gap > 0.0, raw - penalty_scale * gap, raw)
-            winner = encoder.snap(population[fitness.argmax()])
+            # ``encoder.snap`` of an in-bounds row: its clip is the identity.
+            best = population[fitness.argmax()]
+            winner = np.where(encoder.integral, best.round() + 0.0, best)
             if generation == self.generations or stagnant + 1 >= self.stagnation_limit:
                 raw_winner = float(self._raw_fitness_many(winner[None, :])[0])
                 if book(generation, winner, raw_winner, self.evaluations):

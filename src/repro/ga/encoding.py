@@ -170,4 +170,4 @@ class ConfigurationEncoder:
         the integral columns are rounded; the sum is the same as over all
         columns' masked gaps."""
         columns = inside[:, self._integral_columns]
-        return np.abs(columns - columns.round()).sum(axis=1)
+        return np.add.reduce(np.abs(columns - columns.round()), axis=1)

@@ -77,7 +77,7 @@ class NetworkEnsemble:
         self.pruned_count = 0
         self.x_scaler = StandardScaler()
         self.y_scaler = StandardScaler()
-        #: Derived ``(sources, weights, biases)`` stack; see _stacked_layers.
+        #: Derived ``(sources, plan)``; see :meth:`_plan`.
         self._stacked = None
 
     @property
@@ -136,8 +136,8 @@ class NetworkEnsemble:
         return self
 
     def __getstate__(self):
-        # The stacked tensors are derived from the member arrays: they
-        # stay out of pickles (state blobs, fingerprints) and are rebuilt
+        # The plan is derived from the member and scaler arrays: it
+        # stays out of pickles (state blobs, fingerprints) and is rebuilt
         # on the first query after a load.
         state = self.__dict__.copy()
         del state["_stacked"]
@@ -147,124 +147,107 @@ class NetworkEnsemble:
         self.__dict__.update(state)
         self._stacked = None
 
-    def _stacked_layers(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """Per-layer weights and biases of the members, restacked
-        whenever a member array changed.  A wide layer's are held
+    def _plan(self):
+        """The forward's plan, rebuilt whenever a member or scaler array
+        changed: per layer ``(subscripts, weights, biases, wide, flip)`` —
+        a wide layer's (``fan_in > 1 and fan_out > 1``) stacked
         ``(M, fan_out, fan_in)`` and ``(M, fan_out, 1)``, a width-1
-        layer's ``(M, fan_in, fan_out)`` and ``(M, 1, fan_out)``: the
-        layouts its contraction reads and its pre-activations come out
-        in (see :meth:`_member_mean`).
+        layer's ``(M, fan_in, fan_out)`` and ``(M, 1, fan_out)``, ``flip``
+        where its input comes in the other layout — then the scalers'
+        vectors as they are read.
 
-        Callers *rebind* member arrays (``set_weights``, a loaded
-        ``networks`` list, ``net.weights[0] = ...``), so the stack is
-        revalidated on every query by the identity of each source array:
-        replacing any of them changes the next prediction.  Member
-        arrays are values — replace them, never write into them.
+        Callers rebind arrays (``set_weights``, a loaded ``networks``
+        list, ``net.weights[0] = ...``, a refitted scaler), so every query
+        compares each source array by identity.  Arrays are values:
+        replace them, never write into them.
         """
-        sources = [a for net in self.networks for a in net.weights + net.biases]
+        x_scaler, y_scaler = self.x_scaler, self.y_scaler
+        sources = [x_scaler.mean_, x_scaler.scale_, y_scaler.mean_, y_scaler.scale_]
+        for net in self.networks:
+            sources += net.weights
+            sources += net.biases
         cached = self._stacked
         if (
             cached is not None
             and len(cached[0]) == len(sources)
             and all(map(operator.is_, cached[0], sources))
         ):
-            return cached[1], cached[2]
+            return cached[1]
         sizes = self.networks[0].layer_sizes
         if sizes[-1] != 1 or any(net.layer_sizes != sizes for net in self.networks):
             raise TrainingError(
                 "ensemble members must share one single-output topology"
             )
-        weights, biases = [], []
+        layers, rows_inner = [], False
         for i in range(len(sizes) - 1):
             w = np.stack([net.weights[i] for net in self.networks])
             b = np.stack([net.biases[i] for net in self.networks])
             wide = sizes[i] > 1 and sizes[i + 1] > 1
-            weights.append(np.ascontiguousarray(w.transpose(0, 2, 1)) if wide else w)
-            biases.append(np.ascontiguousarray(b[:, :, None]) if wide else b[:, None, :])
-        self._stacked = (sources, weights, biases)
-        return weights, biases
+            if wide:
+                w = np.ascontiguousarray(w.transpose(0, 2, 1))
+                b = np.ascontiguousarray(b[:, :, None])
+                subscripts = "mkj,mji->mki" if i else "mkj,ji->mki"
+            else:
+                b = b[:, None, :]
+                subscripts = "mij,mjk->mik" if i else "ij,mjk->mik"
+            layers.append((subscripts, w, b, wide, i > 0 and wide != rows_inner))
+            rows_inner = wide
+        mean, scale = x_scaler.mean_, x_scaler.scale_
+        if layers[0][3]:
+            mean, scale = mean[:, None], scale[:, None]
+        plan = (layers, mean, scale, y_scaler.mean_[0], y_scaler.scale_[0])
+        self._stacked = (sources, plan)
+        return plan
 
-    def _member_mean(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Every member's forward pass and their mean, in standardized
-        target units, from checked raw rows ``(n, d)`` (see :meth:`_rows`).
+    def _forward(self, x: np.ndarray, spread: bool):
+        """The one forward: raw query rows ``(n, d)`` (or one row
+        ``(d,)``), checked here once, to the member mean in target units
+        (AOPS) — with ``spread``, ``(mean, std)`` from the same walk.
 
-        The features are standardized with
-        :meth:`StandardScaler.transform`'s elementwise ops,
-        ``(x - mean) / scale``, written straight into the layout layer 0
-        reads.  The members share one topology, so each layer is one
-        ``einsum`` over the whole ensemble: ``(n, d) -> (M, n)``.
-        ``einsum`` (not BLAS ``@``) keeps every output row bit-identical
-        whether it is evaluated alone or inside a batch, and row ``m``
-        bit-identical to ``networks[m].forward_rows`` on the standardized
-        rows.
-
-        A wide layer (``fan_in > 1 and fan_out > 1``) runs rows-innermost:
-        activations are held ``(M, width, n)`` (layer 0's input
-        ``(d, n)``), weights ``(M, fan_out, fan_in)``, and the
-        contraction's inner loop walks the row axis instead of a fan axis
-        4-14 long.  That is the same multiply-add per output element as
-        ``forward_rows``, sequential in ``j``, so the bits do not move —
-        while there is a row axis to walk: with one row, ``einsum`` dots
-        along the contiguous ``fan_in`` axis in another order.  A
-        one-row query is therefore scored as two copies of its row.  A
-        width-1 layer reduces through a dot kernel whose accumulation
-        order follows its operands' strides, so it keeps the
-        ``(M, n, fan_in)`` C layout ``forward_rows`` gives it.
-        ``tanh(order="C")`` writes each activation in the layout the next
-        layer reads.
-
-        The mean accumulates the members sequentially with elementwise
-        ops: unlike an ``np.mean`` axis reduction (whose unrolled base
-        cases change accumulation order with the column count), it is
-        row-stable too.
+        Standardization (``(x - mean) / scale``) and its inverse
+        (``mean * scale + mean_``) are :class:`StandardScaler`'s
+        elementwise ops, inline.  Each layer is one ``einsum`` over the
+        whole ensemble; ``einsum`` (not BLAS ``@``) keeps every row
+        bit-identical alone or in a batch, and member ``m`` bit-identical
+        to ``networks[m].forward_rows``.  A wide layer runs
+        rows-innermost, activations ``(M, width, n)``: the same
+        multiply-add chain as ``forward_rows`` while there is a row axis
+        to walk, so a one-row query is scored as two copies of its row.
+        A width-1 layer's dot kernel follows its operands' strides, so it
+        keeps the ``(M, n, fan_in)`` C layout.  ``tanh(order="C")``
+        writes each activation in the layout the next layer reads.  The
+        members accumulate sequentially, elementwise: row-stable, unlike
+        an ``np.mean`` axis reduction.
         """
-        weights, biases = self._stacked_layers()
-        mean, scale = self.x_scaler.mean_, self.x_scaler.scale_
+        if not self.networks:
+            raise TrainingError("ensemble used before fit()")
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = x[None, :]
+        layers, x_mean, x_scale, y_mean, y_scale = self._plan()
+        if x.ndim != 2 or x.shape[1] != len(x_mean):
+            raise TrainingError(
+                f"expected query rows of {len(x_mean)} features, got shape {x.shape}"
+            )
         n = len(x)
         if n == 1:  # keep a row axis for the wide layers to walk
             x = np.concatenate((x, x))
-        rows_inner = False
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            wide = w.shape[1] > 1 and w.shape[2] > 1
+        if layers[0][3]:  # a wide first layer reads (d, n)
+            a = np.subtract(x.T, x_mean, out=np.empty(x.shape[::-1]))
+            a /= x_scale
+        else:
+            a = (x - x_mean) / x_scale
+        for layer, (subscripts, w, b, wide, flip) in enumerate(layers):
             if layer:
-                a = np.tanh(a if wide == rows_inner else a.transpose(0, 2, 1), order="C")
-            elif wide:
-                a = np.subtract(x.T, mean[:, None], out=np.empty(x.shape[::-1]))
-                a /= scale[:, None]
-            else:
-                a = (x - mean) / scale
-            if wide:
-                a = np.einsum("mkj,mji->mki" if layer else "mkj,ji->mki", w, a)
-            else:
-                a = np.einsum("mij,mjk->mik" if layer else "ij,mjk->mik", a, w)
+                a = np.tanh(a.transpose(0, 2, 1) if flip else a, order="C")
+            a = np.einsum(subscripts, w, a) if wide else np.einsum(subscripts, a, w)
             a += b
-            rows_inner = wide
         forwards = a[:, :n, 0]  # the output layer is width-1
         total = forwards[0].copy()
         for f in forwards[1:]:
             total += f
-        return forwards, total / len(forwards)
-
-    def _rows(self, x: np.ndarray) -> np.ndarray:
-        """Query rows, checked once: fitted, float, ``(n, d)``."""
-        if not self.is_fitted:
-            raise TrainingError("ensemble used before fit()")
-        x = np.asarray(x, dtype=float)
-        return x[None, :] if x.ndim == 1 else x
-
-    def _predict_rows(self, x: np.ndarray, spread: bool):
-        """The one predict path, on rows :meth:`_rows` has checked: the
-        member mean in original target units (AOPS) — with ``spread``,
-        ``(mean, std)``, both from one walk over the members.  The
-        public predicts and the surrogate's queries all run it.
-
-        The mean is mapped back with
-        :meth:`StandardScaler.inverse_transform`'s elementwise ops,
-        ``mean * scale + mean_``.
-        """
-        forwards, mean = self._member_mean(x)
-        y_scale = self.y_scaler.scale_[0]
-        out = mean * y_scale + self.y_scaler.mean_[0]
+        mean = total / len(forwards)
+        out = mean * y_scale + y_mean
         if not spread:
             return out
         sq = np.zeros_like(mean)
@@ -274,12 +257,12 @@ class NetworkEnsemble:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Ensemble-mean prediction in original target units (AOPS)."""
-        out = self._predict_rows(self._rows(x), spread=False)
+        out = self._forward(x, spread=False)
         return float(out[0]) if np.ndim(x) == 1 else out
 
     def predict_std(self, x: np.ndarray) -> np.ndarray:
         """Across-member prediction spread (a cheap uncertainty proxy)."""
-        return self._predict_rows(self._rows(x), spread=True)[1]
+        return self._forward(x, spread=True)[1]
 
     def predict_mean_std(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Mean and spread from a single walk over the member networks.
@@ -289,4 +272,4 @@ class NetworkEnsemble:
         this returns ``(mean, std)`` — both ``(n,)``, original target
         units — from one set of forward passes.
         """
-        return self._predict_rows(self._rows(x), spread=True)
+        return self._forward(x, spread=True)

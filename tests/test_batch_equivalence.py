@@ -19,6 +19,7 @@ they replaced are the oracles (``tests.oracles.oracle_mean_std``,
 ``random_genes`` row stream).
 """
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -30,8 +31,10 @@ from repro.bench.dataset import PerformanceDataset, PerformanceSample
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
 from repro.config.parameter import FloatParameter, IntegerParameter
 from repro.config.space import ConfigurationSpace
+from repro.core.rafiki import Rafiki
 from repro.core.search import ConfigurationOptimizer, GreedySearch, RandomSearch
 from repro.core.surrogate import SurrogateModel
+from repro.datastore import CassandraLike
 from repro.ga.algorithm import GeneticAlgorithm
 from repro.ga.encoding import ConfigurationEncoder
 from repro.ml.ensemble import EnsembleConfig, NetworkEnsemble
@@ -251,6 +254,20 @@ class TestStackedEnsembleState:
         want_mean, want_std = oracle_mean_std(ens, x)
         assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
 
+    def test_rebinding_a_scaler_array_moves_the_next_prediction(self):
+        ens = make_ensemble(n_features=6, n_networks=3, seed=5)
+        x = np.random.default_rng(4).standard_normal((48, 6))
+        for scaler, attr in [
+            (ens.x_scaler, "mean_"), (ens.x_scaler, "scale_"),
+            (ens.y_scaler, "mean_"), (ens.y_scaler, "scale_"),
+        ]:
+            before = ens.predict_mean_std(x)
+            setattr(scaler, attr, getattr(scaler, attr) * 1.5 + 0.25)
+            mean, std = ens.predict_mean_std(x)
+            want_mean, want_std = oracle_mean_std(ens, x)
+            assert not np.array_equal(mean, before[0])
+            assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+
     def test_pickle_is_unchanged_by_the_first_query(self):
         ens = make_ensemble(n_features=6, n_networks=4, seed=8)
         x = np.random.default_rng(3).standard_normal((5, 6))
@@ -319,6 +336,30 @@ class TestGABatchDeterminism:
         rng = derive_rng(seed)
         rows = np.stack([ENCODER.random_genes(rng) for _ in range(population)])
         assert seen[0].tobytes() == rows.tobytes()
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scored_winners_are_snapped_rows_bitwise(self, seed):
+        """Every winner the GA scores, riding last in a batch or alone, is
+        ``encoder.snap`` of a population row bit for bit — the sign of
+        zero too, which ``round`` gets wrong for small negative integral
+        genes: here a seeded row at the fitness peak, -0.3 on every gene,
+        wins every generation."""
+        seen = []
+
+        def batch(matrix: np.ndarray) -> np.ndarray:
+            seen.append(matrix.copy())
+            return -np.sum((matrix + 0.3) ** 2, axis=-1)
+
+        GeneticAlgorithm(
+            SIGNED_ENCODER, fitness_batch_fn=batch, population_size=12, generations=8,
+            penalty_scale=0.0,
+        ).run(seed=seed, initial=[np.full(SIGNED_ENCODER.n_genes, -0.3)])
+        winners = [matrix[-1] for matrix in seen if len(matrix) in (1, 13)]
+        assert len(winners) == 9  # one per generation
+        for genes in winners:
+            assert SIGNED_ENCODER.snap(genes).tobytes() == genes.tobytes()
+            assert (genes[SIGNED_ENCODER.integral] == 0.0).all()
 
     def test_needs_some_fitness(self):
         from repro.errors import SearchError
@@ -586,6 +627,24 @@ class TestOptimizerBatchEquivalence:
         assert calls[0][1][-1].tobytes() == floor_row[0].tobytes()
         assert surrogate.stats.n_queries == before + 834
 
+    def test_surrogate_method_is_looked_up_per_search(self, surrogate, monkeypatch):
+        """A wrapper shadowing ``predict_features`` on the surrogate
+        instance *after* the Rafiki is built, as the e2e trace does, sees
+        every call of the next search: 18 calls and 834 rows at 48 x 16."""
+        rafiki = Rafiki(CassandraLike(), surrogate, PARAMS, seed=1)
+        rafiki.optimizer.generations = 16
+        sizes = []
+        inner = surrogate.predict_features
+
+        def counting(rows):
+            sizes.append(len(rows))
+            return inner(rows)
+
+        monkeypatch.setattr(surrogate, "predict_features", counting)
+        result = rafiki.recommend(0.3)
+        assert len(sizes) == 18
+        assert sum(sizes) == result.evaluations == 834
+
     def test_uncertainty_penalty_single_ensemble_walk(self, surrogate):
         """The penalized fitness must not re-run the ensemble for the
         spread: n_queries grows by the row count once, not twice."""
@@ -603,6 +662,68 @@ class TestOptimizerBatchEquivalence:
         ).optimize(0.5, seed=0)
         assert any(e.topic == "search.start" for e in seen)
         assert any(e.topic == "search.done" for e in seen)
+
+
+class TestColdSearchPinned:
+    """``optimize`` on the test surrogate, to the last bit, at values
+    captured before the search's fitness and the ensemble's forward were
+    last rewritten: production and ``tests/oracles.py`` cannot drift
+    together unnoticed.  ``(penalty, population, generations, read
+    ratio, seed)`` -> the non-default settings, ``predicted_throughput``
+    as hex, ``evaluations``, ``len(history)`` and a hash of ``history``."""
+
+    CASES = [
+        (  # the e2e budget, every generation run
+            (0.0, 48, 16, 0.3, 5),
+            {"compaction_method": "LeveledCompactionStrategy", "concurrent_writes": 39,
+             "file_cache_size_in_mb": 1750,
+             "memtable_cleanup_threshold": 0.3512849370148661, "concurrent_compactors": 4},
+            "0x1.1c8f8f4fc7c4dp+16", 834, 17,
+            "c8e791b269f42c445d3d12c259031921ac3c8cd8b1edd8c1194bb38fc4b2aaa1",
+        ),
+        (  # the same under an uncertainty penalty
+            (0.5, 48, 16, 0.3, 5),
+            {"compaction_method": "LeveledCompactionStrategy", "concurrent_writes": 43,
+             "file_cache_size_in_mb": 1632,
+             "memtable_cleanup_threshold": 0.25959490123521756, "concurrent_compactors": 5},
+            "0x1.168fa19d340f2p+16", 834, 17,
+            "92ed62c7c894524ed8fae2fb6c2d617b8fbca85db94917cec01f7cf35138e1b3",
+        ),
+        (  # the vendor-default floor wins
+            (0.5, 6, 2, 0.6, 6),
+            {},
+            "0x1.bc3beb2bd83efp+15", 22, 3,
+            "9aed8ffbcd963fe00394d118ebf4792a04c00641b723d311257d1273315c5acb",
+        ),
+        (  # stops early on stagnation, at generation 64 of 70
+            (0.0, 24, 70, 0.9, 0),
+            {"concurrent_writes": 37, "file_cache_size_in_mb": 2048,
+             "memtable_cleanup_threshold": 0.39560859294451334, "concurrent_compactors": 6},
+            "0x1.33b2ae8bc9749p+16", 1626, 65,
+            "95a94e2f4f6761dd2820e0e3b4c4bebd66becf49134222228ea3f04de49c3c35",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "budget,non_default,throughput,evaluations,n_history,history_sha", CASES,
+        ids=lambda value: str(value) if isinstance(value, tuple) else "",
+    )
+    def test_result_is_pinned(
+        self, surrogate, budget, non_default, throughput, evaluations, n_history, history_sha
+    ):
+        penalty, population, generations, rr, seed = budget
+        result = ConfigurationOptimizer(
+            surrogate,
+            population_size=population,
+            generations=generations,
+            uncertainty_penalty=penalty,
+        ).optimize(rr, seed=seed)
+        assert result.configuration.non_default_items() == non_default
+        assert result.predicted_throughput.hex() == throughput
+        assert result.evaluations == evaluations
+        assert len(result.history) == n_history
+        digest = hashlib.sha256(np.array(result.history).tobytes()).hexdigest()
+        assert digest == history_sha
 
 
 class TestBaselineSearcherEquivalence:

@@ -83,6 +83,20 @@ class TestSurrogateModel:
         assert fitted.stats.n_queries == before + 1
         assert fitted.stats.seconds_per_query >= 0
 
+    def test_query_width_checked_at_the_boundary(self, fitted):
+        """Rows of another width, or of more than two axes, are refused
+        by the one check every query passes, naming the width it expects,
+        and the refused query is not counted."""
+        before = fitted.stats.n_queries
+        for rows in (np.zeros((3, 5)), np.zeros(7), np.zeros((2, 3, 6)), np.float64(0.5)):
+            with pytest.raises(TrainingError, match="of 6 features"):
+                fitted.predict_features(rows)
+            with pytest.raises(TrainingError, match="of 6 features"):
+                fitted.predict_mean_std(rows)
+        with pytest.raises(TrainingError, match="of 6 features"):
+            fitted.ensemble.predict(np.zeros((4, 7)))
+        assert fitted.stats.n_queries == before
+
     def test_fast_queries(self, fitted, space):
         """§4.8: the surrogate answers in ~tens of microseconds, enabling
         thousands of evaluations per second; allow generous slack for
