@@ -68,7 +68,7 @@ TRAPS = [
                 "                    generation - 1,\n"
                 "                    winner,\n"
                 "                    float(raw[-1]),\n"
-                "                    self.evaluations - self.population_size,\n"
+                "                    self.evaluations - population_size,\n"
                 "                )\n",
                 "                late = (generation - 1, winner, float(raw[-1]),\n"
                 "                        self.evaluations - self.population_size)\n",
@@ -95,7 +95,7 @@ TRAPS = [
         GA,
         [
             (
-                "if generation == self.generations or stagnant + 1 >= self.stagnation_limit:",
+                "if generation == self.generations or stagnant + 1 >= stagnation_limit:",
                 "if generation == self.generations:",
             )
         ],
@@ -106,7 +106,7 @@ TRAPS = [
         GA,
         [
             (
-                "self.evaluations - self.population_size,",
+                "self.evaluations - population_size,",
                 "self.evaluations,",
             )
         ],
@@ -128,12 +128,40 @@ TRAPS = [
         GA,
         [
             (
-                "batch = np.empty((self.population_size + 1, n_genes))",
+                "batch = np.empty((population_size + 1, n_genes))",
                 "batch = population.base if generation > 1 else "
-                "np.empty((self.population_size + 1, n_genes))",
+                "np.empty((population_size + 1, n_genes))",
             )
         ],
         f"{REFERENCE}::test_surrogate_search",
+    ),
+    (
+        "crossover's (1 - w) taken after the weight block was overwritten",
+        GA,
+        [
+            (
+                "                np.multiply(weights, parents[:n_children], out=children)\n"
+                "                # (1 - weights) * second parents, in the weight block: the\n"
+                "                # first parents' product above was the weights' last use.\n"
+                "                np.subtract(1.0, weights, out=weights)\n",
+                "                np.subtract(1.0, weights, out=weights)\n"
+                "                np.multiply(weights, parents[:n_children], out=children)\n",
+            )
+        ],
+        f"{REFERENCE}::test_surrogate_search",
+    ),
+    (
+        "a non-finite derived penalty scale let through",
+        GA,
+        [("if not penalty_scale < math.inf:", "if False:")],
+        "tests/test_ga_algorithm.py::TestGeneticAlgorithm"
+        "::test_non_finite_initial_spread_rejected",
+    ),
+    (
+        "search.generation skipped when a bus is attached",
+        GA,
+        [("if generation and bus is not None:", "if False:")],
+        f"{EQUIVALENCE}::TestSearchEvents::test_ga_publishes_lifecycle_events",
     ),
     (
         "the riding winner keeps the -0.0 that rounding gives small negatives",
@@ -184,6 +212,18 @@ TRAPS = [
         "a one-row query contracted without its twin row",
         ENSEMBLE,
         [("            x = np.concatenate((x, x))\n", "            pass\n")],
+        f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
+        "::test_stacked_forward_matches_per_member_oracle",
+    ),
+    (
+        "tanh written in place through a flipped (transposed) layout",
+        ENSEMBLE,
+        [
+            (
+                'a = np.tanh(a.transpose(0, 2, 1), order="C")',
+                "a = np.tanh(a, out=a).transpose(0, 2, 1)",
+            )
+        ],
         f"{EQUIVALENCE}::TestEnsembleBatchEquivalence"
         "::test_stacked_forward_matches_per_member_oracle",
     ),

@@ -18,6 +18,7 @@ All searches report a cost ledger so the §4.8 claim (GA+surrogate uses
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -77,8 +78,8 @@ class ConfigurationOptimizer:
         higher than anything evolution found.  (Injecting it into the
         population instead collapses diversity around it.)
 
-        ``uncertainty_penalty`` (an extension beyond the paper) subtracts
-        ``k x ensemble-spread`` from the fitness, discouraging the GA
+        ``uncertainty_penalty`` (an extension beyond the paper; finite,
+        non-negative) subtracts ``k x ensemble-spread`` from the fitness, discouraging the GA
         from chasing over-predictions in sparsely sampled corners.
 
         The whole GA population is scored per generation in one
@@ -92,8 +93,8 @@ class ConfigurationOptimizer:
             raise SearchError(
                 "optimizer parameters must match the surrogate's features"
             )
-        if uncertainty_penalty < 0.0:
-            raise SearchError("uncertainty_penalty must be non-negative")
+        if not 0.0 <= uncertainty_penalty < math.inf:
+            raise SearchError("uncertainty_penalty must be finite and non-negative")
         _check_sizes(population_size, generations)
         self.encoder = ConfigurationEncoder(surrogate.space, names)
         #: The vendor default's genes, the floor candidate.
@@ -120,15 +121,16 @@ class ConfigurationOptimizer:
         rows[:, 0] = read_ratio
         units = rows[:, 1:]
         np.divide(self.default_genes - lower, span, out=units[-1])
-        penalty = self.uncertainty_penalty
+        penalty, population_size = self.uncertainty_penalty, self.population_size
         surrogate = self.surrogate
         predict = surrogate.predict_mean_std if penalty > 0.0 else surrogate.predict_features
 
         def fitness(genes_matrix: np.ndarray) -> np.ndarray:
             n = len(genes_matrix)
-            np.subtract(genes_matrix, lower, out=units[:n])
-            units[:n] /= span
-            m = n + 1 if fitness.floor is None and n == self.population_size else n
+            block = units[:n]
+            np.subtract(genes_matrix, lower, out=block)
+            block /= span
+            m = n + 1 if n == population_size and fitness.floor is None else n
             if penalty > 0.0:
                 mean, spread = predict(rows[:m])
                 scores = mean - penalty * spread

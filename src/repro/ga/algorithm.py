@@ -32,6 +32,7 @@ the previous generation's snapped winner (see :meth:`GeneticAlgorithm.run`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -88,8 +89,9 @@ class GeneticAlgorithm:
         member network once per generation instead of once per
         individual.
     penalty_scale:
-        Deb-penalty coefficient; if None it is set adaptively to the
-        spread of the initial population's fitness.
+        Deb-penalty coefficient, finite and non-negative; if None it is
+        set adaptively to the spread of the initial population's fitness,
+        which must then be finite.
     bus:
         Optional :class:`~repro.runtime.events.EventBus`; when given,
         ``run`` publishes ``search.start`` / ``search.generation`` /
@@ -113,8 +115,10 @@ class GeneticAlgorithm:
         _check_sizes(population_size, generations, elites)
         if not (0.0 <= mutation_rate <= 1.0):
             raise SearchError("mutation_rate must be in [0, 1]")
-        if not mutation_scale >= 0.0:
-            raise SearchError("mutation_scale must be non-negative")
+        if not 0.0 <= mutation_scale < math.inf:
+            raise SearchError("mutation_scale must be finite and non-negative")
+        if penalty_scale is not None and not 0.0 <= penalty_scale < math.inf:
+            raise SearchError("penalty_scale must be finite and non-negative")
         if stagnation_limit < 1:
             raise SearchError("stagnation_limit must be at least 1")
         if fitness_fn is None and fitness_batch_fn is None:
@@ -191,8 +195,13 @@ class GeneticAlgorithm:
             generations=self.generations,
             batched=self.fitness_batch_fn is not None,
         )
-        n_children = self.population_size - self.elites
-        parent_rows = np.arange(2 * n_children)
+        population_size, elites = self.population_size, self.elites
+        mutation_rate, mutation_scale = self.mutation_rate, self.mutation_scale
+        stagnation_limit, bus = self.stagnation_limit, self.bus
+        n_children = population_size - elites
+        # Each child's two tournaments, three contenders a row: a
+        # winner's offset into the flattened draw is 3 * row + its column.
+        row_offsets = np.arange(0, 6 * n_children, 3)
         best_genes, best_fit, stagnant, history = None, None, 0, []
 
         def book(generation: int, genes: np.ndarray, raw: float, evaluations: int) -> bool:
@@ -203,22 +212,22 @@ class GeneticAlgorithm:
             else:
                 stagnant += 1
             history.append(best_fit)
-            if generation:
-                self._publish(
+            if generation and bus is not None:  # the message is built only to be heard
+                bus.publish(
                     "search.generation",
                     f"generation {generation}: best {best_fit:,.1f}",
                     generation=generation,
                     best_fitness=best_fit,
                     evaluations=evaluations,
                 )
-            return stagnant >= self.stagnation_limit
+            return stagnant >= stagnation_limit
 
         # The population stays within bounds from here on: a uniform
         # draw (the same stream, and the same rows, as ``population_size``
         # calls of ``encoder.random_genes``), validated seeds, and
         # children clipped by the mutation.
-        population = rng.uniform(lower, upper, size=(self.population_size, n_genes))
-        for i, genes in enumerate(initial_genes[: self.population_size]):
+        population = rng.uniform(lower, upper, size=(population_size, n_genes))
+        for i, genes in enumerate(initial_genes[:population_size]):
             population[i] = genes
         winner = None  # the previous generation's, when it rides along
         for generation in range(self.generations + 1):
@@ -229,26 +238,32 @@ class GeneticAlgorithm:
                 # kind: both parents of every child (3-way tournaments, ties
                 # to the earliest-drawn contender), crossover weights and
                 # mutation mask together, the mutation noise.
-                batch = np.empty((self.population_size + 1, n_genes))
-                children = batch[self.elites : self.population_size]
-                elite_rows = fitness.argsort()[::-1][: self.elites]
-                contenders = rng.integers(self.population_size, size=(2 * n_children, 3))
-                parents = population[contenders[parent_rows, fitness[contenders].argmax(axis=1)]]
+                batch = np.empty((population_size + 1, n_genes))
+                children = batch[elites:population_size]
+                elite_rows = fitness.argsort()[: -elites - 1 : -1]
+                contenders = rng.integers(population_size, size=(2 * n_children, 3))
+                picks = fitness[contenders].argmax(axis=1)
+                picks += row_offsets
+                parents = population.take(contenders.take(picks), axis=0)
                 weights, mutate = rng.random((2, n_children, n_genes))
                 np.multiply(weights, parents[:n_children], out=children)
-                children += (1.0 - weights) * parents[n_children:]
+                # (1 - weights) * second parents, in the weight block: the
+                # first parents' product above was the weights' last use.
+                np.subtract(1.0, weights, out=weights)
+                weights *= parents[n_children:]
+                children += weights
                 noise = rng.standard_normal((n_children, n_genes))
-                noise *= self.mutation_scale  # noise * scale * span, left to right
+                noise *= mutation_scale  # noise * scale * span, left to right
                 noise *= encoder.span
-                np.add(children, noise, out=children, where=mutate < self.mutation_rate)
+                np.add(children, noise, out=children, where=mutate < mutation_rate)
                 # np.clip without its wrapper.  The two differ only on
                 # a signed zero against a zero bound, and no draw,
                 # crossover or mutation makes a -0.0 gene: only an
                 # ``initial`` seed can bring one in.
                 np.maximum(children, lower, out=children)
                 np.minimum(children, upper, out=children)
-                batch[: self.elites] = population[elite_rows]
-                population = batch[: self.population_size]
+                population.take(elite_rows, axis=0, out=batch[:elites])
+                population = batch[:population_size]
             if winner is None:
                 raw = self._raw_fitness_many(population)
             else:
@@ -258,24 +273,32 @@ class GeneticAlgorithm:
                     generation - 1,
                     winner,
                     float(raw[-1]),
-                    self.evaluations - self.population_size,
+                    self.evaluations - population_size,
                 )
                 raw = raw[:-1]
             if generation == 0:
-                if self.penalty_scale is not None:
-                    penalty_scale = self.penalty_scale
-                else:
-                    spread = max(np.ptp(raw), abs(np.mean(raw)) * 0.1, 1e-9)
+                penalty_scale = self.penalty_scale
+                if penalty_scale is None:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        spread = max(np.ptp(raw), abs(np.mean(raw)) * 0.1, 1e-9)
                     penalty_scale = 2.0 * spread
+                    if not penalty_scale < math.inf:
+                        raise SearchError(
+                            "generation 0's fitness spread is not finite: "
+                            "no penalty scale derives from it"
+                        )
             # Deb penalty: the population is within bounds, so its
-            # violation is the integrality gap alone; feasible rows pass
-            # through untouched, as in :func:`penalized_fitness`.
-            gap = encoder._integrality_gap(population)
-            fitness = np.where(gap > 0.0, raw - penalty_scale * gap, raw)
+            # violation is the integrality gap alone.  Feasible rows pass
+            # through untouched, as in :func:`penalized_fitness`, with no
+            # mask: a finite scale times their zero gap is 0.0, and
+            # ``raw - 0.0`` is ``raw`` bit for bit.
+            fitness = encoder._integrality_gap(population)
+            fitness *= penalty_scale
+            np.subtract(raw, fitness, out=fitness)
             # ``encoder.snap`` of an in-bounds row: its clip is the identity.
             best = population[fitness.argmax()]
             winner = np.where(encoder.integral, best.round() + 0.0, best)
-            if generation == self.generations or stagnant + 1 >= self.stagnation_limit:
+            if generation == self.generations or stagnant + 1 >= stagnation_limit:
                 raw_winner = float(self._raw_fitness_many(winner[None, :])[0])
                 if book(generation, winner, raw_winner, self.evaluations):
                     break

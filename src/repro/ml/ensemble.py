@@ -214,10 +214,11 @@ class NetworkEnsemble:
         multiply-add chain as ``forward_rows`` while there is a row axis
         to walk, so a one-row query is scored as two copies of its row.
         A width-1 layer's dot kernel follows its operands' strides, so it
-        keeps the ``(M, n, fan_in)`` C layout.  ``tanh(order="C")``
-        writes each activation in the layout the next layer reads.  The
-        members accumulate sequentially, elementwise: row-stable, unlike
-        an ``np.mean`` axis reduction.
+        keeps the ``(M, n, fan_in)`` C layout.  Where the layout flips,
+        ``tanh(order="C")`` writes the activation in the layout the next
+        layer reads; elsewhere ``tanh`` runs in place.  The members
+        accumulate sequentially, elementwise: row-stable, unlike an
+        ``np.mean`` axis reduction.
         """
         if not self.networks:
             raise TrainingError("ensemble used before fit()")
@@ -233,27 +234,33 @@ class NetworkEnsemble:
         if n == 1:  # keep a row axis for the wide layers to walk
             x = np.concatenate((x, x))
         if layers[0][3]:  # a wide first layer reads (d, n)
-            a = np.subtract(x.T, x_mean, out=np.empty(x.shape[::-1]))
+            a = np.subtract(x.T, x_mean, order="C")
             a /= x_scale
         else:
             a = (x - x_mean) / x_scale
         for layer, (subscripts, w, b, wide, flip) in enumerate(layers):
-            if layer:
-                a = np.tanh(a.transpose(0, 2, 1) if flip else a, order="C")
+            if flip:
+                a = np.tanh(a.transpose(0, 2, 1), order="C")
+            elif layer:
+                np.tanh(a, out=a)  # ``a`` is this call's own einsum output
             a = np.einsum(subscripts, w, a) if wide else np.einsum(subscripts, a, w)
             a += b
         forwards = a[:, :n, 0]  # the output layer is width-1
-        total = forwards[0].copy()
-        for f in forwards[1:]:
-            total += f
-        mean = total / len(forwards)
-        out = mean * y_scale + y_mean
+        members = len(forwards)
+        # A fresh array from its first sum on, so finished in place.
+        mean = forwards[0] + forwards[1] if members > 1 else forwards[0].copy()
+        for f in forwards[2:]:
+            mean += f
+        mean /= members
         if not spread:
-            return out
+            mean *= y_scale
+            mean += y_mean
+            return mean
+        out = mean * y_scale + y_mean
         sq = np.zeros_like(mean)
         for f in forwards:
             sq += (f - mean) ** 2
-        return out, np.sqrt(sq / len(forwards)) * y_scale
+        return out, np.sqrt(sq / members) * y_scale
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Ensemble-mean prediction in original target units (AOPS)."""

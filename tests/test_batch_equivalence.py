@@ -279,6 +279,35 @@ class TestStackedEnsembleState:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert pickle.dumps(loaded) == cold
 
+    def test_forward_results_are_fresh_arrays(self, surrogate):
+        """The forward runs ``tanh`` and finishes the member mean in
+        place: neither may write into an array a caller holds, at one
+        row (the twin-row path), a population and a population plus one."""
+        rng = np.random.default_rng(11)
+        width = 1 + len(PARAMS)
+        rows = rng.random((48, width))
+        first = surrogate.predict_features(rows)
+        second = surrogate.predict_features(rows)
+        mean, std = surrogate.predict_mean_std(rows)
+        single = make_ensemble(n_features=width, n_networks=1, seed=3)
+        alone = [single.predict(rows), single.predict(rows), *single.predict_mean_std(rows)]
+        results = [first, second, mean, std]
+        for group in (results, alone):
+            for i, a in enumerate(group):
+                assert not np.shares_memory(a, rows)
+                for b in group[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+        kept = [r.copy() for r in results + alone]
+        for n in (1, 48, 49):
+            later = rng.random((n, width))
+            surrogate.predict_features(later)
+            surrogate.predict_mean_std(later)
+            single.predict(later)
+            single.predict_mean_std(later)
+        for got, want in zip(results + alone, kept):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(first, second) and np.array_equal(first, mean)
+
     def test_mismatched_member_topologies_rejected(self):
         from repro.errors import TrainingError
 

@@ -67,8 +67,10 @@ class TestConfigurationOptimizer:
             ConfigurationOptimizer(surrogate, parameters=PARAMS[:2])
 
     def test_negative_uncertainty_penalty_rejected(self, surrogate):
-        with pytest.raises(SearchError):
-            ConfigurationOptimizer(surrogate, uncertainty_penalty=-0.1)
+        # NaN would search unpenalized, inf would score NaN fitness.
+        for penalty in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(SearchError, match="uncertainty_penalty"):
+                ConfigurationOptimizer(surrogate, uncertainty_penalty=penalty)
 
     @pytest.mark.parametrize("population,generations", [(2, 0), (3, 70), (48, 0)])
     def test_ga_sizes_checked_at_construction(self, surrogate, population, generations):

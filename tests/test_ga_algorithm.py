@@ -170,6 +170,10 @@ class TestGeneticAlgorithm:
             (dict(mutation_rate=float("nan")), "mutation_rate"),
             (dict(mutation_scale=-1), "mutation_scale"),
             (dict(mutation_scale=float("nan")), "mutation_scale"),
+            (dict(mutation_scale=float("inf")), "mutation_scale"),
+            (dict(penalty_scale=-1.0), "penalty_scale"),
+            (dict(penalty_scale=float("nan")), "penalty_scale"),
+            (dict(penalty_scale=float("inf")), "penalty_scale"),
         ],
     )
     def test_rate_scale_and_stagnation_validated(self, quad_space, kwargs, message):
@@ -183,8 +187,35 @@ class TestGeneticAlgorithm:
             dict(stagnation_limit=1),
             dict(mutation_rate=0.0, mutation_scale=0.0),
             dict(mutation_rate=1.0),
+            dict(penalty_scale=0.0),
         ):
             result = GeneticAlgorithm(
                 encoder, lambda g: float(-(g**2).sum()), generations=3, **kwargs
             ).run(seed=0)
             assert result.generations >= 1
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [np.nan, 1.0],
+            [np.inf, 1.0],
+            [np.inf, -np.inf],
+            [np.inf, np.inf],
+        ],
+        ids=["nan", "inf", "both-infs", "all-inf"],
+    )
+    def test_non_finite_initial_spread_rejected(self, mixed_space, scores):
+        """With no ``penalty_scale`` the scale is generation 0's fitness
+        spread; a spread that is not finite has no scale to give, and the
+        penalty subtracts ``scale * gap`` from every row."""
+        encoder = ConfigurationEncoder(mixed_space, ["n", "x"])
+        values = np.resize(np.array(scores), 9)
+
+        def fitness(matrix: np.ndarray) -> np.ndarray:
+            return values[: len(matrix)].copy()
+
+        ga = GeneticAlgorithm(
+            encoder, fitness_batch_fn=fitness, population_size=8, generations=3
+        )
+        with pytest.raises(SearchError, match="spread"):
+            ga.run(seed=0)
