@@ -41,6 +41,8 @@ ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
 PLAN_TRAPS = "tests/test_batch_opstream.py::TestProbePlanTraps"
 BLOOM = "repro/lsm/bloom.py"
+CACHE = "repro/sim/cache.py"
+CACHE_TESTS = "tests/test_sim_cache.py::TestLruFileCache"
 STATE_MACHINE = "tests/test_lsm_state_machine.py::TestEngineMatchesDict"
 BACKGROUND = "repro/lsm/background.py"
 BACKGROUND_TESTS = "tests/test_lsm_background.py"
@@ -321,8 +323,8 @@ TRAPS = [
         ENGINE,
         [
             (
-                "dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra",
-                "dt = max(dt_cpu, dt_seq, dt_pool) + extra",
+                "dt = max(dt_cpu, disk / rand_iops, read_pool)",
+                "dt = max(dt_cpu, read_pool)",
             )
         ],
         "tests/test_batch_opstream.py::TestProbePlanTraps"
@@ -351,15 +353,49 @@ TRAPS = [
         ENGINE,
         [
             (
-                't.min_key for t in tables], dtype=str), "left")',
-                't.min_key for t in tables], dtype=str), "right")',
+                'np.searchsorted(by_key, min_keys, "left")',
+                'np.searchsorted(by_key, min_keys, "right")',
             ),
             (
-                't.max_key for t in tables], dtype=str), "right")',
-                't.max_key for t in tables], dtype=str), "left")',
+                'np.searchsorted(by_key, max_keys, "right")',
+                'np.searchsorted(by_key, max_keys, "left")',
             ),
         ],
         f"{PLAN_TRAPS}::test_reads_on_and_past_the_table_key_ranges",
+    ),
+    (
+        "probe plan: presence taken from the search alone (every bloom positive a hit)",
+        ENGINE,
+        [
+            (
+                'karr.take(row, mode="clip") == keys[a:b]',
+                'karr.take(row, mode="clip") >= keys[a:b]',
+            )
+        ],
+        f"{PLAN_TRAPS}::test_reconfigure_between_blocks",
+    ),
+    (
+        "probe plan: each read's true-positive count shifted onto the next read",
+        ENGINE,
+        [
+            (
+                "np.bincount(reads[present], minlength=n)",
+                "np.bincount(reads[present] + 1, minlength=n + 1)[:n]",
+            )
+        ],
+        f"{PLAN_TRAPS}::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    (
+        "LRU replay: a hit not moved to the most-recent end",
+        CACHE,
+        [("                lru.move_to_end(page)\n", "")],
+        f"{CACHE_TESTS}::test_access_refreshes_recency",
+    ),
+    (
+        "LRU replay: the cache's hit and miss tallies not kept",
+        CACHE,
+        [("        self.hits += hits\n        self.misses += len(pages) - hits\n", "")],
+        f"{CACHE_TESTS}::test_hit_ratio",
     ),
     (
         "filter bank: a filter's bits read at its neighbour's offset",
@@ -384,10 +420,10 @@ TRAPS = [
         ENGINE,
         [
             (
-                "                        rec = table.record_at(row)\n",
-                "                        rec = table.record_at(row)\n"
-                "                        if rec.is_tombstone:\n"
-                "                            continue\n",
+                "                    rec = table.record_at(row)\n",
+                "                    rec = table.record_at(row)\n"
+                "                    if rec.is_tombstone:\n"
+                "                        continue\n",
             )
         ],
         STATE_MACHINE,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from typing import Deque, List, Optional, Sequence, Set
 from collections import deque
 
 import numpy as np
@@ -37,7 +37,6 @@ from repro.sim.disk import DiskModel
 from repro.sim.costs import (
     CostConstants,
     DEFAULT_COSTS,
-    read_cpu_seconds,
     write_cpu_seconds,
 )
 from repro.sim.hardware import DEFAULT_SERVER, HardwareSpec
@@ -96,23 +95,22 @@ class _PendingCompaction:
 
 
 class _ProbePlan:
-    """SSTable probe events for the reads of one block.
+    """SSTable probe work for the reads of one block.
 
     ``names``/``h1``/``h2`` (key array, :func:`hash_keys` pair) and
     ``order`` (the reads sorted by key) are fixed for the block;
-    :meth:`LSMEngine._replan` derives the rest for the reads from
-    ``base`` on under layout epoch ``epoch``: per read its bloom-check
-    count and, in ``events[starts[i]:starts[i + 1]]``, one ``(table,
-    cache page, sorted position or -1)`` per bloom-positive candidate in
-    the scalar probe's order.
+    :meth:`LSMEngine._replan` derives the rest for the reads from some
+    ``k`` on under the current layout: per read its bloom-check count,
+    its true-positive count and, in ``pages[starts[i]:starts[i + 1]]``,
+    the cache page of each bloom-positive candidate in the scalar
+    probe's order — all a block's stats, clock and cache read of it.
     """
 
-    __slots__ = ("names", "h1", "h2", "order", "epoch", "base", "blooms", "starts", "events")
+    __slots__ = ("names", "h1", "h2", "order", "blooms", "positives", "starts", "pages")
 
     def __init__(self, names: np.ndarray, h1: np.ndarray, h2: np.ndarray):
         self.names, self.h1, self.h2 = names, h1, h2
         self.order = np.argsort(names, kind="stable")
-        self.epoch = -1  # no layout has this epoch: the first read plans
 
 
 class LSMEngine:
@@ -163,7 +161,8 @@ class LSMEngine:
         # {regime: terms}).
         self._terms: Optional[tuple] = None
         # Derived state, see _replan: (layout epoch, tables in candidate
-        # rank, their filters' bank or None); kept out of pickles.
+        # rank, their filters' bank or None, their min / max keys, ids,
+        # sizes and key counts); kept out of pickles.
         self._index: Optional[tuple] = None
 
     def __getstate__(self):
@@ -186,17 +185,23 @@ class LSMEngine:
             return None
         return best.value
 
-    def _table_events(self, key: str) -> Tuple[int, list]:
-        """``(bloom checks, probe events)`` of ``key``, found table by
-        table — any string, hashed once."""
+    def _probe(self, key: str, best: Optional[Record]) -> tuple:
+        """``(bloom checks, cache pages, true positives, newest record)``
+        of ``key``, found table by table — any string, hashed once;
+        ``best`` is the memtable's record or None."""
         candidates = self.layout.read_candidates(key)
         hashed = hash_key(key) if candidates else None
-        events = []
+        pages, positives = [], 0
         for table in candidates:
             if table.might_contain(key, hashed):
                 block, row = table.locate(key)
-                events.append((table, (table.table_id, block), row))
-        return len(candidates), events
+                pages.append((table.table_id, block))
+                if row >= 0:  # else a bloom false positive
+                    positives += 1
+                    rec = table.record_at(row)
+                    if best is None or rec.supersedes(best):
+                        best = rec
+        return len(candidates), pages, positives, best
 
     def _plan(self, keys: Sequence[str]) -> Optional[_ProbePlan]:
         """An unbuilt probe plan for ``keys``; None when they do not hash
@@ -216,27 +221,37 @@ class LSMEngine:
         candidate, in a deeper level only the *first* (``read_candidates``
         breaks on a match; tables can overlap mid-compaction) — then one
         bloom test of all (table, read) pairs against the epoch's
-        filters end to end, and one search per table for its positives.
-        A stable sort by read leaves each read's events in the order the
-        table-by-table probe meets them, so the LRU replay and every
-        tally come out bit-identical to it.
+        filters end to end, and per table one search over its positives
+        and one look at the key it lands on (presence).  A stable sort
+        by read leaves each read's pages in the order the table-by-table
+        probe meets them, so the LRU replay and every tally come out
+        bit-identical to it.  The tables' key ranges, ids, sizes and
+        counts are held with the bank, per layout epoch.
         """
         layout = self.layout
         if self._index is None or self._index[0] != layout.epoch:
             tables = list(reversed(layout.levels[0]))
             tables += [t for level in layout.levels[1:] for t in level]
             exact = all(t.keys_array() is not None for t in tables)
-            bank = _FilterBank([t.bloom for t in tables]) if exact else None
-            self._index = (layout.epoch, tables, bank)
-        _, tables, bank = self._index
-        plan.epoch, plan.base = layout.epoch, k
+            self._index = (
+                layout.epoch,
+                tables,
+                _FilterBank([t.bloom for t in tables]) if exact else None,
+                np.array([t.min_key for t in tables], dtype=str),
+                np.array([t.max_key for t in tables], dtype=str),
+                *np.array(
+                    [(t.table_id, t.size_bytes, t.key_count) for t in tables], dtype=np.int64
+                ).reshape(-1, 3).T,
+            )
+        _, tables, bank, min_keys, max_keys, ids, sizes, counts = self._index
         names = plan.names[k:]
         n = len(names)
         if bank is None:  # a table holds a NUL key: probe table by table
-            found = [self._table_events(key) for key in names.tolist()]
-            plan.blooms = [count for count, _ in found]
-            plan.events = [event for _, events in found for event in events]
-            plan.starts = np.cumsum([0] + [len(events) for _, events in found]).tolist()
+            found = [self._probe(key, None) for key in names.tolist()]
+            plan.blooms = [f[0] for f in found]
+            plan.pages = [page for f in found for page in f[1]]
+            plan.positives = [f[2] for f in found]
+            plan.starts = np.cumsum([0] + [len(f[1]) for f in found]).tolist()
             return
         # Every L0 table counts a bloom check, in range or not (the range
         # check comes after the counter, as in might_contain).
@@ -244,8 +259,8 @@ class LSMEngine:
         blooms = np.full(n, n_l0, dtype=np.int64)
         order = plan.order if k == 0 else plan.order[plan.order >= k] - k
         by_key = names[order]
-        lo = np.searchsorted(by_key, np.array([t.min_key for t in tables], dtype=str), "left")
-        hi = np.searchsorted(by_key, np.array([t.max_key for t in tables], dtype=str), "right")
+        lo = np.searchsorted(by_key, min_keys, "left")
+        hi = np.searchsorted(by_key, max_keys, "right")
         spans = [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
         owners = [t for t in range(n_l0) if len(spans[t])]
         chunks = [spans[t] for t in owners]
@@ -262,37 +277,28 @@ class LSMEngine:
             first += len(level)
         plan.blooms = blooms.tolist()
         if not chunks:
-            plan.starts, plan.events = [0] * (n + 1), []
+            plan.starts, plan.pages, plan.positives = [0] * (n + 1), [], [0] * n
             return
         owner = np.repeat(owners, [len(c) for c in chunks])
         reads = np.concatenate(chunks)
         positive = bank.might_contain_pairs(owner, plan.h1[k:][reads], plan.h2[k:][reads])
         owner, reads = owner[positive], reads[positive]
         keys = names[reads]
-        clamped = np.empty(len(reads), dtype=np.int64)
         rows = np.empty(len(reads), dtype=np.int64)
+        present = np.empty(len(reads), dtype=bool)
         # ``owner`` is non-decreasing (chunks went in rank order): one
         # search per table over its run of bloom positives.
         cuts = np.flatnonzero(np.diff(owner, prepend=-1, append=-1)).tolist()
         for a, b in zip(cuts, cuts[1:]):
             karr = tables[owner[a]].keys_array()
-            idx = np.searchsorted(karr, keys[a:b])
-            clamped[a:b] = np.minimum(idx, len(karr) - 1)
-            rows[a:b] = np.where(karr[clamped[a:b]] == keys[a:b], idx, -1)
-        ids, sizes, counts = np.array(
-            [(t.table_id, t.size_bytes, t.key_count) for t in tables], dtype=np.int64
-        ).T
-        blocks = _blocks_of_rows(clamped, sizes[owner], counts[owner])
+            rows[a:b] = row = karr.searchsorted(keys[a:b])
+            present[a:b] = karr.take(row, mode="clip") == keys[a:b]
+        plan.positives = np.bincount(reads[present], minlength=n).tolist()
+        count = counts[owner]
+        blocks = _blocks_of_rows(np.minimum(rows, count - 1), sizes[owner], count)
         by_read = np.argsort(reads, kind="stable")
-        owner = owner[by_read]
         plan.starts = np.searchsorted(reads[by_read], np.arange(n + 1)).tolist()
-        plan.events = list(
-            zip(
-                [tables[t] for t in owner.tolist()],
-                zip(ids[owner].tolist(), blocks[by_read].tolist()),
-                rows[by_read].tolist(),
-            )
-        )
+        plan.pages = list(zip(ids[owner[by_read]].tolist(), blocks[by_read].tolist()))
 
     def execute_batch(
         self,
@@ -363,8 +369,10 @@ class LSMEngine:
         block's probe plan (without one, SSTables are found table by
         table).  A read probes the memtable, then every bloom-positive
         SSTable (Cassandra merges row fragments, so it cannot stop
-        early), replaying its events against the LRU cache.  Returns the
-        clock after each op and the record the last read found.
+        early), replaying its pages against the LRU cache.  Returns the
+        clock after each op and the record the last read found — found
+        only without a plan (a one-op :meth:`get`): a planned read
+        counts its true positives and resolves no record.
 
         What depends only on ``knobs``/``costs`` is bound once and the
         op tallies are locals, written to the stats once per block; what
@@ -378,9 +386,11 @@ class LSMEngine:
         dstats, memtable, layout = self.disk.stats, self.memtable, self.layout
         pending, compactors = self._pending_compactions, knobs.concurrent_compactors
         mem_get, mem_put, log_append = memtable.get, memtable.put, self.commitlog.append
-        access, advance = self.cache.access, self.clock.advance
-        table_events, drain_compactions = self._table_events, self._drain_compactions
+        replay, advance = self.cache.replay, self.clock.advance
+        probe, drain_compactions = self._probe, self._drain_compactions
         write_cpu, log_overhead = write_cpu_seconds(costs), costs.commitlog_overhead_bytes
+        read_base, bloom_cpu = costs.cpu_read_base, costs.cpu_bloom_check
+        probe_cpu, hit_cpu = costs.cpu_probe, costs.cpu_cache_hit
         read_pool = costs.read_thread_hold / knobs.concurrent_reads
         write_pool = costs.write_thread_hold / knobs.concurrent_writes
         flush_bw = knobs.memtable_flush_writers * costs.flush_writer_bandwidth
@@ -390,7 +400,7 @@ class LSMEngine:
         seq_written, write_seq = dstats.seq_bytes_written, self._write_seq
         end_times: List[float] = []
         now = self.clock.now
-        terms = best = None
+        terms = best = epoch = None  # epoch: the layout the plan was derived under
         k = 0  # reads done (the next one is read k of the plan)
         for j, kind in enumerate(kinds):
             key = keys[j]
@@ -400,26 +410,22 @@ class LSMEngine:
                 if best is not None:
                     memtable_hits += 1
                 if plan is None:
-                    blooms, events = table_events(key)
+                    blooms, pages, positives, best = probe(key, best)
                 else:
-                    if plan.epoch != layout.epoch:
+                    if epoch != layout.epoch:
                         self._replan(plan, k)
-                    i = k - plan.base
-                    blooms = plan.blooms[i]
-                    events = plan.events[plan.starts[i] : plan.starts[i + 1]]
+                        epoch, base = layout.epoch, k
+                        p_blooms, p_positives = plan.blooms, plan.positives
+                        p_starts, p_pages = plan.starts, plan.pages
+                    i = k - base
+                    blooms, positives = p_blooms[i], p_positives[i]
+                    pages = p_pages[p_starts[i] : p_starts[i + 1]]
                 k += 1
-                hits = 0
-                for table, page, row in events:
-                    if access(page):
-                        hits += 1
-                    if row >= 0:  # else a bloom false positive
-                        true_positives += 1
-                        rec = table.record_at(row)
-                        if best is None or rec.supersedes(best):
-                            best = rec
-                probes = len(events)
+                hits = replay(pages) if pages else 0
+                probes = len(pages)
                 disk = probes - hits
                 bloom_checks += blooms
+                true_positives += positives
                 probed += probes
                 cache_hits += hits
             else:
@@ -447,7 +453,8 @@ class LSMEngine:
             # available cores (minus compaction CPU and contention),
             # leftover sequential bandwidth, leftover random IOPS, its
             # worker pool: the largest quotient is the time the system
-            # needed to push this op through at full concurrency.
+            # needed to push this op through at full concurrency.  A
+            # resource the op does not use is left out of the max.
             if terms is None:
                 terms = self._charge_terms()
                 cores, read_contention = terms.cores, terms.read_contention
@@ -455,17 +462,17 @@ class LSMEngine:
                 write_dt_cpu = write_cpu * terms.write_contention / cores
                 compaction_rate = terms.compaction_rate
             if reading:
-                cpu = read_cpu_seconds(blooms, probes, hits, costs)
-                dt_cpu, dt_pool = cpu * read_contention / cores, read_pool
-                dt_seq = dt_rand = extra = 0.0
+                # read_cpu_seconds, inline (one call per op costs more).
+                cpu = read_base + blooms * bloom_cpu + probes * probe_cpu + hits * hit_cpu
+                dt_cpu = cpu * read_contention / cores
                 if disk:
-                    dt_rand = disk / rand_iops
+                    dt = max(dt_cpu, disk / rand_iops, read_pool)
+                else:
+                    dt = max(dt_cpu, read_pool)
             else:
                 log_bytes = rec.size_bytes + log_overhead
                 seq_written += log_bytes
-                dt_cpu, dt_pool = write_dt_cpu, write_pool
-                dt_seq, dt_rand = log_bytes / seq_bandwidth, 0.0
-            dt = max(dt_cpu, dt_seq, dt_rand, dt_pool) + extra
+                dt = max(write_dt_cpu, log_bytes / seq_bandwidth, write_pool) + extra
             busy += dt
             now = advance(dt)
             end_times.append(now)

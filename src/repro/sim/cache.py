@@ -12,7 +12,7 @@ key-reuse distance (:mod:`repro.lsm.analytic`).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable
+from typing import Hashable, Sequence
 
 
 class LruFileCache:
@@ -48,18 +48,25 @@ class LruFileCache:
 
     def access(self, page_key: Hashable) -> bool:
         """Touch a page; return True on hit, False on miss (page loaded)."""
-        if self._capacity_pages == 0:
-            self.misses += 1
-            return False
-        if page_key in self._pages:
-            self._pages.move_to_end(page_key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._pages[page_key] = None
-        if len(self._pages) > self._capacity_pages:
-            self._pages.popitem(last=False)
-        return False
+        return self.replay((page_key,)) == 1
+
+    def replay(self, pages: Sequence[Hashable]) -> int:
+        """Touch ``pages`` in order; return how many were hits.  A hit
+        becomes the most recent page; a miss loads its page, evicting
+        the least recent past capacity."""
+        lru, capacity = self._pages, self._capacity_pages
+        hits = 0
+        for page in pages:
+            if page in lru:
+                lru.move_to_end(page)
+                hits += 1
+            else:
+                lru[page] = None
+                if len(lru) > capacity:
+                    lru.popitem(False)
+        self.hits += hits
+        self.misses += len(pages) - hits
+        return hits
 
     def invalidate_prefix(self, table_id: Hashable) -> int:
         """Drop all pages of a compacted-away SSTable; returns count."""

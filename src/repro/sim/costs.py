@@ -88,7 +88,9 @@ def read_cpu_seconds(
     cache_hits: float,
     costs: CostConstants = DEFAULT_COSTS,
 ) -> float:
-    """CPU seconds of one read: base + blooms + probes + cache copies."""
+    """CPU seconds of one read: base + blooms + probes + cache copies.
+    ``LSMEngine._execute`` writes this sum inline, per op, and must
+    change with it."""
     return (
         costs.cpu_read_base
         + tables_bloom_checked * costs.cpu_bloom_check

@@ -9,6 +9,7 @@ benchmark path computes in expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -16,6 +17,25 @@ import numpy as np
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE
 from repro.workload.keydist import _KEY_NAME_FORMAT, ExponentialReuseKeyDistribution
 from repro.workload.spec import WorkloadSpec
+
+#: Row of :func:`_code_groups` that holds ``_KEY_NAME_FORMAT``'s prefix.
+_PREFIX_ROW = 10_000
+
+
+@lru_cache(maxsize=None)
+def _code_groups() -> np.ndarray:
+    """``_KEY_NAME_FORMAT`` (``"user%012d"``) as sixteen code points in
+    four groups of four: row ``g`` is ``"%04d" % g`` and row
+    ``_PREFIX_ROW`` the prefix ``"user"``.  Built on first use."""
+    groups = np.empty((_PREFIX_ROW + 1, 4), dtype=np.uint32)
+    for column, place in enumerate((1000, 100, 10, 1)):
+        groups[:_PREFIX_ROW, column] = np.arange(_PREFIX_ROW, dtype=np.uint32) // place % 10 + 48
+    groups[_PREFIX_ROW] = [ord(c) for c in _KEY_NAME_FORMAT.partition("%")[0]]
+    return groups
+
+
+#: Rows per step when key names are built as a column.
+_NAME_CHUNK = 1024
 
 
 @dataclass
@@ -40,9 +60,30 @@ class OperationBatch:
         return len(self.kinds)
 
     def key_names(self) -> List[str]:
-        """Per-op key names (cached after first materialization)."""
+        """Per-op key names (cached after first materialization).
+
+        Each is ``_KEY_NAME_FORMAT % id``, built as a ``<U16`` column —
+        per row the prefix and three four-digit groups taken from
+        :func:`_code_groups`, a chunk of rows at a time so the
+        temporaries stay small — and taken out as ``str``; an id outside
+        ``[0, 10**12)`` falls back to ``%``.
+        """
         if self._names is None:
-            self._names = [_KEY_NAME_FORMAT % k for k in self.key_ids.tolist()]
+            ids = self.key_ids
+            if len(ids) and (ids.min() < 0 or ids.max() >= 10**12):
+                self._names = [_KEY_NAME_FORMAT % k for k in ids.tolist()]
+                return self._names
+            names: List[str] = []
+            rows = np.empty((min(len(ids), _NAME_CHUNK), 4), dtype=np.int64)
+            rows[:, 0] = _PREFIX_ROW
+            for a in range(0, len(ids), _NAME_CHUNK):
+                chunk = ids[a : a + _NAME_CHUNK]
+                groups = rows[: len(chunk)]
+                groups[:, 1], low = np.divmod(chunk, 10**8)
+                groups[:, 2], groups[:, 3] = np.divmod(low, 10**4)
+                codes = _code_groups().take(groups, axis=0).reshape(len(chunk), 16)
+                names += codes.view("U16").ravel().tolist()
+            self._names = names
         return self._names
 
 

@@ -8,6 +8,8 @@ re-accessed" (§3.3), summarized by a fitted exponential distribution.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.errors import WorkloadError
@@ -50,7 +52,7 @@ class ExponentialReuseKeyDistribution:
         self._history = np.empty(min(history_limit, 1024), dtype=np.int64)
         self._held = 0
         self._oldest = 0
-        self._last_seen: dict = {}
+        self._seen: Optional[dict] = {}  # see _last_seen
         self._count = 0
 
     def _reserve(self, n: int) -> None:
@@ -63,6 +65,17 @@ class ExponentialReuseKeyDistribution:
             grown[: self._held] = self._history[: self._held]
             self._history = grown
 
+    @property
+    def _last_seen(self) -> dict:
+        """Each key in the window -> the stream position it was last
+        drawn at.  Only :meth:`next_key` reads it, so :meth:`next_keys`
+        leaves it to be rebuilt from the window here, on the next read."""
+        if self._seen is None:
+            held, oldest, history = self._held, self._oldest, self._history
+            window = np.concatenate((history[oldest:held], history[:oldest])).tolist()
+            self._seen = dict(zip(window, range(self._count - held, self._count)))
+        return self._seen
+
     def key_name(self, key_id: int) -> str:
         """``key_id`` under :data:`_KEY_NAME_FORMAT`."""
         return _KEY_NAME_FORMAT % key_id
@@ -70,7 +83,9 @@ class ExponentialReuseKeyDistribution:
     def next_key(self, rng: np.random.Generator) -> int:
         """Return the integer id of the next key to access."""
         key = -1
-        held, history = self._held, self._history
+        held, history, last_seen = self._held, self._history, self._seen
+        if last_seen is None:  # a batch draw left it to be rebuilt
+            last_seen = self._last_seen
         if held and rng.random() < self.reuse_probability:
             # Draw a target distance; retry a couple of times if the
             # slot's key was re-accessed more recently (which would
@@ -80,7 +95,7 @@ class ExponentialReuseKeyDistribution:
                 if distance >= held:
                     break
                 candidate = int(history[(self._oldest + held - 1 - distance) % len(history)])
-                realized = self._count - self._last_seen.get(candidate, self._count) - 1
+                realized = self._count - last_seen.get(candidate, self._count) - 1
                 if realized >= distance // 2:
                     key = candidate
                     break
@@ -93,8 +108,8 @@ class ExponentialReuseKeyDistribution:
             # with it, and the new key takes its slot.
             slot = self._oldest
             oldest = int(history[slot])
-            if self._last_seen.get(oldest, -1) <= self._count - self.history_limit:
-                self._last_seen.pop(oldest, None)
+            if last_seen.get(oldest, -1) <= self._count - self.history_limit:
+                last_seen.pop(oldest, None)
             self._oldest = (slot + 1) % held
         else:
             if held == len(history):
@@ -102,7 +117,7 @@ class ExponentialReuseKeyDistribution:
             slot = held
             self._held += 1
         self._history[slot] = key
-        self._last_seen[key] = self._count
+        last_seen[key] = self._count
         self._count += 1
         return key
 
@@ -160,10 +175,9 @@ class ExponentialReuseKeyDistribution:
             parent = grand
         keys = keys[parent]
 
-        key_list = keys.tolist()
         self._reserve(n)
         self._history[h : h + n] = keys
         self._held += n
-        self._last_seen.update(zip(key_list, range(self._count, self._count + n)))
+        self._seen = None
         self._count += n
         return keys

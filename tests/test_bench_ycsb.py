@@ -112,3 +112,12 @@ class TestEngineRun:
         a = bench.run_engine(cassandra.default_configuration(), wl, n_ops=1_000, load_keys=500, seed=3)
         b = bench.run_engine(cassandra.default_configuration(), wl, n_ops=1_000, load_keys=500, seed=3)
         assert a.mean_throughput == pytest.approx(b.mean_throughput)
+
+    def test_engine_mean_throughput_is_pinned(self, cassandra):
+        """The materialized block's whole trajectory through one number:
+        any change to what an op is charged, probed or cached moves it."""
+        wl = WorkloadSpec(read_ratio=0.1, n_keys=4000, krd_mean_ops=500.0, value_bytes=120)
+        result = YCSBBenchmark(cassandra).run_engine(
+            cassandra.default_configuration(), wl, n_ops=4000, load_keys=2000, seed=7
+        )
+        assert result.mean_throughput == 109120.42120483227

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE
-from repro.workload.generator import OperationGenerator
+from repro.workload.generator import _NAME_CHUNK, OperationBatch, OperationGenerator
+from repro.workload.keydist import _KEY_NAME_FORMAT
 from repro.workload.spec import WorkloadSpec
 
 
@@ -70,3 +72,30 @@ class TestRunPhase:
         block = make_gen(rr=1.0).operation_batch(300)
         assert block.key_ids.max() < 1000
         assert all(int(name[4:]) < 1000 for name in block.key_names())
+
+
+def batch_of(ids):
+    ids = np.array(ids, dtype=np.int64)
+    return OperationBatch(
+        kinds=np.full(len(ids), OP_READ, dtype=np.int8),
+        key_ids=ids,
+        value_sizes=np.zeros(len(ids), dtype=np.int64),
+    )
+
+
+class TestKeyNames:
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [0, 1, 10**12 - 1],
+            # Longer than one chunk, ending mid-chunk, every digit group moving.
+            [(i * 7_919_737_117) % 10**12 for i in range(2 * _NAME_CHUNK + 37)],
+            [5, 10**12, 10**12 + 3],  # past twelve digits: the ``%`` fallback
+            [],
+        ],
+        ids=["ends", "chunks", "fallback", "empty"],
+    )
+    def test_names_are_the_format_of_the_ids(self, ids):
+        names = batch_of(ids).key_names()
+        assert names == [_KEY_NAME_FORMAT % i for i in ids]
+        assert all(type(name) is str for name in names)
