@@ -108,8 +108,18 @@ def cassandra_surrogate(cassandra, cassandra_dataset):
 
 
 @pytest.fixture(scope="session")
-def cassandra_rafiki(cassandra, cassandra_surrogate):
-    return Rafiki(cassandra, cassandra_surrogate, CASSANDRA_KEY_PARAMETERS, seed=SEED)
+def new_cassandra_rafiki(cassandra, cassandra_surrogate):
+    """A factory of fresh Rafikis over the session's surrogate: each has
+    its own empty recommendation cache and seed stream, so no bench
+    reads recommendations another bench warmed."""
+    return lambda: Rafiki(
+        cassandra, cassandra_surrogate, CASSANDRA_KEY_PARAMETERS, seed=SEED
+    )
+
+
+@pytest.fixture
+def cassandra_rafiki(new_cassandra_rafiki):
+    return new_cassandra_rafiki()
 
 
 @pytest.fixture(scope="session")
@@ -136,8 +146,14 @@ def scylla_surrogate(scylla, scylla_dataset):
 
 
 @pytest.fixture(scope="session")
-def scylla_rafiki(scylla, scylla_surrogate):
-    return Rafiki(scylla, scylla_surrogate, SCYLLA_KEY_PARAMETERS, seed=SEED + 1)
+def new_scylla_rafiki(scylla, scylla_surrogate):
+    """:func:`new_cassandra_rafiki` for the ScyllaDB surrogate."""
+    return lambda: Rafiki(scylla, scylla_surrogate, SCYLLA_KEY_PARAMETERS, seed=SEED + 1)
+
+
+@pytest.fixture
+def scylla_rafiki(new_scylla_rafiki):
+    return new_scylla_rafiki()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from repro.workload.mgrast import MGRastTraceGenerator
 
 
 @pytest.fixture(scope="module")
-def mode_results(cassandra, cassandra_rafiki, base_workload):
+def mode_results(cassandra, new_cassandra_rafiki, base_workload):
+    cassandra_rafiki = new_cassandra_rafiki()
     rr_series = MGRastTraceGenerator(seed=SEED + 3).read_ratio_series(24 * 3600)
 
     def run(mode, rafiki):

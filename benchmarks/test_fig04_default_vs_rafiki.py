@@ -18,7 +18,8 @@ from repro.core.search import ExhaustiveSearch
 
 
 @pytest.fixture(scope="module")
-def figure4_data(cassandra, cassandra_rafiki, base_workload, measure):
+def figure4_data(cassandra, new_cassandra_rafiki, base_workload, measure):
+    cassandra_rafiki = new_cassandra_rafiki()
     ratios = np.linspace(0.0, 1.0, 11)
     default_cfg = cassandra.default_configuration()
     rows = []

@@ -35,7 +35,8 @@ def cluster_throughput(cassandra, config, rr, n_nodes, workload, seed):
 
 
 @pytest.fixture(scope="module")
-def table3(cassandra, cassandra_rafiki, base_workload):
+def table3(cassandra, new_cassandra_rafiki, base_workload):
+    cassandra_rafiki = new_cassandra_rafiki()
     rows = {}
     default_cfg = cassandra.default_configuration()
     for n_nodes in (1, 2):

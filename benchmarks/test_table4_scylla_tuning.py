@@ -40,7 +40,8 @@ def scylla_measure(scylla, config, rr, seed_base):
 
 
 @pytest.fixture(scope="module")
-def table4(scylla, scylla_rafiki):
+def table4(scylla, new_scylla_rafiki):
+    scylla_rafiki = new_scylla_rafiki()
     rows = {}
     default_cfg = scylla.default_configuration()
     for rr in RATIOS:
@@ -101,8 +102,9 @@ def test_table4_scylla_tuning(table4, cassandra_results_for_contrast, benchmark)
 
 
 @pytest.fixture(scope="module")
-def cassandra_results_for_contrast(cassandra, cassandra_rafiki, measure):
+def cassandra_results_for_contrast(cassandra, new_cassandra_rafiki, measure):
     """Cassandra read-heavy gain, for the Scylla-is-harder contrast."""
+    cassandra_rafiki = new_cassandra_rafiki()
     tuned = cassandra_rafiki.recommend(0.9).configuration
     default = cassandra.default_configuration()
     return measure(tuned, 0.9) / measure(default, 0.9) - 1.0

@@ -56,8 +56,13 @@ SEGMENT_KEY = (
     "            or s.n_backlog != n_backlog\n"
     "            or s.flushing is not flushing\n"
 )
-SEGMENT_DROP = (
-    "        if moved or (model.memtable_bytes > t.half_flush_trigger) is not s.flushing:\n"
+FLAG_FLIP = (
+    "            if s is not None and (memtable > half_flush_trigger) is not flushing:\n"
+    "                s = None\n"
+)
+WRITE_BACK = (
+    "        model.memtable_bytes, model.dataset_bytes = memtable, dataset\n"
+    "        model.t, model.cache_age, model.total_ops = clock, age, ops\n"
 )
 
 TRAPS = [
@@ -475,25 +480,64 @@ TRAPS = [
         "tests/test_lsm_compaction.py::TestSizeBuckets"
         "::test_the_running_average_moves_the_window",
     ),
-    # -- the analytic substrate: what a node cursor holds across seconds,
-    # -- what keys a segment, and what a served step owes
+    # -- the analytic substrate: what the node-second kernel holds across
+    # -- seconds, what keys a segment, and what a served step owes
     (
-        "cursor: segment kept after the structure moved",
+        "kernel: segment kept after the structure moved",
         ANALYTIC,
-        [(SEGMENT_DROP, SEGMENT_DROP.replace("moved or ", ""))],
+        [
+            (
+                "                memtable, dataset = model.memtable_bytes, model.dataset_bytes\n"
+                "                s = None\n",
+                "                memtable, dataset = model.memtable_bytes, model.dataset_bytes\n",
+            )
+        ],
         f"{STRUCTURE}::test_chained_merge_keeps_backlog_length",
     ),
     (
-        "cursor: the half-trigger crossing ignored",
+        "kernel: the half-trigger crossing ignored",
         ANALYTIC,
-        [(SEGMENT_DROP, "        if moved:\n")],
+        [(FLAG_FLIP, "")],
         f"{STRUCTURE}::test_half_trigger_crossed_both_ways",
     ),
     (
-        "cursor: the hit ratio not recomputed after a step",
+        "kernel: the hit ratio read off the model's copies, stale within a segment",
         ANALYTIC,
-        [("        self.hit = model._cache_hit(t)\n", "")],
+        [
+            ("if not dataset / BLOCK_BYTES", "if not model.dataset_bytes / BLOCK_BYTES"),
+            ("exp(-age / CACHE_WARMUP_SECONDS)", "exp(-model.cache_age / CACHE_WARMUP_SECONDS)"),
+        ],
         f"{STRUCTURE}::test_working_set_outgrows_the_cache_mid_run",
+    ),
+    (
+        "kernel: the inline hit ratio's steady share frozen at the overflowing cache's",
+        ANALYTIC,
+        [
+            (
+                "                if not dataset / BLOCK_BYTES <= fits_pages:\n"
+                "                    hit = steady_hit * hit\n",
+                "                hit = steady_hit * hit\n",
+            )
+        ],
+        f"{STRUCTURE}::test_working_set_outgrows_the_cache_mid_run",
+    ),
+    (
+        "kernel: the clocks, bytes and op count not written back on close",
+        ANALYTIC,
+        [("    finally:\n" + WRITE_BACK, "    finally:\n        pass\n")],
+        f"{ANALYTIC_TESTS}::TestStepping::test_step_advances_time",
+    ),
+    (
+        "run: the single-node run's final step not absorbed",
+        ANALYTIC,
+        [
+            (
+                "            absorb((x * r * dt, x * w * dt))\n",
+                "            if k + 1 < steps:\n"
+                "                absorb((x * r * dt, x * w * dt))\n",
+            )
+        ],
+        "tests/test_lsm_analytic_properties.py::TestRunEqualsOracle::test_server",
     ),
     (
         "soft-min: the six-cap form drops its NaN fallback",
@@ -595,8 +639,8 @@ TRAPS = [
         ANALYTIC,
         [
             (
-                "if head.remaining_io_bytes > budget > 0.0:",
-                "if head.remaining_io_bytes >= budget > 0.0:",
+                "not head.remaining_io_bytes > budget > 0.0:",
+                "not head.remaining_io_bytes >= budget > 0.0:",
             )
         ],
         f"{STRUCTURE}::test_head_compaction_ending_exactly_on_the_budget",
@@ -606,24 +650,26 @@ TRAPS = [
         ANALYTIC,
         [
             (
-                "                model._drain_background(dt)\n"
-                "                moved = True\n"
-                "        comp_rate = s.comp_rate\n"
-                "        if comp_rate > 0.0 and not moved:\n",
-                "                moved = True\n"
-                "        comp_rate = s.comp_rate\n"
-                "        if comp_rate > 0.0:\n",
+                "                if flush:\n"
+                "                    model._apply_writes(writes)\n"
+                "                model._drain_background(dt)\n",
+                "                if flush:\n"
+                "                    model._apply_writes(writes)\n"
+                "                if flush and head is not None and head.remaining_io_bytes > budget > 0.0:\n"
+                "                    head.remaining_io_bytes -= budget\n"
+                "                else:\n"
+                "                    model._drain_background(dt)\n",
             )
         ],
-        f"{STRUCTURE}::test_several_flushes_inside_one_step",
+        f"{STRUCTURE}::test_flush_that_queues_a_merge_drains_at_the_new_rate",
     ),
     (
         "ring: one live node's absorb skipped",
         "repro/datastore/cluster.py",
         [
             (
-                "absorbs = [cursor.absorb for cursor in cursors]",
-                "absorbs = [cursor.absorb for cursor in cursors[1:]]",
+                "absorbs = [kernel.send for kernel, _ in kernels]",
+                "absorbs = [kernel.send for kernel, _ in kernels[1:]]",
             )
         ],
         "tests/test_lsm_analytic_properties.py::TestRunEqualsOracle::test_cluster",

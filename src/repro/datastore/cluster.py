@@ -27,14 +27,13 @@ delta so the middleware's reconcile loop can detect and repair it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config.space import Configuration
 from repro.datastore.base import Datastore
 from repro.errors import ActuationError, DatastoreError
-from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _NodeCursor
+from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _node_seconds
 from repro.lsm.knobs import EngineKnobs
 from repro.sim.rng import SeedLike, SeedSequence, derive_rng
 
@@ -201,9 +200,9 @@ class Cluster:
 
     # -- replication math -----------------------------------------------------------
 
-    def _plan(self, read_ratio: float) -> tuple:
+    def _plan(self, read_ratio: float, dt: float = 1.0) -> tuple:
         """What a capacity solve takes from the live set and the mix:
-        ``(live (node cursor, slowdown) pairs, node read share,
+        ``(live (node kernel, slowdown) pairs, node read share,
         fan-out)``.  A read touches one replica and a write every live
         one: down nodes take no replicas, so the effective RF shrinks
         with the live set.
@@ -216,26 +215,23 @@ class Cluster:
         rf = min(self.replication_factor, len(live))
         fanout = read_ratio + (1.0 - read_ratio) * rf
         node_rr = read_ratio / fanout
-        cursors = [_NodeCursor(self.nodes[i], node_rr) for i in live]
-        caps = [(c.capacity, self._slowdown.get(i, 1.0)) for c, i in zip(cursors, live)]
-        return cursors, caps, node_rr, fanout
+        slow = self._slowdown.get
+        kernels = [(_node_seconds(self.nodes[i], node_rr, dt), slow(i, 1.0)) for i in live]
+        return kernels, node_rr, fanout
 
-    def _capacity(self, caps, fanout: float) -> float:
+    def _capacity(self, kernels, fanout: float) -> float:
         """Logical ops/s at this instant: the slowest live node bounds
         the balanced per-node rate, the shooters bound the ring."""
-        per_node = math.inf
-        for capacity, slow in caps:
-            x = capacity() / slow
-            if x < per_node:
-                per_node = x
-        server_cap = per_node * len(caps) / fanout
-        client_cap = self.n_nodes * SHOOTER_CAPACITY_OPS
-        return client_cap if client_cap < server_cap else server_cap
+        per_node = min([next(kernel) / slow for kernel, slow in kernels])
+        return min(per_node * len(kernels) / fanout, self.n_nodes * SHOOTER_CAPACITY_OPS)
 
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Logical ops/s the cluster sustains at this instant."""
-        _, caps, _, fanout = self._plan(read_ratio)
-        return self._capacity(caps, fanout)
+        kernels, _, fanout = self._plan(read_ratio)
+        x = self._capacity(kernels, fanout)
+        for kernel, _ in kernels:
+            kernel.close()
+        return x
 
     # -- stepping --------------------------------------------------------------
 
@@ -243,27 +239,28 @@ class Cluster:
         """Step the cluster for ``duration`` seconds; the logical
         throughput (ops/s) of every step.
 
-        One cursor per live node for the whole run; a step is one
-        capacity solve over them and one absorb of every live node's
-        share, with the same values the solve used.
+        One node-second kernel per live node for the whole run; a step is
+        one :meth:`_capacity` over them and one absorb of every live
+        node's share, with the same values the solve used.
         """
         if not dt > 0:
             raise ValueError("dt must be positive")
         if not duration > 0:
             raise ValueError("duration must be positive")
-        cursors, caps, node_rr, fanout = self._plan(read_ratio)
-        capacity, n_live = self._capacity, len(cursors)
-        absorbs = [cursor.absorb for cursor in cursors]
+        kernels, node_rr, fanout = self._plan(read_ratio, dt)
+        capacity, n_live = self._capacity, len(kernels)
+        absorbs = [kernel.send for kernel, _ in kernels]
         series: List[float] = []
         for _ in range(max(1, int(round(duration / dt)))):
-            x = capacity(caps, fanout)
+            x = capacity(kernels, fanout)
             node_ops = x * fanout / n_live
-            reads = node_ops * node_rr * dt
-            writes = node_ops * (1.0 - node_rr) * dt
+            step = (node_ops * node_rr * dt, node_ops * (1.0 - node_rr) * dt)
             for absorb in absorbs:
-                absorb(reads, writes, dt)
+                absorb(step)
             self.t += dt
             series.append(x)
+        for kernel, _ in kernels:
+            kernel.close()
         return series
 
     def load(self, n_keys: int) -> None:

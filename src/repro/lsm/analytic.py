@@ -250,65 +250,71 @@ class _SegmentTerms:
         self.solve = solve
 
 
-class _NodeCursor:
-    """One model stepped second by second at one read ratio, by
-    :meth:`AnalyticLSMModel.run` and by each node of a ring: the regime
-    table, the segment's terms and the hit ratio, held across seconds.
-    Valid while nothing but :meth:`absorb` moves the model."""
-
-    __slots__ = ("model", "t", "segment", "hit", "run_bias", "modulation")
-
-    def __init__(self, model: "AnalyticLSMModel", read_ratio: float):
-        self.model = model
-        self.t = model._regime(read_ratio)
-        self.segment: Optional[_SegmentTerms] = None
-        self.hit = model._cache_hit(self.t)
-        self.run_bias = model.run_bias
-        self.modulation = model._throughput_modulation
-
-    def capacity(self) -> float:
-        """Ops/s the model sustains at this instant (before noise)."""
-        s = self.segment
-        if s is None:
-            s = self.segment = self.model._segment(self.t)
-        x = s.solve(self.hit) * self.run_bias
-        x = 1.0 if x < 1.0 else x
-        modulation = self.modulation
-        return x if modulation is None else x * modulation(self.model.t)
-
-    def absorb(self, reads, writes, dt) -> None:
-        """One served step's consequences, after :meth:`capacity`:
-        memtable fill, flushes, compaction drain (at the segment's rate,
-        re-read after a flush), the clocks and the hit ratio.  A moved
-        structure (a flush landed or a compaction completed) or a
-        flush-flag flip ends the segment."""
-        model, t, s = self.model, self.t, self.segment
-        moved = False
-        if writes > 0:
-            filled = model.memtable_bytes + writes * t.record_bytes
-            if filled < t.flush_trigger:
-                model.dataset_bytes += writes * t.insert_fraction * t.record_bytes
-                model.memtable_bytes = filled
+def _node_seconds(model: "AnalyticLSMModel", read_ratio: float, dt: float):
+    """One node stepped ``dt`` at a time at one read ratio, for a run, a
+    bare solve and every live node of a ring: ``next()`` yields the
+    capacity (solved, biased, clamped, modulated; before noise) and
+    ``send((reads, writes))`` absorbs the served step.  A moved structure
+    or a flush-flag flip ends the segment.  The bytes, clocks and op count
+    live in locals, written back before every structural call and on
+    ``close()``; the hit ratio is :meth:`AnalyticLSMModel._cache_hit`
+    inline (a call per node-second would cost most of the kernel's gain)."""
+    t = model._regime(read_ratio)
+    run_bias, modulation = model.run_bias, model._throughput_modulation
+    record_bytes, insert_fraction = t.record_bytes, t.insert_fraction
+    flush_trigger, half_flush_trigger = t.flush_trigger, t.half_flush_trigger
+    pages, steady_hit, io_factor = t.cache_pages, t.steady_hit, t.costs.compaction_io_factor
+    # ``max(working set, 1.0) <= pages`` as one compare: no page fits under 1.0.
+    fits_pages = pages if 1.0 <= pages else -math.inf
+    memtable, dataset, exp = model.memtable_bytes, model.dataset_bytes, math.exp
+    clock, age, ops = model.t, model.cache_age, model.total_ops
+    s = None
+    try:
+        while True:
+            if s is None:
+                model.memtable_bytes, model.dataset_bytes = memtable, dataset
+                model.t, model.cache_age, model.total_ops = clock, age, ops
+                s = model._segment(t)
+                solve, flushing, comp_rate = s.solve, s.flushing, s.comp_rate
+                # The queue holds io-bytes (read+write); drain at io-rate.
+                budget = comp_rate * io_factor * dt
+                head = model.backlog[0] if comp_rate > 0.0 else None
+            if pages <= 0:
+                hit = 0.0
             else:
-                model._apply_writes(writes)
+                hit = 1.0 - exp(-age / CACHE_WARMUP_SECONDS)
+                if not dataset / BLOCK_BYTES <= fits_pages:
+                    hit = steady_hit * hit
+            x = solve(hit) * run_bias
+            x = 1.0 if x < 1.0 else x
+            if modulation is not None:
+                x *= modulation(clock)
+            reads, writes = yield x
+            flush = False
+            if writes > 0:
+                filled = memtable + writes * record_bytes
+                if filled < flush_trigger:
+                    dataset += writes * insert_fraction * record_bytes
+                    memtable = filled
+                else:
+                    flush = True
+            if flush or head is not None and not head.remaining_io_bytes > budget > 0.0:
+                model.memtable_bytes, model.dataset_bytes = memtable, dataset
+                model.t, model.cache_age, model.total_ops = clock, age, ops
+                if flush:
+                    model._apply_writes(writes)
                 model._drain_background(dt)
-                moved = True
-        comp_rate = s.comp_rate
-        if comp_rate > 0.0 and not moved:
-            # The queue holds io-bytes (read+write); drain at io-rate.
-            budget = comp_rate * t.costs.compaction_io_factor * dt
-            head = model.backlog[0]
-            if head.remaining_io_bytes > budget > 0.0:
+                memtable, dataset = model.memtable_bytes, model.dataset_bytes
+                s = None
+            elif head is not None:
                 head.remaining_io_bytes -= budget
-            else:
-                model._drain_background(dt)
-                moved = True
-        model.t += dt
-        model.cache_age += dt
-        model.total_ops += reads + writes
-        if moved or (model.memtable_bytes > t.half_flush_trigger) is not s.flushing:
-            self.segment = None
-        self.hit = model._cache_hit(t)
+            clock, age, ops = clock + dt, age + dt, ops + (reads + writes)
+            if s is not None and (memtable > half_flush_trigger) is not flushing:
+                s = None
+            yield
+    finally:
+        model.memtable_bytes, model.dataset_bytes = memtable, dataset
+        model.t, model.cache_age, model.total_ops = clock, age, ops
 
 
 class AnalyticLSMModel:
@@ -433,6 +439,7 @@ class AnalyticLSMModel:
         return self._cache_hit(self._regime())
 
     def _cache_hit(self, t: _RegimeTerms) -> float:
+        """The formula; :func:`_node_seconds` inlines it and must change with it."""
         pages = t.cache_pages
         if pages <= 0:
             return 0.0
@@ -476,14 +483,17 @@ class AnalyticLSMModel:
         """
         if not (0.0 <= read_ratio <= 1.0):
             raise ValueError("read_ratio must be in [0, 1]")
-        return _NodeCursor(self, read_ratio).capacity()
+        kernel = _node_seconds(self, read_ratio, 1.0)
+        x = next(kernel)
+        kernel.close()
+        return x
 
     # ------------------------------------------------------------------ stepping
 
     def run(self, read_ratio: float, duration: float, dt: float = 1.0) -> List[float]:
         """Run ``duration`` seconds; the throughput (ops/s) of every step.
 
-        The stepping loop, through one :class:`_NodeCursor`: its steps
+        The stepping loop, through one :func:`_node_seconds`: its steps
         fall into structural segments whose terms are derived once, and
         a step is the rest of the solve, the noise factor and the absorb.
         The end state (``sstable_count``, :meth:`cache_hit_ratio`, the
@@ -502,16 +512,17 @@ class AnalyticLSMModel:
         draws = self.rng.standard_normal(steps).tolist() if sigma > 0 else None
 
         r, w = read_ratio, 1.0 - read_ratio
-        cursor = _NodeCursor(self, r)
-        capacity, absorb = cursor.capacity, cursor.absorb
+        kernel = _node_seconds(self, r, dt)
+        capacity, absorb = kernel.__next__, kernel.send
         series: List[float] = []
         for k in range(steps):
             x = capacity()
             if draws is not None:
                 factor = 1.0 + sigma * draws[k]
                 x *= factor if factor > 0.2 else 0.2
-            absorb(x * r * dt, x * w * dt, dt)
+            absorb((x * r * dt, x * w * dt))
             series.append(x)
+        kernel.close()
         return series
 
     def load(self, n_keys: int) -> None:

@@ -96,12 +96,13 @@ class BloomFilter:
         self.n_items = 0
 
     @classmethod
-    def from_keys(cls, keys: Iterable[str], fp_chance: float) -> "BloomFilter":
+    def from_keys(cls, keys: Iterable[str], fp_chance: float, hashed=None) -> "BloomFilter":
         keys = list(keys)
         bf = cls(expected_items=max(len(keys), 1), fp_chance=fp_chance)
-        # A NUL anywhere in the set (see hash_keys) means key-by-key adds.
-        nul_free = "\x00" not in "".join(keys)
-        hashed = hash_keys(np.asarray(keys)) if keys and nul_free else None
+        # A NUL anywhere in the set (see hash_keys) means key-by-key adds;
+        # ``hashed`` is the keys' hash_keys pair when the caller has it.
+        if hashed is None and keys and "\x00" not in "".join(keys):
+            hashed = hash_keys(np.asarray(keys))
         if hashed is None:
             for k in keys:
                 bf.add(k)

@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, hash_keys
 from repro.lsm.record import Record
 
 #: Logical block size used for cache accounting (Cassandra reads 64k
@@ -49,15 +49,25 @@ class SSTable:
         if not records:
             raise ValueError("an SSTable cannot be empty")
         keys = [r.key for r in records]
-        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+        self._records: List[Record] = list(records)
+        # A ``<U`` column is exact for a NUL-free set: one compare checks the
+        # order, and it is dropped once hashed, before the bloom sets bits.
+        names = np.asarray(keys) if "\x00" not in "".join(keys) else None
+        if names is not None:
+            ordered = bool((names[:-1] < names[1:]).all())
+            hashed, names = hash_keys(names), None
+        else:
+            ordered = all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
+            hashed = None
+        if not ordered:
             raise ValueError("records must be strictly sorted by key")
         self.table_id = table_id
         self.level = level
         self._keys: List[str] = keys
+        # Lazy: ``names`` kept here cost ``engine_ycsb`` +1.5 MB traced peak.
         self._keys_arr: Optional[np.ndarray] = None  # lazy, for batch probes
-        self._records: List[Record] = list(records)
-        self.bloom = BloomFilter.from_keys(keys, fp_chance)
-        self.size_bytes = sum(r.size_bytes for r in records)
+        self.bloom = BloomFilter.from_keys(keys, fp_chance, hashed)
+        self.size_bytes = sum(map(Record.size_bytes.fget, records))
         self.created_at = created_at
 
     # -- pickling --------------------------------------------------------------

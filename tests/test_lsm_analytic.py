@@ -461,6 +461,23 @@ class TestStepStructureTraps:
         assert m.total_compactions == done + 1
         assert states[0].compaction_backlog_bytes == 0 and states[0].sstable_count == 1
 
+    def test_flush_that_queues_a_merge_drains_at_the_new_rate(self):
+        """A flush lands while a long merge is queued and completes a
+        bucket of four: the step's drain runs at the two-task rate, not
+        at the one-task rate the segment was derived with."""
+        m = make_model(noise=0.015, concurrent_compactors=4)
+        m.load(500_000)
+        m.settle(max_seconds=50_000)
+        trigger = m.knobs.flush_trigger_bytes
+        m.st_tables = [4000.0 * MB] * 4 + [trigger] * 3
+        m._maybe_trigger_size_tiered()
+        assert len(m.backlog) == 1
+        m.memtable_bytes = trigger * 0.999
+        rates = compaction_rate(m.knobs, 1), compaction_rate(m.knobs, 2)
+        assert rates[0] < rates[1]
+        assert_run_equals_oracle(m, 0.0, 3)
+        assert len(m.backlog) == 2 and m.total_compactions == 0
+
     def test_noiseless_model_draws_nothing(self):
         m = make_model(noise=0.0, bias=0.02, seed=9)
         m.load(500_000)
@@ -632,11 +649,90 @@ class TestNoArrayMathInAStep:
         assert self._numpy_calls(lambda: cluster.run(0.5, 1)) == []
 
 
-class TestNodeCursor:
-    """A ring holds each live node's segment terms across seconds, as the
-    single-node loop does: they are re-derived per structural event (a
-    flush, a completed compaction, a half-trigger crossing), not per
-    node-second."""
+class TestNodeSeconds:
+    """One node-second kernel steps a server and every live node of a
+    ring: it holds a node's segment terms across seconds, re-derived per
+    structural event (a flush, a completed compaction, a half-trigger
+    crossing), not per node-second; it solves once per step and never
+    past a run's last; and a bare solve leaves the model as it was."""
+
+    STORES = ("cassandra", "scylla")
+
+    @staticmethod
+    def _store(name):
+        from repro.datastore import CassandraLike, ScyllaLike
+
+        return {"cassandra": CassandraLike, "scylla": ScyllaLike}[name]()
+
+    @staticmethod
+    def _counting_solves(monkeypatch):
+        """Count every segment ``solve`` call, keyed by the regime table
+        (one per model) it was derived under."""
+        from repro.lsm.analytic import _SegmentTerms
+
+        counts, derive = {}, _SegmentTerms.__init__
+
+        def counting(self, t, *args):
+            derive(self, t, *args)
+            solve = self.solve
+
+            def counted(hit):
+                counts[id(t)] = counts.get(id(t), 0) + 1
+                return solve(hit)
+
+            self.solve = counted
+
+        monkeypatch.setattr(_SegmentTerms, "__init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_a_solve_leaves_the_pickled_model_as_it_was(self, store):
+        """A server and a ring (a node down), after running: the bare
+        solve writes back what it read.  A ScyllaLike tuner realizes its
+        level at the solve's clock, which the twin does by hand."""
+        from repro.datastore import Cluster
+
+        ds = self._store(store)
+        server = ds.new_analytic_instance(ds.default_configuration(), seed=4)
+        server.load(500_000)
+        server.run(0.3, 37)
+        ring = Cluster(
+            ds, ds.default_configuration(), n_nodes=3, replication_factor=2, seed=2
+        )
+        ring.load(300_000)
+        ring.fail_node(1)
+        ring.run(0.6, 23)
+        for solve, models in (
+            (lambda: server.sustainable_throughput(0.7), [server]),
+            (lambda: ring.sustainable_throughput(0.7), [ring.nodes[0], ring.nodes[2]]),
+        ):
+            twins = copy.deepcopy(models)
+            for twin in twins:
+                if store == "scylla":
+                    twin.autotuner.multiplier(twin.t)
+            solve()
+            assert [pickle.dumps(m) for m in models] == [pickle.dumps(t) for t in twins]
+
+    @pytest.mark.parametrize("steps", [1, 7, 60])
+    def test_a_run_solves_each_live_node_once_per_step(self, monkeypatch, steps):
+        """``n`` steps are ``n`` solves of each live node's segment (none
+        of a down node's, none past the last step); a bare solve is one."""
+        ring = make_ring(load_keys=600_000)
+        ring.fail_node(1)
+        server = make_model(noise=0.015)
+        server.load(500_000)
+        models = ring.nodes + [server]
+        for model in models:
+            model._terms = None      # every segment derived under the count
+        counts = self._counting_solves(monkeypatch)
+        ring.run(0.2, steps)
+        server.run(0.2, steps)
+        assert [counts.get(id(m._terms), 0) for m in models] == [steps, 0, steps, steps]
+        server.sustainable_throughput(0.2)
+        ring.sustainable_throughput(0.2)
+        assert [counts.get(id(m._terms), 0) for m in models] == [
+            steps + 1, 0, steps + 1, steps + 1
+        ]
 
     def test_ring_derives_segments_per_event_not_per_second(self, monkeypatch):
         seconds, rr = 600, 0.5

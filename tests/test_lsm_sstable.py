@@ -27,6 +27,26 @@ class TestSSTable:
         with pytest.raises(ValueError):
             SSTable(1, rows, fp_chance=0.01)
 
+    def test_rejects_a_late_out_of_order_or_prefix_key(self):
+        for keys in (["a", "b", "c", "e", "d"], ["a", "ab", "ab"], ["ab", "a"]):
+            rows = [Record(k, 1.0, b"") for k in keys]
+            with pytest.raises(ValueError):
+                SSTable(1, rows, fp_chance=0.01)
+
+    def test_nul_keys_take_the_python_order_check(self):
+        """A ``<U`` column reads "a" and "a\x00" alike, so a set with a
+        NUL is checked on the strings: this pair is sorted and distinct."""
+        rows = [Record("a", 1.0, b""), Record("a\x00", 1.0, b"")]
+        t = SSTable(1, rows, fp_chance=0.01)
+        assert t.keys_array() is None and t.might_contain("a\x00")
+        with pytest.raises(ValueError):
+            SSTable(1, rows[::-1], fp_chance=0.01)
+
+    def test_size_is_the_records_stored_sizes(self):
+        t = make_table("c", "a", "b")
+        assert t.size_bytes == sum(r.size_bytes for r in t.records()) == 3 * (40 + 1 + 20)
+        assert list(t.keys_array()) == ["a", "b", "c"]
+
     def test_min_max_keys(self):
         t = make_table("b", "d", "a")
         assert t.min_key == "a"
