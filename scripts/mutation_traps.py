@@ -39,6 +39,7 @@ EQUIVALENCE = "tests/test_batch_equivalence.py"
 REFERENCE = f"{EQUIVALENCE}::TestPipelinedRunEqualsReference"
 ENGINE = "repro/lsm/engine.py"
 OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
+INLINE_WRITE = "tests/test_batch_opstream.py::TestInlineWrite"
 PLAN_TRAPS = "tests/test_batch_opstream.py::TestProbePlanTraps"
 BLOOM = "repro/lsm/bloom.py"
 CACHE = "repro/sim/cache.py"
@@ -302,7 +303,7 @@ TRAPS = [
     (
         "op loop: the sync barrier left out of the op's interval",
         ENGINE,
-        [("extra = log_append(rec, now)", "extra = log_append(rec, now) * 0.0")],
+        [("extra = SYNC_OVERHEAD_SECONDS", "extra = 0.0 * SYNC_OVERHEAD_SECONDS")],
         f"{OP_LOOP}::test_sync_barriers",
     ),
     (
@@ -316,8 +317,8 @@ TRAPS = [
         ENGINE,
         [
             (
-                "if mem_put(rec) >= flush_at:",
-                "if mem_put(rec) >= flush_at and (j == 0 or kinds[j - 1] == OP_READ):",
+                "if mem_bytes >= flush_at:",
+                "if mem_bytes >= flush_at and (j == 0 or kinds[j - 1] == OP_READ):",
             )
         ],
         "tests/test_batch_opstream.py::TestExecuteBatchEquivalence"
@@ -326,14 +327,72 @@ TRAPS = [
     (
         "op loop: random reads dropped from the bottleneck",
         ENGINE,
-        [
-            (
-                "dt = max(dt_cpu, disk / rand_iops, read_pool)",
-                "dt = max(dt_cpu, read_pool)",
-            )
-        ],
+        [("if disk and disk / rand_iops > dt:", "if False:")],
         "tests/test_batch_opstream.py::TestProbePlanTraps"
         "::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    # -- the write's inline record, commit-log append, memtable put and clock
+    (
+        "inline write: the old version's bytes not given back on an overwrite",
+        ENGINE,
+        [("mem_bytes += size - old[3]", "mem_bytes += size")],
+        f"{INLINE_WRITE}::test_a_key_overwritten_twice_in_one_block",
+    ),
+    (
+        "inline write: a tie in stamps kept the older version",
+        ENGINE,
+        [("elif stamp >= old[1]:", "elif stamp > old[1]:")],
+        f"{INLINE_WRITE}::test_a_key_overwritten_twice_in_one_block",
+    ),
+    (
+        "inline write: the row map not re-bound after a flush",
+        ENGINE,
+        [
+            (
+                "rows, mem_bytes = memtable.rows, memtable.size_bytes",
+                "mem_bytes = memtable.size_bytes",
+            )
+        ],
+        f"{INLINE_WRITE}::test_reads_of_keys_written_just_before_a_mid_block_flush",
+    ),
+    (
+        "inline write: the memtable's bytes not written back before _flush_memtable",
+        ENGINE,
+        [("flush_bytes = memtable.size_bytes = mem_bytes", "flush_bytes = mem_bytes")],
+        f"{INLINE_WRITE}::test_a_flush_sees_the_memtable_log_and_clock_written_back",
+    ),
+    (
+        "inline write: a sync barrier charged on the log's first append",
+        ENGINE,
+        [
+            (
+                "                    last_sync = now\n                elif",
+                "                    last_sync = now\n"
+                "                    syncs += 1\n"
+                "                    extra = SYNC_OVERHEAD_SECONDS\n"
+                "                elif",
+            )
+        ],
+        f"{OP_LOOP}::test_sync_barriers",
+    ),
+    (
+        "inline write: a record that ends a segment exactly left in it",
+        ENGINE,
+        [("if segment >= segment_at:", "if segment > segment_at:")],
+        f"{INLINE_WRITE}::test_a_write_that_ends_a_segment_exactly",
+    ),
+    (
+        "inline write: the clock not stored before a flush (only when the block ends)",
+        ENGINE,
+        [
+            ("            now += dt\n            clock.now = now\n", "            now += dt\n"),
+            (
+                "        memtable.size_bytes, log.active_segment_bytes = mem_bytes, segment\n",
+                "        clock.now = now\n"
+                "        memtable.size_bytes, log.active_segment_bytes = mem_bytes, segment\n",
+            ),
+        ],
+        f"{INLINE_WRITE}::test_a_flush_sees_the_memtable_log_and_clock_written_back",
     ),
     (
         "op loop: a per-block tally not written back to the stats",

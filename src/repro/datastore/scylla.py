@@ -52,6 +52,9 @@ class ScyllaAutotuner:
         self.mean_dwell_s = mean_dwell_s
         self._level = 1.0
         self._until = 0.0
+        # The first dwell period and level are drawn now, not by the first
+        # solve: asking a fresh model its capacity leaves it as it was.
+        self.multiplier(0.0)
 
     def multiplier(self, t: float) -> float:
         """Current modulation factor at simulated time ``t``."""

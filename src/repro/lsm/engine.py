@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import DatastoreError
 from repro.lsm.background import BackgroundTerms, compaction_rate
 from repro.lsm.bloom import _FilterBank, hash_key, hash_keys
-from repro.lsm.commitlog import CommitLog
+from repro.lsm.commitlog import SYNC_OVERHEAD_SECONDS, CommitLog
 from repro.lsm.compaction import (
     CompactionTask,
     TableLayout,
@@ -29,7 +29,7 @@ from repro.lsm.compaction import (
 )
 from repro.lsm.knobs import EngineKnobs
 from repro.lsm.memtable import Memtable
-from repro.lsm.record import Record
+from repro.lsm.record import RECORD_OVERHEAD_BYTES, Record
 from repro.lsm.sstable import SSTable, _blocks_of_rows, merge_records, split_into_tables
 from repro.sim.cache import LruFileCache
 from repro.sim.clock import SimClock
@@ -376,18 +376,21 @@ class LSMEngine:
 
         What depends only on ``knobs``/``costs`` is bound once and the
         op tallies are locals, written to the stats once per block; what
-        depends on the background regime (the charge terms, the write's
-        CPU quotient, the compaction rate) is held until an event that
-        can move :meth:`_regime` — a flush, a drain that empties the
-        flush queue or completes a compaction — and re-asked at the next
-        op's charge, never earlier.
+        depends on the background regime (the charge terms, the larger of
+        a write's CPU and pool quotients, the compaction rate) is held
+        until an event that can move :meth:`_regime` — a flush, a drain
+        that empties the flush queue or completes a compaction — and
+        re-asked at the next op's charge, never earlier.
+        ``Memtable.put``, ``CommitLog.append`` and ``SimClock.advance``
+        run inline, on locals written back before a flush and when the
+        block ends (the clock after every op, for ``created_at``) and
+        re-bound after a flush.
         """
         knobs, costs, stats = self.knobs, self.costs, self.stats
         dstats, memtable, layout = self.disk.stats, self.memtable, self.layout
+        log, clock, new_record = self.commitlog, self.clock, tuple.__new__
         pending, compactors = self._pending_compactions, knobs.concurrent_compactors
-        mem_get, mem_put, log_append = memtable.get, memtable.put, self.commitlog.append
-        replay, advance = self.cache.replay, self.clock.advance
-        probe, drain_compactions = self._probe, self._drain_compactions
+        replay, probe, drain_compactions = self.cache.replay, self._probe, self._drain_compactions
         write_cpu, log_overhead = write_cpu_seconds(costs), costs.commitlog_overhead_bytes
         read_base, bloom_cpu = costs.cpu_read_base, costs.cpu_bloom_check
         probe_cpu, hit_cpu = costs.cpu_probe, costs.cpu_cache_hit
@@ -398,15 +401,19 @@ class LSMEngine:
         deletes = memtable_hits = bloom_checks = true_positives = probed = cache_hits = 0
         busy, stalled = stats.busy_seconds, stats.write_stall_seconds
         seq_written, write_seq = dstats.seq_bytes_written, self._write_seq
+        rows, mem_bytes, sealed = memtable.rows, memtable.size_bytes, log.sealed_segments
+        segment, logged = log.active_segment_bytes, log.total_bytes_written
+        last_sync, syncs = log.last_sync_time, log.total_syncs
+        segment_at, sync_period = log.segment_size_bytes, log.sync_period_s
         end_times: List[float] = []
-        now = self.clock.now
+        now = clock.now
         terms = best = epoch = None  # epoch: the layout the plan was derived under
         k = 0  # reads done (the next one is read k of the plan)
         for j, kind in enumerate(kinds):
             key = keys[j]
             reading = kind == OP_READ
             if reading:
-                best = mem_get(key)
+                best = rows.get(key)
                 if best is not None:
                     memtable_hits += 1
                 if plan is None:
@@ -429,17 +436,43 @@ class LSMEngine:
                 probed += probes
                 cache_hits += hits
             else:
-                tombstone = kind == OP_DELETE
                 # Strictly increasing even when the clock stands still.
                 write_seq += 1
-                rec = Record(key, now + write_seq * 1e-12, None if tombstone else values[j])
-                # Seconds owed to a commitlog sync barrier, if this
-                # append crossed one.
-                extra = log_append(rec, now)
-                deletes += tombstone
-                if mem_put(rec) >= flush_at:
-                    flush_bytes = memtable.size_bytes
+                stamp = now + write_seq * 1e-12
+                if kind == OP_DELETE:
+                    deletes += 1
+                    value, size = None, RECORD_OVERHEAD_BYTES + len(key)
+                else:
+                    value = values[j]
+                    size = RECORD_OVERHEAD_BYTES + len(key) + len(value)
+                rec = new_record(Record, (key, stamp, value, size))
+                # CommitLog.append; ``extra``: a sync barrier it crossed.
+                segment += size
+                logged += size
+                if segment >= segment_at:
+                    sealed.append(segment)
+                    segment = 0
+                extra = 0.0
+                if last_sync is None:
+                    last_sync = now
+                elif now - last_sync >= sync_period:
+                    last_sync = now
+                    syncs += 1
+                    extra = SYNC_OVERHEAD_SECONDS
+                # Memtable.put: an older version never overwrites a newer one.
+                old = rows.get(key)
+                if old is None:
+                    rows[key] = rec
+                    mem_bytes += size
+                elif stamp >= old[1]:
+                    rows[key] = rec
+                    mem_bytes += size - old[3]
+                if mem_bytes >= flush_at:
+                    flush_bytes = memtable.size_bytes = mem_bytes
+                    log.active_segment_bytes, log.total_bytes_written = segment, logged
+                    log.last_sync_time, log.total_syncs = last_sync, syncs
                     self._flush_memtable()
+                    rows, mem_bytes = memtable.rows, memtable.size_bytes
                     # If flush writers are behind, the write path stalls
                     # until the queue depth falls back under the limit.
                     max_queue = FLUSH_STALL_DEPTH * max(flush_bytes, 1)
@@ -454,27 +487,32 @@ class LSMEngine:
             # leftover sequential bandwidth, leftover random IOPS, its
             # worker pool: the largest quotient is the time the system
             # needed to push this op through at full concurrency.  A
-            # resource the op does not use is left out of the max.
+            # resource the op does not use is left out of the max, taken
+            # by compares (a max() call per op costs more).
             if terms is None:
                 terms = self._charge_terms()
                 cores, read_contention = terms.cores, terms.read_contention
                 seq_bandwidth, rand_iops = terms.seq_bandwidth, terms.rand_iops
-                write_dt_cpu = write_cpu * terms.write_contention / cores
+                write_floor = max(write_cpu * terms.write_contention / cores, write_pool)
                 compaction_rate = terms.compaction_rate
             if reading:
                 # read_cpu_seconds, inline (one call per op costs more).
                 cpu = read_base + blooms * bloom_cpu + probes * probe_cpu + hits * hit_cpu
-                dt_cpu = cpu * read_contention / cores
-                if disk:
-                    dt = max(dt_cpu, disk / rand_iops, read_pool)
-                else:
-                    dt = max(dt_cpu, read_pool)
+                dt = cpu * read_contention / cores
+                if disk and disk / rand_iops > dt:
+                    dt = disk / rand_iops
+                if read_pool > dt:
+                    dt = read_pool
             else:
-                log_bytes = rec.size_bytes + log_overhead
+                log_bytes = size + log_overhead
                 seq_written += log_bytes
-                dt = max(write_dt_cpu, log_bytes / seq_bandwidth, write_pool) + extra
+                dt = log_bytes / seq_bandwidth
+                if write_floor > dt:
+                    dt = write_floor
+                dt += extra
             busy += dt
-            now = advance(dt)
+            now += dt
+            clock.now = now
             end_times.append(now)
 
             # The op's share of background work (see _drain_background).
@@ -514,6 +552,8 @@ class LSMEngine:
         stats.busy_seconds, stats.write_stall_seconds = busy, stalled
         dstats.random_reads += probed - cache_hits
         dstats.seq_bytes_written, self._write_seq = seq_written, write_seq
+        memtable.size_bytes, log.active_segment_bytes = mem_bytes, segment
+        log.total_bytes_written, log.last_sync_time, log.total_syncs = logged, last_sync, syncs
         return end_times, best
 
     def flush(self) -> Optional[SSTable]:
@@ -578,10 +618,9 @@ class LSMEngine:
     def _flush_memtable(self) -> Optional[SSTable]:
         if len(self.memtable) == 0:
             return None
-        records = list(self.memtable.drain())
         table = SSTable(
             table_id=self._issue_table_id(),
-            records=records,
+            records=self.memtable.drain(),
             fp_chance=self.knobs.bloom_fp_chance,
             level=0,
             created_at=self.clock.now,

@@ -7,66 +7,72 @@ contents to a new immutable SSTable (paper §2.2.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, List, Optional
 
 from repro.lsm.record import Record
 
 
 class Memtable:
-    """Mutable map of key -> newest Record with byte accounting."""
+    """Mutable map of key -> newest Record with byte accounting.
+
+    ``rows`` (key -> newest record) and ``size_bytes`` (their bytes) are
+    public because the engine's op loop holds them in locals for a block
+    (see :meth:`put`).
+    """
 
     def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("memtable capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
-        self._rows: Dict[str, Record] = {}
-        self._bytes = 0
+        self.rows: Dict[str, Record] = {}
+        self.size_bytes = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def size_bytes(self) -> int:
-        return self._bytes
+        return len(self.rows)
 
     @property
     def fill_fraction(self) -> float:
-        return self._bytes / self.capacity_bytes
+        return self.size_bytes / self.capacity_bytes
 
     def put(self, record: Record) -> int:
         """Insert or overwrite a row version (newest timestamp wins);
-        returns :attr:`size_bytes` after it, the flush trigger's input."""
+        returns :attr:`size_bytes` after it, the flush trigger's input.
+
+        ``LSMEngine._execute`` applies its writes with an inline copy of
+        this method, on the rows and byte count held in its locals; the
+        block == one-op == oracle check (``tests/oracles.py`` runs this
+        one) keeps the two equal."""
         key = record.key
-        existing = self._rows.get(key)
+        existing = self.rows.get(key)
         if existing is not None:
             if not record.supersedes(existing):
-                return self._bytes  # an older version never overwrites a newer one
-            self._bytes -= existing.size_bytes
-        self._rows[key] = record
-        self._bytes += record.size_bytes
-        return self._bytes
+                return self.size_bytes  # an older version never overwrites a newer one
+            self.size_bytes -= existing.size_bytes
+        self.rows[key] = record
+        self.size_bytes += record.size_bytes
+        return self.size_bytes
 
     def get(self, key: str) -> Optional[Record]:
         """Return the row version held here, tombstones included."""
-        return self._rows.get(key)
+        return self.rows.get(key)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._rows
+        return key in self.rows
 
     def should_flush(self, cleanup_threshold: float) -> bool:
         """Flush trigger: fill fraction reached ``cleanup_threshold``."""
-        return self._bytes >= cleanup_threshold * self.capacity_bytes
+        return self.size_bytes >= cleanup_threshold * self.capacity_bytes
 
-    def drain(self) -> Iterator[Record]:
-        """Yield all records in key order and leave the memtable empty."""
-        rows = self._rows
-        self._rows = {}
-        self._bytes = 0
-        for key in sorted(rows):
-            yield rows[key]
+    def drain(self) -> List[Record]:
+        """All records in key order; leaves the memtable empty (with a
+        new ``rows`` map)."""
+        rows = self.rows
+        self.rows = {}
+        self.size_bytes = 0
+        return [rows[key] for key in sorted(rows)]
 
     def __repr__(self) -> str:
         return (
-            f"Memtable({len(self._rows)} rows, {self._bytes}B, "
+            f"Memtable({len(self.rows)} rows, {self.size_bytes}B, "
             f"fill={self.fill_fraction:.2%})"
         )

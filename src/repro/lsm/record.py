@@ -18,6 +18,8 @@ class Record(tuple):
     ``(key, timestamp, value, size_bytes)``: its on-disk footprint is
     computed once, when it is built, because every write reads it
     several times (commit log, memtable, the op's charge).
+    ``LSMEngine._execute`` builds its writes' tuples directly, with the
+    size computed as here.
     """
 
     __slots__ = ()

@@ -33,6 +33,7 @@ from repro.lsm import bloom
 from repro.lsm import engine as engine_module
 from repro.lsm.bloom import BloomFilter, _FilterBank, _fnv1a, hash_key, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
+from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.hardware import HardwareSpec
 from repro.workload.generator import OperationGenerator
@@ -71,13 +72,15 @@ def engine_state(engine: LSMEngine) -> tuple:
         engine.cache.hit_ratio,
         list(engine.cache._pages),  # LRU order, not just the hit tally
         engine.sstable_count,
-        engine.memtable._rows,  # the records: timestamps, tie-breaks and all
+        engine.memtable.rows,  # the records: timestamps, tie-breaks and all
+        engine.memtable.size_bytes,
         engine.compaction_backlog_bytes,
         engine.disk.stats,
         engine.commitlog.active_segment_bytes,
         engine.commitlog.sealed_segment_count,
         engine.commitlog.total_bytes_written,
         engine.commitlog.total_syncs,
+        engine.commitlog.last_sync_time,
     )
 
 
@@ -698,6 +701,93 @@ class TestOpLoop:
         assert len(calls) <= 1 + events < 40
 
 
+class TestInlineWrite:
+    """A write's record, commit-log append, memtable put and clock are
+    inline in the loop, on locals; each case is one of their edges,
+    block ≡ one-op ≡ oracle through ``run_ops``."""
+
+    @pytest.mark.parametrize("start", [0.0, 1e12])
+    def test_a_key_overwritten_twice_in_one_block(self, start):
+        """Each overwrite gives back the old version's bytes.  From a
+        clock at 1e12 s every op's charge and tie-break is below its
+        resolution: the clock stands still and the stamps tie, and a
+        tie goes to the newer write."""
+        batched, scalar = (
+            LSMEngine(make_knobs(), small_hardware(), clock=SimClock(start)) for _ in range(2)
+        )
+        ops = [write("k", 300), read("k"), write(key(1)), write("k", 50), write("k", 120)]
+        run_ops(batched, scalar, ops + [read("k"), write(key(2))])
+        if start:
+            assert batched.clock.now == start
+            assert batched.memtable.get("k").timestamp == batched.memtable.get(key(1)).timestamp
+        assert batched.get("k") == bytes(120)
+        sizes = [rec.size_bytes for rec in batched.memtable.rows.values()]
+        assert batched.memtable.size_bytes == sum(sizes) == 3 * 40 + 1 + 2 * 16 + 120 + 2 * 200
+
+    def test_a_write_that_ends_a_segment_exactly(self):
+        """Four 256-byte records fill a 1,024-byte segment: the fourth
+        seals it, mid-block, and the fifth starts the next at 0."""
+        batched, scalar = twin_engines(SIZE_TIERED, commitlog_segment_bytes=1024)
+        ops = [write(key(i)) for i in range(3)] + [read(key(0)), write(key(3)), write(key(4))]
+        run_ops(batched, scalar, ops + [read(key(3))])
+        assert batched.commitlog.sealed_segments == [1024]
+        assert batched.commitlog.active_segment_bytes == 256
+
+    def test_a_sync_barrier_on_the_first_write_after_a_flush_stall(self):
+        costs = replace(DEFAULT_COSTS, flush_writer_bandwidth=400e3)
+        batched, scalar = (
+            LSMEngine(
+                make_knobs(memtable_flush_writers=1, commitlog_sync_period_s=0.05),
+                small_hardware(),
+                costs=costs,
+            )
+            for _ in range(2)
+        )
+        run_ops(batched, scalar, [write(key(i)) for i in range(383)])
+        before = replace(batched.stats), batched.commitlog.total_syncs
+        # Write 384 flushes and stalls; the write after it is the first
+        # to see the stall's time since the last sync.
+        run_ops(batched, scalar, [write(key(383)), read(key(0)), write(key(384)), write(key(385))])
+        assert batched.stats.flushes == before[0].flushes + 1
+        assert batched.stats.write_stall_seconds - before[0].write_stall_seconds > 0.05
+        assert batched.commitlog.total_syncs == before[1] + 1
+
+    def test_reads_of_keys_written_just_before_a_mid_block_flush(self):
+        """Write 511 flushes: the reads after it find those keys in the
+        new table, not in the rows the flush took away, and the writes
+        after it go to the new rows."""
+        batched, scalar = loaded_twins()
+        before = replace(batched.stats)
+        ops = [write(key(500 + i)) for i in range(12)]
+        ops += [read(key(511)), read(key(510)), write("after"), read("after"), read(key(502))]
+        run_ops(batched, scalar, ops)
+        assert batched.stats.flushes == before.flushes + 1
+        assert batched.stats.memtable_hits == before.memtable_hits + 1
+        assert list(batched.memtable.rows) == ["after"]
+
+    def test_a_flush_sees_the_memtable_log_and_clock_written_back(self, monkeypatch):
+        """What ``_flush_memtable`` can read of the memtable, the log and
+        the clock is, at every flush, what the one-op path and the
+        oracle show it."""
+        seen = {}
+        flush = LSMEngine._flush_memtable
+
+        def recording(engine):
+            log = engine.commitlog
+            seen.setdefault(id(engine), []).append((
+                engine.memtable.size_bytes, len(engine.memtable), engine.clock.now,
+                log.active_segment_bytes, log.total_bytes_written, log.last_sync_time,
+                log.total_syncs,
+            ))
+            return flush(engine)
+
+        monkeypatch.setattr(LSMEngine, "_flush_memtable", recording)
+        batched, scalar = twin_engines(SIZE_TIERED, commitlog_sync_period_s=0.001)
+        run_ops(batched, scalar, alternating(300))
+        first, *others = seen.values()
+        assert len(others) == 2 and len(first) == 2 and all(o == first for o in others)
+
+
 class TestRejectedBlocks:
     """A block is checked whole before any op runs."""
 
@@ -737,7 +827,7 @@ class TestBatchWritePayloads:
         ops = [op for i in range(50) for op in (write(key(i), 100 + i % 2), read(key(i)))]
         ops += [write(key(100 + i), 100) for i in range(20)]  # and one long run
         run_ops(engine, copy.deepcopy(engine), ops)
-        values = {id(rec.value): len(rec.value) for rec in engine.memtable._rows.values()}
+        values = {id(rec.value): len(rec.value) for rec in engine.memtable.rows.values()}
         assert sorted(values.values()) == [100, 101]
 
 

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.ycsb import YCSBBenchmark
@@ -121,3 +125,54 @@ class TestEngineRun:
             cassandra.default_configuration(), wl, n_ops=4000, load_keys=2000, seed=7
         )
         assert result.mean_throughput == 109120.42120483227
+
+
+E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
+
+
+class TestEngineYcsbContract:
+    """One ``engine_ycsb`` repetition of the contract benchmark, as its
+    runner drives it (``prepare`` -> ``run`` -> ``observe``), pinned by
+    its digest (stats, clock, table count, bytes written) and simulated
+    rate: any change to what an engine op is charged, probed, cached or
+    written shows here before a benchmark run."""
+
+    @pytest.fixture(scope="class")
+    def workload_class(self):
+        # Loaded from its file, read-only: the workload package imports
+        # every workload, and ``engine.py`` imports ``calibrate`` from
+        # its directory.
+        sys.path.insert(0, str(E2E))
+        try:
+            spec = importlib.util.spec_from_file_location(
+                "e2e_engine_workload", E2E / "workloads" / "engine.py"
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        finally:
+            sys.path.remove(str(E2E))
+        return module.EngineYcsb
+
+    @pytest.mark.parametrize(
+        "seed, digest, sim_ops_per_s",
+        [
+            (
+                2017,
+                "b09a06f38e9fb274ce7833edf4dec3aae0344ad67868112883bfe1b1636d2004",
+                24047.42449228467,
+            ),
+            (
+                7,
+                "b8df33ae144d4a0742d91bd74507ded60b0e371644918f859f153d0f056fe7db",
+                23961.107468000326,
+            ),
+        ],
+        ids=["seed-2017", "seed-7"],
+    )
+    def test_full_repetition_is_pinned(self, workload_class, seed, digest, sim_ops_per_s):
+        workload = workload_class(seed, "full")
+        state = workload.prepare()
+        workload.run(state)
+        seen = workload.observe(state)
+        assert seen.failures == []
+        assert (seen.digest, seen.sim_ops_per_s) == (digest, sim_ops_per_s)

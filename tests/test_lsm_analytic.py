@@ -713,6 +713,16 @@ class TestNodeSeconds:
             solve()
             assert [pickle.dumps(m) for m in models] == [pickle.dumps(t) for t in twins]
 
+    def test_a_solve_leaves_a_fresh_scylla_model_as_it_was(self):
+        """A ScyllaLike tuner draws its first level when it is built, so
+        a bare solve on a model that never ran changes nothing either."""
+        ds = self._store("scylla")
+        for seed in (1, 2, 3):
+            model = ds.new_analytic_instance(ds.default_configuration(), seed=seed)
+            before = pickle.dumps(model)
+            model.sustainable_throughput(0.7)
+            assert pickle.dumps(model) == before
+
     @pytest.mark.parametrize("steps", [1, 7, 60])
     def test_a_run_solves_each_live_node_once_per_step(self, monkeypatch, steps):
         """``n`` steps are ``n`` solves of each live node's segment (none
