@@ -19,9 +19,10 @@ from repro.workload.mgrast import MGRastTraceGenerator
 
 @pytest.fixture(scope="module")
 def mode_results(cassandra, new_cassandra_rafiki, base_workload):
-    cassandra_rafiki = new_cassandra_rafiki()
     rr_series = MGRastTraceGenerator(seed=SEED + 3).read_ratio_series(24 * 3600)
 
+    # Each tuned mode gets its own Rafiki, so no mode starts from the
+    # recommendation cache or seed stream another mode's day left.
     def run(mode, rafiki):
         return replay_day(
             cassandra,
@@ -33,9 +34,9 @@ def mode_results(cassandra, new_cassandra_rafiki, base_workload):
 
     return {
         "static": run("oracle", None),
-        "oracle": run("oracle", cassandra_rafiki),
-        "reactive": run("reactive", cassandra_rafiki),
-        "forecast": run("forecast", cassandra_rafiki),
+        "oracle": run("oracle", new_cassandra_rafiki()),
+        "reactive": run("reactive", new_cassandra_rafiki()),
+        "forecast": run("forecast", new_cassandra_rafiki()),
     }
 
 
