@@ -42,6 +42,8 @@ OP_LOOP = "tests/test_batch_opstream.py::TestOpLoop"
 INLINE_WRITE = "tests/test_batch_opstream.py::TestInlineWrite"
 PLAN_TRAPS = "tests/test_batch_opstream.py::TestProbePlanTraps"
 BLOOM = "repro/lsm/bloom.py"
+SSTABLE = "repro/lsm/sstable.py"
+KEY_COLUMN = "tests/test_lsm_sstable.py::TestKeyColumn"
 CACHE = "repro/sim/cache.py"
 CACHE_TESTS = "tests/test_sim_cache.py::TestLruFileCache"
 STATE_MACHINE = "tests/test_lsm_state_machine.py::TestEngineMatchesDict"
@@ -448,6 +450,53 @@ TRAPS = [
             )
         ],
         f"{PLAN_TRAPS}::test_flush_mid_block_is_seen_by_later_reads",
+    ),
+    # -- the byte key column: built once per table, exact or absent
+    (
+        "key column: no NUL guard (an S column drops trailing NULs)",
+        BLOOM,
+        [
+            (
+                '    if "\\x00" in joined or not joined.isascii():\n',
+                "    if not joined.isascii():\n",
+            )
+        ],
+        "tests/test_lsm_engine.py::TestNulKeys",
+    ),
+    (
+        "key column: non-ASCII keys encoded lossily",
+        BLOOM,
+        [
+            (
+                '    if "\\x00" in joined or not joined.isascii():\n',
+                '    if "\\x00" in joined:\n',
+            ),
+            (
+                '    return np.array(keys, dtype="S")\n',
+                '    return np.array(\n'
+                '        [k.encode("ascii", errors="replace") for k in keys], dtype="S"\n'
+                "    )\n",
+            ),
+        ],
+        "tests/test_batch_opstream.py::TestByteKeyColumns"
+        "::test_one_non_ascii_table_takes_the_fallback",
+    ),
+    (
+        "key column: served past the float64 guard",
+        SSTABLE,
+        [("        if (len(self._keys) - 1) * self.size_bytes < 2**53:\n", "        if True:\n")],
+        f"{KEY_COLUMN}::test_none_past_the_float64_guard",
+    ),
+    (
+        "key column: the constructor drops its column, so it is built again",
+        SSTABLE,
+        [
+            (
+                "        self._keys_arr = column\n",
+                "        self._keys_arr = _key_column(keys)\n",
+            )
+        ],
+        f"{KEY_COLUMN}::test_built_once_and_kept",
     ),
     (
         "LRU replay: a hit not moved to the most-recent end",

@@ -37,32 +37,32 @@ def hash_key(key: str) -> Tuple[int, int]:
     return _fnv1a(data, seed=_H1_SEED), _fnv1a(data, seed=_H2_SEED) | 1
 
 
-def hash_keys(names: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Vectorized (h1, h2) FNV-1a pair for a batch of ASCII key strings.
+def _key_column(keys: Sequence[str]) -> Optional[np.ndarray]:
+    """``keys`` as one ASCII byte column (numpy ``S``), or None when a
+    key is not ASCII or holds a NUL.
 
-    ``names`` is a numpy unicode (``<U``) array.  Returns uint64 arrays
-    bitwise-identical to the scalar :func:`hash_key` pair, or ``None``
-    when the batch contains non-ASCII characters or embedded NULs
-    (callers fall back to the scalar path — correctness never depends
-    on vectorization).  A ``<U`` array silently drops a key's *trailing*
-    NULs, which no check on the array can see: callers build ``names``
-    only from key sets with no NUL at all, deciding that on the Python
-    strings (``"\x00" in "".join(keys)``).
+    For such keys byte order is ``str`` order and FNV-1a over the bytes
+    is :func:`hash_key`, so a sorted check, a batched search and
+    :func:`hash_keys` on the column answer what the strings would.  The
+    NUL check is on the strings: an ``S`` column drops a key's
+    *trailing* NULs, which no check on the column can see.
     """
-    if names.size == 0 or names.dtype.kind != "U":
+    joined = "".join(keys)
+    if "\x00" in joined or not joined.isascii():
         return None
-    width = names.dtype.itemsize // 4
-    codes = names.view(np.uint32).reshape(names.size, width)
-    if codes.max(initial=0) > 127:
-        return None  # multi-byte UTF-8: byte stream != code points
-    nonzero = codes != 0
-    # Keys must be a contiguous run of characters followed by padding:
-    # an embedded NUL would corrupt the length computation below.
-    if nonzero.shape[1] > 1 and not bool(np.all(nonzero[:, :-1] >= nonzero[:, 1:])):
-        return None
-    lengths = nonzero.sum(axis=1)
+    return np.array(keys, dtype="S")
+
+
+def hash_keys(names: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized (h1, h2) FNV-1a pair of a non-empty :func:`_key_column`:
+    uint64 arrays bitwise-identical to the scalar :func:`hash_key` pair."""
+    width = names.dtype.itemsize
+    codes = names.view(np.uint8).reshape(names.size, width)
+    # No NUL inside a key: its length is its count of non-padding bytes.
+    lengths = np.count_nonzero(codes, axis=1)
     full = int(lengths.min())  # columns every key covers need no mask
-    columns = codes.T.astype(np.uint64)
+    # Bytes, not a uint64 copy eight times their size: each op casts a row.
+    columns = np.ascontiguousarray(codes.T)
     prime = np.uint64(_FNV_PRIME)
     # Row 0 is h1, row 1 is h2: one FNV-1a pass serves both seeds.
     h = np.empty((2, names.size), dtype=np.uint64)
@@ -99,10 +99,11 @@ class BloomFilter:
     def from_keys(cls, keys: Iterable[str], fp_chance: float, hashed=None) -> "BloomFilter":
         keys = list(keys)
         bf = cls(expected_items=max(len(keys), 1), fp_chance=fp_chance)
-        # A NUL anywhere in the set (see hash_keys) means key-by-key adds;
+        # Keys with no byte column (see _key_column) are added one by one;
         # ``hashed`` is the keys' hash_keys pair when the caller has it.
-        if hashed is None and keys and "\x00" not in "".join(keys):
-            hashed = hash_keys(np.asarray(keys))
+        if hashed is None and keys:
+            column = _key_column(keys)
+            hashed = None if column is None else hash_keys(column)
         if hashed is None:
             for k in keys:
                 bf.add(k)
@@ -128,15 +129,15 @@ class BloomFilter:
         bits is an OR, so order and duplicates cannot change the result.
         """
         bits = np.frombuffer(self._bits, dtype=np.uint8)
+        # In place: a table's (keys, hashes) positions are its largest
+        # temporary, and each copy of them raised the engine's peak RSS.
         with np.errstate(over="ignore"):  # uint64 wrap == the scalar & MASK64
-            pos = (
-                h1[:, None] + np.arange(self.n_hashes, dtype=np.uint64) * h2[:, None]
-            ) % np.uint64(self.n_bits)
-        np.bitwise_or.at(
-            bits,
-            (pos >> np.uint64(3)).astype(np.int64).ravel(),
-            (np.uint8(1) << (pos & np.uint64(7)).astype(np.uint8)).ravel(),
-        )
+            pos = np.arange(self.n_hashes, dtype=np.uint64) * h2[:, None]
+            pos += h1[:, None]
+        pos %= np.uint64(self.n_bits)
+        low = (pos & np.uint64(7)).astype(np.uint8)
+        pos >>= np.uint64(3)
+        np.bitwise_or.at(bits, pos.view(np.int64).ravel(), (np.uint8(1) << low).ravel())
         self.n_items += len(h1)
 
     def might_contain(self, key: str) -> bool:

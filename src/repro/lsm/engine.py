@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import DatastoreError
 from repro.lsm.background import BackgroundTerms, compaction_rate
-from repro.lsm.bloom import _FilterBank, hash_key, hash_keys
+from repro.lsm.bloom import _FilterBank, _key_column, hash_key, hash_keys
 from repro.lsm.commitlog import SYNC_OVERHEAD_SECONDS, CommitLog
 from repro.lsm.compaction import (
     CompactionTask,
@@ -97,7 +97,7 @@ class _PendingCompaction:
 class _ProbePlan:
     """SSTable probe work for the reads of one block.
 
-    ``names``/``h1``/``h2`` (key array, :func:`hash_keys` pair) and
+    ``names``/``h1``/``h2`` (byte key column, :func:`hash_keys` pair) and
     ``order`` (the reads sorted by key) are fixed for the block;
     :meth:`LSMEngine._replan` derives the rest for the reads from some
     ``k`` on under the current layout: per read its bloom-check count,
@@ -160,9 +160,9 @@ class LSMEngine:
         # Derived state, see _charge_terms: (knobs, costs, hardware,
         # {regime: terms}).
         self._terms: Optional[tuple] = None
-        # Derived state, see _replan: (layout epoch, tables in candidate
-        # rank, their filters' bank or None, their min / max keys, ids,
-        # sizes and key counts); kept out of pickles.
+        # Derived state, see _replan: (layout epoch, the tables' key
+        # columns in candidate rank or None, their filters' bank, min /
+        # max keys, ids, sizes and key counts); kept out of pickles.
         self._index: Optional[tuple] = None
 
     def __getstate__(self):
@@ -204,13 +204,11 @@ class LSMEngine:
         return len(candidates), pages, positives, best
 
     def _plan(self, keys: Sequence[str]) -> Optional[_ProbePlan]:
-        """An unbuilt probe plan for ``keys``; None when they do not hash
-        as a batch (non-ASCII, any NUL): they probe table by table."""
-        if "\x00" in "".join(keys):  # a <U array would drop trailing NULs
-            return None
-        names = np.asarray(keys)
-        hashed = hash_keys(names)
-        return None if hashed is None else _ProbePlan(names, *hashed)
+        """An unbuilt probe plan for ``keys``; None when there are none or
+        they have no byte column (non-ASCII, any NUL): they probe table
+        by table."""
+        names = _key_column(keys) if keys else None
+        return None if names is None else _ProbePlan(names, *hash_keys(names))
 
     def _replan(self, plan: _ProbePlan, k: int) -> None:
         """Derive ``plan`` for its reads from ``k`` on under the current layout.
@@ -225,34 +223,40 @@ class LSMEngine:
         and one look at the key it lands on (presence).  A stable sort
         by read leaves each read's pages in the order the table-by-table
         probe meets them, so the LRU replay and every tally come out
-        bit-identical to it.  The tables' key ranges, ids, sizes and
-        counts are held with the bank, per layout epoch.
+        bit-identical to it.  The tables' byte key columns, key ranges,
+        ids, sizes and counts are held with the bank, per layout epoch;
+        a layout with a table that has no column (see
+        :meth:`SSTable.keys_array`) is probed table by table.
         """
         layout = self.layout
         if self._index is None or self._index[0] != layout.epoch:
             tables = list(reversed(layout.levels[0]))
             tables += [t for level in layout.levels[1:] for t in level]
-            exact = all(t.keys_array() is not None for t in tables)
-            self._index = (
-                layout.epoch,
-                tables,
-                _FilterBank([t.bloom for t in tables]) if exact else None,
-                np.array([t.min_key for t in tables], dtype=str),
-                np.array([t.max_key for t in tables], dtype=str),
-                *np.array(
-                    [(t.table_id, t.size_bytes, t.key_count) for t in tables], dtype=np.int64
-                ).reshape(-1, 3).T,
-            )
-        _, tables, bank, min_keys, max_keys, ids, sizes, counts = self._index
+            columns = [t.keys_array() for t in tables]
+            if any(c is None for c in columns):
+                self._index = (layout.epoch, None)
+            else:
+                self._index = (
+                    layout.epoch,
+                    columns,
+                    _FilterBank([t.bloom for t in tables]),
+                    np.array([c[0] for c in columns], dtype="S"),
+                    np.array([c[-1] for c in columns], dtype="S"),
+                    *np.array(
+                        [(t.table_id, t.size_bytes, t.key_count) for t in tables],
+                        dtype=np.int64,
+                    ).reshape(-1, 3).T,
+                )
         names = plan.names[k:]
         n = len(names)
-        if bank is None:  # a table holds a NUL key: probe table by table
-            found = [self._probe(key, None) for key in names.tolist()]
+        if self._index[1] is None:  # a table has no key column: table by table
+            found = [self._probe(key, None) for key in names.astype(str).tolist()]
             plan.blooms = [f[0] for f in found]
             plan.pages = [page for f in found for page in f[1]]
             plan.positives = [f[2] for f in found]
             plan.starts = np.cumsum([0] + [len(f[1]) for f in found]).tolist()
             return
+        _, columns, bank, min_keys, max_keys, ids, sizes, counts = self._index
         # Every L0 table counts a bloom check, in range or not (the range
         # check comes after the counter, as in might_contain).
         n_l0 = len(layout.levels[0])
@@ -290,7 +294,7 @@ class LSMEngine:
         # search per table over its run of bloom positives.
         cuts = np.flatnonzero(np.diff(owner, prepend=-1, append=-1)).tolist()
         for a, b in zip(cuts, cuts[1:]):
-            karr = tables[owner[a]].keys_array()
+            karr = columns[owner[a]]
             rows[a:b] = row = karr.searchsorted(keys[a:b])
             present[a:b] = karr.take(row, mode="clip") == keys[a:b]
         plan.positives = np.bincount(reads[present], minlength=n).tolist()

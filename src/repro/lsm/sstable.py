@@ -12,7 +12,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.lsm.bloom import BloomFilter, hash_keys
+from repro.lsm.bloom import BloomFilter, _key_column, hash_keys
 from repro.lsm.record import Record
 
 #: Logical block size used for cache accounting (Cassandra reads 64k
@@ -50,12 +50,12 @@ class SSTable:
             raise ValueError("an SSTable cannot be empty")
         keys = [r.key for r in records]
         self._records: List[Record] = list(records)
-        # A ``<U`` column is exact for a NUL-free set: one compare checks the
-        # order, and it is dropped once hashed, before the bloom sets bits.
-        names = np.asarray(keys) if "\x00" not in "".join(keys) else None
-        if names is not None:
-            ordered = bool((names[:-1] < names[1:]).all())
-            hashed, names = hash_keys(names), None
+        # One byte column checks the order, hashes the bloom and serves
+        # batch probes (see keys_array); without one, the strings do.
+        column = _key_column(keys)
+        if column is not None:
+            ordered = bool((column[:-1] < column[1:]).all())
+            hashed = hash_keys(column)
         else:
             ordered = all(keys[i] < keys[i + 1] for i in range(len(keys) - 1))
             hashed = None
@@ -64,17 +64,16 @@ class SSTable:
         self.table_id = table_id
         self.level = level
         self._keys: List[str] = keys
-        # Lazy: ``names`` kept here cost ``engine_ycsb`` +1.5 MB traced peak.
-        self._keys_arr: Optional[np.ndarray] = None  # lazy, for batch probes
         self.bloom = BloomFilter.from_keys(keys, fp_chance, hashed)
         self.size_bytes = sum(map(Record.size_bytes.fget, records))
         self.created_at = created_at
+        self._keys_arr = column
 
     # -- pickling --------------------------------------------------------------
 
     def __getstate__(self):
-        # The lazy key-array cache is derived state; dropping it keeps
-        # pickled artifacts identical whether or not a batch probe ran.
+        # The key column is derived state: pickles stay the records,
+        # filter and metadata, and a restore builds the column again.
         return {
             s: getattr(self, s) for s in self.__slots__ if s != "_keys_arr"
         }
@@ -82,7 +81,7 @@ class SSTable:
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-        self._keys_arr = None
+        self._keys_arr = _key_column(self._keys)
 
     # -- metadata --------------------------------------------------------------
 
@@ -144,22 +143,16 @@ class SSTable:
         return int(min(i, n - 1) * self.size_bytes / n) // BLOCK_BYTES, row
 
     def keys_array(self) -> Optional[np.ndarray]:
-        """Key column as a numpy array (cached) for batched lookups, or
-        None when a batched lookup could not match :meth:`locate`
-        exactly: a key holds a NUL (a ``<U`` array drops trailing NULs),
-        or the table is so large that :func:`_blocks_of_rows`' product
-        leaves float64's exact range.  Such a table is probed key by key.
-
-        Tables are immutable, so the array is built once on first use;
-        it does not survive pickling (rebuilt lazily after a restore).
+        """The sorted keys as one ASCII byte column (numpy ``S``), built
+        with the table, for batched lookups; None when a batched lookup
+        could not match :meth:`locate` exactly: a key is not ASCII or
+        holds a NUL (see :func:`~repro.lsm.bloom._key_column`), or the
+        table is so large that :func:`_blocks_of_rows`' product leaves
+        float64's exact range.  Such a table is probed key by key.
         """
-        if (
-            self._keys_arr is None
-            and "\x00" not in "".join(self._keys)
-            and (len(self._keys) - 1) * self.size_bytes < 2**53
-        ):
-            self._keys_arr = np.array(self._keys)
-        return self._keys_arr
+        if (len(self._keys) - 1) * self.size_bytes < 2**53:
+            return self._keys_arr
+        return None
 
     def records(self) -> Iterable[Record]:
         return iter(self._records)

@@ -31,7 +31,7 @@ from repro.datastore import CassandraLike
 from repro.errors import DatastoreError, WorkloadError
 from repro.lsm import bloom
 from repro.lsm import engine as engine_module
-from repro.lsm.bloom import BloomFilter, _FilterBank, _fnv1a, hash_key, hash_keys
+from repro.lsm.bloom import BloomFilter, _FilterBank, _fnv1a, _key_column, hash_key, hash_keys
 from repro.lsm.engine import OP_DELETE, OP_READ, OP_WRITE, LSMEngine
 from repro.sim.clock import SimClock
 from repro.sim.costs import DEFAULT_COSTS
@@ -353,7 +353,7 @@ class TestBloomBatches:
         # columns past the shortest key masked) and a one-key batch.
         mixed = ["a", "bb", "user0001", "k" * 30, "q", "user000000000001"]
         for keys in (self.KEYS, mixed, ["solo"]):
-            hashed = hash_keys(np.asarray(keys))
+            hashed = hash_keys(_key_column(keys))
             assert hashed is not None
             h1, h2 = hashed
             for i, key in enumerate(keys):
@@ -363,15 +363,16 @@ class TestBloomBatches:
                 assert (int(h1[i]), int(h2[i])) == hash_key(key)
 
     def test_hash_keys_refuses_non_ascii_and_embedded_nul(self):
-        assert hash_keys(np.asarray(["café", "user1"])) is None
-        assert hash_keys(np.asarray(["a\x00b"])) is None
+        # Such keys get no byte column, so they never reach hash_keys.
+        assert _key_column(["café", "user1"]) is None
+        assert _key_column(["a\x00b"]) is None
 
     def test_add_many_bit_identical_to_sequential_add(self):
         scalar = BloomFilter(expected_items=200, fp_chance=0.01)
         batch = BloomFilter(expected_items=200, fp_chance=0.01)
         for key in self.KEYS:
             scalar.add(key)
-        batch.add_many(*hash_keys(np.asarray(self.KEYS)))
+        batch.add_many(*hash_keys(_key_column(self.KEYS)))
         assert bytes(scalar._bits) == bytes(batch._bits)
         assert scalar.n_items == batch.n_items
 
@@ -389,7 +390,7 @@ class TestBloomBatches:
         rng = np.random.default_rng(7)
         owner = rng.integers(0, len(filters), size=3 * len(probes))
         which = rng.integers(0, len(probes), size=len(owner))
-        h1, h2 = hash_keys(np.asarray(probes)[which])
+        h1, h2 = hash_keys(_key_column(probes)[which])
         hits = bank.might_contain_pairs(owner, h1, h2)
         expected = [filters[f].might_contain(probes[w]) for f, w in zip(owner, which)]
         assert hits.tolist() == expected
@@ -590,6 +591,70 @@ class TestProbePlanTraps:
             batched.execute_batch(block.kinds, block.key_names(), block.value_sizes)
         assert batched.stats.flushes > 4 and batched.stats.tables_probed > 0
         assert calls == []
+
+
+def edge_keys() -> list:
+    """Keys where byte order and ``str`` order could part: prefixes of
+    each other, the empty key, the lowest and highest ASCII code points
+    a column keeps (``\x01``, ``\x7f``), and keys of 1-20 characters."""
+    keys = ["", "a", "ab", "abc", "\x01", "\x7f", "a\x01", "a\x7f", "ab\x7f", "\x7f\x01"]
+    rng = np.random.default_rng(11)
+    keys += ["".join(map(chr, rng.integers(1, 128, n))) for n in range(1, 21) for _ in range(3)]
+    return sorted(set(keys))
+
+
+class TestByteKeyColumns:
+    """Blocks plan on ASCII byte columns, which must order, search and
+    hash like the strings: each case runs block == one-op == oracle."""
+
+    @staticmethod
+    def flushed_tables(groups) -> tuple:
+        """Twins holding one flushed table per key group; every key's
+        value is its own length, so a read-back check is a dict."""
+        batched, scalar = twin_engines(SIZE_TIERED)
+        for group in groups:
+            run_ops(batched, scalar, [write(k, 1 + len(k)) for k in group])
+            for engine in (batched, scalar):
+                engine.flush()
+        return batched, scalar
+
+    @staticmethod
+    def neighbours(keys) -> list:
+        """Absent keys right next to each present one."""
+        out = [k + "\x01" for k in keys] + [k[:-1] for k in keys if k]
+        return [k for k in out if k not in set(keys)]
+
+    @pytest.mark.parametrize("strategy", [SIZE_TIERED, LEVELED])
+    def test_prefixes_empty_and_edge_code_points(self, strategy):
+        keys = edge_keys()
+        batched, scalar = self.flushed_tables([keys[0::3], keys[1::3], keys[2::3]])
+        for engine in (batched, scalar):
+            engine.reconfigure(replace(engine.knobs, compaction_method=strategy))
+        tables = batched.layout.all_tables()
+        assert len(tables) >= 3 and all(t.keys_array() is not None for t in tables)
+        reads = keys + self.neighbours(keys)
+        rng = np.random.default_rng(5)
+        reads = [reads[i] for i in rng.permutation(len(reads))]
+        assert batched._plan(reads) is not None  # the block plans on a byte column
+        run_ops(batched, scalar, [read(k) for k in reads])
+        assert batched._index[1] is not None  # ... and searched the tables' columns
+        assert batched.stats.bloom_true_positives == len(keys)
+        assert {k: batched.get(k) for k in keys} == {k: bytes(1 + len(k)) for k in keys}
+
+    def test_one_non_ascii_table_takes_the_fallback(self):
+        """A table with no byte column sends the whole layout table by
+        table, ASCII reads included; results do not change."""
+        keys = edge_keys()
+        wide = ["clé", "zoé", "a\u00ff", "\u4e16"]
+        batched, scalar = self.flushed_tables([keys[0::2], wide, keys[1::2]])
+        assert sum(t.keys_array() is None for t in batched.layout.all_tables()) == 1
+        reads = keys + self.neighbours(keys)
+        assert batched._plan(reads) is not None
+        run_ops(batched, scalar, [read(k) for k in reads])
+        assert batched._index[1] is None  # the layout took the table-by-table probe
+        run_ops(batched, scalar, [read(k) for k in wide + reads[::3]])
+        every = keys + wide
+        assert {k: batched.get(k) for k in every} == {k: bytes(1 + len(k)) for k in every}
 
 
 def alternating(n: int, first: int = 0, size: int = 200):

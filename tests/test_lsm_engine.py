@@ -115,7 +115,7 @@ class TestFlushing:
 
 
 class TestNulKeys:
-    """Keys holding NULs, which a numpy ``<U`` array would truncate, read
+    """Keys holding NULs, which a numpy string column would truncate, read
     back exactly on every read path: ``'a\x00'`` is not ``'a'``."""
 
     PROBES = ["a", "a\x00", "\x00", "b", "a\x00\x00"]

@@ -1,7 +1,14 @@
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.lsm import sstable as sstable_module
+from repro.lsm.engine import OP_READ, LSMEngine
 from repro.lsm.record import Record
 from repro.lsm.sstable import SSTable, merge_records, split_into_tables
+
+from .conftest import make_knobs
 
 
 def recs(*keys, ts=1.0, size=20):
@@ -34,7 +41,7 @@ class TestSSTable:
                 SSTable(1, rows, fp_chance=0.01)
 
     def test_nul_keys_take_the_python_order_check(self):
-        """A ``<U`` column reads "a" and "a\x00" alike, so a set with a
+        """A byte column reads "a" and "a\x00" alike, so a set with a
         NUL is checked on the strings: this pair is sorted and distinct."""
         rows = [Record("a", 1.0, b""), Record("a\x00", 1.0, b"")]
         t = SSTable(1, rows, fp_chance=0.01)
@@ -45,7 +52,7 @@ class TestSSTable:
     def test_size_is_the_records_stored_sizes(self):
         t = make_table("c", "a", "b")
         assert t.size_bytes == sum(r.size_bytes for r in t.records()) == 3 * (40 + 1 + 20)
-        assert list(t.keys_array()) == ["a", "b", "c"]
+        assert t.keys_array().tolist() == [b"a", b"b", b"c"]
 
     def test_min_max_keys(self):
         t = make_table("b", "d", "a")
@@ -89,6 +96,61 @@ class TestSSTable:
     def test_block_of_within_range(self):
         t = make_table(*[f"k{i:03d}" for i in range(50)])
         assert 0 <= t.block_of("k025") < max(t.block_count, 1)
+
+
+class TestKeyColumn:
+    """``keys_array()`` is the byte column built with the table: once,
+    kept, never pickled, and None wherever a batched lookup could not
+    match ``locate``."""
+
+    def test_built_once_and_kept(self, monkeypatch):
+        built = []
+        real = sstable_module._key_column
+        monkeypatch.setattr(
+            sstable_module, "_key_column", lambda keys: built.append(1) or real(keys)
+        )
+        t = make_table("b", "a", "c")
+        column = t.keys_array()
+        assert column is t.keys_array() is t.keys_array()
+        assert column.dtype.kind == "S" and len(built) == 1
+
+    @pytest.mark.parametrize("keys", [("a", "a\x00"), ("a", "caf\u00e9"), ("\u4e16",)])
+    def test_none_for_nul_and_non_ascii_keys(self, keys):
+        t = make_table(*keys)
+        assert t.keys_array() is None
+        assert all(t.record_at(t.locate(k)[1]).key == k for k in keys)
+
+    def test_none_past_the_float64_guard(self):
+        # Records carrying a stored size this large: (n - 1) * size_bytes
+        # leaves float64's exact integers, so blocks come from locate().
+        huge = [tuple.__new__(Record, (k, 1.0, b"", 2**52)) for k in ("a", "b")]
+        assert SSTable(1, huge, fp_chance=0.01).keys_array() is None
+        fits = [tuple.__new__(Record, (k, 1.0, b"", 2**51)) for k in ("a", "b")]
+        assert SSTable(1, fits, fp_chance=0.01).keys_array() is not None
+
+    def test_pickle_is_unchanged_by_a_batch_probe(self):
+        engine = LSMEngine(make_knobs())
+        names = [f"k{i:04d}" for i in range(300)]
+        for name in names:
+            engine.put(name, b"v" * 40)
+        table = engine.flush()
+        assert engine.sstable_count == 1
+        before = pickle.dumps(table)
+        engine.execute_batch(np.full(len(names), OP_READ), names[::-1])
+        assert engine.stats.bloom_true_positives == len(names)
+        assert pickle.dumps(table) == before
+        # ... and is what the records, filter and metadata say.
+        fresh = SSTable(
+            table.table_id, list(table.records()), 0.01, table.level, table.created_at
+        )
+        assert pickle.dumps(fresh) == before
+
+    def test_a_restored_table_rebuilds_an_equal_column(self):
+        t = make_table(*[f"k{i:03d}" for i in range(40)], "", "a\x7f")
+        restored = pickle.loads(pickle.dumps(t))
+        assert restored.keys_array() is not t.keys_array()
+        assert restored.keys_array().dtype == t.keys_array().dtype
+        assert restored.keys_array().tolist() == t.keys_array().tolist()
 
 
 class TestMergeRecords:
