@@ -53,6 +53,9 @@ ENTRY_POINTS = "tests/test_entry_points.py"
 ANALYTIC = "repro/lsm/analytic.py"
 ANALYTIC_TESTS = "tests/test_lsm_analytic.py"
 SCHEDULER = "repro/middleware/scheduler.py"
+RAFIKI = "repro/core/rafiki.py"
+LOCKSTEP = f"{EQUIVALENCE}::TestLockstepEqualsAlone"
+ROUND = "tests/test_round_searches.py"
 STRUCTURE = f"{ANALYTIC_TESTS}::TestStepStructureTraps"
 SEGMENT_KEY = (
     "            or s.n_checked != n_checked\n"
@@ -74,28 +77,20 @@ TRAPS = [
         GA,
         [
             (
-                "                book(\n"
-                "                    generation - 1,\n"
-                "                    winner,\n"
-                "                    float(raw[-1]),\n"
-                "                    self.evaluations - population_size,\n"
-                "                )\n",
-                "                late = (generation - 1, winner, float(raw[-1]),\n"
-                "                        self.evaluations - self.population_size)\n",
+                "            for s in searches:\n"
+                "                if rides[s]:  # booked as if scored before the population\n"
+                "                    evaluations[s] += 1\n"
+                "                    book(s, generation - 1, winners[s], float(raw[s, population_size]))\n",
+                "            late = [(s, generation - 1, winners[s], float(raw[s, population_size]))\n"
+                "                    for s in searches if rides[s]]\n"
+                "            for s in searches:\n"
+                "                if rides[s]:\n"
+                "                    evaluations[s] += 1\n",
             ),
             (
-                "            winner = np.where(encoder.integral, best.round() + 0.0, best)\n",
-                "            rode, winner = winner, np.where(encoder.integral, best.round() + 0.0, best)\n",
-            ),
-            (
-                "                if book(generation, winner, raw_winner, self.evaluations):\n"
-                "                    break\n"
-                "                winner = None\n",
-                "                if book(generation, winner, raw_winner, self.evaluations):\n"
-                "                    break\n"
-                "                winner = None\n"
-                "            if rode is not None:\n"
-                "                book(*late)\n",
+                "            if not any(live):\n                break\n",
+                "            for args in late:\n                book(*args)\n"
+                "            if not any(live):\n                break\n",
             ),
         ],
         f"{REFERENCE}::test_plateau_stops_on_the_reference_generation",
@@ -105,19 +100,27 @@ TRAPS = [
         GA,
         [
             (
-                "if generation == self.generations or stagnant + 1 >= stagnation_limit:",
-                "if generation == self.generations:",
+                "if live[s] and (generation == last or stagnant[s] + 1 >= stagnation_limit):",
+                "if live[s] and generation == last:",
             )
         ],
         f"{REFERENCE}::test_plateau_stops_on_the_reference_generation",
     ),
     (
-        "publish self.evaluations as it stands when a riding winner is booked",
+        "publish the evaluations with the population's when a riding winner is booked",
         GA,
         [
             (
-                "self.evaluations - population_size,",
-                "self.evaluations,",
+                "                if rides[s]:  # booked as if scored before the population\n"
+                "                    evaluations[s] += 1\n"
+                "                    book(s, generation - 1, winners[s], float(raw[s, population_size]))\n"
+                "                if live[s]:\n"
+                "                    evaluations[s] += population_size\n",
+                "                if live[s]:\n"
+                "                    evaluations[s] += population_size\n"
+                "                if rides[s]:\n"
+                "                    evaluations[s] += 1\n"
+                "                    book(s, generation - 1, winners[s], float(raw[s, population_size]))\n",
             )
         ],
         f"{REFERENCE}::test_surrogate_search",
@@ -127,22 +130,16 @@ TRAPS = [
         GA,
         [
             (
-                "weights, mutate = rng.random((2, n_children, n_genes))",
-                "mutate, weights = rng.random((2, n_children, n_genes))",
+                "weights, mutate = draws[:, 0], draws[:, 1]",
+                "mutate, weights = draws[:, 0], draws[:, 1]",
             )
         ],
         f"{REFERENCE}::test_surrogate_search",
     ),
     (
-        "one batch reused across generations: the elites copied after the children overwrote it",
+        "children bred into the batch their parents and elites are read from",
         GA,
-        [
-            (
-                "batch = np.empty((population_size + 1, n_genes))",
-                "batch = population.base if generation > 1 else "
-                "np.empty((population_size + 1, n_genes))",
-            )
-        ],
+        [("batch = batches[generation % 2]", "batch = batches[0]")],
         f"{REFERENCE}::test_surrogate_search",
     ),
     (
@@ -150,12 +147,12 @@ TRAPS = [
         GA,
         [
             (
-                "                np.multiply(weights, parents[:n_children], out=children)\n"
+                "                np.multiply(weights, parents[:, :n_children], out=children)\n"
                 "                # (1 - weights) * second parents, in the weight block: the\n"
                 "                # first parents' product above was the weights' last use.\n"
                 "                np.subtract(1.0, weights, out=weights)\n",
                 "                np.subtract(1.0, weights, out=weights)\n"
-                "                np.multiply(weights, parents[:n_children], out=children)\n",
+                "                np.multiply(weights, parents[:, :n_children], out=children)\n",
             )
         ],
         f"{REFERENCE}::test_surrogate_search",
@@ -163,7 +160,7 @@ TRAPS = [
     (
         "a non-finite derived penalty scale let through",
         GA,
-        [("if not penalty_scale < math.inf:", "if False:")],
+        [("if not (scales < math.inf).all():", "if False:")],
         "tests/test_ga_algorithm.py::TestGeneticAlgorithm"
         "::test_non_finite_initial_spread_rejected",
     ),
@@ -183,7 +180,7 @@ TRAPS = [
     (
         "the default floor read from row 0 instead of the riding last row",
         "repro/core/search.py",
-        [("fitness.floor = float(scores[-1])", "fitness.floor = float(scores[0])")],
+        [("for score in scores[:, -1]]", "for score in scores[:, 0]]")],
         f"{EQUIVALENCE}::TestOptimizerBatchEquivalence::test_batched_and_scalar_paths_identical",
     ),
     (
@@ -197,6 +194,55 @@ TRAPS = [
         ],
         "tests/test_ga_algorithm.py::TestGeneticAlgorithm"
         "::test_initial_genes_out_of_bounds_rejected",
+    ),
+    # -- the lockstep GA: each search on its own state, the round's
+    # -- searches taken only where a miss would have searched
+    (
+        "lockstep: search s penalized with search s-1's penalty scale",
+        GA,
+        [("fitness *= penalty_scales", "fitness *= np.roll(penalty_scales, 1, axis=0)")],
+        f"{LOCKSTEP}::test_each_search_is_the_reference",
+    ),
+    (
+        "lockstep: search s's tournaments read search s-1's fitness row",
+        GA,
+        [
+            (
+                "picks = fitness.take(contenders + fitness_base)",
+                "picks = np.roll(fitness, 1, axis=0).take(contenders + fitness_base)",
+            )
+        ],
+        f"{LOCKSTEP}::test_each_search_is_the_reference",
+    ),
+    (
+        "lockstep: a stopped search keeps being booked",
+        GA,
+        [("                rides[s] = live[s]\n", "                rides[s] = True\n")],
+        f"{LOCKSTEP}::test_each_search_is_the_reference",
+    ),
+    (
+        "prefetch: a cold key's membership check counted as a cache miss",
+        RAFIKI,
+        [("if key not in self.cache:", "if self.cache.get(key) is None:")],
+        f"{ROUND}::TestPrefetch::test_counts_caches_and_takes_nothing_by_itself",
+    ),
+    (
+        "prefetch: a result taken whatever its seed stream's index",
+        RAFIKI,
+        [("            and ready[0] == self.seeds.count(name)\n", "")],
+        f"{ROUND}::TestPrefetch::test_a_moved_stream_is_searched_again",
+    ),
+    (
+        "prefetch: unconsumed results kept past the round",
+        RAFIKI,
+        [("        finally:\n            self._prefetched = {}\n", "        finally:\n            pass\n")],
+        f"{ROUND}::TestPrefetch::test_counts_caches_and_takes_nothing_by_itself",
+    ),
+    (
+        "prefetch: a round's results pickled with the rafiki",
+        RAFIKI,
+        [('state["_prefetched"] = {}', "pass")],
+        f"{ROUND}::TestPrefetch::test_counts_caches_and_takes_nothing_by_itself",
     ),
     (
         "snap keeps the -0.0 that np.round gives small negatives",
@@ -788,6 +834,13 @@ TRAPS = [
         [("math.floor(remaining)", "remaining")],
         "tests/test_middleware_adapter.py::TestWindowWithNoTimeLeft"
         "::test_fractional_penalty_serves_only_whole_seconds_left",
+    ),
+    (
+        "forecast: a prediction kept across an update",
+        "repro/workload/forecast.py",
+        [("        self._current_bin = new_bin\n        self._prediction = None\n",
+          "        self._current_bin = new_bin\n")],
+        "tests/test_workload_forecast.py::TestMarkovRegime::test_learns_alternation",
     ),
     # -- the sharded serve round: the rafiki its workers' canaries read and
     # -- the order its two journals are republished in

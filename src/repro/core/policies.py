@@ -10,11 +10,14 @@ the control loop.
 A policy answers one question per window: *which read ratio should the
 controller hand to Rafiki's search, if any?*  Returning ``None`` means
 "keep the current configuration" (no information yet, change too small,
-or still cooling down).
+or still cooling down).  ``decide`` answers it for the window being
+decided; ``peek`` gives the same answer without recording anything, so
+the scheduler can search a round's regimes before its sessions decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,6 +51,11 @@ class DecisionPolicy:
         """The RR the controller should believe for this window."""
         raise NotImplementedError
 
+    def peek(self, window: WindowObservation) -> Optional[float]:
+        """What ``decide`` would answer for ``window`` now, changing no
+        state.  A policy that cannot tell answers ``None``: no guess."""
+        return None
+
     def observe(self, read_ratio: float) -> None:
         """Feed the window's actual RR after it completes."""
 
@@ -65,6 +73,8 @@ class OraclePolicy(DecisionPolicy):
     def decide(self, window: WindowObservation) -> Optional[float]:
         return window.read_ratio
 
+    peek = decide  # decide records nothing
+
 
 class ReactivePolicy(DecisionPolicy):
     """Pure measurement lag: tune for the previous window's RR.
@@ -76,6 +86,8 @@ class ReactivePolicy(DecisionPolicy):
 
     def decide(self, window: WindowObservation) -> Optional[float]:
         return window.previous_read_ratio
+
+    peek = decide  # decide records nothing
 
 
 class ForecastPolicy(DecisionPolicy):
@@ -100,6 +112,8 @@ class ForecastPolicy(DecisionPolicy):
             return None
         return float(np.clip(self.forecaster.predict(), 0.0, 1.0))
 
+    peek = decide  # decide records nothing; ``observe`` learns
+
     def observe(self, read_ratio: float) -> None:
         self.forecaster.update(read_ratio)
         self._observations += 1
@@ -115,8 +129,10 @@ class HysteresisPolicy(DecisionPolicy):
     """
 
     def __init__(self, inner: DecisionPolicy, min_change: float = 0.08):
-        if min_change < 0:
-            raise SearchError("min_change must be >= 0")
+        # ``not 0 <= x < inf``, not ``x < 0``: a NaN threshold fails
+        # every later compare and would switch the damper off silently.
+        if not 0.0 <= min_change < math.inf:
+            raise SearchError(f"min_change must be finite and >= 0, got {min_change!r}")
         self.inner = inner
         self.min_change = min_change
         self._last_rr: Optional[float] = None
@@ -129,13 +145,22 @@ class HysteresisPolicy(DecisionPolicy):
     def proactive(self) -> bool:  # type: ignore[override]
         return self.inner.proactive
 
+    def peek(self, window: WindowObservation) -> Optional[float]:
+        return self._damped(self.inner.peek(window))
+
     def decide(self, window: WindowObservation) -> Optional[float]:
-        raw = self.inner.decide(window)
+        rr = self._damped(self.inner.decide(window))
+        if rr is not None:
+            self._last_rr = rr
+        return rr
+
+    def _damped(self, raw: Optional[float]) -> Optional[float]:
+        """``raw``, or None where it moved less than ``min_change`` from
+        the last acted-on decision."""
         if raw is None:
             return None
         if self._last_rr is not None and abs(raw - self._last_rr) < self.min_change:
             return None
-        self._last_rr = raw
         return raw
 
     def observe(self, read_ratio: float) -> None:

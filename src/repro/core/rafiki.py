@@ -14,8 +14,9 @@ a representative trace (or a base workload spec).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.dataset import PerformanceDataset
@@ -32,10 +33,10 @@ from repro.core.search import ConfigurationOptimizer, OptimizationResult
 from repro.core.surrogate import SurrogateModel
 from repro.datastore.base import Datastore
 from repro.datastore.scylla import ScyllaLike
-from repro.errors import TrainingError
+from repro.errors import SearchError, TrainingError
 from repro.ml.ensemble import EnsembleConfig
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.events import EventBus
+from repro.runtime.events import EventBus, RecordingBus
 from repro.sim.rng import SeedSequence
 from repro.workload.characterize import WorkloadCharacterization, characterize_trace
 from repro.workload.spec import WorkloadSpec
@@ -80,6 +81,14 @@ class Rafiki:
         self.cache = RecommendationCache(
             resolution=rr_cache_resolution, capacity=cache_capacity
         )
+        # ``prefetch``'s searches, by cache key, while its block runs:
+        # (the seed stream's index, the result, its search.* journal).
+        self._prefetched: Dict[float, tuple] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_prefetched"] = {}  # a round's searches never travel
+        return state
 
     @property
     def rr_cache_resolution(self) -> float:
@@ -98,11 +107,69 @@ class Rafiki:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        result = self.optimizer.optimize(
-            key, seed=self.seeds.stream(f"search-rr{key}")
-        )
+        name = f"search-rr{key}"
+        ready = self._prefetched.pop(key, None)
+        bus = self.optimizer.bus
+        if (
+            ready is not None
+            and ready[0] == self.seeds.count(name)
+            and (ready[2] is None) is (bus is None)
+        ):
+            # The search this miss would run, already run by ``prefetch``
+            # on the same stream (and journaled if there is a bus to
+            # hear it): take the stream and publish its events now,
+            # where the search would have published them.
+            _, result, journal = ready
+            self.seeds.advance(name)
+            if journal is not None:
+                journal.replay(bus)
+        else:
+            result = self.optimizer.optimize(key, seed=self.seeds.stream(name))
         self.cache.put(key, result)
         return result
+
+    @contextmanager
+    def prefetch(self, read_ratios: Sequence[Optional[float]]) -> Iterator[None]:
+        """Run a round's cold searches together, for ``recommend`` to take.
+
+        Every read ratio (``None`` and ratios outside ``[0, 1]`` are
+        skipped) whose cache key is not cached now is searched once, all
+        of them as one lockstep GA (:meth:`ConfigurationOptimizer.
+        optimize_many`), each on the named seed stream its miss would
+        take — peeked, not taken.  Nothing is counted, cached or evicted
+        here.  Inside the block a miss on such a key whose stream is
+        still at that index takes the result instead of searching, then
+        counts, caches, evicts and advances the stream exactly as a
+        search would, and replays the search's ``search.*`` events on
+        the rafiki's bus.  Whatever is not taken is dropped when the
+        block ends; a prefetch that fails leaves every miss to search.
+        """
+        keys: Dict[float, None] = {}
+        for read_ratio in read_ratios:
+            if read_ratio is not None and 0.0 <= read_ratio <= 1.0:
+                key = self.cache.quantize(read_ratio)
+                if key not in self.cache:
+                    keys[key] = None
+        if keys:
+            names = [f"search-rr{key}" for key in keys]
+            journals = [
+                RecordingBus() if self.optimizer.bus is not None else None
+                for _ in names
+            ]
+            try:
+                results = self.optimizer.optimize_many(
+                    list(keys), [self.seeds.peek(name) for name in names], journals
+                )
+            except SearchError:
+                results = ()
+            self._prefetched = {
+                key: (self.seeds.count(name), result, journal)
+                for key, name, result, journal in zip(keys, names, results, journals)
+            }
+        try:
+            yield
+        finally:
+            self._prefetched = {}
 
     def predicted_throughput(self, read_ratio: float, config: Configuration) -> float:
         return self.surrogate.predict(read_ratio, config)

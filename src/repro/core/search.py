@@ -29,7 +29,7 @@ from repro.config.space import Configuration
 from repro.core.surrogate import SurrogateModel
 from repro.datastore.base import Datastore
 from repro.errors import SearchError
-from repro.ga.algorithm import GAResult, GeneticAlgorithm, _check_sizes
+from repro.ga.algorithm import GeneticAlgorithm, _check_sizes
 from repro.ga.encoding import ConfigurationEncoder
 from repro.runtime.events import EventBus
 from repro.sim.rng import SeedLike, SeedSequence, derive_rng
@@ -83,7 +83,8 @@ class ConfigurationOptimizer:
         from chasing over-predictions in sparsely sampled corners.
 
         The whole GA population is scored per generation in one
-        surrogate call.  ``bus`` receives ``search.*`` progress events
+        surrogate call, and so are the populations of every search
+        :meth:`optimize_many` runs together.  ``bus`` receives ``search.*`` progress events
         when given.  Population and generations follow the GA's size
         rules, checked here rather than at the first search.
         """
@@ -106,71 +107,101 @@ class ConfigurationOptimizer:
         self.uncertainty_penalty = uncertainty_penalty
         self.bus = bus
 
-    def _fitness_batch(self, read_ratio: float):
-        """One search's fitness, called once per generation with at most
-        ``P + 1`` gene rows: it unit-scales them (``features_batch``'s
-        ops) into a per-search feature buffer whose RR column is filled
-        once and scores them in one call of the surrogate's method,
-        looked up here so a wrapper put on the instance sees every call.
-        The vendor default waits in the buffer's last row and rides the
-        first ``P``-row call (generation 0's); its score — a one-row
-        call's, the ensemble being row-stable — lands in ``fitness.floor``.
+    def _fitness_lockstep(self, read_ratios: Sequence[float]):
+        """The fitness of one search per read ratio, for
+        ``fitness_lockstep_fn``: called once per generation for all of
+        them, it unit-scales the generation's ``(S, P + 1)`` gene batch
+        (``features_batch``'s ops) into a feature buffer whose RR column
+        is filled once, and scores the masked rows in one call of the
+        surrogate's method, looked up here so a wrapper put on the
+        instance sees every call.  The vendor default waits in every
+        search's last row of generation 0's call (which has no riding
+        winner) and rides it; its score — a one-row call's, the ensemble
+        being row-stable — lands in ``fitness.floors[s]``.
         """
         lower, span = self.encoder.lower, self.encoder.span
-        rows = np.empty((self.population_size + 1, 1 + len(lower)))
-        rows[:, 0] = read_ratio
-        units = rows[:, 1:]
-        np.divide(self.default_genes - lower, span, out=units[-1])
-        penalty, population_size = self.uncertainty_penalty, self.population_size
-        surrogate = self.surrogate
+        read_ratios = np.asarray(read_ratios, dtype=float)[:, None]
+        floor = np.divide(self.default_genes - lower, span)
+        penalty, surrogate = self.uncertainty_penalty, self.surrogate
         predict = surrogate.predict_mean_std if penalty > 0.0 else surrogate.predict_features
+        rows = units = None
 
-        def fitness(genes_matrix: np.ndarray) -> np.ndarray:
-            n = len(genes_matrix)
-            block = units[:n]
-            np.subtract(genes_matrix, lower, out=block)
-            block /= span
-            m = n + 1 if n == population_size and fitness.floor is None else n
+        def fitness(batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+            nonlocal rows, units
+            first = rows is None
+            if first:  # generation 0: every population, each floor riding
+                rows = np.empty(batch.shape[:2] + (1 + len(lower),))
+                rows[:, :, 0] = read_ratios
+                units = rows[:, :, 1:]
+                mask = np.ones_like(mask)
+            np.subtract(batch, lower, out=units)
+            units /= span
+            if first:
+                units[:, -1] = floor
+            # Every row of every search (generation 0, and every riding
+            # generation while all searches live) needs no gather.
+            features = rows.reshape(-1, rows.shape[-1]) if mask.all() else rows[mask]
             if penalty > 0.0:
-                mean, spread = predict(rows[:m])
+                mean, spread = predict(features)
                 scores = mean - penalty * spread
             else:
-                scores = predict(rows[:m])
-            if m > n:  # generation 0: the floor rode along
-                fitness.floor = float(scores[-1])
-                return scores[:-1]
+                scores = predict(features)
+            if first:
+                scores = scores.reshape(len(rows), -1)
+                fitness.floors = [float(score) for score in scores[:, -1]]
+                return scores[:, :-1].ravel()
             return scores
 
-        fitness.floor = None
+        fitness.floors = None
         return fitness
 
     def optimize(self, read_ratio: float, seed: SeedLike = 0) -> OptimizationResult:
         """Equation 3 via Equation 4: argmax_C fnet(W, C)."""
-        if not (0.0 <= read_ratio <= 1.0):
-            raise SearchError("read_ratio must be in [0, 1]")
-        fitness = self._fitness_batch(read_ratio)
+        return self.optimize_many([read_ratio], [seed])[0]
+
+    def optimize_many(
+        self,
+        read_ratios: Sequence[float],
+        seeds: Sequence[SeedLike],
+        buses: Optional[Sequence[Optional[EventBus]]] = None,
+    ) -> List[OptimizationResult]:
+        """:meth:`optimize` for each ``(read_ratios[s], seeds[s])``, the
+        searches run as one lockstep GA: one surrogate call per
+        generation for all of them.  Search ``s`` publishes its
+        ``search.*`` events on ``buses[s]`` (default: ``self.bus``);
+        each result is bit for bit what ``optimize`` gives alone."""
+        for read_ratio in read_ratios:
+            if not (0.0 <= read_ratio <= 1.0):
+                raise SearchError("read_ratio must be in [0, 1]")
+        if len(seeds) != len(read_ratios):
+            raise SearchError(f"{len(seeds)} seeds for {len(read_ratios)} read ratios")
+        fitness = self._fitness_lockstep(read_ratios)
         ga = GeneticAlgorithm(
             encoder=self.encoder,
-            fitness_batch_fn=fitness,
+            fitness_lockstep_fn=fitness,
             population_size=self.population_size,
             generations=self.generations,
             bus=self.bus,
         )
-        result: GAResult = ga.run(seed=seed)
-        best_config = result.best_configuration
-        best_fitness = result.best_fitness
-        evaluations = result.evaluations + 1
-        if fitness.floor > best_fitness:
-            best_config = self.surrogate.space.default_configuration()
-            best_fitness = fitness.floor
-        return OptimizationResult(
-            configuration=best_config,
-            predicted_throughput=best_fitness,
-            evaluations=evaluations,
-            equivalent_wall_seconds=evaluations * SURROGATE_QUERY_SECONDS,
-            strategy="rafiki-ga",
-            history=result.history,
-        )
+        results = []
+        for result, floor in zip(ga.run_lockstep(seeds, buses=buses), fitness.floors):
+            best_config = result.best_configuration
+            best_fitness = result.best_fitness
+            evaluations = result.evaluations + 1
+            if floor > best_fitness:
+                best_config = self.surrogate.space.default_configuration()
+                best_fitness = floor
+            results.append(
+                OptimizationResult(
+                    configuration=best_config,
+                    predicted_throughput=best_fitness,
+                    evaluations=evaluations,
+                    equivalent_wall_seconds=evaluations * SURROGATE_QUERY_SECONDS,
+                    strategy="rafiki-ga",
+                    history=result.history,
+                )
+            )
+        return results
 
 
 class ExhaustiveSearch:

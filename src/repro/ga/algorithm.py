@@ -7,27 +7,40 @@ search at ~45 us each (§4.8) — so results carry an evaluation count the
 search-efficiency experiments can convert into simulated benchmark time
 saved.
 
-Fitness can be supplied two ways:
+Fitness can be supplied three ways:
 
 * ``fitness_fn(genes) -> float`` — the scalar reference path, one call
   per individual;
-* ``fitness_batch_fn(genes_matrix) -> (n,) array`` — the fast path, one
-  call per *generation* scoring the whole population at once.
+* ``fitness_batch_fn(genes_matrix) -> (n,) array`` — one call per
+  *generation* scoring the whole population at once;
+* ``fitness_lockstep_fn(batch, mask) -> (n,) array`` — one call per
+  generation for *every* search of a lockstep run (below): the scores of
+  ``batch[mask]``, where the generation's ``(S, P + 1, n_genes)`` batch
+  holds each search's population and, in its last row, a riding winner.
 
-When both are given the batched path runs; the scalar path is retained
+The batched paths are preferred when given; the scalar path is retained
 as the reference implementation the equivalence tests compare against.
-The two paths consume the RNG identically and count evaluations
+All three consume the RNG identically and count evaluations
 identically, so a batch function whose rows match the scalar function
 bit-for-bit yields a bit-identical :class:`GAResult`.
 
-The population is one ``(P, n_genes)`` matrix from the first draw to the
-last generation, and every row of it lies within the encoder's bounds:
-selection, crossover, mutation, the penalty and the feasibility snap
-all run in array space — the operators of :mod:`repro.ga.operators`,
+:meth:`GeneticAlgorithm.run_lockstep` runs S searches in lockstep, one
+generation at a time for all of them, each on its own generator and its
+own bus; :meth:`GeneticAlgorithm.run` is its S = 1 case.  Each search
+keeps its own penalty scale, riding winner, stagnation count, evaluation
+count and early stop, and draws exactly what it would draw alone: S
+searches cost S times the variation arithmetic (in one numpy call per
+step) but one fitness call per generation.
+
+The populations are one ``(S, P, n_genes)`` array from the first draw to
+the last generation, and every row of it lies within the encoder's
+bounds: selection, crossover, mutation, the penalty and the feasibility
+snap all run in array space — the operators of :mod:`repro.ga.operators`,
 written inline for a whole generation — and a
-:class:`~repro.config.space.Configuration` is built exactly once, for
-the winner.  A generation costs one fitness call: its population plus
-the previous generation's snapped winner (see :meth:`GeneticAlgorithm.run`).
+:class:`~repro.config.space.Configuration` is built exactly once per
+search, for its winner.  A generation costs one fitness call: the
+populations plus each search's previous snapped winner (see
+:meth:`GeneticAlgorithm.run_lockstep`).
 """
 
 from __future__ import annotations
@@ -85,13 +98,19 @@ class GeneticAlgorithm:
         this queries the surrogate with the workload fixed (Equation 4).
     fitness_batch_fn:
         Maps a ``(n, n_genes)`` matrix to ``(n,)`` raw fitnesses in one
-        call.  Preferred when present: the surrogate then runs each
-        member network once per generation instead of once per
-        individual.
+        call.  Preferred over ``fitness_fn``: the surrogate then runs
+        each member network once per generation instead of once per
+        individual.  In a lockstep run every search shares it.
+    fitness_lockstep_fn:
+        Maps a generation's ``(S, P + 1, n_genes)`` batch and its
+        ``(S, P + 1)`` boolean mask to the raw fitness of
+        ``batch[mask]`` (search-major), in one call for all S searches,
+        so search ``s`` may score on a fitness of its own.  Preferred
+        over the other two.
     penalty_scale:
         Deb-penalty coefficient, finite and non-negative; if None it is
-        set adaptively to the spread of the initial population's fitness,
-        which must then be finite.
+        set adaptively, per search, to the spread of the initial
+        population's fitness, which must then be finite.
     bus:
         Optional :class:`~repro.runtime.events.EventBus`; when given,
         ``run`` publishes ``search.start`` / ``search.generation`` /
@@ -111,6 +130,9 @@ class GeneticAlgorithm:
         penalty_scale: Optional[float] = None,
         fitness_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         bus: Optional[EventBus] = None,
+        fitness_lockstep_fn: Optional[
+            Callable[[np.ndarray, np.ndarray], np.ndarray]
+        ] = None,
     ):
         _check_sizes(population_size, generations, elites)
         if not (0.0 <= mutation_rate <= 1.0):
@@ -121,11 +143,12 @@ class GeneticAlgorithm:
             raise SearchError("penalty_scale must be finite and non-negative")
         if stagnation_limit < 1:
             raise SearchError("stagnation_limit must be at least 1")
-        if fitness_fn is None and fitness_batch_fn is None:
-            raise SearchError("need fitness_fn or fitness_batch_fn")
+        if fitness_fn is None and fitness_batch_fn is None and fitness_lockstep_fn is None:
+            raise SearchError("need fitness_fn, fitness_batch_fn or fitness_lockstep_fn")
         self.encoder = encoder
         self.fitness_fn = fitness_fn
         self.fitness_batch_fn = fitness_batch_fn
+        self.fitness_lockstep_fn = fitness_lockstep_fn
         self.population_size = population_size
         self.generations = generations
         self.elites = elites
@@ -138,22 +161,21 @@ class GeneticAlgorithm:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _raw_fitness_many(self, population: np.ndarray) -> np.ndarray:
-        """Raw fitness of every row; one batched call if possible."""
-        self.evaluations += len(population)
-        if self.fitness_batch_fn is not None:
-            out = np.asarray(self.fitness_batch_fn(population), dtype=float).ravel()
-            if out.shape[0] != len(population):
-                raise SearchError(
-                    f"fitness_batch_fn returned {out.shape[0]} scores "
-                    f"for {len(population)} individuals"
-                )
-            return out
-        return np.array([float(self.fitness_fn(g)) for g in population])
-
-    def _publish(self, topic: str, message: str, **payload) -> None:
-        if self.bus is not None:
-            self.bus.publish(topic, message, **payload)
+    def _raw_fitness(self, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Raw fitness of ``batch[mask]``; one call of the preferred form."""
+        if self.fitness_lockstep_fn is not None:
+            out = self.fitness_lockstep_fn(batch, mask)
+        elif self.fitness_batch_fn is not None:
+            out = self.fitness_batch_fn(batch[mask])
+        else:
+            out = [float(self.fitness_fn(g)) for g in batch[mask]]
+        out = np.asarray(out, dtype=float).ravel()
+        rows = np.count_nonzero(mask)
+        if out.shape[0] != rows:
+            raise SearchError(
+                f"fitness returned {out.shape[0]} scores for {rows} individuals"
+            )
+        return out
 
     # -- main loop ---------------------------------------------------------------
 
@@ -164,17 +186,35 @@ class GeneticAlgorithm:
     ) -> GAResult:
         """Run the GA; returns the best *feasible* configuration found.
 
+        The S = 1 case of :meth:`run_lockstep`, on ``self.bus``.
+        """
+        return self.run_lockstep([seed], initial=initial)[0]
+
+    def run_lockstep(
+        self,
+        seeds: Sequence[SeedLike],
+        initial: Optional[Sequence[np.ndarray]] = None,
+        buses: Optional[Sequence[Optional[EventBus]]] = None,
+    ) -> List[GAResult]:
+        """Run one search per seed, all a generation at a time; returns
+        each search's best *feasible* configuration, in seed order.
+
         ``initial`` gene vectors, each within the encoder's bounds,
-        replace the first rows of the random initial population.
+        replace the first rows of every search's random initial
+        population.  Search ``s`` draws from ``derive_rng(seeds[s])``
+        only and publishes on ``buses[s]`` (default: ``self.bus``), so
+        its result, draws and events are those of running it alone.
 
         Every generation's winner is snapped to feasibility and re-scored
         on its snapped genes, so the reported fitness belongs to an
         applicable configuration.  That one-row score rides as the last
         row of the *next* generation's batch and the generation is booked
-        right after that call; it is scored at once only where booking it
-        can end the search (the last generation, or one more stagnant
-        generation reaching the limit).  Rows scored, RNG draws and
-        events are those of scoring every winner at once.
+        right after that call; it is scored at once — in one call for
+        all searches that need it — only where booking it can end the
+        search (the last generation, or one more stagnant generation
+        reaching the limit).  Rows scored, RNG draws and events are
+        those of scoring every winner at once.  A stopped search draws
+        nothing more and is neither scored nor booked again.
         """
         encoder = self.encoder
         lower, upper, n_genes = encoder.lower, encoder.upper, encoder.n_genes
@@ -186,136 +226,222 @@ class GeneticAlgorithm:
                 )
             if not np.all((genes >= lower) & (genes <= upper)):
                 raise SearchError("initial genes must lie within the encoder's bounds")
-        rng = derive_rng(seed)
+        rngs = [derive_rng(seed) for seed in seeds]
+        n_searches = len(rngs)
+        if n_searches < 1:
+            raise SearchError("need at least one search")
+        buses = [self.bus] * n_searches if buses is None else list(buses)
+        if len(buses) != n_searches:
+            raise SearchError(f"{len(buses)} buses for {n_searches} searches")
         self.evaluations = 0
-        self._publish(
-            "search.start",
-            f"GA search over {n_genes} genes",
-            population=self.population_size,
-            generations=self.generations,
-            batched=self.fitness_batch_fn is not None,
-        )
+        for bus in buses:
+            if bus is not None:
+                bus.publish(
+                    "search.start",
+                    f"GA search over {n_genes} genes",
+                    population=self.population_size,
+                    generations=self.generations,
+                    batched=self.fitness_batch_fn is not None
+                    or self.fitness_lockstep_fn is not None,
+                )
         population_size, elites = self.population_size, self.elites
         mutation_rate, mutation_scale = self.mutation_rate, self.mutation_scale
-        stagnation_limit, bus = self.stagnation_limit, self.bus
+        stagnation_limit, last = self.stagnation_limit, self.generations
         n_children = population_size - elites
-        # Each child's two tournaments, three contenders a row: a
-        # winner's offset into the flattened draw is 3 * row + its column.
-        row_offsets = np.arange(0, 6 * n_children, 3)
-        best_genes, best_fit, stagnant, history = None, None, 0, []
+        searches = range(n_searches)
+        every = np.arange(n_searches)
+        # Two (S, P + 1, G) batches, bred into by turns: a generation
+        # reads its parents and elites from the other one.  Row P of a
+        # search holds its riding winner.  Both start as zeros so rows no
+        # call scores stay finite.
+        batches = np.zeros((2, n_searches, population_size + 1, n_genes))
+        # Flat offsets: search s's row r of a batch is row s * (P + 1) + r
+        # of its (S * (P + 1), G) view, its fitness s * P + r of the
+        # (S * P,) one, and each child's two tournaments, three
+        # contenders a row, flatten to 3 * (s * 2 * children + row) + col.
+        row_base = np.arange(0, n_searches * (population_size + 1), population_size + 1)[:, None]
+        fitness_base = np.arange(0, n_searches * population_size, population_size)[:, None, None]
+        pick_base = np.arange(0, 6 * n_children * n_searches, 3).reshape(n_searches, -1)
+        contenders = np.zeros((n_searches, 2 * n_children, 3), dtype=np.int64)
+        # The bounds and spans tiled to one search's children: a gene-long
+        # operand broadcast over (S, children, G) runs the ufunc five
+        # genes at a time; a (children, G) one, a search at a time.
+        low, high, span = (
+            bound[None].repeat(n_children, axis=0) for bound in (lower, upper, encoder.span)
+        )
+        draws = np.zeros((n_searches, 2, n_children, n_genes))
+        noise = np.zeros((n_searches, n_children, n_genes))
+        raw = np.zeros((n_searches, population_size + 1))
+        # The rows a generation's call scores: every live population,
+        # and row P where a winner rides.
+        mask = np.ones((n_searches, population_size + 1), dtype=bool)
+        live = [True] * n_searches
+        rides = [False] * n_searches   # a search's previous winner rides along
+        evaluations = [0] * n_searches
+        stagnant = [0] * n_searches
+        best_genes: List[Optional[np.ndarray]] = [None] * n_searches
+        best_fit = [0.0] * n_searches
+        histories: List[List[float]] = [[] for _ in searches]
+        stopped_at = [last] * n_searches
 
-        def book(generation: int, genes: np.ndarray, raw: float, evaluations: int) -> bool:
-            """Settle a generation on its re-scored winner; True ends the search."""
-            nonlocal best_genes, best_fit, stagnant
-            if generation == 0 or raw > best_fit + 1e-12:
-                best_genes, best_fit, stagnant = genes, raw, 0
+        def book(s: int, generation: int, genes: np.ndarray, raw: float) -> bool:
+            """Settle search s's generation on its re-scored winner; True
+            ends the search."""
+            if generation == 0 or raw > best_fit[s] + 1e-12:
+                best_genes[s], best_fit[s], stagnant[s] = genes, raw, 0
             else:
-                stagnant += 1
-            history.append(best_fit)
+                stagnant[s] += 1
+            histories[s].append(best_fit[s])
+            bus = buses[s]
             if generation and bus is not None:  # the message is built only to be heard
                 bus.publish(
                     "search.generation",
-                    f"generation {generation}: best {best_fit:,.1f}",
+                    f"generation {generation}: best {best_fit[s]:,.1f}",
                     generation=generation,
-                    best_fitness=best_fit,
-                    evaluations=evaluations,
+                    best_fitness=best_fit[s],
+                    evaluations=evaluations[s],
                 )
-            return stagnant >= stagnation_limit
+            return stagnant[s] >= stagnation_limit
 
-        # The population stays within bounds from here on: a uniform
-        # draw (the same stream, and the same rows, as ``population_size``
-        # calls of ``encoder.random_genes``), validated seeds, and
-        # children clipped by the mutation.
-        population = rng.uniform(lower, upper, size=(population_size, n_genes))
-        for i, genes in enumerate(initial_genes[:population_size]):
-            population[i] = genes
-        winner = None  # the previous generation's, when it rides along
-        for generation in range(self.generations + 1):
+        # The populations stay within bounds from here on: a uniform
+        # draw per search (the same stream, and the same rows, as
+        # ``population_size`` calls of ``encoder.random_genes``),
+        # validated seeds, and children clipped by the mutation.
+        batch = batches[0]
+        for s in searches:
+            batch[s, :population_size] = rngs[s].uniform(
+                lower, upper, size=(population_size, n_genes)
+            )
+            for i, genes in enumerate(initial_genes[:population_size]):
+                batch[s, i] = genes
+        population = batch[:, :population_size]
+        winners = None  # the previous generation's, riding where ``rides``
+        for generation in range(last + 1):
             if generation:
-                # A fresh batch per generation (elites, children, riding
-                # winner): the elites are read from the previous one after
-                # the children are written.  Variation draws one block per
-                # kind: both parents of every child (3-way tournaments, ties
-                # to the earliest-drawn contender), crossover weights and
+                # Breed into the other batch (elites, children) from this
+                # one's parents and elites.  Variation draws one block per
+                # kind and live search, in the search's own order: both
+                # parents of every child (3-way tournaments, ties to the
+                # earliest-drawn contender), crossover weights and
                 # mutation mask together, the mutation noise.
-                batch = np.empty((population_size + 1, n_genes))
-                children = batch[elites:population_size]
-                elite_rows = fitness.argsort()[: -elites - 1 : -1]
-                contenders = rng.integers(population_size, size=(2 * n_children, 3))
-                picks = fitness[contenders].argmax(axis=1)
-                picks += row_offsets
-                parents = population.take(contenders.take(picks), axis=0)
-                weights, mutate = rng.random((2, n_children, n_genes))
-                np.multiply(weights, parents[:n_children], out=children)
+                parent_rows = batch.reshape(-1, n_genes)
+                batch = batches[generation % 2]
+                children = batch[:, elites:population_size]
+                elite_rows = fitness.argsort(axis=1)[:, : -elites - 1 : -1]
+                elite_rows += row_base
+                for s in searches:
+                    if live[s]:
+                        rng = rngs[s]
+                        contenders[s] = rng.integers(population_size, size=(2 * n_children, 3))
+                        rng.random(out=draws[s])
+                        rng.standard_normal(out=noise[s])
+                picks = fitness.take(contenders + fitness_base).argmax(axis=2)
+                picks += pick_base
+                chosen = contenders.take(picks)
+                chosen += row_base
+                parents = parent_rows.take(chosen, axis=0)
+                weights, mutate = draws[:, 0], draws[:, 1]
+                np.multiply(weights, parents[:, :n_children], out=children)
                 # (1 - weights) * second parents, in the weight block: the
                 # first parents' product above was the weights' last use.
                 np.subtract(1.0, weights, out=weights)
-                weights *= parents[n_children:]
+                weights *= parents[:, n_children:]
                 children += weights
-                noise = rng.standard_normal((n_children, n_genes))
                 noise *= mutation_scale  # noise * scale * span, left to right
-                noise *= encoder.span
+                noise *= span
                 np.add(children, noise, out=children, where=mutate < mutation_rate)
                 # np.clip without its wrapper.  The two differ only on
                 # a signed zero against a zero bound, and no draw,
                 # crossover or mutation makes a -0.0 gene: only an
                 # ``initial`` seed can bring one in.
-                np.maximum(children, lower, out=children)
-                np.minimum(children, upper, out=children)
-                population.take(elite_rows, axis=0, out=batch[:elites])
-                population = batch[:population_size]
-            if winner is None:
-                raw = self._raw_fitness_many(population)
-            else:
-                batch[-1] = winner
-                raw = self._raw_fitness_many(batch)
-                book(
-                    generation - 1,
-                    winner,
-                    float(raw[-1]),
-                    self.evaluations - population_size,
-                )
-                raw = raw[:-1]
+                np.maximum(children, low, out=children)
+                np.minimum(children, high, out=children)
+                batch[:, :elites] = parent_rows.take(elite_rows, axis=0)
+                population = batch[:, :population_size]
+            mask[:, population_size] = rides
+            if winners is not None:
+                batch[:, population_size] = winners
+            raw[mask] = self._raw_fitness(batch, mask)
+            for s in searches:
+                if rides[s]:  # booked as if scored before the population
+                    evaluations[s] += 1
+                    book(s, generation - 1, winners[s], float(raw[s, population_size]))
+                if live[s]:
+                    evaluations[s] += population_size
             if generation == 0:
-                penalty_scale = self.penalty_scale
-                if penalty_scale is None:
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        spread = max(np.ptp(raw), abs(np.mean(raw)) * 0.1, 1e-9)
-                    penalty_scale = 2.0 * spread
-                    if not penalty_scale < math.inf:
-                        raise SearchError(
-                            "generation 0's fitness spread is not finite: "
-                            "no penalty scale derives from it"
-                        )
-            # Deb penalty: the population is within bounds, so its
+                penalty_scales = self._penalty_scales(raw[:, :population_size])[:, None]
+            # Deb penalty: the populations are within bounds, so their
             # violation is the integrality gap alone.  Feasible rows pass
             # through untouched, as in :func:`penalized_fitness`, with no
             # mask: a finite scale times their zero gap is 0.0, and
             # ``raw - 0.0`` is ``raw`` bit for bit.
             fitness = encoder._integrality_gap(population)
-            fitness *= penalty_scale
-            np.subtract(raw, fitness, out=fitness)
+            fitness *= penalty_scales
+            np.subtract(raw[:, :population_size], fitness, out=fitness)
             # ``encoder.snap`` of an in-bounds row: its clip is the identity.
-            best = population[fitness.argmax()]
-            winner = np.where(encoder.integral, best.round() + 0.0, best)
-            if generation == self.generations or stagnant + 1 >= stagnation_limit:
-                raw_winner = float(self._raw_fitness_many(winner[None, :])[0])
-                if book(generation, winner, raw_winner, self.evaluations):
-                    break
-                winner = None
+            best = population[every, fitness.argmax(axis=1)]
+            winners = np.where(encoder.integral, best.round() + 0.0, best)
+            spot = []  # searches whose winner's booking can end them
+            for s in searches:
+                rides[s] = live[s]
+                if live[s] and (generation == last or stagnant[s] + 1 >= stagnation_limit):
+                    rides[s] = False
+                    spot.append(s)
+            if spot:
+                alone = np.zeros_like(mask)
+                alone[spot, population_size] = True
+                batch[:, population_size] = winners
+                raw[alone] = self._raw_fitness(batch, alone)
+                for s in spot:
+                    evaluations[s] += 1
+                    if book(s, generation, winners[s], float(raw[s, population_size])):
+                        live[s], stopped_at[s] = False, generation
+                        mask[s] = False
+                        # Its stale draws are bred on unscored from here;
+                        # zero noise keeps the repeated scaling finite.
+                        noise[s] = 0.0
+                        self._done(buses[s], generation, best_fit[s], evaluations[s])
+            if not any(live):
+                break
+        for s in searches:
+            if live[s]:
+                self._done(buses[s], last, best_fit[s], evaluations[s])
+        self.evaluations = sum(evaluations)
+        return [
+            GAResult(
+                best_configuration=encoder.decode(best_genes[s]),
+                best_fitness=best_fit[s],
+                evaluations=evaluations[s],
+                generations=stopped_at[s],
+                history=histories[s],
+            )
+            for s in searches
+        ]
 
-        config = encoder.decode(best_genes)
-        self._publish(
-            "search.done",
-            f"search finished after {generation} generations",
-            generations=generation,
-            best_fitness=best_fit,
-            evaluations=self.evaluations,
-        )
-        return GAResult(
-            best_configuration=config,
-            best_fitness=best_fit,
-            evaluations=self.evaluations,
-            generations=generation,
-            history=history,
-        )
+    def _penalty_scales(self, raw: np.ndarray) -> np.ndarray:
+        """Each search's Deb-penalty scale from its generation-0 scores
+        (a row each): ``penalty_scale``, or twice the row's spread."""
+        if self.penalty_scale is not None:
+            return np.full(len(raw), self.penalty_scale, dtype=float)
+        # Row by row what ``max(ptp, |mean| * 0.1, 1e-9)`` of the row
+        # gives: ptp and the pairwise mean are per-row reductions.
+        with np.errstate(invalid="ignore", over="ignore"):
+            spread = np.maximum(np.ptp(raw, axis=1), abs(np.mean(raw, axis=1)) * 0.1)
+            scales = 2.0 * np.maximum(spread, 1e-9)
+        if not (scales < math.inf).all():
+            raise SearchError(
+                "generation 0's fitness spread is not finite: "
+                "no penalty scale derives from it"
+            )
+        return scales
+
+    @staticmethod
+    def _done(bus, generation: int, best_fitness: float, evaluations: int) -> None:
+        if bus is not None:
+            bus.publish(
+                "search.done",
+                f"search finished after {generation} generations",
+                generations=generation,
+                best_fitness=best_fitness,
+                evaluations=evaluations,
+            )

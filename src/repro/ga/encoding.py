@@ -164,10 +164,11 @@ class ConfigurationEncoder:
         return total
 
     def _integrality_gap(self, inside: np.ndarray) -> np.ndarray:
-        """Per-row distance of *in-bounds* genes from integrality: all of
+        """Per-row distance of *in-bounds* genes (rows on the last axis)
+        from integrality: all of
         :meth:`violation_batch` there, since the bound terms sum to an
         exact ``0.0`` — what the GA charges its clipped population.  Only
         the integral columns are rounded; the sum is the same as over all
         columns' masked gaps."""
-        columns = inside[:, self._integral_columns]
-        return np.add.reduce(np.abs(columns - columns.round()), axis=1)
+        columns = inside[..., self._integral_columns]
+        return np.add.reduce(np.abs(columns - columns.round()), axis=-1)

@@ -19,6 +19,19 @@ Every tenant's events are namespaced (``tenant.<id>.controller.*``,
 ``bus.scoped()``; the scheduler itself publishes ``scheduler.start`` /
 ``scheduler.window`` / ``scheduler.done``.
 
+**The round's search batch.**  Before any session of a round decides,
+the scheduler hands ``rafiki.prefetch`` every served tenant's
+``TenantSession.search_hint`` (the read ratio its DECIDE would search
+for, from the policy's pure ``peek``).  The round's cold regimes are
+then searched together as one lockstep GA, one surrogate call per
+generation for all of them, and each session's miss takes its result
+where it would have searched, counting, caching, evicting, drawing its
+seed stream and publishing its ``search.*`` events exactly as the
+search would have.  Unused results are dropped at the round's end, so
+results, cache state and the event log are those of searching each miss
+on the spot (``tests/test_round_searches.py``).  The same batch serves
+serial and sharded rounds: the parent prefetches, then decides.
+
 **Sharded serve.**  Within one window round, tenant sessions are
 independent except for the shared rafiki (surrogate + recommendation
 cache) and the shared bus.  ``backend=`` / ``workers=`` fan each round
@@ -58,8 +71,9 @@ scales every admitted window by the round's capacity factor.
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.controller import ControllerRun
 from repro.core.policies import DecisionPolicy, HysteresisPolicy, OraclePolicy
@@ -76,7 +90,7 @@ from repro.middleware.reconcile import DriftReconciler, ReconcileSpec
 from repro.middleware.session import TenantSession
 from repro.middleware.slo import SloSpec
 from repro.runtime.backend import ExecutionBackend, resolve_backend
-from repro.runtime.events import EventBus
+from repro.runtime.events import EventBus, RecordingBus
 from repro.sim.clock import SimClock
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import DEFAULT_WINDOW_SECONDS
@@ -84,18 +98,6 @@ from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 def _default_policy() -> DecisionPolicy:
     return HysteresisPolicy(OraclePolicy(), min_change=0.08)
-
-
-class _RecordingBus(EventBus):
-    """Journals every publish so the parent can republish it in order."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: List[Tuple[str, str, dict]] = []
-
-    def publish(self, topic: str, message: str = "", **payload):
-        self.records.append((topic, message, payload))
-        return super().publish(topic, message, **payload)
 
 
 def _attach_session_bus(session: TenantSession, bus) -> None:
@@ -127,7 +129,7 @@ def _shard_window_worker(task):
     tenant_id, session, blob = task
     if blob is not None:
         session.rafiki = pickle.loads(blob)
-    recorder = _RecordingBus()
+    recorder = RecordingBus()
     _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
     try:
         while session.advance_phase() != "idle":
@@ -360,15 +362,16 @@ class MiddlewareScheduler:
                 default=0.0,
             )
             shed, factor = self._plan_round(w, active)
-            if self.backend is not None:
-                self._run_round_sharded(w, active, shed, factor)
-            else:
-                for tenant_id in active:
-                    spec, session = self._tenants[tenant_id]
-                    if tenant_id in shed:
-                        session.record_shed_window(spec.rr_series[w])
-                    else:
-                        session.step(spec.rr_series[w], capacity_factor=factor)
+            with self._round_searches(w, active, shed):
+                if self.backend is not None:
+                    self._run_round_sharded(w, active, shed, factor)
+                else:
+                    for tenant_id in active:
+                        spec, session = self._tenants[tenant_id]
+                        if tenant_id in shed:
+                            session.record_shed_window(spec.rr_series[w])
+                        else:
+                            session.step(spec.rr_series[w], capacity_factor=factor)
             self.clock.advance(round_seconds)
             self.events.publish(
                 "scheduler.window",
@@ -388,6 +391,23 @@ class MiddlewareScheduler:
             tenants=list(results),
         )
         return results
+
+    def _round_searches(self, w: int, active: Sequence[str], shed: frozenset):
+        """The round's search batch: ``rafiki.prefetch`` of every served
+        tenant's search hint, one lockstep GA for the round's cold
+        regimes before any session decides (a no-op context for a
+        rafiki without ``prefetch``)."""
+        prefetch = getattr(self.rafiki, "prefetch", None)
+        if prefetch is None:
+            return nullcontext()
+        return prefetch(
+            [
+                session.search_hint(spec.rr_series[w])
+                for spec, session in (
+                    self._tenants[t] for t in active if t not in shed
+                )
+            ]
+        )
 
     # -- admission control ------------------------------------------------------
 
@@ -501,7 +521,7 @@ class MiddlewareScheduler:
         try:
             for tenant_id in served:
                 spec, session = self._tenants[tenant_id]
-                recorder = _RecordingBus()
+                recorder = RecordingBus()
                 _attach_session_bus(session, recorder.scoped(f"tenant.{tenant_id}"))
                 session.begin_window(spec.rr_series[w], capacity_factor=factor)
                 session.advance_phase()     # observe

@@ -85,6 +85,24 @@ class EventBus:
         return ScopedEventBus(self, prefix)
 
 
+class RecordingBus(EventBus):
+    """Journals every publish as ``(topic, message, payload)``, in order,
+    so its events can be republished on another bus later."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: List[Tuple[str, str, dict]] = []
+
+    def publish(self, topic: str, message: str = "", **payload: Any) -> Event:
+        self.records.append((topic, message, payload))
+        return super().publish(topic, message, **payload)
+
+    def replay(self, bus) -> None:
+        """Publish every journaled event on ``bus``, in order."""
+        for topic, message, payload in self.records:
+            bus.publish(topic, message, **payload)
+
+
 class ScopedEventBus:
     """Prefix-namespacing view over a parent :class:`EventBus`.
 

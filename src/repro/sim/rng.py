@@ -42,12 +42,27 @@ class SeedSequence:
         each time (indexed), so components that need several generators can
         just call again.
         """
-        index = self._counts.get(name, 0)
-        self._counts[name] = index + 1
+        rng = self.peek(name)
+        self.advance(name)
+        return rng
+
+    def count(self, name: str) -> int:
+        """How many streams ``name`` has handed out: the next one's index."""
+        return self._counts.get(name, 0)
+
+    def advance(self, name: str) -> None:
+        """Count ``name``'s next stream as handed out without building it:
+        the next ``stream(name)`` returns the one after."""
+        self._counts[name] = self.count(name) + 1
+
+    def peek(self, name: str) -> np.random.Generator:
+        """The generator the next ``stream(name)`` returns, without taking
+        it: the count stays, so that call still hands out this stream."""
         # Hash the name into ints for numpy's SeedSequence entropy pool.
         name_entropy = [ord(c) for c in name] or [0]
-        seq = np.random.SeedSequence([self._root, index, *name_entropy])
+        seq = np.random.SeedSequence([self._root, self.count(name), *name_entropy])
         return np.random.default_rng(seq)
+
 
 def derive_rng(seed: SeedLike) -> np.random.Generator:
     """Coerce ``seed`` (int, Generator, or None) into a Generator."""

@@ -43,6 +43,7 @@ class MarkovRegimeForecaster:
         self._bin_sums = np.zeros(n_bins)     # running mean RR per bin
         self._bin_counts = np.zeros(n_bins)
         self._current_bin: Optional[int] = None
+        self._prediction: Optional[float] = None  # predict()'s, until update()
 
     def _bin_of(self, rr: float) -> int:
         return min(int(rr * self.n_bins), self.n_bins - 1)
@@ -63,12 +64,16 @@ class MarkovRegimeForecaster:
         if self._current_bin is not None:
             self._transitions[self._current_bin, new_bin] += 1.0
         self._current_bin = new_bin
+        self._prediction = None
 
     def predict(self) -> float:
-        """Predict the next window's RR (in [0, 1])."""
+        """Predict the next window's RR (in [0, 1]).  Computed once per
+        ``update``: a window's decision and its search hint both ask."""
         if self._current_bin is None:
             return 0.5
-        row = self._transitions[self._current_bin]
-        probs = row / row.sum()
-        centers = np.array([self._bin_center(b) for b in range(self.n_bins)])
-        return float(np.clip(probs @ centers, 0.0, 1.0))
+        if self._prediction is None:
+            row = self._transitions[self._current_bin]
+            probs = row / row.sum()
+            centers = np.array([self._bin_center(b) for b in range(self.n_bins)])
+            self._prediction = float(np.clip(probs @ centers, 0.0, 1.0))
+        return self._prediction

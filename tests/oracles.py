@@ -84,6 +84,12 @@ def reference_ga_run(ga, seed=0, initial=None) -> GAResult:
     def raw_fitness_many(population):
         nonlocal evaluations
         evaluations += len(population)
+        if ga.fitness_lockstep_fn is not None:  # one search: rows first in its batch
+            batch = np.zeros((1, ga.population_size + 1, population.shape[1]))
+            batch[0, : len(population)] = population
+            mask = np.zeros(batch.shape[:2], dtype=bool)
+            mask[0, : len(population)] = True
+            return np.asarray(ga.fitness_lockstep_fn(batch, mask), dtype=float).ravel()
         if ga.fitness_batch_fn is not None:
             return np.asarray(ga.fitness_batch_fn(population), dtype=float).ravel()
         return np.array([float(ga.fitness_fn(g)) for g in population])
@@ -118,7 +124,7 @@ def reference_ga_run(ga, seed=0, initial=None) -> GAResult:
         f"GA search over {encoder.n_genes} genes",
         population=ga.population_size,
         generations=ga.generations,
-        batched=ga.fitness_batch_fn is not None,
+        batched=ga.fitness_batch_fn is not None or ga.fitness_lockstep_fn is not None,
     )
 
     population = rng.uniform(

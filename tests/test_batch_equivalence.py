@@ -464,7 +464,7 @@ class TestPipelinedRunEqualsReference:
             ]
         for seed, rr in ((0, 0.6), (2017, 0.05)):
             if mode == "batch":
-                fitness = dict(fitness_batch_fn=optimizer._fitness_batch(rr))
+                fitness = dict(fitness_lockstep_fn=optimizer._fitness_lockstep([rr]))
             else:
                 fitness = dict(fitness_fn=scalar_fitness(optimizer, rr))
             run_both(
@@ -523,6 +523,136 @@ class TestPipelinedRunEqualsReference:
             assert 13 not in ours
         elif result.generations > limit:  # some rode along, the last never does
             assert 13 in ours and ours[-1] == 1
+
+
+def owner_fitness(weights, caps):
+    """Per-search plateau fitness: search ``s`` scores
+    ``min(sum(tanh(genes * weights[s])), caps[s])``.  Returns the lockstep
+    form (every search's masked rows in one call) and, per search, the
+    one-search batch form; their rows agree bitwise."""
+
+    def lockstep(batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        owners = np.nonzero(mask)[0]
+        return np.minimum(
+            np.sum(np.tanh(batch[mask] * weights[owners]), axis=-1), caps[owners]
+        )
+
+    def alone(s):
+        def batch(matrix: np.ndarray) -> np.ndarray:
+            return np.minimum(np.sum(np.tanh(matrix * weights[s]), axis=-1), caps[s])
+
+        return batch
+
+    return lockstep, alone
+
+
+def search_log(bus):
+    log = []
+    bus.subscribe(log.append, topic="search")
+    return log
+
+
+class TestLockstepEqualsAlone:
+    """``run_lockstep`` / ``optimize_many``: each search of a lockstep run
+    is, bit for bit, the reference loop and the search run alone — its
+    result, its draws and its ``search.*`` events on its own bus — while
+    every generation is one fitness call for all of them."""
+
+    @pytest.mark.parametrize("n_searches", [1, 2, 5])
+    @pytest.mark.parametrize("limit", [1, 2, 4])
+    def test_each_search_is_the_reference(self, n_searches, limit):
+        rng = np.random.default_rng(100 * n_searches + limit)
+        weights = rng.standard_normal((n_searches, SIGNED_ENCODER.n_genes))
+        weights /= SIGNED_ENCODER.span
+        caps = rng.choice([-1e9, 0.4, 1.1, np.inf], size=n_searches)
+        seeds = [int(seed) for seed in rng.integers(2**31, size=n_searches)]
+        lockstep, alone = owner_fitness(weights, caps)
+        calls = []
+
+        def counted(batch, mask):
+            calls.append(int(mask.sum()))
+            return lockstep(batch, mask)
+
+        kwargs = dict(population_size=12, generations=30, stagnation_limit=limit)
+        buses = [EventBus() for _ in seeds]
+        logs = [search_log(bus) for bus in buses]
+        generators = [np.random.default_rng(seed) for seed in seeds]
+        ga = GeneticAlgorithm(SIGNED_ENCODER, fitness_lockstep_fn=counted, **kwargs)
+        results = ga.run_lockstep(generators, buses=buses)
+        assert ga.evaluations == sum(r.evaluations for r in results) == sum(calls)
+        for s, seed in enumerate(seeds):
+            bus = EventBus()
+            log = search_log(bus)
+            rng = np.random.default_rng(seed)
+            want = reference_ga_run(
+                GeneticAlgorithm(SIGNED_ENCODER, fitness_batch_fn=alone(s), bus=bus, **kwargs),
+                seed=rng,
+            )
+            single = GeneticAlgorithm(
+                SIGNED_ENCODER, fitness_batch_fn=alone(s), **kwargs
+            ).run(seed=seed)
+            for other in (want, single):
+                got = results[s]
+                assert got.best_configuration == other.best_configuration
+                assert got.best_fitness == other.best_fitness  # bitwise
+                assert (got.evaluations, got.generations, got.history) == (
+                    other.evaluations, other.generations, other.history
+                )
+            assert [(e.topic, e.message, e.payload) for e in logs[s]] == [
+                (e.topic, e.message, e.payload) for e in log
+            ]
+            assert generators[s].bit_generator.state == rng.bit_generator.state
+        # One call per generation while any search lives, one more where a
+        # winner is scored on the spot: never a call per search.
+        assert len(calls) <= 2 * (max(r.generations for r in results) + 1)
+        if n_searches == 5:  # the searches stop on different generations
+            assert len({r.generations for r in results}) > 1
+
+    @pytest.mark.parametrize("n_searches", [1, 2, 5])
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    def test_optimize_many_is_optimize_alone(self, surrogate, n_searches, penalty):
+        rng = np.random.default_rng(n_searches)
+        read_ratios = [float(rr) for rr in rng.random(n_searches)]
+        seeds = [int(seed) for seed in rng.integers(2**31, size=n_searches)]
+        optimizer = ConfigurationOptimizer(
+            surrogate, population_size=16, generations=30, uncertainty_penalty=penalty
+        )
+        buses = [EventBus() for _ in seeds]
+        logs = [search_log(bus) for bus in buses]
+        together = optimizer.optimize_many(read_ratios, seeds, buses)
+        for rr, seed, got, log in zip(read_ratios, seeds, together, logs):
+            optimizer.bus = EventBus()
+            alone_log = search_log(optimizer.bus)
+            want = optimizer.optimize(rr, seed=seed)
+            assert (got.configuration, got.predicted_throughput, got.evaluations) == (
+                want.configuration, want.predicted_throughput, want.evaluations
+            )
+            assert got.history == want.history
+            assert [(e.topic, e.message, e.payload) for e in log] == [
+                (e.topic, e.message, e.payload) for e in alone_log
+            ]
+
+    def test_call_inventory_of_a_round(self, surrogate, monkeypatch):
+        """A round's three 48 x 16 searches make the G + 2 = 18 surrogate
+        calls of one search, through a wrapper put on the surrogate after
+        the Rafiki was built: generation 0 with each floor riding, 16
+        generations with each previous winner riding, the last winners
+        together."""
+        rafiki = Rafiki(CassandraLike(), surrogate, PARAMS, seed=1)
+        rafiki.optimizer.generations = 16
+        sizes = []
+        inner = surrogate.predict_features
+
+        def counting(rows):
+            sizes.append(len(rows))
+            return inner(rows)
+
+        monkeypatch.setattr(surrogate, "predict_features", counting)
+        with rafiki.prefetch([0.2, 0.5, 0.8]):
+            results = [rafiki.recommend(rr) for rr in (0.2, 0.5, 0.8)]
+        assert all(len(result.history) == 17 for result in results)
+        assert sizes == [3 * 49] * 17 + [3]
+        assert sum(sizes) == sum(result.evaluations for result in results) == 3 * 834
 
 
 class TestSearchEvents:
@@ -608,20 +738,28 @@ class TestOptimizerBatchEquivalence:
 
     @pytest.mark.parametrize("penalty", [0.0, 0.5])
     def test_riding_floor_is_one_row_score(self, surrogate, penalty):
-        """The vendor default rides as the last row of generation 0's
-        batch; it must score what a one-row call of its own, and the
-        per-row oracle, give it."""
+        """The vendor default rides as the last row of each search's part
+        of generation 0's call; it must score what the per-row oracle's
+        one-row call gives it, whichever searches it rides with."""
         optimizer = ConfigurationOptimizer(surrogate, uncertainty_penalty=penalty)
-        default = optimizer.default_genes
-        population = np.random.default_rng(3).uniform(
-            optimizer.encoder.lower, optimizer.encoder.upper, size=(48, len(default))
+        encoder, default = optimizer.encoder, optimizer.default_genes
+        population = optimizer.population_size
+        rrs = np.linspace(0.0, 1.0, 101)
+        batch = np.random.default_rng(3).uniform(
+            encoder.lower, encoder.upper, size=(len(rrs), population + 1, len(default))
         )
-        batch = np.concatenate((population, default[None, :]))
-        for rr in np.linspace(0.0, 1.0, 101):
-            got = optimizer._fitness_batch(rr)(default[None, :])
-            assert got.shape == (1,)
-            assert float(got[0]) == scalar_fitness(optimizer, rr)(default)
-            assert optimizer._fitness_batch(rr)(batch)[-1] == got[0]
+        mask = np.ones(batch.shape[:2], dtype=bool)
+        mask[:, population] = False
+        together = optimizer._fitness_lockstep(rrs)
+        scores = together(batch, mask)
+        assert scores.shape == (len(rrs) * population,)
+        for s, rr in enumerate(rrs):
+            alone = optimizer._fitness_lockstep([rr])
+            assert alone(batch[s : s + 1], mask[s : s + 1]).tobytes() == (
+                scores[s * population : (s + 1) * population].tobytes()
+            )
+            assert together.floors[s] == alone.floors[0]
+            assert together.floors[s] == scalar_fitness(optimizer, rr)(default)
 
     @pytest.mark.parametrize(
         "penalty,method", [(0.0, "predict_features"), (0.5, "predict_mean_std")]

@@ -219,3 +219,38 @@ class TestGeneticAlgorithm:
         )
         with pytest.raises(SearchError, match="spread"):
             ga.run(seed=0)
+
+
+class TestLockstep:
+    """``run_lockstep``: S searches a generation at a time, each the run
+    its seed gives alone (``run`` is the S = 1 case)."""
+
+    @pytest.mark.parametrize("n_searches", [1, 2, 5])
+    def test_each_search_is_its_run_alone(self, mixed_space, n_searches):
+        encoder = ConfigurationEncoder(mixed_space, ["n", "x"])
+
+        def fitness(genes):
+            return -((genes[0] - 3.3) ** 2) - genes[1] ** 2
+
+        def make():
+            return GeneticAlgorithm(
+                encoder, fitness, population_size=10, generations=30, stagnation_limit=3
+            )
+
+        ga = make()
+        together = ga.run_lockstep(list(range(n_searches)))
+        alone = [make().run(seed=seed) for seed in range(n_searches)]
+        for got, want in zip(together, alone):
+            assert got.best_configuration == want.best_configuration
+            assert (got.best_fitness, got.evaluations, got.generations, got.history) == (
+                want.best_fitness, want.evaluations, want.generations, want.history
+            )
+        assert ga.evaluations == sum(want.evaluations for want in alone)
+
+    def test_sizes_checked(self, quad_space):
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        ga = GeneticAlgorithm(encoder, lambda g: 0.0, generations=2)
+        with pytest.raises(SearchError, match="at least one search"):
+            ga.run_lockstep([])
+        with pytest.raises(SearchError, match="buses"):
+            ga.run_lockstep([0, 1], buses=[None])

@@ -265,6 +265,14 @@ class TestSpecBuilding:
         except PersistenceError as exc:
             assert "bad" in str(exc)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
+    def test_bad_hysteresis_threshold_names_the_tenant(self, threshold):
+        """``rr_change_threshold = nan`` used to build a damper whose every
+        compare is False — hysteresis silently off."""
+        document = {"tenants": [{"id": "damp", "rr_change_threshold": threshold, "hours": 1}]}
+        with pytest.raises(PersistenceError, match="damp.*min_change"):
+            specs_from_manifest(parse_manifest(document))
+
     def test_wrong_typed_value_names_the_tenant(self):
         for key, value in [
             ("nodes", "three"),
