@@ -12,7 +12,7 @@ nothing — and runs the named test against the copy, which must fail.
 Hypothesis runs without its shrink phase (the ``no-shrink`` profile in
 ``tests/conftest.py``): a trap needs the failure, not the smallest one.
 
-Run from the repo root (~2 min)::
+Run from the repo root (~3 min on a 2-vCPU host)::
 
     python scripts/mutation_traps.py            # all rows
     python scripts/mutation_traps.py snap       # rows whose name contains "snap"
@@ -888,6 +888,30 @@ TRAPS = [
         [("    pin_threads()\n", "")],
         f"{ENTRY_POINTS}::TestOneBlasThread"
         "::test_train_writes_the_same_bytes_at_any_thread_count",
+    ),
+    # -- the GA's Deb penalty and the serve fleet's tenant ids
+    (
+        "penalty: infeasible rows scored on their raw fitness",
+        GA,
+        [("fitness *= penalty_scales", "fitness *= 0.0")],
+        "tests/test_ga_algorithm.py::TestPenalizedFitness::test_violation_penalized",
+    ),
+    (
+        "tenant id: an empty dot segment accepted",
+        SCHEDULER,
+        [(' or "" in self.tenant_id.split(".")', "")],
+        "tests/test_middleware_scheduler.py::TestValidation::test_bad_specs_rejected",
+    ),
+    (
+        "serve: a restart charged to the topic's first segment",
+        "repro/cli.py",
+        [
+            (
+                "partial(on_restart, tenant_id)",
+                'lambda e: on_restart(e.topic.split(".")[1], e)',
+            )
+        ],
+        "tests/test_cli.py::TestServe::test_serve_dotted_rolling_tenant_reports_its_restarts",
     ),
 ]
 

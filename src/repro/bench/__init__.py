@@ -7,7 +7,7 @@ collection campaign: 11 workloads x 20 configurations, noisy samples
 dropped.
 """
 
-from repro.bench.metrics import BenchmarkResult, ThroughputSample, summarize_throughput
+from repro.bench.metrics import BenchmarkResult, ThroughputSample
 from repro.bench.ycsb import YCSBBenchmark
 from repro.bench.dataset import PerformanceDataset, PerformanceSample
 from repro.bench.collection import DataCollectionCampaign
@@ -15,7 +15,6 @@ from repro.bench.collection import DataCollectionCampaign
 __all__ = [
     "BenchmarkResult",
     "ThroughputSample",
-    "summarize_throughput",
     "YCSBBenchmark",
     "PerformanceDataset",
     "PerformanceSample",

@@ -8,9 +8,7 @@ throughput- rather than latency-sensitive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, List
 
 from repro.config.space import Configuration
 from repro.workload.spec import WorkloadSpec
@@ -47,19 +45,3 @@ class BenchmarkResult:
             f"BenchmarkResult({self.workload.label}, "
             f"aops={self.mean_throughput:,.0f}{flag})"
         )
-
-
-def summarize_throughput(series: Sequence[ThroughputSample]) -> Dict[str, float]:
-    """Summary statistics over a throughput time series."""
-    if not series:
-        raise ValueError("empty throughput series")
-    values = np.array([s.ops_per_second for s in series])
-    return {
-        "mean": float(values.mean()),
-        "std": float(values.std()),
-        "min": float(values.min()),
-        "max": float(values.max()),
-        "p50": float(np.percentile(values, 50)),
-        "p95": float(np.percentile(values, 95)),
-        "cov": float(values.std() / values.mean()) if values.mean() else 0.0,
-    }

@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from typing import List, Optional
 
 from repro.bench.collection import DataCollectionCampaign
@@ -241,33 +242,31 @@ def cmd_serve(args) -> int:
     drift_windows = {spec.tenant_id: 0 for spec in specs}
     drift_repairs = {spec.tenant_id: 0 for spec in specs}
 
-    def on_restart(event):
-        # tenant.<id>.actuate.rolling_restart — charge the transient
-        # capacity loss to the tenant that paid it.
-        parts = event.topic.split(".")
-        tenant_id = parts[1]
+    # Each handler is bound to its tenant when subscribed: a dotted
+    # tenant id spans several topic segments.
+    def on_restart(tenant_id, event):
+        # The transient capacity loss, charged to the tenant that paid it.
         restart_loss[tenant_id] += event.payload["ops_lost"]
         restarted_nodes[tenant_id] += event.payload["nodes_restarted"]
 
-    def on_drift(event):
-        # tenant.<id>.actuate.drift / actuate.reconciled — the verified
-        # actuation story per tenant.
-        parts = event.topic.split(".")
-        tenant_id, kind = parts[1], parts[-1]
-        if kind == "drift":
-            drift_windows[tenant_id] += 1
-        else:
-            drift_repairs[tenant_id] += 1
+    def count(counter, tenant_id, event):
+        # actuate.drift / actuate.reconciled — the verified actuation
+        # story per tenant.
+        counter[tenant_id] += 1
 
     for spec in specs:
+        tenant_id = spec.tenant_id
         events.subscribe(
-            on_restart, topic=f"tenant.{spec.tenant_id}.actuate.rolling_restart"
+            partial(on_restart, tenant_id),
+            topic=f"tenant.{tenant_id}.actuate.rolling_restart",
         )
         events.subscribe(
-            on_drift, topic=f"tenant.{spec.tenant_id}.actuate.drift"
+            partial(count, drift_windows, tenant_id),
+            topic=f"tenant.{tenant_id}.actuate.drift",
         )
         events.subscribe(
-            on_drift, topic=f"tenant.{spec.tenant_id}.actuate.reconciled"
+            partial(count, drift_repairs, tenant_id),
+            topic=f"tenant.{tenant_id}.actuate.reconciled",
         )
     if not args.quiet:
         events.subscribe(

@@ -40,13 +40,6 @@ class ParameterSpec:
         """Raise :class:`ConfigurationError` if ``value`` is out of domain."""
         raise NotImplementedError
 
-    def is_valid(self, value: Any) -> bool:
-        try:
-            self.validate(value)
-            return True
-        except ConfigurationError:
-            return False
-
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw a uniform random in-domain value."""
         raise NotImplementedError

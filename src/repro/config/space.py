@@ -224,19 +224,6 @@ class ConfigurationSpace:
                 configs.append(cand)
         return configs[:count]
 
-    # -- vector encoding -----------------------------------------------------------
-
-    def vector_to_configuration(
-        self, vector: Sequence[float], names: Optional[Sequence[str]] = None
-    ) -> Configuration:
-        names = list(names) if names is not None else self.names
-        if len(vector) != len(names):
-            raise ConfigurationError(
-                f"vector length {len(vector)} != parameter count {len(names)}"
-            )
-        overrides = {n: self[n].from_unit(u) for n, u in zip(names, vector)}
-        return Configuration(self, overrides)
-
     # -- size -------------------------------------------------------------------
 
     def cardinality(self, names: Optional[Sequence[str]] = None, float_resolution: int = 10) -> float:

@@ -70,7 +70,3 @@ class ControllerRun:
     @property
     def degraded_count(self) -> int:
         return sum(1 for e in self.events if e.degraded)
-
-    @property
-    def shed_count(self) -> int:
-        return sum(1 for e in self.events if e.shed)

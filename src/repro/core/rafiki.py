@@ -171,9 +171,6 @@ class Rafiki:
         finally:
             self._prefetched = {}
 
-    def predicted_throughput(self, read_ratio: float, config: Configuration) -> float:
-        return self.surrogate.predict(read_ratio, config)
-
     def predicted_mean_std(
         self, read_ratio: float, config: Configuration
     ) -> tuple:

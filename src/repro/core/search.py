@@ -110,8 +110,8 @@ class ConfigurationOptimizer:
     def _fitness_lockstep(self, read_ratios: Sequence[float]):
         """The fitness of one search per read ratio, for
         ``fitness_lockstep_fn``: called once per generation for all of
-        them, it unit-scales the generation's ``(S, P + 1)`` gene batch
-        (``features_batch``'s ops) into a feature buffer whose RR column
+        them, it unit-scales the generation's ``(S, P + 1)`` gene batch,
+        ``(genes - lower) / span``, into a feature buffer whose RR column
         is filled once, and scores the masked rows in one call of the
         surrogate's method, looked up here so a wrapper put on the
         instance sees every call.  The vendor default waits in every

@@ -332,11 +332,6 @@ class Cluster:
                 failed.append(node)
         return tuple(applied), tuple(failed)
 
-    @property
-    def applied_configs(self) -> Tuple[Configuration, ...]:
-        """The configuration each node is actually running."""
-        return tuple(self._applied)
-
     def describe_drift(self) -> DriftReport:
         """Intended-vs-applied fingerprints, per node.
 

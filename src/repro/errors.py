@@ -24,14 +24,6 @@ class DatastoreError(ReproError):
     """The datastore was driven into an invalid state or misused."""
 
 
-class KeyNotFound(DatastoreError):
-    """A read targeted a key that does not exist (or was deleted)."""
-
-    def __init__(self, key: str):
-        super().__init__(f"key not found: {key!r}")
-        self.key = key
-
-
 class ActuationError(DatastoreError):
     """The verified-actuation layer was misused.
 

@@ -2,28 +2,22 @@
 
 The GA explores raw parameter space with the paper's operators: a
 uniformly random initial population within bounds, random-weighted
-average crossover (interpolation, never extrapolation), and a Deb-style
-penalty that scores infeasible points (non-integer values for integer
-parameters, out-of-bounds values) below feasible ones so evolution is
-pulled back into the feasible region.
+average crossover — per gene ``r * a + (1 - r) * b`` with ``r ~ U(0, 1)``,
+interpolation, never extrapolation (the paper's worked example also
+halves the average, which would shrink every child toward zero; read
+as a typo) — gaussian mutation scaled to each gene's range and clipped
+to bounds, and a Deb-style penalty: feasible points keep their fitness,
+infeasible ones (non-integer values for integer parameters) lose
+``scale * violation``, so crossover can roam between integer lattice
+points and still converge onto them.  :class:`GeneticAlgorithm` runs
+them inline, a generation of every lockstep search at a time.
 """
 
 from repro.ga.encoding import ConfigurationEncoder
-from repro.ga.operators import (
-    gaussian_mutation,
-    tournament_select,
-    weighted_average_crossover,
-)
-from repro.ga.constraints import feasibility_violation, penalized_fitness
 from repro.ga.algorithm import GAResult, GeneticAlgorithm
 
 __all__ = [
     "ConfigurationEncoder",
-    "weighted_average_crossover",
-    "gaussian_mutation",
-    "tournament_select",
-    "feasibility_violation",
-    "penalized_fitness",
     "GAResult",
     "GeneticAlgorithm",
 ]

@@ -7,22 +7,11 @@ search at ~45 us each (§4.8) — so results carry an evaluation count the
 search-efficiency experiments can convert into simulated benchmark time
 saved.
 
-Fitness can be supplied three ways:
-
-* ``fitness_fn(genes) -> float`` — the scalar reference path, one call
-  per individual;
-* ``fitness_batch_fn(genes_matrix) -> (n,) array`` — one call per
-  *generation* scoring the whole population at once;
-* ``fitness_lockstep_fn(batch, mask) -> (n,) array`` — one call per
-  generation for *every* search of a lockstep run (below): the scores of
-  ``batch[mask]``, where the generation's ``(S, P + 1, n_genes)`` batch
-  holds each search's population and, in its last row, a riding winner.
-
-The batched paths are preferred when given; the scalar path is retained
-as the reference implementation the equivalence tests compare against.
-All three consume the RNG identically and count evaluations
-identically, so a batch function whose rows match the scalar function
-bit-for-bit yields a bit-identical :class:`GAResult`.
+Fitness comes in one form, ``fitness_lockstep_fn(batch, mask) -> (n,)
+array``: one call per generation for *every* search of a lockstep run
+(below), returning the scores of ``batch[mask]``, where the
+generation's ``(S, P + 1, n_genes)`` batch holds each search's
+population and, in its last row, a riding winner.
 
 :meth:`GeneticAlgorithm.run_lockstep` runs S searches in lockstep, one
 generation at a time for all of them, each on its own generator and its
@@ -35,8 +24,7 @@ step) but one fitness call per generation.
 The populations are one ``(S, P, n_genes)`` array from the first draw to
 the last generation, and every row of it lies within the encoder's
 bounds: selection, crossover, mutation, the penalty and the feasibility
-snap all run in array space — the operators of :mod:`repro.ga.operators`,
-written inline for a whole generation — and a
+snap all run in array space, a whole generation at a time, and a
 :class:`~repro.config.space.Configuration` is built exactly once per
 search, for its winner.  A generation costs one fitness call: the
 populations plus each search's previous snapped winner (see
@@ -93,20 +81,13 @@ class GeneticAlgorithm:
     ----------
     encoder:
         Gene <-> configuration mapping for the tuned parameters.
-    fitness_fn:
-        Maps a raw gene vector to a raw (unpenalized) fitness; in Rafiki
-        this queries the surrogate with the workload fixed (Equation 4).
-    fitness_batch_fn:
-        Maps a ``(n, n_genes)`` matrix to ``(n,)`` raw fitnesses in one
-        call.  Preferred over ``fitness_fn``: the surrogate then runs
-        each member network once per generation instead of once per
-        individual.  In a lockstep run every search shares it.
     fitness_lockstep_fn:
         Maps a generation's ``(S, P + 1, n_genes)`` batch and its
-        ``(S, P + 1)`` boolean mask to the raw fitness of
+        ``(S, P + 1)`` boolean mask to the raw (unpenalized) fitness of
         ``batch[mask]`` (search-major), in one call for all S searches,
-        so search ``s`` may score on a fitness of its own.  Preferred
-        over the other two.
+        so search ``s`` may score on a fitness of its own.  In Rafiki it
+        queries the surrogate with each search's workload fixed
+        (Equation 4).
     penalty_scale:
         Deb-penalty coefficient, finite and non-negative; if None it is
         set adaptively, per search, to the spread of the initial
@@ -120,7 +101,7 @@ class GeneticAlgorithm:
     def __init__(
         self,
         encoder: ConfigurationEncoder,
-        fitness_fn: Optional[Callable[[np.ndarray], float]] = None,
+        fitness_lockstep_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         population_size: int = DEFAULT_POPULATION,
         generations: int = DEFAULT_GENERATIONS,
         elites: int = DEFAULT_ELITES,
@@ -128,11 +109,7 @@ class GeneticAlgorithm:
         mutation_scale: float = 0.08,
         stagnation_limit: int = DEFAULT_STAGNATION_LIMIT,
         penalty_scale: Optional[float] = None,
-        fitness_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         bus: Optional[EventBus] = None,
-        fitness_lockstep_fn: Optional[
-            Callable[[np.ndarray, np.ndarray], np.ndarray]
-        ] = None,
     ):
         _check_sizes(population_size, generations, elites)
         if not (0.0 <= mutation_rate <= 1.0):
@@ -143,11 +120,7 @@ class GeneticAlgorithm:
             raise SearchError("penalty_scale must be finite and non-negative")
         if stagnation_limit < 1:
             raise SearchError("stagnation_limit must be at least 1")
-        if fitness_fn is None and fitness_batch_fn is None and fitness_lockstep_fn is None:
-            raise SearchError("need fitness_fn, fitness_batch_fn or fitness_lockstep_fn")
         self.encoder = encoder
-        self.fitness_fn = fitness_fn
-        self.fitness_batch_fn = fitness_batch_fn
         self.fitness_lockstep_fn = fitness_lockstep_fn
         self.population_size = population_size
         self.generations = generations
@@ -162,14 +135,8 @@ class GeneticAlgorithm:
     # -- evaluation ------------------------------------------------------------
 
     def _raw_fitness(self, batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Raw fitness of ``batch[mask]``; one call of the preferred form."""
-        if self.fitness_lockstep_fn is not None:
-            out = self.fitness_lockstep_fn(batch, mask)
-        elif self.fitness_batch_fn is not None:
-            out = self.fitness_batch_fn(batch[mask])
-        else:
-            out = [float(self.fitness_fn(g)) for g in batch[mask]]
-        out = np.asarray(out, dtype=float).ravel()
+        """Raw fitness of ``batch[mask]``, one score per masked row."""
+        out = np.asarray(self.fitness_lockstep_fn(batch, mask), dtype=float).ravel()
         rows = np.count_nonzero(mask)
         if out.shape[0] != rows:
             raise SearchError(
@@ -241,8 +208,6 @@ class GeneticAlgorithm:
                     f"GA search over {n_genes} genes",
                     population=self.population_size,
                     generations=self.generations,
-                    batched=self.fitness_batch_fn is not None
-                    or self.fitness_lockstep_fn is not None,
                 )
         population_size, elites = self.population_size, self.elites
         mutation_rate, mutation_scale = self.mutation_rate, self.mutation_scale
@@ -304,9 +269,7 @@ class GeneticAlgorithm:
             return stagnant[s] >= stagnation_limit
 
         # The populations stay within bounds from here on: a uniform
-        # draw per search (the same stream, and the same rows, as
-        # ``population_size`` calls of ``encoder.random_genes``),
-        # validated seeds, and children clipped by the mutation.
+        # draw per search, validated seeds, and children clipped by the mutation.
         batch = batches[0]
         for s in searches:
             batch[s, :population_size] = rngs[s].uniform(
@@ -372,8 +335,7 @@ class GeneticAlgorithm:
                 penalty_scales = self._penalty_scales(raw[:, :population_size])[:, None]
             # Deb penalty: the populations are within bounds, so their
             # violation is the integrality gap alone.  Feasible rows pass
-            # through untouched, as in :func:`penalized_fitness`, with no
-            # mask: a finite scale times their zero gap is 0.0, and
+            # through untouched with no mask: a finite scale times their zero gap is 0.0, and
             # ``raw - 0.0`` is ``raw`` bit for bit.
             fitness = encoder._integrality_gap(population)
             fitness *= penalty_scales

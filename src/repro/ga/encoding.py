@@ -4,8 +4,8 @@ Each tuned parameter is one real-valued gene in its raw domain:
 integers and floats use their natural range, categoricals use the choice
 index.  Crossover produces non-integral genes; :meth:`decode` snaps to
 the nearest feasible value (:meth:`snap` does the same in array space,
-without building a configuration) while :meth:`violation` measures how
-far from feasible a gene vector is (for the constraint penalty).
+without building a configuration).  The GA keeps its population within
+bounds, so the constraint penalty charges the integrality gap alone.
 """
 
 from __future__ import annotations
@@ -65,13 +65,6 @@ class ConfigurationEncoder:
     def n_genes(self) -> int:
         return len(self.names)
 
-    # -- sampling --------------------------------------------------------------
-
-    def random_genes(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform random point within bounds (one row of the GA's
-        initial block draw)."""
-        return rng.uniform(self.lower, self.upper)
-
     def encode(self, config: Configuration) -> np.ndarray:
         """Genes of an existing configuration (used for seeding)."""
         genes = []
@@ -111,64 +104,11 @@ class ConfigurationEncoder:
                 overrides[spec.name] = float(g)
         return Configuration(self.space, overrides)
 
-    def features(self, genes: np.ndarray, read_ratio: float) -> np.ndarray:
-        """Surrogate feature row for in-bounds (possibly infeasible) genes.
-
-        Infeasible points still get a performance estimate — the paper
-        penalizes them but does not discard them — so features come from
-        the raw genes, unit-scaled, not from the snapped decode.
-        """
-        return self.features_batch(np.asarray(genes, dtype=float)[None, :], read_ratio)[0]
-
-    def features_batch(self, genes_matrix: np.ndarray, read_ratio: float) -> np.ndarray:
-        """Feature rows for a whole gene matrix: ``(n, g) -> (n, 1 + g)``.
-
-        The GA's fitness path; row ``i`` is bit-identical to
-        ``features(genes_matrix[i], read_ratio)`` (elementwise ops only).
-        Genes are unit-scaled as they come: the GA's population, snapped
-        winners and encoded configurations all lie within bounds.
-        """
-        genes = np.asarray(genes_matrix, dtype=float)
-        if genes.ndim != 2 or genes.shape[1] != self.n_genes:
-            raise SearchError(
-                f"expected an (n, {self.n_genes}) gene matrix, got shape {genes.shape}"
-            )
-        rows = np.empty((genes.shape[0], 1 + self.n_genes))
-        rows[:, 0] = read_ratio
-        np.divide(genes - self.lower, self.span, out=rows[:, 1:])
-        return rows
-
-    def violation(self, genes: np.ndarray) -> float:
-        """Distance from feasibility: integrality + bound overshoot.
-
-        Zero iff :meth:`decode` would be a no-op snap.  Integrality
-        violations are measured as the distance to the nearest integer
-        (max 0.5 per gene); bound violations as the normalized overshoot.
-        """
-        return float(self.violation_batch(np.asarray(genes, dtype=float)[None, :])[0])
-
-    def violation_batch(self, genes_matrix: np.ndarray) -> np.ndarray:
-        """Per-row feasibility violations: ``(n, g) -> (n,)``.
-
-        Row ``i`` is bit-identical to ``violation(genes_matrix[i])``:
-        the per-row reductions run over the same contiguous gene axis in
-        the same order regardless of how many rows share the matrix.
-        """
-        genes = np.atleast_2d(np.asarray(genes_matrix, dtype=float))
-        if genes.shape[1] != self.n_genes:
-            raise SearchError(f"expected {self.n_genes} genes per row, got {genes.shape[1]}")
-        below = np.maximum(self.lower - genes, 0.0) / self.span
-        above = np.maximum(genes - self.upper, 0.0) / self.span
-        total = np.sum(below + above, axis=1)
-        total += self._integrality_gap(np.clip(genes, self.lower, self.upper))
-        return total
-
     def _integrality_gap(self, inside: np.ndarray) -> np.ndarray:
         """Per-row distance of *in-bounds* genes (rows on the last axis)
-        from integrality: all of
-        :meth:`violation_batch` there, since the bound terms sum to an
-        exact ``0.0`` — what the GA charges its clipped population.  Only
-        the integral columns are rounded; the sum is the same as over all
-        columns' masked gaps."""
+        from integrality, the sum over integral genes of the distance to
+        the nearest integer (at most 0.5 each): what the GA charges its
+        clipped population.  Only the integral columns are rounded; the
+        sum is the same as over all columns' masked gaps."""
         columns = inside[..., self._integral_columns]
         return np.add.reduce(np.abs(columns - columns.round()), axis=-1)

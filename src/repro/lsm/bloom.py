@@ -161,14 +161,6 @@ class BloomFilter:
     def size_bytes(self) -> int:
         return len(self._bits)
 
-    @property
-    def expected_fp_rate(self) -> float:
-        """Theoretical false-positive rate at the current fill."""
-        if self.n_items == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.n_hashes * self.n_items / self.n_bits)
-        return fill**self.n_hashes
-
 
 class _FilterBank:
     """Several filters' bit arrays end to end, one byte per bit, for one

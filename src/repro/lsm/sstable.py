@@ -100,10 +100,6 @@ class SSTable:
     def max_key(self) -> str:
         return self._keys[-1]
 
-    @property
-    def block_count(self) -> int:
-        return max(1, (self.size_bytes + BLOCK_BYTES - 1) // BLOCK_BYTES)
-
     def overlaps(self, other: "SSTable") -> bool:
         """Whether the key ranges of two tables intersect."""
         return self.min_key <= other.max_key and other.min_key <= self.max_key
@@ -128,10 +124,6 @@ class SSTable:
     def record_at(self, i: int) -> Record:
         """Record at a known sorted position (from a batched searchsorted)."""
         return self._records[i]
-
-    def block_of(self, key: str) -> int:
-        """Index of the logical block holding ``key`` (for the cache)."""
-        return self.locate(key)[0]
 
     def locate(self, key: str) -> Tuple[int, int]:
         """``(logical block, sorted position or -1 if absent)`` of ``key``

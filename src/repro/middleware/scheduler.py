@@ -170,7 +170,9 @@ class TenantSpec:
     reconcile: Optional[ReconcileSpec] = None
 
     def __post_init__(self):
-        if not self.tenant_id or self.tenant_id != self.tenant_id.strip():
+        # The id names the tenant's event scope (``tenant.<id>``), so
+        # every dot-separated segment of it must be non-empty.
+        if self.tenant_id != self.tenant_id.strip() or "" in self.tenant_id.split("."):
             raise SearchError(f"invalid tenant id {self.tenant_id!r}")
         if len(self.rr_series) == 0:
             raise SearchError(f"tenant {self.tenant_id!r} has an empty RR series")

@@ -10,7 +10,7 @@ price work through the same formulas, so they agree by construction.
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskModel
 from repro.sim.cache import LruFileCache
-from repro.sim.hardware import HardwareSpec, DEFAULT_SERVER, CLIENT_OPTERON
+from repro.sim.hardware import HardwareSpec, DEFAULT_SERVER
 from repro.sim.rng import SeedSequence, derive_rng
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "LruFileCache",
     "HardwareSpec",
     "DEFAULT_SERVER",
-    "CLIENT_OPTERON",
     "SeedSequence",
     "derive_rng",
 ]

@@ -30,10 +30,6 @@ class LruFileCache:
         self.hits = 0
         self.misses = 0
 
-    @property
-    def capacity_pages(self) -> int:
-        return self._capacity_pages
-
     def __len__(self) -> int:
         return len(self._pages)
 

@@ -82,15 +82,3 @@ DEFAULT_SERVER = HardwareSpec(
     disk_count=2,
     net_bandwidth=125 * MB,       # 1 Gbps
 )
-
-#: The paper's client machine: Opteron 4386.
-CLIENT_OPTERON = HardwareSpec(
-    name="opteron-4386",
-    cpu_cores=8,
-    cpu_ghz=3.1,
-    ram_bytes=16 * GB,
-    disk_seq_bandwidth=120 * MB,
-    disk_rand_iops=12_000.0,
-    disk_count=1,
-    net_bandwidth=125 * MB,
-)

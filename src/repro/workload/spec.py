@@ -55,10 +55,6 @@ class WorkloadSpec:
             raise WorkloadError("krd_mean_ops must be positive")
 
     @property
-    def write_ratio(self) -> float:
-        return 1.0 - self.read_ratio
-
-    @property
     def label(self) -> str:
         return self.name or f"RR={self.read_ratio:.0%}"
 

@@ -28,7 +28,7 @@ from repro.sim.rng import derive_rng
 
 def scalar_fitness(optimizer, read_ratio):
     """``ConfigurationOptimizer``'s fitness for one gene vector at a
-    time: a ``GeneticAlgorithm(fitness_fn=...)`` run on it is what
+    time: a GA run on it (through :func:`lockstep_fitness`) is what
     ``optimize`` must reproduce from its population-at-a-time scoring.
     The feature row clips the genes to bounds first, as every row did
     before the population was held in bounds."""
@@ -47,9 +47,20 @@ def scalar_fitness(optimizer, read_ratio):
 
 
 # ---------------------------------------------------------------------------
-# ga.algorithm: the loop that scores every generation's snapped winner in
-# a call of its own, on the spot (test_ga_reference)
+# ga.algorithm: the GA's fitness form from a plain one, the feasibility
+# violation, and the loop that scores every generation's snapped winner in
+# a call of its own, on the spot (test_batch_equivalence)
 # ---------------------------------------------------------------------------
+
+
+def lockstep_fitness(fitness, per_row=False):
+    """The GA's one fitness form, ``(batch, mask) -> scores of
+    batch[mask]``, from a row-batch ``fitness(matrix) -> (n,)`` or, with
+    ``per_row``, a scalar ``fitness(genes) -> float`` called row by row.
+    Every search of a lockstep run scores on the same function."""
+    if per_row:
+        return lambda batch, mask: np.array([float(fitness(g)) for g in batch[mask]])
+    return lambda batch, mask: fitness(batch[mask])
 
 
 def _tournament_select_many(fitness, rng, count, k=3):
@@ -71,40 +82,42 @@ def _gaussian_mutation_many(children, lower, upper, span, rng, rate, scale):
     return np.clip(mutated, lower, upper)
 
 
-def reference_ga_run(ga, seed=0, initial=None) -> GAResult:
+def violation_batch(encoder, genes):
+    """Per-row distance from feasibility: the normalized bound overshoot
+    plus, on the clipped genes, each integral gene's distance to the
+    nearest integer.  Zero iff ``encoder.decode`` would be a no-op snap."""
+    below = np.maximum(encoder.lower - genes, 0.0) / encoder.span
+    above = np.maximum(genes - encoder.upper, 0.0) / encoder.span
+    total = np.sum(below + above, axis=1)
+    inside = np.clip(genes, encoder.lower, encoder.upper)
+    frac = np.abs(inside - np.round(inside))
+    total += np.sum(frac[:, encoder.integral], axis=1)
+    return total
+
+
+def reference_ga_run(ga, fitness_lockstep_fn, seed=0, initial=None) -> GAResult:
     """``GeneticAlgorithm.run`` as it stood before the winner's re-score
     was pipelined: two tournament draws per generation, the full
     bounds-and-integrality violation, and one extra fitness call per
     generation for the snapped winner, booked before the next
-    generation is bred.  Reads its parameters (and ``bus``) off ``ga``,
-    counts evaluations itself and leaves ``ga`` untouched."""
+    generation is bred.  Scores with ``fitness_lockstep_fn``, the GA's
+    fitness form, on a one-search batch holding the rows first.  Reads
+    its other parameters (and ``bus``) off ``ga``, counts evaluations
+    itself and leaves ``ga`` untouched."""
     encoder = ga.encoder
     evaluations = 0
 
     def raw_fitness_many(population):
         nonlocal evaluations
         evaluations += len(population)
-        if ga.fitness_lockstep_fn is not None:  # one search: rows first in its batch
-            batch = np.zeros((1, ga.population_size + 1, population.shape[1]))
-            batch[0, : len(population)] = population
-            mask = np.zeros(batch.shape[:2], dtype=bool)
-            mask[0, : len(population)] = True
-            return np.asarray(ga.fitness_lockstep_fn(batch, mask), dtype=float).ravel()
-        if ga.fitness_batch_fn is not None:
-            return np.asarray(ga.fitness_batch_fn(population), dtype=float).ravel()
-        return np.array([float(ga.fitness_fn(g)) for g in population])
-
-    def violation_batch(genes):
-        below = np.maximum(encoder.lower - genes, 0.0) / encoder.span
-        above = np.maximum(genes - encoder.upper, 0.0) / encoder.span
-        total = np.sum(below + above, axis=1)
-        inside = np.clip(genes, encoder.lower, encoder.upper)
-        frac = np.abs(inside - np.round(inside))
-        total += np.sum(frac[:, encoder.integral], axis=1)
-        return total
+        batch = np.zeros((1, ga.population_size + 1, population.shape[1]))
+        batch[0, : len(population)] = population
+        mask = np.zeros(batch.shape[:2], dtype=bool)
+        mask[0, : len(population)] = True
+        return np.asarray(fitness_lockstep_fn(batch, mask), dtype=float).ravel()
 
     def penalized_many(population, raw, penalty_scale):
-        violations = violation_batch(population)
+        violations = violation_batch(encoder, population)
         return np.where(violations > 0.0, raw - penalty_scale * violations, raw)
 
     def best_feasible(population, fitness):
@@ -124,7 +137,6 @@ def reference_ga_run(ga, seed=0, initial=None) -> GAResult:
         f"GA search over {encoder.n_genes} genes",
         population=ga.population_size,
         generations=ga.generations,
-        batched=ga.fitness_batch_fn is not None or ga.fitness_lockstep_fn is not None,
     )
 
     population = rng.uniform(

@@ -1,7 +1,7 @@
 """Batch-vs-scalar equivalence of the vectorized search stack.
 
-The evaluation stack (``features_batch``/``violation_batch``,
-``predict_mean_std``, the GA's ``fitness_batch_fn``, the optimizer's
+The evaluation stack (the encoder's integrality gap and snap,
+``predict_mean_std``, the GA's lockstep fitness, the optimizer's
 population-at-a-time fitness, the chunked baseline searchers) must be
 *numerically identical* to scoring one row at a time: the inference
 forward pass is row-stable by construction (einsum contraction +
@@ -15,8 +15,8 @@ winner in one surrogate call and books that generation afterwards; the
 per-member ``forward_rows`` walk, the per-row fitness closure, the
 ``decode -> encode`` round trip and the score-every-winner-at-once loop
 they replaced are the oracles (``tests.oracles.oracle_mean_std``,
-``scalar_fitness`` and ``reference_ga_run``, ``encode(decode(g))``, the
-``random_genes`` row stream).
+``scalar_fitness``, ``violation_batch`` and ``reference_ga_run``,
+``encode(decode(g))``, one ``rng.uniform(lower, upper)`` row at a time).
 """
 
 import hashlib
@@ -42,7 +42,13 @@ from repro.ml.network import FeedForwardNetwork
 from repro.runtime.events import EventBus
 from repro.sim.rng import derive_rng
 from repro.workload.spec import WorkloadSpec
-from tests.oracles import oracle_mean_std, reference_ga_run, scalar_fitness
+from tests.oracles import (
+    lockstep_fitness,
+    oracle_mean_std,
+    reference_ga_run,
+    scalar_fitness,
+    violation_batch,
+)
 
 PARAMS = list(CASSANDRA_KEY_PARAMETERS)
 SPACE = cassandra_space()
@@ -61,32 +67,7 @@ SIGNED_ENCODER = ConfigurationEncoder(
 )
 
 
-def gene_matrices(max_rows: int = 64):
-    """Random (n, n_genes) matrices, including out-of-bounds genes."""
-    return st.integers(min_value=1, max_value=max_rows).flatmap(
-        lambda n: st.integers(min_value=0, max_value=2**31 - 1).map(
-            lambda s: np.random.default_rng(s).uniform(
-                ENCODER.lower - 3.0, ENCODER.upper + 3.0, size=(n, ENCODER.n_genes)
-            )
-        )
-    )
-
-
 class TestEncoderBatchEquivalence:
-    @given(genes=gene_matrices())
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_features_batch_matches_rows_bitwise(self, genes):
-        batch = ENCODER.features_batch(genes, 0.42)
-        for i in range(genes.shape[0]):
-            assert np.array_equal(batch[i], ENCODER.features(genes[i], 0.42))
-
-    @given(genes=gene_matrices())
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_violation_batch_matches_rows_bitwise(self, genes):
-        batch = ENCODER.violation_batch(genes)
-        for i in range(genes.shape[0]):
-            assert batch[i] == ENCODER.violation(genes[i])
-
     @pytest.mark.parametrize("encoder", [ENCODER, SIGNED_ENCODER], ids=["cassandra", "signed"])
     @given(
         n_rows=st.integers(min_value=1, max_value=64),
@@ -101,19 +82,9 @@ class TestEncoderBatchEquivalence:
         edge = rng.random(genes.shape)
         genes = np.where(edge < 0.1, encoder.lower, np.where(edge > 0.9, encoder.upper, genes))
         gap = encoder._integrality_gap(genes)
-        assert gap.tobytes() == encoder.violation_batch(genes).tobytes()
+        assert gap.tobytes() == violation_batch(encoder, genes).tobytes()
         # ... and clipping them again, as every feature row used to, moves nothing.
         assert np.clip(genes, encoder.lower, encoder.upper).tobytes() == genes.tobytes()
-
-    def test_row_count_validated(self):
-        from repro.errors import SearchError
-
-        with pytest.raises(SearchError):
-            ENCODER.features_batch(np.zeros((3, ENCODER.n_genes + 1)), 0.5)
-        with pytest.raises(SearchError):  # a matrix, not one gene vector
-            ENCODER.features_batch(np.zeros(ENCODER.n_genes), 0.5)
-        with pytest.raises(SearchError):
-            ENCODER.violation_batch(np.zeros((3, ENCODER.n_genes + 1)))
 
     @pytest.mark.parametrize("encoder", [ENCODER, SIGNED_ENCODER], ids=["cassandra", "signed"])
     @given(
@@ -136,7 +107,7 @@ class TestEncoderBatchEquivalence:
             oracle = encoder.encode(encoder.decode(genes[i]))
             assert snapped[i].tobytes() == oracle.tobytes()
             assert encoder.snap(genes[i]).tobytes() == oracle.tobytes()
-            assert encoder.violation(snapped[i]) == 0.0
+        assert (violation_batch(encoder, snapped) == 0.0).all()
 
     def test_encoder_pickles_as_its_constructor_arguments(self):
         clone = pickle.loads(pickle.dumps(ENCODER))
@@ -318,41 +289,20 @@ class TestStackedEnsembleState:
 
 
 def elementwise_fitness(weights):
-    """A (scalar, batch) fitness pair whose rows agree bitwise."""
-
-    def scalar(genes: np.ndarray) -> float:
-        return float(np.sum(np.tanh(genes * weights), axis=-1))
-
-    def batch(matrix: np.ndarray) -> np.ndarray:
-        return np.sum(np.tanh(matrix * weights), axis=-1)
-
-    return scalar, batch
+    """A smooth fitness in the GA's form, one ``tanh`` sum per row."""
+    return lockstep_fitness(lambda matrix: np.sum(np.tanh(matrix * weights), axis=-1))
 
 
 class TestGABatchDeterminism:
-    @given(seed=st.integers(min_value=0, max_value=300))
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_batched_ga_result_bitwise_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        weights = rng.standard_normal(ENCODER.n_genes) / np.maximum(ENCODER.upper, 1.0)
-        scalar, batch = elementwise_fitness(weights)
-
-        kwargs = dict(population_size=16, generations=12, stagnation_limit=6)
-        a = GeneticAlgorithm(ENCODER, fitness_fn=scalar, **kwargs).run(seed=seed)
-        b = GeneticAlgorithm(ENCODER, fitness_batch_fn=batch, **kwargs).run(seed=seed)
-
-        assert a.best_configuration == b.best_configuration
-        assert a.best_fitness == b.best_fitness  # bitwise: no tolerance
-        assert a.evaluations == b.evaluations
-        assert a.generations == b.generations
-        assert a.history == b.history
-
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         population=st.integers(min_value=4, max_value=64),
     )
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_initial_block_draw_is_the_random_genes_row_stream(self, seed, population):
+        """The initial population is one block draw: the rows that drawing
+        random genes one ``rng.uniform(lower, upper)`` vector at a time
+        gives, bit for bit."""
         seen = []
 
         def batch(matrix: np.ndarray) -> np.ndarray:
@@ -360,10 +310,10 @@ class TestGABatchDeterminism:
             return np.zeros(matrix.shape[0])
 
         GeneticAlgorithm(
-            ENCODER, fitness_batch_fn=batch, population_size=population, generations=1
+            ENCODER, lockstep_fitness(batch), population_size=population, generations=1
         ).run(seed=seed)
         rng = derive_rng(seed)
-        rows = np.stack([ENCODER.random_genes(rng) for _ in range(population)])
+        rows = np.stack([rng.uniform(ENCODER.lower, ENCODER.upper) for _ in range(population)])
         assert seen[0].tobytes() == rows.tobytes()
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -381,7 +331,7 @@ class TestGABatchDeterminism:
             return -np.sum((matrix + 0.3) ** 2, axis=-1)
 
         GeneticAlgorithm(
-            SIGNED_ENCODER, fitness_batch_fn=batch, population_size=12, generations=8,
+            SIGNED_ENCODER, lockstep_fitness(batch), population_size=12, generations=8,
             penalty_scale=0.0,
         ).run(seed=seed, initial=[np.full(SIGNED_ENCODER.n_genes, -0.3)])
         winners = [matrix[-1] for matrix in seen if len(matrix) in (1, 13)]
@@ -391,9 +341,7 @@ class TestGABatchDeterminism:
             assert (genes[SIGNED_ENCODER.integral] == 0.0).all()
 
     def test_needs_some_fitness(self):
-        from repro.errors import SearchError
-
-        with pytest.raises(SearchError):
+        with pytest.raises(TypeError):
             GeneticAlgorithm(ENCODER)
 
     def test_batch_row_count_validated(self):
@@ -401,7 +349,7 @@ class TestGABatchDeterminism:
 
         ga = GeneticAlgorithm(
             ENCODER,
-            fitness_batch_fn=lambda m: np.zeros(m.shape[0] + 1),
+            lambda batch, mask: np.zeros(np.count_nonzero(mask) + 1),
             population_size=8,
             generations=2,
         )
@@ -421,7 +369,7 @@ def run_both(make_ga, seed, initial=None):
         ga = make_ga(bus)
         rng = np.random.default_rng(seed)
         if reference:
-            result = reference_ga_run(ga, seed=rng, initial=initial)
+            result = reference_ga_run(ga, ga.fitness_lockstep_fn, seed=rng, initial=initial)
         else:
             result = ga.run(seed=rng, initial=initial)
             assert ga.evaluations == result.evaluations
@@ -464,16 +412,16 @@ class TestPipelinedRunEqualsReference:
             ]
         for seed, rr in ((0, 0.6), (2017, 0.05)):
             if mode == "batch":
-                fitness = dict(fitness_lockstep_fn=optimizer._fitness_lockstep([rr]))
+                fitness = optimizer._fitness_lockstep([rr])
             else:
-                fitness = dict(fitness_fn=scalar_fitness(optimizer, rr))
+                fitness = lockstep_fitness(scalar_fitness(optimizer, rr), per_row=True)
             run_both(
                 lambda bus: GeneticAlgorithm(
                     encoder,
+                    fitness,
                     population_size=population,
                     generations=generations,
                     bus=bus,
-                    **fitness,
                 ),
                 seed,
                 initial,
@@ -503,7 +451,7 @@ class TestPipelinedRunEqualsReference:
 
             return GeneticAlgorithm(
                 SIGNED_ENCODER,
-                fitness_batch_fn=batch,
+                lockstep_fitness(batch),
                 population_size=12,
                 generations=30,
                 stagnation_limit=limit,
@@ -528,8 +476,9 @@ class TestPipelinedRunEqualsReference:
 def owner_fitness(weights, caps):
     """Per-search plateau fitness: search ``s`` scores
     ``min(sum(tanh(genes * weights[s])), caps[s])``.  Returns the lockstep
-    form (every search's masked rows in one call) and, per search, the
-    one-search batch form; their rows agree bitwise."""
+    form (every search's masked rows in one call) and, per search, its
+    row-batch form through :func:`lockstep_fitness`; their rows agree
+    bitwise."""
 
     def lockstep(batch: np.ndarray, mask: np.ndarray) -> np.ndarray:
         owners = np.nonzero(mask)[0]
@@ -541,7 +490,7 @@ def owner_fitness(weights, caps):
         def batch(matrix: np.ndarray) -> np.ndarray:
             return np.minimum(np.sum(np.tanh(matrix * weights[s]), axis=-1), caps[s])
 
-        return batch
+        return lockstep_fitness(batch)
 
     return lockstep, alone
 
@@ -585,11 +534,12 @@ class TestLockstepEqualsAlone:
             log = search_log(bus)
             rng = np.random.default_rng(seed)
             want = reference_ga_run(
-                GeneticAlgorithm(SIGNED_ENCODER, fitness_batch_fn=alone(s), bus=bus, **kwargs),
+                GeneticAlgorithm(SIGNED_ENCODER, alone(s), bus=bus, **kwargs),
+                alone(s),
                 seed=rng,
             )
             single = GeneticAlgorithm(
-                SIGNED_ENCODER, fitness_batch_fn=alone(s), **kwargs
+                SIGNED_ENCODER, alone(s), **kwargs
             ).run(seed=seed)
             for other in (want, single):
                 got = results[s]
@@ -660,9 +610,9 @@ class TestSearchEvents:
         bus = EventBus()
         events = []
         bus.subscribe(events.append, topic="search")
-        scalar, batch = elementwise_fitness(np.ones(ENCODER.n_genes))
         ga = GeneticAlgorithm(
-            ENCODER, fitness_batch_fn=batch, population_size=8, generations=4, bus=bus
+            ENCODER, elementwise_fitness(np.ones(ENCODER.n_genes)), population_size=8,
+            generations=4, bus=bus,
         )
         ga.run(seed=0)
         topics = [e.topic for e in events]
@@ -674,9 +624,9 @@ class TestSearchEvents:
         assert "evaluations" in gens[0].payload
 
     def test_no_bus_is_noop(self):
-        scalar, _ = elementwise_fitness(np.ones(ENCODER.n_genes))
         result = GeneticAlgorithm(
-            ENCODER, fitness_fn=scalar, population_size=8, generations=2
+            ENCODER, elementwise_fitness(np.ones(ENCODER.n_genes)), population_size=8,
+            generations=2,
         ).run(seed=1)
         assert result.evaluations > 0
 
@@ -721,7 +671,7 @@ class TestOptimizerBatchEquivalence:
             fitness = scalar_fitness(optimizer, 0.6)
             ref = GeneticAlgorithm(
                 optimizer.encoder,
-                fitness_fn=fitness,
+                lockstep_fitness(fitness, per_row=True),
                 population_size=population,
                 generations=generations,
             ).run(seed=seed)
@@ -790,8 +740,9 @@ class TestOptimizerBatchEquivalence:
         assert [name for name, _ in calls] == [method] * 18
         assert [len(rows) for _, rows in calls] == [49] * 17 + [1]
         assert result.evaluations == sum(len(rows) for _, rows in calls) == 834
-        floor_row = optimizer.encoder.features_batch(optimizer.default_genes[None, :], 0.3)
-        assert calls[0][1][-1].tobytes() == floor_row[0].tobytes()
+        encoder = optimizer.encoder
+        floor_row = np.concatenate(([0.3], (optimizer.default_genes - encoder.lower) / encoder.span))
+        assert calls[0][1][-1].tobytes() == floor_row.tobytes()
         assert surrogate.stats.n_queries == before + 834
 
     def test_surrogate_method_is_looked_up_per_search(self, surrogate, monkeypatch):

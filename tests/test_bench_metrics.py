@@ -1,33 +1,6 @@
-import pytest
-
-from repro.bench.metrics import BenchmarkResult, ThroughputSample, summarize_throughput
+from repro.bench.metrics import BenchmarkResult
 from repro.config import cassandra_space
 from repro.workload.spec import WorkloadSpec
-
-
-def make_series(values):
-    return [ThroughputSample(t=float(i), ops_per_second=v) for i, v in enumerate(values)]
-
-
-class TestSummarizeThroughput:
-    def test_basic_stats(self):
-        stats = summarize_throughput(make_series([100, 200, 300]))
-        assert stats["mean"] == pytest.approx(200)
-        assert stats["min"] == 100
-        assert stats["max"] == 300
-
-    def test_percentiles(self):
-        stats = summarize_throughput(make_series(range(101)))
-        assert stats["p50"] == pytest.approx(50)
-        assert stats["p95"] == pytest.approx(95)
-
-    def test_cov(self):
-        stats = summarize_throughput(make_series([100, 100, 100]))
-        assert stats["cov"] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_throughput([])
 
 
 class TestBenchmarkResult:

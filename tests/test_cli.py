@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -301,6 +302,46 @@ class TestServe:
         assert rc == 1
         assert err.startswith(f"bad manifest: manifest {manifest}: tenant 'archive': ")
         assert key in err
+
+
+    def test_serve_dotted_rolling_tenant_reports_its_restarts(
+        self, artifacts, tmp_path, capsys
+    ):
+        """A dotted tenant id spans several topic segments: the restart
+        cost is charged to the whole id, not to its first segment."""
+        _, surrogate = artifacts
+        manifest = tmp_path / "tenants.json"
+        tenant = {"id": "team.alpha", "nodes": 3, "restart_policy": "rolling"}
+        manifest.write_text(
+            json.dumps({"defaults": self.MANIFEST["defaults"], "tenants": [tenant]})
+        )
+        rc = main(
+            ["serve", "--surrogate", str(surrogate), "--manifest", str(manifest), "--quiet"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "tenant team.alpha" in out
+        restarts = re.search(r"(\d+) node restarts \(([\d,]+) ops lost\)", out)
+        assert restarts and int(restarts.group(1)) > 0 and restarts.group(2) != "0"
+
+    @pytest.mark.parametrize("tenant_id", ["alpha.", ".a", "a..b"])
+    def test_serve_rejects_tenant_id_with_an_empty_segment(
+        self, artifacts, tmp_path, capsys, tenant_id
+    ):
+        _, surrogate = artifacts
+        manifest = tmp_path / "tenants.json"
+        manifest.write_text(
+            json.dumps(
+                {"defaults": self.MANIFEST["defaults"], "tenants": [{"id": tenant_id}]}
+            )
+        )
+        rc = main(
+            ["serve", "--surrogate", str(surrogate), "--manifest", str(manifest)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"bad manifest: manifest {manifest}: tenant {tenant_id!r}: ")
+        assert f"invalid tenant id {tenant_id!r}" in err
 
 
 class TestCharacterize:

@@ -84,17 +84,6 @@ class TestConfigurationSpace:
         configs = tiny_space.coverage_sample(rng, ["a", "c"], count=15)
         assert len(set(configs)) == len(configs)
 
-    def test_vector_round_trip(self, tiny_space):
-        cfg = tiny_space.configuration(a=7, b=0.25)
-        vec = cfg.to_vector(["a", "b"])
-        back = tiny_space.vector_to_configuration(vec, ["a", "b"])
-        assert back["a"] == 7
-        assert back["b"] == pytest.approx(0.25)
-
-    def test_vector_length_mismatch(self, tiny_space):
-        with pytest.raises(ConfigurationError):
-            tiny_space.vector_to_configuration([0.5], ["a", "b"])
-
 
 class TestConfiguration:
     def test_defaults_fill_in(self, tiny_space):

@@ -89,7 +89,6 @@ class TestLRU:
         assert cache.get(0.5) is not None
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_clear(self):
         cache = RecommendationCache()

@@ -102,7 +102,8 @@ class TestPipeline:
 
     def test_predicted_throughput_positive(self, pipeline_result, cassandra):
         rafiki, _ = pipeline_result
-        assert rafiki.predicted_throughput(0.5, cassandra.default_configuration()) > 0
+        mean, _ = rafiki.predicted_mean_std(0.5, cassandra.default_configuration())
+        assert mean > 0
 
     def test_identify_selects_five(self, cassandra, base_workload):
         pipe = RafikiPipeline(

@@ -5,8 +5,8 @@ from repro.config.parameter import FloatParameter, IntegerParameter
 from repro.config.space import ConfigurationSpace
 from repro.errors import SearchError
 from repro.ga.algorithm import GeneticAlgorithm
-from repro.ga.constraints import penalized_fitness
 from repro.ga.encoding import ConfigurationEncoder
+from tests.oracles import lockstep_fitness
 
 
 @pytest.fixture
@@ -32,11 +32,41 @@ def mixed_space():
 
 
 class TestPenalizedFitness:
-    def test_feasible_passthrough(self):
-        assert penalized_fitness(10.0, 0.0, 100.0) == 10.0
+    """The Deb penalty: ``raw - scale * violation`` for infeasible rows,
+    ``raw`` itself for feasible ones."""
 
-    def test_violation_penalized(self):
-        assert penalized_fitness(10.0, 0.5, 100.0) == pytest.approx(-40.0)
+    def test_feasible_passthrough(self, quad_space):
+        """A space of float genes has no infeasible in-bounds row, so no
+        penalty scale changes one bit of the run."""
+        encoder = ConfigurationEncoder(quad_space, ["x", "y"])
+        fitness = lockstep_fitness(lambda g: float(-((g - 1.5) ** 2).sum()), per_row=True)
+        results = [
+            GeneticAlgorithm(
+                encoder, fitness, generations=8, penalty_scale=scale
+            ).run(seed=3)
+            for scale in (None, 0.0, 1e6)
+        ]
+        for other in results[1:]:
+            assert other.best_configuration == results[0].best_configuration
+            assert other.history == results[0].history
+
+    def test_violation_penalized(self, mixed_space):
+        """On a flat raw fitness the penalty alone ranks the rows: the
+        elites bred into generation 1 are generation 0's two rows with
+        the smallest integrality gaps, the smaller first."""
+        encoder = ConfigurationEncoder(mixed_space, ["n", "x"])
+        seen = []
+
+        def flat(batch, mask):
+            seen.append(batch[mask][:8].copy())
+            return np.zeros(np.count_nonzero(mask))
+
+        GeneticAlgorithm(encoder, flat, population_size=8, generations=1, penalty_scale=1.0).run(
+            seed=4
+        )
+        first, second = seen[0], seen[1]
+        gaps = np.abs(first[:, 0] - np.round(first[:, 0]))
+        assert second[:2].tobytes() == first[np.argsort(gaps)[:2]].tobytes()
 
 
 class TestGeneticAlgorithm:
@@ -46,7 +76,10 @@ class TestGeneticAlgorithm:
         def fitness(genes):
             return -((genes[0] - 2.0) ** 2) - (genes[1] + 1.0) ** 2
 
-        ga = GeneticAlgorithm(encoder, fitness, population_size=30, generations=60)
+        ga = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            population_size=30, generations=60,
+        )
         result = ga.run(seed=0)
         assert result.best_configuration["x"] == pytest.approx(2.0, abs=0.3)
         assert result.best_configuration["y"] == pytest.approx(-1.0, abs=0.3)
@@ -57,7 +90,10 @@ class TestGeneticAlgorithm:
         def fitness(genes):
             return -((genes[0] - 3.3) ** 2) - genes[1] ** 2
 
-        ga = GeneticAlgorithm(encoder, fitness, population_size=30, generations=60)
+        ga = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            population_size=30, generations=60,
+        )
         result = ga.run(seed=1)
         assert isinstance(result.best_configuration["n"], int)
         assert result.best_configuration["n"] == 3  # nearest feasible to 3.3
@@ -73,7 +109,10 @@ class TestGeneticAlgorithm:
             decoy = 6.0 * np.exp(-((x + 3) ** 2 + (y + 3) ** 2))
             return float(good + decoy)
 
-        ga = GeneticAlgorithm(encoder, fitness, population_size=60, generations=80)
+        ga = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            population_size=60, generations=80,
+        )
         result = ga.run(seed=2)
         assert result.best_configuration["x"] > 2.0
 
@@ -81,21 +120,26 @@ class TestGeneticAlgorithm:
         """§4.8: ~3,350 surrogate calls per search."""
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         ga = GeneticAlgorithm(
-            encoder, lambda g: float(-(g**2).sum()), stagnation_limit=10**9
+            encoder, lockstep_fitness(lambda g: float(-(g**2).sum()), per_row=True),
+            stagnation_limit=10**9
         )
         result = ga.run(seed=0)
         assert 1_000 < result.evaluations < 8_000
 
     def test_history_monotone(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
-        ga = GeneticAlgorithm(encoder, lambda g: float(-(g**2).sum()), generations=20)
+        ga = GeneticAlgorithm(
+            encoder, lockstep_fitness(lambda g: float(-(g**2).sum()), per_row=True),
+            generations=20,
+        )
         result = ga.run(seed=3)
         assert all(b >= a - 1e-9 for a, b in zip(result.history, result.history[1:]))
 
     def test_early_stop_on_stagnation(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         ga = GeneticAlgorithm(
-            encoder, lambda g: 1.0, generations=500, stagnation_limit=5
+            encoder, lockstep_fitness(lambda g: 1.0, per_row=True),
+            generations=500, stagnation_limit=5
         )
         result = ga.run(seed=4)
         assert result.generations < 500
@@ -107,7 +151,10 @@ class TestGeneticAlgorithm:
             return -((genes[0] - 2.0) ** 2) - genes[1] ** 2
 
         seed_cfg = quad_space.configuration(x=2.0, y=0.0)
-        ga = GeneticAlgorithm(encoder, fitness, population_size=10, generations=3)
+        ga = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            population_size=10, generations=3,
+        )
         result = ga.run(seed=5, initial=[encoder.encode(seed_cfg)])
         assert result.best_fitness == pytest.approx(0.0, abs=0.1)
 
@@ -116,7 +163,8 @@ class TestGeneticAlgorithm:
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         calls = []
         ga = GeneticAlgorithm(
-            encoder, lambda g: calls.append(1) or 0.0, population_size=10, generations=3
+            encoder, lockstep_fitness(lambda g: calls.append(1) or 0.0, per_row=True),
+            population_size=10, generations=3
         )
         # A one-gene seed would otherwise broadcast silently over a row.
         with pytest.raises(SearchError, match="initial genes"):
@@ -132,7 +180,8 @@ class TestGeneticAlgorithm:
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         calls = []
         ga = GeneticAlgorithm(
-            encoder, lambda g: calls.append(1) or 0.0, population_size=10, generations=3
+            encoder, lockstep_fitness(lambda g: calls.append(1) or 0.0, per_row=True),
+            population_size=10, generations=3
         )
         with pytest.raises(SearchError, match="within the encoder's bounds"):
             ga.run(seed=5, initial=[np.array([1.0, 1.0]), np.array(bad)])
@@ -146,19 +195,28 @@ class TestGeneticAlgorithm:
         def fitness(genes):
             return float(-(genes**2).sum())
 
-        a = GeneticAlgorithm(encoder, fitness, generations=10).run(seed=7)
-        b = GeneticAlgorithm(encoder, fitness, generations=10).run(seed=7)
+        a = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            generations=10,
+        ).run(seed=7)
+        b = GeneticAlgorithm(
+            encoder, lockstep_fitness(fitness, per_row=True),
+            generations=10,
+        ).run(seed=7)
         assert a.best_fitness == b.best_fitness
         assert a.best_configuration == b.best_configuration
 
     def test_parameter_validation(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         with pytest.raises(SearchError):
-            GeneticAlgorithm(encoder, lambda g: 0.0, population_size=2)
+            GeneticAlgorithm(
+                encoder, lockstep_fitness(lambda g: 0.0, per_row=True),
+                population_size=2,
+            )
         with pytest.raises(SearchError):
-            GeneticAlgorithm(encoder, lambda g: 0.0, generations=0)
+            GeneticAlgorithm(encoder, lockstep_fitness(lambda g: 0.0, per_row=True), generations=0)
         with pytest.raises(SearchError):
-            GeneticAlgorithm(encoder, lambda g: 0.0, elites=100)
+            GeneticAlgorithm(encoder, lockstep_fitness(lambda g: 0.0, per_row=True), elites=100)
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -179,7 +237,7 @@ class TestGeneticAlgorithm:
     def test_rate_scale_and_stagnation_validated(self, quad_space, kwargs, message):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
         with pytest.raises(SearchError, match=message):
-            GeneticAlgorithm(encoder, lambda g: 0.0, **kwargs)
+            GeneticAlgorithm(encoder, lockstep_fitness(lambda g: 0.0, per_row=True), **kwargs)
 
     def test_boundary_values_accepted(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
@@ -190,7 +248,8 @@ class TestGeneticAlgorithm:
             dict(penalty_scale=0.0),
         ):
             result = GeneticAlgorithm(
-                encoder, lambda g: float(-(g**2).sum()), generations=3, **kwargs
+                encoder, lockstep_fitness(lambda g: float(-(g**2).sum()), per_row=True),
+                generations=3, **kwargs
             ).run(seed=0)
             assert result.generations >= 1
 
@@ -215,7 +274,7 @@ class TestGeneticAlgorithm:
             return values[: len(matrix)].copy()
 
         ga = GeneticAlgorithm(
-            encoder, fitness_batch_fn=fitness, population_size=8, generations=3
+            encoder, lockstep_fitness(fitness), population_size=8, generations=3
         )
         with pytest.raises(SearchError, match="spread"):
             ga.run(seed=0)
@@ -234,7 +293,8 @@ class TestLockstep:
 
         def make():
             return GeneticAlgorithm(
-                encoder, fitness, population_size=10, generations=30, stagnation_limit=3
+                encoder, lockstep_fitness(fitness, per_row=True),
+                population_size=10, generations=30, stagnation_limit=3
             )
 
         ga = make()
@@ -249,7 +309,7 @@ class TestLockstep:
 
     def test_sizes_checked(self, quad_space):
         encoder = ConfigurationEncoder(quad_space, ["x", "y"])
-        ga = GeneticAlgorithm(encoder, lambda g: 0.0, generations=2)
+        ga = GeneticAlgorithm(encoder, lockstep_fitness(lambda g: 0.0, per_row=True), generations=2)
         with pytest.raises(SearchError, match="at least one search"):
             ga.run_lockstep([])
         with pytest.raises(SearchError, match="buses"):

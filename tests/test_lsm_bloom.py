@@ -36,14 +36,6 @@ class TestBloomFilter:
         with pytest.raises(ValueError):
             BloomFilter(expected_items=10, fp_chance=1.0)
 
-    def test_expected_fp_rate_reported(self):
-        keys = [f"k{i}" for i in range(100)]
-        bf = BloomFilter.from_keys(keys, fp_chance=0.01)
-        assert 0.0 < bf.expected_fp_rate < 0.05
-
-    def test_expected_fp_rate_empty(self):
-        assert BloomFilter(expected_items=5, fp_chance=0.01).expected_fp_rate == 0.0
-
     @given(st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=100))
     @example(["\x00"])
     @example(["a", "a\x00"])

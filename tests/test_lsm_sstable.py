@@ -6,7 +6,7 @@ import pytest
 from repro.lsm import sstable as sstable_module
 from repro.lsm.engine import OP_READ, LSMEngine
 from repro.lsm.record import Record
-from repro.lsm.sstable import SSTable, merge_records, split_into_tables
+from repro.lsm.sstable import BLOCK_BYTES, SSTable, merge_records, split_into_tables
 
 from .conftest import make_knobs
 
@@ -91,11 +91,13 @@ class TestSSTable:
     def test_size_and_blocks(self):
         t = make_table("a", "b")
         assert t.size_bytes == sum(r.size_bytes for r in t.records())
-        assert t.block_count == 1
+        assert t.size_bytes <= BLOCK_BYTES  # one block: every key's block is 0
+        assert t.locate("a")[0] == t.locate("b")[0] == 0
 
     def test_block_of_within_range(self):
         t = make_table(*[f"k{i:03d}" for i in range(50)])
-        assert 0 <= t.block_of("k025") < max(t.block_count, 1)
+        blocks = -(-t.size_bytes // BLOCK_BYTES)
+        assert 0 <= t.locate("k025")[0] < max(blocks, 1)
 
 
 class TestKeyColumn:

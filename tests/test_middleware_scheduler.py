@@ -1,5 +1,7 @@
 """Scheduler layer: deterministic interleaving, shared surrogate, restarts."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,10 @@ class TestValidation:
     def test_bad_specs_rejected(self):
         with pytest.raises(SearchError):
             spec("", [0.5])
+        for tenant_id in ("alpha.", ".a", "a..b", "."):
+            with pytest.raises(SearchError, match=re.escape(f"invalid tenant id {tenant_id!r}")):
+                spec(tenant_id, [0.5])
+        spec("team.alpha", [0.5])  # a dotted id with no empty segment is fine
         with pytest.raises(SearchError):
             spec("a", [])
         with pytest.raises(SearchError):

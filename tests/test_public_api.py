@@ -9,7 +9,6 @@ import repro
 from repro.errors import (
     ConfigurationError,
     DatastoreError,
-    KeyNotFound,
     ReproError,
     SearchError,
     TrainingError,
@@ -67,9 +66,3 @@ class TestErrorHierarchy:
             SearchError,
         ]:
             assert issubclass(exc, ReproError)
-
-    def test_key_not_found_is_datastore_error(self):
-        assert issubclass(KeyNotFound, DatastoreError)
-        err = KeyNotFound("abc")
-        assert err.key == "abc"
-        assert "abc" in str(err)

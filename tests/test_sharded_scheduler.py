@@ -355,7 +355,7 @@ class TestRoundBlob:
         scheduler = MiddlewareScheduler(cassandra, rafiki, backend=SerialBackend())
         ensemble_pickle = pickle.dumps(surrogate.ensemble)
         blob_bytes = len(scheduler._rafiki_blob())
-        rafiki.predicted_throughput(0.5, cassandra.default_configuration())
+        surrogate.predict(0.5, cassandra.default_configuration())
         rafiki.predicted_mean_std(0.5, cassandra.default_configuration())
         assert pickle.dumps(surrogate.ensemble) == ensemble_pickle
         assert len(scheduler._rafiki_blob()) == blob_bytes

