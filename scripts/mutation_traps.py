@@ -233,16 +233,44 @@ TRAPS = [
         f"{ROUND}::TestPrefetch::test_a_moved_stream_is_searched_again",
     ),
     (
-        "prefetch: unconsumed results kept past the round",
+        "prefetch: unconsumed results kept past the campaign",
         RAFIKI,
-        [("        finally:\n            self._prefetched = {}\n", "        finally:\n            pass\n")],
+        [
+            (
+                "        finally:\n            self._prefetched, self._prefetch_stamp = {}, None\n",
+                "        finally:\n            pass\n",
+            )
+        ],
         f"{ROUND}::TestPrefetch::test_counts_caches_and_takes_nothing_by_itself",
     ),
     (
-        "prefetch: a round's results pickled with the rafiki",
+        "prefetch: a campaign's results pickled with the rafiki",
         RAFIKI,
         [('state["_prefetched"] = {}', "pass")],
         f"{ROUND}::TestPrefetch::test_counts_caches_and_takes_nothing_by_itself",
+    ),
+    (
+        "prefetch: a result taken after the ensemble was retrained (stamp ignored)",
+        RAFIKI,
+        [("            and self._stamp_holds()\n", "")],
+        f"{ROUND}::TestInputsMovedMidCampaign::test_ensemble_retrained_after_round_1",
+    ),
+    (
+        "prefetch: the stamp holds the forward plan but not the GA's sizes",
+        RAFIKI,
+        [("return then[0] is now[0] and then[1:] == now[1:]", "return then[0] is now[0]")],
+        f"{ROUND}::TestInputsMovedMidCampaign::test_ga_changed_after_round_1",
+    ),
+    (
+        "prefetch: the row bound dropped, every cold key in one lockstep",
+        RAFIKI,
+        [
+            (
+                "per_lockstep = max(1, PREFETCH_ROWS // (optimizer.population_size + 1))",
+                "per_lockstep = max(1, len(cold))",
+            )
+        ],
+        f"{ROUND}::TestRowBound::test_more_cold_keys_than_one_lockstep_holds",
     ),
     (
         "snap keeps the -0.0 that np.round gives small negatives",
@@ -901,6 +929,13 @@ TRAPS = [
         SCHEDULER,
         [(' or "" in self.tenant_id.split(".")', "")],
         "tests/test_middleware_scheduler.py::TestValidation::test_bad_specs_rejected",
+    ),
+    (
+        "a NaN read ratio accepted into a tenant's series",
+        SCHEDULER,
+        [("if math.isnan(read_ratio):", "if False:")],
+        "tests/test_middleware_scheduler.py::TestValidation"
+        "::test_nan_read_ratio_rejected_naming_tenant_and_window",
     ),
     (
         "serve: a restart charged to the topic's first segment",

@@ -63,10 +63,6 @@ class ParameterSpec:
         """Map an in-domain value to [0, 1] for model features / GA genes."""
         raise NotImplementedError
 
-    def from_unit(self, u: float) -> Any:
-        """Inverse of :meth:`to_unit` (clipping into the domain)."""
-        raise NotImplementedError
-
     @property
     def cardinality(self) -> float:
         """Number of distinct values n_i (may be inf for floats)."""
@@ -107,11 +103,6 @@ class CategoricalParameter(ParameterSpec):
         if len(self.choices) == 1:
             return 0.0
         return self.choices.index(value) / (len(self.choices) - 1)
-
-    def from_unit(self, u: float) -> Any:
-        u = min(max(float(u), 0.0), 1.0)
-        idx = int(round(u * (len(self.choices) - 1)))
-        return self.choices[idx]
 
     @property
     def cardinality(self) -> float:
@@ -164,10 +155,6 @@ class IntegerParameter(ParameterSpec):
             return 0.0
         return (value - self.low) / (self.high - self.low)
 
-    def from_unit(self, u: float) -> int:
-        u = min(max(float(u), 0.0), 1.0)
-        return int(round(self.low + u * (self.high - self.low)))
-
     @property
     def cardinality(self) -> float:
         return float(self.high - self.low + 1)
@@ -214,10 +201,6 @@ class FloatParameter(ParameterSpec):
         if self.high == self.low:
             return 0.0
         return (float(value) - self.low) / (self.high - self.low)
-
-    def from_unit(self, u: float) -> float:
-        u = min(max(float(u), 0.0), 1.0)
-        return float(self.low + u * (self.high - self.low))
 
     @property
     def cardinality(self) -> float:

@@ -10,9 +10,7 @@ the control loop.
 A policy answers one question per window: *which read ratio should the
 controller hand to Rafiki's search, if any?*  Returning ``None`` means
 "keep the current configuration" (no information yet, change too small,
-or still cooling down).  ``decide`` answers it for the window being
-decided; ``peek`` gives the same answer without recording anything, so
-the scheduler can search a round's regimes before its sessions decide.
+or still cooling down).
 """
 
 from __future__ import annotations
@@ -51,11 +49,6 @@ class DecisionPolicy:
         """The RR the controller should believe for this window."""
         raise NotImplementedError
 
-    def peek(self, window: WindowObservation) -> Optional[float]:
-        """What ``decide`` would answer for ``window`` now, changing no
-        state.  A policy that cannot tell answers ``None``: no guess."""
-        return None
-
     def observe(self, read_ratio: float) -> None:
         """Feed the window's actual RR after it completes."""
 
@@ -73,8 +66,6 @@ class OraclePolicy(DecisionPolicy):
     def decide(self, window: WindowObservation) -> Optional[float]:
         return window.read_ratio
 
-    peek = decide  # decide records nothing
-
 
 class ReactivePolicy(DecisionPolicy):
     """Pure measurement lag: tune for the previous window's RR.
@@ -86,8 +77,6 @@ class ReactivePolicy(DecisionPolicy):
 
     def decide(self, window: WindowObservation) -> Optional[float]:
         return window.previous_read_ratio
-
-    peek = decide  # decide records nothing
 
 
 class ForecastPolicy(DecisionPolicy):
@@ -111,8 +100,6 @@ class ForecastPolicy(DecisionPolicy):
         if self._observations == 0:
             return None
         return float(np.clip(self.forecaster.predict(), 0.0, 1.0))
-
-    peek = decide  # decide records nothing; ``observe`` learns
 
     def observe(self, read_ratio: float) -> None:
         self.forecaster.update(read_ratio)
@@ -145,22 +132,13 @@ class HysteresisPolicy(DecisionPolicy):
     def proactive(self) -> bool:  # type: ignore[override]
         return self.inner.proactive
 
-    def peek(self, window: WindowObservation) -> Optional[float]:
-        return self._damped(self.inner.peek(window))
-
     def decide(self, window: WindowObservation) -> Optional[float]:
-        rr = self._damped(self.inner.decide(window))
-        if rr is not None:
-            self._last_rr = rr
-        return rr
-
-    def _damped(self, raw: Optional[float]) -> Optional[float]:
-        """``raw``, or None where it moved less than ``min_change`` from
-        the last acted-on decision."""
+        raw = self.inner.decide(window)
         if raw is None:
             return None
         if self._last_rr is not None and abs(raw - self._last_rr) < self.min_change:
             return None
+        self._last_rr = raw
         return raw
 
     def observe(self, read_ratio: float) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.bench.collection import DataCollectionCampaign
 from repro.bench.dataset import PerformanceDataset
@@ -41,6 +41,12 @@ from repro.sim.rng import SeedSequence
 from repro.workload.characterize import WorkloadCharacterization, characterize_trace
 from repro.workload.spec import WorkloadSpec
 from repro.workload.trace import Trace
+
+#: The most forward rows one ``Rafiki.prefetch`` lockstep scores: the
+#: cold keys are searched ``PREFETCH_ROWS // (population_size + 1)`` at a
+#: time (at least one), which bounds the forward's activations however
+#: many keys a campaign visits.
+PREFETCH_ROWS = 1_000
 
 
 @dataclass
@@ -82,12 +88,15 @@ class Rafiki:
             resolution=rr_cache_resolution, capacity=cache_capacity
         )
         # ``prefetch``'s searches, by cache key, while its block runs:
-        # (the seed stream's index, the result, its search.* journal).
+        # (the seed stream's index, the result, its search.* journal),
+        # all searched under ``_prefetch_stamp`` (see ``_search_stamp``).
         self._prefetched: Dict[float, tuple] = {}
+        self._prefetch_stamp: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_prefetched"] = {}  # a round's searches never travel
+        state["_prefetched"] = {}  # a campaign's searches never travel
+        state["_prefetch_stamp"] = None
         return state
 
     @property
@@ -114,11 +123,12 @@ class Rafiki:
             ready is not None
             and ready[0] == self.seeds.count(name)
             and (ready[2] is None) is (bus is None)
+            and self._stamp_holds()
         ):
             # The search this miss would run, already run by ``prefetch``
-            # on the same stream (and journaled if there is a bus to
-            # hear it): take the stream and publish its events now,
-            # where the search would have published them.
+            # on the same stream and inputs (and journaled if there is a
+            # bus to hear it): take the stream and publish its events
+            # now, where the search would have published them.
             _, result, journal = ready
             self.seeds.advance(name)
             if journal is not None:
@@ -129,20 +139,23 @@ class Rafiki:
         return result
 
     @contextmanager
-    def prefetch(self, read_ratios: Sequence[Optional[float]]) -> Iterator[None]:
-        """Run a round's cold searches together, for ``recommend`` to take.
+    def prefetch(self, read_ratios: Iterable[Optional[float]]) -> Iterator[None]:
+        """Search ahead, for ``recommend`` to take: a serve campaign's one
+        search batch.
 
         Every read ratio (``None`` and ratios outside ``[0, 1]`` are
-        skipped) whose cache key is not cached now is searched once, all
-        of them as one lockstep GA (:meth:`ConfigurationOptimizer.
-        optimize_many`), each on the named seed stream its miss would
-        take — peeked, not taken.  Nothing is counted, cached or evicted
-        here.  Inside the block a miss on such a key whose stream is
-        still at that index takes the result instead of searching, then
-        counts, caches, evicts and advances the stream exactly as a
-        search would, and replays the search's ``search.*`` events on
-        the rafiki's bus.  Whatever is not taken is dropped when the
-        block ends; a prefetch that fails leaves every miss to search.
+        skipped) whose cache key is not cached now is searched once, on
+        the named seed stream its miss would take — peeked, not taken —
+        in lockstep GAs (:meth:`ConfigurationOptimizer.optimize_many`) of
+        at most :data:`PREFETCH_ROWS` forward rows each.  Nothing is
+        counted, cached or evicted here.  Inside the block a miss on such
+        a key takes the result instead of searching, while its stream is
+        still at that index and the search's inputs still hold (see
+        :meth:`_search_stamp`); it then counts, caches, evicts and
+        advances the stream exactly as a search would, and replays the
+        search's ``search.*`` events on the rafiki's bus.  Whatever is
+        not taken is dropped when the block ends; a lockstep that fails
+        leaves its misses to search.
         """
         keys: Dict[float, None] = {}
         for read_ratio in read_ratios:
@@ -150,26 +163,47 @@ class Rafiki:
                 key = self.cache.quantize(read_ratio)
                 if key not in self.cache:
                     keys[key] = None
-        if keys:
-            names = [f"search-rr{key}" for key in keys]
+        optimizer, cold = self.optimizer, list(keys)
+        per_lockstep = max(1, PREFETCH_ROWS // (optimizer.population_size + 1))
+        for start in range(0, len(cold), per_lockstep):
+            chunk = cold[start:start + per_lockstep]
+            names = [f"search-rr{key}" for key in chunk]
             journals = [
-                RecordingBus() if self.optimizer.bus is not None else None
-                for _ in names
+                RecordingBus() if optimizer.bus is not None else None for _ in names
             ]
             try:
-                results = self.optimizer.optimize_many(
-                    list(keys), [self.seeds.peek(name) for name in names], journals
+                results = optimizer.optimize_many(
+                    chunk, [self.seeds.peek(name) for name in names], journals
                 )
             except SearchError:
-                results = ()
-            self._prefetched = {
-                key: (self.seeds.count(name), result, journal)
-                for key, name, result, journal in zip(keys, names, results, journals)
-            }
+                continue
+            for key, name, result, journal in zip(chunk, names, results, journals):
+                self._prefetched[key] = (self.seeds.count(name), result, journal)
+        if self._prefetched:
+            self._prefetch_stamp = self._search_stamp()
         try:
             yield
         finally:
-            self._prefetched = {}
+            self._prefetched, self._prefetch_stamp = {}, None
+
+    def _search_stamp(self) -> tuple:
+        """What a search's result depends on besides its key and seed
+        stream: the surrogate's forward plan — the object, rebuilt
+        exactly when a member or scaler array is rebound — and the GA's
+        population, generations and uncertainty penalty."""
+        optimizer = self.optimizer
+        return (
+            optimizer.surrogate.ensemble._plan(),
+            optimizer.population_size,
+            optimizer.generations,
+            optimizer.uncertainty_penalty,
+        )
+
+    def _stamp_holds(self) -> bool:
+        """Whether the prefetched results were searched on today's inputs
+        (the plan compared by identity: equal arrays are not enough)."""
+        then, now = self._prefetch_stamp, self._search_stamp()
+        return then[0] is now[0] and then[1:] == now[1:]
 
     def predicted_mean_std(
         self, read_ratio: float, config: Configuration

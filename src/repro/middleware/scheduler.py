@@ -19,18 +19,19 @@ Every tenant's events are namespaced (``tenant.<id>.controller.*``,
 ``bus.scoped()``; the scheduler itself publishes ``scheduler.start`` /
 ``scheduler.window`` / ``scheduler.done``.
 
-**The round's search batch.**  Before any session of a round decides,
-the scheduler hands ``rafiki.prefetch`` every served tenant's
-``TenantSession.search_hint`` (the read ratio its DECIDE would search
-for, from the policy's pure ``peek``).  The round's cold regimes are
-then searched together as one lockstep GA, one surrogate call per
-generation for all of them, and each session's miss takes its result
-where it would have searched, counting, caching, evicting, drawing its
-seed stream and publishing its ``search.*`` events exactly as the
-search would have.  Unused results are dropped at the round's end, so
-results, cache state and the event log are those of searching each miss
-on the spot (``tests/test_round_searches.py``).  The same batch serves
-serial and sharded rounds: the parent prefetches, then decides.
+**The campaign's search batch.**  Every decision of an oracle,
+reactive or hysteresis tenant searches one of its series' read ratios,
+and every series is known when ``run`` starts.  So ``run`` opens one
+``rafiki.prefetch`` around all rounds, fed each ``use_rafiki`` tenant's
+clipped series: every cold regime is searched once, up front, in
+row-bounded lockstep GAs, and each miss takes its result where it would
+have searched — counting, caching, evicting, drawing its seed stream and
+publishing its ``search.*`` events exactly as the search would have —
+while the surrogate and the GA's sizes are those it was searched with.
+A forecast's regimes are searched on the spot.  Results, cache state
+and the event log are those of searching each miss on the spot
+(``tests/test_round_searches.py``), serial or sharded: the parent
+prefetches, then decides.
 
 **Sharded serve.**  Within one window round, tenant sessions are
 independent except for the shared rafiki (surrogate + recommendation
@@ -70,6 +71,7 @@ scales every admitted window by the round's capacity factor.
 
 from __future__ import annotations
 
+import math
 import pickle
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -176,6 +178,12 @@ class TenantSpec:
             raise SearchError(f"invalid tenant id {self.tenant_id!r}")
         if len(self.rr_series) == 0:
             raise SearchError(f"tenant {self.tenant_id!r} has an empty RR series")
+        # ``begin_window`` clips a read ratio into [0, 1]; NaN has no place.
+        for window, read_ratio in enumerate(self.rr_series):
+            if math.isnan(read_ratio):
+                raise SearchError(
+                    f"tenant {self.tenant_id!r} has a NaN read ratio in window {window}"
+                )
         if self.n_nodes < 1:
             raise SearchError("n_nodes must be >= 1")
         if not self.window_seconds > 0:
@@ -353,18 +361,18 @@ class MiddlewareScheduler:
             tenants=list(self._tenants),
             windows=horizon,
         )
-        for w in range(horizon):
-            active = [
-                tenant_id
-                for tenant_id, (spec, _) in self._tenants.items()
-                if w < len(spec.rr_series)
-            ]
-            round_seconds = max(
-                (self._tenants[t][0].window_seconds for t in active),
-                default=0.0,
-            )
-            shed, factor = self._plan_round(w, active)
-            with self._round_searches(w, active, shed):
+        with self._campaign_searches():
+            for w in range(horizon):
+                active = [
+                    tenant_id
+                    for tenant_id, (spec, _) in self._tenants.items()
+                    if w < len(spec.rr_series)
+                ]
+                round_seconds = max(
+                    (self._tenants[t][0].window_seconds for t in active),
+                    default=0.0,
+                )
+                shed, factor = self._plan_round(w, active)
                 if self.backend is not None:
                     self._run_round_sharded(w, active, shed, factor)
                 else:
@@ -374,14 +382,14 @@ class MiddlewareScheduler:
                             session.record_shed_window(spec.rr_series[w])
                         else:
                             session.step(spec.rr_series[w], capacity_factor=factor)
-            self.clock.advance(round_seconds)
-            self.events.publish(
-                "scheduler.window",
-                f"window round {w} ({len(active)} active)",
-                window=w,
-                t=self.clock.now,
-                active_tenants=active,
-            )
+                self.clock.advance(round_seconds)
+                self.events.publish(
+                    "scheduler.window",
+                    f"window round {w} ({len(active)} active)",
+                    window=w,
+                    t=self.clock.now,
+                    active_tenants=active,
+                )
         results = {
             tenant_id: session.finish()
             for tenant_id, (_, session) in self._tenants.items()
@@ -394,21 +402,18 @@ class MiddlewareScheduler:
         )
         return results
 
-    def _round_searches(self, w: int, active: Sequence[str], shed: frozenset):
-        """The round's search batch: ``rafiki.prefetch`` of every served
-        tenant's search hint, one lockstep GA for the round's cold
-        regimes before any session decides (a no-op context for a
-        rafiki without ``prefetch``)."""
+    def _campaign_searches(self):
+        """The campaign's search batch: ``rafiki.prefetch`` of every
+        ``use_rafiki`` tenant's whole series, clipped as ``begin_window``
+        clips (a no-op context for a rafiki without ``prefetch``)."""
         prefetch = getattr(self.rafiki, "prefetch", None)
         if prefetch is None:
             return nullcontext()
         return prefetch(
-            [
-                session.search_hint(spec.rr_series[w])
-                for spec, session in (
-                    self._tenants[t] for t in active if t not in shed
-                )
-            ]
+            min(max(float(rr), 0.0), 1.0)
+            for spec, _ in self._tenants.values()
+            if spec.use_rafiki
+            for rr in spec.rr_series
         )
 
     # -- admission control ------------------------------------------------------

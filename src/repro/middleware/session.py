@@ -244,26 +244,6 @@ class TenantSession:
         self._set_phase("observe")
         return self._window
 
-    def search_hint(self, read_ratio: float) -> Optional[float]:
-        """The read ratio the next window's DECIDE would hand to
-        ``rafiki.recommend`` if it ran now, or None.  A guess for the
-        scheduler's round prefetch, from the policy's ``peek``: it
-        changes no state, and a wrong one costs a search, not a result
-        (the guard and the fault plan are not consulted)."""
-        if self.rafiki is None:
-            return None
-        rr = min(max(float(read_ratio), 0.0), 1.0)  # begin_window's clip
-        decision_rr = self.policy.peek(
-            WindowObservation(
-                index=self._window_index,
-                read_ratio=rr,
-                previous_read_ratio=self._previous_rr,
-            )
-        )
-        if decision_rr is None and self._redecide:
-            return rr
-        return decision_rr
-
     def record_shed_window(self, read_ratio: float) -> ControllerEvent:
         """Seal one *shed* window: admission control deferred the tenant.
 

@@ -98,35 +98,6 @@ class TestHysteresis:
             HysteresisPolicy(OraclePolicy(), min_change=threshold)
 
 
-class TestPeek:
-    """``peek`` answers what ``decide`` would, and records nothing."""
-
-    @pytest.mark.parametrize("mode", DECISION_MODES)
-    def test_peek_is_decide_without_the_record(self, mode):
-        policy = HysteresisPolicy(make_policy(mode), min_change=0.1)
-        series = [0.2, 0.25, 0.6, 0.62, 0.9, 0.1]
-        previous = None
-        for i, rr in enumerate(series):
-            obs = window(i, rr, previous)
-            hint = policy.peek(obs)
-            assert policy.peek(obs) == hint  # nothing moved
-            assert policy.decide(obs) == hint
-            policy.observe(rr)
-            previous = rr
-
-    def test_hysteresis_peek_leaves_the_anchor(self):
-        policy = HysteresisPolicy(OraclePolicy(), min_change=0.1)
-        assert policy.peek(window(0, 0.5)) == 0.5
-        assert policy.peek(window(1, 0.55)) == 0.55  # no anchor was set
-        assert policy.decide(window(1, 0.55)) == 0.55
-        assert policy.peek(window(2, 0.6)) is None
-
-    def test_base_policy_gives_no_hint(self):
-        from repro.core.policies import DecisionPolicy
-
-        assert DecisionPolicy().peek(window(0, 0.5)) is None
-
-
 class TestMakePolicy:
     def test_all_paper_modes(self):
         assert make_policy("oracle").name == "oracle"

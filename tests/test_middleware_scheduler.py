@@ -111,6 +111,13 @@ class TestValidation:
             with pytest.raises(SearchError, match="replication factor"):
                 spec("a", [0.5], n_nodes=n_nodes, replication_factor=rf)
 
+    def test_nan_read_ratio_rejected_naming_tenant_and_window(self, cassandra):
+        with pytest.raises(SearchError, match="tenant 'a' has a NaN read ratio in window 1"):
+            spec("a", [0.3, float("nan"), 0.5])
+        # Infinite and out-of-range ratios still clip, as windows clip them.
+        results, _ = run_campaign(cassandra, [spec("a", [0.3, float("inf"), -0.5, 1.5])])
+        assert [e.read_ratio for e in results["a"].events] == [0.3, 1.0, 0.0, 1.0]
+
 
 class TestDeterminism:
     @settings(max_examples=4, deadline=None)

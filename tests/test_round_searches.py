@@ -1,13 +1,14 @@
-"""The scheduler round's search batch: ``Rafiki.prefetch``.
+"""The serve campaign's search batch: ``Rafiki.prefetch``.
 
-Each window round the scheduler hands ``rafiki.prefetch`` every served
-tenant's search hint, and the round's cold regimes are searched as one
-lockstep GA before any session decides.  Whatever a caller can see must
-be what the same round gives with a no-op ``prefetch`` (every miss
-searching on the spot): per-tenant results, cache hits, misses and
-evictions, the cache's entries, the named seed-stream counters and the
-whole event log — serial or sharded, with faults, guards, hysteresis
-and a rafiki publishing on the scheduler's bus.
+Before round 0 the scheduler hands ``rafiki.prefetch`` every tuned
+tenant's series, and every cold regime is searched up front in
+row-bounded lockstep GAs.  Whatever a caller can see must be what the
+same campaign gives with a no-op ``prefetch`` (every miss searching on
+the spot): per-tenant results, cache hits, misses and evictions, the
+cache's entries, the named seed-stream counters and the whole event log
+— serial or sharded, with faults, guards, hysteresis, a rafiki
+publishing on the scheduler's bus, and a surrogate or GA changed
+mid-campaign.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ import pytest
 
 from repro.bench.dataset import PerformanceDataset, PerformanceSample
 from repro.config import CASSANDRA_KEY_PARAMETERS, cassandra_space
+from repro.core import rafiki as rafiki_module
 from repro.core.policies import (
     ForecastPolicy,
     HysteresisPolicy,
@@ -84,18 +86,28 @@ def spec(tenant_id, series, seed=0, **kwargs):
 
 
 class Spy:
-    """Counts a rafiki's live searches and what its rounds prefetched and
-    left; picklable, so a sharded round's rafiki blob takes it along."""
+    """Counts a rafiki's live searches, the size of every lockstep, and
+    what its campaign prefetched and left; picklable, so a sharded
+    round's rafiki blob takes it along."""
 
     def __init__(self, rafiki, prefetch):
         self.rafiki, self.prefetch = rafiki, prefetch
         self.live_searches, self.prefetched, self.unconsumed = 0, [], []
+        self.locksteps = []
         rafiki.optimizer.optimize = self.optimize
+        rafiki.optimizer.optimize_many = self.optimize_many
         rafiki.prefetch = self.round
 
     def optimize(self, *args, **kwargs):
         self.live_searches += 1
         return ConfigurationOptimizer.optimize(self.rafiki.optimizer, *args, **kwargs)
+
+    def optimize_many(self, read_ratios, *args, **kwargs):
+        optimizer = self.rafiki.optimizer
+        rows = len(read_ratios) * (optimizer.population_size + 1)
+        assert len(read_ratios) == 1 or rows <= rafiki_module.PREFETCH_ROWS
+        self.locksteps.append(len(read_ratios))
+        return ConfigurationOptimizer.optimize_many(optimizer, read_ratios, *args, **kwargs)
 
     @contextmanager
     def round(self, read_ratios):
@@ -110,20 +122,26 @@ class Spy:
 
 class Campaign:
     """One scheduler run on a fresh rafiki, with the real ``prefetch`` or
-    a no-op one; records what a caller can see of it."""
+    a no-op one; records what a caller can see of it.  ``on_window(w,
+    rafiki)`` runs after each window round, on the campaign's own copy
+    of the surrogate."""
 
     def __init__(
         self, cassandra, surrogate, specs, prefetch=True, backend=None,
-        rafiki_on_bus=False, rafiki_kwargs=None, **sched_kwargs
+        rafiki_on_bus=False, rafiki_kwargs=None, on_window=None, **sched_kwargs
     ):
         events = EventBus()
         self.log = []
         events.subscribe(self.log.append)
         rafiki = make_rafiki(
-            cassandra, surrogate, events=events if rafiki_on_bus else None,
-            **(rafiki_kwargs or {}),
+            cassandra, pickle.loads(pickle.dumps(surrogate)),
+            events=events if rafiki_on_bus else None, **(rafiki_kwargs or {}),
         )
         self.spy = Spy(rafiki, prefetch)
+        if on_window is not None:
+            events.subscribe(
+                lambda e: on_window(e.payload["window"], rafiki), topic="scheduler.window"
+            )
         scheduler = MiddlewareScheduler(
             cassandra, rafiki, events=events, backend=backend, **sched_kwargs
         )
@@ -224,7 +242,8 @@ class TestRoundEqualsSearchesAlone:
         )
         assert any(e.topic.endswith("guard.shed") for e in run.log)
         assert any(e.topic.endswith("controller.degraded") for e in run.log)
-        # The outage's windows searched hints nobody took.
+        # Regimes only the outage, a damped change or a shed window saw
+        # were searched and never taken.
         assert run.spy.unconsumed
 
     def test_capacity_one_revisits_a_key_on_its_next_stream(self, cassandra, surrogate):
@@ -259,6 +278,55 @@ class TestRoundEqualsSearchesAlone:
         # The parent prefetches and decides: the same searches, ahead or not.
         assert sharded.spy.prefetched == serial.spy.prefetched != []
         assert sharded.spy.live_searches == serial.spy.live_searches
+
+
+class TestInputsMovedMidCampaign:
+    """A prefetched result is taken only while the surrogate's forward
+    plan and the GA's sizes are those it was searched with."""
+
+    def test_ensemble_retrained_after_round_1(self, cassandra, surrogate):
+        def retrain(w, rafiki):
+            if w == 1:
+                for net in rafiki.surrogate.ensemble.networks:
+                    net.weights[0] = net.weights[0] * 1.001
+
+        run = assert_same_round(cassandra, surrogate, search_fleet, on_window=retrain)
+        # Rounds 2-5 searched on the spot, with the retrained ensemble ...
+        assert run.spy.live_searches == 2 * 4
+        # ... which moved their picks.
+        untouched = Campaign(cassandra, surrogate, search_fleet())
+        assert run.state[1][4:] != untouched.state[1][4:]
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [("generations", 4), ("population_size", 10), ("uncertainty_penalty", 0.5)],
+    )
+    def test_ga_changed_after_round_1(self, cassandra, surrogate, attr, value):
+        def change(w, rafiki):
+            if w == 1:
+                setattr(rafiki.optimizer, attr, value)
+
+        run = assert_same_round(cassandra, surrogate, search_fleet, on_window=change)
+        assert run.spy.live_searches == 2 * 4
+
+
+class TestRowBound:
+    def test_more_cold_keys_than_one_lockstep_holds(
+        self, cassandra, surrogate, monkeypatch
+    ):
+        """Twelve cold keys at 9 rows a search under a 40-row bound: three
+        locksteps of four searches, every one taken."""
+        monkeypatch.setattr(rafiki_module, "PREFETCH_ROWS", 40)
+        run = assert_same_round(cassandra, surrogate, search_fleet)
+        assert run.spy.locksteps == [4, 4, 4]
+        assert run.spy.live_searches == 0
+
+    def test_a_population_over_the_bound_searches_one_at_a_time(
+        self, cassandra, surrogate, monkeypatch
+    ):
+        monkeypatch.setattr(rafiki_module, "PREFETCH_ROWS", 5)
+        run = assert_same_round(cassandra, surrogate, search_fleet)
+        assert run.spy.locksteps == [1] * 12
 
 
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
