@@ -55,6 +55,7 @@ ANALYTIC_TESTS = "tests/test_lsm_analytic.py"
 SCHEDULER = "repro/middleware/scheduler.py"
 RAFIKI = "repro/core/rafiki.py"
 LOCKSTEP = f"{EQUIVALENCE}::TestLockstepEqualsAlone"
+FUSED = f"{EQUIVALENCE}::TestFusedDraws"
 ROUND = "tests/test_round_searches.py"
 STRUCTURE = f"{ANALYTIC_TESTS}::TestStepStructureTraps"
 SEGMENT_KEY = (
@@ -135,6 +136,61 @@ TRAPS = [
             )
         ],
         f"{REFERENCE}::test_surrogate_search",
+    ),
+    # -- fused draws: one raw PCG64 block per search and generation
+    (
+        "fused draws: a Lemire rejection in a block ignored",
+        GA,
+        [("if fused[s] is not None and s in rejected:", "if False:")],
+        f"{FUSED}::test_lemire_rejection_rewinds_to_the_public_calls",
+    ),
+    (
+        "fused draws: a rejected block redrawn without rewinding it",
+        GA,
+        [("fused[s].advance(2**128 - n_words)", "pass")],
+        f"{FUSED}::test_lemire_rejection_rewinds_to_the_public_calls",
+    ),
+    (
+        "fused draws: a non-PCG64 generator decoded as PCG64 words",
+        GA,
+        [
+            (
+                "type(bits) is np.random.PCG64:\n"
+                '        if not bits.state["has_uint32"]:',
+                "True:\n        if True:",
+            )
+        ],
+        f"{FUSED}::test_other_generators_take_the_public_calls",
+    ),
+    (
+        "fused draws: a PCG64 with a buffered half on the fast path",
+        GA,
+        [('if not bits.state["has_uint32"]:', "if True:")],
+        f"{FUSED}::test_other_generators_take_the_public_calls",
+    ),
+    (
+        "fused draws: the generator's uinteger slot left as it was",
+        GA,
+        [('state["uinteger"] = int(words[s, n_int_words - 1] >> 32)', "pass")],
+        f"{FUSED}::test_fused_draws_are_the_public_calls",
+    ),
+    (
+        "fused draws: unmutated genes add +0.0, not -0.0",
+        GA,
+        [("np.putmask(noise, keep, -0.0)", "np.putmask(noise, keep, 0.0)")],
+        f"{FUSED}::test_unmutated_genes_keep_their_signed_zero",
+    ),
+    (
+        "named streams: a negative root seed accepted",
+        "repro/sim/rng.py",
+        [("if root < 0:", "if False:")],
+        "tests/test_sim_rng.py::TestSeedSequence::test_negative_root_rejected",
+    ),
+    (
+        "collect: a grid with no sample left after the faults accepted",
+        "repro/bench/collection.py",
+        [("if n_faulty >= n_workloads * n_configurations:", "if False:")],
+        "tests/test_bench_collection.py::TestPlan::test_fault_count_covering_the_grid_rejected",
     ),
     (
         "children bred into the batch their parents and elites are read from",

@@ -89,6 +89,12 @@ class DataCollectionCampaign:
             raise ValueError("need at least one configuration")
         if n_faulty < 0:
             raise ValueError("n_faulty must be >= 0")
+        if n_faulty >= n_workloads * n_configurations:
+            # Faulty samples are dropped: the dataset would be empty.
+            raise ValueError(
+                f"n_faulty={n_faulty} leaves no sample of the "
+                f"{n_workloads} x {n_configurations} = {n_workloads * n_configurations} grid"
+            )
         self.datastore = datastore
         self.base_workload = base_workload
         self.key_parameters = tuple(key_parameters or datastore.key_parameters)

@@ -46,7 +46,13 @@ from repro.core.policies import DECISION_MODES, HysteresisPolicy, make_policy
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
-from repro.errors import GuardError, PersistenceError, SearchError, WorkloadError
+from repro.errors import (
+    GuardError,
+    PersistenceError,
+    SearchError,
+    TrainingError,
+    WorkloadError,
+)
 from repro.faults import FaultPlan
 from repro.middleware import (
     MiddlewareScheduler,
@@ -91,22 +97,27 @@ def cmd_collect(args) -> int:
             topic="collect.sample",
         )
     with resolve_backend(workers=args.workers) as backend:
-        dataset = DataCollectionCampaign(
-            datastore,
-            mgrast_workload(args.base_read_ratio),
-            key_parameters=key_params,
-            n_workloads=args.workloads,
-            n_configurations=args.configurations,
-            n_faulty=args.faulty,
-            benchmark=(
-                YCSBBenchmark(datastore, run_seconds=args.run_seconds)
-                if args.run_seconds is not None
-                else None
-            ),
-            seed=args.seed,
-            backend=backend,
-            events=events,
-        ).run()
+        try:
+            campaign = DataCollectionCampaign(
+                datastore,
+                mgrast_workload(args.base_read_ratio),
+                key_parameters=key_params,
+                n_workloads=args.workloads,
+                n_configurations=args.configurations,
+                n_faulty=args.faulty,
+                benchmark=(
+                    YCSBBenchmark(datastore, run_seconds=args.run_seconds)
+                    if args.run_seconds is not None
+                    else None
+                ),
+                seed=args.seed,
+                backend=backend,
+                events=events,
+            )
+        except ValueError as exc:
+            print(f"bad campaign: {exc}", file=sys.stderr)
+            return 1
+        dataset = campaign.run()
     if not args.quiet:
         print()
     save_dataset(dataset, args.out)
@@ -120,12 +131,16 @@ def cmd_train(args) -> int:
     if not args.quiet:
         events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
     dataset = load_dataset(args.dataset, datastore.space, events=events)
-    with resolve_backend(workers=args.workers) as backend:
-        surrogate = SurrogateModel(
-            datastore.space,
-            dataset.feature_parameters,
-            EnsembleConfig(n_networks=args.networks),
-        ).fit(dataset, seed=args.seed, backend=backend)
+    try:
+        with resolve_backend(workers=args.workers) as backend:
+            surrogate = SurrogateModel(
+                datastore.space,
+                dataset.feature_parameters,
+                EnsembleConfig(n_networks=args.networks),
+            ).fit(dataset, seed=args.seed, backend=backend)
+    except TrainingError as exc:
+        print(f"cannot train: {exc}", file=sys.stderr)
+        return 1
     save_surrogate(surrogate, args.out)
     print(
         f"trained on {len(dataset)} samples "
@@ -439,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--datastore", default="cassandra", help="cassandra | scylladb"
         )
     )
-    seed_p = _parent(lambda p: p.add_argument("--seed", type=int, default=0))
+    seed_p = _parent(lambda p: p.add_argument("--seed", type=_int_at_least(0), default=0))
     quiet_p = _parent(lambda p: p.add_argument("--quiet", action="store_true"))
     workers_p = _parent(
         lambda p: p.add_argument(
@@ -511,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fault-seed",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="generate and inject a seeded FaultPlan (off by default)",
     )

@@ -34,6 +34,7 @@ populations plus each search's previous snapped winner (see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -72,6 +73,18 @@ def _check_sizes(population_size: int, generations: int, elites: int = DEFAULT_E
         raise SearchError("need at least one generation")
     if not (0 <= elites < population_size):
         raise SearchError("elites must fit inside the population")
+
+
+def _raw_bits(rng: np.random.Generator) -> Optional[np.random.PCG64]:
+    """``rng``'s bit generator if its raw words decode to exactly what
+    ``integers`` and ``random`` draw: a little-endian PCG64 with no 32-bit
+    half buffered, whose ``next_uint32`` takes a word's low half, then its
+    high one.  None sends the search to the public calls."""
+    bits = rng.bit_generator
+    if sys.byteorder == "little" and type(bits) is np.random.PCG64:
+        if not bits.state["has_uint32"]:
+            return bits
+    return None
 
 
 class GeneticAlgorithm:
@@ -182,6 +195,17 @@ class GeneticAlgorithm:
         reaching the limit).  Rows scored, RNG draws and events are
         those of scoring every winner at once.  A stopped search draws
         nothing more and is neither scored nor booked again.
+
+        A generation's draws are each live search's tournament indices
+        and crossover/mutation uniforms, then its mutation noise through
+        ``standard_normal``.  On a PCG64 with no 32-bit half buffered
+        (checked once per search) the first two come as one
+        ``random_raw`` block, decoded for all searches at once to exactly
+        what ``integers`` and ``random`` draw; the generator's state
+        afterwards is theirs too.  Any other generator takes those
+        calls.  So does a search from the generation its block holds a
+        Lemire rejection (~1e-6 per generation at P = 48): the block is
+        rewound with ``advance`` and redrawn.
         """
         encoder = self.encoder
         lower, upper, n_genes = encoder.lower, encoder.upper, encoder.n_genes
@@ -236,6 +260,23 @@ class GeneticAlgorithm:
         )
         draws = np.zeros((n_searches, 2, n_children, n_genes))
         noise = np.zeros((n_searches, n_children, n_genes))
+        # A fused search's generation is one raw block: the tournaments'
+        # 32-bit halves, two to a word, then a word per uniform.  It is
+        # decoded for all searches at once with numpy's own formulas:
+        # Lemire's ``(u * P) >> 32`` (a rejection when the low word of
+        # ``u * P`` is under ``(2**32 - P) % P``) and ``(w >> 11) * 2**-53``.
+        fused = [_raw_bits(rng) for rng in rngs]
+        n_int_words = 3 * n_children
+        n_words = n_int_words + draws[0].size
+        words = np.zeros((n_searches, n_words), dtype=np.uint64)
+        halves = words[:, :n_int_words].view(np.uint32)  # low half first
+        scaled = np.zeros(halves.shape, dtype=np.uint64)
+        mantissas = np.zeros((n_searches, draws[0].size), dtype=np.uint64)
+        contender_bits = contenders.view(np.uint64).reshape(n_searches, -1)
+        draw_bits = draws.reshape(n_searches, -1)
+        width = np.uint64(population_size)
+        threshold = (2**32 - population_size) % population_size
+        keep = np.zeros(noise.shape, dtype=bool)
         raw = np.zeros((n_searches, population_size + 1))
         # The rows a generation's call scores: every live population,
         # and row P where a winner rides.
@@ -282,21 +323,43 @@ class GeneticAlgorithm:
         for generation in range(last + 1):
             if generation:
                 # Breed into the other batch (elites, children) from this
-                # one's parents and elites.  Variation draws one block per
-                # kind and live search, in the search's own order: both
-                # parents of every child (3-way tournaments, ties to the
-                # earliest-drawn contender), crossover weights and
-                # mutation mask together, the mutation noise.
+                # one's parents and elites.  Each live search draws, in its
+                # own order: both parents of every child (3-way
+                # tournaments, ties to the earliest-drawn contender), then
+                # crossover weights and mutation mask together — one raw
+                # block if fused, else ``integers`` and ``random`` — then
+                # the mutation noise.  Every row is decoded, stale ones
+                # too; the public calls overwrite theirs afterwards.
                 parent_rows = batch.reshape(-1, n_genes)
                 batch = batches[generation % 2]
                 children = batch[:, elites:population_size]
                 elite_rows = fitness.argsort(axis=1)[:, : -elites - 1 : -1]
                 elite_rows += row_base
+                rejected = []
+                if fused.count(None) < n_searches:
+                    for s in searches:
+                        if live[s] and fused[s] is not None:
+                            words[s] = fused[s].random_raw(n_words)
+                    np.multiply(halves, width, out=scaled)
+                    np.right_shift(scaled, 32, out=contender_bits)
+                    np.right_shift(words[:, n_int_words:], 11, out=mantissas)
+                    np.multiply(mantissas, 2.0**-53, out=draw_bits)
+                    if threshold:
+                        leftover = scaled.astype(np.uint32)
+                        if leftover.min() < threshold:
+                            rejected = np.flatnonzero((leftover < threshold).any(axis=1)).tolist()
                 for s in searches:
                     if live[s]:
                         rng = rngs[s]
-                        contenders[s] = rng.integers(population_size, size=(2 * n_children, 3))
-                        rng.random(out=draws[s])
+                        if fused[s] is not None and s in rejected:
+                            # Rewind the block (``advance`` by minus its
+                            # length) and stay on the public calls: the
+                            # redraw leaves a half buffered.
+                            fused[s].advance(2**128 - n_words)
+                            fused[s] = None
+                        if fused[s] is None:
+                            contenders[s] = rng.integers(population_size, size=(2 * n_children, 3))
+                            rng.random(out=draws[s])
                         rng.standard_normal(out=noise[s])
                 picks = fitness.take(contenders + fitness_base).argmax(axis=2)
                 picks += pick_base
@@ -312,7 +375,11 @@ class GeneticAlgorithm:
                 children += weights
                 noise *= mutation_scale  # noise * scale * span, left to right
                 noise *= span
-                np.add(children, noise, out=children, where=mutate < mutation_rate)
+                # An unmutated gene adds -0.0: ``x + -0.0`` is x for every
+                # x, signed zeros too, so the add needs no ``where=``.
+                np.greater_equal(mutate, mutation_rate, out=keep)
+                np.putmask(noise, keep, -0.0)
+                children += noise
                 # np.clip without its wrapper.  The two differ only on
                 # a signed zero against a zero bound, and no draw,
                 # crossover or mutation makes a -0.0 gene: only an
@@ -368,6 +435,12 @@ class GeneticAlgorithm:
         for s in searches:
             if live[s]:
                 self._done(buses[s], last, best_fit[s], evaluations[s])
+            if fused[s] is not None:
+                # ``integers`` leaves its last word's high half in the
+                # bit generator's ``uinteger`` slot; so does a fused search.
+                state = fused[s].state
+                state["uinteger"] = int(words[s, n_int_words - 1] >> 32)
+                fused[s].state = state
         self.evaluations = sum(evaluations)
         return [
             GAResult(

@@ -28,7 +28,11 @@ class SeedSequence:
     """
 
     def __init__(self, root_seed: int = 0):
-        self._root = int(root_seed)
+        root = int(root_seed)
+        if root < 0:
+            raise ValueError(f"root seed must be non-negative, got {root}")
+        self._root = root
+        self._root_words = _uint32_words(root)
         self._counts: dict[str, int] = {}
 
     @property
@@ -58,10 +62,22 @@ class SeedSequence:
     def peek(self, name: str) -> np.random.Generator:
         """The generator the next ``stream(name)`` returns, without taking
         it: the count stays, so that call still hands out this stream."""
-        # Hash the name into ints for numpy's SeedSequence entropy pool.
-        name_entropy = [ord(c) for c in name] or [0]
-        seq = np.random.SeedSequence([self._root, self.count(name), *name_entropy])
-        return np.random.default_rng(seq)
+        # The entropy list ``[root, count, *code points]`` (a nameless
+        # stream's code points are ``[0]``) as the uint32 array numpy
+        # coerces it to: an int is its 32-bit words, low first.
+        words = [*self._root_words, *_uint32_words(self.count(name)), *map(ord, name or "\0")]
+        entropy = np.array(words, dtype=np.uint32)
+        return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _uint32_words(value: int) -> list:
+    """A non-negative int's 32-bit words, low first (``[0]`` for 0): the
+    words numpy's ``SeedSequence`` makes of it."""
+    words = [value & 0xFFFFFFFF]
+    while value > 0xFFFFFFFF:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def derive_rng(seed: SeedLike) -> np.random.Generator:

@@ -212,6 +212,20 @@ def reference_ga_run(ga, fitness_lockstep_fn, seed=0, initial=None) -> GAResult:
 
 
 # ---------------------------------------------------------------------------
+# sim.rng: a named stream from numpy's list-of-ints entropy (test_sim_rng)
+# ---------------------------------------------------------------------------
+
+
+def list_entropy_stream(root, count, name):
+    """The generator ``SeedSequence(root)`` hands out as ``name``'s stream
+    number ``count``, built as it was before the entropy became one
+    uint32 array: numpy coerces the list ``[root, count, *code points]``
+    (``[0]`` for the empty name) itself."""
+    codes = [ord(c) for c in name] or [0]
+    return np.random.default_rng(np.random.SeedSequence([root, count, *codes]))
+
+
+# ---------------------------------------------------------------------------
 # ml.ensemble: the per-member forward walk (test_batch_equivalence)
 # ---------------------------------------------------------------------------
 

@@ -605,6 +605,157 @@ class TestLockstepEqualsAlone:
         assert sum(sizes) == sum(result.evaluations for result in results) == 3 * 834
 
 
+def population_log(matrices, population):
+    """The populations among the row batches a fitness was handed: the
+    first ``population`` rows of every batch that holds one."""
+    return [m[:population].tobytes() for m in matrices if len(m) >= population]
+
+
+#: A PCG64 position whose first GA integer block (``ENCODER``, P = 48)
+#: holds a Lemire rejection: ``default_rng(seed)`` advanced by ``advance``
+#: words, the 240 words of generation 0's population drawn, puts word
+#: 6,405,338 of the seed's stream — a high half ``u`` with
+#: ``(u * 48) % 2**32 < 16`` — 69 words into generation 1's block.
+#: Found by scanning the stream 2**20 words at a time.
+REJECTION = (2, 6_405_029)
+
+
+class TestFusedDraws:
+    """A search on a PCG64 with no buffered half draws a generation's
+    tournaments, crossover weights and mutation mask as one raw block;
+    any other generator, and a search whose block held a Lemire
+    rejection, draws through ``integers`` and ``random``.  Either way
+    each search is ``reference_ga_run`` on the public calls: its result,
+    and its generator's state afterwards, ``uinteger`` slot included."""
+
+    @staticmethod
+    def assert_reference(results, generators, make_rng, make_ga, fitnesses):
+        for s, got in enumerate(results):
+            rng = make_rng(s)
+            want = reference_ga_run(make_ga(fitnesses[s]), fitnesses[s], seed=rng)
+            assert got.best_configuration == want.best_configuration
+            assert got.best_fitness == want.best_fitness  # bitwise
+            assert (got.evaluations, got.generations, got.history) == (
+                want.evaluations, want.generations, want.history
+            )
+            # Pickled: an MT19937's state holds an array.
+            states = (generators[s].bit_generator.state, rng.bit_generator.state)
+            assert pickle.dumps(states[0]) == pickle.dumps(states[1])
+
+    @pytest.mark.parametrize("n_searches", [1, 20])
+    @pytest.mark.parametrize("population", [4, 5, 48, 200])
+    def test_fused_draws_are_the_public_calls(self, population, n_searches):
+        """100 seeds, run alone or 20 to a lockstep, on plateau fitnesses
+        that stop the searches on different generations."""
+        rng = np.random.default_rng(population)
+        weights = rng.standard_normal((100, SIGNED_ENCODER.n_genes)) / SIGNED_ENCODER.span
+        caps = rng.choice([-1e9, 0.4, 1.1, np.inf], size=100)
+        kwargs = dict(population_size=population, generations=6, stagnation_limit=2)
+        stops = set()
+        for first in range(0, 100, n_searches):
+            owners = slice(first, first + n_searches)
+            lockstep, alone = owner_fitness(weights[owners], caps[owners])
+            generators = [np.random.default_rng(first + s) for s in range(n_searches)]
+            results = GeneticAlgorithm(SIGNED_ENCODER, lockstep, **kwargs).run_lockstep(
+                generators
+            )
+            stops.update(result.generations for result in results)
+            self.assert_reference(
+                results,
+                generators,
+                lambda s: np.random.default_rng(first + s),
+                lambda fit: GeneticAlgorithm(SIGNED_ENCODER, fit, **kwargs),
+                [alone(s) for s in range(n_searches)],
+            )
+        assert len(stops) > 1 and min(stops) < 6  # some stop mid-run
+
+    @staticmethod
+    def mt19937(seed):
+        return np.random.Generator(np.random.MT19937(seed))
+
+    @staticmethod
+    def buffered(seed):
+        rng = np.random.default_rng(seed)
+        rng.integers(7)  # one 32-bit half drawn, its twin buffered
+        assert rng.bit_generator.state["has_uint32"]
+        return rng
+
+    @pytest.mark.parametrize("population", [5, 48])
+    def test_other_generators_take_the_public_calls(self, population):
+        """An MT19937 and a PCG64 with a half buffered, in one lockstep
+        with a fused search."""
+        makers = [np.random.default_rng, self.mt19937, self.buffered]
+        weights = np.random.default_rng(3).standard_normal((3, ENCODER.n_genes)) / ENCODER.span
+        lockstep, alone = owner_fitness(weights, np.full(3, np.inf))
+        kwargs = dict(population_size=population, generations=12)
+        generators = [make(40 + s) for s, make in enumerate(makers)]
+        results = GeneticAlgorithm(ENCODER, lockstep, **kwargs).run_lockstep(generators)
+        self.assert_reference(
+            results,
+            generators,
+            lambda s: makers[s](40 + s),
+            lambda fit: GeneticAlgorithm(ENCODER, fit, **kwargs),
+            [alone(s) for s in range(3)],
+        )
+
+    def test_lemire_rejection_rewinds_to_the_public_calls(self):
+        """The pinned position's first integer block holds a rejection:
+        that search rewinds its block and redraws it through the public
+        calls, and a fused search beside it is untouched."""
+        seed, advance = REJECTION
+
+        def at_rejection(s):
+            rng = np.random.default_rng(seed + s)
+            if s == 0:
+                rng.bit_generator.advance(advance)
+            return rng
+
+        probe = at_rejection(0).bit_generator.random_raw(48 * ENCODER.n_genes + 138)
+        scaled = probe[-138:].view(np.uint32).astype(np.uint64) * 48
+        assert ((scaled & 0xFFFFFFFF) < (2**32 - 48) % 48).any()
+        weights = np.random.default_rng(4).standard_normal((2, ENCODER.n_genes)) / ENCODER.span
+        lockstep, alone = owner_fitness(weights, np.full(2, np.inf))
+        generators = [at_rejection(s) for s in range(2)]
+        results = GeneticAlgorithm(ENCODER, lockstep, generations=8).run_lockstep(generators)
+        self.assert_reference(
+            results,
+            generators,
+            at_rejection,
+            lambda fit: GeneticAlgorithm(ENCODER, fit, generations=8),
+            [alone(s) for s in range(2)],
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unmutated_genes_keep_their_signed_zero(self, seed):
+        """A population seeded all ``-0.0`` breeds ``-0.0`` children: the
+        unmutated genes must keep that sign through the mutation add, bit
+        for bit as the reference's masked add leaves them."""
+        seen = {False: [], True: []}
+
+        def recorder(reference):
+            def batch(matrix):
+                seen[reference].append(matrix.copy())
+                return np.sum(np.tanh(matrix), axis=-1)
+
+            return lockstep_fitness(batch)
+
+        initial = [np.full(SIGNED_ENCODER.n_genes, -0.0)] * 12
+        kwargs = dict(population_size=12, generations=6, penalty_scale=0.0)
+        GeneticAlgorithm(SIGNED_ENCODER, recorder(False), **kwargs).run(
+            seed=seed, initial=initial
+        )
+        reference_ga_run(
+            GeneticAlgorithm(SIGNED_ENCODER, recorder(True), **kwargs),
+            recorder(True),
+            seed=seed,
+            initial=initial,
+        )
+        got, want = (population_log(seen[flag], 12) for flag in (False, True))
+        assert got == want
+        bred = np.frombuffer(b"".join(got[1:]))
+        assert ((bred == 0.0) & np.signbit(bred)).any()
+
+
 class TestSearchEvents:
     def test_ga_publishes_lifecycle_events(self):
         bus = EventBus()

@@ -67,6 +67,14 @@ class TestPlan:
         with pytest.raises(ValueError, match="n_faulty"):
             small_campaign(cassandra, base_workload, n_faulty=-1)
 
+    @pytest.mark.parametrize("n_faulty", [12, 20])
+    def test_fault_count_covering_the_grid_rejected(self, cassandra, base_workload, n_faulty):
+        """Faulty samples are dropped, so as many faults as grid points
+        would leave an empty dataset: refused, naming both numbers."""
+        with pytest.raises(ValueError, match=rf"n_faulty={n_faulty} .* 3 x 4 = 12 grid"):
+            small_campaign(cassandra, base_workload, n_faulty=n_faulty)
+        assert len(small_campaign(cassandra, base_workload, n_faulty=11).plan_tasks()) == 12
+
 
 class TestExecution:
     def test_faulty_samples_dropped(self, cassandra, base_workload):

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+from repro.bench.dataset import PerformanceDataset, save_dataset
 from repro.cli import main
+from repro.config import CASSANDRA_KEY_PARAMETERS
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +423,7 @@ class TestValidation:
             ["--base-read-ratio", "1.5"],
             ["--base-read-ratio", "-3"],
             ["--base-read-ratio", "nan"],
+            ["--seed", "-3"],
         ],
     )
     def test_bad_collect_flags_exit_2(self, flags, tmp_path, capsys):
@@ -429,6 +432,27 @@ class TestValidation:
             main(["collect", "--out", str(out), "--quiet", *flags])
         assert exc.value.code == 2
         assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fault_count_covering_the_grid_exits_1(self, tmp_path, capsys):
+        """The default 20 faults on a 3 x 4 grid would drop every sample:
+        one line on stderr, and no dataset written."""
+        out = tmp_path / "never.json"
+        rc = main(["collect", "--out", str(out), "--quiet",
+                   "--workloads", "3", "--configurations", "4"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("bad campaign: n_faulty=20 ") and err.count("\n") == 1
+        assert "3 x 4 = 12" in err
+        assert not out.exists()
+
+    def test_empty_dataset_exits_1(self, tmp_path, capsys):
+        dataset = tmp_path / "empty.json"
+        save_dataset(PerformanceDataset([], CASSANDRA_KEY_PARAMETERS), dataset)
+        out = tmp_path / "never.json"
+        rc = main(["train", "--dataset", str(dataset), "--out", str(out), "--networks", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "cannot train: dataset is empty\n"
         assert not out.exists()
 
     def test_zero_networks_exit_2(self, artifacts, tmp_path, capsys):
@@ -454,6 +478,9 @@ class TestValidation:
             (["characterize", "--queries", "0"], "--queries"),
             (["recommend", "--read-ratio", "1.5"], "--read-ratio"),
             (["recommend", "--read-ratio", "-0.1"], "--read-ratio"),
+            (["recommend", "--read-ratio", "0.5", "--seed", "-1"], "--seed"),
+            (["characterize", "--seed", "-1"], "--seed"),
+            (["replay", "--fault-seed", "-1"], "--fault-seed"),
         ],
     )
     def test_bad_online_flags_exit_2(self, artifacts, argv, flag, capsys):

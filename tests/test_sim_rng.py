@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from repro.sim.rng import SeedSequence, derive_rng
+from tests.oracles import list_entropy_stream
 
 
 class TestSeedSequence:
@@ -28,6 +30,25 @@ class TestSeedSequence:
 
     def test_root_seed_property(self):
         assert SeedSequence(42).root_seed == 42
+
+    @pytest.mark.parametrize("root", [0, 2017, 2**32 - 1, 2**32, 2**40])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    @pytest.mark.parametrize("name", ["", "ga", "config-sampling", "tenant-ü€😀"])
+    def test_stream_is_the_list_entropy_stream(self, root, count, name):
+        """The entropy built as one uint32 array is numpy's coercion of
+        the list form, word for word: the same generator state."""
+        seeds = SeedSequence(root)
+        for _ in range(count):
+            seeds.advance(name)
+        want = list_entropy_stream(root, count, name).bit_generator.state
+        assert seeds.peek(name).bit_generator.state == want
+        assert seeds.stream(name).bit_generator.state == want
+        assert seeds.count(name) == count + 1
+
+    @pytest.mark.parametrize("root", [-1, -(2**40)])
+    def test_negative_root_rejected(self, root):
+        with pytest.raises(ValueError, match=f"non-negative, got {root}"):
+            SeedSequence(root)
 
 
 class TestDeriveRng:
