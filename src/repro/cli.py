@@ -76,8 +76,19 @@ def _make_datastore(name: str):
     raise SystemExit(f"unknown datastore {name!r} (cassandra | scylladb)")
 
 
+def _load_artifact(load, path, *args, **kwargs):
+    """``load(path, ...)``; an artifact that is missing, corrupt or not
+    what ``load`` reads prints ``cannot load <path>: ...`` on stderr and
+    exits 1."""
+    try:
+        return load(path, *args, **kwargs)
+    except (PersistenceError, TrainingError) as exc:
+        print(f"cannot load {path}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _load_rafiki(args, datastore) -> Rafiki:
-    surrogate = load_surrogate(args.surrogate, datastore.space)
+    surrogate = _load_artifact(load_surrogate, args.surrogate, datastore.space)
     return Rafiki(datastore, surrogate, surrogate.feature_parameters, seed=args.seed)
 
 
@@ -130,7 +141,7 @@ def cmd_train(args) -> int:
     events = EventBus()
     if not args.quiet:
         events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
-    dataset = load_dataset(args.dataset, datastore.space, events=events)
+    dataset = _load_artifact(load_dataset, args.dataset, datastore.space, events=events)
     try:
         with resolve_backend(workers=args.workers) as backend:
             surrogate = SurrogateModel(

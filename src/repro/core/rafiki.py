@@ -36,7 +36,7 @@ from repro.datastore.scylla import ScyllaLike
 from repro.errors import SearchError, TrainingError
 from repro.ml.ensemble import EnsembleConfig
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.events import EventBus, RecordingBus
+from repro.runtime.events import EventBus
 from repro.sim.rng import SeedSequence
 from repro.workload.characterize import WorkloadCharacterization, characterize_trace
 from repro.workload.spec import WorkloadSpec
@@ -71,15 +71,11 @@ class Rafiki:
         seed: int = 0,
         rr_cache_resolution: float = 0.05,
         cache_capacity: int = 128,
-        events: Optional[EventBus] = None,
     ):
         self.datastore = datastore
         self.surrogate = surrogate
         self.key_parameters = tuple(key_parameters)
-        self.events = events
-        self.optimizer = ConfigurationOptimizer(
-            surrogate, self.key_parameters, bus=events
-        )
+        self.optimizer = ConfigurationOptimizer(surrogate, self.key_parameters)
         self.seeds = SeedSequence(seed)
         # Validates rr_cache_resolution > 0 up front: a zero/negative
         # resolution used to surface as a ZeroDivisionError at the first
@@ -88,8 +84,8 @@ class Rafiki:
             resolution=rr_cache_resolution, capacity=cache_capacity
         )
         # ``prefetch``'s searches, by cache key, while its block runs:
-        # (the seed stream's index, the result, its search.* journal),
-        # all searched under ``_prefetch_stamp`` (see ``_search_stamp``).
+        # (the seed stream's index, the result), all searched under
+        # ``_prefetch_stamp`` (see ``_search_stamp``).
         self._prefetched: Dict[float, tuple] = {}
         self._prefetch_stamp: Optional[tuple] = None
 
@@ -118,21 +114,11 @@ class Rafiki:
                 return cached
         name = f"search-rr{key}"
         ready = self._prefetched.pop(key, None)
-        bus = self.optimizer.bus
-        if (
-            ready is not None
-            and ready[0] == self.seeds.count(name)
-            and (ready[2] is None) is (bus is None)
-            and self._stamp_holds()
-        ):
+        if ready is not None and ready[0] == self.seeds.count(name) and self._stamp_holds():
             # The search this miss would run, already run by ``prefetch``
-            # on the same stream and inputs (and journaled if there is a
-            # bus to hear it): take the stream and publish its events
-            # now, where the search would have published them.
-            _, result, journal = ready
+            # on the same stream and inputs: take the stream.
+            result = ready[1]
             self.seeds.advance(name)
-            if journal is not None:
-                journal.replay(bus)
         else:
             result = self.optimizer.optimize(key, seed=self.seeds.stream(name))
         self.cache.put(key, result)
@@ -152,9 +138,8 @@ class Rafiki:
         a key takes the result instead of searching, while its stream is
         still at that index and the search's inputs still hold (see
         :meth:`_search_stamp`); it then counts, caches, evicts and
-        advances the stream exactly as a search would, and replays the
-        search's ``search.*`` events on the rafiki's bus.  Whatever is
-        not taken is dropped when the block ends; a lockstep that fails
+        advances the stream exactly as a search would.  Whatever is not
+        taken is dropped when the block ends; a lockstep that fails
         leaves its misses to search.
         """
         keys: Dict[float, None] = {}
@@ -168,17 +153,14 @@ class Rafiki:
         for start in range(0, len(cold), per_lockstep):
             chunk = cold[start:start + per_lockstep]
             names = [f"search-rr{key}" for key in chunk]
-            journals = [
-                RecordingBus() if optimizer.bus is not None else None for _ in names
-            ]
             try:
                 results = optimizer.optimize_many(
-                    chunk, [self.seeds.peek(name) for name in names], journals
+                    chunk, [self.seeds.peek(name) for name in names]
                 )
             except SearchError:
                 continue
-            for key, name, result, journal in zip(chunk, names, results, journals):
-                self._prefetched[key] = (self.seeds.count(name), result, journal)
+            for key, name, result in zip(chunk, names, results):
+                self._prefetched[key] = (self.seeds.count(name), result)
         if self._prefetched:
             self._prefetch_stamp = self._search_stamp()
         try:
@@ -408,7 +390,6 @@ class RafikiPipeline:
             surrogate,
             key_parameters,
             seed=self.seed,
-            events=self.events,
         )
         report = PipelineReport(
             characterization=characterization,

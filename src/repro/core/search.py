@@ -31,7 +31,6 @@ from repro.datastore.base import Datastore
 from repro.errors import SearchError
 from repro.ga.algorithm import GeneticAlgorithm, _check_sizes
 from repro.ga.encoding import ConfigurationEncoder
-from repro.runtime.events import EventBus
 from repro.sim.rng import SeedLike, SeedSequence, derive_rng
 from repro.workload.spec import WorkloadSpec
 
@@ -71,7 +70,6 @@ class ConfigurationOptimizer:
         population_size: int = 48,
         generations: int = 70,
         uncertainty_penalty: float = 0.0,
-        bus: Optional[EventBus] = None,
     ):
         """The vendor default is a candidate floor: scored as the last
         row of generation 0's batch, it wins if the surrogate scores it
@@ -84,9 +82,9 @@ class ConfigurationOptimizer:
 
         The whole GA population is scored per generation in one
         surrogate call, and so are the populations of every search
-        :meth:`optimize_many` runs together.  ``bus`` receives ``search.*`` progress events
-        when given.  Population and generations follow the GA's size
-        rules, checked here rather than at the first search.
+        :meth:`optimize_many` runs together.  Population and generations
+        follow the GA's size rules, checked here rather than at the
+        first search.
         """
         self.surrogate = surrogate
         names = tuple(parameters or surrogate.feature_parameters)
@@ -105,7 +103,6 @@ class ConfigurationOptimizer:
         self.population_size = population_size
         self.generations = generations
         self.uncertainty_penalty = uncertainty_penalty
-        self.bus = bus
 
     def _fitness_lockstep(self, read_ratios: Sequence[float]):
         """The fitness of one search per read ratio, for
@@ -163,13 +160,11 @@ class ConfigurationOptimizer:
         self,
         read_ratios: Sequence[float],
         seeds: Sequence[SeedLike],
-        buses: Optional[Sequence[Optional[EventBus]]] = None,
     ) -> List[OptimizationResult]:
         """:meth:`optimize` for each ``(read_ratios[s], seeds[s])``, the
         searches run as one lockstep GA: one surrogate call per
-        generation for all of them.  Search ``s`` publishes its
-        ``search.*`` events on ``buses[s]`` (default: ``self.bus``);
-        each result is bit for bit what ``optimize`` gives alone."""
+        generation for all of them.  Each result is bit for bit what
+        ``optimize`` gives alone."""
         for read_ratio in read_ratios:
             if not (0.0 <= read_ratio <= 1.0):
                 raise SearchError("read_ratio must be in [0, 1]")
@@ -181,10 +176,9 @@ class ConfigurationOptimizer:
             fitness_lockstep_fn=fitness,
             population_size=self.population_size,
             generations=self.generations,
-            bus=self.bus,
         )
         results = []
-        for result, floor in zip(ga.run_lockstep(seeds, buses=buses), fitness.floors):
+        for result, floor in zip(ga.run_lockstep(seeds), fitness.floors):
             best_config = result.best_configuration
             best_fitness = result.best_fitness
             evaluations = result.evaluations + 1

@@ -14,8 +14,8 @@ generation's ``(S, P + 1, n_genes)`` batch holds each search's
 population and, in its last row, a riding winner.
 
 :meth:`GeneticAlgorithm.run_lockstep` runs S searches in lockstep, one
-generation at a time for all of them, each on its own generator and its
-own bus; :meth:`GeneticAlgorithm.run` is its S = 1 case.  Each search
+generation at a time for all of them, each on its own generator;
+:meth:`GeneticAlgorithm.run` is its S = 1 case.  Each search
 keeps its own penalty scale, riding winner, stagnation count, evaluation
 count and early stop, and draws exactly what it would draw alone: S
 searches cost S times the variation arithmetic (in one numpy call per
@@ -43,7 +43,6 @@ import numpy as np
 from repro.config.space import Configuration
 from repro.errors import SearchError
 from repro.ga.encoding import ConfigurationEncoder
-from repro.runtime.events import EventBus
 from repro.sim.rng import SeedLike, derive_rng
 
 #: Defaults sized so a full run costs ~3,400 evaluations, matching §4.8.
@@ -105,10 +104,6 @@ class GeneticAlgorithm:
         Deb-penalty coefficient, finite and non-negative; if None it is
         set adaptively, per search, to the spread of the initial
         population's fitness, which must then be finite.
-    bus:
-        Optional :class:`~repro.runtime.events.EventBus`; when given,
-        ``run`` publishes ``search.start`` / ``search.generation`` /
-        ``search.done`` progress events.
     """
 
     def __init__(
@@ -122,7 +117,6 @@ class GeneticAlgorithm:
         mutation_scale: float = 0.08,
         stagnation_limit: int = DEFAULT_STAGNATION_LIMIT,
         penalty_scale: Optional[float] = None,
-        bus: Optional[EventBus] = None,
     ):
         _check_sizes(population_size, generations, elites)
         if not (0.0 <= mutation_rate <= 1.0):
@@ -142,8 +136,6 @@ class GeneticAlgorithm:
         self.mutation_scale = mutation_scale
         self.stagnation_limit = stagnation_limit
         self.penalty_scale = penalty_scale
-        self.bus = bus
-        self.evaluations = 0
 
     # -- evaluation ------------------------------------------------------------
 
@@ -166,7 +158,7 @@ class GeneticAlgorithm:
     ) -> GAResult:
         """Run the GA; returns the best *feasible* configuration found.
 
-        The S = 1 case of :meth:`run_lockstep`, on ``self.bus``.
+        The S = 1 case of :meth:`run_lockstep`.
         """
         return self.run_lockstep([seed], initial=initial)[0]
 
@@ -174,7 +166,6 @@ class GeneticAlgorithm:
         self,
         seeds: Sequence[SeedLike],
         initial: Optional[Sequence[np.ndarray]] = None,
-        buses: Optional[Sequence[Optional[EventBus]]] = None,
     ) -> List[GAResult]:
         """Run one search per seed, all a generation at a time; returns
         each search's best *feasible* configuration, in seed order.
@@ -182,8 +173,7 @@ class GeneticAlgorithm:
         ``initial`` gene vectors, each within the encoder's bounds,
         replace the first rows of every search's random initial
         population.  Search ``s`` draws from ``derive_rng(seeds[s])``
-        only and publishes on ``buses[s]`` (default: ``self.bus``), so
-        its result, draws and events are those of running it alone.
+        only, so its result and draws are those of running it alone.
 
         Every generation's winner is snapped to feasibility and re-scored
         on its snapped genes, so the reported fitness belongs to an
@@ -192,8 +182,8 @@ class GeneticAlgorithm:
         right after that call; it is scored at once — in one call for
         all searches that need it — only where booking it can end the
         search (the last generation, or one more stagnant generation
-        reaching the limit).  Rows scored, RNG draws and events are
-        those of scoring every winner at once.  A stopped search draws
+        reaching the limit).  Rows scored and RNG draws are those of
+        scoring every winner at once.  A stopped search draws
         nothing more and is neither scored nor booked again.
 
         A generation's draws are each live search's tournament indices
@@ -221,18 +211,6 @@ class GeneticAlgorithm:
         n_searches = len(rngs)
         if n_searches < 1:
             raise SearchError("need at least one search")
-        buses = [self.bus] * n_searches if buses is None else list(buses)
-        if len(buses) != n_searches:
-            raise SearchError(f"{len(buses)} buses for {n_searches} searches")
-        self.evaluations = 0
-        for bus in buses:
-            if bus is not None:
-                bus.publish(
-                    "search.start",
-                    f"GA search over {n_genes} genes",
-                    population=self.population_size,
-                    generations=self.generations,
-                )
         population_size, elites = self.population_size, self.elites
         mutation_rate, mutation_scale = self.mutation_rate, self.mutation_scale
         stagnation_limit, last = self.stagnation_limit, self.generations
@@ -298,15 +276,6 @@ class GeneticAlgorithm:
             else:
                 stagnant[s] += 1
             histories[s].append(best_fit[s])
-            bus = buses[s]
-            if generation and bus is not None:  # the message is built only to be heard
-                bus.publish(
-                    "search.generation",
-                    f"generation {generation}: best {best_fit[s]:,.1f}",
-                    generation=generation,
-                    best_fitness=best_fit[s],
-                    evaluations=evaluations[s],
-                )
             return stagnant[s] >= stagnation_limit
 
         # The populations stay within bounds from here on: a uniform
@@ -429,19 +398,15 @@ class GeneticAlgorithm:
                         # Its stale draws are bred on unscored from here;
                         # zero noise keeps the repeated scaling finite.
                         noise[s] = 0.0
-                        self._done(buses[s], generation, best_fit[s], evaluations[s])
             if not any(live):
                 break
         for s in searches:
-            if live[s]:
-                self._done(buses[s], last, best_fit[s], evaluations[s])
             if fused[s] is not None:
                 # ``integers`` leaves its last word's high half in the
                 # bit generator's ``uinteger`` slot; so does a fused search.
                 state = fused[s].state
                 state["uinteger"] = int(words[s, n_int_words - 1] >> 32)
                 fused[s].state = state
-        self.evaluations = sum(evaluations)
         return [
             GAResult(
                 best_configuration=encoder.decode(best_genes[s]),
@@ -469,14 +434,3 @@ class GeneticAlgorithm:
                 "no penalty scale derives from it"
             )
         return scales
-
-    @staticmethod
-    def _done(bus, generation: int, best_fitness: float, evaluations: int) -> None:
-        if bus is not None:
-            bus.publish(
-                "search.done",
-                f"search finished after {generation} generations",
-                generations=generation,
-                best_fitness=best_fitness,
-                evaluations=evaluations,
-            )

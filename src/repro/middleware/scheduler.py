@@ -25,9 +25,9 @@ and every series is known when ``run`` starts.  So ``run`` opens one
 ``rafiki.prefetch`` around all rounds, fed each ``use_rafiki`` tenant's
 clipped series: every cold regime is searched once, up front, in
 row-bounded lockstep GAs, and each miss takes its result where it would
-have searched — counting, caching, evicting, drawing its seed stream and
-publishing its ``search.*`` events exactly as the search would have —
-while the surrogate and the GA's sizes are those it was searched with.
+have searched — counting, caching, evicting and drawing its seed stream
+exactly as the search would have — while the surrogate and the GA's
+sizes are those it was searched with.
 A forecast's regimes are searched on the spot.  Results, cache state
 and the event log are those of searching each miss on the spot
 (``tests/test_round_searches.py``), serial or sharded: the parent
@@ -47,14 +47,7 @@ round, which the canary asks for ``predicted_mean_std``.  Both halves
 journal the tenant's events; the parent republishes them tenant by
 tenant in registration order, its own journal first.  Sharded runs are
 therefore bit-identical to serial: results, shared-cache state and the
-whole event log, with no exempt topic (see
-``tests/test_sharded_scheduler.py``).
-One condition bounds that guarantee: the rafiki's own event bus
-(``Rafiki(events=...)``, which receives the GA's ``search.*`` events).
-Those are published live while the parent decides, so that bus alone
-sees the serial sequence, but they precede every journaled tenant event
-of their round; if the rafiki publishes on the scheduler's bus, or one
-subscriber listens to both, the interleaving differs from a serial run.
+whole event log (see ``tests/test_sharded_scheduler.py``).
 
 **Overload protection.**  ``cluster_capacity=`` activates the guard
 layer's admission control (see :mod:`repro.middleware.ledger`): each
@@ -585,21 +578,8 @@ class MiddlewareScheduler:
         self.close()
 
     def _rafiki_blob(self) -> bytes:
-        """Pickle the shared rafiki with its bus references detached."""
-        rafiki = self.rafiki
-        stripped = []
-        for obj, attr in (
-            (rafiki, "events"),
-            (getattr(rafiki, "optimizer", None), "bus"),
-        ):
-            if obj is not None and getattr(obj, attr, None) is not None:
-                stripped.append((obj, attr, getattr(obj, attr)))
-                setattr(obj, attr, None)
-        try:
-            return pickle.dumps(rafiki)
-        finally:
-            for obj, attr, value in stripped:
-                setattr(obj, attr, value)
+        """Pickle the shared rafiki (it holds no bus)."""
+        return pickle.dumps(self.rafiki)
 
     def __repr__(self) -> str:
         return (

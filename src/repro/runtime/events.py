@@ -97,11 +97,6 @@ class RecordingBus(EventBus):
         self.records.append((topic, message, payload))
         return super().publish(topic, message, **payload)
 
-    def replay(self, bus) -> None:
-        """Publish every journaled event on ``bus``, in order."""
-        for topic, message, payload in self.records:
-            bus.publish(topic, message, **payload)
-
 
 class ScopedEventBus:
     """Prefix-namespacing view over a parent :class:`EventBus`.

@@ -102,7 +102,7 @@ def reference_ga_run(ga, fitness_lockstep_fn, seed=0, initial=None) -> GAResult:
     generation for the snapped winner, booked before the next
     generation is bred.  Scores with ``fitness_lockstep_fn``, the GA's
     fitness form, on a one-search batch holding the rows first.  Reads
-    its other parameters (and ``bus``) off ``ga``, counts evaluations
+    its other parameters off ``ga``, counts evaluations
     itself and leaves ``ga`` untouched."""
     encoder = ga.encoder
     evaluations = 0
@@ -125,19 +125,9 @@ def reference_ga_run(ga, fitness_lockstep_fn, seed=0, initial=None) -> GAResult:
         raw = float(raw_fitness_many(snapped[None, :])[0])
         return snapped, raw
 
-    def publish(topic, message, **payload):
-        if ga.bus is not None:
-            ga.bus.publish(topic, message, **payload)
-
     n_genes = encoder.n_genes
     initial_genes = [np.asarray(genes, dtype=float) for genes in initial or ()]
     rng = derive_rng(seed)
-    publish(
-        "search.start",
-        f"GA search over {encoder.n_genes} genes",
-        population=ga.population_size,
-        generations=ga.generations,
-    )
 
     population = rng.uniform(
         encoder.lower, encoder.upper, size=(ga.population_size, n_genes)
@@ -184,24 +174,10 @@ def reference_ga_run(ga, fitness_lockstep_fn, seed=0, initial=None) -> GAResult:
         else:
             stagnant += 1
         history.append(best_fit)
-        publish(
-            "search.generation",
-            f"generation {generation}: best {best_fit:,.1f}",
-            generation=generation,
-            best_fitness=best_fit,
-            evaluations=evaluations,
-        )
         if stagnant >= ga.stagnation_limit:
             break
 
     config = encoder.decode(best_genes)
-    publish(
-        "search.done",
-        f"search finished after {generation} generations",
-        generations=generation,
-        best_fitness=best_fit,
-        evaluations=evaluations,
-    )
     return GAResult(
         best_configuration=config,
         best_fitness=best_fit,

@@ -39,7 +39,6 @@ from repro.ga.algorithm import GeneticAlgorithm
 from repro.ga.encoding import ConfigurationEncoder
 from repro.ml.ensemble import EnsembleConfig, NetworkEnsemble
 from repro.ml.network import FeedForwardNetwork
-from repro.runtime.events import EventBus
 from repro.sim.rng import derive_rng
 from repro.workload.spec import WorkloadSpec
 from tests.oracles import (
@@ -359,30 +358,25 @@ class TestGABatchDeterminism:
 
 def run_both(make_ga, seed, initial=None):
     """``GeneticAlgorithm.run`` and ``reference_ga_run`` on twin GAs, each
-    on a ``Generator`` of its own from ``seed``: the five result fields,
-    the ``search.*`` events and the generator's position afterwards must
-    all be the reference's.  Returns the production result."""
+    on a ``Generator`` of its own from ``seed``: the five result fields
+    and the generator's position afterwards must all be the reference's.
+    Returns the production result."""
     outcomes = []
     for reference in (False, True):
-        bus, log = EventBus(), []
-        bus.subscribe(log.append, topic="search")
-        ga = make_ga(bus)
+        ga = make_ga()
         rng = np.random.default_rng(seed)
         if reference:
             result = reference_ga_run(ga, ga.fitness_lockstep_fn, seed=rng, initial=initial)
         else:
             result = ga.run(seed=rng, initial=initial)
-            assert ga.evaluations == result.evaluations
-        events = [(e.topic, e.message, e.payload) for e in log]
-        outcomes.append((result, events, rng.bit_generator.state))
-    (got, got_events, got_state), (want, want_events, want_state) = outcomes
+        outcomes.append((result, rng.bit_generator.state))
+    (got, got_state), (want, want_state) = outcomes
     assert got.best_configuration == want.best_configuration
     assert got.best_fitness == want.best_fitness  # bitwise: no tolerance
     assert type(got.best_fitness) is type(want.best_fitness)
     assert got.evaluations == want.evaluations
     assert got.generations == want.generations
     assert got.history == want.history
-    assert got_events == want_events
     assert got_state == want_state
     return got
 
@@ -416,12 +410,11 @@ class TestPipelinedRunEqualsReference:
             else:
                 fitness = lockstep_fitness(scalar_fitness(optimizer, rr), per_row=True)
             run_both(
-                lambda bus: GeneticAlgorithm(
+                lambda: GeneticAlgorithm(
                     encoder,
                     fitness,
                     population_size=population,
                     generations=generations,
-                    bus=bus,
                 ),
                 seed,
                 initial,
@@ -441,7 +434,7 @@ class TestPipelinedRunEqualsReference:
         weights /= SIGNED_ENCODER.span
         calls = []
 
-        def make_ga(bus):
+        def make_ga():
             sizes = []
             calls.append(sizes)
 
@@ -455,7 +448,6 @@ class TestPipelinedRunEqualsReference:
                 population_size=12,
                 generations=30,
                 stagnation_limit=limit,
-                bus=bus,
             )
 
         result = run_both(make_ga, seed)
@@ -495,16 +487,10 @@ def owner_fitness(weights, caps):
     return lockstep, alone
 
 
-def search_log(bus):
-    log = []
-    bus.subscribe(log.append, topic="search")
-    return log
-
-
 class TestLockstepEqualsAlone:
     """``run_lockstep`` / ``optimize_many``: each search of a lockstep run
     is, bit for bit, the reference loop and the search run alone — its
-    result, its draws and its ``search.*`` events on its own bus — while
+    result and its draws — while
     every generation is one fitness call for all of them."""
 
     @pytest.mark.parametrize("n_searches", [1, 2, 5])
@@ -523,18 +509,14 @@ class TestLockstepEqualsAlone:
             return lockstep(batch, mask)
 
         kwargs = dict(population_size=12, generations=30, stagnation_limit=limit)
-        buses = [EventBus() for _ in seeds]
-        logs = [search_log(bus) for bus in buses]
         generators = [np.random.default_rng(seed) for seed in seeds]
         ga = GeneticAlgorithm(SIGNED_ENCODER, fitness_lockstep_fn=counted, **kwargs)
-        results = ga.run_lockstep(generators, buses=buses)
-        assert ga.evaluations == sum(r.evaluations for r in results) == sum(calls)
+        results = ga.run_lockstep(generators)
+        assert sum(r.evaluations for r in results) == sum(calls)
         for s, seed in enumerate(seeds):
-            bus = EventBus()
-            log = search_log(bus)
             rng = np.random.default_rng(seed)
             want = reference_ga_run(
-                GeneticAlgorithm(SIGNED_ENCODER, alone(s), bus=bus, **kwargs),
+                GeneticAlgorithm(SIGNED_ENCODER, alone(s), **kwargs),
                 alone(s),
                 seed=rng,
             )
@@ -548,9 +530,6 @@ class TestLockstepEqualsAlone:
                 assert (got.evaluations, got.generations, got.history) == (
                     other.evaluations, other.generations, other.history
                 )
-            assert [(e.topic, e.message, e.payload) for e in logs[s]] == [
-                (e.topic, e.message, e.payload) for e in log
-            ]
             assert generators[s].bit_generator.state == rng.bit_generator.state
         # One call per generation while any search lives, one more where a
         # winner is scored on the spot: never a call per search.
@@ -567,20 +546,13 @@ class TestLockstepEqualsAlone:
         optimizer = ConfigurationOptimizer(
             surrogate, population_size=16, generations=30, uncertainty_penalty=penalty
         )
-        buses = [EventBus() for _ in seeds]
-        logs = [search_log(bus) for bus in buses]
-        together = optimizer.optimize_many(read_ratios, seeds, buses)
-        for rr, seed, got, log in zip(read_ratios, seeds, together, logs):
-            optimizer.bus = EventBus()
-            alone_log = search_log(optimizer.bus)
+        together = optimizer.optimize_many(read_ratios, seeds)
+        for rr, seed, got in zip(read_ratios, seeds, together):
             want = optimizer.optimize(rr, seed=seed)
             assert (got.configuration, got.predicted_throughput, got.evaluations) == (
                 want.configuration, want.predicted_throughput, want.evaluations
             )
             assert got.history == want.history
-            assert [(e.topic, e.message, e.payload) for e in log] == [
-                (e.topic, e.message, e.payload) for e in alone_log
-            ]
 
     def test_call_inventory_of_a_round(self, surrogate, monkeypatch):
         """A round's three 48 x 16 searches make the G + 2 = 18 surrogate
@@ -757,22 +729,7 @@ class TestFusedDraws:
 
 
 class TestSearchEvents:
-    def test_ga_publishes_lifecycle_events(self):
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append, topic="search")
-        ga = GeneticAlgorithm(
-            ENCODER, elementwise_fitness(np.ones(ENCODER.n_genes)), population_size=8,
-            generations=4, bus=bus,
-        )
-        ga.run(seed=0)
-        topics = [e.topic for e in events]
-        assert topics[0] == "search.start"
-        assert topics[-1] == "search.done"
-        gens = [e for e in events if e.topic == "search.generation"]
-        assert 1 <= len(gens) <= 4
-        assert gens[0].payload["generation"] == 1
-        assert "evaluations" in gens[0].payload
+    """A search publishes nothing: its result is its whole record."""
 
     def test_no_bus_is_noop(self):
         result = GeneticAlgorithm(
@@ -921,16 +878,6 @@ class TestOptimizerBatchEquivalence:
         rows = np.atleast_2d(surrogate.encode(0.5, SPACE.default_configuration()))
         surrogate.predict_mean_std(rows)
         assert surrogate.stats.n_queries == before + 1
-
-    def test_optimizer_emits_events(self, surrogate):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, topic="search")
-        ConfigurationOptimizer(
-            surrogate, population_size=12, generations=4, bus=bus
-        ).optimize(0.5, seed=0)
-        assert any(e.topic == "search.start" for e in seen)
-        assert any(e.topic == "search.done" for e in seen)
 
 
 class TestColdSearchPinned:

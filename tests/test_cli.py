@@ -395,6 +395,64 @@ class TestVerifyArtifact:
         assert main(["verify-artifact", str(tmp_path / "nope.json")]) == 1
 
 
+def bad_artifact(kind, artifacts, tmp_path, wanted):
+    """A file a command expecting a ``wanted`` artifact cannot load."""
+    dataset, surrogate = artifacts
+    path = tmp_path / f"{kind}.json"
+    if kind == "truncated":
+        good = dataset if wanted == "dataset" else surrogate
+        path.write_text(good.read_text()[:1000])
+    elif kind == "wrong-kind":
+        path.write_text((surrogate if wanted == "dataset" else dataset).read_text())
+    elif kind == "empty-object":
+        path.write_text("{}")
+    return path
+
+
+class TestArtifactLoadErrors:
+    """A missing, truncated, wrong-kind or empty artifact is one
+    ``cannot load <path>: ...`` line on stderr and exit 1, no traceback."""
+
+    KINDS = ["missing", "truncated", "wrong-kind", "empty-object"]
+
+    @staticmethod
+    def assert_cannot_load(argv, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot load {path}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["recommend", "--read-ratio", "0.5"],
+            ["replay", "--hours", "1"],
+            ["serve", "--quiet", "--manifest"],
+        ],
+        ids=["recommend", "replay", "serve"],
+    )
+    def test_surrogate_commands(self, artifacts, tmp_path, capsys, command, kind):
+        path = bad_artifact(kind, artifacts, tmp_path, "surrogate")
+        if command[0] == "serve":
+            manifest = tmp_path / "tenants.json"
+            manifest.write_text(json.dumps(TestServe.MANIFEST))
+            command = [*command, str(manifest)]
+        self.assert_cannot_load([*command, "--surrogate", str(path)], path, capsys)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train(self, artifacts, tmp_path, capsys, kind):
+        path = bad_artifact(kind, artifacts, tmp_path, "dataset")
+        out = tmp_path / "never.json"
+        self.assert_cannot_load(
+            ["train", "--dataset", str(path), "--out", str(out), "--quiet"], path, capsys
+        )
+        assert not out.exists()
+
+
 class TestValidation:
     def test_unknown_datastore(self, artifacts):
         _, surrogate = artifacts

@@ -6,9 +6,8 @@ row-bounded lockstep GAs.  Whatever a caller can see must be what the
 same campaign gives with a no-op ``prefetch`` (every miss searching on
 the spot): per-tenant results, cache hits, misses and evictions, the
 cache's entries, the named seed-stream counters and the whole event log
-— serial or sharded, with faults, guards, hysteresis, a rafiki
-publishing on the scheduler's bus, and a surrogate or GA changed
-mid-campaign.
+— serial or sharded, with faults, guards, hysteresis, and a surrogate
+or GA changed mid-campaign.
 """
 
 import importlib.util
@@ -69,8 +68,8 @@ def surrogate():
     return model.fit(PerformanceDataset(samples, PARAMS), seed=2)
 
 
-def make_rafiki(cassandra, surrogate, events=None, **kwargs):
-    rafiki = Rafiki(cassandra, surrogate, PARAMS, seed=0, events=events, **kwargs)
+def make_rafiki(cassandra, surrogate, **kwargs):
+    rafiki = Rafiki(cassandra, surrogate, PARAMS, seed=0, **kwargs)
     rafiki.optimizer.population_size = 8
     rafiki.optimizer.generations = 3
     return rafiki
@@ -128,14 +127,13 @@ class Campaign:
 
     def __init__(
         self, cassandra, surrogate, specs, prefetch=True, backend=None,
-        rafiki_on_bus=False, rafiki_kwargs=None, on_window=None, **sched_kwargs
+        rafiki_kwargs=None, on_window=None, **sched_kwargs
     ):
         events = EventBus()
         self.log = []
         events.subscribe(self.log.append)
         rafiki = make_rafiki(
-            cassandra, pickle.loads(pickle.dumps(surrogate)),
-            events=events if rafiki_on_bus else None, **(rafiki_kwargs or {}),
+            cassandra, pickle.loads(pickle.dumps(surrogate)), **(rafiki_kwargs or {})
         )
         self.spy = Spy(rafiki, prefetch)
         if on_window is not None:
@@ -261,13 +259,6 @@ class TestRoundEqualsSearchesAlone:
         assert run.rafiki.seeds._counts["search-rr0.3"] == 2
         assert run.rafiki.cache.stats.evictions > 0
 
-    def test_rafiki_publishing_on_the_scheduler_bus(self, cassandra, surrogate):
-        """A search's ``search.*`` events are published when its result is
-        taken, where the search would have published them."""
-        run = assert_same_round(cassandra, surrogate, search_fleet, rafiki_on_bus=True)
-        topics = [e.topic for e in run.log]
-        assert topics.count("search.start") == topics.count("search.done") == 12
-
     def test_sharded_equals_serial(self, cassandra, surrogate):
         serial = Campaign(cassandra, surrogate, guarded_fleet(), cluster_capacity=160_000.0)
         sharded = Campaign(
@@ -386,16 +377,10 @@ class TestPrefetch:
         assert (list(rafiki.cache._entries), dict(rafiki.seeds._counts)) == before[1:]
 
     def test_taken_result_is_the_search_alone(self, cassandra, surrogate):
-        bus, heard = EventBus(), []
-        bus.subscribe(heard.append, topic="search")
-        rafiki = make_rafiki(cassandra, surrogate, events=bus)
+        rafiki = make_rafiki(cassandra, surrogate)
         want = make_rafiki(cassandra, surrogate).recommend(0.55)
         with rafiki.prefetch([0.55, 0.2]):
-            assert heard == []  # journaled, not published
             got = rafiki.recommend(0.55)
-        assert [e.topic for e in heard] == (
-            ["search.start"] + ["search.generation"] * 3 + ["search.done"]
-        )
         assert (got.predicted_throughput, got.configuration, got.history) == (
             want.predicted_throughput, want.configuration, want.history
         )
