@@ -12,7 +12,7 @@ nothing — and runs the named test against the copy, which must fail.
 Hypothesis runs without its shrink phase (the ``no-shrink`` profile in
 ``tests/conftest.py``): a trap needs the failure, not the smallest one.
 
-Run from the repo root (~4 min on a 2-vCPU host)::
+Run from the repo root (103 rows, ~3.5 min on a 2-vCPU host)::
 
     python scripts/mutation_traps.py            # all rows
     python scripts/mutation_traps.py snap       # rows whose name contains "snap"
@@ -717,8 +717,8 @@ TRAPS = [
         "kernel: the hit ratio read off the model's copies, stale within a segment",
         ANALYTIC,
         [
-            ("if not dataset / BLOCK_BYTES", "if not model.dataset_bytes / BLOCK_BYTES"),
-            ("exp(-age / CACHE_WARMUP_SECONDS)", "exp(-model.cache_age / CACHE_WARMUP_SECONDS)"),
+            ("if not dataset / block_bytes", "if not model.dataset_bytes / block_bytes"),
+            ("exp(-age / warmup_s)", "exp(-model.cache_age / warmup_s)"),
         ],
         f"{STRUCTURE}::test_working_set_outgrows_the_cache_mid_run",
     ),
@@ -727,7 +727,7 @@ TRAPS = [
         ANALYTIC,
         [
             (
-                "                if not dataset / BLOCK_BYTES <= fits_pages:\n"
+                "                if not dataset / block_bytes <= fits_pages:\n"
                 "                    hit = steady_hit * hit\n",
                 "                hit = steady_hit * hit\n",
             )
@@ -764,6 +764,13 @@ TRAPS = [
         ],
         "tests/test_lsm_analytic_properties.py::TestSoftMin"
         "::test_six_cap_form_equals_math_oracle",
+    ),
+    (
+        "soft-min: the scale chain skips the random-disk cap",
+        ANALYTIC,
+        [("            scale = iops_cap if iops_cap < scale else scale\n", "")],
+        "tests/test_lsm_analytic_properties.py::TestSoftMin"
+        "::test_scale_chain_equals_builtin_min_in_every_position",
     ),
     (
         "segment: key without the tables a read checks",
@@ -888,6 +895,24 @@ TRAPS = [
         "tests/test_lsm_analytic_properties.py::TestRunEqualsOracle::test_cluster",
     ),
     (
+        "ring: the slowest-node compare reversed",
+        "repro/datastore/cluster.py",
+        [("if per_node is None or x < per_node:", "if per_node is None or x > per_node:")],
+        "tests/test_lsm_analytic_properties.py::TestRingCapacity",
+    ),
+    (
+        "ring: the shooters' cap dropped",
+        "repro/datastore/cluster.py",
+        [("        return cap if cap < x else x\n", "        return x\n")],
+        "tests/test_lsm_analytic_properties.py::TestRingCapacity",
+    ),
+    (
+        "window: the read-ratio clip lets a negative ratio through",
+        "repro/middleware/session.py",
+        [("if 0.0 <= x <= 1.0 else", "if -1.0 <= x <= 1.0 else")],
+        "tests/test_middleware_adapter.py::TestReadRatioClip::test_edges",
+    ),
+    (
         "window: a fractional remainder served as a rounded number of seconds",
         "repro/middleware/session.py",
         [("math.floor(remaining)", "remaining")],
@@ -996,8 +1021,8 @@ TRAPS = [
         "repro/cli.py",
         [
             (
-                "_load_artifact(load_dataset, args.dataset, datastore.space, events=events)",
-                "load_dataset(args.dataset, datastore.space, events=events)",
+                "_load_artifact(load_dataset, args.dataset, datastore.space)",
+                "load_dataset(args.dataset, datastore.space)",
             )
         ],
         "tests/test_cli.py::TestArtifactLoadErrors::test_train",

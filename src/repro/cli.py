@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import pathlib
 import sys
 from functools import partial
 from typing import List, Optional
@@ -80,10 +81,14 @@ def _load_artifact(load, path, *args, **kwargs):
     """``load(path, ...)``; an artifact that is missing, corrupt or not
     what ``load`` reads prints ``cannot load <path>: ...`` on stderr and
     exits 1."""
+    path = pathlib.Path(path)
     try:
         return load(path, *args, **kwargs)
     except (PersistenceError, TrainingError) as exc:
-        print(f"cannot load {path}: {exc}", file=sys.stderr)
+        # The loaders' messages read "<what> <path>: <reason>": name the path once.
+        what, named, reason = str(exc).partition(f" {path}: ")
+        reason = f"{what}: {reason}" if named else what
+        print(f"cannot load {path}: {reason}", file=sys.stderr)
         raise SystemExit(1) from None
 
 
@@ -138,10 +143,7 @@ def cmd_collect(args) -> int:
 
 def cmd_train(args) -> int:
     datastore, _ = _make_datastore(args.datastore)
-    events = EventBus()
-    if not args.quiet:
-        events.subscribe(lambda e: print(f"   {e}"), topic="recovery")
-    dataset = _load_artifact(load_dataset, args.dataset, datastore.space, events=events)
+    dataset = _load_artifact(load_dataset, args.dataset, datastore.space)
     try:
         with resolve_backend(workers=args.workers) as backend:
             surrogate = SurrogateModel(

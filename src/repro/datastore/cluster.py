@@ -221,9 +221,16 @@ class Cluster:
 
     def _capacity(self, kernels, fanout: float) -> float:
         """Logical ops/s at this instant: the slowest live node bounds
-        the balanced per-node rate, the shooters bound the ring."""
-        per_node = min([next(kernel) / slow for kernel, slow in kernels])
-        return min(per_node * len(kernels) / fanout, self.n_nodes * SHOOTER_CAPACITY_OPS)
+        the balanced per-node rate, the shooters bound the ring.  Both
+        bounds are builtin ``min`` as compare chains (no call per step):
+        the first of tied values stays, and so does a NaN already held."""
+        per_node = None
+        for kernel, slow in kernels:
+            x = next(kernel) / slow
+            if per_node is None or x < per_node:
+                per_node = x
+        x, cap = per_node * len(kernels) / fanout, self.n_nodes * SHOOTER_CAPACITY_OPS
+        return cap if cap < x else x
 
     def sustainable_throughput(self, read_ratio: float) -> float:
         """Logical ops/s the cluster sustains at this instant."""

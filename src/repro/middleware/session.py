@@ -80,6 +80,11 @@ _RETRY_BACKOFF_FACTOR = 2.0
 _RETRY_DEADLINE_S = 60.0
 
 
+def _unit_clip(x) -> float:
+    """``float(np.clip(x, 0.0, 1.0))``, in range without the ~3 µs numpy call."""
+    return float(x) if 0.0 <= x <= 1.0 else float(np.clip(x, 0.0, 1.0))
+
+
 @dataclass
 class WindowState:
     """Mutable scratchpad threaded through one window's phases."""
@@ -238,7 +243,7 @@ class TenantSession:
             )
         self._window = WindowState(
             index=self._window_index,
-            read_ratio=float(np.clip(read_ratio, 0.0, 1.0)),
+            read_ratio=_unit_clip(read_ratio),
             capacity_factor=float(capacity_factor),
         )
         self._set_phase("observe")
@@ -260,7 +265,7 @@ class TenantSession:
             raise SearchError(
                 f"window {self._window.index} still in phase {self.phase!r}"
             )
-        rr = float(np.clip(read_ratio, 0.0, 1.0))
+        rr = _unit_clip(read_ratio)
         self.policy.observe(rr)
         self._previous_rr = rr
         event = ControllerEvent(

@@ -155,9 +155,9 @@ def read_artifact(
     try:
         text = path.read_text()
     except FileNotFoundError as exc:
-        raise PersistenceError(f"artifact not found: {path}") from exc
+        raise PersistenceError(f"missing artifact {path}: file not found") from exc
     except OSError as exc:
-        raise PersistenceError(f"cannot read artifact {path}: {exc}") from exc
+        raise PersistenceError(f"cannot read artifact {path}: {exc.strerror or exc}") from exc
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -130,6 +130,22 @@ class TestEngineRun:
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
 
+def load_workload_module(name):
+    """``benchmarks/e2e/workloads/<name>.py``, loaded from its file,
+    read-only: the workload package imports every workload, and each
+    workload module imports ``calibrate`` from its directory."""
+    sys.path.insert(0, str(E2E))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"e2e_{name}_workload", E2E / "workloads" / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(E2E))
+    return module
+
+
 class TestEngineYcsbContract:
     """One ``engine_ycsb`` repetition of the contract benchmark, as its
     runner drives it (``prepare`` -> ``run`` -> ``observe``), pinned by
@@ -139,19 +155,7 @@ class TestEngineYcsbContract:
 
     @pytest.fixture(scope="class")
     def workload_class(self):
-        # Loaded from its file, read-only: the workload package imports
-        # every workload, and ``engine.py`` imports ``calibrate`` from
-        # its directory.
-        sys.path.insert(0, str(E2E))
-        try:
-            spec = importlib.util.spec_from_file_location(
-                "e2e_engine_workload", E2E / "workloads" / "engine.py"
-            )
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        finally:
-            sys.path.remove(str(E2E))
-        return module.EngineYcsb
+        return load_workload_module("engine").EngineYcsb
 
     @pytest.mark.parametrize(
         "seed, digest, sim_ops_per_s",
@@ -173,6 +177,54 @@ class TestEngineYcsbContract:
         workload = workload_class(seed, "full")
         state = workload.prepare()
         workload.run(state)
+        seen = workload.observe(state)
+        assert seen.failures == []
+        assert (seen.digest, seen.sim_ops_per_s) == (digest, sim_ops_per_s)
+
+
+class TestServeContract:
+    """The seed-2017 reference repetitions of ``serve_search`` and
+    ``serve_steady``, pinned by digest (every window's read ratio,
+    decision, throughput and flags, the event log, the cache counts) and
+    simulated rate: any change to what the fluid substrate solves, a ring
+    serves or a session decides shows here before a benchmark run."""
+
+    @pytest.fixture(scope="class")
+    def serve(self):
+        return load_workload_module("serve")
+
+    @pytest.fixture(scope="class")
+    def surrogate(self, serve):
+        # One fixture build for both: it is trained from the module's fixed
+        # seed whatever the workload or ``--seed``.
+        search = serve.ServeSearch(2017, "full")
+        search.build_fixtures(lambda: None)
+        return search.surrogate
+
+    @pytest.mark.parametrize(
+        "name, digest, sim_ops_per_s",
+        [
+            (
+                "ServeSearch",
+                "c8643091aeb7bcfa7c49822210321cda7f9f8528735aac5898a828d509a6e4bc",
+                76977.89933179294,
+            ),
+            (
+                "ServeSteady",
+                "82f7b237797a74690207251e683cd35db35be81fc9a222c1f79b0bc979e8bef0",
+                101548.4003252906,
+            ),
+        ],
+        ids=["serve_search", "serve_steady"],
+    )
+    def test_reference_repetition_is_pinned(
+        self, serve, surrogate, name, digest, sim_ops_per_s
+    ):
+        workload = getattr(serve, name)(2017, "full")
+        workload.surrogate = surrogate
+        state = workload.prepare(reference=True)
+        workload.run(state)
+        workload.finish(state)
         seen = workload.observe(state)
         assert seen.failures == []
         assert (seen.digest, seen.sim_ops_per_s) == (digest, sim_ops_per_s)

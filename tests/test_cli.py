@@ -411,7 +411,8 @@ def bad_artifact(kind, artifacts, tmp_path, wanted):
 
 class TestArtifactLoadErrors:
     """A missing, truncated, wrong-kind or empty artifact is one
-    ``cannot load <path>: ...`` line on stderr and exit 1, no traceback."""
+    ``cannot load <path>: ...`` line on stderr that names the path once,
+    and exit 1, no traceback."""
 
     KINDS = ["missing", "truncated", "wrong-kind", "empty-object"]
 
@@ -424,6 +425,7 @@ class TestArtifactLoadErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"cannot load {path}: ")
         assert captured.err.count("\n") == 1
+        assert captured.err.count(str(path)) == 1
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -449,6 +451,17 @@ class TestArtifactLoadErrors:
         out = tmp_path / "never.json"
         self.assert_cannot_load(
             ["train", "--dataset", str(path), "--out", str(out), "--quiet"], path, capsys
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_without_quiet(self, artifacts, tmp_path, capsys, kind):
+        """Without ``--quiet`` the failure is still the one stderr line:
+        no progress or recovery line on stdout repeats it."""
+        path = bad_artifact(kind, artifacts, tmp_path, "dataset")
+        out = tmp_path / "never.json"
+        self.assert_cannot_load(
+            ["train", "--dataset", str(path), "--out", str(out)], path, capsys
         )
         assert not out.exists()
 

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.config import cassandra_space
 from repro.config.cassandra import LEVELED, SIZE_TIERED
 from repro.datastore import CassandraLike, Cluster, ScyllaLike
+from repro.datastore.cluster import SHOOTER_CAPACITY_OPS
+from repro.lsm import analytic
 from repro.lsm.analytic import AnalyticLSMModel, WorkloadProfile, _SegmentTerms, _soft_min
 from repro.lsm.knobs import EngineKnobs
 from tests.oracles import (
@@ -356,6 +358,21 @@ def six_cap_solve(caps):
     return solve(0.0)
 
 
+def builtin_min_solve(caps):
+    """The six-cap form as written with builtin ``min`` for its scale."""
+    scale = min(caps)
+    if 0.0 < scale < math.inf:
+        a, b, c, d, e, f = ((scale / cap) ** 8.0 for cap in caps)
+        total = a + b + c + d + e + f
+        if total == total:
+            return scale * total ** (-1.0 / 8.0)
+    return _soft_min(caps)
+
+
+def rotations(caps):
+    return [caps[i:] + caps[:i] for i in range(len(caps))]
+
+
 def ulps_apart(a, b):
     return abs(a - b) / math.ulp(max(abs(a), abs(b)))
 
@@ -376,10 +393,39 @@ class TestSoftMin:
     @settings(max_examples=500, deadline=None)
     def test_six_cap_form_equals_math_oracle(self, caps):
         """The solve's fused six-cap form, bit for bit (``hex`` tells
-        ``-0.0`` from ``0.0``)."""
+        ``-0.0`` from ``0.0``), and its compare chain builtin ``min``."""
         got = six_cap_solve(caps)
         assert type(got) is float
         assert got.hex() == soft_min_oracle(caps).hex() == _soft_min(caps).hex()
+        assert got.hex() == builtin_min_solve(caps).hex()
+
+    @pytest.mark.parametrize(
+        "caps",
+        # Each cap the scale once.  The power mean does not depend on its
+        # scale in exact arithmetic, so a wrong scale must overflow to show.
+        rotations([1e-300, 3.0, 5.0, 7.0, 11.0, 13.0])
+        + rotations([math.nan, 1.0, 2.0, 3.0, 4.0, 5.0])   # NaN in every position
+        + rotations([0.0, -0.0, 1.0, 2.0, 3.0, 4.0])
+        + rotations([-0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+        + rotations([math.inf, -math.inf, 2.0, 2.0, 7.0, 2.0]),
+    )
+    def test_scale_chain_equals_builtin_min_in_every_position(self, caps):
+        """Ties, ``±inf``, NaN and ``-0.0`` against ``0.0`` in every position."""
+        assert six_cap_solve(caps).hex() == builtin_min_solve(caps).hex()
+
+    @given(caps=st.one_of(six_caps, tied_caps))
+    @example(caps=[1.0, 2.0, 3.0, 4.0, 5.0, math.nan])   # a NaN sum, positive scale
+    @example(caps=[1.0, 2.0, 3.0, 4.0, 5.0, -0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_fallback_reached_for_non_positive_cap_or_nan_sum(self, caps):
+        """A cap that is not positive (NaN included) or six infinite caps
+        take ``_soft_min``; six positive caps with a finite one never do."""
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytic, "_soft_min", lambda c: calls.append(c) or _soft_min(c))
+            six_cap_solve(caps)
+        positive = all(0.0 < cap for cap in caps)
+        assert bool(calls) is (not positive or min(caps) == math.inf)
 
     @given(caps=st.lists(any_caps, min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)
@@ -443,3 +489,43 @@ class TestClusterStepEquivalence:
             assert cluster.run(rr, 1) == [solved]
             moved = [i for i, node in enumerate(cluster.nodes) if node.t != clocks[i]]
             assert moved == cluster.live_node_indices
+
+
+class TestRingCapacity:
+    """``Cluster._capacity``'s compare chains are the list-plus-``min``
+    formula they replace, bit for bit."""
+
+    @staticmethod
+    def builtin_min_capacity(cluster, nodes, fanout):
+        per_node = min([x / slow for x, slow in nodes])
+        return min(per_node * len(nodes) / fanout, cluster.n_nodes * SHOOTER_CAPACITY_OPS)
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        cassandra = CassandraLike()
+        return Cluster(cassandra, cassandra.default_configuration(), n_nodes=4, seed=5)
+
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(min_value=1.0, max_value=1e7),
+                    st.sampled_from([1.0, 5e4, 2e5, 1e6, math.inf, math.nan]),
+                ),
+                st.sampled_from([1.0, 1.5, 2.5, 4.0]),     # disk slowdowns
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        fanout=st.sampled_from([1.0, 1.25, 2.0, 3.0]),
+    )
+    @example(nodes=[(1e5, 1.0), (5e4, 1.0), (5e4, 1.0)], fanout=1.0)       # tied nodes
+    @example(nodes=[(1e6, 1.0)] * 4, fanout=1.0)                            # shooters bind
+    @example(nodes=[(math.nan, 1.0), (5e4, 1.0)], fanout=2.0)              # a NaN node first
+    @example(nodes=[(5e4, 1.0), (math.nan, 1.0), (1e4, 2.5)], fanout=2.0)  # ... and later
+    @settings(max_examples=300, deadline=None)
+    def test_equals_list_and_builtin_min(self, ring, nodes, fanout):
+        kernels = [(iter([x]), slow) for x, slow in nodes]
+        got = ring._capacity(kernels, fanout)
+        assert got.hex() == self.builtin_min_capacity(ring, nodes, fanout).hex()
+        assert all(next(kernel, None) is None for kernel, _ in kernels)   # each read once

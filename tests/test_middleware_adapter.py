@@ -1,12 +1,17 @@
 """Actuation layer: provision parity, rolling restarts, lifecycle events."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import OraclePolicy
 from repro.datastore import CassandraLike
 from repro.datastore.adapter import SimulatedDatastoreAdapter
 from repro.errors import DatastoreError
-from repro.middleware.session import TenantSession, WindowState
+from repro.middleware.session import TenantSession, WindowState, _unit_clip
 from repro.runtime import EventBus
 from repro.workload.spec import WorkloadSpec
 
@@ -305,3 +310,34 @@ class TestWindowWithNoTimeLeft:
         session._phase_execute(ws)
         assert ws.steps == ws.rolling_report.steps
         assert adapter.cluster.t == 60.0
+
+
+class TestReadRatioClip:
+    """A window's read ratio is ``float(np.clip(rr, 0.0, 1.0))``; in range
+    it skips the numpy call, and must still equal it bit for bit."""
+
+    @staticmethod
+    def assert_clips_like_numpy(x):
+        got, want = _unit_clip(x), float(np.clip(x, 0.0, 1.0))
+        assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "x",
+        [-0.0, 0.0, 1.0, 5e-324, -5e-324, math.nextafter(1.0, 2.0), math.inf,
+         -math.inf, math.nan, 0.3, 1, True, np.float64(0.25)],
+    )
+    def test_edges(self, x):
+        self.assert_clips_like_numpy(x)
+
+    @given(x=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, x):
+        self.assert_clips_like_numpy(x)
+
+    def test_windows_read_the_clip(self, cassandra):
+        session = TenantSession(
+            cassandra, None, SimulatedDatastoreAdapter(cassandra, seed=4), OraclePolicy()
+        )
+        session.start()
+        assert session.record_shed_window(-5e-324).read_ratio.hex() == "0x0.0p+0"
+        assert session.begin_window(-0.0).read_ratio.hex() == "-0x0.0p+0"
