@@ -12,7 +12,7 @@ nothing — and runs the named test against the copy, which must fail.
 Hypothesis runs without its shrink phase (the ``no-shrink`` profile in
 ``tests/conftest.py``): a trap needs the failure, not the smallest one.
 
-Run from the repo root (103 rows, ~3.5 min on a 2-vCPU host)::
+Run from the repo root (106 rows, ~3.5 min on a 2-vCPU host)::
 
     python scripts/mutation_traps.py            # all rows
     python scripts/mutation_traps.py snap       # rows whose name contains "snap"
@@ -992,6 +992,37 @@ TRAPS = [
         [("if math.isnan(read_ratio):", "if False:")],
         "tests/test_middleware_scheduler.py::TestValidation"
         "::test_nan_read_ratio_rejected_naming_tenant_and_window",
+    ),
+    # -- the tenant manifest reads its schema from TenantSpec and the stanza specs
+    (
+        "manifest: a key the document sets is not passed to TenantSpec",
+        "repro/middleware/manifest.py",
+        [
+            (
+                "for key, value in entry.items() if key in _FIELD_OF\n",
+                'for key, value in entry.items() if key in _FIELD_OF and key != "priority"\n',
+            )
+        ],
+        "tests/test_middleware_manifest.py::TestSpecBuilding::test_every_set_key_reaches_the_spec",
+    ),
+    (
+        "manifest: a stanza accepts a key its spec has no field for",
+        "repro/middleware/manifest.py",
+        [
+            (
+                "{f.name for f in fields(spec)}",
+                "{f.name for each in _STANZAS.values() for f in fields(each)}",
+            )
+        ],
+        "tests/test_middleware_manifest.py::TestGuardStanzas"
+        "::test_stanza_takes_exactly_its_spec_fields",
+    ),
+    (
+        "faults: a single-node generated plan draws a slowdown",
+        "repro/faults/plan.py",
+        [("if rng.random() < slowdown_probability and n_nodes > 1:",
+          "if rng.random() < slowdown_probability:")],
+        "tests/test_faults.py::TestPlanGeneration::test_single_node_plan_at_defaults_is_valid",
     ),
     (
         "serve: a restart charged to the topic's first segment",

@@ -31,6 +31,7 @@ a rerun on the same host writes the same bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
@@ -43,7 +44,7 @@ from repro.bench.dataset import load_dataset, save_dataset
 from repro.bench.ycsb import YCSBBenchmark
 from repro.config import CASSANDRA_KEY_PARAMETERS, SCYLLA_KEY_PARAMETERS
 from repro.core.persistence import load_surrogate, save_surrogate
-from repro.core.policies import DECISION_MODES, HysteresisPolicy, make_policy
+from repro.core.policies import DECISION_MODES, HysteresisPolicy, OraclePolicy
 from repro.core.rafiki import Rafiki
 from repro.core.surrogate import SurrogateModel
 from repro.datastore import CassandraLike, ScyllaLike
@@ -54,11 +55,10 @@ from repro.errors import (
     TrainingError,
     WorkloadError,
 )
-from repro.faults import FaultPlan
 from repro.middleware import (
     MiddlewareScheduler,
-    TenantSpec,
     load_manifest,
+    parse_manifest,
     specs_from_manifest,
 )
 from repro.ml.ensemble import EnsembleConfig
@@ -198,57 +198,44 @@ def cmd_replay(args) -> int:
     """
     datastore, _ = _make_datastore(args.datastore)
     rafiki = _load_rafiki(args, datastore)
-    series = MGRastTraceGenerator(seed=args.seed).read_ratio_series(args.hours * 3600)
-    base_workload = mgrast_workload(0.5)
-
-    fault_plan = None
-    if args.fault_seed is not None:
-        fault_plan = FaultPlan.generate(
-            seed=args.fault_seed,
-            n_windows=len(series),
-            n_nodes=args.nodes,
-            # Node-level faults need a Cluster; a single server only
-            # sees control-plane (search/push) faults.
-            slowdown_probability=0.05 if args.nodes > 1 else 0.0,
-        )
+    tenant = {
+        "id": "rafiki",
+        "mode": args.mode,
+        "seed": args.seed,
+        "hours": args.hours,
+        "nodes": args.nodes,
+        "replication_factor": args.replication_factor,
+        "fault_seed": args.fault_seed,
+        "canary_margin": args.canary_margin,
+    }
+    (spec,) = specs_from_manifest(parse_manifest({"tenants": [tenant]}))
     events = EventBus()
     if not args.quiet:
         events.subscribe(lambda e: print(f"   {e}"), topic="tenant.rafiki.fault")
         events.subscribe(lambda e: print(f"   {e}"), topic="tenant.rafiki.controller")
 
     scheduler = MiddlewareScheduler(datastore, rafiki, events=events)
+    # The baseline: the same tenant untuned, unfaulted and uncanaried.  A
+    # policy remembers the read ratio it last acted on, so it gets its own.
     scheduler.add_tenant(
-        TenantSpec(
+        dataclasses.replace(
+            spec,
             tenant_id="static",
-            rr_series=series,
-            base_workload=base_workload,
             use_rafiki=False,
-            n_nodes=args.nodes,
-            replication_factor=args.replication_factor,
-            seed=args.seed,
+            policy=HysteresisPolicy(OraclePolicy()),
+            fault_plan=None,
+            canary_margin=None,
         )
     )
-    scheduler.add_tenant(
-        TenantSpec(
-            tenant_id="rafiki",
-            rr_series=series,
-            base_workload=base_workload,
-            policy=HysteresisPolicy(make_policy(args.mode), min_change=0.08),
-            n_nodes=args.nodes,
-            replication_factor=args.replication_factor,
-            seed=args.seed,
-            fault_plan=fault_plan,
-            canary_margin=args.canary_margin,
-        )
-    )
+    scheduler.add_tenant(spec)
     results = scheduler.run()
     static, tuned = results["static"], results["rafiki"]
     gain = tuned.mean_throughput / static.mean_throughput - 1.0
-    print(f"windows:          {len(series)}")
+    print(f"windows:          {len(spec.rr_series)}")
     print(f"static default:   {static.mean_throughput:>12,.0f} ops/s")
     print(f"rafiki ({args.mode:>8}): {tuned.mean_throughput:>12,.0f} ops/s ({gain:+.1%})")
     print(f"reconfigurations: {tuned.reconfiguration_count}")
-    if fault_plan is not None or args.canary_margin is not None:
+    if spec.fault_plan is not None or args.canary_margin is not None:
         print(f"rollbacks:        {tuned.rollback_count}")
         print(f"degraded windows: {tuned.degraded_count}")
     return 0
@@ -500,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train",
         help="train the surrogate on a dataset",
-        parents=[datastore_p, seed_p, workers_p, quiet_p],
+        parents=[datastore_p, seed_p, workers_p],
     )
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True, help="surrogate JSON path")

@@ -205,7 +205,8 @@ class FaultPlan:
         Per window, each fault class fires independently with its
         probability; crashed nodes recover after 1..3 windows.  At most
         one node is scheduled down at a time so a plan can never strand
-        the cluster below one live node.  Actuation faults and stale
+        the cluster below one live node, and a single node takes neither
+        crashes nor slowdowns.  Actuation faults and stale
         recoveries are never drawn: a plan names them explicitly.
         """
         if n_windows < 1:
@@ -230,7 +231,9 @@ class FaultPlan:
                     )
                 )
                 down_until = recover
-            if rng.random() < slowdown_probability:
+            # A single server takes no slowdown; the uniform is drawn anyway,
+            # so its plan equals one drawn at slowdown_probability=0.
+            if rng.random() < slowdown_probability and n_nodes > 1:
                 node = int(rng.integers(n_nodes))
                 factor = float(1.5 + (_MAX_SLOWDOWN_FACTOR - 1.5) * rng.random())
                 length = int(rng.integers(1, _MAX_OUTAGE_WINDOWS + 1))

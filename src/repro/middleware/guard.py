@@ -24,16 +24,11 @@ guards through worker processes bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.errors import GuardError
 from repro.middleware.breaker import CircuitBreaker, _Bulkhead
 from repro.middleware.slo import SloSpec, SloTracker
-
-#: Keys a manifest ``[tenants.guard]`` stanza may set.
-GUARD_STANZA_KEYS = frozenset(
-    {"breaker_failures", "breaker_cooldown", "max_restarts", "span"}
-)
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,6 @@ class GuardSpec:
             raise GuardError(f"span must be >= 1, got {self.span!r}")
         if self.max_restarts is not None and self.max_restarts < 0:
             raise GuardError(f"max_restarts must be >= 0, got {self.max_restarts!r}")
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "GuardSpec":
-        """Build a spec from a manifest ``[guard]`` stanza (unknown keys rejected)."""
-        bad = set(document) - GUARD_STANZA_KEYS
-        if bad:
-            raise GuardError(f"unknown [guard] key(s) {sorted(bad)}")
-        return cls(**document)
 
 
 class TenantGuard:

@@ -54,55 +54,50 @@ bounded repair, and telemetry quarantine::
     span = 8
     escalate = true
 
-Unknown keys are rejected (manifests must not silently drift from the
-schema) — including inside the nested ``slo`` / ``guard`` stanzas —
-``[defaults]`` applies to every tenant that does not override, and
-tenant order in the file is the scheduler's deterministic execution
-order.
+A tenant's keys are :class:`~repro.middleware.scheduler.TenantSpec`'s
+fields, plus ``mode``, ``hours`` and ``fault_seed``: the reader builds
+the series, workload, decision policy and fault plan from those three,
+and a manifest tenant is always tuned and untraced (no ``use_rafiki`` or
+``trace_phases``).  ``id`` and ``nodes`` spell ``tenant_id`` and
+``n_nodes``, and ``[defaults]`` may set every key but ``id``.  A
+stanza's keys are its spec's fields (``SloSpec``, ``GuardSpec``,
+``ReconcileSpec``).  Unknown keys are rejected (manifests must not
+silently drift from the schema), a key no table sets keeps its
+dataclass default, ``[defaults]`` applies to every tenant that does not
+override, and tenant order in the file is the scheduler's deterministic
+execution order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional
 
 from repro.core.policies import HysteresisPolicy, make_policy
-from repro.errors import GuardError, PersistenceError, SearchError
+from repro.errors import FaultError, GuardError, PersistenceError, SearchError
 from repro.faults.plan import FaultPlan
-from repro.middleware.guard import GUARD_STANZA_KEYS, GuardSpec
-from repro.middleware.reconcile import RECONCILE_STANZA_KEYS, ReconcileSpec
+from repro.middleware.guard import GuardSpec
+from repro.middleware.reconcile import ReconcileSpec
 from repro.middleware.scheduler import TenantSpec
-from repro.middleware.slo import SLO_STANZA_KEYS, SloSpec
+from repro.middleware.slo import SloSpec
 from repro.workload.mgrast import MGRastTraceGenerator
 from repro.workload.spec import mgrast_workload
-from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
-#: Tenant keys a manifest may set (``[defaults]`` may set all but ``id``).
-TENANT_KEYS = frozenset(
-    {
-        "id",
-        "mode",
-        "seed",
-        "hours",
-        "nodes",
-        "replication_factor",
-        "base_read_ratio",
-        "rr_change_threshold",
-        "window_seconds",
-        "reconfiguration_penalty_s",
-        "canary_margin",
-        "canary_std_factor",
-        "fault_seed",
-        "restart_policy",
-        "restart_seconds_per_node",
-        "load",
-        "priority",
-        "slo",
-        "guard",
-        "reconcile",
+#: Manifest key -> TenantSpec field, for every field a manifest sets
+#: (``id`` and ``nodes`` keep older files' spellings).
+_FIELD_OF = {
+    {"tenant_id": "id", "n_nodes": "nodes"}.get(f.name, f.name): f.name
+    for f in fields(TenantSpec)
+    if f.name not in {
+        "rr_series", "base_workload", "policy", "fault_plan", "use_rafiki", "trace_phases"
     }
-)
+}
+#: The reader's own tenant keys, with their defaults.
+_READER_DEFAULTS = {"mode": "oracle", "hours": 24, "fault_seed": None}
+_TENANT_KEYS = frozenset(_FIELD_OF) | frozenset(_READER_DEFAULTS)
+#: Nested stanzas and the spec each one sets.
+_STANZAS = {"slo": SloSpec, "guard": GuardSpec, "reconcile": ReconcileSpec}
 
 #: Tenant keys that must hold an integer (``fault_seed`` may be null).
 _INTEGER_KEYS = ("nodes", "replication_factor", "seed", "priority", "fault_seed")
@@ -110,32 +105,11 @@ _INTEGER_KEYS = ("nodes", "replication_factor", "seed", "priority", "fault_seed"
 #: Keys the top-level ``[guard]`` section may set.
 GUARD_SECTION_KEYS = frozenset({"cluster_capacity", "shedding"})
 
-_TENANT_DEFAULTS: Dict[str, Any] = {
-    "mode": "oracle",
-    "seed": 0,
-    "hours": 24,
-    "nodes": 1,
-    "replication_factor": 1,
-    "base_read_ratio": 0.5,
-    "rr_change_threshold": 0.08,
-    "window_seconds": DEFAULT_WINDOW_SECONDS,
-    "reconfiguration_penalty_s": 5.0,
-    "canary_margin": None,
-    "canary_std_factor": 2.0,
-    "fault_seed": None,
-    "restart_policy": "instant",
-    "restart_seconds_per_node": 30.0,
-    "load": True,
-    "priority": 0,
-    "slo": None,
-    "guard": None,
-    "reconcile": None,
-}
-
 
 @dataclass(frozen=True)
 class TenantManifest:
-    """Parsed manifest: per-tenant settings with defaults applied."""
+    """Parsed manifest: each tenant's keys as the document set them
+    (``[defaults]`` merged in), plus ``mode``, ``hours`` and ``fault_seed``."""
 
     tenants: List[Dict[str, Any]]
     source: str = "<memory>"
@@ -176,26 +150,32 @@ def load_manifest(path) -> TenantManifest:
     return parse_manifest(_parse_document(text, str(path)), source=str(path))
 
 
-def _check_stanza(
-    stanza: Any, allowed: frozenset, label: str, source: str
-) -> None:
-    """Validate one nested ``slo`` / ``guard`` stanza's shape and keys."""
-    if stanza is None:
-        return
-    if not isinstance(stanza, dict):
+def _check_table(table: Any, allowed, label: str, source: str) -> None:
+    """Refuse a table that is not one or sets a key outside ``allowed``."""
+    if not isinstance(table, dict):
         raise PersistenceError(f"manifest {source}: {label} must be a table")
-    bad = set(stanza) - allowed
+    bad = set(table) - allowed
     if bad:
         raise PersistenceError(
             f"manifest {source}: {label} has unknown key(s) {sorted(bad)}"
         )
 
 
-def _merge_stanza(base: Optional[dict], override: Optional[dict]) -> Optional[dict]:
-    """Merge a tenant's nested stanza over the defaults', key by key."""
-    if base is None and override is None:
-        return None
-    return {**(base or {}), **(override or {})}
+def _check_tenant_table(
+    table: Any, allowed, label: str, stanza_label: str, source: str
+) -> None:
+    """Check a tenant's (or ``[defaults]``') keys, then each stanza's
+    against its spec's fields (``stanza_label`` is formatted with the
+    stanza's name)."""
+    _check_table(table, allowed, label, source)
+    for name, spec in _STANZAS.items():
+        if table.get(name) is not None:
+            _check_table(
+                table[name],
+                {f.name for f in fields(spec)},
+                stanza_label.format(name),
+                source,
+            )
 
 
 def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> TenantManifest:
@@ -208,32 +188,10 @@ def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> Tenant
             f"manifest {source} has unknown section(s) {sorted(unknown_sections)}"
         )
     guard_section = document.get("guard", {})
-    if not isinstance(guard_section, dict):
-        raise PersistenceError(f"manifest {source}: [guard] must be a table")
-    bad = set(guard_section) - GUARD_SECTION_KEYS
-    if bad:
-        raise PersistenceError(
-            f"manifest {source}: unknown [guard] key(s) {sorted(bad)}"
-        )
+    _check_table(guard_section, GUARD_SECTION_KEYS, "[guard]", source)
     defaults = document.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise PersistenceError(f"manifest {source}: [defaults] must be a table")
-    bad = set(defaults) - (TENANT_KEYS - {"id"})
-    if bad:
-        raise PersistenceError(
-            f"manifest {source}: unknown default key(s) {sorted(bad)}"
-        )
-    _check_stanza(
-        defaults.get("slo"), SLO_STANZA_KEYS, "[defaults.slo]", source
-    )
-    _check_stanza(
-        defaults.get("guard"), GUARD_STANZA_KEYS, "[defaults.guard]", source
-    )
-    _check_stanza(
-        defaults.get("reconcile"),
-        RECONCILE_STANZA_KEYS,
-        "[defaults.reconcile]",
-        source,
+    _check_tenant_table(
+        defaults, _TENANT_KEYS - {"id"}, "[defaults]", "[defaults.{}]", source
     )
     raw_tenants = document.get("tenants")
     if not isinstance(raw_tenants, list) or not raw_tenants:
@@ -243,32 +201,15 @@ def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> Tenant
     seen = set()
     tenants = []
     for i, entry in enumerate(raw_tenants):
-        if not isinstance(entry, dict):
-            raise PersistenceError(f"manifest {source}: tenant #{i} must be a table")
-        bad = set(entry) - TENANT_KEYS
-        if bad:
-            raise PersistenceError(
-                f"manifest {source}: tenant #{i} has unknown key(s) {sorted(bad)}"
-            )
-        _check_stanza(
-            entry.get("slo"), SLO_STANZA_KEYS, f"tenant #{i} [slo]", source
+        _check_tenant_table(
+            entry, _TENANT_KEYS, f"tenant #{i}", f"tenant #{i} [{{}}]", source
         )
-        _check_stanza(
-            entry.get("guard"), GUARD_STANZA_KEYS, f"tenant #{i} [guard]", source
-        )
-        _check_stanza(
-            entry.get("reconcile"),
-            RECONCILE_STANZA_KEYS,
-            f"tenant #{i} [reconcile]",
-            source,
-        )
-        merged = {**_TENANT_DEFAULTS, **defaults, **entry}
+        merged = {**_READER_DEFAULTS, **defaults, **entry}
         # Nested stanzas merge key-wise, not wholesale: a tenant's [slo]
         # refines the [defaults.slo] baseline instead of replacing it.
-        for stanza in ("slo", "guard", "reconcile"):
-            merged[stanza] = _merge_stanza(
-                defaults.get(stanza), entry.get(stanza)
-            )
+        for name in _STANZAS:
+            if defaults.get(name) is not None or entry.get(name) is not None:
+                merged[name] = {**(defaults.get(name) or {}), **(entry.get(name) or {})}
         tenant_id = merged.get("id")
         if not tenant_id or not isinstance(tenant_id, str):
             raise PersistenceError(
@@ -281,20 +222,22 @@ def parse_manifest(document: Dict[str, Any], source: str = "<memory>") -> Tenant
         # ``type(...) is int``, not isinstance: a bool is an int too, and
         # ``nodes = true`` is as wrong as ``nodes = 2.5``.
         for key in _INTEGER_KEYS:
-            value = merged[key]
-            if type(value) is not int and not (key == "fault_seed" and value is None):
+            value = merged.get(key)
+            if key in merged and type(value) is not int and not (
+                key == "fault_seed" and value is None
+            ):
                 raise PersistenceError(
                     f"manifest {source}: tenant {tenant_id!r}: {key} must be "
                     f"an integer, got {value!r}"
                 )
         for key in ("hours", "window_seconds"):
-            value = merged[key]
-            if type(value) not in (int, float) or not value > 0:
+            value = merged.get(key)
+            if key in merged and (type(value) not in (int, float) or not value > 0):
                 raise PersistenceError(
                     f"manifest {source}: tenant {tenant_id!r}: {key} must be "
                     f"a positive number, got {value!r}"
                 )
-        if not isinstance(merged["load"], bool):
+        if "load" in merged and not isinstance(merged["load"], bool):
             raise PersistenceError(
                 f"manifest {source}: tenant {tenant_id!r}: load must be a "
                 f"boolean, got {merged['load']!r}"
@@ -328,67 +271,43 @@ def specs_from_manifest(
 
     ``hours`` overrides every tenant's campaign length (the CLI's
     ``--hours`` flag).  Each tenant gets its own seeded MG-RAST trace,
-    decision policy, and (optionally) generated fault plan.
+    decision policy, and (optionally) generated fault plan; every key the
+    manifest does not set keeps :class:`TenantSpec`'s default.
     """
     specs = []
     for entry in manifest.tenants:
+        settings = {
+            _FIELD_OF[key]: value for key, value in entry.items() if key in _FIELD_OF
+        }
+        # A dataclass keeps each plain field default as a class attribute.
+        seed, window_seconds, n_nodes = (
+            settings.get(name, getattr(TenantSpec, name))
+            for name in ("seed", "window_seconds", "n_nodes")
+        )
         try:
-            mode = entry["mode"]
-            tenant_hours = hours if hours is not None else entry["hours"]
+            for name, spec in _STANZAS.items():
+                if name in settings:
+                    settings[name] = spec(**settings[name])
             series = MGRastTraceGenerator(
-                seed=entry["seed"], window_seconds=entry["window_seconds"]
-            ).read_ratio_series(tenant_hours * 3600)
-            policy = HysteresisPolicy(
-                make_policy(mode),
-                min_change=entry["rr_change_threshold"],
-            )
+                seed=seed, window_seconds=window_seconds
+            ).read_ratio_series((hours if hours is not None else entry["hours"]) * 3600)
             fault_plan = None
             if entry["fault_seed"] is not None:
                 fault_plan = FaultPlan.generate(
                     seed=entry["fault_seed"],
                     n_windows=len(series),
-                    n_nodes=entry["nodes"],
-                    slowdown_probability=0.05 if entry["nodes"] > 1 else 0.0,
+                    n_nodes=n_nodes,
                 )
-            slo = (
-                SloSpec.from_dict(entry["slo"])
-                if entry["slo"] is not None
-                else None
-            )
-            guard = (
-                GuardSpec.from_dict(entry["guard"])
-                if entry["guard"] is not None
-                else None
-            )
-            reconcile = (
-                ReconcileSpec.from_dict(entry["reconcile"])
-                if entry["reconcile"] is not None
-                else None
-            )
             specs.append(
                 TenantSpec(
-                    tenant_id=entry["id"],
                     rr_series=series,
-                    base_workload=mgrast_workload(entry["base_read_ratio"]),
-                    policy=policy,
-                    n_nodes=entry["nodes"],
-                    replication_factor=entry["replication_factor"],
-                    seed=entry["seed"],
-                    window_seconds=entry["window_seconds"],
-                    reconfiguration_penalty_s=entry["reconfiguration_penalty_s"],
-                    canary_margin=entry["canary_margin"],
-                    canary_std_factor=entry["canary_std_factor"],
+                    base_workload=mgrast_workload(0.5),
+                    policy=HysteresisPolicy(make_policy(entry["mode"])),
                     fault_plan=fault_plan,
-                    restart_policy=entry["restart_policy"],
-                    restart_seconds_per_node=entry["restart_seconds_per_node"],
-                    load=entry["load"],
-                    priority=entry["priority"],
-                    slo=slo,
-                    guard=guard,
-                    reconcile=reconcile,
+                    **settings,
                 )
             )
-        except (GuardError, SearchError, TypeError, ValueError) as exc:
+        except (FaultError, GuardError, SearchError, TypeError, ValueError) as exc:
             raise PersistenceError(
                 f"manifest {manifest.source}: tenant {entry['id']!r}: {exc}"
             ) from exc

@@ -25,13 +25,10 @@ identical drift/repair/quarantine event sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import GuardError
 from repro.middleware.breaker import _Bulkhead
-
-#: Keys a manifest ``[tenants.reconcile]`` stanza may set.
-RECONCILE_STANZA_KEYS = frozenset({"max_repairs", "span", "escalate"})
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,6 @@ class ReconcileSpec:
             raise GuardError(
                 f"max_repairs must be >= 0, got {self.max_repairs!r}"
             )
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "ReconcileSpec":
-        """Build a spec from a ``[reconcile]`` stanza (unknown keys rejected)."""
-        bad = set(document) - RECONCILE_STANZA_KEYS
-        if bad:
-            raise GuardError(f"unknown [reconcile] key(s) {sorted(bad)}")
-        return cls(**document)
 
 
 @dataclass

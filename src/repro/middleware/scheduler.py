@@ -92,7 +92,7 @@ from repro.workload.trace import DEFAULT_WINDOW_SECONDS
 
 
 def _default_policy() -> DecisionPolicy:
-    return HysteresisPolicy(OraclePolicy(), min_change=0.08)
+    return HysteresisPolicy(OraclePolicy())
 
 
 def _attach_session_bus(session: TenantSession, bus) -> None:

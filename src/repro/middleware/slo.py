@@ -20,12 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Any, Dict
 
 from repro.errors import GuardError
-
-#: Keys a manifest ``[tenants.slo]`` stanza may set.
-SLO_STANZA_KEYS = frozenset({"throughput_floor", "window_span", "error_budget"})
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,6 @@ class SloSpec:
             raise GuardError(
                 f"error_budget must be in [0, 1], got {self.error_budget!r}"
             )
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "SloSpec":
-        """Build a spec from a manifest ``[slo]`` stanza (unknown keys rejected)."""
-        bad = set(document) - SLO_STANZA_KEYS
-        if bad:
-            raise GuardError(f"unknown [slo] key(s) {sorted(bad)}")
-        return cls(**document)
 
     @property
     def allowed_violations(self) -> float:

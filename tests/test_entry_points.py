@@ -74,7 +74,7 @@ class TestOneBlasThread:
             out = tmp_path / f"surrogate-{threads}-{workers}.json"
             runs[out] = start_python(
                 ["-m", "repro", "train", "--dataset", str(dataset), "--out", str(out),
-                 "--networks", "2", "--seed", "5", "--workers", workers, "--quiet"],
+                 "--networks", "2", "--seed", "5", "--workers", workers],
                 threads,
             )
         for proc in runs.values():

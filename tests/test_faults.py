@@ -11,7 +11,9 @@ from repro.faults import (
     NodeCrash,
     TransientFault,
 )
+from repro.middleware import TenantSpec
 from repro.runtime import EventBus
+from repro.workload.spec import mgrast_workload
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,19 @@ class TestPlanGeneration:
     def test_single_node_never_crashes(self):
         plan = FaultPlan.generate(seed=5, n_windows=500, n_nodes=1)
         assert plan.node_crashes == ()
+
+    def test_single_node_plan_at_defaults_is_valid(self):
+        """One node takes no slowdown, yet the uniform is still drawn: a
+        default plan is the zero-slowdown plan, and a 1-node tenant takes it."""
+        for seed in range(50):
+            plan = FaultPlan.generate(seed, 96)
+            assert plan == FaultPlan.generate(seed, 96, slowdown_probability=0.0)
+            TenantSpec(
+                tenant_id="solo",
+                rr_series=[0.5] * 96,
+                base_workload=mgrast_workload(0.5),
+                fault_plan=plan,
+            )
 
     def test_zero_probabilities_give_empty_schedule(self):
         plan = FaultPlan.generate(

@@ -2,17 +2,21 @@
 
 import json
 import sys
+from dataclasses import fields
 
 import pytest
 
 from repro.errors import PersistenceError
 from repro.middleware import (
     GuardSpec,
+    ReconcileSpec,
     SloSpec,
+    TenantSpec,
     load_manifest,
     parse_manifest,
     specs_from_manifest,
 )
+from repro.workload.spec import mgrast_workload
 
 HAS_TOMLLIB = sys.version_info >= (3, 11)
 
@@ -101,7 +105,7 @@ class TestValidation:
             parse_manifest({"tenants": [{"id": "a"}], "tennants": []})
 
     def test_unknown_default_key_rejected(self):
-        with pytest.raises(PersistenceError, match="unknown default key"):
+        with pytest.raises(PersistenceError, match=r"\[defaults\] has unknown key"):
             parse_manifest({"defaults": {"sede": 1}, "tenants": [{"id": "a"}]})
 
     def test_unknown_tenant_key_rejected(self):
@@ -121,7 +125,7 @@ class TestValidation:
             parse_manifest({"tenants": [{"id": "a"}, {"id": "a"}]})
 
     def test_id_not_settable_from_defaults(self):
-        with pytest.raises(PersistenceError, match="unknown default key"):
+        with pytest.raises(PersistenceError, match=r"\[defaults\] has unknown key"):
             parse_manifest({"defaults": {"id": "a"}, "tenants": [{"id": "b"}]})
 
 
@@ -142,7 +146,7 @@ class TestGuardStanzas:
         assert manifest.shedding is True
 
     def test_unknown_guard_section_key_rejected(self):
-        with pytest.raises(PersistenceError, match=r"unknown \[guard\] key"):
+        with pytest.raises(PersistenceError, match=r"\[guard\] has unknown key"):
             parse_manifest(
                 {"guard": {"capasity": 1}, "tenants": [{"id": "a"}]}
             )
@@ -168,6 +172,21 @@ class TestGuardStanzas:
             parse_manifest(
                 {"tenants": [{"id": "a", "guard": {"fuses": 3}}]}
             )
+
+    @pytest.mark.parametrize("spec", [SloSpec, GuardSpec, ReconcileSpec])
+    def test_stanza_takes_exactly_its_spec_fields(self, spec):
+        name = {SloSpec: "slo", GuardSpec: "guard", ReconcileSpec: "reconcile"}[spec]
+        stanza = {field.name: field.default for field in fields(spec)}
+        (built,) = specs_from_manifest(
+            parse_manifest({"tenants": [{"id": "a", "hours": 1, name: stanza}]})
+        )
+        assert getattr(built, name) == spec()
+        # Neither a stray key nor another stanza's field.
+        own = set(stanza)
+        others = {f.name for other in (SloSpec, GuardSpec, ReconcileSpec) for f in fields(other)}
+        for key in ["extra", *sorted(others - own)]:
+            with pytest.raises(PersistenceError, match=f"unknown key.*{key}"):
+                parse_manifest({"tenants": [{"id": "a", name: dict(stanza, **{key: 1})}]})
 
     def test_unknown_nested_key_in_defaults_rejected(self):
         with pytest.raises(PersistenceError, match=r"\[defaults.slo\]"):
@@ -256,22 +275,60 @@ class TestSpecBuilding:
 
     def test_invalid_spec_names_the_tenant(self):
         document = {
-            "tenants": [{"id": "bad", "fault_seed": 3, "nodes": 1, "hours": 1}]
+            "tenants": [{"id": "bad", "nodes": 1, "replication_factor": 2, "hours": 1}]
         }
-        # A 1-node tenant whose generated plan contains node-level
-        # faults must fail with the tenant named.
-        try:
+        with pytest.raises(PersistenceError, match="bad.*replication factor"):
             specs_from_manifest(parse_manifest(document))
-        except PersistenceError as exc:
-            assert "bad" in str(exc)
+        # A fault plan for no node is refused before the spec is built.
+        document = {"tenants": [{"id": "bad", "nodes": 0, "fault_seed": 1, "hours": 1}]}
+        with pytest.raises(PersistenceError, match="bad.*node"):
+            specs_from_manifest(parse_manifest(document))
 
-    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
-    def test_bad_hysteresis_threshold_names_the_tenant(self, threshold):
-        """``rr_change_threshold = nan`` used to build a damper whose every
-        compare is False — hysteresis silently off."""
-        document = {"tenants": [{"id": "damp", "rr_change_threshold": threshold, "hours": 1}]}
-        with pytest.raises(PersistenceError, match="damp.*min_change"):
-            specs_from_manifest(parse_manifest(document))
+    @pytest.mark.parametrize("key", ["rr_change_threshold", "base_read_ratio"])
+    def test_retired_keys_rejected(self, key):
+        """Both were retired: the hysteresis threshold is HysteresisPolicy's
+        own and the base workload is ``mgrast_workload(0.5)``."""
+        with pytest.raises(PersistenceError, match=f"unknown key.*{key}"):
+            parse_manifest({"tenants": [{"id": "a", key: 0.5}]})
+
+    def test_every_set_key_reaches_the_spec(self):
+        """Each tenant key but the reader's own names a TenantSpec field,
+        and a value set in the document is the spec's."""
+        tenant = {
+            "id": "full",
+            "nodes": 3,
+            "replication_factor": 2,
+            "seed": 5,
+            "window_seconds": 120,
+            "reconfiguration_penalty_s": 7.5,
+            "canary_margin": 0.3,
+            "canary_std_factor": 1.5,
+            "restart_policy": "rolling",
+            "restart_seconds_per_node": 12.0,
+            "load": False,
+            "priority": 4,
+            "slo": {"throughput_floor": 1000.0},
+            "guard": {"max_restarts": 1},
+            "reconcile": {"escalate": False},
+        }
+        (spec,) = specs_from_manifest(parse_manifest({"tenants": [dict(tenant, hours=1)]}))
+        spelled = {"id": "tenant_id", "nodes": "n_nodes"}
+        stanzas = {"slo": SloSpec, "guard": GuardSpec, "reconcile": ReconcileSpec}
+        for key, value in tenant.items():
+            if key in stanzas:
+                value = stanzas[key](**value)
+            assert getattr(spec, spelled.get(key, key)) == value, key
+        assert len(spec.rr_series) == 30     # 1 hour of 120 s windows
+
+    def test_unset_keys_keep_the_dataclass_defaults(self):
+        (spec,) = specs_from_manifest(parse_manifest({"tenants": [{"id": "bare"}]}))
+        bare = TenantSpec(
+            tenant_id="bare", rr_series=spec.rr_series, base_workload=mgrast_workload(0.5)
+        )
+        for field in fields(TenantSpec):
+            if field.name not in ("rr_series", "policy"):
+                assert getattr(spec, field.name) == getattr(bare, field.name), field.name
+        assert spec.policy.min_change == bare.policy.min_change
 
     def test_wrong_typed_value_names_the_tenant(self):
         for key, value in [

@@ -471,12 +471,6 @@ class TestReconcileSpec:
         with pytest.raises(GuardError, match="max_repairs"):
             ReconcileSpec(max_repairs=-1)
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(GuardError, match="max_repares"):
-            ReconcileSpec.from_dict({"max_repares": 2})
-        spec = ReconcileSpec.from_dict({"max_repairs": 2, "span": 4})
-        assert spec == ReconcileSpec(max_repairs=2, span=4)
-
     def test_repair_budget_rolls(self):
         reconciler = DriftReconciler(
             "t", spec=ReconcileSpec(max_repairs=2, span=4)
